@@ -1,3 +1,4 @@
+import hashlib
 from datetime import datetime, timezone
 
 import numpy as np
@@ -16,6 +17,7 @@ from tcpci.model import (
     Verdict,
 )
 from tcpci.synth import SynthConfig, generate_synthetic_history
+from test_acceptance import DRIFT_CFG
 
 TS = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
@@ -221,3 +223,31 @@ def test_timing_tes_chn_preprocessing_zero():
     assert rows["TES_CHN"][0] == 0.0
     for g, (p, m, t) in rows.items():
         assert t == p + m
+
+
+def _csv_digest(matrices, tmp_path) -> str:
+    h = hashlib.sha256()
+    for m in matrices:
+        path = tmp_path / f"build_{m.build}.csv"
+        m.write_csv(path)
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def test_feature_bytes_golden(tmp_path):
+    # Any change to these digests changes the feature CSVs: a refactor of
+    # the extractor must keep them; a deliberate feature change updates them.
+    history, sources, _ = generate_synthetic_history(SynthConfig(), seed=7)
+    ex = FeatureExtractor(history, sources)
+    live = _csv_digest((ex.matrix(b.id) for b in history.builds), tmp_path)
+    assert live == "02462f3cd143f570c907e42ea0fb75a0769cc686655991712a02968e95848d75"
+
+    history, sources, _ = generate_synthetic_history(DRIFT_CFG, seed=1)
+    ex = FeatureExtractor(history, sources)
+    anchor = history.failed_builds[0].id
+    snap = ex.snapshot(anchor)
+    matrices = [ex.matrix(b.id) for b in history.builds]
+    matrices += [ex.matrix(b.id, snap) for b in history.builds if b.id > anchor]
+    assert _csv_digest(matrices, tmp_path) == (
+        "a1669572e926ad05b1258005390c269752d2e8d922da44ee87852180ff7fabbb"
+    )
