@@ -24,12 +24,7 @@ from .errors import (
     NoFailedBuildsError,
     TcpciError,
 )
-from .evaluation import (
-    DEFAULT_HEURISTIC,
-    decay_experiment,
-    remove_frequent_failers,
-    run_pipeline_eval,
-)
+from .evaluation import decay_experiment, remove_frequent_failers, run_pipeline_eval
 from .features import FeatureExtractor, RecWindow
 from .ingest import DatasetLayout, ingest_exec_records, write_dataset
 from .matrix import stack_matrices
@@ -128,22 +123,38 @@ def _load_config(path: Path | None) -> dict:
     return cfg
 
 
-def _opt(args, cfg: dict, name: str, default):
-    """Flag value if given, else config value, else default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return cfg.get(name, default)
+def _given(args, cfg: dict, *names: str, **renamed: str) -> dict:
+    """Keyword arguments for the options a flag or the config sets.
+
+    A flag wins over the config value; an option set by neither is left
+    out, so the library's own default applies.  ``renamed`` maps an
+    option to the parameter it fills.
+    """
+    out = {}
+    for name, param in {**{n: n for n in names}, **renamed}.items():
+        value = getattr(args, name, None)
+        if value is None:
+            value = cfg.get(name)
+        if value is not None:
+            out[param] = value
+    return out
+
+
+def _construct(cls, kwargs: dict):
+    """``cls(**kwargs)``, with rejected values reported as bad configuration."""
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfigError(f"{cls.__name__}: {exc}") from exc
 
 
 def _hyperparams(args, cfg: dict) -> Hyperparams:
-    return Hyperparams(
-        n_bags=_opt(args, cfg, "bags", 150),
-        trees_per_bag=_opt(args, cfg, "trees_per_bag", 5),
-        max_leaves=_opt(args, cfg, "max_leaves", 200),
-        shrinkage=_opt(args, cfg, "shrinkage", 0.2),
-        sample_rate=_opt(args, cfg, "sample_rate", 0.5),
-        feature_rate=_opt(args, cfg, "feature_rate", 0.3),
+    return _construct(
+        Hyperparams,
+        _given(
+            args, cfg, "trees_per_bag", "max_leaves", "shrinkage", "sample_rate",
+            "feature_rate", bags="n_bags",
+        ),
     )
 
 
@@ -158,10 +169,11 @@ def _load(dataset: Path, filter_outliers: bool = False):
 
 
 def _extractor_kwargs(args, cfg: dict) -> dict:
-    return {
-        "rec_window": RecWindow(_opt(args, cfg, "recent_window", 6)),
-        "impact_depth": _opt(args, cfg, "impact_depth", 1),
-    }
+    kwargs = _given(args, cfg, "impact_depth")
+    window = _given(args, cfg, recent_window="recent_size")
+    if window:
+        kwargs["rec_window"] = _construct(RecWindow, window)
+    return kwargs
 
 
 def _cmd_ingest(args, cfg: dict) -> int:
@@ -194,7 +206,7 @@ def _cmd_train(args, cfg: dict) -> int:
         raise NoFailedBuildsError(f"no failed builds before {args.until}")
     extractor = FeatureExtractor(history, load_sources(layout), **_extractor_kwargs(args, cfg))
     X, y = stack_matrices([extractor.matrix(b.id) for b in train_builds])
-    model = train_ranker(X, y, _hyperparams(args, cfg), seed=_opt(args, cfg, "seed", 0))
+    model = train_ranker(X, y, _hyperparams(args, cfg), **_given(args, cfg, "seed"))
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(model.to_json(), encoding="utf-8")
     print(args.out)
@@ -221,9 +233,7 @@ def _cmd_evaluate(args, cfg: dict) -> int:
         history,
         load_sources(layout),
         _hyperparams(args, cfg),
-        seed=_opt(args, cfg, "seed", 0),
-        max_builds=_opt(args, cfg, "max_builds", 50),
-        heuristic=_opt(args, cfg, "heuristic", DEFAULT_HEURISTIC),
+        **_given(args, cfg, "seed", "max_builds", "heuristic"),
         **_extractor_kwargs(args, cfg),
     )
     out = args.out or args.dataset / "reports"
@@ -239,9 +249,7 @@ def _cmd_decay(args, cfg: dict) -> int:
         history,
         load_sources(layout),
         _hyperparams(args, cfg),
-        seed=_opt(args, cfg, "seed", 0),
-        max_builds=_opt(args, cfg, "max_builds", 50),
-        max_rw=_opt(args, cfg, "max_rw", 11),
+        **_given(args, cfg, "seed", "max_builds", "max_rw"),
         **_extractor_kwargs(args, cfg),
     )
     out = args.out or args.dataset / "reports" / "decay.csv"
@@ -251,18 +259,13 @@ def _cmd_decay(args, cfg: dict) -> int:
 
 
 def _cmd_synth(args, cfg: dict) -> int:
-    cfg = dict(cfg)
-    seed = _opt(args, cfg, "seed", 0)
-    cfg.pop("seed", None)
-    known = set(SynthConfig.__dataclass_fields__)
-    unknown = set(cfg) - known
+    generator = {k: v for k, v in cfg.items() if k != "seed"}
+    unknown = set(generator) - set(SynthConfig.__dataclass_fields__)
     if unknown:
         raise InvalidConfigError(f"unknown generator config keys: {sorted(unknown)}")
-    try:
-        config = SynthConfig(**cfg)
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfigError(str(exc)) from exc
-    layout, _ = write_synthetic_dataset(args.out, config, seed=seed)
+    layout, _ = write_synthetic_dataset(
+        args.out, _construct(SynthConfig, generator), **_given(args, cfg, "seed")
+    )
     print(layout.root)
     return EXIT_OK
 

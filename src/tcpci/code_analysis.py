@@ -24,7 +24,6 @@ source text.
 from __future__ import annotations
 
 import bisect
-import enum
 import math
 import re
 from dataclasses import dataclass, fields
@@ -52,11 +51,6 @@ DMM_INTERFACING_THRESHOLD = 2
 
 _TOKEN_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*|&&|\|\||[{}();?,=:<>\[\]]")
 _IMPORT_RE = re.compile(r"\bimport\s+(?:static\s+)?([\w.]+?)(\.\*)?\s*;")
-
-
-class Kind(enum.Enum):
-    TEST_FILE = "test"
-    SUT_FILE = "sut"
 
 
 @dataclass(frozen=True)
@@ -136,7 +130,6 @@ assert tuple(f.name for f in fields(ChangeMetrics)) == CHANGE_METRICS
 @dataclass(frozen=True)
 class SourceEntity:
     path: str
-    kind: Kind
     import_targets: frozenset[str] = frozenset()
     call_targets: frozenset[str] = frozenset()
 
@@ -630,7 +623,6 @@ def analyze_file(
 
     entity = SourceEntity(
         path=path,
-        kind=Kind.TEST_FILE if is_test_file(path) else Kind.SUT_FILE,
         import_targets=frozenset(imports),
         call_targets=frozenset(calls),
     )

@@ -14,12 +14,10 @@ build k never see commits after k.
 from __future__ import annotations
 
 import bisect
-import json
-from pathlib import Path
 
 from .errors import UnknownTestError
 from .model import AssociationScores, Commit, ZERO_SCORES
-from .code_analysis import FileIndex, Kind, analyze_file, is_test_file
+from .code_analysis import FileIndex, analyze_file, is_test_file
 
 
 class DependencyGraph:
@@ -45,13 +43,10 @@ class DependencyGraph:
             raise UnknownTestError(f"{test} is not a node of the dependency graph")
         return self.deps[test] & self.sut_files
 
-    def dependents(self, path: str) -> frozenset[str]:
-        return frozenset(self._dependents.get(path, ()))
-
     def impacted_files(self, changed: frozenset[str], depth: int = 1) -> frozenset[str]:
         """SUT files reachable by reverse edges from the changed set.
 
-        Breadth-first over dependents up to ``depth`` hops; the changed
+        Breadth-first up to ``depth`` hops; the changed
         files themselves are excluded so chn and imp stay disjoint.
         """
         frontier = set(changed)
@@ -65,35 +60,6 @@ class DependencyGraph:
             seen |= nxt
             frontier = nxt
         return frozenset((seen - set(changed)) & self.sut_files)
-
-    def to_json(self) -> str:
-        payload = {
-            "version": 1,
-            "deps": {p: sorted(self.deps[p]) for p in sorted(self.deps)},
-        }
-        return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DependencyGraph":
-        payload = json.loads(text)
-        return cls({p: frozenset(t) for p, t in payload["deps"].items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, DependencyGraph):
-            return NotImplemented
-        return self.deps == other.deps
-
-
-def build_dependency_graph(src_root: Path | str) -> DependencyGraph:
-    """Analyze every .java file under a source tree and link the edges.
-
-    Node names are paths relative to ``src_root``'s parent-of-tree, i.e.
-    the repository-relative paths tests are identified by.
-    """
-    root = Path(src_root)
-    paths = {str(p.relative_to(root.parent)) for p in root.rglob("*.java")}
-    sources = {p: (root.parent / p).read_text(encoding="utf-8", errors="replace") for p in paths}
-    return build_dependency_graph_from_sources(sources)
 
 
 def build_dependency_graph_from_sources(sources: dict[str, str]) -> DependencyGraph:
@@ -166,36 +132,6 @@ class AssociationMiner:
     def cov_score(self, file: str, test: str, n_commits: int | None = None) -> float:
         """Weight of a covered file for a test: confidence(file -> test)."""
         return self.scores(file, test, n_commits).confidence
-
-
-def association_scores(commits: list[Commit], f: str, g: str) -> AssociationScores:
-    """One-shot convenience wrapper over :class:`AssociationMiner`."""
-    return AssociationMiner(commits).scores(f, g)
-
-
-def export_graph_json(
-    graph: DependencyGraph,
-    miner: AssociationMiner | None = None,
-    n_commits: int | None = None,
-) -> str:
-    """Inspection export: nodes plus scored edges (test/file -> dependency)."""
-    edges = []
-    for src in sorted(graph.deps):
-        for dst in sorted(graph.deps[src]):
-            scores = miner.scores(dst, src, n_commits) if miner is not None else ZERO_SCORES
-            edges.append(
-                {
-                    "from": src,
-                    "to": dst,
-                    "support": scores.support,
-                    "confidence": scores.confidence,
-                    "lift": scores.lift,
-                }
-            )
-    return json.dumps({"nodes": sorted(graph.files), "edges": edges}, indent=2)
-
-
-DEFECT_KEYWORDS = frozenset({"fix", "bug", "defect", "patch", "fault", "repair"})
 
 
 class PdfIndex:

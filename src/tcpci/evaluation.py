@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientHistoryError, NoFailuresError
+from .errors import InsufficientHistoryError, InvalidConfigError, NoFailuresError
 from .features import FeatureExtractor, RecWindow, Snapshot
 from .matrix import FeatureMatrix, stack_matrices
 from .model import Build, BuildHistory, is_failed
@@ -154,6 +154,8 @@ class EvaluationReport:
 
 def _evaluable_failed_builds(history: BuildHistory, cap: int) -> list[Build]:
     """Latest (up to cap) failed builds that have >= 1 prior failed build."""
+    if not isinstance(cap, int) or cap < 1:
+        raise InvalidConfigError(f"max_builds must be an integer >= 1, got {cap!r}")
     failed = list(history.failed_builds)
     candidates = failed[1:]  # the first failed build has no training data
     return candidates[-cap:]
@@ -168,7 +170,6 @@ class PipelineEvaluator:
         sources: dict[str, str] | None = None,
         hyperparams: Hyperparams = Hyperparams(),
         seed: int = 0,
-        max_builds: int = 50,
         rec_window: RecWindow = RecWindow(),
         impact_depth: int = 1,
         classify=None,
@@ -176,7 +177,6 @@ class PipelineEvaluator:
         self.history = history
         self.hyperparams = hyperparams
         self.seed = seed
-        self.max_builds = max_builds
         self.extractor = FeatureExtractor(
             history,
             sources,
@@ -227,9 +227,8 @@ def run_pipeline_eval(
     """
     if len(history.failed_builds) < 2:
         raise InsufficientHistoryError("need at least 2 failed builds to evaluate")
-    ev = PipelineEvaluator(
-        history, sources, hyperparams, seed, max_builds, **extractor_kwargs
-    )
+    evaluable = _evaluable_failed_builds(history, max_builds)
+    ev = PipelineEvaluator(history, sources, hyperparams, seed, **extractor_kwargs)
     report = EvaluationReport(
         config={
             "seed": seed,
@@ -239,7 +238,7 @@ def run_pipeline_eval(
             "hyperparams": dataclasses.asdict(hyperparams),
         }
     )
-    for build in _evaluable_failed_builds(history, max_builds):
+    for build in evaluable:
         model = ev.model_for(build.id)
         matrix = ev.matrix(build.id)
         report.apfdc_rows.append(
@@ -305,8 +304,10 @@ def decay_experiment(
     """
     if len(history.failed_builds) < 2:
         raise InsufficientHistoryError("need at least 2 failed builds to evaluate")
-    ev = PipelineEvaluator(history, sources, hyperparams, seed, max_builds, **extractor_kwargs)
+    if not isinstance(max_rw, int) or max_rw < 0:
+        raise InvalidConfigError(f"max_rw must be an integer >= 0, got {max_rw!r}")
     evaluable = _evaluable_failed_builds(history, max_builds)
+    ev = PipelineEvaluator(history, sources, hyperparams, seed, **extractor_kwargs)
     positions = {b.id: i for i, b in enumerate(history.failed_builds)}
     last_position = len(history.failed_builds) - 1
     full_window = [a for a in evaluable if positions[a.id] + max_rw <= last_position]

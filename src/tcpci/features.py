@@ -11,9 +11,17 @@ Nine feature groups from three kinds of raw data:
 
 Anti-leakage rule: no feature of build k reads build k's verdicts or
 durations; everything history-derived uses builds strictly before k and
-commits up to k.  All mining-backed values are computed against a
-:class:`Snapshot`, which freezes the commit-prefix cutoff — the retraining
-decay experiment reuses this path with an old snapshot.
+commits up to k.  The mining indices are built once over the whole
+history and answer prefix queries; a :class:`Snapshot` is only the
+commit-prefix cutoff they are asked at.  The retraining decay experiment
+reuses this path with an old snapshot.
+
+The five coverage groups are table algebra: per build, a (row, covered
+file, normalized weight) pair table for the changed set and one for the
+impacted set, each multiplied by a per-file metric table and accumulated
+into the matrix with ``np.add.at`` in pair order.  That order is the one
+a per-test loop would add in, so the sums are the same to the last bit
+(a dense matmul would reorder them).
 
 Timing: preprocessing (index construction) and measurement (per-build
 feature computation) wall-clock are accumulated per group; shared
@@ -28,6 +36,7 @@ import time
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,23 +45,19 @@ from .catalog import (
     CHANGE_METRICS,
     COMPLEXITY_METRICS,
     PROCESS_METRICS,
+    REC_FEATURES,
     FeatureGroup,
 )
 from .code_analysis import (
     ComplexityMetrics,
+    FileIndex,
     ProcessHistory,
     analyze_file,
     compute_change_metrics,
 )
-from .coverage import (
-    AssociationMiner,
-    DependencyGraph,
-    PdfIndex,
-    normalize_scores,
-)
+from .coverage import AssociationMiner, DependencyGraph, PdfIndex
 from .matrix import FeatureMatrix
 from .model import Build, BuildHistory, FileChange, Verdict, is_failed
-from .code_analysis import FileIndex
 
 log = logging.getLogger(__name__)
 
@@ -143,20 +148,24 @@ class Timings:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """Preprocessed state frozen at one build: graph plus prefix cutoffs.
+    """A commit cutoff frozen at one build.
 
-    The heavy indices (miner, process history, fault counts) answer
-    prefix queries, so a snapshot is just the graph plus the commit count
-    visible at its build.
+    Every mining index (association, process history, fault counts)
+    answers prefix queries, so a snapshot is just the build and the
+    number of commits visible at it.
     """
 
     build: int
     n_commits: int
-    graph: DependencyGraph
-    miner: AssociationMiner
-    process: ProcessHistory
-    pdf: PdfIndex
-    complexity: dict[str, ComplexityMetrics]
+
+
+class _Pairs(NamedTuple):
+    """(row, covered file, normalized weight) table of one build; rows ascend
+    and files ascend by path within a row."""
+
+    rows: np.ndarray
+    files: list[str]
+    w: np.ndarray
 
 
 class FeatureExtractor:
@@ -184,11 +193,9 @@ class FeatureExtractor:
         with self.timings.preprocessing(FeatureGroup.TES_COM, FeatureGroup.COD_COV_COM):
             index = FileIndex(set(sources))
             self._complexity: dict[str, ComplexityMetrics] = {}
-            self._entities = {}
+            entities = {}
             for path in sorted(sources):
-                metrics, entity = analyze_file(sources[path], path, index)
-                self._complexity[path] = metrics
-                self._entities[path] = entity
+                self._complexity[path], entities[path] = analyze_file(sources[path], path, index)
             self._com_arrays = {
                 p: np.array([m.value(n) for n in COMPLEXITY_METRICS])
                 for p, m in self._complexity.items()
@@ -196,9 +203,17 @@ class FeatureExtractor:
 
         with self.timings.preprocessing(*_COV_GROUPS):
             self._graph = DependencyGraph(
-                {p: e.import_targets | e.call_targets for p, e in self._entities.items()}
+                {p: e.import_targets | e.call_targets for p, e in entities.items()}
             )
             self._miner = AssociationMiner(history.commit_sequence)
+            # coverage as a table: graph node x SUT file (in path order), plus
+            # an all-False last row for tests outside the graph
+            self._sut = sorted(self._graph.sut_files)
+            self._sut_id = {f: j for j, f in enumerate(self._sut)}
+            self._node = {p: i for i, p in enumerate(self._graph.deps)}
+            self._covers = np.zeros((len(self._node) + 1, len(self._sut)), dtype=bool)
+            for p, i in self._node.items():
+                self._covers[i, [self._sut_id[f] for f in self._graph.covered_files(p)]] = True
 
         with self.timings.preprocessing(FeatureGroup.TES_PRO, FeatureGroup.COD_COV_PRO):
             self._process = ProcessHistory(history.commit_sequence)
@@ -223,33 +238,23 @@ class FeatureExtractor:
     # -- snapshots -------------------------------------------------------
 
     def snapshot(self, build_id: int) -> Snapshot:
-        """Preprocessed state as of a build (commits up to and including it)."""
-        n_commits = len(self.history.commits_up_to(build_id))
-        return Snapshot(
-            build=build_id,
-            n_commits=n_commits,
-            graph=self._graph,
-            miner=self._miner,
-            process=self._process,
-            pdf=self._pdf,
-            complexity=self._complexity,
-        )
+        """Commit cutoff as of a build (commits up to and including it)."""
+        return Snapshot(build=build_id, n_commits=len(self.history.commits_up_to(build_id)))
 
     # -- REC -------------------------------------------------------------
 
-    def _rec_row(self, test: str, k: int, chn: frozenset[str]) -> np.ndarray:
-        out = np.zeros(len(CATALOG))  # only the REC slice is filled here
+    def _rec_row(self, test: str, k: int, earlier: list[set[int]]) -> np.ndarray:
+        """The REC slice of one test; ``earlier`` holds, per changed file,
+        the builds before k that changed it."""
         th = self._tests.get(test)
         pos = bisect_left(th.builds, k) if th is not None else 0
-        sl = CATALOG.group_slice(FeatureGroup.REC)
-        rec = np.zeros(sl.stop - sl.start)
+        rec = np.zeros(len(REC_FEATURES))
         if pos == 0:
             rec[1] = -1.0  # LastFailAge
             rec[2] = -1.0  # LastTransitionAge
             rec[17] = -1.0  # MaxTestFileFailRate (TF = 0)
             rec[18] = -1.0
-            out[sl] = rec
-            return out
+            return rec
         fails_before = bisect_left(th.fail_builds, k)
         trans_before = bisect_left(th.trans_builds, k)
         rec[0] = k - th.builds[0]  # Age
@@ -285,20 +290,14 @@ class FeatureExtractor:
             if n_events == 0:
                 return -1.0
             events = event_builds[:n_events]
-            best = 0.0
-            for f in chn:
-                fb = self._file_builds.get(f)
-                if not fb:
-                    continue
-                fb_set = set(fb[: bisect_left(fb, k)])
-                hits = sum(1 for b in events if b in fb_set)
-                best = max(best, hits / n_events)
-            return best
+            return max(
+                (sum(1 for b in events if b in fb) / n_events for fb in earlier),
+                default=0.0,
+            )
 
         rec[17] = max_file_rate(th.fail_builds, fails_before)
         rec[18] = max_file_rate(th.trans_builds, trans_before)
-        out[sl] = rec
-        return out
+        return rec
 
     # -- per-file metric vectors ----------------------------------------
 
@@ -336,34 +335,41 @@ class FeatureExtractor:
         """Feature matrix of one build, one row per executed test.
 
         With an old ``snapshot``, mining-backed features reflect that
-        snapshot's state (the decay experiment); tests unknown to the
-        snapshot get snapshot-derived columns imputed with the column mean
-        over known rows.
+        snapshot's commit cutoff (the decay experiment); tests unknown to
+        the dependency graph get snapshot-derived columns imputed with the
+        column mean over known rows.
         """
         build = self.history.build(build_id)
-        snap = snapshot if snapshot is not None else self.snapshot(build_id)
+        n_commits = (snapshot if snapshot is not None else self.snapshot(build_id)).n_commits
         tests = sorted(build.tests)
-        n = len(tests)
-        X = np.zeros((n, len(CATALOG)))
+        X = np.zeros((len(tests), len(CATALOG)))
         chn = build.change_set.changed_files
         changes = self._build_changes(build)
         tim = self.timings
 
+        def block(group: FeatureGroup) -> np.ndarray:
+            return X[:, CATALOG.group_slice(group)]
+
         with tim.measurement(FeatureGroup.REC):
+            earlier = [
+                set(fb[: bisect_left(fb, build_id)])
+                for f in chn
+                if (fb := self._file_builds.get(f))
+            ]
+            rec = block(FeatureGroup.REC)
             for i, t in enumerate(tests):
-                X[i] += self._rec_row(t, build_id, chn)
+                rec[i] += self._rec_row(t, build_id, earlier)  # += turns -0.0 into 0.0
 
-        sl_com = CATALOG.group_slice(FeatureGroup.TES_COM)
         with tim.measurement(FeatureGroup.TES_COM):
+            com = block(FeatureGroup.TES_COM)
             for i, t in enumerate(tests):
-                X[i, sl_com] = self._com_vec(t)
+                com[i] = self._com_vec(t)
 
-        sl_pro = CATALOG.group_slice(FeatureGroup.TES_PRO)
         with tim.measurement(FeatureGroup.TES_PRO):
+            pro = block(FeatureGroup.TES_PRO)
             for i, t in enumerate(tests):
-                X[i, sl_pro] = self._pro_vec(t, snap.n_commits)
+                pro[i] = self._pro_vec(t, n_commits)
 
-        sl_chn = CATALOG.group_slice(FeatureGroup.TES_CHN)
         chn_metric_cache: dict[str, np.ndarray] = {}
 
         def chn_vec(path: str) -> np.ndarray:
@@ -375,79 +381,38 @@ class FeatureExtractor:
             return vec
 
         with tim.measurement(FeatureGroup.TES_CHN):
+            tes_chn = block(FeatureGroup.TES_CHN)
             for i, t in enumerate(tests):
-                X[i, sl_chn] = chn_vec(t)
+                tes_chn[i] = chn_vec(t)
 
-        # coverage-driven groups share the covered/changed/impacted sets
-        sl_fcov = CATALOG.group_slice(FeatureGroup.F_COV)
-        sl_ccom = CATALOG.group_slice(FeatureGroup.COD_COV_COM)
-        sl_cpro = CATALOG.group_slice(FeatureGroup.COD_COV_PRO)
-        sl_cchn = CATALOG.group_slice(FeatureGroup.COD_COV_CHN)
-        sl_det = CATALOG.group_slice(FeatureGroup.DET_COV)
-        n_com = len(COMPLEXITY_METRICS)
-        n_pro = len(PROCESS_METRICS)
-
+        # coverage groups: one pair table for the changed set and one for
+        # the impacted set, times per-file metric tables
         with tim.measurement(FeatureGroup.F_COV):
-            imp = snap.graph.impacted_files(chn, self.impact_depth)
-            cov_sets: list[tuple[list[str], list[str]]] = []
-            weight_sets: list[tuple[list[float], list[float]]] = []
-            for t in tests:
-                covered = (
-                    snap.graph.covered_files(t) if t in snap.graph.files else frozenset()
-                )
-                c_files = sorted(covered & chn)
-                i_files = sorted(covered & imp)
-                c_w = self._weights(t, c_files, snap)
-                i_w = self._weights(t, i_files, snap)
-                cov_sets.append((c_files, i_files))
-                weight_sets.append((c_w, i_w))
-            for i in range(n):
-                c_files, i_files = cov_sets[i]
-                c_w, i_w = weight_sets[i]
-                X[i, sl_fcov] = [len(c_files), len(i_files), sum(c_w), sum(i_w)]
+            nodes = np.array([self._node.get(t, -1) for t in tests], dtype=np.intp)
+            imp = self._graph.impacted_files(chn, self.impact_depth)
+            halves = [self._pairs(tests, nodes, files, n_commits) for files in (chn, imp)]
+            f_cov = block(FeatureGroup.F_COV)  # CovC, CovI, SumCovC, SumCovI
+            for h, p in enumerate(halves):
+                np.add.at(f_cov[:, h::2], p.rows, np.column_stack([np.ones_like(p.w), p.w]))
 
         with tim.measurement(FeatureGroup.COD_COV_COM):
-            for i in range(n):
-                c_files, i_files = cov_sets[i]
-                c_w, i_w = weight_sets[i]
-                block = np.zeros(2 * n_com)
-                for f, w in zip(c_files, c_w):
-                    block[:n_com] += w * self._com_vec(f)
-                for f, w in zip(i_files, i_w):
-                    block[n_com:] += w * self._com_vec(f)
-                X[i, sl_ccom] = block
+            self._spread(block(FeatureGroup.COD_COV_COM), halves, self._com_vec)
 
         with tim.measurement(FeatureGroup.COD_COV_PRO):
-            for i in range(n):
-                c_files, i_files = cov_sets[i]
-                c_w, i_w = weight_sets[i]
-                block = np.zeros(2 * n_pro)
-                for f, w in zip(c_files, c_w):
-                    block[:n_pro] += w * self._pro_vec(f, snap.n_commits)
-                for f, w in zip(i_files, i_w):
-                    block[n_pro:] += w * self._pro_vec(f, snap.n_commits)
-                X[i, sl_cpro] = block
+            self._spread(
+                block(FeatureGroup.COD_COV_PRO), halves, lambda f: self._pro_vec(f, n_commits)
+            )
 
         with tim.measurement(FeatureGroup.COD_COV_CHN):
-            for i in range(n):
-                c_files, _ = cov_sets[i]
-                c_w, _ = weight_sets[i]
-                block = np.zeros(len(CHANGE_METRICS))
-                for f, w in zip(c_files, c_w):
-                    block += w * chn_vec(f)
-                X[i, sl_cchn] = block
+            self._spread(block(FeatureGroup.COD_COV_CHN), halves[:1], chn_vec)
 
         with tim.measurement(FeatureGroup.DET_COV):
-            for i in range(n):
-                c_files, i_files = cov_sets[i]
-                c_w, i_w = weight_sets[i]
-                X[i, sl_det] = [
-                    sum(w * snap.pdf.pdf(f, snap.n_commits) for f, w in zip(c_files, c_w)),
-                    sum(w * snap.pdf.pdf(f, snap.n_commits) for f, w in zip(i_files, i_w)),
-                ]
+            self._spread(
+                block(FeatureGroup.DET_COV), halves, lambda f: self._pdf.pdf(f, n_commits)
+            )
 
         if snapshot is not None:
-            X = self._impute_unknown(X, tests, snap)
+            self._impute_unknown(X, tests)
 
         labels = None
         if build.records:
@@ -457,31 +422,46 @@ class FeatureExtractor:
             )
         return FeatureMatrix(build=build_id, tests=tuple(tests), values=X, labels=labels)
 
-    def _weights(self, test: str, files: list[str], snap: Snapshot) -> list[float]:
-        """Normalized association weights of a covered file set.
+    def _pairs(
+        self, tests: list[str], nodes: np.ndarray, files: frozenset[str], n_commits: int
+    ) -> _Pairs:
+        """Each test's covered files within ``files``, with normalized
+        association weights.
 
-        A nonempty set with all-zero raw scores falls back to uniform
-        weights so the normalized sum is 1 exactly when the set is
-        nonempty.
+        A test whose covered set has all-zero raw scores gets uniform
+        weights, so its weights sum to 1 exactly when the set is nonempty.
         """
-        if not files:
-            return []
-        raw = [snap.miner.cov_score(f, test, snap.n_commits) for f in files]
-        if sum(raw) == 0:
-            return [1.0 / len(files)] * len(files)
-        return normalize_scores(raw)
+        ids = np.array(sorted(self._sut_id[f] for f in files if f in self._sut_id), dtype=np.intp)
+        rows, cols = np.nonzero(self._covers[np.ix_(nodes, ids)])
+        paths = [self._sut[j] for j in ids[cols].tolist()]
+        raw = np.array(
+            [self._miner.cov_score(f, tests[r], n_commits) for r, f in zip(rows.tolist(), paths)],
+            dtype=np.float64,
+        )
+        total = np.zeros(len(tests))
+        np.add.at(total, rows, raw)
+        uniform = total[rows] == 0
+        count = np.bincount(rows, minlength=len(tests))[rows]
+        w = np.where(uniform, 1.0 / count, raw / np.where(uniform, 1.0, total[rows]))
+        return _Pairs(rows, paths, w)
 
-    def _impute_unknown(
-        self, X: np.ndarray, tests: list[str], snap: Snapshot
-    ) -> np.ndarray:
-        """Mean-substitute snapshot-derived columns of snapshot-unknown tests."""
-        known = np.array([t in snap.graph.files for t in tests])
+    @staticmethod
+    def _spread(block: np.ndarray, halves: list[_Pairs], vec) -> None:
+        """Add weight x ``vec(file)`` of every pair into its half of ``block``.
+
+        ``np.add.at`` adds pairs in order, so each cell sums its files in
+        path order, exactly as a per-test loop would.
+        """
+        width = block.shape[1] // len(halves)
+        for h, p in enumerate(halves):
+            table = np.array([vec(f) for f in p.files]).reshape(len(p.files), width)
+            np.add.at(block[:, h * width : (h + 1) * width], p.rows, p.w[:, None] * table)
+
+    def _impute_unknown(self, X: np.ndarray, tests: list[str]) -> None:
+        """Mean-substitute, in place, snapshot-derived columns of tests
+        outside the dependency graph."""
+        known = np.array([t in self._graph.files for t in tests])
         if known.all() or not known.any():
-            return X
+            return
         cols = [i for g in SNAPSHOT_GROUPS for i in CATALOG.group_indices(g)]
-        means = X[known][:, cols].mean(axis=0)
-        X = X.copy()
-        for i, is_known in enumerate(known):
-            if not is_known:
-                X[i, cols] = means
-        return X
+        X[np.ix_(~known, cols)] = X[known][:, cols].mean(axis=0)

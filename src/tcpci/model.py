@@ -8,10 +8,8 @@ algorithms beyond invariant checks.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
-
-import numpy as np
 
 # A build id is a positive ordinal; ordering equals chronological ordering.
 BuildId = int
@@ -103,17 +101,15 @@ class Commit:
 
 @dataclass(frozen=True)
 class ChangeSet:
-    """Changed and impacted file sets of one build (chn and imp)."""
+    """Commits and changed files (chn) of one build.
+
+    The impacted set (imp) is not stored: it is derived from the
+    dependency graph when features are computed.
+    """
 
     build: BuildId
     commits: tuple[CommitId, ...]
     changed_files: frozenset[str]
-    impacted_files: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        overlap = self.changed_files & self.impacted_files
-        if overlap:
-            raise ValueError(f"changed and impacted sets overlap: {sorted(overlap)[:3]}")
 
 
 @dataclass(frozen=True)
@@ -221,18 +217,3 @@ class BuildHistory:
 
     def __repr__(self) -> str:
         return f"BuildHistory({len(self.builds)} builds, {len(self.commits)} commits)"
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """One row of a feature matrix: 150 values for a (build, test) pair."""
-
-    build: BuildId
-    test: TestId
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != (150,):
-            raise ValueError(f"feature vector must have 150 entries, got {self.values.shape}")
-        if np.isnan(self.values).any():
-            raise ValueError("NaN is not a valid feature value; use per-feature defaults")

@@ -17,7 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import CATALOG, FeatureCatalog
-from .errors import CatalogMismatchError, NoFailedBuildsError, UnknownFeatureError
+from .errors import (
+    CatalogMismatchError,
+    NoFailedBuildsError,
+    SchemaError,
+    UnknownFeatureError,
+)
 from .matrix import FeatureMatrix
 from .trees import RegressionTree
 
@@ -110,22 +115,30 @@ class RankModel:
 
     @classmethod
     def from_json(cls, text: str) -> "RankModel":
-        d = json.loads(text)
-        hp = Hyperparams(**d["hyperparams"])
-        bags = [
-            _Bag(
-                feature_idx=np.array(b["feature_idx"], dtype=np.int64),
-                base=b["base"],
-                trees=[RegressionTree.from_dict(t) for t in b["trees"]],
+        """Parse :meth:`to_json` output; anything else raises SchemaError."""
+        try:
+            d = json.loads(text)
+            if not isinstance(d, dict) or d.get("version") != 1:
+                raise SchemaError("not a version-1 model file")
+            hp = Hyperparams(**d["hyperparams"])
+            bags = [
+                _Bag(
+                    feature_idx=np.array(b["feature_idx"], dtype=np.int64),
+                    base=float(b["base"]),
+                    trees=[RegressionTree.from_dict(t) for t in b["trees"]],
+                )
+                for b in d["bags"]
+            ]
+            if len(bags) != hp.n_bags:
+                raise SchemaError(f"model has {len(bags)} bags, its hyperparams say {hp.n_bags}")
+            return cls(
+                hyperparams=hp,
+                seed=int(d["seed"]),
+                bags=bags,
+                catalog_fingerprint=str(d["catalog_fingerprint"]),
             )
-            for b in d["bags"]
-        ]
-        return cls(
-            hyperparams=hp,
-            seed=d["seed"],
-            bags=bags,
-            catalog_fingerprint=d["catalog_fingerprint"],
-        )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed model file: {exc!r}") from exc
 
 
 def train_ranker(

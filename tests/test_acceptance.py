@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tcpci.catalog import CATALOG
-from tcpci.coverage import association_scores
+from tcpci.coverage import AssociationMiner
 from tcpci.commit_classifier import cross_validate
 from tcpci.evaluation import (
     apfdc,
@@ -116,10 +116,9 @@ def test_2_association_oracle():
         ]
 
     t0 = time.time()
-    s = association_scores(
-        commits_of([{"f1", "f2", "f3"}, {"f1", "f3"}, {"f2"}, {"f1", "f2", "f3", "f4"}]),
-        "f1", "f3",
-    )
+    s = AssociationMiner(
+        commits_of([{"f1", "f2", "f3"}, {"f1", "f3"}, {"f2"}, {"f1", "f2", "f3", "f4"}])
+    ).scores("f1", "f3")
     ok = s.support == 0.75 and s.confidence == 1.0 and abs(s.lift - 1 / 3) < 1e-15
 
     rng = np.random.default_rng(7)
@@ -131,7 +130,7 @@ def test_2_association_oracle():
             for _ in range(n)
         ]
         f, g = (universe[i] for i in rng.choice(6, size=2, replace=False))
-        s = association_scores(commits_of(sets), f, g)
+        s = AssociationMiner(commits_of(sets)).scores(f, g)
         p = sum(1 for cs in sets if f in cs and g in cs)
         cf = sum(1 for cs in sets if f in cs)
         cg = sum(1 for cs in sets if g in cs)

@@ -173,3 +173,41 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"n_tests": 5, "bogus_knob": 1}))
     assert main(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 2
     assert "bogus_knob" in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--max-builds", "0"],
+        ["evaluate", "--max-builds", "-1"],
+        ["decay", "--max-rw", "-1"],
+        ["evaluate", "--bags", "0"],
+        ["evaluate", "--recent-window", "0"],
+        ["evaluate", "--config", '@{"bags": "many"}'],
+        ["prioritize", "--build", "1", "--model", '@{"version": 1}'],
+        ["prioritize", "--build", "1", "--model", "@{not json"],
+        ["prioritize", "--build", "1", "--model", '@{"version": 2}'],
+        ["prioritize", "--build", "1", "--model", '@{"version": 1, "hyperparams": {"n_bags": "x"}}'],
+        [
+            "prioritize", "--build", "1", "--model",
+            '@{"version": 1, "hyperparams": {}, "bags": [], "seed": 0, "catalog_fingerprint": ""}',
+        ],
+    ],
+    ids=[
+        "max-builds-0", "max-builds-negative", "max-rw-negative", "bags-0",
+        "recent-window-0", "config-wrong-type", "model-missing-keys", "model-bad-json",
+        "model-version-2", "model-wrong-type", "model-bag-count",
+    ],
+)
+def test_invalid_option_or_file_exits_2(dataset, tmp_path, capsys, argv):
+    # an "@text" argument is written to a file and replaced by its path
+    args = [argv[0], str(dataset)]
+    for i, arg in enumerate(argv[1:]):
+        if arg.startswith("@"):
+            path = tmp_path / f"arg{i}.json"
+            path.write_text(arg[1:])
+            arg = str(path)
+        args.append(arg)
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -1,16 +1,12 @@
 from datetime import datetime, timezone
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from tcpci.coverage import (
     AssociationMiner,
-    DependencyGraph,
     PdfIndex,
-    association_scores,
     build_dependency_graph_from_sources,
-    export_graph_json,
     normalize_scores,
 )
 from tcpci.errors import UnknownTestError
@@ -40,7 +36,7 @@ def test_association_example_from_four_change_sets():
     commits = history_of(
         [{"f1", "f2", "f3"}, {"f1", "f3"}, {"f2"}, {"f1", "f2", "f3", "f4"}]
     )
-    s = association_scores(commits, "f1", "f3")
+    s = AssociationMiner(commits).scores("f1", "f3")
     assert s.support == 0.75
     assert s.confidence == 1.0
     assert s.lift == pytest.approx(1 / 3)
@@ -48,7 +44,7 @@ def test_association_example_from_four_change_sets():
 
 def test_association_pair_example():
     commits = history_of([{"A", "B"}, {"A"}, {"B"}, {"A", "B"}])
-    s = association_scores(commits, "A", "B")
+    s = AssociationMiner(commits).scores("A", "B")
     assert s.support == 0.5
     assert s.confidence == pytest.approx(2 / 3)
     assert s.lift == pytest.approx(2 / 9)
@@ -56,13 +52,13 @@ def test_association_pair_example():
 
 def test_never_changed_file_all_zero():
     commits = history_of([{"A"}, {"B"}])
-    s = association_scores(commits, "Z", "A")
+    s = AssociationMiner(commits).scores("Z", "A")
     assert (s.support, s.confidence, s.lift) == (0.0, 0.0, 0.0)
 
 
 def test_always_co_change():
     commits = history_of([{"A", "B"}] * 4)
-    s = association_scores(commits, "A", "B")
+    s = AssociationMiner(commits).scores("A", "B")
     assert s.support == 1.0
     assert s.confidence == 1.0
     assert s.lift == pytest.approx(1 / 4)
@@ -70,8 +66,8 @@ def test_always_co_change():
 
 def test_support_and_lift_symmetric_confidence_not():
     commits = history_of([{"A", "B"}, {"A"}, {"A"}, {"B"}])
-    ab = association_scores(commits, "A", "B")
-    ba = association_scores(commits, "B", "A")
+    ab = AssociationMiner(commits).scores("A", "B")
+    ba = AssociationMiner(commits).scores("B", "A")
     assert ab.support == ba.support
     assert ab.lift == ba.lift
     assert ab.confidence != ba.confidence
@@ -96,7 +92,7 @@ def test_prefix_cutoff():
 )
 def test_miner_matches_brute_force(change_sets, f, g):
     commits = history_of(change_sets)
-    s = association_scores(commits, f, g)
+    s = AssociationMiner(commits).scores(f, g)
     n = len(change_sets)
     p = sum(1 for ch in change_sets if f in ch and g in ch)
     cf = sum(1 for ch in change_sets if f in ch)
@@ -135,13 +131,6 @@ def test_impacted_files_depth_and_disjointness():
     deeper = g.impacted_files(frozenset({"src/app/B.java"}), depth=2)
     assert imp <= deeper
     assert "src/app/B.java" not in deeper
-
-
-def test_graph_json_round_trip():
-    g = graph_fixture()
-    assert DependencyGraph.from_json(g.to_json()) == g
-    payload = export_graph_json(g, AssociationMiner(history_of([{"src/app/A.java"}])))
-    assert '"edges"' in payload
 
 
 def test_pdf_counts_defect_fix_commits():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tcpci.catalog import CATALOG
-from tcpci.features import FeatureExtractor, RecWindow
+from tcpci.features import SNAPSHOT_GROUPS, FeatureExtractor, RecWindow
 from tcpci.matrix import FeatureMatrix
 from tcpci.model import (
     Build,
@@ -213,6 +213,36 @@ def test_matrix_csv_round_trip(tmp_path):
     assert again.build == 1
     assert again.tests == m.tests
     assert np.array_equal(again.values, m.values)
+
+
+def test_feature_matrix_shape_and_nan():
+    FeatureMatrix(1, ("t",), np.zeros((1, 150)))
+    with pytest.raises(ValueError):
+        FeatureMatrix(1, ("t",), np.zeros((1, 10)))
+    bad = np.zeros((1, 150))
+    bad[0, 3] = np.nan
+    with pytest.raises(ValueError):
+        FeatureMatrix(1, ("t",), bad)
+
+
+def test_stale_snapshot_imputes_tests_without_source():
+    v, u = "src/test/VTest.java", "src/test/UTest.java"  # u has no source file
+    sources = default_sources()
+    sources[v] = "import app.F1;\npublic class VTest { }\n"
+    specs = [({F1, F2}, [(T, P, 1.0), (v, A, 2.0), (u, P, 3.0)]) for _ in range(3)]
+    ex = FeatureExtractor(make_history(specs), sources)
+    stale = ex.matrix(3, ex.snapshot(1))
+    known = [stale.tests.index(T), stale.tests.index(v)]
+    cols = [i for g in SNAPSHOT_GROUPS for i in CATALOG.group_indices(g)]
+    row = stale.values[stale.tests.index(u)]
+    assert np.array_equal(row[cols], stale.values[known][:, cols].mean(axis=0))
+    assert rec(stale, u, "CovCCount") == 1.5  # T covers 2 changed files, v covers 1
+    assert rec(stale, u, "CountLine") == 2.5  # T has 3 lines, v has 2
+    assert rec(stale, u, "Age") == 2.0  # execution-record columns stay the test's own
+
+    live = ex.matrix(3)  # the live path imputes nothing
+    assert rec(live, u, "CovCCount") == 0.0
+    assert rec(live, u, "CountLine") == 0.0
 
 
 def test_timing_tes_chn_preprocessing_zero():

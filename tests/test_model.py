@@ -1,6 +1,5 @@
 from datetime import datetime, timezone
 
-import numpy as np
 import pytest
 
 from tcpci.model import (
@@ -10,7 +9,6 @@ from tcpci.model import (
     ChangeSet,
     Commit,
     ExecutionRecord,
-    FeatureVector,
     FileChange,
     Verdict,
     is_failed,
@@ -55,11 +53,6 @@ def test_duplicate_test_in_build_rejected():
         make_build(1, records=(rec, rec))
 
 
-def test_changed_impacted_disjoint():
-    with pytest.raises(ValueError):
-        ChangeSet(1, (), frozenset({"a"}), frozenset({"a", "b"}))
-
-
 def test_build_failed_flag():
     ok = make_build(1, records=(ExecutionRecord(1, "t", Verdict.PASSED, 1.0),))
     bad = make_build(2, records=(ExecutionRecord(2, "t", Verdict.EXCEPTION_FAILURE, 1.0),))
@@ -89,13 +82,3 @@ def test_association_score_ranges():
         AssociationScores(1.5, 0.0, 0.0)
     with pytest.raises(ValueError):
         AssociationScores(0.5, 0.5, -0.1)
-
-
-def test_feature_vector_shape_and_nan():
-    FeatureVector(1, "t", np.zeros(150))
-    with pytest.raises(ValueError):
-        FeatureVector(1, "t", np.zeros(10))
-    bad = np.zeros(150)
-    bad[3] = np.nan
-    with pytest.raises(ValueError):
-        FeatureVector(1, "t", bad)
