@@ -211,6 +211,7 @@ def _strip_comments(text: str) -> tuple[str, list[str]]:
         if state == "block_comment":
             if ch == "*" and nxt == "/":
                 out[i] = out[i + 1] = " "
+                mark("comment")
                 state = "code"
                 i += 2
                 continue

@@ -68,6 +68,9 @@ def test_line_partition_invariant():
     assert m.CountLine == m.CountLineBlank + m.CountLineCode + m.CountLineComment
     assert m.CountLineComment == 2  # header + block line
     assert m.CountLineBlank == 1
+    # a line holding only the closer of a multi-line block is comment
+    m, _ = analyze_file("class A {\n  /* a\n   * b\n   */\n}\n", "A.java")
+    assert (m.CountLineCode, m.CountLineComment, m.CountLineBlank) == (2, 3, 0)
 
 
 def test_mixed_comment_code_line_counts_as_code():
