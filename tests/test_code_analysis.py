@@ -1,8 +1,11 @@
+import hashlib
+from dataclasses import astuple
 from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, strategies as st
 
+from tcpci.catalog import CHANGE_METRICS, COMPLEXITY_METRICS, PROCESS_METRICS
 from tcpci.code_analysis import (
     FileIndex,
     ProcessHistory,
@@ -245,3 +248,190 @@ def test_unit_spans_and_chunk_risks():
     assert risks[0].low_complexity  # cyclomatic 3 <= 5
     # chunk outside any unit produces no entry
     assert assess_chunk_risks("", SIMPLE, [(1, 1)], []) == []
+
+
+# --- analysis golden ----------------------------------------------------
+
+GOLDEN_SOURCES = {
+    "src/main/java/p/Shape.java": """\
+package p;
+
+import java.util.List;
+import q.Util;
+import q.*;
+
+/**
+ * A shape.
+ *
+ * @param <T> the tag type
+ */
+public interface Shape<T extends Comparable<T>> {
+    double area();  // in square units
+    default String label() { return "shape // not a comment"; }
+}
+""",
+    "src/main/java/p/Circle.java": """\
+package p;
+
+import static q.Util.clamp;
+import q.Util;
+
+/* Circle: a block comment
+   spanning lines */
+public final class Circle implements Shape<String> {
+    public static final double PI = 3.14159;
+    private static int created;
+    protected double radius = 1.0;
+    String name, alias;
+    private final Map<String, List<Integer>> cache = new HashMap<>();
+
+    public Circle(double radius) throws IllegalArgumentException {
+        if (radius < 0 || Double.isNaN(radius)) {
+            throw new IllegalArgumentException("bad \\"radius\\" /* no */");
+        }
+        this.radius = radius;
+        created++;
+    }
+
+    @Override
+    public double area() {
+        return PI * radius * radius;
+    }
+
+    private static int classify(int code) {
+        switch (code) {
+            case 1:
+                return 10;
+            case 2:
+            case 3:
+                break;
+            default:
+                return -1;
+        }
+        return code > 5 && code < 9 ? 1 : 0;
+    }
+
+    protected <K, V> int scan(Map<K, V> m, char sep) {
+        int hits = 0;
+        for (K k : m.keySet()) {
+            if (k == null) {
+                continue;
+            }
+            while (hits < 10) {
+                if (sep == '\\'' || sep == '"') {
+                    hits += 2;
+                    break;
+                } else if (sep == '/') {
+                    hits++;
+                }
+                try {
+                    hits += Util.clamp(hits, 0, 9);
+                } catch (RuntimeException e) {
+                    return -hits;
+                }
+            }
+        }
+        return hits;
+    }
+
+    int lambdaUser(List<String> xs) {
+        xs.forEach(x -> { if (x.isEmpty()) { return; } });
+        String block = \"\"\"
+            text block with // and /* inside
+            \"\"\";
+        return xs.size();
+    }
+
+    void empty() { }
+}
+""",
+    "src/main/java/q/Util.java": """\
+package q;
+
+public class Util {
+    // line comment only
+    public static int clamp(int v, int lo, int hi) {
+        return v < lo ? lo : v > hi ? hi : v;
+    }
+
+    enum Mode { FAST, SLOW; int weight() { return this == FAST ? 1 : 2; } }
+
+    record Pair(int a, int b) {
+        Pair {
+            if (a > b) { throw new IllegalStateException(); }
+        }
+        int sum() { return a + b; }
+    }
+
+    static class Inner {
+        private int depth(int n) {
+            if (n <= 0) return 0;
+            { { int x = n; if (x > 1) { x--; } } }
+            return 1 + depth(n - 1);
+        }
+    }
+}
+""",
+    "src/test/java/p/CircleTest.java": """\
+package p;
+
+import org.junit.Test;
+
+public class CircleTest {
+    @Test
+    public void area() {
+        Circle c = new Circle(2.0);
+        assert c.area() > 12.0 : "area";
+    }
+}
+""",
+    "src/main/java/p/Broken.java": "class Broken { void f( { if (x) } } /* open",
+}
+
+
+def test_analysis_golden():
+    # Any change to this digest changes the static-analysis output: a
+    # refactor of code_analysis must keep it.
+    digest = hashlib.sha256()
+
+    def put(*values):
+        digest.update(repr(values).encode())
+
+    index = FileIndex(set(GOLDEN_SOURCES))
+    for path in sorted(GOLDEN_SOURCES):
+        source = GOLDEN_SOURCES[path]
+        m, e = analyze_file(source, path, index)
+        put(path, [repr(float(getattr(m, n))) for n in COMPLEXITY_METRICS])
+        put(sorted(e.import_targets), sorted(e.call_targets))
+        put([(u.name, u.start_line, u.end_line) for u in unit_spans(source)])
+
+    pre = GOLDEN_SOURCES["src/main/java/p/Circle.java"]
+    post = pre.replace("        created++;\n", "        created++;\n        name = null;\n")
+    spans = [(1, 2), (17, 3), (31, 1), (40, 6), (55, 2), (70, 1), (90, 4)]
+    put([astuple(r) for r in assess_chunk_risks(pre, post, spans, spans[::-1])])
+
+    hist = [
+        commit(1, "alice", [("a.java", 40, 0), ("b.java", 10, 2)]),
+        commit(2, "bob", [("a.java", 3, 1)]),
+        commit(3, "carol", [("b.java", 0, 0)]),
+        commit(4, "alice", [("a.java", 1, 1), ("c.java", 99, 0)]),
+    ]
+    ph = ProcessHistory(hist)
+    for path in ("a.java", "b.java", "c.java", "d.java"):
+        for idx in range(len(hist)):
+            pm = ph.metrics(path, idx)
+            put(path, idx, [repr(float(getattr(pm, n))) for n in PROCESS_METRICS])
+
+    risk = UnitRisk(lines_added=3, lines_deleted=1, low_size=True, low_complexity=False, low_interfacing=True)
+    changes = [
+        FileChange("a.java", 5, 2, added_chunks=(10, 40), deleted_chunks=(12,), unit_risks=(risk,)),
+        FileChange("a.java", 3, 7, added_chunks=(3,), deleted_chunks=(1, 9, 30)),
+        FileChange("b.java", 1, 0, added_chunks=(5,)),
+    ]
+    for path in ("a.java", "b.java", "c.java"):
+        cm = compute_change_metrics(path, changes)
+        put(path, [repr(float(getattr(cm, n))) for n in CHANGE_METRICS])
+
+    assert digest.hexdigest() == (
+        "49c043af087defff320cd39026cd724f8347b3d71b82397d666403bf0eb12b52"
+    )
