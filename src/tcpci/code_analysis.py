@@ -12,8 +12,12 @@ documented here so every metric is reproducible:
   "strict" variant additionally counts each ``&&``, ``||``, and ``?``;
 * essential complexity is approximated as 1 + count of break/continue plus
   returns that are not the unit's final statement;
-* a line is Comment if its first non-blank content is inside a comment;
-  mixed code+comment lines count as code, so line counts partition exactly;
+* a line's kind is decided by its first non-blank content: comment text,
+  the ``/*`` and ``*/`` delimiters included, makes it Comment; code or the
+  opening quote of a string/char literal makes it Code; literal interiors
+  and closing quotes do not count.  ``/* a */ int x;`` is therefore a
+  Comment line and ``int x; // b`` a Code line; a line with neither is
+  Blank, so line counts partition exactly;
 * nesting is measured by brace depth inside unit bodies (braceless control
   bodies do not add a level).
 
@@ -26,10 +30,11 @@ from __future__ import annotations
 import bisect
 import math
 import re
-from dataclasses import dataclass, fields
+from collections import Counter, namedtuple
+from dataclasses import dataclass, field
 
 from .catalog import CHANGE_METRICS, COMPLEXITY_METRICS, PROCESS_METRICS
-from .model import Commit, CommitId, FileChange, UnitRisk
+from .model import Commit, FileChange, UnitRisk
 
 JAVA_KEYWORDS = frozenset(
     """abstract assert boolean break byte case catch char class const continue
@@ -40,7 +45,9 @@ JAVA_KEYWORDS = frozenset(
     true false null""".split()
 )
 
-_CONTROL = frozenset({"if", "for", "while", "case", "catch"})
+_CONTROL = ("if", "for", "while", "case", "catch")
+_CONTROL_MODIFIED = ("if", "for", "while", "switch", "catch")  # switch once, not per case
+_LOGICAL = ("&&", "||", "?")
 _TYPE_KEYWORDS = frozenset({"class", "interface", "enum", "record"})
 _ACCESS = frozenset({"public", "private", "protected"})
 
@@ -53,78 +60,12 @@ _TOKEN_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*|&&|\|\||[{}();?,=:<>\[\]]")
 _IMPORT_RE = re.compile(r"\bimport\s+(?:static\s+)?([\w.]+?)(\.\*)?\s*;")
 
 
-@dataclass(frozen=True)
-class ComplexityMetrics:
-    CountDeclFunction: int = 0
-    CountLine: int = 0
-    CountLineBlank: int = 0
-    CountLineCode: int = 0
-    CountLineCodeDecl: int = 0
-    CountLineCodeExe: int = 0
-    CountLineComment: int = 0
-    CountStmt: int = 0
-    CountStmtDecl: int = 0
-    CountStmtExe: int = 0
-    RatioCommentToCode: float = 0.0
-    MaxCyclomatic: int = 0
-    MaxCyclomaticModified: int = 0
-    MaxCyclomaticStrict: int = 0
-    MaxEssential: int = 0
-    MaxNesting: int = 0
-    SumCyclomatic: int = 0
-    SumCyclomaticModified: int = 0
-    SumCyclomaticStrict: int = 0
-    SumEssential: int = 0
-    CountDeclClass: int = 0
-    CountDeclClassMethod: int = 0
-    CountDeclClassVariable: int = 0
-    CountDeclExecutableUnit: int = 0
-    CountDeclInstanceMethod: int = 0
-    CountDeclInstanceVariable: int = 0
-    CountDeclMethod: int = 0
-    CountDeclMethodDefault: int = 0
-    CountDeclMethodPrivate: int = 0
-    CountDeclMethodProtected: int = 0
-    CountDeclMethodPublic: int = 0
-
-    def value(self, name: str) -> float:
-        return getattr(self, name)
-
-
-assert tuple(f.name for f in fields(ComplexityMetrics)) == COMPLEXITY_METRICS
-
-
-@dataclass(frozen=True)
-class ProcessMetrics:
-    CommitCount: int = 0
-    DistinctDevCount: int = 0
-    OwnersContribution: float = 0.0
-    MinorContributorCount: int = 0
-    OwnersExperience: float = 0.0
-    AllCommitersExperience: float = 0.0
-
-    def value(self, name: str) -> float:
-        return getattr(self, name)
-
-
-assert tuple(f.name for f in fields(ProcessMetrics)) == PROCESS_METRICS
-
-
-@dataclass(frozen=True)
-class ChangeMetrics:
-    LinesAdded: int = 0
-    LinesDeleted: int = 0
-    AddedChangeScattering: float = 0.0
-    DeletedChangeScattering: float = 0.0
-    DMMUnitSize: float = -1.0
-    DMMUnitComplexity: float = -1.0
-    DMMUnitInterfacing: float = -1.0
-
-    def value(self, name: str) -> float:
-        return getattr(self, name)
-
-
-assert tuple(f.name for f in fields(ChangeMetrics)) == CHANGE_METRICS
+# One row of each metric family, with fields named by the catalog.
+ComplexityMetrics = namedtuple("ComplexityMetrics", COMPLEXITY_METRICS)
+ProcessMetrics = namedtuple(
+    "ProcessMetrics", PROCESS_METRICS, defaults=(0,) * len(PROCESS_METRICS)
+)
+ChangeMetrics = namedtuple("ChangeMetrics", CHANGE_METRICS)
 
 
 @dataclass(frozen=True)
@@ -145,6 +86,18 @@ def is_test_file(path: str) -> bool:
 
 # --- comment/string stripping -------------------------------------------
 
+# One lexeme is a comment (group 1), or a string/char literal: its quote
+# (2), interior (3) and closing quote (4); both may run unclosed to the end.
+_LEXEME_RE = re.compile(
+    r"(//[^\n]*|/\*[\s\S]*?(?:\*/|\Z))"
+    r"""|(["'])((?:\\[^\n]|\\|(?!\2)[^\\])*)(\2?)"""
+)
+_NOT_NEWLINE_RE = re.compile(r"[^\n]")
+
+
+def _blank(text: str) -> str:
+    return _NOT_NEWLINE_RE.sub(" ", text)
+
 
 def _strip_comments(text: str) -> tuple[str, list[str]]:
     """Blank out comments and string contents.
@@ -152,96 +105,20 @@ def _strip_comments(text: str) -> tuple[str, list[str]]:
     Returns the code-only text (same length/offsets as the input) and a
     per-line classification: "blank", "code", or "comment".
     """
-    n = len(text)
-    out = list(text)
-    # per line: first content kind and whether any code content exists
-    first_kind: list[str | None] = []
-    line_no = 0
-    first_kind.append(None)
-    state = "code"
-    i = 0
-
-    def mark(kind: str):
-        if first_kind[line_no] is None:
-            first_kind[line_no] = kind
-
-    while i < n:
-        ch = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if ch == "\n":
-            line_no += 1
-            first_kind.append(None)
-            if state == "line_comment":
-                state = "code"
-            i += 1
-            continue
-        if state == "code":
-            if ch == "/" and nxt == "/":
-                state = "line_comment"
-                out[i] = out[i + 1] = " "
-                mark("comment")
-                i += 2
-                continue
-            if ch == "/" and nxt == "*":
-                state = "block_comment"
-                out[i] = out[i + 1] = " "
-                mark("comment")
-                i += 2
-                continue
-            if ch == '"':
-                state = "string"
-                mark("code")
-                i += 1
-                continue
-            if ch == "'":
-                state = "char"
-                mark("code")
-                i += 1
-                continue
-            if not ch.isspace():
-                mark("code")
-            i += 1
-            continue
-        if state == "line_comment":
-            out[i] = " "
-            if not ch.isspace():
-                mark("comment")
-            i += 1
-            continue
-        if state == "block_comment":
-            if ch == "*" and nxt == "/":
-                out[i] = out[i + 1] = " "
-                mark("comment")
-                state = "code"
-                i += 2
-                continue
-            out[i] = " "
-            if not ch.isspace():
-                mark("comment")
-            i += 1
-            continue
-        # string or char literal: blank contents, keep the closing quote
-        quote = '"' if state == "string" else "'"
-        if ch == "\\":
-            out[i] = " "
-            if i + 1 < n and text[i + 1] != "\n":
-                out[i + 1] = " "
-                i += 2
-                continue
-            i += 1
-            continue
-        if ch == quote:
-            state = "code"
-            i += 1
-            continue
-        out[i] = " "
-        i += 1
-
-    n_lines = len(text.splitlines())
+    code = _LEXEME_RE.sub(
+        lambda m: _blank(m[1]) if m[1] else m[2] + _blank(m[3]) + m[4], text
+    )
+    # comments kept, literal interiors and closing quotes blanked: a line's
+    # first non-space column here is code exactly where ``code`` has one
+    marks = _LEXEME_RE.sub(lambda m: m[1] or m[2] + _blank(m[3] + m[4]), text)
     kinds = []
-    for k in first_kind[:n_lines]:
-        kinds.append(k if k is not None else "blank")
-    return "".join(out), kinds
+    for code_line, line in zip(code.split("\n"), marks.split("\n")):
+        rest = line.lstrip()
+        if not rest:
+            kinds.append("blank")
+        else:
+            kinds.append("comment" if code_line[len(line) - len(rest)].isspace() else "code")
+    return code, kinds[: len(text.splitlines())]
 
 
 # --- unit detection -----------------------------------------------------
@@ -254,41 +131,27 @@ class Unit:
     body_depth: int
     param_count: int
     modifiers: frozenset[str]
-    in_class: bool
     end_line: int = 0
-    n_if: int = 0
-    n_for: int = 0
-    n_while: int = 0
-    n_case: int = 0
-    n_catch: int = 0
-    n_switch: int = 0
-    n_and: int = 0
-    n_or: int = 0
-    n_ternary: int = 0
-    n_break: int = 0
-    n_continue: int = 0
-    n_return: int = 0
-    n_semi: int = 0
     max_depth: int = 0
-    last_meaningful: str = ""  # tracks whether the body ends "return ...; }"
-    ends_with_return: bool = False
+    tokens: Counter[str] = field(default_factory=Counter)  # body tokens
+    ends_with_return: bool = False  # the last statement so far is a return
 
     @property
     def cyclomatic(self) -> int:
-        return 1 + self.n_if + self.n_for + self.n_while + self.n_case + self.n_catch
+        return 1 + sum(self.tokens[t] for t in _CONTROL)
 
     @property
     def cyclomatic_modified(self) -> int:
-        return 1 + self.n_if + self.n_for + self.n_while + self.n_switch + self.n_catch
+        return 1 + sum(self.tokens[t] for t in _CONTROL_MODIFIED)
 
     @property
     def cyclomatic_strict(self) -> int:
-        return self.cyclomatic + self.n_and + self.n_or + self.n_ternary
+        return self.cyclomatic + sum(self.tokens[t] for t in _LOGICAL)
 
     @property
     def essential(self) -> int:
-        returns = self.n_return - (1 if self.ends_with_return else 0)
-        return 1 + self.n_break + self.n_continue + max(returns, 0)
+        returns = self.tokens["return"] - self.ends_with_return
+        return 1 + self.tokens["break"] + self.tokens["continue"] + returns
 
     @property
     def nesting(self) -> int:
@@ -357,41 +220,14 @@ def _parse(code: str) -> _ParseResult:
     while i < len(toks):
         tok, off = toks[i]
         ln = line_of(off)
-        in_unit = bool(unit_stack)
-        if in_unit:
+        if unit_stack:
             exe_lines.add(ln)
             u = unit_stack[-1]
-            if tok == "if":
-                u.n_if += 1
-            elif tok == "for":
-                u.n_for += 1
-            elif tok in ("while",):
-                u.n_while += 1
-            elif tok == "case":
-                u.n_case += 1
-            elif tok == "catch":
-                u.n_catch += 1
-            elif tok == "switch":
-                u.n_switch += 1
-            elif tok == "&&":
-                u.n_and += 1
-            elif tok == "||":
-                u.n_or += 1
-            elif tok == "?":
-                u.n_ternary += 1
-            elif tok == "break":
-                u.n_break += 1
-            elif tok == "continue":
-                u.n_continue += 1
-            elif tok == "return":
-                u.n_return += 1
-                u.last_meaningful = "return"
-            if tok == ";":
-                u.n_semi += 1
-            elif tok not in ("}",) and u.last_meaningful == "return" and tok != "return":
-                # a non-return token after "return ... ;" resets the flag
-                if stmt_buf == [] and tok != ";":
-                    u.last_meaningful = ""
+            u.tokens[tok] += 1
+            if tok == "return":
+                u.ends_with_return = True
+            elif not stmt_buf and tok not in (";", "}"):
+                u.ends_with_return = False  # another statement follows the return
 
         if tok in _TYPE_KEYWORDS and i + 1 < len(toks):
             nxt_tok = toks[i + 1][0]
@@ -443,7 +279,6 @@ def _parse(code: str) -> _ParseResult:
                     body_depth=depth + 1,
                     param_count=_count_params(ptoks),
                     modifiers=mods,
-                    in_class=True,
                 )
 
         if tok == "{":
@@ -468,9 +303,6 @@ def _parse(code: str) -> _ParseResult:
             if frame == "unit" and unit_stack:
                 u = unit_stack.pop()
                 u.end_line = ln
-                # body ends with "return ...; }" when the last statement
-                # before this brace was a return
-                u.ends_with_return = u.last_meaningful == "return"
                 units.append(u)
             stmt_buf = []
         elif tok == ";":
@@ -565,13 +397,11 @@ def analyze_file(
     n_code_exe = len(exe_code_lines)
     n_code_decl = n_code - n_code_exe
 
-    exe_semis = sum(u.n_semi for u in units)
-    exe_ctrl = sum(u.n_if + u.n_for + u.n_while + u.n_case + u.n_catch + u.n_switch for u in units)
+    exe_semis = sum(u.tokens[";"] for u in units)
+    exe_ctrl = sum(u.tokens[t] for u in units for t in (*_CONTROL, "switch"))
     n_stmt_exe = exe_semis + exe_ctrl
     n_stmt_decl = parsed.decl_semis + len(units)
-
-    methods = [u for u in units if u.in_class]
-    static_methods = [u for u in methods if "static" in u.modifiers]
+    n_static = sum(1 for u in units if "static" in u.modifiers)
 
     metrics = ComplexityMetrics(
         CountDeclFunction=len(units),
@@ -595,16 +425,16 @@ def analyze_file(
         SumCyclomaticStrict=sum(u.cyclomatic_strict for u in units),
         SumEssential=sum(u.essential for u in units),
         CountDeclClass=parsed.n_classes,
-        CountDeclClassMethod=len(static_methods),
+        CountDeclClassMethod=n_static,
         CountDeclClassVariable=parsed.n_class_vars,
-        CountDeclExecutableUnit=sum(1 for u in units if u.n_semi > 0),
-        CountDeclInstanceMethod=len(methods) - len(static_methods),
+        CountDeclExecutableUnit=sum(1 for u in units if u.tokens[";"]),
+        CountDeclInstanceMethod=len(units) - n_static,
         CountDeclInstanceVariable=parsed.n_instance_vars,
-        CountDeclMethod=len(methods),
-        CountDeclMethodDefault=sum(1 for u in methods if not (u.modifiers & _ACCESS)),
-        CountDeclMethodPrivate=sum(1 for u in methods if "private" in u.modifiers),
-        CountDeclMethodProtected=sum(1 for u in methods if "protected" in u.modifiers),
-        CountDeclMethodPublic=sum(1 for u in methods if "public" in u.modifiers),
+        CountDeclMethod=len(units),
+        CountDeclMethodDefault=sum(1 for u in units if not (u.modifiers & _ACCESS)),
+        CountDeclMethodPrivate=sum(1 for u in units if "private" in u.modifiers),
+        CountDeclMethodProtected=sum(1 for u in units if "protected" in u.modifiers),
+        CountDeclMethodPublic=sum(1 for u in units if "public" in u.modifiers),
     )
 
     imports: set[str] = set()
@@ -639,7 +469,7 @@ def unit_spans(source: str) -> list[Unit]:
     return _parse(code).units
 
 
-def _risk_for_chunk(units: list[Unit], start: int, length: int) -> Unit | None:
+def _risk_for_chunk(units: list[Unit], start: int) -> Unit | None:
     for u in units:
         if u.start_line <= start <= u.end_line:
             return u
@@ -657,35 +487,22 @@ def assess_chunk_risks(
     Added chunks are located in the post-change text, deleted chunks in the
     pre-change text.  Chunks outside any unit produce no entry.
     """
-    post_units = unit_spans(post_source) if added_spans else []
-    pre_units = unit_spans(pre_source) if deleted_spans else []
     risks: list[UnitRisk] = []
-    for start, length in added_spans:
-        u = _risk_for_chunk(post_units, start, length)
-        if u is None:
-            continue
-        risks.append(
-            UnitRisk(
-                lines_added=length,
-                lines_deleted=0,
-                low_size=u.size_lines <= DMM_SIZE_THRESHOLD,
-                low_complexity=u.cyclomatic <= DMM_COMPLEXITY_THRESHOLD,
-                low_interfacing=u.param_count <= DMM_INTERFACING_THRESHOLD,
+    for source, spans, added in ((post_source, added_spans, True), (pre_source, deleted_spans, False)):
+        units = unit_spans(source) if spans else []
+        for start, length in spans:
+            u = _risk_for_chunk(units, start)
+            if u is None:
+                continue
+            risks.append(
+                UnitRisk(
+                    lines_added=length if added else 0,
+                    lines_deleted=0 if added else length,
+                    low_size=u.size_lines <= DMM_SIZE_THRESHOLD,
+                    low_complexity=u.cyclomatic <= DMM_COMPLEXITY_THRESHOLD,
+                    low_interfacing=u.param_count <= DMM_INTERFACING_THRESHOLD,
+                )
             )
-        )
-    for start, length in deleted_spans:
-        u = _risk_for_chunk(pre_units, start, length)
-        if u is None:
-            continue
-        risks.append(
-            UnitRisk(
-                lines_added=0,
-                lines_deleted=length,
-                low_size=u.size_lines <= DMM_SIZE_THRESHOLD,
-                low_complexity=u.cyclomatic <= DMM_COMPLEXITY_THRESHOLD,
-                low_interfacing=u.param_count <= DMM_INTERFACING_THRESHOLD,
-            )
-        )
     return risks
 
 
@@ -701,7 +518,6 @@ class ProcessHistory:
 
     def __init__(self, commits: list[Commit] | tuple[Commit, ...]):
         self.commits = tuple(commits)
-        self._by_id = {c.id: i for i, c in enumerate(self.commits)}
         # per file: ordered (commit_idx, author, lines)
         self.file_touches: dict[str, list[tuple[int, str, int]]] = {}
         # per author: ordered (commit_idx, cumulative project lines)
@@ -720,9 +536,6 @@ class ProcessHistory:
                 self.author_lines.setdefault(c.author, []).append((idx, cum))
                 total += commit_lines
                 self.total_lines.append((idx, total))
-
-    def index_of(self, commit_id: CommitId) -> int:
-        return self._by_id[commit_id]
 
     def _prefix(self, series: list[tuple[int, int]], as_of_idx: int) -> int:
         pos = bisect.bisect_right(series, (as_of_idx, float("inf")))
@@ -765,14 +578,6 @@ class ProcessHistory:
             OwnersExperience=self.experience(owner, as_of_idx),
             AllCommitersExperience=gm,
         )
-
-
-def compute_process_metrics(
-    path: str, history: list[Commit], as_of: CommitId
-) -> ProcessMetrics:
-    """Process metrics for a file over commits up to and including ``as_of``."""
-    ph = ProcessHistory(history)
-    return ph.metrics(path, ph.index_of(as_of))
 
 
 # --- change metrics -----------------------------------------------------

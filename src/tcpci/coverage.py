@@ -156,11 +156,3 @@ class PdfIndex:
         if n_commits is None:
             return len(idx)
         return bisect.bisect_left(idx, n_commits)
-
-
-def normalize_scores(values: list[float]) -> list[float]:
-    """Divide by the sum; an all-zero input stays all zero."""
-    total = sum(values)
-    if total == 0:
-        return [0.0 for _ in values]
-    return [v / total for v in values]

@@ -185,7 +185,6 @@ class PipelineEvaluator:
             impact_depth=impact_depth,
         )
         self._matrix_cache: dict[int, FeatureMatrix] = {}
-        self._model_cache: dict[int, RankModel] = {}
 
     def matrix(self, build_id: int, snapshot: Snapshot | None = None) -> FeatureMatrix:
         if snapshot is not None:
@@ -198,15 +197,11 @@ class PipelineEvaluator:
 
     def model_for(self, build_id: int) -> RankModel:
         """Model trained on all failed builds strictly before ``build_id``."""
-        model = self._model_cache.get(build_id)
-        if model is None:
-            train = [b for b in self.history.failed_builds if b.id < build_id]
-            if not train:
-                raise InsufficientHistoryError(f"no failed builds before {build_id}")
-            X, y = stack_matrices([self.matrix(b.id) for b in train])
-            model = train_ranker(X, y, self.hyperparams, seed=self.seed)
-            self._model_cache[build_id] = model
-        return model
+        train = [b for b in self.history.failed_builds if b.id < build_id]
+        if not train:
+            raise InsufficientHistoryError(f"no failed builds before {build_id}")
+        X, y = stack_matrices([self.matrix(b.id) for b in train])
+        return train_ranker(X, y, self.hyperparams, seed=self.seed)
 
 
 def run_pipeline_eval(

@@ -42,7 +42,6 @@ import numpy as np
 
 from .catalog import (
     CATALOG,
-    CHANGE_METRICS,
     COMPLEXITY_METRICS,
     PROCESS_METRICS,
     REC_FEATURES,
@@ -56,6 +55,7 @@ from .code_analysis import (
     compute_change_metrics,
 )
 from .coverage import AssociationMiner, DependencyGraph, PdfIndex
+from .errors import InvalidConfigError
 from .matrix import FeatureMatrix
 from .model import Build, BuildHistory, FileChange, Verdict, is_failed
 
@@ -184,6 +184,8 @@ class FeatureExtractor:
         rec_window: RecWindow = RecWindow(),
         impact_depth: int = 1,
     ):
+        if not isinstance(impact_depth, int) or impact_depth < 0:
+            raise InvalidConfigError(f"impact_depth must be an integer >= 0, got {impact_depth!r}")
         self.history = history
         self.rec_window = rec_window
         self.impact_depth = impact_depth
@@ -197,8 +199,7 @@ class FeatureExtractor:
             for path in sorted(sources):
                 self._complexity[path], entities[path] = analyze_file(sources[path], path, index)
             self._com_arrays = {
-                p: np.array([m.value(n) for n in COMPLEXITY_METRICS])
-                for p, m in self._complexity.items()
+                p: np.array(m, dtype=np.float64) for p, m in self._complexity.items()
             }
 
         with self.timings.preprocessing(*_COV_GROUPS):
@@ -318,7 +319,7 @@ class FeatureExtractor:
             if pm is None:
                 vec = np.zeros(len(PROCESS_METRICS))
             else:
-                vec = np.array([pm.value(n) for n in PROCESS_METRICS])
+                vec = np.array(pm, dtype=np.float64)
             self._pro_cache[key] = vec
         return vec
 
@@ -375,8 +376,7 @@ class FeatureExtractor:
         def chn_vec(path: str) -> np.ndarray:
             vec = chn_metric_cache.get(path)
             if vec is None:
-                cm = compute_change_metrics(path, changes)
-                vec = np.array([cm.value(name) for name in CHANGE_METRICS])
+                vec = np.array(compute_change_metrics(path, changes), dtype=np.float64)
                 chn_metric_cache[path] = vec
             return vec
 

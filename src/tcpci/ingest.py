@@ -25,7 +25,7 @@ import json
 import logging
 import re
 import subprocess
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -274,18 +274,7 @@ def write_dataset(history: BuildHistory, root: Path, job_id: str = "j0") -> Data
                         "added_chunks": list(fc.added_chunks),
                         "deleted_chunks": list(fc.deleted_chunks),
                         **(
-                            {
-                                "unit_risks": [
-                                    {
-                                        "lines_added": r.lines_added,
-                                        "lines_deleted": r.lines_deleted,
-                                        "low_size": r.low_size,
-                                        "low_complexity": r.low_complexity,
-                                        "low_interfacing": r.low_interfacing,
-                                    }
-                                    for r in fc.unit_risks
-                                ]
-                            }
+                            {"unit_risks": [asdict(r) for r in fc.unit_risks]}
                             if fc.unit_risks is not None
                             else {}
                         ),

@@ -207,9 +207,6 @@ class BuildHistory:
     def failed_builds(self) -> tuple[Build, ...]:
         return tuple(b for b in self.builds if b.failed)
 
-    def builds_before(self, build_id: BuildId) -> tuple[Build, ...]:
-        return tuple(b for b in self.builds if b.id < build_id)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BuildHistory):
             return NotImplemented

@@ -193,11 +193,14 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
             "prioritize", "--build", "1", "--model",
             '@{"version": 1, "hyperparams": {}, "bags": [], "seed": 0, "catalog_fingerprint": ""}',
         ],
+        ["evaluate", "--impact-depth", "-1"],
+        ["evaluate", "--config", '@{"impact_depth": "x"}'],
     ],
     ids=[
         "max-builds-0", "max-builds-negative", "max-rw-negative", "bags-0",
         "recent-window-0", "config-wrong-type", "model-missing-keys", "model-bad-json",
-        "model-version-2", "model-wrong-type", "model-bag-count",
+        "model-version-2", "model-wrong-type", "model-bag-count", "impact-depth-negative",
+        "impact-depth-wrong-type",
     ],
 )
 def test_invalid_option_or_file_exits_2(dataset, tmp_path, capsys, argv):

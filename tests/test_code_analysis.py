@@ -10,10 +10,10 @@ from tcpci.code_analysis import (
     FileIndex,
     ProcessHistory,
     analyze_file,
+    _strip_comments,
     assess_chunk_risks,
     change_scattering,
     compute_change_metrics,
-    compute_process_metrics,
     is_test_file,
     unit_spans,
 )
@@ -74,6 +74,22 @@ def test_line_partition_invariant():
     # a line holding only the closer of a multi-line block is comment
     m, _ = analyze_file("class A {\n  /* a\n   * b\n   */\n}\n", "A.java")
     assert (m.CountLineCode, m.CountLineComment, m.CountLineBlank) == (2, 3, 0)
+
+
+# Java-like pieces whose only line breaks are "\n" and "\r\n"
+_JAVA_PIECES = ["/", "*", '"', "'", "\\", "\n", "\r\n", " ", "\t", "//", "/*", "*/", "a1", ";", "{", "}", "\xe9"]
+
+
+@given(st.lists(st.sampled_from(_JAVA_PIECES), max_size=40).map("".join))
+def test_strip_comments_keeps_layout(text):
+    code, kinds = _strip_comments(text)
+    assert len(code) == len(text)
+    assert [i for i, c in enumerate(code) if c == "\n"] == [i for i, c in enumerate(text) if c == "\n"]
+    assert len(kinds) == len(text.splitlines())
+    for line, kind in zip(code.split("\n"), kinds):
+        assert kind in ("blank", "code", "comment")
+        if kind == "code":
+            assert line.strip()
 
 
 def test_mixed_comment_code_line_counts_as_code():
@@ -147,7 +163,7 @@ def test_test_file_detection():
 
 def test_single_author_process_metrics():
     hist = [commit(i, "alice", [("f.java", 2, 1)]) for i in range(3)]
-    pm = compute_process_metrics("f.java", hist, hist[-1].id)
+    pm = ProcessHistory(hist).metrics("f.java", len(hist) - 1)
     assert pm.CommitCount == 3
     assert pm.DistinctDevCount == 1
     assert pm.OwnersContribution == 100.0
@@ -158,7 +174,7 @@ def test_minor_contributor_below_five_percent():
         commit(1, "alice", [("f.java", 96, 0)]),
         commit(2, "bob", [("f.java", 4, 0)]),
     ]
-    pm = compute_process_metrics("f.java", hist, hist[-1].id)
+    pm = ProcessHistory(hist).metrics("f.java", len(hist) - 1)
     assert pm.MinorContributorCount == 1
     assert pm.OwnersContribution == 96.0
 
@@ -169,13 +185,13 @@ def test_geometric_mean_experience():
         commit(2, "bob", [("f.java", 5, 0), ("h.java", 35, 0)]),
         commit(3, "carol", [("z.java", 50, 0)]),
     ]
-    pm = compute_process_metrics("f.java", hist, hist[-1].id)
+    pm = ProcessHistory(hist).metrics("f.java", len(hist) - 1)
     assert pm.AllCommitersExperience == pytest.approx(20.0)
 
 
 def test_file_never_touched_all_zero():
     hist = [commit(1, "alice", [("f.java", 1, 0)])]
-    pm = compute_process_metrics("other.java", hist, hist[0].id)
+    pm = ProcessHistory(hist).metrics("other.java", 0)
     assert pm.CommitCount == 0
     assert pm.OwnersContribution == 0.0
 
@@ -185,7 +201,7 @@ def test_process_metrics_respect_as_of():
         commit(1, "alice", [("f.java", 10, 0)]),
         commit(2, "bob", [("f.java", 10, 0)]),
     ]
-    pm = compute_process_metrics("f.java", hist, hist[0].id)
+    pm = ProcessHistory(hist).metrics("f.java", 0)
     assert pm.DistinctDevCount == 1
 
 

@@ -7,7 +7,6 @@ from tcpci.coverage import (
     AssociationMiner,
     PdfIndex,
     build_dependency_graph_from_sources,
-    normalize_scores,
 )
 from tcpci.errors import UnknownTestError
 from tcpci.model import Commit, FileChange
@@ -145,18 +144,3 @@ def test_pdf_counts_defect_fix_commits():
     # monotone in the prefix cutoff
     values = [pdf.pdf("f", n) for n in range(4)]
     assert values == sorted(values)
-
-
-def test_normalize_scores():
-    assert normalize_scores([2, 3, 5]) == [0.2, 0.3, 0.5]
-    assert normalize_scores([0, 0]) == [0.0, 0.0]
-    assert normalize_scores([7]) == [1.0]
-
-
-@given(st.lists(st.floats(0, 100), min_size=1, max_size=10))
-def test_normalize_sums_to_one_when_positive(values):
-    out = normalize_scores(values)
-    if sum(values) > 0:
-        assert sum(out) == pytest.approx(1.0, abs=1e-12)
-    else:
-        assert all(v == 0.0 for v in out)
