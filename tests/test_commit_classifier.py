@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -104,3 +106,14 @@ def test_model_json_round_trip():
     p1 = clf.predict_proba(msgs[:10])
     p2 = again.predict_proba(msgs[:10])
     assert np.allclose(p1, p2)
+
+
+def test_classifier_json_golden():
+    # Pins the boosted trees; a change to tree growth must keep them.
+    msgs, labels = separable_corpus(n=120, seed=9)
+    msgs[:10] = [m + " see https://ci.example/x" for m in msgs[:10]]
+    labels[::7] = [not v for v in labels[::7]]  # noise, so trees grow deep
+    clf = train_classifier(msgs, labels, n_trees=12, max_leaves=6)
+    assert hashlib.sha256(clf.to_json().encode()).hexdigest() == (
+        "fb39fc91b2398a1f26ec0eb1f88011cf350985c3316eb2a9f415fe116cf06492"
+    )

@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from tcpci.catalog import CATALOG
 from tcpci.errors import CatalogMismatchError, NoFailedBuildsError, UnknownFeatureError
-from tcpci.matrix import FeatureMatrix
+from tcpci.evaluation import remove_frequent_failers
+from tcpci.features import FeatureExtractor
+from tcpci.matrix import FeatureMatrix, stack_matrices
 from tcpci.ranker import (
     Hyperparams,
     RankModel,
@@ -11,7 +15,9 @@ from tcpci.ranker import (
     rank_tests,
     train_ranker,
 )
+from tcpci.synth import SynthConfig, generate_synthetic_history
 from tcpci.trees import RegressionTree
+from test_acceptance import DRIFT_CFG, DRIFT_HP
 
 HP = Hyperparams(n_bags=10, trees_per_bag=3, max_leaves=16)
 
@@ -135,3 +141,53 @@ def test_heuristic_rank_directions():
         heuristic_rank(m, "NoSuchFeature:desc")
     with pytest.raises(UnknownFeatureError):
         heuristic_rank(m, "TotalFailRate:sideways")
+
+
+def _model_digest(X, y, hp, seed=0):
+    return hashlib.sha256(train_ranker(X, y, hp, seed=seed).to_json().encode()).hexdigest()
+
+
+def _last_training_set(history, sources):
+    """Rows of every failed build before the last one, as evaluate trains."""
+    ex = FeatureExtractor(history, sources)
+    last = history.failed_builds[-1].id
+    return stack_matrices([ex.matrix(b.id) for b in history.failed_builds if b.id < last])
+
+
+def toy_mixed(n=240, seed=5):
+    """Constant, tied, low-cardinality, NaN-holding and continuous columns."""
+    rng = np.random.default_rng(seed)
+    X = np.empty((n, 7))
+    X[:, 0] = 2.5
+    X[:, 1] = rng.integers(0, 3, n)
+    X[:, 2] = np.round(rng.random(n), 1)
+    X[:, 3] = np.where(rng.random(n) < 0.15, np.nan, rng.random(n))
+    X[:, 4] = np.nan
+    X[:, 5] = rng.random(n)
+    X[:, 6] = -0.0
+    X[: n // 2, 6] = 0.0
+    y = ((X[:, 1] == 2) | (X[:, 5] > 0.8)).astype(float)
+    return X, y
+
+
+def test_model_json_golden():
+    # Any change to these digests changes the trained trees: a faster
+    # trainer must keep them; a deliberate change to training updates them.
+    history, sources, _ = generate_synthetic_history(SynthConfig(), seed=7)
+    history, _ = remove_frequent_failers(history)
+    X, y = _last_training_set(history, sources)
+    assert _model_digest(X, y, Hyperparams(n_bags=30, trees_per_bag=5, max_leaves=64)) == (
+        "1f2fc0da4921d49781d315afb4f59c4c99143f178f4b4354677d5cc33a6cbde0"
+    )
+
+    history, sources, _ = generate_synthetic_history(DRIFT_CFG, seed=1)
+    X, y = _last_training_set(history, sources)
+    assert _model_digest(X, y, DRIFT_HP) == (
+        "a76a879903530de11455a792019340268e4f593924a9f827af8c886bcc664379"
+    )
+
+    X, y = toy_mixed()
+    hp = Hyperparams(n_bags=8, trees_per_bag=4, max_leaves=12, feature_rate=0.7)
+    assert _model_digest(X, y, hp, seed=3) == (
+        "313d28ee789041b2862d5394ba4b4b374c7ae2a2b6253317ad9a9a2dddbc63ce"
+    )
