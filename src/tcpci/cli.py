@@ -39,7 +39,6 @@ EXIT_INTERNAL = 4
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", type=Path, default=None, help="JSON config file")
-    p.add_argument("--jobs", type=int, default=None, help="worker bound (serial run is equivalent)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--impact-depth", type=int, default=None)
     p.add_argument("--recent-window", type=int, default=None)
@@ -104,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--config", type=Path, default=None, help="JSON generator config")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=None)
     return parser
 
 

@@ -214,3 +214,16 @@ def test_invalid_option_or_file_exits_2(dataset, tmp_path, capsys, argv):
         args.append(arg)
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "synth"])
+def test_jobs_flag_is_rejected(dataset, tmp_path, capsys, command):
+    # training is serial; a --jobs flag would promise a bound nothing reads
+    if command == "evaluate":
+        args = [command, str(dataset)]
+    else:
+        args = [command, "--out", str(tmp_path / "d")]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--jobs", "2"])
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: --jobs 2" in capsys.readouterr().err
