@@ -118,7 +118,9 @@ def _strip_comments(text: str) -> tuple[str, list[str]]:
             kinds.append("blank")
         else:
             kinds.append("comment" if code_line[len(line) - len(rest)].isspace() else "code")
-    return code, kinds[: len(text.splitlines())]
+    if not text or text.endswith("\n"):
+        kinds.pop()  # nothing follows the last newline, so it starts no line
+    return code, kinds
 
 
 # --- unit detection -----------------------------------------------------

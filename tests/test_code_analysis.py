@@ -76,8 +76,11 @@ def test_line_partition_invariant():
     assert (m.CountLineCode, m.CountLineComment, m.CountLineBlank) == (2, 3, 0)
 
 
-# Java-like pieces whose only line breaks are "\n" and "\r\n"
-_JAVA_PIECES = ["/", "*", '"', "'", "\\", "\n", "\r\n", " ", "\t", "//", "/*", "*/", "a1", ";", "{", "}", "\xe9"]
+# Java-like pieces, with the characters str.splitlines() also breaks at
+_JAVA_PIECES = [
+    "/", "*", '"', "'", "\\", "\n", "\r\n", "\r", " ", "\t", "//", "/*", "*/", "a1", ";",
+    "{", "}", "\xe9", "\x0b", "\x0c", "\x85", "\u2028",
+]
 
 
 @given(st.lists(st.sampled_from(_JAVA_PIECES), max_size=40).map("".join))
@@ -85,11 +88,19 @@ def test_strip_comments_keeps_layout(text):
     code, kinds = _strip_comments(text)
     assert len(code) == len(text)
     assert [i for i, c in enumerate(code) if c == "\n"] == [i for i, c in enumerate(text) if c == "\n"]
-    assert len(kinds) == len(text.splitlines())
+    # one kind per line, where only "\n" ends a line
+    assert len(kinds) == (len(text.removesuffix("\n").split("\n")) if text else 0)
     for line, kind in zip(code.split("\n"), kinds):
         assert kind in ("blank", "code", "comment")
         if kind == "code":
             assert line.strip()
+
+
+def test_only_newline_ends_a_line():
+    m, _ = analyze_file("int a;\x0cint b;\n", "A.java")
+    assert (m.CountLine, m.CountLineCode, m.CountLineBlank) == (1, 1, 0)
+    m, _ = analyze_file("int a;\rint b;\r", "A.java")
+    assert m.CountLine == 1
 
 
 def test_mixed_comment_code_line_counts_as_code():
