@@ -86,11 +86,12 @@ def is_test_file(path: str) -> bool:
 
 # --- comment/string stripping -------------------------------------------
 
-# One lexeme is a comment (group 1), or a string/char literal: its quote
-# (2), interior (3) and closing quote (4); both may run unclosed to the end.
+# One lexeme is a comment (group 1), or a string/char literal or text
+# block: its quotes (2), interior (3) and closing quotes (4); both may run
+# unclosed to the end.
 _LEXEME_RE = re.compile(
     r"(//[^\n]*|/\*[\s\S]*?(?:\*/|\Z))"
-    r"""|(["'])((?:\\[^\n]|\\|(?!\2)[^\\])*)(\2?)"""
+    r"""|("{3}|["'])((?:\\[^\n]|\\|(?!\2)[^\\])*)(\2?)"""
 )
 _NOT_NEWLINE_RE = re.compile(r"[^\n]")
 

@@ -103,6 +103,12 @@ def test_only_newline_ends_a_line():
     assert m.CountLine == 1
 
 
+def test_text_block_is_one_literal():
+    code, kinds = _strip_comments('String s = """\n  say "hi" // x\n  """;\n')
+    assert "hi" not in code and "//" not in code
+    assert kinds == ["code", "blank", "code"]
+
+
 def test_mixed_comment_code_line_counts_as_code():
     m, _ = analyze_file("int x; // note\n", "A.java")
     assert m.CountLineCode == 1
