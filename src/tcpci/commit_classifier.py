@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateCorpusError
 from .stemming import stem
-from .trees import RegressionTree
+from .trees import Grower, RegressionTree
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _URL_SENTINEL = "zqurlplaceholderqz"
@@ -170,12 +170,12 @@ def _boost(
     p = float(y.mean())
     base = math.log(p / (1 - p))
     z = np.full(len(y), base)
+    grower = Grower(X)
+    step = np.empty(len(y))
     trees = []
     for _ in range(n_trees):
-        residual = y - _sigmoid(z)
-        tree = RegressionTree.fit(X, residual, max_leaves=max_leaves)
-        z += shrinkage * tree.predict(X)
-        trees.append(tree)
+        trees.append(RegressionTree.fit(grower, y - _sigmoid(z), max_leaves, out=step))
+        z += shrinkage * step
     return trees, base
 
 

@@ -24,7 +24,7 @@ from .errors import (
     UnknownFeatureError,
 )
 from .matrix import FeatureMatrix
-from .trees import RegressionTree
+from .trees import Grower, RegressionTree
 
 log = logging.getLogger(__name__)
 
@@ -168,15 +168,15 @@ def train_ranker(
         rng = np.random.default_rng([seed, b])
         rows = rng.choice(n, size=n_rows, replace=True)
         feats = np.sort(rng.choice(d, size=n_feats, replace=False))
-        Xb = X[rows][:, feats]
+        grower = Grower(X[rows][:, feats])
         yb = y[rows]
         base = float(yb.mean())
         z = np.full(len(yb), base)
+        step = np.empty(len(yb))
         trees = []
         for _ in range(hp.trees_per_bag):
-            tree = RegressionTree.fit(Xb, yb - z, max_leaves=hp.max_leaves)
-            z += hp.shrinkage * tree.predict(Xb)
-            trees.append(tree)
+            trees.append(RegressionTree.fit(grower, yb - z, hp.max_leaves, out=step))
+            z += hp.shrinkage * step
         bags.append(_Bag(feature_idx=feats, base=base, trees=trees))
     return RankModel(hyperparams=hp, seed=seed, bags=bags)
 

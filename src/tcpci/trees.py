@@ -4,8 +4,18 @@ The tree is the shared weak learner for both the ranking model and the
 commit classifier.  Growth is best-first: candidate splits across all open
 leaves sit in one priority queue keyed by sum-of-squared-error reduction,
 and the leaf with the largest reduction is split next until ``max_leaves``
-is reached.  Split finding is vectorized over features with per-column
-argsort and prefix sums.  Everything is deterministic for a fixed input.
+is reached.
+
+Split finding is exact greedy over presorted columns, as in XGBoost's
+column blocks (Chen & Guestrin, KDD 2016).  A :class:`Grower` is built
+once per training matrix and serves every tree grown on it: it drops the
+columns that are constant in the matrix and stable-argsorts each other
+column once.  A split stable-partitions each sorted index array into the
+children, so every node holds its rows in the order a stable argsort of
+the node alone would give, and a column constant within a node is dropped
+for its subtree.  The split score is computed only at the sorted positions
+where adjacent values differ.  Everything is deterministic for a fixed
+input.
 """
 
 from __future__ import annotations
@@ -15,36 +25,81 @@ import heapq
 import numpy as np
 
 
-def _best_split(X: np.ndarray, y: np.ndarray) -> tuple[float, int, float] | None:
-    """Best (gain, feature, threshold) for one node, or None if unsplittable.
+class Grower:
+    """A training matrix sorted once, for growing any number of trees on it.
 
-    Gain is the SSE reduction.  Ties resolve to the lowest (sorted-position,
-    feature) pair, which is deterministic.
+    ``values[k]`` is the live (non-constant) column ``features[k]`` of
+    ``X`` and ``order[k]`` its rows by ascending value, NaN last, ties by
+    row.  A node is ``(rows, order, slots)``: its rows ascending, and the
+    sorted rows of the live columns ``slots`` that can still split it.
     """
-    n, d = X.shape
-    if n < 2:
-        return None
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    ys = y[order]
-    csum = np.cumsum(ys, axis=0)
-    total = csum[-1]
-    n_left = np.arange(1, n, dtype=np.float64)[:, None]
-    s_left = csum[:-1]
-    s_right = total[None, :] - s_left
-    score = s_left**2 / n_left + s_right**2 / (n - n_left)
-    valid = xs[1:] != xs[:-1]
-    if not valid.any():
-        return None
-    score = np.where(valid, score, -np.inf)
-    flat = int(np.argmax(score))
-    i, j = divmod(flat, d)
-    parent = float(total[j]) ** 2 / n
-    gain = float(score[i, j]) - parent
-    if gain <= 1e-12:
-        return None
-    threshold = float(xs[i, j] + xs[i + 1, j]) / 2.0
-    return gain, j, threshold
+
+    def __init__(self, X: np.ndarray):
+        self.X = np.asarray(X, dtype=np.float64)
+        # NaN never equals itself, so a column holding one stays live
+        self.features = np.flatnonzero(~(self.X == self.X[:1]).all(axis=0))
+        self.values = np.ascontiguousarray(self.X[:, self.features].T)
+        self.order = np.argsort(self.values, axis=1, kind="stable")
+
+    def root(self) -> tuple:
+        """The node holding every row."""
+        return np.arange(len(self.X)), self.order, np.arange(len(self.features))
+
+    def best_split(self, y: np.ndarray, node: tuple):
+        """(gain, feature, threshold, node) for one node, or None if unsplittable.
+
+        Gain is the SSE reduction.  Ties resolve to the lowest
+        (sorted-position, feature) pair, which is deterministic.  The node
+        comes back without the columns constant in it.
+        """
+        rows, order, slots = node
+        n = len(rows)
+        if n < 2 or not len(slots):
+            return None
+        xs = self.values.ravel()[order + (slots * len(self.X))[:, None]]
+        valid = xs[:, 1:] != xs[:, :-1]
+        live = valid.any(axis=1)
+        if not live.all():
+            order, slots, xs, valid = order[live], slots[live], xs[live], valid[live]
+            if not len(slots):
+                return None
+        csum = np.cumsum(y[order], axis=1)
+        total = csum[:, -1]
+        k, i = np.divmod(np.flatnonzero(valid), n - 1)  # boundary after position i
+        s_left = csum[k, i]
+        n_left = (i + 1).astype(np.float64)
+        score = s_left**2 / n_left + (total[k] - s_left) ** 2 / (n - n_left)
+        best = int(np.argmax(score))
+        tied = np.flatnonzero(score == score[best])
+        if len(tied) > 1:  # lowest sorted position first, then lowest column
+            best = tied[np.argmin(i[tied])]
+        i, k = i[best], k[best]
+        gain = float(score[best]) - float(total[k]) ** 2 / n
+        if gain <= 1e-12:
+            return None
+        threshold = float(xs[k, i] + xs[k, i + 1]) / 2.0
+        return gain, int(self.features[slots[k]]), threshold, (rows, order, slots)
+
+    def split(self, node: tuple, feature: int, threshold: float) -> np.ndarray | None:
+        """Which rows of the node go left, or None if one side is empty."""
+        mask = self.X[node[0], feature] <= threshold
+        if mask.all() or not mask.any():
+            # the midpoint collapsed onto a data value (adjacent floats),
+            # or is NaN: a boundary next to a NaN value
+            return None
+        return mask
+
+    def children(self, node: tuple, mask: np.ndarray) -> tuple[tuple, tuple]:
+        """The two nodes of a split, each column still in sorted order."""
+        rows, order, slots = node
+        goes_left = np.zeros(len(self.X), dtype=bool)
+        goes_left[rows] = mask
+        goes_left = goes_left[order].ravel()
+        shape = (len(slots), -1)
+        return (
+            (rows[mask], np.compress(goes_left, order).reshape(shape), slots),
+            (rows[~mask], np.compress(~goes_left, order).reshape(shape), slots),
+        )
 
 
 class RegressionTree:
@@ -58,8 +113,15 @@ class RegressionTree:
         self.value = np.asarray(value, dtype=np.float64)
 
     @classmethod
-    def fit(cls, X: np.ndarray, y: np.ndarray, max_leaves: int) -> "RegressionTree":
-        X = np.asarray(X, dtype=np.float64)
+    def fit(
+        cls, X: np.ndarray | Grower, y: np.ndarray, max_leaves: int, out: np.ndarray | None = None
+    ) -> "RegressionTree":
+        """Grow a tree on ``X``, an array or a :class:`Grower` built from one.
+
+        ``out``, if given, receives each row's leaf value: what
+        :meth:`predict` returns on the training matrix.
+        """
+        grower = X if isinstance(X, Grower) else Grower(X)
         y = np.asarray(y, dtype=np.float64)
         if max_leaves < 1:
             raise ValueError("max_leaves must be >= 1")
@@ -68,40 +130,46 @@ class RegressionTree:
         left = [-1]
         right = [-1]
         value = [float(y.mean()) if len(y) else 0.0]
+        if out is not None:
+            out[:] = value[0]
 
         heap: list = []
         counter = 0
 
-        def consider(node: int, rows: np.ndarray):
+        def consider(node_id: int, node: tuple):
             nonlocal counter
-            split = _best_split(X[rows], y[rows])
+            split = grower.best_split(y, node)
             if split is not None:
-                gain, feat, thr = split
-                heapq.heappush(heap, (-gain, counter, node, feat, thr, rows))
+                gain, feat, thr, node = split
+                heapq.heappush(heap, (-gain, counter, node_id, feat, thr, node))
                 counter += 1
 
-        consider(0, np.arange(len(y)))
+        if max_leaves > 1:
+            consider(0, grower.root())
         n_leaves = 1
         while heap and n_leaves < max_leaves:
-            _, _, node, feat, thr, rows = heapq.heappop(heap)
-            mask = X[rows, feat] <= thr
-            l_rows, r_rows = rows[mask], rows[~mask]
-            if len(l_rows) == 0 or len(r_rows) == 0:
-                # midpoint collapsed onto a data value (adjacent floats)
+            _, _, node_id, feat, thr, node = heapq.heappop(heap)
+            mask = grower.split(node, feat, thr)
+            if mask is None:
                 continue
-            for child_rows in (l_rows, r_rows):
+            rows = node[0]
+            for child_rows in (rows[mask], rows[~mask]):
                 feature.append(-1)
                 threshold.append(0.0)
                 left.append(-1)
                 right.append(-1)
                 value.append(float(y[child_rows].mean()))
-            feature[node] = feat
-            threshold[node] = thr
-            left[node] = len(feature) - 2
-            right[node] = len(feature) - 1
+                if out is not None:
+                    out[child_rows] = value[-1]
+            feature[node_id] = feat
+            threshold[node_id] = thr
+            left[node_id] = len(feature) - 2
+            right[node_id] = len(feature) - 1
             n_leaves += 1
-            consider(left[node], l_rows)
-            consider(right[node], r_rows)
+            if n_leaves < max_leaves:
+                l_node, r_node = grower.children(node, mask)
+                consider(left[node_id], l_node)
+                consider(right[node_id], r_node)
         return cls(feature, threshold, left, right, value)
 
     def predict(self, X: np.ndarray) -> np.ndarray:

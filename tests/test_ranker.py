@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tcpci.catalog import CATALOG
 from tcpci.errors import CatalogMismatchError, NoFailedBuildsError, UnknownFeatureError
@@ -16,7 +17,7 @@ from tcpci.ranker import (
     train_ranker,
 )
 from tcpci.synth import SynthConfig, generate_synthetic_history
-from tcpci.trees import RegressionTree
+from tcpci.trees import Grower, RegressionTree
 from test_acceptance import DRIFT_CFG, DRIFT_HP
 
 HP = Hyperparams(n_bags=10, trees_per_bag=3, max_leaves=16)
@@ -49,6 +50,44 @@ def test_tree_json_round_trip():
     tree = RegressionTree.fit(X[:, :5], y, max_leaves=8)
     again = RegressionTree.from_dict(tree.to_dict())
     assert np.allclose(tree.predict(X[:, :5]), again.predict(X[:, :5]))
+
+
+def _mixed_columns(rng, n, kinds):
+    cols = {
+        0: lambda: np.full(n, rng.choice([1.5, 0.0, -0.0])),
+        1: lambda: rng.integers(0, 3, n).astype(float),
+        2: lambda: np.round(rng.normal(size=n), 1),
+        3: lambda: np.where(rng.random(n) < 0.3, np.nan, rng.integers(0, 4, n)),
+        4: lambda: np.full(n, np.nan),
+        5: lambda: rng.random(n),
+    }
+    return np.column_stack([cols[k]() for k in kinds]) if kinds else np.empty((n, 0))
+
+
+@given(
+    st.integers(0, 60),
+    st.lists(st.integers(0, 5), max_size=6),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+)
+def test_grower_fitted_values_are_predictions(n, kinds, max_leaves, seed):
+    # constant, tied, low-cardinality, NaN and all-NaN columns, any budget
+    rng = np.random.default_rng(seed)
+    X = _mixed_columns(rng, n, kinds)
+    grower = Grower(X)
+    for y in (rng.integers(0, 2, n).astype(float), rng.normal(size=n)):
+        fitted = np.full(n, np.inf)
+        tree = RegressionTree.fit(grower, y, max_leaves, out=fitted)
+        assert fitted.tobytes() == tree.predict(X).tobytes()
+        # a grower reused across targets grows what a fresh one grows
+        fresh = RegressionTree.fit(X, y, max_leaves)
+        assert tree.to_dict() == fresh.to_dict()
+        assert tree.n_leaves <= max_leaves
+
+
+def test_grower_drops_constant_columns():
+    X = np.array([[1.0, 0.0, np.nan, 4.0], [1.0, -0.0, np.nan, 4.0], [1.0, 0.0, 2.0, 4.0]])
+    assert Grower(X).features.tolist() == [2]
 
 
 def test_train_is_deterministic():
