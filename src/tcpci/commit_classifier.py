@@ -174,7 +174,7 @@ def _boost(
     step = np.empty(len(y))
     trees = []
     for _ in range(n_trees):
-        trees.append(RegressionTree.fit(grower, y - _sigmoid(z), max_leaves, out=step))
+        trees.append(RegressionTree.fit(grower, y - _sigmoid(z), max_leaves, step))
         z += shrinkage * step
     return trees, base
 

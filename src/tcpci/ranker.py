@@ -175,7 +175,7 @@ def train_ranker(
         step = np.empty(len(yb))
         trees = []
         for _ in range(hp.trees_per_bag):
-            trees.append(RegressionTree.fit(grower, yb - z, hp.max_leaves, out=step))
+            trees.append(RegressionTree.fit(grower, yb - z, hp.max_leaves, step))
             z += hp.shrinkage * step
         bags.append(_Bag(feature_idx=feats, base=base, trees=trees))
     return RankModel(hyperparams=hp, seed=seed, bags=bags)

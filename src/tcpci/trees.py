@@ -80,25 +80,16 @@ class Grower:
         threshold = float(xs[k, i] + xs[k, i + 1]) / 2.0
         return gain, int(self.features[slots[k]]), threshold, (rows, order, slots)
 
-    def split(self, node: tuple, feature: int, threshold: float) -> np.ndarray | None:
-        """Which rows of the node go left, or None if one side is empty."""
-        mask = self.X[node[0], feature] <= threshold
-        if mask.all() or not mask.any():
-            # the midpoint collapsed onto a data value (adjacent floats),
-            # or is NaN: a boundary next to a NaN value
-            return None
-        return mask
-
-    def children(self, node: tuple, mask: np.ndarray) -> tuple[tuple, tuple]:
-        """The two nodes of a split, each column still in sorted order."""
-        rows, order, slots = node
+    def children(self, node: tuple, l_rows: np.ndarray, r_rows: np.ndarray) -> tuple:
+        """The nodes of a split into ``l_rows`` and ``r_rows``, columns still sorted."""
+        _, order, slots = node
         goes_left = np.zeros(len(self.X), dtype=bool)
-        goes_left[rows] = mask
+        goes_left[l_rows] = True
         goes_left = goes_left[order].ravel()
         shape = (len(slots), -1)
         return (
-            (rows[mask], np.compress(goes_left, order).reshape(shape), slots),
-            (rows[~mask], np.compress(~goes_left, order).reshape(shape), slots),
+            (l_rows, np.compress(goes_left, order).reshape(shape), slots),
+            (r_rows, np.compress(~goes_left, order).reshape(shape), slots),
         )
 
 
@@ -114,14 +105,13 @@ class RegressionTree:
 
     @classmethod
     def fit(
-        cls, X: np.ndarray | Grower, y: np.ndarray, max_leaves: int, out: np.ndarray | None = None
+        cls, grower: Grower, y: np.ndarray, max_leaves: int, fitted: np.ndarray
     ) -> "RegressionTree":
-        """Grow a tree on ``X``, an array or a :class:`Grower` built from one.
+        """Grow a tree on the grower's matrix against targets ``y``.
 
-        ``out``, if given, receives each row's leaf value: what
-        :meth:`predict` returns on the training matrix.
+        ``fitted`` receives each row's leaf value: what :meth:`predict`
+        returns on the training matrix.
         """
-        grower = X if isinstance(X, Grower) else Grower(X)
         y = np.asarray(y, dtype=np.float64)
         if max_leaves < 1:
             raise ValueError("max_leaves must be >= 1")
@@ -130,8 +120,7 @@ class RegressionTree:
         left = [-1]
         right = [-1]
         value = [float(y.mean()) if len(y) else 0.0]
-        if out is not None:
-            out[:] = value[0]
+        fitted[:] = value[0]
 
         heap: list = []
         counter = 0
@@ -144,30 +133,31 @@ class RegressionTree:
                 heapq.heappush(heap, (-gain, counter, node_id, feat, thr, node))
                 counter += 1
 
-        if max_leaves > 1:
-            consider(0, grower.root())
+        consider(0, grower.root())
         n_leaves = 1
         while heap and n_leaves < max_leaves:
             _, _, node_id, feat, thr, node = heapq.heappop(heap)
-            mask = grower.split(node, feat, thr)
-            if mask is None:
-                continue
             rows = node[0]
-            for child_rows in (rows[mask], rows[~mask]):
+            mask = grower.X[rows, feat] <= thr
+            l_rows, r_rows = rows[mask], rows[~mask]
+            if len(l_rows) == 0 or len(r_rows) == 0:
+                # the midpoint collapsed onto a data value (adjacent floats),
+                # or is NaN: the boundary was next to a NaN value
+                continue
+            for child_rows in (l_rows, r_rows):
                 feature.append(-1)
                 threshold.append(0.0)
                 left.append(-1)
                 right.append(-1)
                 value.append(float(y[child_rows].mean()))
-                if out is not None:
-                    out[child_rows] = value[-1]
+                fitted[child_rows] = value[-1]
             feature[node_id] = feat
             threshold[node_id] = thr
             left[node_id] = len(feature) - 2
             right[node_id] = len(feature) - 1
             n_leaves += 1
             if n_leaves < max_leaves:
-                l_node, r_node = grower.children(node, mask)
+                l_node, r_node = grower.children(node, l_rows, r_rows)
                 consider(left[node_id], l_node)
                 consider(right[node_id], r_node)
         return cls(feature, threshold, left, right, value)

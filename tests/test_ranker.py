@@ -41,13 +41,15 @@ def matrix_of(values, tests=None, build=1):
 def test_tree_fits_simple_threshold():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
-    tree = RegressionTree.fit(X, y, max_leaves=4)
+    fitted = np.empty(4)
+    tree = RegressionTree.fit(Grower(X), y, 4, fitted)
     assert np.allclose(tree.predict(X), y)
+    assert np.array_equal(fitted, y)
 
 
 def test_tree_json_round_trip():
     X, y = toy_data(d=5)
-    tree = RegressionTree.fit(X[:, :5], y, max_leaves=8)
+    tree = RegressionTree.fit(Grower(X[:, :5]), y, 8, np.empty(len(y)))
     again = RegressionTree.from_dict(tree.to_dict())
     assert np.allclose(tree.predict(X[:, :5]), again.predict(X[:, :5]))
 
@@ -77,10 +79,10 @@ def test_grower_fitted_values_are_predictions(n, kinds, max_leaves, seed):
     grower = Grower(X)
     for y in (rng.integers(0, 2, n).astype(float), rng.normal(size=n)):
         fitted = np.full(n, np.inf)
-        tree = RegressionTree.fit(grower, y, max_leaves, out=fitted)
+        tree = RegressionTree.fit(grower, y, max_leaves, fitted)
         assert fitted.tobytes() == tree.predict(X).tobytes()
         # a grower reused across targets grows what a fresh one grows
-        fresh = RegressionTree.fit(X, y, max_leaves)
+        fresh = RegressionTree.fit(Grower(X), y, max_leaves, np.empty(n))
         assert tree.to_dict() == fresh.to_dict()
         assert tree.n_leaves <= max_leaves
 
