@@ -56,6 +56,7 @@ class Grower:
         n = len(rows)
         if n < 2 or not len(slots):
             return None
+        # the node's values, column by column in sorted order
         xs = self.values.ravel()[order + (slots * len(self.X))[:, None]]
         valid = xs[:, 1:] != xs[:, :-1]
         live = valid.any(axis=1)
