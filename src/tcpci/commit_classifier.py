@@ -3,7 +3,7 @@
 Two classifiers with a common preprocessing pipeline:
 
 * a learned one — TF-IDF bag of words fed into gradient-boosted regression
-  trees with logistic loss;
+  trees with logistic loss (:func:`trees.boost` with the sigmoid link);
 * a keyword fallback matching stemmed defect vocabulary
   (fix, bug, defect, patch, fault, repair).
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateCorpusError
 from .stemming import stem
-from .trees import Grower, RegressionTree
+from .trees import Grower, RegressionTree, boost, score
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _URL_SENTINEL = "zqurlplaceholderqz"
@@ -123,10 +123,7 @@ class CommitClassifier:
     def predict_proba(self, messages: list[str]) -> np.ndarray:
         docs = [preprocess_message(m) for m in messages]
         X = self.vectorizer.transform(docs)
-        z = np.full(len(docs), self.base_score)
-        for tree in self.trees:
-            z += self.shrinkage * tree.predict(X)
-        proba = _sigmoid(z)
+        proba = _sigmoid(score(self.trees, X, self.base_score, self.shrinkage))
         empty = np.array([len(d) == 0 for d in docs])
         proba[empty] = 0.0
         return proba
@@ -159,26 +156,6 @@ class CommitClassifier:
         )
 
 
-def _boost(
-    X: np.ndarray,
-    y: np.ndarray,
-    n_trees: int,
-    shrinkage: float,
-    max_leaves: int,
-) -> tuple[list[RegressionTree], float]:
-    """Logistic-loss gradient boosting: trees fit the residual y - p."""
-    p = float(y.mean())
-    base = math.log(p / (1 - p))
-    z = np.full(len(y), base)
-    grower = Grower(X)
-    step = np.empty(len(y))
-    trees = []
-    for _ in range(n_trees):
-        trees.append(RegressionTree.fit(grower, y - _sigmoid(z), max_leaves, step))
-        z += shrinkage * step
-    return trees, base
-
-
 def train_classifier(
     messages: list[str],
     labels: list[bool],
@@ -192,7 +169,9 @@ def train_classifier(
     docs = [preprocess_message(m) for m in messages]
     vectorizer = TfidfVectorizer.fit(docs)
     X = vectorizer.transform(docs)
-    trees, base = _boost(X, y, n_trees, shrinkage, max_leaves)
+    p = float(y.mean())
+    base = math.log(p / (1 - p))  # the log-odds of the prior
+    trees = boost(Grower(X), y, base, n_trees, shrinkage, max_leaves, _sigmoid)
     return CommitClassifier(vectorizer, trees, base, shrinkage)
 
 

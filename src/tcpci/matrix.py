@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import CATALOG, FeatureCatalog
+from .catalog import CATALOG
 from .errors import SchemaError
 
 
@@ -32,23 +32,23 @@ class FeatureMatrix:
         if np.isnan(self.values).any():
             raise ValueError("NaN is not a valid feature value")
 
-    def column(self, name: str, catalog: FeatureCatalog = CATALOG) -> np.ndarray:
-        return self.values[:, catalog.index(catalog.resolve(name))]
+    def column(self, name: str) -> np.ndarray:
+        return self.values[:, CATALOG.index(CATALOG.resolve(name))]
 
-    def write_csv(self, path: Path, catalog: FeatureCatalog = CATALOG) -> None:
+    def write_csv(self, path: Path) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="", encoding="utf-8") as f:
             w = csv.writer(f, lineterminator="\n")
-            w.writerow(["build_id", "test_path", *catalog.names])
+            w.writerow(["build_id", "test_path", *CATALOG.names])
             for i, test in enumerate(self.tests):
                 w.writerow([self.build, test, *(repr(v) for v in self.values[i].tolist())])
 
     @classmethod
-    def read_csv(cls, path: Path, catalog: FeatureCatalog = CATALOG) -> "FeatureMatrix":
+    def read_csv(cls, path: Path) -> "FeatureMatrix":
         with open(path, newline="", encoding="utf-8") as f:
             reader = csv.reader(f)
             header = next(reader, None)
-            if header is None or header[:2] != ["build_id", "test_path"] or tuple(header[2:]) != catalog.names:
+            if header is None or header[:2] != ["build_id", "test_path"] or tuple(header[2:]) != CATALOG.names:
                 raise SchemaError(f"{path}: header does not match the feature catalog")
             build = None
             tests = []
@@ -60,7 +60,7 @@ class FeatureMatrix:
                     raise SchemaError(f"{path}: multiple build ids in one matrix file")
                 tests.append(row[1])
                 rows.append([float(v) for v in row[2:]])
-        values = np.array(rows, dtype=np.float64).reshape(len(tests), len(catalog))
+        values = np.array(rows, dtype=np.float64).reshape(len(tests), len(CATALOG))
         return cls(build=build if build is not None else 0, tests=tuple(tests), values=values)
 
 

@@ -2,8 +2,9 @@
 
 Each bag draws a bootstrap row sample and a feature subsample, then fits a
 short sequence of least-squares regression trees on residuals (MART-style
-boosting).  The ensemble score of a test is the mean over bags; tests are
-executed in descending score order.  Labels are binary: 1 for a failing
+boosting: :func:`trees.boost` with the identity link, squared loss).  The
+ensemble score of a test is the mean of :func:`trees.score` over bags; tests
+are executed in descending score order.  Labels are binary: 1 for a failing
 execution, 0 otherwise.
 """
 
@@ -12,11 +13,11 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .catalog import CATALOG, FeatureCatalog
+from .catalog import CATALOG
 from .errors import (
     CatalogMismatchError,
     NoFailedBuildsError,
@@ -24,7 +25,7 @@ from .errors import (
     UnknownFeatureError,
 )
 from .matrix import FeatureMatrix
-from .trees import Grower, RegressionTree
+from .trees import Grower, RegressionTree, boost, score
 
 log = logging.getLogger(__name__)
 
@@ -53,13 +54,6 @@ class _Bag:
     base: float
     trees: list[RegressionTree]
 
-    def predict(self, X: np.ndarray, shrinkage: float) -> np.ndarray:
-        z = np.full(len(X), self.base)
-        sub = X[:, self.feature_idx]
-        for tree in self.trees:
-            z += shrinkage * tree.predict(sub)
-        return z
-
 
 @dataclass
 class RankModel:
@@ -68,24 +62,24 @@ class RankModel:
     bags: list[_Bag]
     catalog_fingerprint: str = field(default_factory=lambda: CATALOG.fingerprint())
 
-    def predict(self, X: np.ndarray, catalog: FeatureCatalog = CATALOG) -> np.ndarray:
-        if catalog.fingerprint() != self.catalog_fingerprint:
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        if CATALOG.fingerprint() != self.catalog_fingerprint:
             raise CatalogMismatchError(
                 f"model was trained against catalog {self.catalog_fingerprint}, "
-                f"matrix uses {catalog.fingerprint()}"
+                f"matrix uses {CATALOG.fingerprint()}"
             )
+        X = np.asarray(X, dtype=np.float64)
         scores = np.zeros(len(X))
         for bag in self.bags:
-            scores += bag.predict(np.asarray(X, dtype=np.float64), self.hyperparams.shrinkage)
+            scores += score(bag.trees, X[:, bag.feature_idx], bag.base, self.hyperparams.shrinkage)
         return scores / len(self.bags)
 
-    def feature_usage(self, catalog: FeatureCatalog = CATALOG) -> np.ndarray:
+    def feature_usage(self) -> np.ndarray:
         """Split counts per catalog feature, summed over all trees."""
-        counts = np.zeros(len(catalog), dtype=np.int64)
+        counts = np.zeros(len(CATALOG), dtype=np.int64)
         for bag in self.bags:
             for tree in bag.trees:
-                local = tree.split_counts(len(bag.feature_idx))
-                np.add.at(counts, bag.feature_idx, local)
+                np.add.at(counts, bag.feature_idx[tree.feature[tree.feature >= 0]], 1)
         return counts
 
     def to_json(self) -> str:
@@ -94,14 +88,7 @@ class RankModel:
                 "version": 1,
                 "catalog_fingerprint": self.catalog_fingerprint,
                 "seed": self.seed,
-                "hyperparams": {
-                    "n_bags": self.hyperparams.n_bags,
-                    "trees_per_bag": self.hyperparams.trees_per_bag,
-                    "max_leaves": self.hyperparams.max_leaves,
-                    "shrinkage": self.hyperparams.shrinkage,
-                    "sample_rate": self.hyperparams.sample_rate,
-                    "feature_rate": self.hyperparams.feature_rate,
-                },
+                "hyperparams": asdict(self.hyperparams),
                 "bags": [
                     {
                         "feature_idx": bag.feature_idx.tolist(),
@@ -146,7 +133,6 @@ def train_ranker(
     y: np.ndarray,
     hyperparams: Hyperparams = Hyperparams(),
     seed: int = 0,
-    catalog: FeatureCatalog = CATALOG,
 ) -> RankModel:
     """Fit the bagged ensemble; deterministic for a fixed (X, y, seed).
 
@@ -168,52 +154,35 @@ def train_ranker(
         rng = np.random.default_rng([seed, b])
         rows = rng.choice(n, size=n_rows, replace=True)
         feats = np.sort(rng.choice(d, size=n_feats, replace=False))
-        grower = Grower(X[rows][:, feats])
         yb = y[rows]
         base = float(yb.mean())
-        z = np.full(len(yb), base)
-        step = np.empty(len(yb))
-        trees = []
-        for _ in range(hp.trees_per_bag):
-            trees.append(RegressionTree.fit(grower, yb - z, hp.max_leaves, step))
-            z += hp.shrinkage * step
+        grower = Grower(X[rows][:, feats])
+        trees = boost(grower, yb, base, hp.trees_per_bag, hp.shrinkage, hp.max_leaves, lambda z: z)
         bags.append(_Bag(feature_idx=feats, base=base, trees=trees))
     return RankModel(hyperparams=hp, seed=seed, bags=bags)
 
 
-def rank_tests(
-    model: RankModel, matrix: FeatureMatrix, catalog: FeatureCatalog = CATALOG
-) -> list[str]:
-    """Execution order: descending score, ties by TotalAvgExeTime then id."""
-    scores = model.predict(matrix.values, catalog)
-    avg_time = matrix.column("TotalAvgExeTime", catalog)
-    order = sorted(
-        range(len(matrix.tests)),
-        key=lambda i: (-scores[i], avg_time[i], matrix.tests[i]),
-    )
+def rank_tests(model: RankModel, matrix: FeatureMatrix) -> list[str]:
+    """Execution order: descending score, ties by TotalAvgExeTime then id (row order)."""
+    scores = model.predict(matrix.values)
+    order = np.lexsort((matrix.column("TotalAvgExeTime"), -scores))
     return [matrix.tests[i] for i in order]
 
 
-def heuristic_rank(
-    matrix: FeatureMatrix, spec: str, catalog: FeatureCatalog = CATALOG
-) -> list[str]:
+def heuristic_rank(matrix: FeatureMatrix, spec: str) -> list[str]:
     """Order by a single feature, e.g. ``"F_FailRate_Total:desc"``.
 
     The direction suffix is ``:desc`` or ``:asc`` (default descending).
-    Ties break by test id (stable single-key sort).
+    Ties break by test id (stable sort over rows in id order).
     """
     name, _, direction = spec.partition(":")
     direction = direction or "desc"
     if direction not in ("asc", "desc"):
         raise UnknownFeatureError(f"bad sort direction {direction!r} in {spec!r}")
     try:
-        resolved = catalog.resolve(name)
+        col = matrix.column(name)
     except KeyError as exc:
         raise UnknownFeatureError(f"unknown feature {name!r}") from exc
-    col = matrix.values[:, catalog.index(resolved)]
     sign = -1.0 if direction == "desc" else 1.0
-    order = sorted(
-        range(len(matrix.tests)),
-        key=lambda i: (sign * col[i], matrix.tests[i]),
-    )
+    order = np.argsort(sign * col, kind="stable")
     return [matrix.tests[i] for i in order]

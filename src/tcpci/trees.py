@@ -1,10 +1,12 @@
-"""Least-squares regression trees grown best-first to a leaf budget.
+"""Least-squares regression trees grown best-first, and boosting over them.
 
-The tree is the shared weak learner for both the ranking model and the
-commit classifier.  Growth is best-first: candidate splits across all open
-leaves sit in one priority queue keyed by sum-of-squared-error reduction,
-and the leaf with the largest reduction is split next until ``max_leaves``
-is reached.
+The tree is the weak learner of both the ranking model and the commit
+classifier, and :func:`boost` and :func:`score` are the fit and scoring
+loops of both: Friedman's gradient boosting (Annals of Statistics, 2001),
+whose loss a link function picks.  Growth is best-first: candidate splits
+across all open leaves sit in one priority queue keyed by
+sum-of-squared-error reduction, and the leaf with the largest reduction is
+split next until ``max_leaves`` is reached.
 
 Split finding is exact greedy over presorted columns, as in XGBoost's
 column blocks (Chen & Guestrin, KDD 2016).  A :class:`Grower` is built
@@ -21,6 +23,7 @@ input.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable
 
 import numpy as np
 
@@ -181,14 +184,6 @@ class RegressionTree:
     def n_leaves(self) -> int:
         return int((self.feature < 0).sum())
 
-    def split_counts(self, n_features: int) -> np.ndarray:
-        """How often each feature index is used as a split."""
-        counts = np.zeros(n_features, dtype=np.int64)
-        for f in self.feature:
-            if f >= 0:
-                counts[f] += 1
-        return counts
-
     def to_dict(self) -> dict:
         return {
             "feature": self.feature.tolist(),
@@ -201,3 +196,30 @@ class RegressionTree:
     @classmethod
     def from_dict(cls, d: dict) -> "RegressionTree":
         return cls(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
+
+
+def boost(
+    grower: Grower, y: np.ndarray, base: float, n_trees: int, shrinkage: float,
+    max_leaves: int, link: Callable[[np.ndarray], np.ndarray],
+) -> list[RegressionTree]:
+    """Gradient boosting on the grower's matrix, starting every row at ``base``.
+
+    Each tree fits the residual ``y - link(z)`` and ``z`` then moves by
+    ``shrinkage`` times the tree's fitted values.  The identity link is
+    squared loss; the sigmoid link is logistic loss.
+    """
+    z = np.full(len(y), base)
+    step = np.empty(len(y))
+    trees = []
+    for _ in range(n_trees):
+        trees.append(RegressionTree.fit(grower, y - link(z), max_leaves, step))
+        z += shrinkage * step
+    return trees
+
+
+def score(trees: list[RegressionTree], X: np.ndarray, base: float, shrinkage: float) -> np.ndarray:
+    """``base`` plus ``shrinkage`` times each tree's prediction, in tree order."""
+    z = np.full(len(X), base)
+    for tree in trees:
+        z += shrinkage * tree.predict(X)
+    return z
