@@ -170,14 +170,15 @@ def test_predict_tie_break_prefers_faster_then_lexicographic():
 
 
 def test_heuristic_rank_directions():
-    values = np.zeros((3, 150))
+    values = np.zeros((4, 150))
     idx = CATALOG.index("TotalFailRate")
-    values[:, idx] = [0.1, 0.9, 0.0]
-    m = FeatureMatrix(build=1, tests=("a.java", "b.java", "c.java"), values=values)
+    values[:, idx] = [0.1, 0.9, 0.0, 0.1]
+    m = FeatureMatrix(build=1, tests=("a.java", "b.java", "c.java", "d.java"), values=values)
+    # a and d tie: test-id order in both directions
     desc = heuristic_rank(m, "F_FailRate_Total:desc")
-    assert desc == ["b.java", "a.java", "c.java"]
+    assert desc == ["b.java", "a.java", "d.java", "c.java"]
     asc = heuristic_rank(m, "F_FailRate_Total:asc")
-    assert asc == list(reversed(desc))
+    assert asc == ["c.java", "a.java", "d.java", "b.java"]
     with pytest.raises(UnknownFeatureError):
         heuristic_rank(m, "NoSuchFeature:desc")
     with pytest.raises(UnknownFeatureError):
