@@ -138,6 +138,12 @@ def _given(args, cfg: dict, *names: str, **renamed: str) -> dict:
     return out
 
 
+def _check_seed(args, cfg: dict) -> None:
+    seed = _given(args, cfg, "seed").get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise InvalidConfigError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def _construct(cls, kwargs: dict):
     """``cls(**kwargs)``, with rejected values reported as bad configuration."""
     try:
@@ -283,6 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
+        _check_seed(args, cfg)
         return _COMMANDS[args.command](args, cfg)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

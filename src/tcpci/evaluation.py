@@ -26,7 +26,7 @@ from .errors import InsufficientHistoryError, InvalidConfigError, NoFailuresErro
 from .features import FeatureExtractor, RecWindow, Snapshot
 from .matrix import FeatureMatrix, stack_matrices
 from .model import Build, BuildHistory, is_failed
-from .ranker import Hyperparams, RankModel, heuristic_rank, rank_tests, train_ranker
+from .ranker import Hyperparams, RankModel, heuristic_key, heuristic_rank, rank_tests, train_ranker
 
 log = logging.getLogger(__name__)
 
@@ -220,6 +220,7 @@ def run_pipeline_eval(
     heuristic, a sampled random baseline, and the optimal ordering each
     get one APFD_C row.
     """
+    heuristic_key(heuristic)  # a bad heuristic fails before any feature work
     if len(history.failed_builds) < 2:
         raise InsufficientHistoryError("need at least 2 failed builds to evaluate")
     evaluable = _evaluable_failed_builds(history, max_builds)

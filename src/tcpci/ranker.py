@@ -42,8 +42,14 @@ class Hyperparams:
     feature_rate: float = 0.3
 
     def __post_init__(self):
-        if self.n_bags < 1 or self.trees_per_bag < 1 or self.max_leaves < 1:
+        sizes = (self.n_bags, self.trees_per_bag, self.max_leaves)
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in sizes):
+            raise ValueError(f"ensemble sizes must be integers, got {sizes}")
+        if min(sizes) < 1:
             raise ValueError("ensemble sizes must be positive")
+        s = self.shrinkage
+        if isinstance(s, bool) or not isinstance(s, (int, float)) or not 0 < s < math.inf:
+            raise ValueError(f"shrinkage must be a real number > 0, got {s!r}")
         if not (0 < self.sample_rate <= 1 and 0 < self.feature_rate <= 1):
             raise ValueError("sampling rates must lie in (0, 1]")
 
@@ -169,20 +175,29 @@ def rank_tests(model: RankModel, matrix: FeatureMatrix) -> list[str]:
     return [matrix.tests[i] for i in order]
 
 
-def heuristic_rank(matrix: FeatureMatrix, spec: str) -> list[str]:
-    """Order by a single feature, e.g. ``"F_FailRate_Total:desc"``.
+def heuristic_key(spec: str) -> tuple[str, float]:
+    """The feature and sort sign of a heuristic, e.g. ``"F_FailRate_Total:desc"``.
 
     The direction suffix is ``:desc`` or ``:asc`` (default descending).
-    Ties break by test id (stable sort over rows in id order).
     """
+    if not isinstance(spec, str):
+        raise UnknownFeatureError(f"heuristic must be a string like 'TotalFailRate:desc': {spec!r}")
     name, _, direction = spec.partition(":")
     direction = direction or "desc"
     if direction not in ("asc", "desc"):
         raise UnknownFeatureError(f"bad sort direction {direction!r} in {spec!r}")
     try:
-        col = matrix.column(name)
+        name = CATALOG.resolve(name)
     except KeyError as exc:
         raise UnknownFeatureError(f"unknown feature {name!r}") from exc
-    sign = -1.0 if direction == "desc" else 1.0
-    order = np.argsort(sign * col, kind="stable")
+    return name, -1.0 if direction == "desc" else 1.0
+
+
+def heuristic_rank(matrix: FeatureMatrix, spec: str) -> list[str]:
+    """Order by the single feature :func:`heuristic_key` reads from ``spec``.
+
+    Ties break by test id (stable sort over rows in id order).
+    """
+    name, sign = heuristic_key(spec)
+    order = np.argsort(sign * matrix.column(name), kind="stable")
     return [matrix.tests[i] for i in order]

@@ -195,17 +195,42 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
         ],
         ["evaluate", "--impact-depth", "-1"],
         ["evaluate", "--config", '@{"impact_depth": "x"}'],
+        ["evaluate", "--seed", "-1"],
+        ["train", "--until", "15", "--out", "@", "--seed", "-1"],
+        ["synth", "--seed", "-1"],
+        ["evaluate", "--config", '@{"seed": "x"}'],
+        ["evaluate", "--config", '@{"seed": 1.5}'],
+        ["evaluate", "--config", '@{"heuristic": 5}'],
+        ["evaluate", "--heuristic", "NoSuchFeature:desc"],
+        ["evaluate", "--config", '@{"shrinkage": "0.1"}'],
+        ["evaluate", "--config", '@{"shrinkage": 0}'],
+        ["evaluate", "--config", '@{"shrinkage": -1}'],
+        ["evaluate", "--config", '@{"bags": 2.5}'],
+        ["evaluate", "--config", '@{"bags": true}'],
+        ["evaluate", "--config", '@{"max_leaves": 3.5}'],
     ],
     ids=[
         "max-builds-0", "max-builds-negative", "max-rw-negative", "bags-0",
         "recent-window-0", "config-wrong-type", "model-missing-keys", "model-bad-json",
         "model-version-2", "model-wrong-type", "model-bag-count", "impact-depth-negative",
-        "impact-depth-wrong-type",
+        "impact-depth-wrong-type", "seed-negative-evaluate", "seed-negative-train",
+        "seed-negative-synth", "seed-string", "seed-fraction", "heuristic-wrong-type",
+        "heuristic-unknown", "shrinkage-string", "shrinkage-zero", "shrinkage-negative",
+        "bags-fraction", "bags-bool", "max-leaves-fraction",
     ],
 )
-def test_invalid_option_or_file_exits_2(dataset, tmp_path, capsys, argv):
+def test_invalid_option_or_file_exits_2(dataset, tmp_path, capsys, monkeypatch, argv):
+    # invalid input is rejected before any model is trained on it
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model was trained on invalid input")
+
+    monkeypatch.setattr("tcpci.cli.train_ranker", no_training)
+    monkeypatch.setattr("tcpci.evaluation.train_ranker", no_training)
     # an "@text" argument is written to a file and replaced by its path
-    args = [argv[0], str(dataset)]
+    if argv[0] == "synth":
+        args = [argv[0], "--out", str(tmp_path / "d")]
+    else:
+        args = [argv[0], str(dataset)]
     for i, arg in enumerate(argv[1:]):
         if arg.startswith("@"):
             path = tmp_path / f"arg{i}.json"
