@@ -43,6 +43,7 @@ class Grower:
         self.features = np.flatnonzero(~(self.X == self.X[:1]).all(axis=0))
         self.values = np.ascontiguousarray(self.X[:, self.features].T)
         self.order = np.argsort(self.values, axis=1, kind="stable")
+        self.has_nan = bool(np.isnan(self.values).any())
 
     def root(self) -> tuple:
         """The node holding every row."""
@@ -52,8 +53,9 @@ class Grower:
         """(gain, feature, threshold, node) for one node, or None if unsplittable.
 
         Gain is the SSE reduction.  Ties resolve to the lowest
-        (sorted-position, feature) pair, which is deterministic.  The node
-        comes back without the columns constant in it.
+        (sorted-position, feature) pair, which is deterministic.  The
+        threshold sends exactly the rows left of the chosen boundary left.
+        The node comes back without the columns that cannot split it.
         """
         rows, order, slots = node
         n = len(rows)
@@ -62,6 +64,8 @@ class Grower:
         # the node's values, column by column in sorted order
         xs = self.values.ravel()[order + (slots * len(self.X))[:, None]]
         valid = xs[:, 1:] != xs[:, :-1]
+        if self.has_nan:  # NaN != NaN, but no boundary follows a NaN
+            valid &= ~np.isnan(xs[:, :-1])
         live = valid.any(axis=1)
         if not live.all():
             order, slots, xs, valid = order[live], slots[live], xs[live], valid[live]
@@ -81,7 +85,10 @@ class Grower:
         gain = float(score[best]) - float(total[k]) ** 2 / n
         if gain <= 1e-12:
             return None
-        threshold = float(xs[k, i] + xs[k, i + 1]) / 2.0
+        a, b = float(xs[k, i]), float(xs[k, i + 1])
+        threshold = (a + b) / 2.0
+        if not a <= threshold < b:  # rounded onto b, overflowed, or b is NaN
+            threshold = a
         return gain, int(self.features[slots[k]]), threshold, (rows, order, slots)
 
     def children(self, node: tuple, l_rows: np.ndarray, r_rows: np.ndarray) -> tuple:
@@ -144,10 +151,6 @@ class RegressionTree:
             rows = node[0]
             mask = grower.X[rows, feat] <= thr
             l_rows, r_rows = rows[mask], rows[~mask]
-            if len(l_rows) == 0 or len(r_rows) == 0:
-                # the midpoint collapsed onto a data value (adjacent floats),
-                # or is NaN: the boundary was next to a NaN value
-                continue
             for child_rows in (l_rows, r_rows):
                 feature.append(-1)
                 threshold.append(0.0)

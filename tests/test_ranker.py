@@ -87,6 +87,31 @@ def test_grower_fitted_values_are_predictions(n, kinds, max_leaves, seed):
         assert tree.n_leaves <= max_leaves
 
 
+def test_split_threshold_gives_the_scored_partition():
+    # next to a NaN the midpoint is NaN, and between adjacent doubles it can
+    # round up to the right value: the threshold must still split as scored
+    X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]])
+    y = np.array([0.0, 0.0, 0.0, 1.0])
+    fitted = np.empty(4)
+    tree = RegressionTree.fit(Grower(X), y, 2, fitted)
+    assert (tree.feature[0], tree.threshold[0]) == (0, 1.0)
+    assert fitted.tolist() == tree.predict(X).tolist() == y.tolist()
+    # no boundary lies between two NaNs
+    X = np.array([[0.0], [0.0], [np.nan], [np.nan]])
+    tree = RegressionTree.fit(Grower(X), y, 2, fitted)
+    assert (tree.feature[0], tree.threshold[0]) == (0, 0.0)
+    assert fitted.tolist() == tree.predict(X).tolist() == [0.0, 0.0, 0.5, 0.5]
+
+    a = 13.332641693339541
+    b = np.nextafter(a, np.inf)
+    assert (a + b) / 2 == b
+    X = np.array([[a], [b], [b + 1.0]])
+    y = np.array([0.0, 1.0, 1.0])
+    tree = RegressionTree.fit(Grower(X), y, 2, fitted[:3])
+    assert tree.threshold[0] == a
+    assert fitted[:3].tolist() == tree.predict(X).tolist() == y.tolist()
+
+
 def test_grower_drops_constant_columns():
     X = np.array([[1.0, 0.0, np.nan, 4.0], [1.0, -0.0, np.nan, 4.0], [1.0, 0.0, 2.0, 4.0]])
     assert Grower(X).features.tolist() == [2]
@@ -219,17 +244,17 @@ def test_model_json_golden():
     history, _ = remove_frequent_failers(history)
     X, y = _last_training_set(history, sources)
     assert _model_digest(X, y, Hyperparams(n_bags=30, trees_per_bag=5, max_leaves=64)) == (
-        "1f2fc0da4921d49781d315afb4f59c4c99143f178f4b4354677d5cc33a6cbde0"
+        "c30db53764bf836567cca39dd93c8cc244af8096b74b38e26bfc9633d4a47e4c"
     )
 
     history, sources, _ = generate_synthetic_history(DRIFT_CFG, seed=1)
     X, y = _last_training_set(history, sources)
     assert _model_digest(X, y, DRIFT_HP) == (
-        "a76a879903530de11455a792019340268e4f593924a9f827af8c886bcc664379"
+        "1259991699aaaeb0ba2fb0c898d833ae1a2de64d2af095c743d67a6beba0c51d"
     )
 
     X, y = toy_mixed()
     hp = Hyperparams(n_bags=8, trees_per_bag=4, max_leaves=12, feature_rate=0.7)
     assert _model_digest(X, y, hp, seed=3) == (
-        "313d28ee789041b2862d5394ba4b4b374c7ae2a2b6253317ad9a9a2dddbc63ce"
+        "a54b4673b2d54678066f1e73c3de3ffcd045f31e339a43185d809998e87c03e9"
     )
