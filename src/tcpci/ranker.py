@@ -43,10 +43,8 @@ class Hyperparams:
 
     def __post_init__(self):
         sizes = (self.n_bags, self.trees_per_bag, self.max_leaves)
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in sizes):
-            raise ValueError(f"ensemble sizes must be integers, got {sizes}")
-        if min(sizes) < 1:
-            raise ValueError("ensemble sizes must be positive")
+        if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in sizes):
+            raise ValueError(f"ensemble sizes must be integers >= 1, got {sizes}")
         s = self.shrinkage
         if isinstance(s, bool) or not isinstance(s, (int, float)) or not 0 < s < math.inf:
             raise ValueError(f"shrinkage must be a real number > 0, got {s!r}")
