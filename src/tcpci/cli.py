@@ -24,11 +24,15 @@ from .errors import (
     NoFailedBuildsError,
     TcpciError,
 )
-from .evaluation import decay_experiment, remove_frequent_failers, run_pipeline_eval
-from .features import FeatureExtractor, RecWindow
+from .evaluation import (
+    PipelineEvaluator,
+    decay_experiment,
+    remove_frequent_failers,
+    run_pipeline_eval,
+)
+from .features import FeatureExtractor
 from .ingest import DatasetLayout, ingest_exec_records, write_dataset
-from .matrix import stack_matrices
-from .ranker import Hyperparams, RankModel, rank_tests, train_ranker
+from .ranker import Hyperparams, RankModel, rank_tests
 from .synth import SynthConfig, load_sources, write_synthetic_dataset
 
 EXIT_OK = 0
@@ -39,12 +43,12 @@ EXIT_INTERNAL = 4
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", type=Path, default=None, help="JSON config file")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--impact-depth", type=int, default=None)
     p.add_argument("--recent-window", type=int, default=None)
 
 
-def _add_hyperparams(p: argparse.ArgumentParser):
+def _add_training(p: argparse.ArgumentParser):
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--bags", type=int, default=None)
     p.add_argument("--trees-per-bag", type=int, default=None)
     p.add_argument("--max-leaves", type=int, default=None)
@@ -60,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="validate and normalize a dataset")
     p.add_argument("source", type=Path, help="dataset directory (optionally a git repo)")
     p.add_argument("dest", type=Path, help="output dataset directory")
-    _add_common(p)
 
     p = sub.add_parser("extract", help="write features/build_<id>.csv")
     p.add_argument("dataset", type=Path)
@@ -73,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--until", type=int, required=True)
     p.add_argument("--out", type=Path, required=True)
     _add_common(p)
-    _add_hyperparams(p)
+    _add_training(p)
 
     p = sub.add_parser("prioritize", help="print ranked test paths for a build")
     p.add_argument("dataset", type=Path)
@@ -88,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--keep-outliers", action="store_true")
     _add_common(p)
-    _add_hyperparams(p)
+    _add_training(p)
 
     p = sub.add_parser("decay", help="retraining-window decay experiment; emits decay.csv")
     p.add_argument("dataset", type=Path)
@@ -97,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--keep-outliers", action="store_true")
     _add_common(p)
-    _add_hyperparams(p)
+    _add_training(p)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", type=Path, required=True)
@@ -173,11 +176,7 @@ def _load(dataset: Path, filter_outliers: bool = False):
 
 
 def _extractor_kwargs(args, cfg: dict) -> dict:
-    kwargs = _given(args, cfg, "impact_depth")
-    window = _given(args, cfg, recent_window="recent_size")
-    if window:
-        kwargs["rec_window"] = _construct(RecWindow, window)
-    return kwargs
+    return _given(args, cfg, "impact_depth", "recent_window")
 
 
 def _cmd_ingest(args, cfg: dict) -> int:
@@ -205,12 +204,13 @@ def _cmd_extract(args, cfg: dict) -> int:
 
 def _cmd_train(args, cfg: dict) -> int:
     layout, history = _load(args.dataset)
-    train_builds = [b for b in history.failed_builds if b.id < args.until]
-    if not train_builds:
-        raise NoFailedBuildsError(f"no failed builds before {args.until}")
-    extractor = FeatureExtractor(history, load_sources(layout), **_extractor_kwargs(args, cfg))
-    X, y = stack_matrices([extractor.matrix(b.id) for b in train_builds])
-    model = train_ranker(X, y, _hyperparams(args, cfg), **_given(args, cfg, "seed"))
+    model = PipelineEvaluator(
+        history,
+        load_sources(layout),
+        _hyperparams(args, cfg),
+        **_given(args, cfg, "seed"),
+        **_extractor_kwargs(args, cfg),
+    ).model_for(args.until)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(model.to_json(), encoding="utf-8")
     print(args.out)
@@ -288,7 +288,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
+        cfg = _load_config(getattr(args, "config", None))
         _check_seed(args, cfg)
         return _COMMANDS[args.command](args, cfg)
     except InputError as exc:

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InsufficientHistoryError, InvalidConfigError, NoFailuresError
-from .features import FeatureExtractor, RecWindow, Snapshot
+from .features import FeatureExtractor, Snapshot
 from .matrix import FeatureMatrix, stack_matrices
 from .model import Build, BuildHistory, is_failed
 from .ranker import Hyperparams, RankModel, heuristic_key, heuristic_rank, rank_tests, train_ranker
@@ -31,6 +31,8 @@ from .ranker import Hyperparams, RankModel, heuristic_key, heuristic_rank, rank_
 log = logging.getLogger(__name__)
 
 DEFAULT_HEURISTIC = "F_FailRate_Total:desc"
+#: Random orderings sampled per build for the random baseline.
+RANDOM_SAMPLES = 20
 
 
 def optimal_ordering(build: Build) -> list[str]:
@@ -66,12 +68,12 @@ def apfdc_of_build(build: Build, ordering: list[str]) -> float:
     return apfdc(ordering, verdicts, durations)
 
 
-def random_baseline_apfdc(build: Build, seed: int, samples: int = 20) -> float:
+def random_baseline_apfdc(build: Build, seed: int) -> float:
     """Expected APFD_C of a uniformly random ordering, by seeded sampling."""
     rng = np.random.default_rng([seed, build.id])
     tests = sorted(build.tests)
     values = []
-    for _ in range(samples):
+    for _ in range(RANDOM_SAMPLES):
         perm = [tests[i] for i in rng.permutation(len(tests))]
         values.append(apfdc_of_build(build, perm))
     return float(np.mean(values))
@@ -162,7 +164,8 @@ def _evaluable_failed_builds(history: BuildHistory, cap: int) -> list[Build]:
 
 
 class PipelineEvaluator:
-    """Shared plumbing for the standard evaluation and the decay run."""
+    """Shared plumbing for training, the standard evaluation and the decay
+    run; ``extractor_kwargs`` go to :class:`FeatureExtractor`."""
 
     def __init__(
         self,
@@ -170,20 +173,12 @@ class PipelineEvaluator:
         sources: dict[str, str] | None = None,
         hyperparams: Hyperparams = Hyperparams(),
         seed: int = 0,
-        rec_window: RecWindow = RecWindow(),
-        impact_depth: int = 1,
-        classify=None,
+        **extractor_kwargs,
     ):
         self.history = history
         self.hyperparams = hyperparams
         self.seed = seed
-        self.extractor = FeatureExtractor(
-            history,
-            sources,
-            classify=classify,
-            rec_window=rec_window,
-            impact_depth=impact_depth,
-        )
+        self.extractor = FeatureExtractor(history, sources, **extractor_kwargs)
         self._matrix_cache: dict[int, FeatureMatrix] = {}
 
     def matrix(self, build_id: int, snapshot: Snapshot | None = None) -> FeatureMatrix:
@@ -211,7 +206,6 @@ def run_pipeline_eval(
     seed: int = 0,
     max_builds: int = 50,
     heuristic: str = DEFAULT_HEURISTIC,
-    random_samples: int = 20,
     **extractor_kwargs,
 ) -> EvaluationReport:
     """Train-on-prior evaluation over the latest failed builds.
@@ -230,7 +224,7 @@ def run_pipeline_eval(
             "seed": seed,
             "max_builds": max_builds,
             "heuristic": heuristic,
-            "random_samples": random_samples,
+            "random_samples": RANDOM_SAMPLES,
             "hyperparams": dataclasses.asdict(hyperparams),
         }
     )
@@ -244,7 +238,7 @@ def run_pipeline_eval(
             (build.id, "heuristic", apfdc_of_build(build, heuristic_rank(matrix, heuristic)))
         )
         report.apfdc_rows.append(
-            (build.id, "random", random_baseline_apfdc(build, seed, random_samples))
+            (build.id, "random", random_baseline_apfdc(build, seed))
         )
         report.apfdc_rows.append(
             (build.id, "optimal", apfdc_of_build(build, optimal_ordering(build)))

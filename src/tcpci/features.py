@@ -82,17 +82,6 @@ _COV_GROUPS = (
 )
 
 
-@dataclass(frozen=True)
-class RecWindow:
-    """How many of the latest executions count as "recent"."""
-
-    recent_size: int = 6
-
-    def __post_init__(self):
-        if self.recent_size < 1:
-            raise ValueError("recent_size must be >= 1")
-
-
 class _TestHistory:
     """Ordered execution history of one test across builds."""
 
@@ -173,7 +162,8 @@ class FeatureExtractor:
 
     ``sources`` maps repository-relative paths to file text; when omitted,
     files referenced by tests/commits have no static metrics and those
-    features default to zero.
+    features default to zero.  The REC ``Recent*`` features read a test's
+    latest ``recent_window`` executions.
     """
 
     def __init__(
@@ -181,13 +171,15 @@ class FeatureExtractor:
         history: BuildHistory,
         sources: dict[str, str] | None = None,
         classify=None,
-        rec_window: RecWindow = RecWindow(),
+        recent_window: int = 6,
         impact_depth: int = 1,
     ):
-        if not isinstance(impact_depth, int) or impact_depth < 0:
-            raise InvalidConfigError(f"impact_depth must be an integer >= 0, got {impact_depth!r}")
+        checks = (("recent_window", recent_window, 1), ("impact_depth", impact_depth, 0))
+        for name, value, least in checks:
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise InvalidConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         self.history = history
-        self.rec_window = rec_window
+        self.recent_window = recent_window
         self.impact_depth = impact_depth
         self.timings = Timings()
         sources = sources or {}
@@ -267,8 +259,7 @@ class FeatureExtractor:
         durations = np.asarray(th.durations[:pos])
         failed = np.asarray(th.failed[:pos])
         verdicts = th.verdicts[:pos]
-        w = self.rec_window.recent_size
-        lo = max(0, pos - w)
+        lo = max(0, pos - self.recent_window)
 
         def stats(a: int) -> tuple[float, float, float, float, float, float]:
             d = durations[a:]

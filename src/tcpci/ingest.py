@@ -244,8 +244,8 @@ def ingest_exec_records(layout: DatasetLayout) -> BuildHistory:
     return BuildHistory(builds, commit_store)
 
 
-def write_dataset(history: BuildHistory, root: Path, job_id: str = "j0") -> DatasetLayout:
-    """Write a history back to the on-disk layout (inverse of ingestion)."""
+def write_dataset(history: BuildHistory, root: Path) -> DatasetLayout:
+    """Write a history back to the on-disk layout, every record in job ``j0``."""
     root.mkdir(parents=True, exist_ok=True)
     with open(root / "builds.csv", "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f, lineterminator="\n")
@@ -258,7 +258,7 @@ def write_dataset(history: BuildHistory, root: Path, job_id: str = "j0") -> Data
         w.writerow(["build_id", "job_id", "test_path", "verdict", "duration_ms"])
         for b in history.builds:
             for r in b.records:
-                w.writerow([b.id, job_id, r.test, int(r.verdict), r.duration_ms])
+                w.writerow([b.id, "j0", r.test, int(r.verdict), r.duration_ms])
     with open(root / "commits.jsonl", "w", encoding="utf-8") as f:
         for c in history.commit_sequence:
             obj = {

@@ -208,6 +208,9 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
         ["evaluate", "--config", '@{"bags": 2.5}'],
         ["evaluate", "--config", '@{"bags": true}'],
         ["evaluate", "--config", '@{"max_leaves": 3.5}'],
+        ["evaluate", "--config", '@{"recent_window": 2.5}'],
+        ["evaluate", "--config", '@{"recent_window": true}'],
+        ["evaluate", "--config", '@{"impact_depth": true}'],
     ],
     ids=[
         "max-builds-0", "max-builds-negative", "max-rw-negative", "bags-0",
@@ -216,7 +219,8 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
         "impact-depth-wrong-type", "seed-negative-evaluate", "seed-negative-train",
         "seed-negative-synth", "seed-string", "seed-fraction", "heuristic-wrong-type",
         "heuristic-unknown", "shrinkage-string", "shrinkage-zero", "shrinkage-negative",
-        "bags-fraction", "bags-bool", "max-leaves-fraction",
+        "bags-fraction", "bags-bool", "max-leaves-fraction", "recent-window-fraction",
+        "recent-window-bool", "impact-depth-bool",
     ],
 )
 def test_invalid_option_or_file_exits_2(dataset, tmp_path, capsys, monkeypatch, argv):
@@ -224,7 +228,6 @@ def test_invalid_option_or_file_exits_2(dataset, tmp_path, capsys, monkeypatch, 
     def no_training(*args, **kwargs):
         raise AssertionError("a model was trained on invalid input")
 
-    monkeypatch.setattr("tcpci.cli.train_ranker", no_training)
     monkeypatch.setattr("tcpci.evaluation.train_ranker", no_training)
     # an "@text" argument is written to a file and replaced by its path
     if argv[0] == "synth":
@@ -241,14 +244,33 @@ def test_invalid_option_or_file_exits_2(dataset, tmp_path, capsys, monkeypatch, 
     assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("command", ["evaluate", "synth"])
-def test_jobs_flag_is_rejected(dataset, tmp_path, capsys, command):
-    # training is serial; a --jobs flag would promise a bound nothing reads
-    if command == "evaluate":
-        args = [command, str(dataset)]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--jobs", "2"],
+        ["synth", "--jobs", "2"],
+        ["ingest", "--seed", "3"],
+        ["ingest", "--config", "cfg.json"],
+        ["ingest", "--impact-depth", "2"],
+        ["ingest", "--recent-window", "2"],
+        ["extract", "--build", "1", "--seed", "99"],
+        ["prioritize", "--build", "1", "--model", "model.json", "--seed", "99"],
+    ],
+    ids=[
+        "evaluate-jobs", "synth-jobs", "ingest-seed", "ingest-config", "ingest-impact-depth",
+        "ingest-recent-window", "extract-seed", "prioritize-seed",
+    ],
+)
+def test_unread_option_is_rejected(dataset, tmp_path, capsys, argv):
+    # a command takes only the options it reads; any other would promise an
+    # effect it does not have (training is serial, so no --jobs either)
+    if argv[0] == "synth":
+        args = [argv[0], "--out", str(tmp_path / "d")]
+    elif argv[0] == "ingest":
+        args = [argv[0], str(dataset), str(tmp_path / "copy")]
     else:
-        args = [command, "--out", str(tmp_path / "d")]
+        args = [argv[0], str(dataset)]
     with pytest.raises(SystemExit) as exc:
-        main(args + ["--jobs", "2"])
+        main(args + argv[1:])
     assert exc.value.code == 2
-    assert "error: unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err

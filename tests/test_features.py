@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tcpci.catalog import CATALOG
-from tcpci.features import SNAPSHOT_GROUPS, FeatureExtractor, RecWindow
+from tcpci.features import SNAPSHOT_GROUPS, FeatureExtractor
 from tcpci.matrix import FeatureMatrix
 from tcpci.model import (
     Build,
@@ -121,7 +121,7 @@ def test_recent_equals_total_when_window_covers_all():
     specs = [({F1}, [(T, v, float(i + 1))]) for i, v in enumerate((P, A, P))]
     specs.append(({F1}, [(T, P, 1.0)]))
     history = make_history(specs)
-    ex = FeatureExtractor(history, default_sources(), rec_window=RecWindow(10))
+    ex = FeatureExtractor(history, default_sources(), recent_window=10)
     m = ex.matrix(4)
     for stat in ("AvgExeTime", "MaxExeTime", "FailRate", "AssertRate", "ExcRate", "TransitionRate"):
         assert rec(m, T, f"Recent{stat}") == rec(m, T, f"Total{stat}")
