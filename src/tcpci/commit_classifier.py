@@ -149,7 +149,7 @@ class CommitClassifier:
         d = json.loads(text)
         return cls(
             vectorizer=TfidfVectorizer(d["vocabulary"], np.array(d["idf"])),
-            trees=[RegressionTree.from_dict(t) for t in d["trees"]],
+            trees=[RegressionTree.from_dict(t, len(d["vocabulary"])) for t in d["trees"]],
             base_score=d["base_score"],
             shrinkage=d["shrinkage"],
             threshold=d["threshold"],

@@ -48,8 +48,9 @@ class Hyperparams:
         s = self.shrinkage
         if isinstance(s, bool) or not isinstance(s, (int, float)) or not 0 < s < math.inf:
             raise ValueError(f"shrinkage must be a real number > 0, got {s!r}")
-        if not (0 < self.sample_rate <= 1 and 0 < self.feature_rate <= 1):
-            raise ValueError("sampling rates must lie in (0, 1]")
+        for r in (self.sample_rate, self.feature_rate):
+            if isinstance(r, bool) or not isinstance(r, (int, float)) or not 0 < r <= 1:
+                raise ValueError(f"sampling rates must be real numbers in (0, 1], got {r!r}")
 
 
 @dataclass
@@ -112,14 +113,13 @@ class RankModel:
             if not isinstance(d, dict) or d.get("version") != 1:
                 raise SchemaError("not a version-1 model file")
             hp = Hyperparams(**d["hyperparams"])
-            bags = [
-                _Bag(
-                    feature_idx=np.array(b["feature_idx"], dtype=np.int64),
-                    base=float(b["base"]),
-                    trees=[RegressionTree.from_dict(t) for t in b["trees"]],
-                )
-                for b in d["bags"]
-            ]
+            bags = []
+            for b in d["bags"]:
+                feats = np.array(b["feature_idx"], dtype=np.int64)
+                if feats.ndim != 1 or ((feats < 0) | (feats >= len(CATALOG))).any():
+                    raise SchemaError(f"feature_idx must list catalog columns below {len(CATALOG)}")
+                trees = [RegressionTree.from_dict(t, len(feats)) for t in b["trees"]]
+                bags.append(_Bag(feature_idx=feats, base=float(b["base"]), trees=trees))
             if len(bags) != hp.n_bags:
                 raise SchemaError(f"model has {len(bags)} bags, its hyperparams say {hp.n_bags}")
             return cls(

@@ -27,6 +27,8 @@ from collections.abc import Callable
 
 import numpy as np
 
+from .errors import SchemaError
+
 
 class Grower:
     """A training matrix sorted once, for growing any number of trees on it.
@@ -197,8 +199,25 @@ class RegressionTree:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "RegressionTree":
-        return cls(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
+    def from_dict(cls, d: dict, n_features: int) -> "RegressionTree":
+        """Parse :meth:`to_dict` output of a tree over ``n_features`` columns.
+
+        Raises SchemaError unless the node arrays are equally long and every
+        inner node splits on one of the columns into two later nodes, which
+        keeps :meth:`predict` in bounds and acyclic.
+        """
+        tree = cls(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
+        n = len(tree.feature)
+        arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+        if n == 0 or any(a.shape != (n,) for a in arrays):
+            raise SchemaError(f"tree node arrays must be nonempty and equally long, got {n} nodes")
+        inner = np.flatnonzero(tree.feature >= 0)
+        for child in (tree.left[inner], tree.right[inner]):
+            if ((child <= inner) | (child >= n)).any():
+                raise SchemaError(f"tree child indices must lie after their node and below {n}")
+        if (tree.feature[inner] >= n_features).any():
+            raise SchemaError(f"tree split features must lie below {n_features}")
+        return tree
 
 
 def boost(

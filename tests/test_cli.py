@@ -3,6 +3,7 @@ import shutil
 
 import pytest
 
+from tcpci.catalog import CATALOG
 from tcpci.cli import main
 from tcpci.ingest import DatasetLayout, ingest_exec_records
 
@@ -14,6 +15,17 @@ SYNTH_CFG = {
 }
 
 HP_FLAGS = ["--bags", "6", "--trees-per-bag", "2", "--max-leaves", "16"]
+
+
+def model_arg(feature_idx=(0,), **tree):
+    """An "@" model-file argument: one bag of one stump, with ``tree`` arrays replaced."""
+    stump = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
+             "right": [2, -1, -1], "value": [0.0, 0.0, 1.0]}
+    bag = {"feature_idx": list(feature_idx), "base": 0.0, "trees": [{**stump, **tree}]}
+    return "@" + json.dumps({
+        "version": 1, "catalog_fingerprint": CATALOG.fingerprint(), "seed": 0,
+        "hyperparams": {"n_bags": 1}, "bags": [bag],
+    })
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +223,14 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
         ["evaluate", "--config", '@{"recent_window": 2.5}'],
         ["evaluate", "--config", '@{"recent_window": true}'],
         ["evaluate", "--config", '@{"impact_depth": true}'],
+        ["evaluate", "--config", '@{"sample_rate": true}'],
+        ["evaluate", "--config", '@{"feature_rate": true}'],
+        ["prioritize", "--build", "1", "--model", model_arg(feature_idx=[999])],
+        ["prioritize", "--build", "1", "--model", model_arg(feature_idx=[-1])],
+        ["prioritize", "--build", "1", "--model", model_arg(left=[7, -1, -1])],
+        ["prioritize", "--build", "1", "--model", model_arg(left=[0, -1, -1])],
+        ["prioritize", "--build", "1", "--model", model_arg(value=[0.0, 1.0])],
+        ["prioritize", "--build", "1", "--model", model_arg(feature=[1, -1, -1])],
     ],
     ids=[
         "max-builds-0", "max-builds-negative", "max-rw-negative", "bags-0",
@@ -220,7 +240,9 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
         "seed-negative-synth", "seed-string", "seed-fraction", "heuristic-wrong-type",
         "heuristic-unknown", "shrinkage-string", "shrinkage-zero", "shrinkage-negative",
         "bags-fraction", "bags-bool", "max-leaves-fraction", "recent-window-fraction",
-        "recent-window-bool", "impact-depth-bool",
+        "recent-window-bool", "impact-depth-bool", "sample-rate-bool", "feature-rate-bool",
+        "model-feature-idx-high", "model-feature-idx-negative", "model-child-past-end",
+        "model-child-self-loop", "model-arrays-differ", "model-split-feature-outside-bag",
     ],
 )
 def test_invalid_option_or_file_exits_2(dataset, tmp_path, capsys, monkeypatch, argv):

@@ -50,7 +50,7 @@ def test_tree_fits_simple_threshold():
 def test_tree_json_round_trip():
     X, y = toy_data(d=5)
     tree = RegressionTree.fit(Grower(X[:, :5]), y, 8, np.empty(len(y)))
-    again = RegressionTree.from_dict(tree.to_dict())
+    again = RegressionTree.from_dict(tree.to_dict(), 5)
     assert np.allclose(tree.predict(X[:, :5]), again.predict(X[:, :5]))
 
 
