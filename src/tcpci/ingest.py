@@ -431,35 +431,26 @@ def ingest_git_history(repo_path: Path | str, until: str = "HEAD") -> list[Commi
                 pass
         raise UnresolvableRefError(f"cannot resolve {until!r} in {repo}") from exc
 
-    order = _git(repo, "rev-list", "--topo-order", "--reverse", head).split()
-    meta = _git(
+    log_text = _git(
         repo, "log", "--topo-order", "--reverse", "--no-abbrev",
-        "--format=%x1e%H%x1f%at%x1f%an%x1f%B", head,
+        "--format=%x1e%H%x1f%P%x1f%at%x1f%an%x1f%B", head,
     )
-    info: dict[str, tuple[int, str, str]] = {}
-    for block in meta.split("\x1e"):
-        if not block.strip():
-            continue
-        sha, at, author, message = block.split("\x1f", 3)
-        info[sha] = (int(at), author, message.rstrip("\n"))
-
     commits = []
-    for sha in order:
-        parents = _git(repo, "rev-list", "--parents", "-n1", sha).split()[1:]
-        first_parent = parents[0] if parents else None
+    for block in log_text.split("\x1e")[1:]:
+        sha, parents, at, author, message = block.split("\x1f", 4)
+        first_parent = parents.split()[0] if parents else None
         if first_parent is None:
             diff = _git(repo, "diff-tree", "--root", "--no-renames", "-r", "-U0", "-p", sha)
         else:
             diff = _git(repo, "diff-tree", "--no-renames", "-r", "-U0", "-p", first_parent, sha)
         changes = _parse_diff(diff, sha)
         changes = _attach_unit_risks(repo, sha, first_parent, changes)
-        at, author, message = info[sha]
         commits.append(
             Commit(
                 id=sha,
-                timestamp=datetime.fromtimestamp(at, tz=timezone.utc),
+                timestamp=datetime.fromtimestamp(int(at), tz=timezone.utc),
                 author=author,
-                message=message,
+                message=message.rstrip("\n"),
                 file_changes=tuple(changes),
             )
         )

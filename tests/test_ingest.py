@@ -170,6 +170,34 @@ def test_mine_attaches_unit_risks(repo):
     assert all(r.low_size and r.low_complexity and r.low_interfacing for r in fc.unit_risks)
 
 
+def test_mine_merge_against_first_parent(repo):
+    def commit(path, text, message):
+        (repo / path).write_text(text)
+        _git(repo, "add", path)
+        _git(repo, "commit", "-q", "-m", message)
+
+    commit("A.java", "class A {}\n", "add A")
+    _git(repo, "checkout", "-q", "-b", "side")
+    commit("B.java", "class B {\n}\n", "add B")
+    _git(repo, "checkout", "-q", "-")
+    message = "fix A\n\ndiff --git a/A.java b/A.java\n+++ b/A.java"
+    commit("A.java", "class A { int x; }\n", message)
+    _git(repo, "checkout", "-q", "side")
+    commit("B.java", "class B {\n  int y;\n}\n", "grow B")
+    _git(repo, "checkout", "-q", "-")
+    _git(repo, "merge", "-q", "--no-ff", "-m", "merge side", "side")
+    commits = ingest_git_history(repo)
+    by_message = {c.message: c for c in commits}
+    assert len(commits) == 5 and set(by_message) == {"add A", "add B", message, "grow B", "merge side"}
+    position = {c.message: i for i, c in enumerate(commits)}
+    assert position["add A"] == 0 and position["merge side"] == 4
+    assert position["add B"] < position["grow B"]
+    assert by_message[message].changed_files == {"A.java"}
+    # the merge is diffed against the branch it was made on, so it brings in B
+    merge = by_message["merge side"].file_changes
+    assert [(fc.path, fc.lines_added, fc.lines_deleted) for fc in merge] == [("B.java", 3, 0)]
+
+
 def test_empty_repo_yields_no_commits(repo):
     assert ingest_git_history(repo) == []
 
