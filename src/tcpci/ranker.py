@@ -128,7 +128,7 @@ class RankModel:
                 bags=bags,
                 catalog_fingerprint=str(d["catalog_fingerprint"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"malformed model file: {exc!r}") from exc
 
 

@@ -227,6 +227,7 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
         ["evaluate", "--config", '@{"feature_rate": true}'],
         ["prioritize", "--build", "1", "--model", model_arg(feature_idx=[999])],
         ["prioritize", "--build", "1", "--model", model_arg(feature_idx=[-1])],
+        ["prioritize", "--build", "1", "--model", model_arg(feature_idx=[10**30])],
         ["prioritize", "--build", "1", "--model", model_arg(left=[7, -1, -1])],
         ["prioritize", "--build", "1", "--model", model_arg(left=[0, -1, -1])],
         ["prioritize", "--build", "1", "--model", model_arg(value=[0.0, 1.0])],
@@ -241,8 +242,9 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
         "heuristic-unknown", "shrinkage-string", "shrinkage-zero", "shrinkage-negative",
         "bags-fraction", "bags-bool", "max-leaves-fraction", "recent-window-fraction",
         "recent-window-bool", "impact-depth-bool", "sample-rate-bool", "feature-rate-bool",
-        "model-feature-idx-high", "model-feature-idx-negative", "model-child-past-end",
-        "model-child-self-loop", "model-arrays-differ", "model-split-feature-outside-bag",
+        "model-feature-idx-high", "model-feature-idx-negative", "model-feature-idx-overflow",
+        "model-child-past-end", "model-child-self-loop", "model-arrays-differ",
+        "model-split-feature-outside-bag",
     ],
 )
 def test_invalid_option_or_file_exits_2(dataset, tmp_path, capsys, monkeypatch, argv):
