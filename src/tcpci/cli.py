@@ -5,8 +5,13 @@ Exit codes: 0 success, 2 input/schema error, 3 insufficient history,
 4 internal invariant violation.  stdout carries primary payloads only;
 diagnostics go to stderr as ``error: ...`` lines.
 
-Every flag has a JSON config-file equivalent (``--config``); explicit
-flags win over config values.
+Each command takes only the options it reads.  ``--config`` names a
+JSON object whose keys set value options: the flag without its dashes,
+with ``_`` for ``-`` (``max_builds`` for ``--max-builds``).  A command
+reads the keys of the flags it takes, through :func:`_given`, and an
+explicit flag wins.  ``--build``, ``--until``, ``--model``, ``--out``
+and ``--keep-outliers`` have no key; ``synth``'s config holds generator
+settings and ``seed``.
 """
 
 from __future__ import annotations
