@@ -7,11 +7,11 @@ diagnostics go to stderr as ``error: ...`` lines.
 
 Each command takes only the options it reads.  ``--config`` names a
 JSON object whose keys set value options: the flag without its dashes,
-with ``_`` for ``-`` (``max_builds`` for ``--max-builds``).  A command
-reads the keys of the flags it takes, through :func:`_given`, and an
-explicit flag wins.  ``--build``, ``--until``, ``--model``, ``--out``
-and ``--keep-outliers`` have no key; ``synth``'s config holds generator
-settings and ``seed``.
+with ``_`` for ``-`` (``max_builds`` for ``--max-builds``).  Each key
+must name a value option of the command, or it exits 2; the command
+reads them through :func:`_given`, and an explicit flag wins.
+``--build``, ``--until``, ``--model``, ``--out`` and ``--keep-outliers``
+have no key; ``synth``'s keys are the generator settings and ``seed``.
 """
 
 from __future__ import annotations
@@ -114,6 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Options a config file cannot set.
+_NO_KEY = frozenset(
+    {"command", "config", "dataset", "build", "until", "model", "out", "keep_outliers"}
+)
+
+
 def _load_config(path: Path | None) -> dict:
     if path is None:
         return {}
@@ -127,6 +133,16 @@ def _load_config(path: Path | None) -> dict:
     if not isinstance(cfg, dict):
         raise InvalidConfigError(f"{path}: config must be a JSON object")
     return cfg
+
+
+def _check_keys(args, cfg: dict) -> None:
+    """Reject config keys that name no value option of the command."""
+    keys = set(vars(args)) - _NO_KEY
+    if args.command == "synth":
+        keys |= set(SynthConfig.__dataclass_fields__)
+    unknown = sorted(set(cfg) - keys)
+    if unknown:
+        raise InvalidConfigError(f"config keys {unknown} set no option of {args.command}")
 
 
 def _given(args, cfg: dict, *names: str, **renamed: str) -> dict:
@@ -269,9 +285,6 @@ def _cmd_decay(args, cfg: dict) -> int:
 
 def _cmd_synth(args, cfg: dict) -> int:
     generator = {k: v for k, v in cfg.items() if k != "seed"}
-    unknown = set(generator) - set(SynthConfig.__dataclass_fields__)
-    if unknown:
-        raise InvalidConfigError(f"unknown generator config keys: {sorted(unknown)}")
     layout, _ = write_synthetic_dataset(
         args.out, _construct(SynthConfig, generator), **_given(args, cfg, "seed")
     )
@@ -294,6 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(getattr(args, "config", None))
+        _check_keys(args, cfg)
         _check_seed(args, cfg)
         return _COMMANDS[args.command](args, cfg)
     except InputError as exc:

@@ -109,16 +109,16 @@ def _strip_comments(text: str) -> tuple[str, list[str]]:
     code = _LEXEME_RE.sub(
         lambda m: _blank(m[1]) if m[1] else m[2] + _blank(m[3]) + m[4], text
     )
-    # comments kept, literal interiors and closing quotes blanked: a line's
-    # first non-space column here is code exactly where ``code`` has one
-    marks = _LEXEME_RE.sub(lambda m: m[1] or m[2] + _blank(m[3] + m[4]), text)
+    # a line's kind is whichever comes first on it: text outside comments
+    # (code or a literal's text) or a comment
+    bare = _LEXEME_RE.sub(lambda m: _blank(m[1]) if m[1] else m[0], text)
     kinds = []
-    for code_line, line in zip(code.split("\n"), marks.split("\n")):
+    for bare_line, line in zip(bare.split("\n"), text.split("\n")):
         rest = line.lstrip()
         if not rest:
             kinds.append("blank")
         else:
-            kinds.append("comment" if code_line[len(line) - len(rest)].isspace() else "code")
+            kinds.append("comment" if bare_line[len(line) - len(rest)].isspace() else "code")
     if not text or text.endswith("\n"):
         kinds.pop()  # nothing follows the last newline, so it starts no line
     return code, kinds

@@ -156,7 +156,7 @@ class EvaluationReport:
 
 def _evaluable_failed_builds(history: BuildHistory, cap: int) -> list[Build]:
     """Latest (up to cap) failed builds that have >= 1 prior failed build."""
-    if not isinstance(cap, int) or cap < 1:
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise InvalidConfigError(f"max_builds must be an integer >= 1, got {cap!r}")
     failed = list(history.failed_builds)
     candidates = failed[1:]  # the first failed build has no training data
@@ -294,7 +294,7 @@ def decay_experiment(
     """
     if len(history.failed_builds) < 2:
         raise InsufficientHistoryError("need at least 2 failed builds to evaluate")
-    if not isinstance(max_rw, int) or max_rw < 0:
+    if isinstance(max_rw, bool) or not isinstance(max_rw, int) or max_rw < 0:
         raise InvalidConfigError(f"max_rw must be an integer >= 0, got {max_rw!r}")
     evaluable = _evaluable_failed_builds(history, max_builds)
     ev = PipelineEvaluator(history, sources, hyperparams, seed, **extractor_kwargs)

@@ -16,12 +16,15 @@ history and answer prefix queries; a :class:`Snapshot` is only the
 commit-prefix cutoff they are asked at.  The retraining decay experiment
 reuses this path with an old snapshot.
 
-The five coverage groups are table algebra: per build, a (row, covered
-file, normalized weight) pair table for the changed set and one for the
-impacted set, each multiplied by a per-file metric table and accumulated
-into the matrix with ``np.add.at`` in pair order.  That order is the one
-a per-test loop would add in, so the sums are the same to the last bit
-(a dense matmul would reorder them).
+Every group but REC is table algebra: per build, a (row, file, weight)
+pair table is multiplied by a per-file metric table and accumulated into
+the matrix with ``np.add.at`` in pair order.  The TES groups pair each
+test with its own file at weight 1; the five coverage groups pair it with
+its covered files at normalized association weights, one table for the
+changed set and one for the impacted set.  Pair order is the order a
+per-test loop would add in, so the sums are the same to the last bit (a
+dense matmul would reorder them).  REC is one row per test, counted from
+the test's execution history.
 
 Timing: preprocessing (index construction) and measurement (per-build
 feature computation) wall-clock are accumulated per group; shared
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 import logging
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -87,7 +90,6 @@ class _TestHistory:
 
     def __init__(self):
         self.builds: list[int] = []
-        self.failed: list[bool] = []
         self.verdicts: list[Verdict] = []
         self.durations: list[float] = []
         self.fail_builds: list[int] = []
@@ -95,12 +97,11 @@ class _TestHistory:
 
     def append(self, build: int, verdict: Verdict, duration: float):
         f = is_failed(verdict)
-        if self.failed and self.failed[-1] != f:
+        if self.verdicts and is_failed(self.verdicts[-1]) != f:
             self.trans_builds.append(build)
         if f:
             self.fail_builds.append(build)
         self.builds.append(build)
-        self.failed.append(f)
         self.verdicts.append(verdict)
         self.durations.append(duration)
 
@@ -149,8 +150,8 @@ class Snapshot:
 
 
 class _Pairs(NamedTuple):
-    """(row, covered file, normalized weight) table of one build; rows ascend
-    and files ascend by path within a row."""
+    """(row, file, weight) table of one build; rows ascend and files ascend
+    by path within a row."""
 
     rows: np.ndarray
     files: list[str]
@@ -243,52 +244,36 @@ class FeatureExtractor:
         pos = bisect_left(th.builds, k) if th is not None else 0
         rec = np.zeros(len(REC_FEATURES))
         if pos == 0:
-            rec[1] = -1.0  # LastFailAge
-            rec[2] = -1.0  # LastTransitionAge
-            rec[17] = -1.0  # MaxTestFileFailRate (TF = 0)
-            rec[18] = -1.0
+            rec[[1, 2, 17, 18]] = -1.0  # LastFailAge, LastTransitionAge, MaxTestFile*Rate
             return rec
-        fails_before = bisect_left(th.fail_builds, k)
-        trans_before = bisect_left(th.trans_builds, k)
+        fails = th.fail_builds[: bisect_left(th.fail_builds, k)]
+        flips = th.trans_builds[: bisect_left(th.trans_builds, k)]
         rec[0] = k - th.builds[0]  # Age
-        rec[1] = (k - th.fail_builds[fails_before - 1] - 1) if fails_before else -1.0
-        rec[2] = (k - th.trans_builds[trans_before - 1] - 1) if trans_before else -1.0
-        rec[3] = 1.0 if th.failed[pos - 1] else 0.0
+        rec[1] = (k - fails[-1] - 1) if fails else -1.0
+        rec[2] = (k - flips[-1] - 1) if flips else -1.0
+        rec[3] = 1.0 if is_failed(th.verdicts[pos - 1]) else 0.0
         rec[4] = th.durations[pos - 1]
 
-        durations = np.asarray(th.durations[:pos])
-        failed = np.asarray(th.failed[:pos])
-        verdicts = th.verdicts[:pos]
-        lo = max(0, pos - self.recent_window)
-
-        def stats(a: int) -> tuple[float, float, float, float, float, float]:
-            d = durations[a:]
-            f = failed[a:]
-            v = verdicts[a:]
-            n = len(d)
-            avg_t = float(d.mean())
-            max_t = float(d.max())
-            fr = float(f.mean())
-            ar = sum(1 for x in v if x is Verdict.ASSERTION_FAILURE) / n
-            er = sum(1 for x in v if x is Verdict.EXCEPTION_FAILURE) / n
-            tr = float((f[1:] != f[:-1]).sum() / (n - 1)) if n > 1 else 0.0
-            return avg_t, max_t, fr, ar, er, tr
-
-        rec[5:11] = stats(lo)
-        rec[11:17] = stats(0)
-
-        # MaxTestFileFailRate / MaxTestFileTransitionRate over chn(k)
-        def max_file_rate(event_builds: list[int], n_events: int) -> float:
-            if n_events == 0:
-                return -1.0
-            events = event_builds[:n_events]
-            return max(
-                (sum(1 for b in events if b in fb) / n_events for fb in earlier),
-                default=0.0,
+        # Recent* over the latest recent_window executions, then Total*; the
+        # transitions within executions [a, pos) are the flips after build a
+        for col, a in ((5, max(0, pos - self.recent_window)), (11, 0)):
+            d = np.asarray(th.durations[a:pos])
+            v = th.verdicts[a:pos]
+            n = pos - a
+            n_flips = len(flips) - bisect_right(flips, th.builds[a])
+            rec[col : col + 6] = (
+                d.mean(),
+                d.max(),
+                (n - v.count(Verdict.PASSED)) / n,
+                v.count(Verdict.ASSERTION_FAILURE) / n,
+                v.count(Verdict.EXCEPTION_FAILURE) / n,
+                n_flips / (n - 1) if n > 1 else 0.0,
             )
 
-        rec[17] = max_file_rate(th.fail_builds, fails_before)
-        rec[18] = max_file_rate(th.trans_builds, trans_before)
+        # MaxTestFileFailRate / MaxTestFileTransitionRate over chn(k)
+        for col, events in ((17, fails), (18, flips)):
+            rates = (len(fb.intersection(events)) / len(events) for fb in earlier)
+            rec[col] = max(rates, default=0.0) if events else -1.0
         return rec
 
     # -- per-file metric vectors ----------------------------------------
@@ -352,32 +337,9 @@ class FeatureExtractor:
             for i, t in enumerate(tests):
                 rec[i] += self._rec_row(t, build_id, earlier)  # += turns -0.0 into 0.0
 
-        with tim.measurement(FeatureGroup.TES_COM):
-            com = block(FeatureGroup.TES_COM)
-            for i, t in enumerate(tests):
-                com[i] = self._com_vec(t)
-
-        with tim.measurement(FeatureGroup.TES_PRO):
-            pro = block(FeatureGroup.TES_PRO)
-            for i, t in enumerate(tests):
-                pro[i] = self._pro_vec(t, n_commits)
-
-        chn_metric_cache: dict[str, np.ndarray] = {}
-
-        def chn_vec(path: str) -> np.ndarray:
-            vec = chn_metric_cache.get(path)
-            if vec is None:
-                vec = np.array(compute_change_metrics(path, changes), dtype=np.float64)
-                chn_metric_cache[path] = vec
-            return vec
-
-        with tim.measurement(FeatureGroup.TES_CHN):
-            tes_chn = block(FeatureGroup.TES_CHN)
-            for i, t in enumerate(tests):
-                tes_chn[i] = chn_vec(t)
-
-        # coverage groups: one pair table for the changed set and one for
-        # the impacted set, times per-file metric tables
+        # every other group scatters per-file metric vectors over a pair
+        # table: the test's own file, or the changed and impacted halves
+        own = [_Pairs(np.arange(len(tests)), tests, np.ones(len(tests)))]
         with tim.measurement(FeatureGroup.F_COV):
             nodes = np.array([self._node.get(t, -1) for t in tests], dtype=np.intp)
             imp = self._graph.impacted_files(chn, self.impact_depth)
@@ -386,21 +348,26 @@ class FeatureExtractor:
             for h, p in enumerate(halves):
                 np.add.at(f_cov[:, h::2], p.rows, np.column_stack([np.ones_like(p.w), p.w]))
 
-        with tim.measurement(FeatureGroup.COD_COV_COM):
-            self._spread(block(FeatureGroup.COD_COV_COM), halves, self._com_vec)
+        def pro_vec(path: str) -> np.ndarray:
+            return self._pro_vec(path, n_commits)
 
-        with tim.measurement(FeatureGroup.COD_COV_PRO):
-            self._spread(
-                block(FeatureGroup.COD_COV_PRO), halves, lambda f: self._pro_vec(f, n_commits)
-            )
+        def chn_vec(path: str) -> np.ndarray:
+            return np.array(compute_change_metrics(path, changes), dtype=np.float64)
 
-        with tim.measurement(FeatureGroup.COD_COV_CHN):
-            self._spread(block(FeatureGroup.COD_COV_CHN), halves[:1], chn_vec)
+        def pdf_vec(path: str) -> np.ndarray:
+            return self._pdf.pdf(path, n_commits)
 
-        with tim.measurement(FeatureGroup.DET_COV):
-            self._spread(
-                block(FeatureGroup.DET_COV), halves, lambda f: self._pdf.pdf(f, n_commits)
-            )
+        for group, pairs, vec in (
+            (FeatureGroup.TES_COM, own, self._com_vec),
+            (FeatureGroup.TES_PRO, own, pro_vec),
+            (FeatureGroup.TES_CHN, own, chn_vec),
+            (FeatureGroup.COD_COV_COM, halves, self._com_vec),
+            (FeatureGroup.COD_COV_PRO, halves, pro_vec),
+            (FeatureGroup.COD_COV_CHN, halves[:1], chn_vec),
+            (FeatureGroup.DET_COV, halves, pdf_vec),
+        ):
+            with tim.measurement(group):
+                self._spread(block(group), pairs, vec)
 
         if snapshot is not None:
             self._impute_unknown(X, tests)
@@ -437,15 +404,18 @@ class FeatureExtractor:
         return _Pairs(rows, paths, w)
 
     @staticmethod
-    def _spread(block: np.ndarray, halves: list[_Pairs], vec) -> None:
-        """Add weight x ``vec(file)`` of every pair into its half of ``block``.
+    def _spread(block: np.ndarray, tables: list[_Pairs], vec) -> None:
+        """Add weight x ``vec(file)`` of every pair of ``tables[h]`` into the
+        h-th of ``len(tables)`` equal column slices of ``block``.
 
+        ``vec`` is called once per distinct file of a pair table.
         ``np.add.at`` adds pairs in order, so each cell sums its files in
         path order, exactly as a per-test loop would.
         """
-        width = block.shape[1] // len(halves)
-        for h, p in enumerate(halves):
-            table = np.array([vec(f) for f in p.files]).reshape(len(p.files), width)
+        width = block.shape[1] // len(tables)
+        for h, p in enumerate(tables):
+            vecs = {f: vec(f) for f in dict.fromkeys(p.files)}
+            table = np.array([vecs[f] for f in p.files]).reshape(len(p.files), width)
             np.add.at(block[:, h * width : (h + 1) * width], p.rows, p.w[:, None] * table)
 
     def _impute_unknown(self, X: np.ndarray, tests: list[str]) -> None:

@@ -25,7 +25,7 @@ from .errors import (
     UnknownFeatureError,
 )
 from .matrix import FeatureMatrix
-from .trees import Grower, RegressionTree, boost, score
+from .trees import Grower, RegressionTree, boost, index_array, score
 
 log = logging.getLogger(__name__)
 
@@ -115,8 +115,8 @@ class RankModel:
             hp = Hyperparams(**d["hyperparams"])
             bags = []
             for b in d["bags"]:
-                feats = np.array(b["feature_idx"], dtype=np.int64)
-                if feats.ndim != 1 or ((feats < 0) | (feats >= len(CATALOG))).any():
+                feats = index_array(b["feature_idx"], "feature_idx")
+                if ((feats < 0) | (feats >= len(CATALOG))).any():
                     raise SchemaError(f"feature_idx must list catalog columns below {len(CATALOG)}")
                 trees = [RegressionTree.from_dict(t, len(feats)) for t in b["trees"]]
                 bags.append(_Bag(feature_idx=feats, base=float(b["base"]), trees=trees))

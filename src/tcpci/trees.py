@@ -23,11 +23,23 @@ input.
 from __future__ import annotations
 
 import heapq
+import operator
 from collections.abc import Callable
 
 import numpy as np
 
 from .errors import SchemaError
+
+
+def index_array(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array.
+
+    Raises SchemaError unless ``values`` is a list of JSON integers: an
+    int64 cast would truncate a float and take a bool as 0 or 1.
+    """
+    if not isinstance(values, list) or operator.countOf(map(type, values), int) != len(values):
+        raise SchemaError(f"{what} must be a list of integers")
+    return np.array(values, dtype=np.int64)
 
 
 class Grower:
@@ -202,11 +214,15 @@ class RegressionTree:
     def from_dict(cls, d: dict, n_features: int) -> "RegressionTree":
         """Parse :meth:`to_dict` output of a tree over ``n_features`` columns.
 
-        Raises SchemaError unless the node arrays are equally long and every
-        inner node splits on one of the columns into two later nodes, which
-        keeps :meth:`predict` in bounds and acyclic.
+        Raises SchemaError unless the node arrays are equally long, the
+        split features and children are integers, and every inner node
+        splits on one of the columns into two later nodes, which keeps
+        :meth:`predict` in bounds and acyclic.
         """
-        tree = cls(d["feature"], d["threshold"], d["left"], d["right"], d["value"])
+        feature, left, right = (
+            index_array(d[k], f"tree {k}") for k in ("feature", "left", "right")
+        )
+        tree = cls(feature, d["threshold"], left, right, d["value"])
         n = len(tree.feature)
         arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
         if n == 0 or any(a.shape != (n,) for a in arrays):

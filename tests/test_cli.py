@@ -232,6 +232,21 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
         ["prioritize", "--build", "1", "--model", model_arg(left=[0, -1, -1])],
         ["prioritize", "--build", "1", "--model", model_arg(value=[0.0, 1.0])],
         ["prioritize", "--build", "1", "--model", model_arg(feature=[1, -1, -1])],
+        ["prioritize", "--build", "1", "--model", model_arg(feature=[0.5, -1, -1])],
+        ["prioritize", "--build", "1", "--model", model_arg(left=[True, -1, -1])],
+        ["prioritize", "--build", "1", "--model", model_arg(right=[2.0, -1, -1])],
+        ["prioritize", "--build", "1", "--model", model_arg(feature_idx=[0, 1.7])],
+        ["evaluate", "--config", '@{"max_bulds": 3}'],
+        ["extract", "--build", "1", "--config", '@{"impact_dept": -5, "max_rw": -3}'],
+        ["prioritize", "--build", "1", "--model", model_arg(), "--config", '@{"seed": 3}'],
+        ["evaluate", "--config", '@{"max_builds": true}'],
+        ["decay", "--config", '@{"max_rw": true}'],
+        ["synth", "--config", '@{"n_tests": "x"}'],
+        ["synth", "--config", '@{"base_failure": "x"}'],
+        ["synth", "--config", '@{"files_per_build": 500}'],
+        ["synth", "--config", '@{"n_builds": true}'],
+        ["synth", "--config", '@{"n_builds": -1}'],
+        ["synth", "--config", '@{"flaky_prob": 1.5}'],
     ],
     ids=[
         "max-builds-0", "max-builds-negative", "max-rw-negative", "bags-0",
@@ -244,7 +259,12 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
         "recent-window-bool", "impact-depth-bool", "sample-rate-bool", "feature-rate-bool",
         "model-feature-idx-high", "model-feature-idx-negative", "model-feature-idx-overflow",
         "model-child-past-end", "model-child-self-loop", "model-arrays-differ",
-        "model-split-feature-outside-bag",
+        "model-split-feature-outside-bag", "model-feature-fraction", "model-left-bool",
+        "model-right-float", "model-feature-idx-fraction", "config-misspelt-key",
+        "config-keys-of-other-flags", "config-seed-on-prioritize", "max-builds-bool",
+        "max-rw-bool", "synth-n-tests-string", "synth-base-failure-string",
+        "synth-files-per-build-above-n-files", "synth-n-builds-bool", "synth-n-builds-negative",
+        "synth-probability-above-1",
     ],
 )
 def test_invalid_option_or_file_exits_2(dataset, tmp_path, capsys, monkeypatch, argv):

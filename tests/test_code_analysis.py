@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import astuple
 from datetime import datetime, timezone
 
@@ -10,6 +11,7 @@ from tcpci.code_analysis import (
     FileIndex,
     ProcessHistory,
     analyze_file,
+    _LEXEME_RE,
     _strip_comments,
     assess_chunk_risks,
     change_scattering,
@@ -90,7 +92,9 @@ def test_strip_comments_keeps_layout(text):
     assert [i for i, c in enumerate(code) if c == "\n"] == [i for i, c in enumerate(text) if c == "\n"]
     # one kind per line, where only "\n" ends a line
     assert len(kinds) == (len(text.removesuffix("\n").split("\n")) if text else 0)
-    for line, kind in zip(code.split("\n"), kinds):
+    # every code line has non-space text outside comments
+    bare = _LEXEME_RE.sub(lambda m: re.sub(r"[^\n]", " ", m[1]) if m[1] else m[0], text)
+    for line, kind in zip(bare.split("\n"), kinds):
         assert kind in ("blank", "code", "comment")
         if kind == "code":
             assert line.strip()
@@ -106,7 +110,7 @@ def test_only_newline_ends_a_line():
 def test_text_block_is_one_literal():
     code, kinds = _strip_comments('String s = """\n  say "hi" // x\n  """;\n')
     assert "hi" not in code and "//" not in code
-    assert len(kinds) == 3 and "comment" not in kinds
+    assert kinds == ["code", "code", "code"]  # the literal's text is code
 
 
 def test_mixed_comment_code_line_counts_as_code():
@@ -466,5 +470,5 @@ def test_analysis_golden():
         put(path, [repr(float(getattr(cm, n))) for n in CHANGE_METRICS])
 
     assert digest.hexdigest() == (
-        "49c043af087defff320cd39026cd724f8347b3d71b82397d666403bf0eb12b52"
+        "3dbdd8c5560abb91d75aa073d953506c90b2c6338fc17246189988e310dd75e3"
     )

@@ -25,7 +25,9 @@ T = "src/test/TTest.java"
 F1 = "src/app/F1.java"
 F2 = "src/app/F2.java"
 
-P, A, E = Verdict.PASSED, Verdict.ASSERTION_FAILURE, Verdict.EXCEPTION_FAILURE
+P, A, E, U = (
+    Verdict.PASSED, Verdict.ASSERTION_FAILURE, Verdict.EXCEPTION_FAILURE, Verdict.UNKNOWN_FAILURE
+)
 
 
 def make_history(build_specs):
@@ -93,6 +95,32 @@ def test_rec_fail_and_transition_rates():
     assert rec(m, T, "LastVerdict") == 1.0
     assert rec(m, T, "LastFailAge") == 0.0  # failed at build 4, current 5
     assert rec(m, T, "Age") == 4.0  # first executed at build 1
+
+    # an unknown failure counts as a failure but as neither an assertion nor
+    # an exception; the recent window holds the latest 3 of 6 executions
+    verdicts = (P, A, U, P, E, U)  # failed 0 1 1 0 1 1: flips at builds 2, 4, 5
+    changed = ({F1}, {F1}, {F2}, {F2}, {F1}, {F1}, {F1, F2})
+    specs = [(c, [(T, v, 10.0)]) for c, v in zip(changed, verdicts + (P,))]
+    ex = FeatureExtractor(make_history(specs), default_sources(), recent_window=3)
+    m = ex.matrix(7)
+    expected = {
+        "TotalFailRate": 4 / 6,
+        "TotalAssertRate": 1 / 6,
+        "TotalExcRate": 1 / 6,
+        "TotalTransitionRate": 3 / 5,
+        "RecentFailRate": 2 / 3,  # P, E, U
+        "RecentAssertRate": 0.0,
+        "RecentExcRate": 1 / 3,
+        "RecentTransitionRate": 1 / 2,
+        "LastVerdict": 1.0,
+        "LastFailAge": 0.0,
+        "LastTransitionAge": 1.0,
+        # F1 changed in failing builds 2, 5 and 6 of the 4 (2, 3, 5, 6), and
+        # in flip builds 2 and 5 of the 3; F2 only in builds 3 and 4
+        "MaxTestFileFailRate": 3 / 4,
+        "MaxTestFileTransitionRate": 2 / 3,
+    }
+    assert {name: rec(m, T, name) for name in expected} == expected
 
 
 def test_rec_age_example():
