@@ -6,6 +6,7 @@ import pytest
 from tcpci.commit_classifier import (
     CommitClassifier,
     TfidfVectorizer,
+    _sigmoid,
     cross_validate,
     is_defect_fix_keyword,
     preprocess_message,
@@ -13,6 +14,7 @@ from tcpci.commit_classifier import (
 )
 from tcpci.errors import DegenerateCorpusError
 from tcpci.stemming import stem
+from test_ranker import _stack_walk
 
 
 def separable_corpus(n=500, seed=42):
@@ -105,7 +107,21 @@ def test_model_json_round_trip():
     again = CommitClassifier.from_json(clf.to_json())
     p1 = clf.predict_proba(msgs[:10])
     p2 = again.predict_proba(msgs[:10])
-    assert np.allclose(p1, p2)
+    assert np.array_equal(p1, p2)
+
+
+def test_probabilities_match_the_stack_walk():
+    msgs, labels = separable_corpus(n=120, seed=9)
+    msgs += ["", "the of and", "fix"]
+    clf = train_classifier(msgs, labels + [False, False, True], n_trees=12, max_leaves=6)
+    docs = [preprocess_message(m) for m in msgs]
+    X = clf.vectorizer.transform(docs)
+    z = np.full(len(X), clf.base_score)
+    for tree in clf.trees:
+        z += clf.shrinkage * _stack_walk(tree, X)
+    expected = _sigmoid(z)
+    expected[[not d for d in docs]] = 0.0
+    assert clf.predict_proba(msgs).tobytes() == expected.tobytes()
 
 
 def test_classifier_json_golden():

@@ -51,7 +51,7 @@ def test_tree_json_round_trip():
     X, y = toy_data(d=5)
     tree = RegressionTree.fit(Grower(X[:, :5]), y, 8, np.empty(len(y)))
     again = RegressionTree.from_dict(tree.to_dict(), 5)
-    assert np.allclose(tree.predict(X[:, :5]), again.predict(X[:, :5]))
+    assert np.array_equal(tree.predict(X[:, :5]), again.predict(X[:, :5]))
 
 
 def _mixed_columns(rng, n, kinds):
@@ -173,7 +173,7 @@ def test_model_json_round_trip():
     model = train_ranker(X, y, HP, seed=1)
     again = RankModel.from_json(model.to_json())
     probe = np.random.default_rng(0).random((20, 150))
-    assert np.allclose(model.predict(probe), again.predict(probe))
+    assert np.array_equal(model.predict(probe), again.predict(probe))
 
 
 def test_catalog_mismatch_rejected():
@@ -237,24 +237,138 @@ def toy_mixed(n=240, seed=5):
     return X, y
 
 
-def test_model_json_golden():
-    # Any change to these digests changes the trained trees: a faster
-    # trainer must keep them; a deliberate change to training updates them.
+@pytest.fixture(scope="module")
+def golden_models():
+    """The three training sets of the model golden, with the models trained on them."""
     history, sources, _ = generate_synthetic_history(SynthConfig(), seed=7)
     history, _ = remove_frequent_failers(history)
-    X, y = _last_training_set(history, sources)
-    assert _model_digest(X, y, Hyperparams(n_bags=30, trees_per_bag=5, max_leaves=64)) == (
-        "c30db53764bf836567cca39dd93c8cc244af8096b74b38e26bfc9633d4a47e4c"
-    )
-
+    sets = [
+        (*_last_training_set(history, sources), Hyperparams(n_bags=30, trees_per_bag=5, max_leaves=64), 0),
+    ]
     history, sources, _ = generate_synthetic_history(DRIFT_CFG, seed=1)
-    X, y = _last_training_set(history, sources)
-    assert _model_digest(X, y, DRIFT_HP) == (
-        "1259991699aaaeb0ba2fb0c898d833ae1a2de64d2af095c743d67a6beba0c51d"
+    sets.append((*_last_training_set(history, sources), DRIFT_HP, 0))
+    sets.append((*toy_mixed(), Hyperparams(n_bags=8, trees_per_bag=4, max_leaves=12, feature_rate=0.7), 3))
+    return [(X, train_ranker(X, y, hp, seed=seed)) for X, y, hp, seed in sets]
+
+
+def test_model_json_golden(golden_models):
+    # Any change to these digests changes the trained trees: a faster
+    # trainer must keep them; a deliberate change to training updates them.
+    digests = [hashlib.sha256(model.to_json().encode()).hexdigest() for _, model in golden_models]
+    assert digests == [
+        "c30db53764bf836567cca39dd93c8cc244af8096b74b38e26bfc9633d4a47e4c",
+        "1259991699aaaeb0ba2fb0c898d833ae1a2de64d2af095c743d67a6beba0c51d",
+        "a54b4673b2d54678066f1e73c3de3ffcd045f31e339a43185d809998e87c03e9",
+    ]
+
+
+def test_scores_golden(golden_models):
+    # A faster scorer must give these scores bit for bit.
+    X, model = golden_models[0]
+    assert hashlib.sha256(model.predict(X).tobytes()).hexdigest() == (
+        "7e4a9155769c1822f34ff0d0536a2ece9de1add5f0f1b993dd4a0869d1cab909"
     )
 
-    X, y = toy_mixed()
-    hp = Hyperparams(n_bags=8, trees_per_bag=4, max_leaves=12, feature_rate=0.7)
-    assert _model_digest(X, y, hp, seed=3) == (
-        "a54b4673b2d54678066f1e73c3de3ffcd045f31e339a43185d809998e87c03e9"
+
+def _stack_walk(tree, X):
+    """One tree's leaf values, by a stack walk over the row subsets of each node."""
+    out = np.empty(len(X))
+    stack = [(0, np.arange(len(X)))]
+    while stack:
+        node, idx = stack.pop()
+        if tree.feature[node] < 0:
+            out[idx] = tree.value[node]
+            continue
+        mask = X[idx, tree.feature[node]] <= tree.threshold[node]
+        stack.append((tree.left[node], idx[mask]))
+        stack.append((tree.right[node], idx[~mask]))
+    return out
+
+
+def oracle_scores(model, X):
+    """Each bag's base plus shrinkage times each tree's leaf value, in tree
+    order; then the bags added in order and divided by their number."""
+    scores = np.zeros(len(X))
+    for bag in model.bags:
+        Xb = X[:, bag.feature_idx]
+        z = np.full(len(X), bag.base)
+        for tree in bag.trees:
+            z += model.hyperparams.shrinkage * _stack_walk(tree, Xb)
+        scores += z
+    return scores / len(model.bags)
+
+
+SPECIALS = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf])
+
+
+def probes(model, X, rng):
+    """Rows of ``X``, rows of NaN, ±0.0 and ±inf, and rows at the split thresholds.
+
+    A threshold row holds, in each split column, one of that column's
+    thresholds or the double just below or above it.
+    """
+    rows = [X, np.repeat(SPECIALS[:, None], X.shape[1], axis=1)]
+    mixed = X[rng.integers(0, len(X), 40)]
+    hit = rng.random(mixed.shape) < 0.3
+    mixed[hit] = rng.choice(SPECIALS, hit.sum())
+    rows.append(mixed)
+    at = X[rng.integers(0, len(X), 60)]
+    for bag in model.bags:
+        for tree in bag.trees:
+            inner = tree.feature >= 0
+            for col, thr in zip(bag.feature_idx[tree.feature[inner]], tree.threshold[inner]):
+                pick = rng.random(len(at)) < 0.5
+                at[pick, col] = np.nextafter(thr, thr + rng.choice([-1.0, 0.0, 1.0], pick.sum()))
+    rows.append(at)
+    return np.vstack(rows)
+
+
+def assert_scores_match_oracle(model, X, rng):
+    probe = probes(model, X, rng)
+    expected = oracle_scores(model, probe).tobytes()
+    assert model.predict(probe).tobytes() == expected
+    assert RankModel.from_json(model.to_json()).predict(probe).tobytes() == expected
+
+
+def test_scores_match_the_stack_walk(golden_models):
+    rng = np.random.default_rng(11)
+    for X, model in golden_models:
+        assert_scores_match_oracle(model, X, rng)
+        empty = np.empty((0, X.shape[1]))
+        assert model.predict(empty).tobytes() == oracle_scores(model, empty).tobytes() == b""
+
+
+@given(
+    st.integers(1, 40),
+    st.lists(st.integers(0, 5), min_size=1, max_size=6),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 10),
+    st.integers(0, 2**32 - 1),
+)
+def test_small_ensembles_score_as_the_stack_walk(n, kinds, n_bags, n_trees, max_leaves, seed):
+    rng = np.random.default_rng(seed)
+    X = _mixed_columns(rng, n, kinds)
+    y = rng.normal(size=n) if seed % 2 else rng.integers(0, 2, n).astype(float)
+    hp = Hyperparams(n_bags=n_bags, trees_per_bag=n_trees, max_leaves=max_leaves,
+                     shrinkage=float(rng.choice([0.1, 0.2, 0.7])), feature_rate=0.7)
+    assert_scores_match_oracle(train_ranker(X, y, hp, seed=seed % 5), X, rng)
+
+
+def test_narrow_matrix_raises(golden_models):
+    # a matrix without the largest split column raises; it is never read
+    # through into the next row, so extra columns and column order change nothing
+    X, model = golden_models[2]
+    width = 1 + max(
+        int(bag.feature_idx[t.feature[t.feature >= 0]].max(initial=-1))
+        for bag in model.bags for t in bag.trees
     )
+    with pytest.raises(IndexError):
+        model.predict(X[:, : width - 1])
+    scores = model.predict(X).tobytes()
+    wide = np.hstack([X, np.full((len(X), 3), np.nan)])
+    assert model.predict(wide).tobytes() == scores
+    assert model.predict(np.asfortranarray(X)).tobytes() == scores
+    bag, tree = next((b, t) for b in model.bags for t in b.trees if t.feature[0] >= 0)
+    with pytest.raises(IndexError):
+        tree.predict(X[:, bag.feature_idx][:, : tree.feature[0]])
