@@ -3,7 +3,8 @@
 Two classifiers with a common preprocessing pipeline:
 
 * a learned one — TF-IDF bag of words fed into gradient-boosted regression
-  trees with logistic loss (:func:`trees.boost` with the sigmoid link);
+  trees with logistic loss (:func:`trees.boost` with the sigmoid link),
+  scored as a one-bag :class:`trees.Forest`;
 * a keyword fallback matching stemmed defect vocabulary
   (fix, bug, defect, patch, fault, repair).
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateCorpusError
 from .stemming import stem
-from .trees import Grower, RegressionTree, boost, score
+from .trees import Forest, Grower, RegressionTree, boost
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _URL_SENTINEL = "zqurlplaceholderqz"
@@ -120,10 +121,14 @@ class CommitClassifier:
     shrinkage: float
     threshold: float = 0.5
 
+    def __post_init__(self):
+        columns = np.arange(len(self.vectorizer.vocabulary))
+        self.forest = Forest.of([columns], [self.base_score], self.shrinkage, self.trees)
+
     def predict_proba(self, messages: list[str]) -> np.ndarray:
         docs = [preprocess_message(m) for m in messages]
         X = self.vectorizer.transform(docs)
-        proba = _sigmoid(score(self.trees, X, self.base_score, self.shrinkage))
+        proba = _sigmoid(self.forest.predict(X))
         empty = np.array([len(d) == 0 for d in docs])
         proba[empty] = 0.0
         return proba

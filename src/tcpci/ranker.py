@@ -3,8 +3,10 @@
 Each bag draws a bootstrap row sample and a feature subsample, then fits a
 short sequence of least-squares regression trees on residuals (MART-style
 boosting: :func:`trees.boost` with the identity link, squared loss).  The
-ensemble score of a test is the mean of :func:`trees.score` over bags; tests
-are executed in descending score order.  Labels are binary: 1 for a failing
+ensemble score of a test is the mean over bags of the bag's base plus its
+trees' shrunk predictions; the model scores all trees at once through one
+:class:`trees.Forest` node table, built when the model is.  Tests are
+executed in descending score order.  Labels are binary: 1 for a failing
 execution, 0 otherwise.
 """
 
@@ -14,6 +16,7 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -25,7 +28,7 @@ from .errors import (
     UnknownFeatureError,
 )
 from .matrix import FeatureMatrix
-from .trees import Grower, RegressionTree, boost, index_array, score
+from .trees import NODE_ARRAYS, Forest, Grower, RegressionTree, boost, index_array
 
 log = logging.getLogger(__name__)
 
@@ -66,6 +69,17 @@ class RankModel:
     seed: int
     bags: list[_Bag]
     catalog_fingerprint: str = field(default_factory=lambda: CATALOG.fingerprint())
+    #: every tree of ``bags`` in one node table; built from them unless given
+    forest: Forest | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.forest is None:
+            self.forest = Forest.of(
+                [bag.feature_idx for bag in self.bags],
+                [bag.base for bag in self.bags],
+                self.hyperparams.shrinkage,
+                [tree for bag in self.bags for tree in bag.trees],
+            )
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if CATALOG.fingerprint() != self.catalog_fingerprint:
@@ -73,19 +87,12 @@ class RankModel:
                 f"model was trained against catalog {self.catalog_fingerprint}, "
                 f"matrix uses {CATALOG.fingerprint()}"
             )
-        X = np.asarray(X, dtype=np.float64)
-        scores = np.zeros(len(X))
-        for bag in self.bags:
-            scores += score(bag.trees, X[:, bag.feature_idx], bag.base, self.hyperparams.shrinkage)
-        return scores / len(self.bags)
+        return self.forest.predict(X)
 
     def feature_usage(self) -> np.ndarray:
         """Split counts per catalog feature, summed over all trees."""
-        counts = np.zeros(len(CATALOG), dtype=np.int64)
-        for bag in self.bags:
-            for tree in bag.trees:
-                np.add.at(counts, bag.feature_idx[tree.feature[tree.feature >= 0]], 1)
-        return counts
+        feature = self.forest.feature
+        return np.bincount(feature[feature >= 0], minlength=len(CATALOG))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -107,26 +114,55 @@ class RankModel:
 
     @classmethod
     def from_json(cls, text: str) -> "RankModel":
-        """Parse :meth:`to_json` output; anything else raises SchemaError."""
+        """Parse :meth:`to_json` output; anything else raises SchemaError.
+
+        Each node array is converted and checked for all trees at once, from
+        the concatenation of the trees' lists.
+        """
         try:
             d = json.loads(text)
-            if not isinstance(d, dict) or d.get("version") != 1:
+            if not isinstance(d, dict) or type(d.get("version")) is not int or d["version"] != 1:
                 raise SchemaError("not a version-1 model file")
             hp = Hyperparams(**d["hyperparams"])
-            bags = []
-            for b in d["bags"]:
-                feats = index_array(b["feature_idx"], "feature_idx")
-                if ((feats < 0) | (feats >= len(CATALOG))).any():
-                    raise SchemaError(f"feature_idx must list catalog columns below {len(CATALOG)}")
-                trees = [RegressionTree.from_dict(t, len(feats)) for t in b["trees"]]
-                bags.append(_Bag(feature_idx=feats, base=float(b["base"]), trees=trees))
+            seed, bags = d["seed"], d["bags"]
+            if type(seed) is not int:
+                raise SchemaError(f"model seed must be an integer, got {seed!r}")
             if len(bags) != hp.n_bags:
                 raise SchemaError(f"model has {len(bags)} bags, its hyperparams say {hp.n_bags}")
+            columns = [index_array(b["feature_idx"], "feature_idx") for b in bags]
+            if any(((c < 0) | (c >= len(CATALOG))).any() for c in columns):
+                raise SchemaError(f"feature_idx must list catalog columns below {len(CATALOG)}")
+            base = [b["base"] for b in bags]
+            if not all(type(v) in (int, float) for v in base):
+                raise SchemaError("bag base must be a number")
+            k = hp.trees_per_bag
+            if any(len(b["trees"]) != k for b in bags):
+                raise SchemaError(f"every bag must hold {k} trees, as its hyperparams say")
+            trees = [t for b in bags for t in b["trees"]]
+            lengths = np.array(
+                [[len(t[a]) if type(t[a]) is list else -1 for a in NODE_ARRAYS] for t in trees]
+            )
+            if (lengths != lengths[:, :1]).any():
+                raise SchemaError("tree node arrays must be equally long lists")
+            nodes = {a: list(chain.from_iterable(t[a] for t in trees)) for a in NODE_ARRAYS}
+            arrays = [
+                index_array(nodes[a], f"tree {a}") if a in ("feature", "left", "right")
+                else np.array(nodes[a], dtype=np.float64)
+                for a in NODE_ARRAYS
+            ]
+            sizes = lengths[:, 0]
+            forest = Forest(columns, base, hp.shrinkage, sizes, *arrays)
+            spans = zip(forest.roots.tolist(), np.cumsum(sizes).tolist())
+            trees = [RegressionTree(*(a[i:j] for a in arrays)) for i, j in spans]
             return cls(
                 hyperparams=hp,
-                seed=int(d["seed"]),
-                bags=bags,
+                seed=seed,
+                bags=[
+                    _Bag(feature_idx=c, base=float(v), trees=trees[i * k : (i + 1) * k])
+                    for i, (c, v) in enumerate(zip(columns, base))
+                ],
                 catalog_fingerprint=str(d["catalog_fingerprint"]),
+                forest=forest,
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"malformed model file: {exc!r}") from exc

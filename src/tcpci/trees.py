@@ -1,12 +1,12 @@
-"""Least-squares regression trees grown best-first, and boosting over them.
+"""Least-squares regression trees grown best-first, boosting over them, and
+a flat node table that scores a whole ensemble.
 
 The tree is the weak learner of both the ranking model and the commit
-classifier, and :func:`boost` and :func:`score` are the fit and scoring
-loops of both: Friedman's gradient boosting (Annals of Statistics, 2001),
-whose loss a link function picks.  Growth is best-first: candidate splits
-across all open leaves sit in one priority queue keyed by
-sum-of-squared-error reduction, and the leaf with the largest reduction is
-split next until ``max_leaves`` is reached.
+classifier, and :func:`boost` is the fit loop of both: Friedman's gradient
+boosting (Annals of Statistics, 2001), whose loss a link function picks.
+Growth is best-first: candidate splits across all open leaves sit in one
+priority queue keyed by sum-of-squared-error reduction, and the leaf with
+the largest reduction is split next until ``max_leaves`` is reached.
 
 Split finding is exact greedy over presorted columns, as in XGBoost's
 column blocks (Chen & Guestrin, KDD 2016).  A :class:`Grower` is built
@@ -18,6 +18,11 @@ the node alone would give, and a column constant within a node is dropped
 for its subtree.  The split score is computed only at the sorted positions
 where adjacent values differ.  Everything is deterministic for a fixed
 input.
+
+Scoring stores every tree of an ensemble in one :class:`Forest` node table
+and walks all (tree, row) pairs together, one numpy step per depth level
+(:func:`walk`), as QuickScorer lays an ensemble out (Lucchese et al., SIGIR
+2015).  :meth:`RegressionTree.predict` is the same walk over one tree.
 """
 
 from __future__ import annotations
@@ -29,6 +34,13 @@ from collections.abc import Callable
 import numpy as np
 
 from .errors import SchemaError
+
+#: The node arrays of a tree, in the order :class:`RegressionTree` takes them.
+NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+#: The most (tree, row) pairs one walk holds: :meth:`Forest.predict` walks
+#: the rows in chunks of this many pairs, which bounds its temporaries.
+CHUNK_PAIRS = 1 << 16
 
 
 def index_array(values, what: str) -> np.ndarray:
@@ -184,18 +196,10 @@ class RegressionTree:
         return cls(feature, threshold, left, right, value)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty(len(X), dtype=np.float64)
-        stack = [(0, np.arange(len(X)))]
-        while stack:
-            node, idx = stack.pop()
-            if self.feature[node] < 0:
-                out[idx] = self.value[node]
-                continue
-            mask = X[idx, self.feature[node]] <= self.threshold[node]
-            stack.append((self.left[node], idx[mask]))
-            stack.append((self.right[node], idx[~mask]))
-        return out
+        """The value of the leaf each row of ``X`` reaches."""
+        X = split_matrix(X, int(self.feature.max(initial=-1)) + 1)
+        roots = np.zeros(1, dtype=np.int64)
+        return self.value[walk(X, self.feature, self.threshold, self.left, self.right, roots)[0]]
 
     @property
     def n_leaves(self) -> int:
@@ -214,26 +218,146 @@ class RegressionTree:
     def from_dict(cls, d: dict, n_features: int) -> "RegressionTree":
         """Parse :meth:`to_dict` output of a tree over ``n_features`` columns.
 
-        Raises SchemaError unless the node arrays are equally long, the
-        split features and children are integers, and every inner node
-        splits on one of the columns into two later nodes, which keeps
-        :meth:`predict` in bounds and acyclic.
+        Raises SchemaError unless the split features and children are
+        integers and :func:`check_nodes` accepts the tree.
         """
         feature, left, right = (
             index_array(d[k], f"tree {k}") for k in ("feature", "left", "right")
         )
         tree = cls(feature, d["threshold"], left, right, d["value"])
-        n = len(tree.feature)
-        arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
-        if n == 0 or any(a.shape != (n,) for a in arrays):
-            raise SchemaError(f"tree node arrays must be nonempty and equally long, got {n} nodes")
-        inner = np.flatnonzero(tree.feature >= 0)
-        for child in (tree.left[inner], tree.right[inner]):
-            if ((child <= inner) | (child >= n)).any():
-                raise SchemaError(f"tree child indices must lie after their node and below {n}")
-        if (tree.feature[inner] >= n_features).any():
-            raise SchemaError(f"tree split features must lie below {n_features}")
+        check_nodes([len(tree.feature)], [n_features], *(getattr(tree, k) for k in NODE_ARRAYS))
         return tree
+
+
+def check_nodes(sizes, widths, feature, threshold, left, right, value) -> None:
+    """Raise SchemaError unless these are the concatenated node arrays of
+    trees of ``sizes`` nodes, each over ``widths`` columns.
+
+    The arrays must be equally long and each tree nonempty, and every inner
+    node must split on one of its tree's columns into two later nodes of the
+    same tree, which keeps :func:`walk` in bounds and acyclic.
+    """
+    sizes = np.asarray(sizes, dtype=np.int64)
+    n = int(sizes.sum())
+    if (sizes < 1).any() or any(a.shape != (n,) for a in (feature, threshold, left, right, value)):
+        raise SchemaError("tree node arrays must be nonempty and equally long")
+    inner = np.flatnonzero(feature >= 0)
+    tree = np.repeat(np.arange(len(sizes)), sizes)[inner]
+    position = inner - (np.cumsum(sizes) - sizes)[tree]
+    for child in (left[inner], right[inner]):
+        if ((child <= position) | (child >= sizes[tree])).any():
+            raise SchemaError("tree child indices must lie after their node and inside its tree")
+    if (feature[inner] >= np.asarray(widths)[tree]).any():
+        raise SchemaError("tree split features must lie below the tree's column count")
+
+
+def split_matrix(X, width: int) -> np.ndarray:
+    """``X`` as a C-ordered float64 matrix of at least ``width`` columns.
+
+    :func:`walk` reads ``X`` flat, so a narrower matrix would read a split
+    column from the next row: it raises IndexError instead.
+    """
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] < width:
+        raise IndexError(f"trees split on column {width - 1}, the matrix has shape {X.shape}")
+    return X
+
+
+def walk(X, feature, threshold, left, right, roots) -> np.ndarray:
+    """The node where each tree's walk ends for each row of ``X``, shape
+    ``(len(roots), len(X))``.
+
+    The trees are node arrays as :class:`RegressionTree` holds them, with
+    the roots at ``roots``; ``X`` comes from :func:`split_matrix`.  All
+    (tree, row) pairs move one level per step, a row going left where its
+    value is ``<= threshold`` (so NaN goes right), and a pair leaves the
+    walk at the first leaf (``feature < 0``) it reaches.
+    """
+    n, d = X.shape
+    flat = X.ravel()
+    end = np.empty(len(roots) * n, dtype=np.int64)
+    pair = np.arange(len(end))
+    node = np.repeat(roots, n)
+    at = np.tile(np.arange(n) * d, len(roots))  # where each pair's row starts in ``flat``
+    while len(node):
+        col = feature[node]
+        inner = col >= 0
+        if not inner.all():
+            end[pair[~inner]] = node[~inner]
+            pair, node, at, col = pair[inner], node[inner], at[inner], col[inner]
+        node = np.where(flat[at + col] <= threshold[node], left[node], right[node])
+    return end.reshape(len(roots), n)
+
+
+class Forest:
+    """A bagged ensemble of boosted trees in one node table.
+
+    Tree ``k`` is tree ``k % trees_per_bag`` of bag ``k // trees_per_bag``,
+    and its root is row ``roots[k]`` of the table.  A node holds the matrix
+    column it splits on (its bag's column map applied), its threshold, its
+    children as table rows (a leaf names itself) and its value times the
+    shrinkage; ``base`` holds each bag's starting score.
+    """
+
+    def __init__(
+        self, columns, base, shrinkage: float, sizes, feature, threshold, left, right, value
+    ):
+        """The table of trees of ``sizes`` nodes, listed bag by bag.
+
+        ``columns[b]`` maps bag ``b``'s column numbers to matrix columns.
+        The node arrays are the trees' own (:data:`NODE_ARRAYS`),
+        concatenated; :func:`check_nodes` must accept them.
+        """
+        sizes = np.asarray(sizes, dtype=np.int64)
+        self.base = np.asarray(base, dtype=np.float64)
+        self.trees_per_bag = len(sizes) // len(self.base)
+        if self.trees_per_bag * len(self.base) != len(sizes):
+            raise SchemaError("every bag must hold the same number of trees")
+        widths = np.array([len(c) for c in columns])
+        bag = np.arange(len(sizes)) // self.trees_per_bag
+        check_nodes(sizes, widths[bag], feature, threshold, left, right, value)
+        self.roots = np.cumsum(sizes) - sizes
+        inner = feature >= 0
+        bag = np.repeat(bag, sizes)[inner]
+        first = (np.cumsum(widths) - widths)[bag]  # where each node's bag starts in ``columns``
+        self.feature = np.full(len(feature), -1)
+        self.feature[inner] = np.concatenate(columns)[first + feature[inner]]
+        node = np.arange(len(feature))
+        root = np.repeat(self.roots, sizes)
+        self.left = np.where(inner, left + root, node)
+        self.right = np.where(inner, right + root, node)
+        self.threshold = threshold
+        self.value = shrinkage * value
+        self.width = int(self.feature.max(initial=-1)) + 1
+
+    @classmethod
+    def of(cls, columns, base, shrinkage: float, trees: list[RegressionTree]) -> "Forest":
+        """The table of ``trees``, listed bag by bag."""
+        arrays = (np.concatenate([getattr(t, k) for t in trees]) for k in NODE_ARRAYS)
+        return cls(columns, base, shrinkage, [len(t.feature) for t in trees], *arrays)
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Each row's score: the mean over bags of ``base`` plus every tree's
+        shrunk leaf value.
+
+        The sums run in the order of a loop over trees, so they give the
+        same bits: each bag adds its trees in order to ``base``, and the bags
+        are added in order to zero.  ``sum(axis=...)`` would add pairwise.
+        """
+        X = split_matrix(X, self.width)
+        n_bags = len(self.base)
+        scores = np.empty(len(X))
+        step = max(1, CHUNK_PAIRS // len(self.roots))
+        for start in range(0, len(X), step):
+            rows = X[start : start + step]
+            end = walk(rows, self.feature, self.threshold, self.left, self.right, self.roots)
+            value = self.value[end].reshape(n_bags, self.trees_per_bag, len(rows))
+            acc = np.zeros((n_bags + 1, len(rows)))
+            acc[1:] = self.base[:, None]
+            for t in range(self.trees_per_bag):
+                acc[1:] += value[:, t]
+            scores[start : start + step] = np.add.accumulate(acc, axis=0)[-1]
+        return scores / n_bags
 
 
 def boost(
@@ -253,11 +377,3 @@ def boost(
         trees.append(RegressionTree.fit(grower, y - link(z), max_leaves, step))
         z += shrinkage * step
     return trees
-
-
-def score(trees: list[RegressionTree], X: np.ndarray, base: float, shrinkage: float) -> np.ndarray:
-    """``base`` plus ``shrinkage`` times each tree's prediction, in tree order."""
-    z = np.full(len(X), base)
-    for tree in trees:
-        z += shrinkage * tree.predict(X)
-    return z

@@ -17,14 +17,15 @@ SYNTH_CFG = {
 HP_FLAGS = ["--bags", "6", "--trees-per-bag", "2", "--max-leaves", "16"]
 
 
-def model_arg(feature_idx=(0,), **tree):
-    """An "@" model-file argument: one bag of one stump, with ``tree`` arrays replaced."""
+def model_arg(feature_idx=(0,), bag=None, model=None, **tree):
+    """An "@" model-file argument: one bag of one stump, with ``tree`` arrays,
+    ``bag`` keys and top-level ``model`` keys replaced."""
     stump = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
              "right": [2, -1, -1], "value": [0.0, 0.0, 1.0]}
-    bag = {"feature_idx": list(feature_idx), "base": 0.0, "trees": [{**stump, **tree}]}
+    bag = {"feature_idx": list(feature_idx), "base": 0.0, "trees": [{**stump, **tree}], **(bag or {})}
     return "@" + json.dumps({
         "version": 1, "catalog_fingerprint": CATALOG.fingerprint(), "seed": 0,
-        "hyperparams": {"n_bags": 1}, "bags": [bag],
+        "hyperparams": {"n_bags": 1, "trees_per_bag": 1}, "bags": [bag], **(model or {}),
     })
 
 
@@ -236,6 +237,13 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
         ["prioritize", "--build", "1", "--model", model_arg(left=[True, -1, -1])],
         ["prioritize", "--build", "1", "--model", model_arg(right=[2.0, -1, -1])],
         ["prioritize", "--build", "1", "--model", model_arg(feature_idx=[0, 1.7])],
+        ["prioritize", "--build", "1", "--model", model_arg(model={"version": True})],
+        ["prioritize", "--build", "1", "--model", model_arg(model={"seed": True})],
+        ["prioritize", "--build", "1", "--model", model_arg(bag={"base": True})],
+        [
+            "prioritize", "--build", "1", "--model",
+            model_arg(model={"hyperparams": {"n_bags": 1, "trees_per_bag": 2}}),
+        ],
         ["evaluate", "--config", '@{"max_bulds": 3}'],
         ["extract", "--build", "1", "--config", '@{"impact_dept": -5, "max_rw": -3}'],
         ["prioritize", "--build", "1", "--model", model_arg(), "--config", '@{"seed": 3}'],
@@ -260,7 +268,8 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
         "model-feature-idx-high", "model-feature-idx-negative", "model-feature-idx-overflow",
         "model-child-past-end", "model-child-self-loop", "model-arrays-differ",
         "model-split-feature-outside-bag", "model-feature-fraction", "model-left-bool",
-        "model-right-float", "model-feature-idx-fraction", "config-misspelt-key",
+        "model-right-float", "model-feature-idx-fraction", "model-version-bool",
+        "model-seed-bool", "model-base-bool", "model-tree-count", "config-misspelt-key",
         "config-keys-of-other-flags", "config-seed-on-prioritize", "max-builds-bool",
         "max-rw-bool", "synth-n-tests-string", "synth-base-failure-string",
         "synth-files-per-build-above-n-files", "synth-n-builds-bool", "synth-n-builds-negative",
@@ -286,6 +295,15 @@ def test_invalid_option_or_file_exits_2(dataset, tmp_path, capsys, monkeypatch, 
         args.append(arg)
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_hand_built_model_prioritizes(dataset, tmp_path, capsys):
+    # the model-file cases above each change one thing of a valid model
+    path = tmp_path / "model.json"
+    path.write_text(model_arg()[1:])
+    build = history_of(dataset).builds[0]
+    assert main(["prioritize", str(dataset), "--build", str(build.id), "--model", str(path)]) == 0
+    assert sorted(capsys.readouterr().out.splitlines()) == sorted(build.tests)
 
 
 @pytest.mark.parametrize(
