@@ -144,12 +144,13 @@ class RankModel:
             )
             if (lengths != lengths[:, :1]).any():
                 raise SchemaError("tree node arrays must be equally long lists")
-            nodes = {a: list(chain.from_iterable(t[a] for t in trees)) for a in NODE_ARRAYS}
-            arrays = [
-                index_array(nodes[a], f"tree {a}") if a in ("feature", "left", "right")
-                else np.array(nodes[a], dtype=np.float64)
-                for a in NODE_ARRAYS
-            ]
+            arrays = []
+            for a in NODE_ARRAYS:
+                values = list(chain.from_iterable(t[a] for t in trees))
+                arrays.append(
+                    np.array(values, dtype=np.float64) if a in ("threshold", "value")
+                    else index_array(values, f"tree {a}")
+                )
             sizes = lengths[:, 0]
             forest = Forest(columns, base, hp.shrinkage, sizes, *arrays)
             spans = zip(forest.roots.tolist(), np.cumsum(sizes).tolist())

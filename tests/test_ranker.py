@@ -174,6 +174,7 @@ def test_model_json_round_trip():
     again = RankModel.from_json(model.to_json())
     probe = np.random.default_rng(0).random((20, 150))
     assert np.array_equal(model.predict(probe), again.predict(probe))
+    assert again.to_json() == model.to_json()
 
 
 def test_catalog_mismatch_rejected():
