@@ -335,7 +335,8 @@ class Forest:
     @classmethod
     def of(cls, columns, base, shrinkage: float, trees: list[RegressionTree]) -> "Forest":
         """The table of ``trees``, listed bag by bag."""
-        arrays = (np.concatenate([getattr(t, k) for t in trees]) for k in NODE_ARRAYS)
+        typed = RegressionTree([], [], [], [], [])  # gives the arrays their dtypes when empty
+        arrays = (np.concatenate([getattr(t, k) for t in (typed, *trees)]) for k in NODE_ARRAYS)
         return cls(columns, base, shrinkage, [len(t.feature) for t in trees], *arrays)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -349,7 +350,7 @@ class Forest:
         X = split_matrix(X, self.width)
         n_bags = len(self.base)
         scores = np.empty(len(X))
-        step = max(1, CHUNK_PAIRS // len(self.roots))
+        step = max(1, CHUNK_PAIRS // max(1, len(self.roots)))
         for start in range(0, len(X), step):
             rows = X[start : start + step]
             end = walk(rows, self.feature, self.threshold, self.left, self.right, self.roots)

@@ -110,10 +110,11 @@ def test_model_json_round_trip():
     assert np.array_equal(p1, p2)
 
 
-def test_probabilities_match_the_stack_walk():
+@pytest.mark.parametrize("n_trees", [0, 12])
+def test_probabilities_match_the_stack_walk(n_trees):
     msgs, labels = separable_corpus(n=120, seed=9)
     msgs += ["", "the of and", "fix"]
-    clf = train_classifier(msgs, labels + [False, False, True], n_trees=12, max_leaves=6)
+    clf = train_classifier(msgs, labels + [False, False, True], n_trees=n_trees, max_leaves=6)
     docs = [preprocess_message(m) for m in msgs]
     X = clf.vectorizer.transform(docs)
     z = np.full(len(X), clf.base_score)
