@@ -152,6 +152,8 @@ class RankModel:
                     else index_array(values, f"tree {a}")
                 )
             sizes = lengths[:, 0]
+            fingerprint = str(d["catalog_fingerprint"])
+            del d, bags, trees  # the table reuses the parsed file's memory
             forest = Forest(columns, base, hp.shrinkage, sizes, *arrays)
             spans = zip(forest.roots.tolist(), np.cumsum(sizes).tolist())
             trees = [RegressionTree(*(a[i:j] for a in arrays)) for i, j in spans]
@@ -162,7 +164,7 @@ class RankModel:
                     _Bag(feature_idx=c, base=float(v), trees=trees[i * k : (i + 1) * k])
                     for i, (c, v) in enumerate(zip(columns, base))
                 ],
-                catalog_fingerprint=str(d["catalog_fingerprint"]),
+                catalog_fingerprint=fingerprint,
                 forest=forest,
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
