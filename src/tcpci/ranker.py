@@ -28,7 +28,7 @@ from .errors import (
     UnknownFeatureError,
 )
 from .matrix import FeatureMatrix
-from .trees import NODE_ARRAYS, Forest, Grower, RegressionTree, boost, index_array
+from .trees import NODE_ARRAYS, Forest, Grower, RegressionTree, boost, index_array, node_arrays
 
 log = logging.getLogger(__name__)
 
@@ -68,18 +68,28 @@ class RankModel:
     hyperparams: Hyperparams
     seed: int
     bags: list[_Bag]
-    catalog_fingerprint: str = field(default_factory=lambda: CATALOG.fingerprint())
-    #: every tree of ``bags`` in one node table; built from them unless given
-    forest: Forest | None = field(default=None, repr=False, compare=False)
+    catalog_fingerprint: str
+    #: every tree of ``bags`` in one node table, which shares their arrays
+    forest: Forest = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.forest is None:
-            self.forest = Forest.of(
-                [bag.feature_idx for bag in self.bags],
-                [bag.base for bag in self.bags],
-                self.hyperparams.shrinkage,
-                [tree for bag in self.bags for tree in bag.trees],
-            )
+    @classmethod
+    def of_nodes(cls, hp: Hyperparams, seed: int, fingerprint: str, columns, base, sizes,
+                 arrays) -> "RankModel":
+        """The model of trees of ``sizes`` nodes, listed bag by bag, whose
+        node arrays (:data:`trees.NODE_ARRAYS`) are concatenated in ``arrays``.
+
+        Bag ``b`` reads the catalog columns ``columns[b]`` and starts at
+        ``base[b]``.  Each tree is a view into ``arrays``.
+        """
+        forest = Forest(columns, base, hp.shrinkage, sizes, *arrays)
+        spans = zip(forest.roots.tolist(), np.cumsum(sizes).tolist())
+        trees = [RegressionTree(*(a[i:j] for a in arrays)) for i, j in spans]
+        k = hp.trees_per_bag
+        bags = [
+            _Bag(feature_idx=c, base=float(v), trees=trees[i * k : (i + 1) * k])
+            for i, (c, v) in enumerate(zip(columns, base))
+        ]
+        return cls(hp, seed, bags, fingerprint, forest)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if CATALOG.fingerprint() != self.catalog_fingerprint:
@@ -151,22 +161,9 @@ class RankModel:
                     np.array(values, dtype=np.float64) if a in ("threshold", "value")
                     else index_array(values, f"tree {a}")
                 )
-            sizes = lengths[:, 0]
             fingerprint = str(d["catalog_fingerprint"])
             del d, bags, trees  # the table reuses the parsed file's memory
-            forest = Forest(columns, base, hp.shrinkage, sizes, *arrays)
-            spans = zip(forest.roots.tolist(), np.cumsum(sizes).tolist())
-            trees = [RegressionTree(*(a[i:j] for a in arrays)) for i, j in spans]
-            return cls(
-                hyperparams=hp,
-                seed=seed,
-                bags=[
-                    _Bag(feature_idx=c, base=float(v), trees=trees[i * k : (i + 1) * k])
-                    for i, (c, v) in enumerate(zip(columns, base))
-                ],
-                catalog_fingerprint=fingerprint,
-                forest=forest,
-            )
+            return cls.of_nodes(hp, seed, fingerprint, columns, base, lengths[:, 0], arrays)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"malformed model file: {exc!r}") from exc
 
@@ -192,7 +189,7 @@ def train_ranker(
     n, d = X.shape
     n_rows = max(1, math.ceil(hp.sample_rate * n))
     n_feats = max(1, math.ceil(hp.feature_rate * d))
-    bags = []
+    columns, bases, trees = [], [], []
     for b in range(hp.n_bags):
         rng = np.random.default_rng([seed, b])
         rows = rng.choice(n, size=n_rows, replace=True)
@@ -200,9 +197,10 @@ def train_ranker(
         yb = y[rows]
         base = float(yb.mean())
         grower = Grower(X[rows][:, feats])
-        trees = boost(grower, yb, base, hp.trees_per_bag, hp.shrinkage, hp.max_leaves, lambda z: z)
-        bags.append(_Bag(feature_idx=feats, base=base, trees=trees))
-    return RankModel(hyperparams=hp, seed=seed, bags=bags)
+        trees += boost(grower, yb, base, hp.trees_per_bag, hp.shrinkage, hp.max_leaves, lambda z: z)
+        columns.append(feats)
+        bases.append(base)
+    return RankModel.of_nodes(hp, seed, CATALOG.fingerprint(), columns, bases, *node_arrays(trees))
 
 
 def rank_tests(model: RankModel, matrix: FeatureMatrix) -> list[str]:

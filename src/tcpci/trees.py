@@ -230,6 +230,13 @@ class RegressionTree:
         return tree
 
 
+def node_arrays(trees: list[RegressionTree]) -> tuple[list[int], list[np.ndarray]]:
+    """The node counts of ``trees`` and their node arrays, each concatenated."""
+    typed = RegressionTree([], [], [], [], [])  # gives the arrays their dtypes when empty
+    arrays = [np.concatenate([getattr(t, k) for t in (typed, *trees)]) for k in NODE_ARRAYS]
+    return [len(t.feature) for t in trees], arrays
+
+
 def check_nodes(sizes, widths, feature, threshold, left, right, value) -> None:
     """Raise SchemaError unless these are the concatenated node arrays of
     trees of ``sizes`` nodes, each over ``widths`` columns.
@@ -243,7 +250,7 @@ def check_nodes(sizes, widths, feature, threshold, left, right, value) -> None:
     if (sizes < 1).any() or any(a.shape != (n,) for a in (feature, threshold, left, right, value)):
         raise SchemaError("tree node arrays must be nonempty and equally long")
     inner = np.flatnonzero(feature >= 0)
-    tree = np.repeat(np.arange(len(sizes)), sizes)[inner]
+    tree = np.searchsorted(np.cumsum(sizes), inner, side="right")
     position = inner - (np.cumsum(sizes) - sizes)[tree]
     for child in (left[inner], right[inner]):
         if ((child <= position) | (child >= sizes[tree])).any():
@@ -297,8 +304,10 @@ class Forest:
     Tree ``k`` is tree ``k % trees_per_bag`` of bag ``k // trees_per_bag``,
     and its root is row ``roots[k]`` of the table.  A node holds the matrix
     column it splits on (its bag's column map applied), its threshold, its
-    children as table rows (a leaf names itself) and its value times the
-    shrinkage; ``base`` holds each bag's starting score.
+    children as table rows (a leaf names itself) and its value; ``base``
+    holds each bag's starting score.  The values are kept as the trees hold
+    them and multiplied by ``shrinkage`` once looked up, the product the
+    trees' own loop forms, so a loaded model shares them with its trees.
     """
 
     def __init__(
@@ -320,28 +329,26 @@ class Forest:
         check_nodes(sizes, widths[bag], feature, threshold, left, right, value)
         self.roots = np.cumsum(sizes) - sizes
         inner = np.flatnonzero(feature >= 0)
+        tree = np.searchsorted(self.roots, inner, side="right") - 1
         # where the bag of each inner node starts in the concatenated ``columns``
-        first = (np.cumsum(widths) - widths)[np.repeat(bag, sizes)[inner]]
-        self.feature = np.full(len(feature), -1)
+        first = (np.cumsum(widths) - widths)[bag[tree]]
+        self.feature = np.full(len(feature), -1, dtype=np.int32)  # never an index array
         self.feature[inner] = np.concatenate(columns)[first + feature[inner]]
-        root = np.repeat(self.roots, sizes)
-        self.left, self.right = left + root, right + root
-        leaf = np.flatnonzero(feature < 0)
-        self.left[leaf] = self.right[leaf] = leaf
-        self.threshold = threshold
-        self.value = shrinkage * value
+        self.left, self.right = np.arange(len(feature)), np.arange(len(feature))
+        self.left[inner] = left[inner] + self.roots[tree]
+        self.right[inner] = right[inner] + self.roots[tree]
+        self.threshold, self.value, self.shrinkage = threshold, value, shrinkage
         self.width = int(self.feature.max(initial=-1)) + 1
 
     @classmethod
     def of(cls, columns, base, shrinkage: float, trees: list[RegressionTree]) -> "Forest":
         """The table of ``trees``, listed bag by bag."""
-        typed = RegressionTree([], [], [], [], [])  # gives the arrays their dtypes when empty
-        arrays = (np.concatenate([getattr(t, k) for t in (typed, *trees)]) for k in NODE_ARRAYS)
-        return cls(columns, base, shrinkage, [len(t.feature) for t in trees], *arrays)
+        sizes, arrays = node_arrays(trees)
+        return cls(columns, base, shrinkage, sizes, *arrays)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Each row's score: the mean over bags of ``base`` plus every tree's
-        shrunk leaf value.
+        """Each row's score: the mean over bags of ``base`` plus ``shrinkage``
+        times every tree's leaf value.
 
         The sums run in the order of a loop over trees, so they give the
         same bits: each bag adds its trees in order to ``base``, and the bags
@@ -354,7 +361,8 @@ class Forest:
         for start in range(0, len(X), step):
             rows = X[start : start + step]
             end = walk(rows, self.feature, self.threshold, self.left, self.right, self.roots)
-            value = self.value[end].reshape(n_bags, self.trees_per_bag, len(rows))
+            value = self.shrinkage * self.value[end]
+            value = value.reshape(n_bags, self.trees_per_bag, len(rows))
             acc = np.zeros((n_bags + 1, len(rows)))
             acc[1:] = self.base[:, None]
             for t in range(self.trees_per_bag):
