@@ -250,8 +250,9 @@ def check_nodes(sizes, widths, feature, threshold, left, right, value) -> None:
     if (sizes < 1).any() or any(a.shape != (n,) for a in (feature, threshold, left, right, value)):
         raise SchemaError("tree node arrays must be nonempty and equally long")
     inner = np.flatnonzero(feature >= 0)
-    tree = np.searchsorted(np.cumsum(sizes), inner, side="right")
-    position = inner - (np.cumsum(sizes) - sizes)[tree]
+    starts = np.cumsum(sizes) - sizes
+    tree = np.searchsorted(starts, inner, side="right") - 1
+    position = inner - starts[tree]
     for child in (left[inner], right[inner]):
         if ((child <= position) | (child >= sizes[tree])).any():
             raise SchemaError("tree child indices must lie after their node and inside its tree")
@@ -332,7 +333,9 @@ class Forest:
         tree = np.searchsorted(self.roots, inner, side="right") - 1
         # where the bag of each inner node starts in the concatenated ``columns``
         first = (np.cumsum(widths) - widths)[bag[tree]]
-        self.feature = np.full(len(feature), -1, dtype=np.int32)  # never an index array
+        # a column is only added to a row offset, never used as an index, so
+        # int32 halves the array at no cost to the walk
+        self.feature = np.full(len(feature), -1, dtype=np.int32)
         self.feature[inner] = np.concatenate(columns)[first + feature[inner]]
         self.left, self.right = np.arange(len(feature)), np.arange(len(feature))
         self.left[inner] = left[inner] + self.roots[tree]
