@@ -22,7 +22,8 @@ def model_arg(feature_idx=(0,), bag=None, model=None, **tree):
     ``bag`` keys and top-level ``model`` keys replaced."""
     stump = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
              "right": [2, -1, -1], "value": [0.0, 0.0, 1.0]}
-    bag = {"feature_idx": list(feature_idx), "base": 0.0, "trees": [{**stump, **tree}], **(bag or {})}
+    bag = {"feature_idx": list(feature_idx), "base": 0.0, "trees": [{**stump, **tree}],
+           **(bag or {})}
     return "@" + json.dumps({
         "version": 1, "catalog_fingerprint": CATALOG.fingerprint(), "seed": 0,
         "hyperparams": {"n_bags": 1, "trees_per_bag": 1}, "bags": [bag], **(model or {}),

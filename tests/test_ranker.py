@@ -211,10 +211,6 @@ def test_heuristic_rank_directions():
         heuristic_rank(m, "TotalFailRate:sideways")
 
 
-def _model_digest(X, y, hp, seed=0):
-    return hashlib.sha256(train_ranker(X, y, hp, seed=seed).to_json().encode()).hexdigest()
-
-
 def _last_training_set(history, sources):
     """Rows of every failed build before the last one, as evaluate trains."""
     ex = FeatureExtractor(history, sources)
@@ -243,12 +239,12 @@ def golden_models():
     """The three training sets of the model golden, with the models trained on them."""
     history, sources, _ = generate_synthetic_history(SynthConfig(), seed=7)
     history, _ = remove_frequent_failers(history)
-    sets = [
-        (*_last_training_set(history, sources), Hyperparams(n_bags=30, trees_per_bag=5, max_leaves=64), 0),
-    ]
+    hp = Hyperparams(n_bags=30, trees_per_bag=5, max_leaves=64)
+    sets = [(*_last_training_set(history, sources), hp, 0)]
     history, sources, _ = generate_synthetic_history(DRIFT_CFG, seed=1)
     sets.append((*_last_training_set(history, sources), DRIFT_HP, 0))
-    sets.append((*toy_mixed(), Hyperparams(n_bags=8, trees_per_bag=4, max_leaves=12, feature_rate=0.7), 3))
+    hp = Hyperparams(n_bags=8, trees_per_bag=4, max_leaves=12, feature_rate=0.7)
+    sets.append((*toy_mixed(), hp, 3))
     return [(X, train_ranker(X, y, hp, seed=seed)) for X, y, hp, seed in sets]
 
 
