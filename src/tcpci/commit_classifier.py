@@ -22,9 +22,9 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import DegenerateCorpusError
+from .errors import DegenerateCorpusError, SchemaError
 from .stemming import stem
-from .trees import Forest, Grower, RegressionTree, boost
+from .trees import Forest, Grower, boost, node_arrays, read_nodes
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _URL_SENTINEL = "zqurlplaceholderqz"
@@ -116,14 +116,10 @@ class CommitClassifier:
     """
 
     vectorizer: TfidfVectorizer
-    trees: list[RegressionTree]
-    base_score: float
-    shrinkage: float
+    #: one bag over the vectorizer's columns: its base is the log-odds of
+    #: the prior, and its trees are boosted with logistic loss
+    forest: Forest
     threshold: float = 0.5
-
-    def __post_init__(self):
-        columns = np.arange(len(self.vectorizer.vocabulary))
-        self.forest = Forest.of([columns], [self.base_score], self.shrinkage, self.trees)
 
     def predict_proba(self, messages: list[str]) -> np.ndarray:
         docs = [preprocess_message(m) for m in messages]
@@ -142,23 +138,36 @@ class CommitClassifier:
                 "version": 1,
                 "vocabulary": self.vectorizer.vocabulary,
                 "idf": self.vectorizer.idf.tolist(),
-                "base_score": self.base_score,
-                "shrinkage": self.shrinkage,
+                "base_score": float(self.forest.base[0]),
+                "shrinkage": self.forest.shrinkage,
                 "threshold": self.threshold,
-                "trees": [t.to_dict() for t in self.trees],
+                "trees": [t.to_dict() for t in self.forest.trees],
             }
         )
 
     @classmethod
     def from_json(cls, text: str) -> "CommitClassifier":
-        d = json.loads(text)
-        return cls(
-            vectorizer=TfidfVectorizer(d["vocabulary"], np.array(d["idf"])),
-            trees=[RegressionTree.from_dict(t, len(d["vocabulary"])) for t in d["trees"]],
-            base_score=d["base_score"],
-            shrinkage=d["shrinkage"],
-            threshold=d["threshold"],
-        )
+        """Parse :meth:`to_json` output; anything else raises SchemaError."""
+        try:
+            d = json.loads(text)
+            if not isinstance(d, dict) or type(d.get("version")) is not int or d["version"] != 1:
+                raise SchemaError("not a version-1 classifier file")
+            vocabulary, idf = d["vocabulary"], d["idf"]
+            numbers = (d["base_score"], d["shrinkage"], d["threshold"])
+            if type(vocabulary) is not list or not all(type(w) is str for w in vocabulary):
+                raise SchemaError("classifier vocabulary must be a list of words")
+            if type(idf) is not list or len(idf) != len(vocabulary):
+                raise SchemaError("classifier idf must hold one number per vocabulary word")
+            if not all(type(v) in (int, float) for v in (*idf, *numbers)):
+                raise SchemaError("classifier idf, base_score, shrinkage and threshold "
+                                  "must be numbers")
+            base, shrinkage, threshold = numbers
+            columns = [np.arange(len(vocabulary))]
+            forest = Forest(columns, [base], shrinkage, *read_nodes(d["trees"]))
+            vectorizer = TfidfVectorizer(vocabulary, np.array(idf, dtype=np.float64))
+            return cls(vectorizer, forest, threshold)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"malformed classifier file: {exc!r}") from exc
 
 
 def train_classifier(
@@ -177,7 +186,8 @@ def train_classifier(
     p = float(y.mean())
     base = math.log(p / (1 - p))  # the log-odds of the prior
     trees = boost(Grower(X), y, base, n_trees, shrinkage, max_leaves, _sigmoid)
-    return CommitClassifier(vectorizer, trees, base, shrinkage)
+    columns = [np.arange(len(vectorizer.vocabulary))]
+    return CommitClassifier(vectorizer, Forest(columns, [base], shrinkage, *node_arrays(trees)))
 
 
 def cross_validate(

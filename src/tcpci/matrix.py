@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import CATALOG
-from .errors import SchemaError
 
 
 @dataclass(frozen=True)
@@ -42,26 +41,6 @@ class FeatureMatrix:
             w.writerow(["build_id", "test_path", *CATALOG.names])
             for i, test in enumerate(self.tests):
                 w.writerow([self.build, test, *(repr(v) for v in self.values[i].tolist())])
-
-    @classmethod
-    def read_csv(cls, path: Path) -> "FeatureMatrix":
-        with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.reader(f)
-            header = next(reader, None)
-            if header is None or header[:2] != ["build_id", "test_path"] or tuple(header[2:]) != CATALOG.names:
-                raise SchemaError(f"{path}: header does not match the feature catalog")
-            build = None
-            tests = []
-            rows = []
-            for row in reader:
-                if build is None:
-                    build = int(row[0])
-                elif int(row[0]) != build:
-                    raise SchemaError(f"{path}: multiple build ids in one matrix file")
-                tests.append(row[1])
-                rows.append([float(v) for v in row[2:]])
-        values = np.array(rows, dtype=np.float64).reshape(len(tests), len(CATALOG))
-        return cls(build=build if build is not None else 0, tests=tuple(tests), values=values)
 
 
 def stack_matrices(matrices: list[FeatureMatrix]) -> tuple[np.ndarray, np.ndarray]:

@@ -15,8 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
-from itertools import chain
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .errors import (
     UnknownFeatureError,
 )
 from .matrix import FeatureMatrix
-from .trees import NODE_ARRAYS, Forest, Grower, RegressionTree, boost, index_array, node_arrays
+from .trees import Forest, Grower, RegressionTree, boost, index_array, node_arrays, read_nodes
 
 log = logging.getLogger(__name__)
 
@@ -67,29 +66,18 @@ class _Bag:
 class RankModel:
     hyperparams: Hyperparams
     seed: int
-    bags: list[_Bag]
     catalog_fingerprint: str
-    #: every tree of ``bags`` in one node table, which shares their arrays
-    forest: Forest = field(repr=False, compare=False)
+    #: every tree of the model in one node table
+    forest: Forest
 
-    @classmethod
-    def of_nodes(cls, hp: Hyperparams, seed: int, fingerprint: str, columns, base, sizes,
-                 arrays) -> "RankModel":
-        """The model of trees of ``sizes`` nodes, listed bag by bag, whose
-        node arrays (:data:`trees.NODE_ARRAYS`) are concatenated in ``arrays``.
-
-        Bag ``b`` reads the catalog columns ``columns[b]`` and starts at
-        ``base[b]``.  Each tree is a view into ``arrays``.
-        """
-        forest = Forest(columns, base, hp.shrinkage, sizes, *arrays)
-        spans = zip(forest.roots.tolist(), np.cumsum(sizes).tolist())
-        trees = [RegressionTree(*(a[i:j] for a in arrays)) for i, j in spans]
-        k = hp.trees_per_bag
-        bags = [
-            _Bag(feature_idx=c, base=float(v), trees=trees[i * k : (i + 1) * k])
-            for i, (c, v) in enumerate(zip(columns, base))
+    @property
+    def bags(self) -> list[_Bag]:
+        """Each bag's catalog columns, base and trees (views into the table)."""
+        k = self.forest.trees_per_bag
+        return [
+            _Bag(feature_idx=c, base=float(v), trees=self.forest.trees[i * k : (i + 1) * k])
+            for i, (c, v) in enumerate(zip(self.forest.columns, self.forest.base))
         ]
-        return cls(hp, seed, bags, fingerprint, forest)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         if CATALOG.fingerprint() != self.catalog_fingerprint:
@@ -124,17 +112,14 @@ class RankModel:
 
     @classmethod
     def from_json(cls, text: str) -> "RankModel":
-        """Parse :meth:`to_json` output; anything else raises SchemaError.
-
-        Each node array is converted and checked for all trees at once, from
-        the concatenation of the trees' lists.
-        """
+        """Parse :meth:`to_json` output of a model trained against this
+        catalog; anything else raises SchemaError."""
         try:
             d = json.loads(text)
             if not isinstance(d, dict) or type(d.get("version")) is not int or d["version"] != 1:
                 raise SchemaError("not a version-1 model file")
             hp = Hyperparams(**d["hyperparams"])
-            seed, bags = d["seed"], d["bags"]
+            seed, bags, fingerprint = d["seed"], d["bags"], d["catalog_fingerprint"]
             if type(seed) is not int:
                 raise SchemaError(f"model seed must be an integer, got {seed!r}")
             if len(bags) != hp.n_bags:
@@ -148,22 +133,15 @@ class RankModel:
             k = hp.trees_per_bag
             if any(len(b["trees"]) != k for b in bags):
                 raise SchemaError(f"every bag must hold {k} trees, as its hyperparams say")
-            trees = [t for b in bags for t in b["trees"]]
-            lengths = np.array(
-                [[len(t[a]) if type(t[a]) is list else -1 for a in NODE_ARRAYS] for t in trees]
-            )
-            if (lengths != lengths[:, :1]).any():
-                raise SchemaError("tree node arrays must be equally long lists")
-            arrays = []
-            for a in NODE_ARRAYS:
-                values = list(chain.from_iterable(t[a] for t in trees))
-                arrays.append(
-                    np.array(values, dtype=np.float64) if a in ("threshold", "value")
-                    else index_array(values, f"tree {a}")
+            if fingerprint != CATALOG.fingerprint():
+                raise SchemaError(
+                    f"model was trained against catalog {fingerprint!r}, "
+                    f"this one is {CATALOG.fingerprint()}"
                 )
-            fingerprint = str(d["catalog_fingerprint"])
+            trees = [t for b in bags for t in b["trees"]]
+            nodes = read_nodes(trees)
             del d, bags, trees  # the table reuses the parsed file's memory
-            return cls.of_nodes(hp, seed, fingerprint, columns, base, lengths[:, 0], arrays)
+            return cls(hp, seed, fingerprint, Forest(columns, base, hp.shrinkage, *nodes))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"malformed model file: {exc!r}") from exc
 
@@ -200,7 +178,8 @@ def train_ranker(
         trees += boost(grower, yb, base, hp.trees_per_bag, hp.shrinkage, hp.max_leaves, lambda z: z)
         columns.append(feats)
         bases.append(base)
-    return RankModel.of_nodes(hp, seed, CATALOG.fingerprint(), columns, bases, *node_arrays(trees))
+    forest = Forest(columns, bases, hp.shrinkage, *node_arrays(trees))
+    return RankModel(hp, seed, CATALOG.fingerprint(), forest)
 
 
 def rank_tests(model: RankModel, matrix: FeatureMatrix) -> list[str]:

@@ -23,6 +23,12 @@ Scoring stores every tree of an ensemble in one :class:`Forest` node table
 and walks all (tree, row) pairs together, one numpy step per depth level
 (:func:`walk`), as QuickScorer lays an ensemble out (Lucchese et al., SIGIR
 2015).  :meth:`RegressionTree.predict` is the same walk over one tree.
+
+This module alone knows the per-tree node lists of a model file
+(:meth:`RegressionTree.to_dict`).  :func:`read_nodes` converts them, and
+:class:`Forest` checks the node arrays, whether they were read or trained,
+and hands its trees out as views into them.  The ranker and the commit
+classifier check only their own fields.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 import heapq
 import operator
 from collections.abc import Callable
+from itertools import chain
 
 import numpy as np
 
@@ -215,49 +222,39 @@ class RegressionTree:
             "value": self.value.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict, n_features: int) -> "RegressionTree":
-        """Parse :meth:`to_dict` output of a tree over ``n_features`` columns.
 
-        Raises SchemaError unless the split features and children are
-        integers and :func:`check_nodes` accepts the tree.
-        """
-        feature, left, right = (
-            index_array(d[k], f"tree {k}") for k in ("feature", "left", "right")
-        )
-        tree = cls(feature, d["threshold"], left, right, d["value"])
-        check_nodes([len(tree.feature)], [n_features], *(getattr(tree, k) for k in NODE_ARRAYS))
-        return tree
-
-
-def node_arrays(trees: list[RegressionTree]) -> tuple[list[int], list[np.ndarray]]:
-    """The node counts of ``trees`` and their node arrays, each concatenated."""
+def node_arrays(trees: list[RegressionTree]) -> tuple:
+    """The node counts of ``trees``, then their node arrays, each concatenated:
+    the last arguments of :class:`Forest`."""
     typed = RegressionTree([], [], [], [], [])  # gives the arrays their dtypes when empty
     arrays = [np.concatenate([getattr(t, k) for t in (typed, *trees)]) for k in NODE_ARRAYS]
-    return [len(t.feature) for t in trees], arrays
+    return [len(t.feature) for t in trees], *arrays
 
 
-def check_nodes(sizes, widths, feature, threshold, left, right, value) -> None:
-    """Raise SchemaError unless these are the concatenated node arrays of
-    trees of ``sizes`` nodes, each over ``widths`` columns.
+def read_nodes(tree_dicts) -> tuple:
+    """:func:`node_arrays` of trees in :meth:`RegressionTree.to_dict` form.
 
-    The arrays must be equally long and each tree nonempty, and every inner
-    node must split on one of its tree's columns into two later nodes of the
-    same tree, which keeps :func:`walk` in bounds and acyclic.
+    Raises SchemaError unless ``tree_dicts`` is a list of trees whose node
+    arrays are equally long lists, with JSON integers for the split features
+    and children; :class:`Forest` checks the rest.  Each array is converted
+    once, from the concatenation of every tree's list.
     """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    n = int(sizes.sum())
-    if (sizes < 1).any() or any(a.shape != (n,) for a in (feature, threshold, left, right, value)):
-        raise SchemaError("tree node arrays must be nonempty and equally long")
-    inner = np.flatnonzero(feature >= 0)
-    starts = np.cumsum(sizes) - sizes
-    tree = np.searchsorted(starts, inner, side="right") - 1
-    position = inner - starts[tree]
-    for child in (left[inner], right[inner]):
-        if ((child <= position) | (child >= sizes[tree])).any():
-            raise SchemaError("tree child indices must lie after their node and inside its tree")
-    if (feature[inner] >= np.asarray(widths)[tree]).any():
-        raise SchemaError("tree split features must lie below the tree's column count")
+    if type(tree_dicts) is not list:
+        raise SchemaError("trees must be a list")
+    lengths = np.array(
+        [[len(t[a]) if type(t[a]) is list else -1 for a in NODE_ARRAYS] for t in tree_dicts],
+        dtype=np.int64,
+    ).reshape(-1, len(NODE_ARRAYS))
+    if (lengths != lengths[:, :1]).any():
+        raise SchemaError("tree node arrays must be equally long lists")
+    arrays = []
+    for a in NODE_ARRAYS:
+        values = list(chain.from_iterable(t[a] for t in tree_dicts))
+        arrays.append(
+            np.array(values, dtype=np.float64) if a in ("threshold", "value")
+            else index_array(values, f"tree {a}")
+        )
+    return lengths[:, 0].tolist(), *arrays
 
 
 def split_matrix(X, width: int) -> np.ndarray:
@@ -306,9 +303,10 @@ class Forest:
     and its root is row ``roots[k]`` of the table.  A node holds the matrix
     column it splits on (its bag's column map applied), its threshold, its
     children as table rows (a leaf names itself) and its value; ``base``
-    holds each bag's starting score.  The values are kept as the trees hold
-    them and multiplied by ``shrinkage`` once looked up, the product the
-    trees' own loop forms, so a loaded model shares them with its trees.
+    holds each bag's starting score and ``columns`` each bag's column map.
+    The values are kept as the trees hold them and multiplied by
+    ``shrinkage`` once looked up, the product the trees' own loop forms, so
+    the table shares them with ``trees``.
     """
 
     def __init__(
@@ -318,36 +316,52 @@ class Forest:
 
         ``columns[b]`` maps bag ``b``'s column numbers to matrix columns.
         The node arrays are the trees' own (:data:`NODE_ARRAYS`),
-        concatenated; :func:`check_nodes` must accept them.
+        concatenated, as :func:`node_arrays` and :func:`read_nodes` give them.
+        Raises SchemaError unless every bag holds as many trees, the arrays
+        are equally long, every tree is nonempty, and every inner node splits
+        on one of its bag's columns into two later nodes of the same tree,
+        which keeps :func:`walk` in bounds and acyclic.
         """
         sizes = np.asarray(sizes, dtype=np.int64)
         self.base = np.asarray(base, dtype=np.float64)
         self.trees_per_bag = len(sizes) // len(self.base)
         if self.trees_per_bag * len(self.base) != len(sizes):
             raise SchemaError("every bag must hold the same number of trees")
-        widths = np.array([len(c) for c in columns])
-        bag = np.arange(len(sizes)) // self.trees_per_bag
-        check_nodes(sizes, widths[bag], feature, threshold, left, right, value)
+        arrays = (feature, threshold, left, right, value)
+        n = int(sizes.sum())
+        if (sizes < 1).any() or any(a.shape != (n,) for a in arrays):
+            raise SchemaError("tree node arrays must be nonempty and equally long")
         self.roots = np.cumsum(sizes) - sizes
         inner = np.flatnonzero(feature >= 0)
         tree = np.searchsorted(self.roots, inner, side="right") - 1
+        offset = self.roots[tree]
+        position = inner - offset
+        for child in (left[inner], right[inner]):
+            if ((child <= position) | (child >= sizes[tree])).any():
+                raise SchemaError(
+                    "tree child indices must lie after their node and inside its tree"
+                )
+        widths = np.array([len(c) for c in columns])
+        bag = tree // self.trees_per_bag
+        if (feature[inner] >= widths[bag]).any():
+            raise SchemaError("tree split features must lie below the tree's column count")
         # where the bag of each inner node starts in the concatenated ``columns``
-        first = (np.cumsum(widths) - widths)[bag[tree]]
+        first = (np.cumsum(widths) - widths)[bag]
         # a column is only added to a row offset, never used as an index, so
         # int32 halves the array at no cost to the walk
-        self.feature = np.full(len(feature), -1, dtype=np.int32)
+        self.feature = np.full(n, -1, dtype=np.int32)
         self.feature[inner] = np.concatenate(columns)[first + feature[inner]]
-        self.left, self.right = np.arange(len(feature)), np.arange(len(feature))
-        self.left[inner] = left[inner] + self.roots[tree]
-        self.right[inner] = right[inner] + self.roots[tree]
+        self.left, self.right = np.arange(n), np.arange(n)
+        self.left[inner] = left[inner] + offset
+        self.right[inner] = right[inner] + offset
         self.threshold, self.value, self.shrinkage = threshold, value, shrinkage
         self.width = int(self.feature.max(initial=-1)) + 1
-
-    @classmethod
-    def of(cls, columns, base, shrinkage: float, trees: list[RegressionTree]) -> "Forest":
-        """The table of ``trees``, listed bag by bag."""
-        sizes, arrays = node_arrays(trees)
-        return cls(columns, base, shrinkage, sizes, *arrays)
+        self.columns = columns
+        # each tree is a view into the node arrays
+        self.trees = [
+            RegressionTree(*(a[i:j] for a in arrays))
+            for i, j in zip(self.roots.tolist(), (self.roots + sizes).tolist())
+        ]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Each row's score: the mean over bags of ``base`` plus ``shrinkage``

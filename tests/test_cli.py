@@ -245,6 +245,11 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
             "prioritize", "--build", "1", "--model",
             model_arg(model={"hyperparams": {"n_bags": 1, "trees_per_bag": 2}}),
         ],
+        [
+            "prioritize", "--build", "1", "--model",
+            model_arg(model={"catalog_fingerprint": "deadbeef"}),
+        ],
+        ["prioritize", "--build", "1", "--model", model_arg(model={"catalog_fingerprint": ["x"]})],
         ["evaluate", "--config", '@{"max_bulds": 3}'],
         ["extract", "--build", "1", "--config", '@{"impact_dept": -5, "max_rw": -3}'],
         ["prioritize", "--build", "1", "--model", model_arg(), "--config", '@{"seed": 3}'],
@@ -270,7 +275,8 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
         "model-child-past-end", "model-child-self-loop", "model-arrays-differ",
         "model-split-feature-outside-bag", "model-feature-fraction", "model-left-bool",
         "model-right-float", "model-feature-idx-fraction", "model-version-bool",
-        "model-seed-bool", "model-base-bool", "model-tree-count", "config-misspelt-key",
+        "model-seed-bool", "model-base-bool", "model-tree-count", "model-fingerprint-other",
+        "model-fingerprint-list", "config-misspelt-key",
         "config-keys-of-other-flags", "config-seed-on-prioritize", "max-builds-bool",
         "max-rw-bool", "synth-n-tests-string", "synth-base-failure-string",
         "synth-files-per-build-above-n-files", "synth-n-builds-bool", "synth-n-builds-negative",

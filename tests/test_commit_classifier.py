@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from tcpci.commit_classifier import (
     preprocess_message,
     train_classifier,
 )
-from tcpci.errors import DegenerateCorpusError
+from tcpci.errors import DegenerateCorpusError, SchemaError
 from tcpci.stemming import stem
 from test_ranker import _stack_walk
 
@@ -110,6 +111,44 @@ def test_model_json_round_trip():
     assert np.array_equal(p1, p2)
 
 
+def _classifier_file(**keys):
+    """A one-word classifier file with one stump, with ``keys`` replaced."""
+    stump = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
+             "right": [2, -1, -1], "value": [0.0, -1.0, 1.0]}
+    return json.dumps({"version": 1, "vocabulary": ["fix"], "idf": [1.0], "base_score": 0.0,
+                       "shrinkage": 0.2, "threshold": 0.5, "trees": [stump], **keys})
+
+
+def test_hand_built_classifier_loads():
+    # the malformed files below each change one thing of this one
+    clf = CommitClassifier.from_json(_classifier_file())
+    assert clf.classify("fix it") and not clf.classify("add docs")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        "[]",
+        _classifier_file(version=2),
+        _classifier_file(version=True),
+        "{}",
+        _classifier_file(base_score="0.5"),
+        _classifier_file(idf=[1.0, 2.0]),
+        _classifier_file(idf=[]),
+        _classifier_file(idf=["1.0"]),
+        _classifier_file(trees="abc"),
+    ],
+    ids=[
+        "bad-json", "not-an-object", "version-2", "version-bool", "missing-keys",
+        "base-score-string", "idf-too-long", "idf-too-short", "idf-string", "trees-string",
+    ],
+)
+def test_malformed_classifier_file_raises_schema_error(text):
+    with pytest.raises(SchemaError):
+        CommitClassifier.from_json(text)
+
+
 @pytest.mark.parametrize("n_trees", [0, 12])
 def test_probabilities_match_the_stack_walk(n_trees):
     msgs, labels = separable_corpus(n=120, seed=9)
@@ -117,9 +156,9 @@ def test_probabilities_match_the_stack_walk(n_trees):
     clf = train_classifier(msgs, labels + [False, False, True], n_trees=n_trees, max_leaves=6)
     docs = [preprocess_message(m) for m in msgs]
     X = clf.vectorizer.transform(docs)
-    z = np.full(len(X), clf.base_score)
-    for tree in clf.trees:
-        z += clf.shrinkage * _stack_walk(tree, X)
+    z = np.full(len(X), clf.forest.base[0])
+    for tree in clf.forest.trees:
+        z += clf.forest.shrinkage * _stack_walk(tree, X)
     expected = _sigmoid(z)
     expected[[not d for d in docs]] = 0.0
     assert clf.predict_proba(msgs).tobytes() == expected.tobytes()

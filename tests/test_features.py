@@ -231,18 +231,6 @@ def test_identical_tests_get_identical_rows():
     assert np.array_equal(m.values[i], m.values[j])
 
 
-def test_matrix_csv_round_trip(tmp_path):
-    history = make_history([({F1}, [(T, P, 1.0), (F2, P, 2.0)])])
-    ex = FeatureExtractor(history, default_sources())
-    m = ex.matrix(1)
-    path = tmp_path / "features" / "build_1.csv"
-    m.write_csv(path)
-    again = FeatureMatrix.read_csv(path)
-    assert again.build == 1
-    assert again.tests == m.tests
-    assert np.array_equal(again.values, m.values)
-
-
 def test_feature_matrix_shape_and_nan():
     FeatureMatrix(1, ("t",), np.zeros((1, 150)))
     with pytest.raises(ValueError):

@@ -47,13 +47,6 @@ def test_tree_fits_simple_threshold():
     assert np.array_equal(fitted, y)
 
 
-def test_tree_json_round_trip():
-    X, y = toy_data(d=5)
-    tree = RegressionTree.fit(Grower(X[:, :5]), y, 8, np.empty(len(y)))
-    again = RegressionTree.from_dict(tree.to_dict(), 5)
-    assert np.array_equal(tree.predict(X[:, :5]), again.predict(X[:, :5]))
-
-
 def _mixed_columns(rng, n, kinds):
     cols = {
         0: lambda: np.full(n, rng.choice([1.5, 0.0, -0.0])),
