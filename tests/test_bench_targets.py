@@ -6,7 +6,6 @@ A rename in ``src/tcpci`` would break only the traced benchmark, which the
 suite under ``tests/`` does not run; these checks catch it here.
 """
 
-import importlib
 import importlib.util
 import inspect
 from pathlib import Path
