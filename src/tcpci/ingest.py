@@ -16,6 +16,12 @@ where each file entry has ``path, added, deleted, added_chunks,
 deleted_chunks`` and optionally ``unit_risks`` (written by
 :func:`write_dataset` when risk data is available, so that a round trip is
 lossless).
+
+:func:`ingest_git_history` mines the same records from a live repository
+with one ``git diff-tree`` process for all commits.  A merge is diffed
+against its first parent, and a rename is recorded as a delete plus an
+add.  A file's line counts and chunk starts come from the ``@@`` hunk
+headers of its ``-U0`` diff, never from the content lines.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .code_analysis import assess_chunk_risks
 from .errors import (
     DuplicateRecordError,
     EmptyBuildError,
@@ -50,7 +57,12 @@ from .model import (
 log = logging.getLogger(__name__)
 
 _HASH_RE = re.compile(r"^[0-9a-f]{40}$")
-_HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@")
+_HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@", re.M)
+# The line that starts a file's diff, and the id line diff-tree prints
+# before a commit's diff.  A content line starts with "+", "-", " " or a
+# backslash, so it can be neither.
+_FILE_RE = re.compile(r"^diff --git ", re.M)
+_COMMIT_LINE_RE = re.compile(r"^([0-9a-f]{40}(?:[0-9a-f]{24})?)\n", re.M)
 
 
 @dataclass(frozen=True)
@@ -289,129 +301,87 @@ def write_dataset(history: BuildHistory, root: Path) -> DatasetLayout:
 # --- git mining ---------------------------------------------------------
 
 
-def _git(repo: Path, *args: str) -> str:
+def _git(repo: Path, *args: str, stdin: str = "") -> str:
+    """Output of ``git -C repo args``, fed ``stdin``.
+
+    The output is decoded without newline translation, so a CR in file
+    content stays inside its line and cannot start one that reads as a
+    diff header.
+    """
     proc = subprocess.run(
-        ["git", "-C", str(repo), *args],
-        capture_output=True,
-        text=True,
-        errors="replace",
+        ["git", "-C", str(repo), *args], input=stdin.encode(), capture_output=True
     )
     if proc.returncode != 0:
-        raise RuntimeError(proc.stderr.strip())
-    return proc.stdout
+        raise RuntimeError(proc.stderr.decode(errors="replace").strip())
+    return proc.stdout.decode(errors="replace")
 
 
-def _parse_diff(text: str, commit: str) -> list[tuple[FileChange, list, list]]:
-    """Parse ``-U0`` unified diff output into per-file changes.
+def _blob(repo: Path, rev: str, path: str) -> str:
+    try:
+        return _git(repo, "show", f"{rev}:{path}")
+    except RuntimeError:
+        return ""
 
-    Added chunk starts use new-file line numbers, deleted chunk starts use
-    old-file line numbers.  Unparseable file sections are skipped with a
-    warning; the commit itself is retained.  Each change comes back with
-    its (start, length) chunk spans, which are needed for risk assessment
-    but are not part of the stored change record.
+
+def _parse_diff(repo: Path, sha: str, parent: str | None, diff: str) -> list[FileChange]:
+    """Per-file changes of one commit from its ``-U0`` diff against ``parent``.
+
+    Only header lines are read: a file's path from the ``---``/``+++``
+    lines before its first hunk, and its (start, length) spans from the
+    ``@@`` hunk headers, which under ``-U0`` cover every added and deleted
+    line.  Added chunk starts use new-file line numbers, deleted chunk
+    starts old-file line numbers.  A file without ``---``/``+++`` lines
+    (binary, mode-only or empty) is not recorded, and one with an
+    unparseable hunk header is skipped with a warning.  Java files carry
+    the unit risks of their chunks, read from the blobs of the sides that
+    have chunks.
     """
-    changes: list[tuple[FileChange, list, list]] = []
-    current: dict | None = None
-
-    def flush():
-        if current is not None and current["path"] is not None:
-            changes.append(
-                (
-                    FileChange(
-                        path=current["path"],
-                        lines_added=current["added"],
-                        lines_deleted=current["deleted"],
-                        added_chunks=tuple(s for s, _ in current["added_chunks"]),
-                        deleted_chunks=tuple(s for s, _ in current["deleted_chunks"]),
-                    ),
-                    current["added_chunks"],
-                    current["deleted_chunks"],
-                )
-            )
-
-    for line in text.splitlines():
-        if line.startswith("diff --git "):
-            flush()
-            current = {
-                "path": None,
-                "added": 0,
-                "deleted": 0,
-                "added_chunks": [],
-                "deleted_chunks": [],
-            }
-        elif current is None:
+    changes = []
+    for section in _FILE_RE.split(diff)[1:]:
+        header, _, body = section.partition("\n@@")
+        paths = dict(
+            line.split(" ", 1) for line in header.split("\n") if line[:4] in ("--- ", "+++ ")
+        )
+        new, old = paths.get("+++", "/dev/null"), paths.get("---", "/dev/null")
+        if new != "/dev/null":
+            path = new.removeprefix("b/")
+        elif old != "/dev/null":
+            path = old.removeprefix("a/")
+        else:
             continue
-        elif line.startswith("+++ "):
-            target = line[4:]
-            if target != "/dev/null":
-                current["path"] = target[2:] if target.startswith("b/") else target
-        elif line.startswith("--- "):
-            source = line[4:]
-            if current["path"] is None and source != "/dev/null":
-                # deletion: keep the old path so the removal is attributed
-                current["path"] = source[2:] if source.startswith("a/") else source
-        elif line.startswith("@@"):
-            m = _HUNK_RE.match(line)
-            if m is None:
-                log.warning("commit %s: unparseable hunk header %r; file skipped", commit, line)
-                current["path"] = None
-                continue
-            old_start, old_len = int(m.group(1)), int(m.group(2) or "1")
-            new_start, new_len = int(m.group(3)), int(m.group(4) or "1")
-            if new_len > 0:
-                current["added_chunks"].append((max(new_start, 1), new_len))
-            if old_len > 0:
-                current["deleted_chunks"].append((max(old_start, 1), old_len))
-        elif line.startswith("+") and not line.startswith("+++"):
-            current["added"] += 1
-        elif line.startswith("-") and not line.startswith("---"):
-            current["deleted"] += 1
-    flush()
-    return changes
-
-
-def _attach_unit_risks(
-    repo: Path, sha: str, parent: str | None, changes: list[tuple[FileChange, list, list]]
-) -> list[FileChange]:
-    """Derive per-chunk unit risk for Java files from blob contents."""
-    from .code_analysis import assess_chunk_risks
-
-    out = []
-    for fc, added_spans, deleted_spans in changes:
-        if not fc.path.endswith(".java"):
-            out.append(fc)
+        hunks = _HUNK_RE.findall("@@" + body)
+        if len(hunks) != body.count("\n@@") + 1:
+            log.warning("commit %s: unparseable hunk header in %s; file skipped", sha, path)
             continue
-        try:
-            post = _git(repo, "show", f"{sha}:{fc.path}")
-        except RuntimeError:
-            post = ""
-        pre = ""
-        if parent is not None:
-            try:
-                pre = _git(repo, "show", f"{parent}:{fc.path}")
-            except RuntimeError:
-                pre = ""
-        risks = assess_chunk_risks(pre, post, added_spans, deleted_spans)
-        out.append(
+        spans = [(int(a), int(b or 1), int(c), int(d or 1)) for a, b, c, d in hunks]
+        added = [(max(c, 1), d) for _, _, c, d in spans if d]
+        deleted = [(max(a, 1), b) for a, b, _, _ in spans if b]
+        risks = None
+        if path.endswith(".java"):
+            post = _blob(repo, sha, path) if added else ""
+            pre = _blob(repo, parent, path) if deleted and parent else ""
+            risks = tuple(assess_chunk_risks(pre, post, added, deleted)) or None
+        changes.append(
             FileChange(
-                path=fc.path,
-                lines_added=fc.lines_added,
-                lines_deleted=fc.lines_deleted,
-                added_chunks=fc.added_chunks,
-                deleted_chunks=fc.deleted_chunks,
-                unit_risks=tuple(risks) if risks else None,
+                path=path,
+                lines_added=sum(n for _, n in added),
+                lines_deleted=sum(n for _, n in deleted),
+                added_chunks=tuple(s for s, _ in added),
+                deleted_chunks=tuple(s for s, _ in deleted),
+                unit_risks=risks,
             )
         )
-    return out
+    return changes
 
 
 def ingest_git_history(repo_path: Path | str, until: str = "HEAD") -> list[Commit]:
     """Mine commits up to ``until`` from a git repository.
 
     Commits come back in topological-then-timestamp order (parents before
-    children).  Merge commits are diffed against their first parent; file
-    renames are recorded as delete+add.  Reads committed objects only, so
-    the result is independent of working-tree state.
+    children).  One ``git diff-tree`` process diffs every commit: merge
+    commits against their first parent, file renames recorded as
+    delete+add.  Reads committed objects only, so the result is
+    independent of working-tree state.
     """
     repo = Path(repo_path)
     try:
@@ -421,37 +391,31 @@ def ingest_git_history(repo_path: Path | str, until: str = "HEAD") -> list[Commi
     try:
         head = _git(repo, "rev-parse", "--verify", f"{until}^{{commit}}").strip()
     except RuntimeError as exc:
-        if "Needed a single revision" in str(exc) or "unknown revision" in str(exc):
-            # empty repository with until=HEAD resolves to no commits
-            try:
-                if not _git(repo, "rev-list", "--all").strip():
-                    if until == "HEAD":
-                        return []
-            except RuntimeError:
-                pass
+        if until == "HEAD" and not _git(repo, "rev-list", "--all").strip():
+            return []  # an empty repository
         raise UnresolvableRefError(f"cannot resolve {until!r} in {repo}") from exc
 
     log_text = _git(
         repo, "log", "--topo-order", "--reverse", "--no-abbrev",
         "--format=%x1e%H%x1f%P%x1f%at%x1f%an%x1f%B", head,
     )
-    commits = []
-    for block in log_text.split("\x1e")[1:]:
-        sha, parents, at, author, message = block.split("\x1f", 4)
-        first_parent = parents.split()[0] if parents else None
-        if first_parent is None:
-            diff = _git(repo, "diff-tree", "--root", "--no-renames", "-r", "-U0", "-p", sha)
-        else:
-            diff = _git(repo, "diff-tree", "--no-renames", "-r", "-U0", "-p", first_parent, sha)
-        changes = _parse_diff(diff, sha)
-        changes = _attach_unit_risks(repo, sha, first_parent, changes)
-        commits.append(
-            Commit(
-                id=sha,
-                timestamp=datetime.fromtimestamp(int(at), tz=timezone.utc),
-                author=author,
-                message=message.rstrip("\n"),
-                file_changes=tuple(changes),
-            )
+    blocks = [block.split("\x1f", 4) for block in log_text.split("\x1e")[1:]]
+    first_parent = {sha: (parents.split() or [None])[0] for sha, parents, *_ in blocks}
+    # one line per commit: its id and first parent, or its id alone for a
+    # root commit; --always prints the id line of an empty diff too
+    diff_text = _git(
+        repo, "diff-tree", "--stdin", "--root", "--always", "--no-renames", "-r", "-U0", "-p",
+        stdin="".join(f"{sha} {p}\n" if p else f"{sha}\n" for sha, p in first_parent.items()),
+    )
+    parts = _COMMIT_LINE_RE.split(diff_text)
+    diffs = dict(zip(parts[1::2], parts[2::2]))
+    return [
+        Commit(
+            id=sha,
+            timestamp=datetime.fromtimestamp(int(at), tz=timezone.utc),
+            author=author,
+            message=message.rstrip("\n"),
+            file_changes=tuple(_parse_diff(repo, sha, first_parent[sha], diffs[sha])),
         )
-    return commits
+        for sha, _, at, author, message in blocks
+    ]

@@ -198,6 +198,40 @@ def test_mine_merge_against_first_parent(repo):
     assert [(fc.path, fc.lines_added, fc.lines_deleted) for fc in merge] == [("B.java", 3, 0)]
 
 
+def test_mine_counts_match_numstat(repo):
+    # content lines that read as diff headers once their +/- is put in front
+    # of them, a lone CR, a merge, a binary file and an empty commit
+    def commit(message, **files):
+        for path, data in files.items():
+            (repo / path).write_bytes(data)
+            _git(repo, "add", path)
+        _git(repo, "commit", "-q", "--allow-empty", "-m", message)
+
+    commit("add", **{"A.java": b"class A {\n-- k\n++ m\n}\n", "B.txt": b"b\n"})
+    commit("edit", **{"A.java": b"class A {\n++ j\n+++ b/x\n@@ -1 +1 @@\n}\n"})
+    commit("empty")
+    _git(repo, "checkout", "-q", "-b", "side")
+    commit("side", **{"C.bin": b"\0\1\2", "B.txt": b"b\r@@ -9 +9 @@\n-- z\n"})
+    _git(repo, "checkout", "-q", "-")
+    commit("edit again", **{"A.java": b"--- a/q\n}\n"})
+    _git(repo, "merge", "-q", "--no-ff", "-m", "merge side", "side")
+    commits = ingest_git_history(repo)
+    assert [c.message for c in commits][-1] == "merge side" and len(commits) == 6
+    for i, c in enumerate(commits):
+        against = [f"{c.id}^1", c.id] if i else ["--root", c.id]
+        numstat = subprocess.run(
+            ["git", "-C", str(repo), "diff-tree", "--no-commit-id", "--numstat", "--no-renames",
+             "-r", *against],
+            check=True, capture_output=True, text=True,
+        ).stdout.splitlines()
+        expected = [
+            (path, int(added), int(deleted))
+            for added, deleted, path in (line.split("\t") for line in numstat)
+            if added != "-"  # a binary file has no line counts and is not recorded
+        ]
+        assert [(fc.path, fc.lines_added, fc.lines_deleted) for fc in c.file_changes] == expected
+
+
 def test_empty_repo_yields_no_commits(repo):
     assert ingest_git_history(repo) == []
 
