@@ -29,11 +29,13 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import re
 import subprocess
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_type_hints
 
 from .code_analysis import assess_chunk_risks
 from .errors import (
@@ -157,11 +159,34 @@ def _read_exec_records_csv(path: Path) -> dict[int, dict[str, list[ExecutionReco
             if key in seen:
                 raise DuplicateRecordError(f"{path}:{lineno}: duplicate record {key}")
             seen.add(key)
-            if duration < 0:
-                raise SchemaError(f"{path}:{lineno}: negative duration")
+            if not 0 <= duration < math.inf:
+                raise SchemaError(
+                    f"{path}:{lineno}: duration_ms must be finite and >= 0, "
+                    f"got {row['duration_ms']!r}"
+                )
             rec = ExecutionRecord(build_id, test, verdict, duration)
             per_build.setdefault(build_id, {}).setdefault(row["job_id"], []).append(rec)
     return per_build
+
+
+def _typed(obj: dict, types: dict[str, type]) -> dict:
+    """``obj``, after checking that each key of ``types`` holds a value of
+    exactly that type: a bool does not pass for an int, nor a float."""
+    for key, kind in types.items():
+        if type(obj[key]) is not kind:
+            raise TypeError(f"{key} must be {kind.__name__}, got {obj[key]!r}")
+    return obj
+
+
+def _starts(values) -> tuple[int, ...]:
+    if type(values) is not list or any(type(v) is not int for v in values):
+        raise TypeError(f"chunk starts must be a list of integers, got {values!r}")
+    return tuple(values)
+
+
+_COMMIT_TYPES = {"hash": str, "author": str, "message": str}
+_FILE_TYPES = {"path": str, "added": int, "deleted": int}
+_UNIT_RISK_TYPES = get_type_hints(UnitRisk)
 
 
 def read_commits_jsonl(path: Path) -> list[Commit]:
@@ -175,18 +200,22 @@ def read_commits_jsonl(path: Path) -> list[Commit]:
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"{path}:{lineno}: invalid JSON") from exc
             try:
+                _typed(obj, _COMMIT_TYPES)
                 changes = []
                 for fobj in obj["files"]:
+                    _typed(fobj, _FILE_TYPES)
                     risks = None
                     if fobj.get("unit_risks") is not None:
-                        risks = tuple(UnitRisk(**r) for r in fobj["unit_risks"])
+                        risks = tuple(
+                            UnitRisk(**_typed(r, _UNIT_RISK_TYPES)) for r in fobj["unit_risks"]
+                        )
                     changes.append(
                         FileChange(
                             path=fobj["path"],
-                            lines_added=int(fobj["added"]),
-                            lines_deleted=int(fobj["deleted"]),
-                            added_chunks=tuple(fobj.get("added_chunks", ())),
-                            deleted_chunks=tuple(fobj.get("deleted_chunks", ())),
+                            lines_added=fobj["added"],
+                            lines_deleted=fobj["deleted"],
+                            added_chunks=_starts(fobj.get("added_chunks", [])),
+                            deleted_chunks=_starts(fobj.get("deleted_chunks", [])),
                             unit_risks=risks,
                         )
                     )

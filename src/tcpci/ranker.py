@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -119,6 +119,9 @@ class RankModel:
             if not isinstance(d, dict) or type(d.get("version")) is not int or d["version"] != 1:
                 raise SchemaError("not a version-1 model file")
             hp = Hyperparams(**d["hyperparams"])
+            missing = [f.name for f in fields(Hyperparams) if f.name not in d["hyperparams"]]
+            if missing:
+                raise SchemaError(f"model hyperparams lack {missing}")
             seed, bags, fingerprint = d["seed"], d["bags"], d["catalog_fingerprint"]
             if type(seed) is not int:
                 raise SchemaError(f"model seed must be an integer, got {seed!r}")

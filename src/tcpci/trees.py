@@ -62,6 +62,17 @@ def index_array(values, what: str) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
+def number_array(values: list, what: str) -> np.ndarray:
+    """``values`` as a float64 array.
+
+    Raises SchemaError unless every value is a JSON number: a float64 cast
+    would take a numeric string and a bool.
+    """
+    if not {int, float}.issuperset(map(type, values)):
+        raise SchemaError(f"{what} must be a list of numbers")
+    return np.array(values, dtype=np.float64)
+
+
 class Grower:
     """A training matrix sorted once, for growing any number of trees on it.
 
@@ -236,7 +247,8 @@ def read_nodes(tree_dicts) -> tuple:
 
     Raises SchemaError unless ``tree_dicts`` is a list of trees whose node
     arrays are equally long lists, with JSON integers for the split features
-    and children; :class:`Forest` checks the rest.  Each array is converted
+    and children and JSON numbers for the thresholds and values;
+    :class:`Forest` checks the rest.  Each array is converted
     once, from the concatenation of every tree's list.
     """
     if type(tree_dicts) is not list:
@@ -251,7 +263,7 @@ def read_nodes(tree_dicts) -> tuple:
     for a in NODE_ARRAYS:
         values = list(chain.from_iterable(t[a] for t in tree_dicts))
         arrays.append(
-            np.array(values, dtype=np.float64) if a in ("threshold", "value")
+            number_array(values, f"tree {a}") if a in ("threshold", "value")
             else index_array(values, f"tree {a}")
         )
     return lengths[:, 0].tolist(), *arrays

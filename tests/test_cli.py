@@ -15,6 +15,9 @@ SYNTH_CFG = {
 }
 
 HP_FLAGS = ["--bags", "6", "--trees-per-bag", "2", "--max-leaves", "16"]
+# every hyperparameter a model file must declare, for a one-stump model
+HYPERPARAMS = {"n_bags": 1, "trees_per_bag": 1, "max_leaves": 2, "shrinkage": 0.2,
+               "sample_rate": 0.5, "feature_rate": 0.3}
 
 
 def model_arg(feature_idx=(0,), bag=None, model=None, **tree):
@@ -26,7 +29,7 @@ def model_arg(feature_idx=(0,), bag=None, model=None, **tree):
            **(bag or {})}
     return "@" + json.dumps({
         "version": 1, "catalog_fingerprint": CATALOG.fingerprint(), "seed": 0,
-        "hyperparams": {"n_bags": 1, "trees_per_bag": 1}, "bags": [bag], **(model or {}),
+        "hyperparams": HYPERPARAMS, "bags": [bag], **(model or {}),
     })
 
 
@@ -175,6 +178,52 @@ def test_corrupt_exec_records_exits_2(dataset, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+RISK = {"lines_added": 1, "lines_deleted": 0, "low_size": True, "low_complexity": True,
+        "low_interfacing": True}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"duration_ms": "nan"},
+        {"duration_ms": "inf"},
+        {"message": 5},
+        {"author": None},
+        {"path": 1},
+        {"added": 3.7},
+        {"added": True},
+        {"deleted": "2"},
+        {"added_chunks": [2.5]},
+        {"unit_risks": [{**RISK, "lines_added": "x"}]},
+        {"unit_risks": [{**RISK, "low_size": 1}]},
+    ],
+    ids=[
+        "duration-nan", "duration-inf", "message-int", "author-null", "path-int",
+        "added-fraction", "added-bool", "deleted-string", "chunk-start-fraction",
+        "unit-risk-lines-string", "unit-risk-flag-int",
+    ],
+)
+def test_malformed_dataset_value_exits_2(dataset, tmp_path, capsys, edit):
+    # one value of the first execution record or of the last commit's first file
+    broken = tmp_path / "broken"
+    shutil.copytree(dataset, broken)
+    ((key, value),) = edit.items()
+    if key == "duration_ms":
+        path = broken / "exec_records.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].rsplit(",", 1)[0] + "," + value
+    else:
+        path = broken / "commits.jsonl"
+        lines = path.read_text().splitlines()
+        commit = json.loads(lines[-1])
+        (commit if key in ("author", "message") else commit["files"][0])[key] = value
+        lines[-1] = json.dumps(commit)
+    path.write_text("\n".join(lines) + "\n")
+    build = history_of(dataset).builds[-1]
+    assert main(["extract", str(broken), "--build", str(build.id)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_invalid_config_exits_2(dataset, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -203,10 +252,7 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
         ["prioritize", "--build", "1", "--model", "@{not json"],
         ["prioritize", "--build", "1", "--model", '@{"version": 2}'],
         ["prioritize", "--build", "1", "--model", '@{"version": 1, "hyperparams": {"n_bags": "x"}}'],
-        [
-            "prioritize", "--build", "1", "--model",
-            '@{"version": 1, "hyperparams": {}, "bags": [], "seed": 0, "catalog_fingerprint": ""}',
-        ],
+        ["prioritize", "--build", "1", "--model", model_arg(model={"bags": []})],
         ["evaluate", "--impact-depth", "-1"],
         ["evaluate", "--config", '@{"impact_depth": "x"}'],
         ["evaluate", "--seed", "-1"],
@@ -243,13 +289,19 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
         ["prioritize", "--build", "1", "--model", model_arg(bag={"base": True})],
         [
             "prioritize", "--build", "1", "--model",
-            model_arg(model={"hyperparams": {"n_bags": 1, "trees_per_bag": 2}}),
+            model_arg(model={"hyperparams": {**HYPERPARAMS, "trees_per_bag": 2}}),
         ],
         [
             "prioritize", "--build", "1", "--model",
             model_arg(model={"catalog_fingerprint": "deadbeef"}),
         ],
         ["prioritize", "--build", "1", "--model", model_arg(model={"catalog_fingerprint": ["x"]})],
+        ["prioritize", "--build", "1", "--model", model_arg(threshold=["0.5", 0.0, 0.0])],
+        ["prioritize", "--build", "1", "--model", model_arg(value=[0.0, True, 1.0])],
+        [
+            "prioritize", "--build", "1", "--model",
+            model_arg(model={"hyperparams": {k: v for k, v in HYPERPARAMS.items() if k != "shrinkage"}}),
+        ],
         ["evaluate", "--config", '@{"max_bulds": 3}'],
         ["extract", "--build", "1", "--config", '@{"impact_dept": -5, "max_rw": -3}'],
         ["prioritize", "--build", "1", "--model", model_arg(), "--config", '@{"seed": 3}'],
@@ -276,7 +328,8 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
         "model-split-feature-outside-bag", "model-feature-fraction", "model-left-bool",
         "model-right-float", "model-feature-idx-fraction", "model-version-bool",
         "model-seed-bool", "model-base-bool", "model-tree-count", "model-fingerprint-other",
-        "model-fingerprint-list", "config-misspelt-key",
+        "model-fingerprint-list", "model-threshold-string", "model-value-bool",
+        "model-hyperparams-missing", "config-misspelt-key",
         "config-keys-of-other-flags", "config-seed-on-prioritize", "max-builds-bool",
         "max-rw-bool", "synth-n-tests-string", "synth-base-failure-string",
         "synth-files-per-build-above-n-files", "synth-n-builds-bool", "synth-n-builds-negative",
