@@ -352,6 +352,15 @@ def _blob(repo: Path, rev: str, path: str) -> str:
         return ""
 
 
+def _header_path(name: str, prefix: str) -> str:
+    """The path a ``---``/``+++`` line names.  Git puts a tab after a name
+    with a space, and C-quotes a name with special or non-ASCII bytes."""
+    name = name.removesuffix("\t")
+    if name.startswith('"'):
+        name = name[1:-1].encode().decode("unicode_escape").encode("latin-1").decode(errors="replace")
+    return name.removeprefix(prefix)
+
+
 def _parse_diff(repo: Path, sha: str, parent: str | None, diff: str) -> list[FileChange]:
     """Per-file changes of one commit from its ``-U0`` diff against ``parent``.
 
@@ -373,9 +382,9 @@ def _parse_diff(repo: Path, sha: str, parent: str | None, diff: str) -> list[Fil
         )
         new, old = paths.get("+++", "/dev/null"), paths.get("---", "/dev/null")
         if new != "/dev/null":
-            path = new.removeprefix("b/")
+            path = _header_path(new, "b/")
         elif old != "/dev/null":
-            path = old.removeprefix("a/")
+            path = _header_path(old, "a/")
         else:
             continue
         hunks = _HUNK_RE.findall("@@" + body)
@@ -424,11 +433,12 @@ def ingest_git_history(repo_path: Path | str, until: str = "HEAD") -> list[Commi
             return []  # an empty repository
         raise UnresolvableRefError(f"cannot resolve {until!r} in {repo}") from exc
 
+    # -z ends each commit with a NUL, which no commit message holds
     log_text = _git(
-        repo, "log", "--topo-order", "--reverse", "--no-abbrev",
-        "--format=%x1e%H%x1f%P%x1f%at%x1f%an%x1f%B", head,
+        repo, "log", "-z", "--topo-order", "--reverse", "--no-abbrev",
+        "--format=%H%x1f%P%x1f%at%x1f%an%x1f%B", head,
     )
-    blocks = [block.split("\x1f", 4) for block in log_text.split("\x1e")[1:]]
+    blocks = [block.split("\x1f", 4) for block in log_text.split("\0")[:-1]]
     first_parent = {sha: (parents.split() or [None])[0] for sha, parents, *_ in blocks}
     # one line per commit: its id and first parent, or its id alone for a
     # root commit; --always prints the id line of an empty diff too

@@ -180,7 +180,7 @@ def test_mine_merge_against_first_parent(repo):
     _git(repo, "checkout", "-q", "-b", "side")
     commit("B.java", "class B {\n}\n", "add B")
     _git(repo, "checkout", "-q", "-")
-    message = "fix A\n\ndiff --git a/A.java b/A.java\n+++ b/A.java"
+    message = "fix A\n\ndiff --git a/A.java b/A.java\n+++ b/A.java\n\x1e\x1f"
     commit("A.java", "class A { int x; }\n", message)
     _git(repo, "checkout", "-q", "side")
     commit("B.java", "class B {\n  int y;\n}\n", "grow B")
@@ -200,14 +200,16 @@ def test_mine_merge_against_first_parent(repo):
 
 def test_mine_counts_match_numstat(repo):
     # content lines that read as diff headers once their +/- is put in front
-    # of them, a lone CR, a merge, a binary file and an empty commit
+    # of them, a lone CR, paths git quotes in headers, a merge, a binary file
+    # and an empty commit
     def commit(message, **files):
         for path, data in files.items():
             (repo / path).write_bytes(data)
             _git(repo, "add", path)
         _git(repo, "commit", "-q", "--allow-empty", "-m", message)
 
-    commit("add", **{"A.java": b"class A {\n-- k\n++ m\n}\n", "B.txt": b"b\n"})
+    commit("add", **{"A.java": b"class A {\n-- k\n++ m\n}\n", "B.txt": b"b\n",
+                     "my A.java": b"class B {}\n", "\u00e9\t.txt": b"e\n"})
     commit("edit", **{"A.java": b"class A {\n++ j\n+++ b/x\n@@ -1 +1 @@\n}\n"})
     commit("empty")
     _git(repo, "checkout", "-q", "-b", "side")
@@ -220,13 +222,13 @@ def test_mine_counts_match_numstat(repo):
     for i, c in enumerate(commits):
         against = [f"{c.id}^1", c.id] if i else ["--root", c.id]
         numstat = subprocess.run(
-            ["git", "-C", str(repo), "diff-tree", "--no-commit-id", "--numstat", "--no-renames",
-             "-r", *against],
+            ["git", "-C", str(repo), "diff-tree", "--no-commit-id", "--numstat", "-z",
+             "--no-renames", "-r", *against],
             check=True, capture_output=True, text=True,
-        ).stdout.splitlines()
+        ).stdout.split("\0")[:-1]
         expected = [
             (path, int(added), int(deleted))
-            for added, deleted, path in (line.split("\t") for line in numstat)
+            for added, deleted, path in (line.split("\t", 2) for line in numstat)
             if added != "-"  # a binary file has no line counts and is not recorded
         ]
         assert [(fc.path, fc.lines_added, fc.lines_deleted) for fc in c.file_changes] == expected
