@@ -171,7 +171,7 @@ def _read_exec_records_csv(path: Path) -> dict[int, dict[str, list[ExecutionReco
 
 def _typed(obj: dict, types: dict[str, type]) -> dict:
     """``obj``, after checking that each key of ``types`` holds a value of
-    exactly that type: a bool does not pass for an int, nor a float."""
+    exactly that type: neither a bool nor a float passes for an int."""
     for key, kind in types.items():
         if type(obj[key]) is not kind:
             raise TypeError(f"{key} must be {kind.__name__}, got {obj[key]!r}")
@@ -357,7 +357,10 @@ def _header_path(name: str, prefix: str) -> str:
     with a space, and C-quotes a name with special or non-ASCII bytes."""
     name = name.removesuffix("\t")
     if name.startswith('"'):
-        name = name[1:-1].encode().decode("unicode_escape").encode("latin-1").decode(errors="replace")
+        # the escapes name bytes; unicode_escape maps each byte to the code
+        # point of the same number, which latin-1 turns back into the byte
+        escaped = name[1:-1].encode().decode("unicode_escape")
+        name = escaped.encode("latin-1").decode(errors="replace")
     return name.removeprefix(prefix)
 
 

@@ -300,7 +300,9 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
         ["prioritize", "--build", "1", "--model", model_arg(value=[0.0, True, 1.0])],
         [
             "prioritize", "--build", "1", "--model",
-            model_arg(model={"hyperparams": {k: v for k, v in HYPERPARAMS.items() if k != "shrinkage"}}),
+            model_arg(model={
+                "hyperparams": {k: v for k, v in HYPERPARAMS.items() if k != "shrinkage"}
+            }),
         ],
         ["evaluate", "--config", '@{"max_bulds": 3}'],
         ["extract", "--build", "1", "--config", '@{"impact_dept": -5, "max_rw": -3}'],
