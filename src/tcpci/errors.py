@@ -14,7 +14,7 @@ class SchemaError(InputError):
 
 
 class DuplicateRecordError(SchemaError):
-    """The same (build, job, test) execution appears twice."""
+    """The same (build, job, test) execution, or the same commit hash, appears twice."""
 
 
 class RepoNotFoundError(InputError):

@@ -190,7 +190,13 @@ _UNIT_RISK_TYPES = get_type_hints(UnitRisk)
 
 
 def read_commits_jsonl(path: Path) -> list[Commit]:
+    """The commits of a ``commits.jsonl`` file, one per nonblank line.
+
+    Raises SchemaError naming the path and line of a malformed commit, and
+    DuplicateRecordError on a hash an earlier line holds.
+    """
     commits = []
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
@@ -230,6 +236,9 @@ def read_commits_jsonl(path: Path) -> list[Commit]:
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+            if commits[-1].id in seen:
+                raise DuplicateRecordError(f"{path}:{lineno}: duplicate commit {commits[-1].id!r}")
+            seen.add(commits[-1].id)
     return commits
 
 

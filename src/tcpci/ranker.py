@@ -177,7 +177,7 @@ def train_ranker(
         feats = np.sort(rng.choice(d, size=n_feats, replace=False))
         yb = y[rows]
         base = float(yb.mean())
-        grower = Grower(X[rows][:, feats])
+        grower = Grower(X[np.ix_(rows, feats)])
         trees += boost(grower, yb, base, hp.trees_per_bag, hp.shrinkage, hp.max_leaves, lambda z: z)
         columns.append(feats)
         bases.append(base)

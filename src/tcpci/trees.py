@@ -4,9 +4,18 @@ a flat node table that scores a whole ensemble.
 The tree is the weak learner of both the ranking model and the commit
 classifier, and :func:`boost` is the fit loop of both: Friedman's gradient
 boosting (Annals of Statistics, 2001), whose loss a link function picks.
-Growth is best-first: candidate splits across all open leaves sit in one
-priority queue keyed by sum-of-squared-error reduction, and the leaf with
-the largest reduction is split next until ``max_leaves`` is reached.
+Growth is best-first: the open leaves sit in one priority queue keyed by
+sum-of-squared-error reduction, and the leaf with the largest reduction is
+split next until ``max_leaves`` is reached (Shi & Friedman's best-first
+trees).  The queue is evaluated lazily, as in Minoux's accelerated greedy
+algorithm (1978): a new leaf enters under an upper bound on any gain it
+can have, its own SSE plus a rounding margin, and its split is searched
+only when that bound reaches the top of the queue.  The exact gain then
+goes back into the queue, and only an exact entry is split.  A leaf whose
+targets are all equal, or whose bound is not above the gain threshold,
+is never searched, and a leaf still queued under its bound when the
+budget runs out never is either.  The trees are those an eager search of
+every leaf grows, bit for bit.
 
 Split finding is exact greedy over presorted columns, as in XGBoost's
 column blocks (Chen & Guestrin, KDD 2016).  A :class:`Grower` is built
@@ -34,9 +43,10 @@ classifier check only their own fields.
 from __future__ import annotations
 
 import heapq
+import math
 import operator
 from collections.abc import Callable
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
@@ -73,6 +83,42 @@ def number_array(values: list, what: str) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
+#: A split must reduce the SSE by more than this.
+MIN_GAIN = 1e-12
+
+
+def gain_bound(yn: np.ndarray, total: float) -> float:
+    """An upper bound on the gain :meth:`Grower.best_split` computes for a
+    node whose targets ``yn``, two or more, sum to ``total`` (``yn.sum()``).
+
+    In exact arithmetic no split gains more than the node's SSE,
+    ``Q - S**2/n`` with ``Q = sum(y**2)`` and ``S = sum(y)``: a split into
+    ``a`` rows summing to ``L`` and ``b`` rows summing to ``R`` gains
+    ``(b*L - a*R)**2 / (a*b*n)``, the SSE less the children's.  The margin
+    covers rounding, with ``A = sum(|y|) <= sqrt(n*Q)``, ``u = 2**-53`` and
+    ``g = n*u / (1 - n*u)`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3-4):
+
+    * best_split's prefix sums come from a sequential ``cumsum``, so ``L``
+      and the column total are each off by at most ``g*A``, and ``R``, their
+      difference, by at most ``3*g*A``.  That moves ``b*L - a*R`` by at most
+      ``3*n*g*A``; as ``a*b*n >= n*n/2``, the square root of the gain moves
+      by at most ``3*sqrt(2)*g*A < 5*g*A``;
+    * its other roundings, a few on terms no larger than about ``Q``,
+      multiply the gain by at most ``1 + 2*g`` and add at most ``5*g*Q``;
+    * the ``Q`` and ``S`` computed here are off by at most ``g*Q`` and
+      ``g*A``, so the computed SSE falls short of the exact one by less than
+      ``7*g*Q``.
+
+    The constants below are rounded up to cover this bound's own roundings.
+    """
+    n = len(yn)
+    g = n * 2.0**-53 / (1 - n * 2.0**-53)
+    q = float(yn @ yn) * (1 + 2 * g)  # at least Q
+    sse = max(q - total * total / n, 0.0) + 8 * g * q
+    return (1 + 8 * g) * (math.sqrt(sse) + 5 * g * math.sqrt(n * q)) ** 2 + 8 * g * q
+
+
 class Grower:
     """A training matrix sorted once, for growing any number of trees on it.
 
@@ -83,31 +129,39 @@ class Grower:
     """
 
     def __init__(self, X: np.ndarray):
-        self.X = np.asarray(X, dtype=np.float64)
+        X = np.asarray(X, dtype=np.float64)
+        self.n_rows = len(X)
         # NaN never equals itself, so a column holding one stays live
-        self.features = np.flatnonzero(~(self.X == self.X[:1]).all(axis=0))
-        self.values = np.ascontiguousarray(self.X[:, self.features].T)
+        self.features = np.flatnonzero(~(X == X[:1]).all(axis=0))
+        self.values = np.ascontiguousarray(X[:, self.features].T)
         self.order = np.argsort(self.values, axis=1, kind="stable")
         self.has_nan = bool(np.isnan(self.values).any())
+        # ``values`` read flat, where each live column starts in it, and the
+        # row counts left of each sorted boundary
+        self.flat = self.values.ravel()
+        self.offsets = np.arange(len(self.features))[:, None] * self.n_rows
+        self.counts = np.arange(1.0, self.n_rows)
 
     def root(self) -> tuple:
         """The node holding every row."""
-        return np.arange(len(self.X)), self.order, np.arange(len(self.features))
+        return np.arange(self.n_rows), self.order, np.arange(len(self.features))
 
     def best_split(self, y: np.ndarray, node: tuple):
-        """(gain, feature, threshold, node) for one node, or None if unsplittable.
+        """(gain, slot, threshold, node) for one node, or None if no split
+        gains more than :data:`MIN_GAIN`.
 
-        Gain is the SSE reduction.  Ties resolve to the lowest
-        (sorted-position, feature) pair, which is deterministic.  The
-        threshold sends exactly the rows left of the chosen boundary left.
-        The node comes back without the columns that cannot split it.
+        Gain is the SSE reduction, and the split is on live column ``slot``.
+        Ties resolve to the lowest (sorted-position, column) pair, which is
+        deterministic.  The threshold sends exactly the rows left of the
+        chosen boundary left.  The node comes back without the columns that
+        cannot split it.
         """
         rows, order, slots = node
         n = len(rows)
         if n < 2 or not len(slots):
             return None
         # the node's values, column by column in sorted order
-        xs = self.values.ravel()[order + (slots * len(self.X))[:, None]]
+        xs = self.flat[order + self.offsets[slots]]
         valid = xs[:, 1:] != xs[:, :-1]
         if self.has_nan:  # NaN != NaN, but no boundary follows a NaN
             valid &= ~np.isnan(xs[:, :-1])
@@ -116,36 +170,35 @@ class Grower:
             order, slots, xs, valid = order[live], slots[live], xs[live], valid[live]
             if not len(slots):
                 return None
-        csum = np.cumsum(y[order], axis=1)
+        csum = y[order].cumsum(axis=1)
         total = csum[:, -1]
-        k, i = np.divmod(np.flatnonzero(valid), n - 1)  # boundary after position i
+        # boundary after position i of column k, listed by (i, k): the first
+        # best score is the tie winner
+        i, k = np.divmod(valid.T.ravel().nonzero()[0], len(slots))
         s_left = csum[k, i]
-        n_left = (i + 1).astype(np.float64)
+        n_left = self.counts[i]
         score = s_left**2 / n_left + (total[k] - s_left) ** 2 / (n - n_left)
-        best = int(np.argmax(score))
-        tied = np.flatnonzero(score == score[best])
-        if len(tied) > 1:  # lowest sorted position first, then lowest column
-            best = tied[np.argmin(i[tied])]
+        best = int(score.argmax())
         i, k = i[best], k[best]
         gain = float(score[best]) - float(total[k]) ** 2 / n
-        if gain <= 1e-12:
+        if gain <= MIN_GAIN:
             return None
         a, b = float(xs[k, i]), float(xs[k, i + 1])
         threshold = (a + b) / 2.0
         if not a <= threshold < b:  # rounded onto b, overflowed, or b is NaN
             threshold = a
-        return gain, int(self.features[slots[k]]), threshold, (rows, order, slots)
+        return gain, int(slots[k]), threshold, (rows, order, slots)
 
     def children(self, node: tuple, l_rows: np.ndarray, r_rows: np.ndarray) -> tuple:
         """The nodes of a split into ``l_rows`` and ``r_rows``, columns still sorted."""
         _, order, slots = node
-        goes_left = np.zeros(len(self.X), dtype=bool)
+        goes_left = np.zeros(self.n_rows, dtype=bool)
         goes_left[l_rows] = True
         goes_left = goes_left[order].ravel()
         shape = (len(slots), -1)
         return (
-            (l_rows, np.compress(goes_left, order).reshape(shape), slots),
-            (r_rows, np.compress(~goes_left, order).reshape(shape), slots),
+            (l_rows, order.compress(goes_left).reshape(shape), slots),
+            (r_rows, order.compress(~goes_left).reshape(shape), slots),
         )
 
 
@@ -171,47 +224,59 @@ class RegressionTree:
         y = np.asarray(y, dtype=np.float64)
         if max_leaves < 1:
             raise ValueError("max_leaves must be >= 1")
-        feature = [-1]
-        threshold = [0.0]
-        left = [-1]
-        right = [-1]
-        value = [float(y.mean()) if len(y) else 0.0]
-        fitted[:] = value[0]
-
+        feature, threshold, left, right, value = [], [], [], [], []
+        # Entries are (-key, exact, sequence, node id, ...).  A searched leaf
+        # has its gain as key, then its split.  A leaf not yet searched has
+        # its gain bound as key, then ``source, side``.  Its node is
+        # ``source[side]``, and the two leaves of a split share a ``source``
+        # that holds the split itself, ``[node, l_rows, r_rows]``, until the
+        # first of them is searched and it becomes their two nodes.  At
+        # equal keys a bound pops before a gain, and otherwise the leaf
+        # queued first.
         heap: list = []
-        counter = 0
+        sequence = count()
 
-        def consider(node_id: int, node: tuple):
-            nonlocal counter
-            split = grower.best_split(y, node)
-            if split is not None:
-                gain, feat, thr, node = split
-                heapq.heappush(heap, (-gain, counter, node_id, feat, thr, node))
-                counter += 1
+        def add_leaf(rows, yn: np.ndarray, source: list | None, side: int):
+            """Append a leaf holding ``rows``; queue it if ``source`` is given
+            and a split of it could gain more than :data:`MIN_GAIN`."""
+            n = len(yn)
+            total = float(yn.sum())
+            feature.append(-1)
+            threshold.append(0.0)
+            left.append(-1)
+            right.append(-1)
+            value.append(total / n if n else 0.0)  # the bits of yn.mean()
+            fitted[rows] = value[-1]
+            if source is not None and n > 1 and yn.min() != yn.max():
+                bound = gain_bound(yn, total)
+                if bound > MIN_GAIN:
+                    entry = (-bound, False, next(sequence), len(value) - 1, source, side)
+                    heapq.heappush(heap, entry)
 
-        consider(0, grower.root())
+        add_leaf(slice(None), y, [grower.root()], 0)
         n_leaves = 1
         while heap and n_leaves < max_leaves:
-            _, _, node_id, feat, thr, node = heapq.heappop(heap)
+            _, exact, seq, node_id, *entry = heapq.heappop(heap)
+            if not exact:
+                source, side = entry
+                if len(source) == 3:
+                    source[:] = grower.children(*source)
+                node, source[side] = source[side], None
+                split = grower.best_split(y, node)
+                if split is not None:
+                    heapq.heappush(heap, (-split[0], True, seq, node_id, *split[1:]))
+                continue
+            slot, thr, node = entry
             rows = node[0]
-            mask = grower.X[rows, feat] <= thr
+            mask = grower.values[slot][rows] <= thr
             l_rows, r_rows = rows[mask], rows[~mask]
-            for child_rows in (l_rows, r_rows):
-                feature.append(-1)
-                threshold.append(0.0)
-                left.append(-1)
-                right.append(-1)
-                value.append(float(y[child_rows].mean()))
-                fitted[child_rows] = value[-1]
-            feature[node_id] = feat
+            feature[node_id] = int(grower.features[slot])
             threshold[node_id] = thr
-            left[node_id] = len(feature) - 2
-            right[node_id] = len(feature) - 1
+            left[node_id], right[node_id] = len(value), len(value) + 1
             n_leaves += 1
-            if n_leaves < max_leaves:
-                l_node, r_node = grower.children(node, l_rows, r_rows)
-                consider(left[node_id], l_node)
-                consider(right[node_id], r_node)
+            source = [node, l_rows, r_rows] if n_leaves < max_leaves else None
+            add_leaf(l_rows, y[l_rows], source, 0)
+            add_leaf(r_rows, y[r_rows], source, 1)
         return cls(feature, threshold, left, right, value)
 
     def predict(self, X: np.ndarray) -> np.ndarray:

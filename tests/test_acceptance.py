@@ -174,7 +174,8 @@ def test_3_catalog_and_anti_leakage():
         if not np.array_equal(matrix.values, other.values):
             ok = False
             break
-    names_ok = len(CATALOG) == 150 and CATALOG.fingerprint == CATALOG.fingerprint
+    # the pinned layout: a renamed, moved or regrouped column changes it
+    names_ok = len(CATALOG) == 150 and CATALOG.fingerprint() == "1d52af2b996d6c93"
     verdict_line(3, "150-column catalog + anti-leakage on 50 builds", ok and names_ok)
 
 

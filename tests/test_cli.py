@@ -196,15 +196,17 @@ RISK = {"lines_added": 1, "lines_deleted": 0, "low_size": True, "low_complexity"
         {"added_chunks": [2.5]},
         {"unit_risks": [{**RISK, "lines_added": "x"}]},
         {"unit_risks": [{**RISK, "low_size": 1}]},
+        {"commit": "repeated"},
     ],
     ids=[
         "duration-nan", "duration-inf", "message-int", "author-null", "path-int",
         "added-fraction", "added-bool", "deleted-string", "chunk-start-fraction",
-        "unit-risk-lines-string", "unit-risk-flag-int",
+        "unit-risk-lines-string", "unit-risk-flag-int", "commit-repeated",
     ],
 )
 def test_malformed_dataset_value_exits_2(dataset, tmp_path, capsys, edit):
-    # one value of the first execution record or of the last commit's first file
+    # one value of the first execution record, of the last commit or of its
+    # first file, or a second line for the last commit with another message
     broken = tmp_path / "broken"
     shutil.copytree(dataset, broken)
     ((key, value),) = edit.items()
@@ -216,8 +218,11 @@ def test_malformed_dataset_value_exits_2(dataset, tmp_path, capsys, edit):
         path = broken / "commits.jsonl"
         lines = path.read_text().splitlines()
         commit = json.loads(lines[-1])
-        (commit if key in ("author", "message") else commit["files"][0])[key] = value
-        lines[-1] = json.dumps(commit)
+        if key == "commit":
+            lines.append(json.dumps({**commit, "message": commit["message"] + " again"}))
+        else:
+            (commit if key in ("author", "message") else commit["files"][0])[key] = value
+            lines[-1] = json.dumps(commit)
     path.write_text("\n".join(lines) + "\n")
     build = history_of(dataset).builds[-1]
     assert main(["extract", str(broken), "--build", str(build.id)]) == 2

@@ -1,8 +1,11 @@
 import hashlib
+import heapq
+import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tcpci.catalog import CATALOG
 from tcpci.errors import CatalogMismatchError, NoFailedBuildsError, UnknownFeatureError
@@ -17,7 +20,7 @@ from tcpci.ranker import (
     train_ranker,
 )
 from tcpci.synth import SynthConfig, generate_synthetic_history
-from tcpci.trees import Grower, RegressionTree
+from tcpci.trees import Grower, RegressionTree, boost, gain_bound
 from test_acceptance import DRIFT_CFG, DRIFT_HP
 
 HP = Hyperparams(n_bags=10, trees_per_bag=3, max_leaves=16)
@@ -103,6 +106,76 @@ def test_split_threshold_gives_the_scored_partition():
     tree = RegressionTree.fit(Grower(X), y, 2, fitted[:3])
     assert tree.threshold[0] == a
     assert fitted[:3].tolist() == tree.predict(X).tolist() == y.tolist()
+
+
+def eager_tree(X, y, max_leaves):
+    """Best-first growth that searches every new leaf as soon as it exists,
+    except a pure one: the reference :meth:`RegressionTree.fit` must match."""
+    grower = Grower(X)
+    nodes = [[-1, 0.0, -1, -1, float(y.mean()) if len(y) else 0.0]]
+    heap, sequence = [], itertools.count()
+
+    def consider(node_id, node):
+        if len(set(y[node[0]].tolist())) > 1:
+            split = grower.best_split(y, node)
+            if split is not None:
+                heapq.heappush(heap, (-split[0], next(sequence), node_id, split[1:]))
+
+    consider(0, grower.root())
+    while heap and len(nodes) < 2 * max_leaves - 1:  # a tree of k leaves has 2k - 1 nodes
+        _, _, node_id, (slot, thr, node) = heapq.heappop(heap)
+        col = int(grower.features[slot])
+        rows = node[0]
+        mask = X[rows, col] <= thr
+        parts = rows[mask], rows[~mask]
+        nodes[node_id][:4] = col, thr, len(nodes), len(nodes) + 1
+        nodes += [[-1, 0.0, -1, -1, float(y[p].mean())] for p in parts]
+        if len(nodes) < 2 * max_leaves - 1:
+            for child_id, child in zip(nodes[node_id][2:4], grower.children(node, *parts)):
+                consider(child_id, child)
+    return RegressionTree(*zip(*nodes))
+
+
+def _sigmoid(z):
+    return 0.5 + 0.5 * np.tanh(z / 2)
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(st.integers(1, 3), st.integers(4, 60)),
+    st.lists(st.integers(0, 5), max_size=6),
+    st.integers(1, 64),
+    st.sampled_from([0.0, 1.0, -3e3, 1e8, 1e12]),
+    st.sampled_from([1.0, 1e-3, 1e-9]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_lazy_growth_grows_the_eager_trees(n, kinds, max_leaves, offset, spread, logistic, seed):
+    # ties, NaN, constant columns and tiny matrices; targets far from zero
+    # with a small spread, where the SSE cancels; both links of boost
+    rng = np.random.default_rng(seed)
+    X = _mixed_columns(rng, n, kinds)
+    labels = rng.integers(0, 2, n).astype(float) if seed % 2 else rng.normal(size=n)
+    y = offset + spread * labels
+    base = float(y.mean()) if seed % 3 else 0.0
+    link = _sigmoid if logistic else (lambda z: z)
+    best_split = Grower.best_split
+
+    def spy(self, y, node):
+        yn = y[node[0]]
+        assert yn.min() != yn.max(), "a pure node was searched"
+        split = best_split(self, y, node)
+        if split is not None:
+            assert split[0] <= gain_bound(yn, float(yn.sum()))
+        return split
+
+    with mock.patch.object(Grower, "best_split", spy):
+        lazy = boost(Grower(X), y, base, 3, 0.5, max_leaves, link)
+    z = np.full(n, base)
+    for tree in lazy:
+        eager = eager_tree(X, y - link(z), max_leaves)
+        assert tree.to_dict() == eager.to_dict()
+        z += 0.5 * eager.predict(X)
 
 
 def test_grower_drops_constant_columns():
