@@ -108,6 +108,14 @@ def test_split_threshold_gives_the_scored_partition():
     assert fitted[:3].tolist() == tree.predict(X).tolist() == y.tolist()
 
 
+def test_pure_node_is_a_leaf():
+    # equal targets far from zero give a rounding-level "gain" above the
+    # threshold; no split of them may be made
+    X = np.arange(7.0)[:, None]
+    for c in (0.7, 1e8 + 0.1, 3e12 + 0.3):
+        assert RegressionTree.fit(Grower(X), np.full(7, c), 8, np.empty(7)).n_leaves == 1
+
+
 def eager_tree(X, y, max_leaves):
     """Best-first growth that searches every new leaf as soon as it exists,
     except a pure one: the reference :meth:`RegressionTree.fit` must match."""
