@@ -3,8 +3,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tcpci.catalog import CATALOG
+from tcpci.catalog import CATALOG, REC_FEATURES, FeatureGroup
 from tcpci.features import SNAPSHOT_GROUPS, FeatureExtractor
 from tcpci.matrix import FeatureMatrix
 from tcpci.model import (
@@ -155,30 +156,122 @@ def test_recent_equals_total_when_window_covers_all():
         assert rec(m, T, f"Recent{stat}") == rec(m, T, f"Total{stat}")
 
 
+def _scrambled(build: Build) -> Build:
+    """``build`` with every verdict flipped and every duration moved."""
+    records = tuple(
+        ExecutionRecord(
+            r.build,
+            r.test,
+            Verdict.PASSED if r.verdict is not Verdict.PASSED else Verdict.EXCEPTION_FAILURE,
+            r.duration_ms + 123.0,
+        )
+        for r in build.records
+    )
+    return Build(id=build.id, change_set=build.change_set, records=records,
+                 wall_clock=build.wall_clock)
+
+
 def test_anti_leakage_mutating_current_verdicts():
     cfg = SynthConfig(n_files=20, n_tests=10, n_builds=8, files_per_build=4)
     history, sources, _ = generate_synthetic_history(cfg, seed=5)
-    k = history.builds[-1].id
+    k = history.builds[len(history.builds) // 2].id
     base = FeatureExtractor(history, sources).matrix(k)
 
-    mutated_builds = []
-    for b in history.builds:
-        if b.id == k:
-            flipped = tuple(
-                ExecutionRecord(
-                    r.build,
-                    r.test,
-                    Verdict.PASSED if r.verdict is not Verdict.PASSED else Verdict.EXCEPTION_FAILURE,
-                    r.duration_ms + 123.0,
-                )
-                for r in b.records
-            )
-            b = Build(id=b.id, change_set=b.change_set, records=flipped, wall_clock=b.wall_clock)
-        mutated_builds.append(b)
-    mutated = BuildHistory(mutated_builds, history.commits)
+    # build k's verdicts and durations scrambled
+    mutated = BuildHistory(
+        [_scrambled(b) if b.id == k else b for b in history.builds], history.commits
+    )
     other = FeatureExtractor(mutated, sources).matrix(k)
     assert np.array_equal(base.values, other.values)
     assert base.tests == other.tests
+
+    # and every later build gone, with the commits only those builds reference
+    kept = [_scrambled(b) if b.id == k else b for b in history.builds if b.id <= k]
+    later = {c for b in history.builds if b.id > k for c in b.change_set.commits}
+    later -= {c for b in kept for c in b.change_set.commits}
+    assert later  # the cut drops commits
+    cut = BuildHistory(kept, {c: v for c, v in history.commits.items() if c not in later})
+    other = FeatureExtractor(cut, sources).matrix(k)
+    assert other.values.tobytes() == base.values.tobytes()
+    assert base.tests == other.tests
+
+
+def rec_reference(history: BuildHistory, test: str, k: int, window: int) -> np.ndarray:
+    """The REC row of ``test`` at build ``k``, computed one test at a time
+    from the records of the builds before k."""
+    runs = [
+        (b.id, r.verdict, r.duration_ms)
+        for b in history.builds
+        if b.id < k
+        for r in b.records
+        if r.test == test
+    ]
+    row = np.zeros(len(REC_FEATURES))
+    if not runs:
+        row[[1, 2, 17, 18]] = -1.0  # LastFailAge, LastTransitionAge, MaxTestFile*Rate
+        return row
+    ids, verdicts, durations = zip(*runs)
+    failed = [v is not P for v in verdicts]
+    fails = [b for b, f in zip(ids, failed) if f]
+    flips = [ids[i] for i in range(1, len(ids)) if failed[i] != failed[i - 1]]
+    row[:5] = (
+        k - ids[0],
+        k - fails[-1] - 1 if fails else -1.0,
+        k - flips[-1] - 1 if flips else -1.0,
+        float(failed[-1]),
+        durations[-1],
+    )
+    for col, a in ((5, max(0, len(runs) - window)), (11, 0)):
+        d, v, n = np.asarray(durations[a:]), verdicts[a:], len(runs) - a
+        n_flips = sum(b > ids[a] for b in flips)
+        row[col : col + 6] = (
+            d.mean(),
+            d.max(),
+            (n - v.count(P)) / n,
+            v.count(A) / n,
+            v.count(E) / n,
+            n_flips / (n - 1) if n > 1 else 0.0,
+        )
+    changed = history.build(k).change_set.changed_files
+    for col, events in ((17, fails), (18, flips)):
+        rates = (
+            sum(f in history.build(b).change_set.changed_files for b in events) / len(events)
+            for f in changed
+        )
+        row[col] = max(rates, default=0.0) if events else -1.0
+    return row
+
+
+_DURATIONS = st.sampled_from([-0.0, 0.0]) | st.floats(0.0, 1e6)
+_BUILD_SPECS = st.lists(
+    st.tuples(
+        st.frozensets(st.sampled_from([F1, F2, "src/app/F3.java"])),
+        st.dictionaries(
+            st.sampled_from([T, "src/test/UTest.java", "src/test/VTest.java"]),
+            st.tuples(st.sampled_from(list(Verdict)), _DURATIONS),
+        ),
+    ),
+    min_size=1,
+    max_size=9,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs=_BUILD_SPECS, window=st.integers(1, 7))
+def test_rec_matches_per_test_reference(specs, window):
+    # all four verdicts, -0.0 durations, tests that first run mid-history or
+    # skip builds, and files changed in some failing builds; the block is
+    # accumulated into zeros, so a -0.0 duration reads 0.0
+    history = make_history(
+        [(changed, [(t, v, d) for t, (v, d) in recs.items()]) for changed, recs in specs]
+    )
+    ex = FeatureExtractor(history, default_sources(), recent_window=window)
+    for b in history.builds:
+        m = ex.matrix(b.id)
+        want = np.zeros((len(m.tests), len(REC_FEATURES)))
+        for i, t in enumerate(m.tests):
+            want[i] += rec_reference(history, t, b.id, window)
+        assert m.values[:, CATALOG.group_slice(FeatureGroup.REC)].tobytes() == want.tobytes()
 
 
 def test_sum_cov_score_is_one_iff_covered_changed():
