@@ -16,15 +16,19 @@ history and answer prefix queries; a :class:`Snapshot` is only the
 commit-prefix cutoff they are asked at.  The retraining decay experiment
 reuses this path with an old snapshot.
 
-Every group but REC is table algebra: per build, a (row, file, weight)
-pair table is multiplied by a per-file metric table and accumulated into
-the matrix with ``np.add.at`` in pair order.  The TES groups pair each
-test with its own file at weight 1; the five coverage groups pair it with
-its covered files at normalized association weights, one table for the
-changed set and one for the impacted set.  Pair order is the order a
-per-test loop would add in, so the sums are the same to the last bit (a
-dense matmul would reorder them).  REC is one row per test, counted from
-the test's execution history.
+Every group is table algebra.  REC reads one execution table: every
+record as a row of parallel columns sorted by (test, build), plus the rows
+of each failure kind and of each transition.  A test's executions before
+build k are the rows from its first up to its row at k, so every count is
+a difference of ``searchsorted`` positions, and the durations of the
+windows of one length are reduced together.  Each other group, per build,
+multiplies a (row, file, weight) pair table by a per-file metric table and
+accumulates it into the matrix with ``np.add.at`` in pair order.  The TES
+groups pair each test with its own file at weight 1; the five coverage
+groups pair it with its covered files at normalized association weights,
+one table for the changed set and one for the impacted set.  Pair order is
+the order a per-test loop would add in, so the sums are the same to the
+last bit (a dense matmul would reorder them).
 
 Timing: preprocessing (index construction) and measurement (per-build
 feature computation) wall-clock are accumulated per group; shared
@@ -36,7 +40,6 @@ from __future__ import annotations
 
 import logging
 import time
-from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -60,7 +63,7 @@ from .code_analysis import (
 from .coverage import AssociationMiner, DependencyGraph, PdfIndex
 from .errors import InvalidConfigError
 from .matrix import FeatureMatrix
-from .model import Build, BuildHistory, FileChange, Verdict, is_failed
+from .model import BuildHistory, Verdict
 
 log = logging.getLogger(__name__)
 
@@ -85,25 +88,13 @@ _COV_GROUPS = (
 )
 
 
-class _TestHistory:
-    """Ordered execution history of one test across builds."""
-
-    def __init__(self):
-        self.builds: list[int] = []
-        self.verdicts: list[Verdict] = []
-        self.durations: list[float] = []
-        self.fail_builds: list[int] = []
-        self.trans_builds: list[int] = []
-
-    def append(self, build: int, verdict: Verdict, duration: float):
-        f = is_failed(verdict)
-        if self.verdicts and is_failed(self.verdicts[-1]) != f:
-            self.trans_builds.append(build)
-        if f:
-            self.fail_builds.append(build)
-        self.builds.append(build)
-        self.verdicts.append(verdict)
-        self.durations.append(duration)
+@contextmanager
+def _timed(seconds: dict[FeatureGroup, float], groups: tuple[FeatureGroup, ...]):
+    t0 = time.perf_counter()
+    yield
+    dt = time.perf_counter() - t0
+    for g in groups:
+        seconds[g] += dt
 
 
 class Timings:
@@ -113,21 +104,11 @@ class Timings:
         self.p = {g: 0.0 for g in FeatureGroup}
         self.m = {g: 0.0 for g in FeatureGroup}
 
-    @contextmanager
     def preprocessing(self, *groups: FeatureGroup):
-        t0 = time.perf_counter()
-        yield
-        dt = time.perf_counter() - t0
-        for g in groups:
-            self.p[g] += dt
+        return _timed(self.p, groups)
 
-    @contextmanager
     def measurement(self, *groups: FeatureGroup):
-        t0 = time.perf_counter()
-        yield
-        dt = time.perf_counter() - t0
-        for g in groups:
-            self.m[g] += dt
+        return _timed(self.m, groups)
 
     def rows(self) -> list[tuple[str, float, float, float]]:
         return [
@@ -216,15 +197,37 @@ class FeatureExtractor:
             self._pdf = PdfIndex(history.commit_sequence, classify=classify)
 
         with self.timings.preprocessing(FeatureGroup.REC):
-            self._tests: dict[str, _TestHistory] = {}
-            self._file_builds: dict[str, list[int]] = {}
-            for b in history.builds:
-                for r in b.records:
-                    self._tests.setdefault(r.test, _TestHistory()).append(
-                        b.id, r.verdict, r.duration_ms
-                    )
+            # the execution table: one row per record, stably sorted by
+            # (test, build), so each test's executions are contiguous rows
+            builds = history.builds
+            records = [r for b in builds for r in b.records]
+            code = {t: i for i, t in enumerate(sorted({r.test for r in records}))}
+            tcode = np.array([code[r.test] for r in records], dtype=np.intp)
+            order = np.argsort(tcode, kind="stable")
+            first = np.diff(tcode[order], prepend=-1) != 0  # a test's first row
+            self._head = np.maximum.accumulate(np.where(first, np.arange(len(order)), 0))
+            self._build_ids = np.array([b.id for b in builds])
+            sizes = [len(b.records) for b in builds]
+            # the build as its position in history.builds
+            self._build = np.repeat(np.arange(len(builds)), sizes)[order]
+            verdict = np.array([r.verdict for r in records], dtype=np.int8)[order]
+            self._dur = np.array([r.duration_ms for r in records], dtype=np.float64)[order]
+            self._failed = verdict != Verdict.PASSED
+            flip = np.diff(self._failed, prepend=False) & ~first
+            # each kind of event as its sorted rows after a -1 sentinel: with
+            # i = searchsorted(e, r), i - 1 events precede row r, and e[i - 1]
+            # is the last of them (the sentinel if there is none)
+            self._events = [
+                np.r_[-1, np.flatnonzero(e)]
+                for e in (self._failed, verdict == Verdict.ASSERTION_FAILURE,
+                          verdict == Verdict.EXCEPTION_FAILURE, flip)
+            ]
+            at_build = np.split(np.argsort(order), np.cumsum(sizes)[:-1])
+            self._rows = {b.id: np.sort(r) for b, r in zip(builds, at_build)}  # in test order
+            self._file_builds: dict[str, list[int]] = {}  # positions of its builds
+            for i, b in enumerate(builds):
                 for p in b.change_set.changed_files:
-                    self._file_builds.setdefault(p, []).append(b.id)
+                    self._file_builds.setdefault(p, []).append(i)
 
         self._pro_cache: dict[tuple[str, int], np.ndarray] = {}
         self._warned_missing: set[str] = set()
@@ -237,44 +240,59 @@ class FeatureExtractor:
 
     # -- REC -------------------------------------------------------------
 
-    def _rec_row(self, test: str, k: int, earlier: list[set[int]]) -> np.ndarray:
-        """The REC slice of one test; ``earlier`` holds, per changed file,
-        the builds before k that changed it."""
-        th = self._tests.get(test)
-        pos = bisect_left(th.builds, k) if th is not None else 0
-        rec = np.zeros(len(REC_FEATURES))
-        if pos == 0:
-            rec[[1, 2, 17, 18]] = -1.0  # LastFailAge, LastTransitionAge, MaxTestFile*Rate
-            return rec
-        fails = th.fail_builds[: bisect_left(th.fail_builds, k)]
-        flips = th.trans_builds[: bisect_left(th.trans_builds, k)]
-        rec[0] = k - th.builds[0]  # Age
-        rec[1] = (k - fails[-1] - 1) if fails else -1.0
-        rec[2] = (k - flips[-1] - 1) if flips else -1.0
-        rec[3] = 1.0 if is_failed(th.verdicts[pos - 1]) else 0.0
-        rec[4] = th.durations[pos - 1]
+    def _rec(self, p: np.ndarray, k: int, chn: frozenset[str]) -> np.ndarray:
+        """The REC block of build k.  ``p`` holds each test's row at k, so
+        the test's earlier executions are the table rows [head, p)."""
+        s = self._head[p]
+        out = np.zeros((len(p), len(REC_FEATURES)))
+        out[:, [1, 2, 17, 18]] = -1.0  # LastFailAge, LastTransitionAge, MaxTestFile*Rate
+        old = p > s
+        p, s = p[old], s[old]
+        fails, asserts, excs, flips = self._events
 
-        # Recent* over the latest recent_window executions, then Total*; the
-        # transitions within executions [a, pos) are the flips after build a
-        for col, a in ((5, max(0, pos - self.recent_window)), (11, 0)):
-            d = np.asarray(th.durations[a:pos])
-            v = th.verdicts[a:pos]
-            n = pos - a
-            n_flips = len(flips) - bisect_right(flips, th.builds[a])
-            rec[col : col + 6] = (
-                d.mean(),
-                d.max(),
-                (n - v.count(Verdict.PASSED)) / n,
-                v.count(Verdict.ASSERTION_FAILURE) / n,
-                v.count(Verdict.EXCEPTION_FAILURE) / n,
-                n_flips / (n - 1) if n > 1 else 0.0,
-            )
+        def age(rows: np.ndarray) -> np.ndarray:
+            return k - self._build_ids[self._build[rows]]
 
-        # MaxTestFileFailRate / MaxTestFileTransitionRate over chn(k)
-        for col, events in ((17, fails), (18, flips)):
-            rates = (len(fb.intersection(events)) / len(events) for fb in earlier)
-            rec[col] = max(rates, default=0.0) if events else -1.0
-        return rec
+        def count(e: np.ndarray, lo: np.ndarray) -> np.ndarray:  # events in rows [lo, p)
+            return np.searchsorted(e, p) - np.searchsorted(e, lo)
+
+        def since(e: np.ndarray) -> np.ndarray:  # builds between the last event and k
+            last = e[np.searchsorted(e, p) - 1]
+            return np.where(last >= s, age(last) - 1, -1.0)
+
+        cols = [age(s), since(fails), since(flips), self._failed[p - 1], self._dur[p - 1]]
+        # Recent* over the latest recent_window executions, then Total*; a
+        # window's transitions are the flips after its first row
+        for lo in (np.maximum(s, p - self.recent_window), s):
+            n = p - lo
+            cols += self._durations(lo, n)
+            cols += [count(e, lo) / n for e in (fails, asserts, excs)]
+            cols.append(count(flips, lo + 1) / np.maximum(n - 1, 1))
+
+        # MaxTestFileFailRate / MaxTestFileTransitionRate over chn(k): per
+        # changed file, the test's events in builds that changed it
+        touched = np.zeros((len(self._build_ids), len(chn)), dtype=bool)
+        for j, f in enumerate(chn):
+            touched[self._file_builds[f], j] = True
+        for e in (fails, flips):
+            lo, hi = np.searchsorted(e, s), np.searchsorted(e, p)
+            hits = np.zeros((len(e) + 1, len(chn)), dtype=np.intp)  # events in e[1:j]
+            np.cumsum(touched[self._build[e[1:]]], axis=0, out=hits[2:])
+            top = (hits[hi] - hits[lo]).max(axis=1, initial=0)
+            cols.append(np.divide(top, hi - lo, out=np.full(len(p), -1.0), where=hi > lo))
+        out[old] = np.column_stack(cols)
+        return out
+
+    def _durations(self, lo: np.ndarray, n: np.ndarray) -> list[np.ndarray]:
+        """Mean and max duration of each window of rows [lo, lo + n).  The
+        windows of one length are reduced as one 2-D array along axis 1,
+        which sums each in the order ``np.mean`` sums it alone."""
+        mean, top = np.empty(len(n)), np.empty(len(n))
+        for length in np.unique(n).tolist():
+            sel = n == length
+            d = self._dur[lo[sel, None] + np.arange(length)]
+            mean[sel], top[sel] = d.mean(axis=1), d.max(axis=1)
+        return [mean, top]
 
     # -- per-file metric vectors ----------------------------------------
 
@@ -292,21 +310,11 @@ class FeatureExtractor:
         vec = self._pro_cache.get(key)
         if vec is None:
             pm = self._process.metrics(path, n_commits - 1) if n_commits else None
-            if pm is None:
-                vec = np.zeros(len(PROCESS_METRICS))
-            else:
-                vec = np.array(pm, dtype=np.float64)
+            vec = np.zeros(len(PROCESS_METRICS)) if pm is None else np.array(pm, dtype=np.float64)
             self._pro_cache[key] = vec
         return vec
 
     # -- matrix assembly -------------------------------------------------
-
-    def _build_changes(self, build: Build) -> list[FileChange]:
-        return [
-            fc
-            for cid in build.change_set.commits
-            for fc in self.history.commits[cid].file_changes
-        ]
 
     def matrix(self, build_id: int, snapshot: Snapshot | None = None) -> FeatureMatrix:
         """Feature matrix of one build, one row per executed test.
@@ -321,21 +329,17 @@ class FeatureExtractor:
         tests = sorted(build.tests)
         X = np.zeros((len(tests), len(CATALOG)))
         chn = build.change_set.changed_files
-        changes = self._build_changes(build)
+        commits = [self.history.commits[c] for c in build.change_set.commits]
+        changes = [fc for c in commits for fc in c.file_changes]
         tim = self.timings
 
         def block(group: FeatureGroup) -> np.ndarray:
             return X[:, CATALOG.group_slice(group)]
 
         with tim.measurement(FeatureGroup.REC):
-            earlier = [
-                set(fb[: bisect_left(fb, build_id)])
-                for f in chn
-                if (fb := self._file_builds.get(f))
-            ]
+            rows = self._rows[build_id]  # each test's row at k, in test order
             rec = block(FeatureGroup.REC)
-            for i, t in enumerate(tests):
-                rec[i] += self._rec_row(t, build_id, earlier)  # += turns -0.0 into 0.0
+            rec += self._rec(rows, build_id, chn)  # += turns -0.0 into 0.0
 
         # every other group scatters per-file metric vectors over a pair
         # table: the test's own file, or the changed and impacted halves
@@ -372,12 +376,7 @@ class FeatureExtractor:
         if snapshot is not None:
             self._impute_unknown(X, tests)
 
-        labels = None
-        if build.records:
-            by_test = {r.test: r for r in build.records}
-            labels = np.array(
-                [1.0 if is_failed(by_test[t].verdict) else 0.0 for t in tests]
-            )
+        labels = self._failed[rows].astype(np.float64) if build.records else None
         return FeatureMatrix(build=build_id, tests=tuple(tests), values=X, labels=labels)
 
     def _pairs(
