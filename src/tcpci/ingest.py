@@ -27,6 +27,7 @@ headers of its ``-U0`` diff, never from the content lines.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
@@ -113,24 +114,54 @@ def _parse_timestamp(value: str, where: str) -> datetime:
     return ts
 
 
-def _read_builds_csv(path: Path) -> list[tuple[int, datetime, tuple[str, ...]]]:
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        required = {"build_id", "timestamp_iso8601", "commits"}
+def _text(path: Path, newline: str | None) -> io.StringIO:
+    """A dataset file's text, read as ``open`` would read it with this
+    ``newline``.  Raises SchemaError naming the line of a byte that is not
+    UTF-8."""
+    data = path.read_bytes()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise SchemaError(f"{path}:{line}: invalid UTF-8 ({exc.reason})") from exc
+
+
+def _csv_rows(path: Path, required: set[str]):
+    """(line, row) for each record of a dataset CSV.
+
+    Raises SchemaError when the header lacks a ``required`` field or a
+    record has fewer or more fields than the header.
+    """
+    reader = csv.DictReader(_text(path, newline=""))
+    try:
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise SchemaError(f"{path}: header must contain {sorted(required)}")
-        rows = []
         for lineno, row in enumerate(reader, start=2):
-            try:
-                build_id = int(row["build_id"])
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: bad build_id {row['build_id']!r}") from exc
-            ts = _parse_timestamp(row["timestamp_iso8601"], f"{path}:{lineno}")
-            commits = tuple(c for c in row["commits"].split(";") if c)
-            for c in commits:
-                if not _HASH_RE.match(c):
-                    raise SchemaError(f"{path}:{lineno}: {c!r} is not a 40-hex commit hash")
-            rows.append((build_id, ts, commits))
+            if None in row or None in row.values():
+                raise SchemaError(
+                    f"{path}:{lineno}: a record must have the header's "
+                    f"{len(reader.fieldnames)} fields"
+                )
+            yield lineno, row
+    except csv.Error as exc:
+        raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
+def _read_builds_csv(path: Path) -> list[tuple[int, datetime, tuple[str, ...]]]:
+    rows = []
+    for lineno, row in _csv_rows(path, {"build_id", "timestamp_iso8601", "commits"}):
+        try:
+            build_id = int(row["build_id"])
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{lineno}: bad build_id {row['build_id']!r}") from exc
+        if build_id < 1:
+            raise SchemaError(f"{path}:{lineno}: build_id must be >= 1, got {build_id}")
+        ts = _parse_timestamp(row["timestamp_iso8601"], f"{path}:{lineno}")
+        commits = tuple(c for c in row["commits"].split(";") if c)
+        for c in commits:
+            if not _HASH_RE.match(c):
+                raise SchemaError(f"{path}:{lineno}: {c!r} is not a 40-hex commit hash")
+        rows.append((build_id, ts, commits))
     if len({r[0] for r in rows}) != len(rows):
         raise SchemaError(f"{path}: duplicate build ids")
     return rows
@@ -139,33 +170,29 @@ def _read_builds_csv(path: Path) -> list[tuple[int, datetime, tuple[str, ...]]]:
 def _read_exec_records_csv(path: Path) -> dict[int, dict[str, list[ExecutionRecord]]]:
     """Returns {build_id: {job_id: [records]}} without deduplication."""
     per_build: dict[int, dict[str, list[ExecutionRecord]]] = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        required = {"build_id", "job_id", "test_path", "verdict", "duration_ms"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise SchemaError(f"{path}: header must contain {sorted(required)}")
-        seen: set[tuple[int, str, str]] = set()
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                build_id = int(row["build_id"])
-                verdict = Verdict(int(row["verdict"]))
-                duration = float(row["duration_ms"])
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-            test = row["test_path"]
-            if not test:
-                raise SchemaError(f"{path}:{lineno}: empty test_path")
-            key = (build_id, row["job_id"], test)
-            if key in seen:
-                raise DuplicateRecordError(f"{path}:{lineno}: duplicate record {key}")
-            seen.add(key)
-            if not 0 <= duration < math.inf:
-                raise SchemaError(
-                    f"{path}:{lineno}: duration_ms must be finite and >= 0, "
-                    f"got {row['duration_ms']!r}"
-                )
-            rec = ExecutionRecord(build_id, test, verdict, duration)
-            per_build.setdefault(build_id, {}).setdefault(row["job_id"], []).append(rec)
+    seen: set[tuple[int, str, str]] = set()
+    required = {"build_id", "job_id", "test_path", "verdict", "duration_ms"}
+    for lineno, row in _csv_rows(path, required):
+        try:
+            build_id = int(row["build_id"])
+            verdict = Verdict(int(row["verdict"]))
+            duration = float(row["duration_ms"])
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+        test = row["test_path"]
+        if not test:
+            raise SchemaError(f"{path}:{lineno}: empty test_path")
+        key = (build_id, row["job_id"], test)
+        if key in seen:
+            raise DuplicateRecordError(f"{path}:{lineno}: duplicate record {key}")
+        seen.add(key)
+        if not 0 <= duration < math.inf:
+            raise SchemaError(
+                f"{path}:{lineno}: duration_ms must be finite and >= 0, "
+                f"got {row['duration_ms']!r}"
+            )
+        rec = ExecutionRecord(build_id, test, verdict, duration)
+        per_build.setdefault(build_id, {}).setdefault(row["job_id"], []).append(rec)
     return per_build
 
 
@@ -197,7 +224,7 @@ def read_commits_jsonl(path: Path) -> list[Commit]:
     """
     commits = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as f:
+    with _text(path, newline=None) as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue

@@ -1,7 +1,10 @@
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tcpci.catalog import CATALOG
 from tcpci.cli import main
@@ -197,23 +200,38 @@ RISK = {"lines_added": 1, "lines_deleted": 0, "low_size": True, "low_complexity"
         {"unit_risks": [{**RISK, "lines_added": "x"}]},
         {"unit_risks": [{**RISK, "low_size": 1}]},
         {"commit": "repeated"},
+        {"exec_records.csv": b"2,j9\n"},
+        {"exec_records.csv": b"1,j9,src/test/XTest.java,0,1.0,extra\n"},
+        {"exec_records.csv": b"1,j9,src/test/\xffTest.java,0,1.0\n"},
+        {"builds.csv": b"99,2024-01-01T00:00:00+00:00\n"},
+        {"builds.csv": b"99\n"},
+        {"builds.csv": b"0,2024-01-01T00:00:00+00:00,\n"},
+        {"builds.csv": b"99,2024-01-01T00:00:00\xff,\n"},
+        {"commits.jsonl": b'{"hash": "\xff"}\n'},
     ],
     ids=[
         "duration-nan", "duration-inf", "message-int", "author-null", "path-int",
         "added-fraction", "added-bool", "deleted-string", "chunk-start-fraction",
         "unit-risk-lines-string", "unit-risk-flag-int", "commit-repeated",
+        "record-short", "record-long", "record-not-utf8", "build-no-commits",
+        "build-no-timestamp", "build-id-0", "build-not-utf8", "commit-not-utf8",
     ],
 )
 def test_malformed_dataset_value_exits_2(dataset, tmp_path, capsys, edit):
     # one value of the first execution record, of the last commit or of its
-    # first file, or a second line for the last commit with another message
+    # first file, a second line for the last commit with another message, or
+    # a line appended to a file
     broken = tmp_path / "broken"
     shutil.copytree(dataset, broken)
     ((key, value),) = edit.items()
-    if key == "duration_ms":
+    if key in ("exec_records.csv", "builds.csv", "commits.jsonl"):
+        with open(broken / key, "ab") as f:
+            f.write(value)
+    elif key == "duration_ms":
         path = broken / "exec_records.csv"
         lines = path.read_text().splitlines()
         lines[1] = lines[1].rsplit(",", 1)[0] + "," + value
+        path.write_text("\n".join(lines) + "\n")
     else:
         path = broken / "commits.jsonl"
         lines = path.read_text().splitlines()
@@ -223,10 +241,64 @@ def test_malformed_dataset_value_exits_2(dataset, tmp_path, capsys, edit):
         else:
             (commit if key in ("author", "message") else commit["files"][0])[key] = value
             lines[-1] = json.dumps(commit)
-    path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n")
     build = history_of(dataset).builds[-1]
     assert main(["extract", str(broken), "--build", str(build.id)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _corrupt(data: bytes, row: int, how: tuple) -> bytes:
+    """``data`` with one data row changed: a field dropped, added or replaced
+    by text or bytes, or the file cut inside the row."""
+    lines = data.split(b"\n")
+    if len(lines) < 2:  # no row left after an earlier cut
+        return data
+    i = 1 + row % (len(lines) - 1)
+    fields = lines[i].split(b",")
+    if how[0] == "cut":
+        return b"\n".join(lines[:i] + [lines[i][: how[1] % (len(lines[i]) + 1)]])
+    if how[0] == "drop":
+        del fields[how[1] % len(fields)]
+    elif how[0] == "add":
+        fields.append(how[1])
+    else:
+        fields[how[1] % len(fields)] = how[2]
+    lines[i] = b",".join(fields)
+    return b"\n".join(lines)
+
+
+_CORRUPTIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["builds.csv", "exec_records.csv"]),
+        st.integers(0, 10**6),
+        st.one_of(
+            st.tuples(st.just("cut"), st.integers(0, 100)),
+            st.tuples(st.just("drop"), st.integers(0, 4)),
+            st.tuples(st.just("add"), st.binary(max_size=6)),
+            st.tuples(st.just("set"), st.integers(0, 4), st.text(max_size=8).map(str.encode)),
+            st.tuples(st.just("set"), st.integers(0, 4), st.binary(max_size=8)),
+        ),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corruptions=_CORRUPTIONS)
+def test_corrupt_dataset_rows_never_crash(dataset, corruptions):
+    # extract on a dataset with corrupted CSV rows exits with a documented
+    # code (0, 2, 3 or 4); an uncaught exception would fail the test
+    build = history_of(dataset).builds[-1]
+    with tempfile.TemporaryDirectory() as tmp:
+        broken = Path(tmp)
+        for name in ("builds.csv", "exec_records.csv", "commits.jsonl"):
+            shutil.copy(dataset / name, broken / name)
+        (broken / "src").symlink_to(dataset / "src")
+        for name, row, how in corruptions:
+            path = broken / name
+            path.write_bytes(_corrupt(path.read_bytes(), row, how))
+        assert main(["extract", str(broken), "--build", str(build.id)]) in (0, 2, 3, 4)
 
 
 def test_invalid_config_exits_2(dataset, tmp_path, capsys):
