@@ -16,19 +16,16 @@ history and answer prefix queries; a :class:`Snapshot` is only the
 commit-prefix cutoff they are asked at.  The retraining decay experiment
 reuses this path with an old snapshot.
 
-Every group is table algebra.  REC reads one execution table: every
-record as a row of parallel columns sorted by (test, build), plus the rows
-of each failure kind and of each transition.  A test's executions before
-build k are the rows from its first up to its row at k, so every count is
-a difference of ``searchsorted`` positions, and the durations of the
-windows of one length are reduced together.  Each other group, per build,
-multiplies a (row, file, weight) pair table by a per-file metric table and
-accumulates it into the matrix with ``np.add.at`` in pair order.  The TES
-groups pair each test with its own file at weight 1; the five coverage
-groups pair it with its covered files at normalized association weights,
-one table for the changed set and one for the impacted set.  Pair order is
-the order a per-test loop would add in, so the sums are the same to the
-last bit (a dense matmul would reorder them).
+Every group is table algebra.  REC reads one table of all executions in
+(test, build) order, where a test's executions before build k are the rows
+from its first up to its row at k.  Each other group, per build, multiplies
+a (row, file, weight) pair table by a per-file metric table and adds it
+into the matrix with ``np.add.at`` in pair order.  The TES groups pair each
+test with its own file at weight 1; the five coverage groups pair it with
+its covered files at normalized association weights, one table for the
+changed set and one for the impacted set.  Pair order is the order a
+per-test loop would add in, so the sums are the same to the last bit (a
+dense matmul would reorder them).
 
 Timing: preprocessing (index construction) and measurement (per-build
 feature computation) wall-clock are accumulated per group; shared
@@ -310,7 +307,10 @@ class FeatureExtractor:
         vec = self._pro_cache.get(key)
         if vec is None:
             pm = self._process.metrics(path, n_commits - 1) if n_commits else None
-            vec = np.zeros(len(PROCESS_METRICS)) if pm is None else np.array(pm, dtype=np.float64)
+            if pm is None:
+                vec = np.zeros(len(PROCESS_METRICS))
+            else:
+                vec = np.array(pm, dtype=np.float64)
             self._pro_cache[key] = vec
         return vec
 

@@ -27,12 +27,12 @@ headers of its ``-U0`` diff, never from the content lines.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import math
 import re
 import subprocess
+from contextlib import closing
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -114,16 +114,22 @@ def _parse_timestamp(value: str, where: str) -> datetime:
     return ts
 
 
-def _text(path: Path, newline: str | None) -> io.StringIO:
-    """A dataset file's text, read as ``open`` would read it with this
-    ``newline``.  Raises SchemaError naming the line of a byte that is not
-    UTF-8."""
-    data = path.read_bytes()
-    try:
-        return io.StringIO(data.decode("utf-8"), newline=newline)
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise SchemaError(f"{path}:{line}: invalid UTF-8 ({exc.reason})") from exc
+def _lines(path: Path, newline: str | None):
+    """The lines of a dataset file, as ``open`` reads them with this
+    ``newline``.  Raises SchemaError naming the line of the first byte that
+    is not UTF-8."""
+    with open(path, encoding="utf-8", newline=newline) as f:
+        try:
+            yield from f
+        except UnicodeDecodeError:
+            # the decoder reads ahead, so find the byte in the whole file
+            data = path.read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise SchemaError(f"{path}:{line}: invalid UTF-8 ({exc.reason})") from exc
+            raise
 
 
 def _csv_rows(path: Path, required: set[str]):
@@ -132,19 +138,20 @@ def _csv_rows(path: Path, required: set[str]):
     Raises SchemaError when the header lacks a ``required`` field or a
     record has fewer or more fields than the header.
     """
-    reader = csv.DictReader(_text(path, newline=""))
-    try:
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise SchemaError(f"{path}: header must contain {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            if None in row or None in row.values():
-                raise SchemaError(
-                    f"{path}:{lineno}: a record must have the header's "
-                    f"{len(reader.fieldnames)} fields"
-                )
-            yield lineno, row
-    except csv.Error as exc:
-        raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
+    with closing(_lines(path, newline="")) as lines:
+        reader = csv.DictReader(lines)
+        try:
+            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+                raise SchemaError(f"{path}: header must contain {sorted(required)}")
+            for lineno, row in enumerate(reader, start=2):
+                if None in row or None in row.values():
+                    raise SchemaError(
+                        f"{path}:{lineno}: a record must have the header's "
+                        f"{len(reader.fieldnames)} fields"
+                    )
+                yield lineno, row
+        except csv.Error as exc:
+            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def _read_builds_csv(path: Path) -> list[tuple[int, datetime, tuple[str, ...]]]:
@@ -224,8 +231,8 @@ def read_commits_jsonl(path: Path) -> list[Commit]:
     """
     commits = []
     seen: set[str] = set()
-    with _text(path, newline=None) as f:
-        for lineno, line in enumerate(f, start=1):
+    with closing(_lines(path, newline=None)) as lines:
+        for lineno, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
             try:
