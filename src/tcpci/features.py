@@ -199,28 +199,28 @@ class FeatureExtractor:
             builds = history.builds
             records = [r for b in builds for r in b.records]
             code = {t: i for i, t in enumerate(sorted({r.test for r in records}))}
-            tcode = np.array([code[r.test] for r in records], dtype=np.intp)
+            tcode = np.fromiter((code[r.test] for r in records), np.intp)
             order = np.argsort(tcode, kind="stable")
-            first = np.diff(tcode[order], prepend=-1) != 0  # a test's first row
-            self._head = np.maximum.accumulate(np.where(first, np.arange(len(order)), 0))
+            counts = np.bincount(tcode, minlength=len(code))
+            starts = np.cumsum(counts) - counts  # each test's first row
+            self._head = np.repeat(starts, counts)
             self._build_ids = np.array([b.id for b in builds])
             sizes = [len(b.records) for b in builds]
             # the build as its position in history.builds
             self._build = np.repeat(np.arange(len(builds)), sizes)[order]
-            verdict = np.array([r.verdict for r in records], dtype=np.int8)[order]
-            self._dur = np.array([r.duration_ms for r in records], dtype=np.float64)[order]
+            verdict = np.fromiter((r.verdict for r in records), np.int8)[order]
+            self._dur = np.fromiter((r.duration_ms for r in records), np.float64)[order]
             self._failed = verdict != Verdict.PASSED
-            flip = np.diff(self._failed, prepend=False) & ~first
+            flip = np.diff(self._failed, prepend=False)
+            flip[starts] = False  # a test's first execution is no transition
             # each kind of event as its sorted rows after a -1 sentinel: with
             # i = searchsorted(e, r), i - 1 events precede row r, and e[i - 1]
             # is the last of them (the sentinel if there is none)
-            self._events = [
-                np.r_[-1, np.flatnonzero(e)]
-                for e in (self._failed, verdict == Verdict.ASSERTION_FAILURE,
-                          verdict == Verdict.EXCEPTION_FAILURE, flip)
-            ]
-            at_build = np.split(np.argsort(order), np.cumsum(sizes)[:-1])
-            self._rows = {b.id: np.sort(r) for b, r in zip(builds, at_build)}  # in test order
+            kinds = (verdict == Verdict.ASSERTION_FAILURE, verdict == Verdict.EXCEPTION_FAILURE)
+            self._events = [np.r_[-1, np.flatnonzero(e)] for e in (self._failed, *kinds, flip)]
+            # each build's rows, which a stable sort by build keeps in test order
+            at_build = np.split(np.argsort(self._build, kind="stable"), np.cumsum(sizes)[:-1])
+            self._rows = dict(zip([b.id for b in builds], at_build))
             self._file_builds: dict[str, list[int]] = {}  # positions of its builds
             for i, b in enumerate(builds):
                 for p in b.change_set.changed_files:
@@ -285,9 +285,9 @@ class FeatureExtractor:
         windows of one length are reduced as one 2-D array along axis 1,
         which sums each in the order ``np.mean`` sums it alone."""
         mean, top = np.empty(len(n)), np.empty(len(n))
-        for length in np.unique(n).tolist():
+        for length in set(n.tolist()):  # np.unique would import numpy.ma
             sel = n == length
-            d = self._dur[lo[sel, None] + np.arange(length)]
+            d = np.lib.stride_tricks.sliding_window_view(self._dur, length)[lo[sel]]
             mean[sel], top[sel] = d.mean(axis=1), d.max(axis=1)
         return [mean, top]
 
