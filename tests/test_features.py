@@ -242,7 +242,13 @@ def rec_reference(history: BuildHistory, test: str, k: int, window: int) -> np.n
     return row
 
 
-_DURATIONS = st.sampled_from([-0.0, 0.0]) | st.floats(0.0, 1e6)
+# sevenths fill the mantissa, so a sum taken in another order shows; np.mean
+# sums 8 or more values pairwise, hence histories of up to 12 builds
+_DURATIONS = (
+    st.sampled_from([-0.0, 0.0])
+    | st.floats(0.0, 1e6)
+    | st.integers(1, 10**12).map(lambda i: i / 7)
+)
 _BUILD_SPECS = st.lists(
     st.tuples(
         st.frozensets(st.sampled_from([F1, F2, "src/app/F3.java"])),
@@ -252,7 +258,7 @@ _BUILD_SPECS = st.lists(
         ),
     ),
     min_size=1,
-    max_size=9,
+    max_size=12,
 )
 
 
