@@ -130,6 +130,8 @@ def _load_config(path: Path | None) -> dict:
         raise InvalidConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidConfigError(f"{path}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise InvalidConfigError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(cfg, dict):
         raise InvalidConfigError(f"{path}: config must be a JSON object")
     return cfg

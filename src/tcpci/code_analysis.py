@@ -57,6 +57,9 @@ DMM_COMPLEXITY_THRESHOLD = 5
 DMM_INTERFACING_THRESHOLD = 2
 
 _TOKEN_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*|&&|\|\||[{}();?,=:<>\[\]]")
+# whether a token is an identifier, and one that names a type by convention
+_is_ident = re.compile(r"[A-Za-z_$]").match
+_is_type_name = re.compile(r"[A-Z]").match
 _IMPORT_RE = re.compile(r"\bimport\s+(?:static\s+)?([\w.]+?)(\.\*)?\s*;")
 
 
@@ -100,15 +103,19 @@ def _blank(text: str) -> str:
     return _NOT_NEWLINE_RE.sub(" ", text)
 
 
+def _code_text(text: str) -> str:
+    """``text`` with comments and string contents blanked out, at the
+    same length and offsets."""
+    return _LEXEME_RE.sub(lambda m: _blank(m[1]) if m[1] else m[2] + _blank(m[3]) + m[4], text)
+
+
 def _strip_comments(text: str) -> tuple[str, list[str]]:
     """Blank out comments and string contents.
 
     Returns the code-only text (same length/offsets as the input) and a
     per-line classification: "blank", "code", or "comment".
     """
-    code = _LEXEME_RE.sub(
-        lambda m: _blank(m[1]) if m[1] else m[2] + _blank(m[3]) + m[4], text
-    )
+    code = _code_text(text)
     # a line's kind is whichever comes first on it: text outside comments
     # (code or a literal's text) or a comment
     bare = _LEXEME_RE.sub(lambda m: _blank(m[1]) if m[1] else m[0], text)
@@ -194,15 +201,11 @@ class _ParseResult:
 
 def _parse(code: str) -> _ParseResult:
     """Single-pass token scan recognizing classes, units, and fields."""
-    line_starts = [0]
-    for m in re.finditer(r"\n", code):
-        line_starts.append(m.end())
-
-    def line_of(offset: int) -> int:
-        return bisect.bisect_right(line_starts, offset)
-
+    # (token, 1-based line); no token spans a newline
     toks: list[tuple[str, int]] = [
-        (m.group(0), m.start()) for m in _TOKEN_RE.finditer(code)
+        (tok, ln)
+        for ln, line in enumerate(code.split("\n"), start=1)
+        for tok in _TOKEN_RE.findall(line)
     ]
     units: list[Unit] = []
     unit_stack: list[Unit] = []
@@ -221,8 +224,7 @@ def _parse(code: str) -> _ParseResult:
     i = 0
     depth = 0
     while i < len(toks):
-        tok, off = toks[i]
-        ln = line_of(off)
+        tok, ln = toks[i]
         if unit_stack:
             exe_lines.add(ln)
             u = unit_stack[-1]
@@ -234,7 +236,7 @@ def _parse(code: str) -> _ParseResult:
 
         if tok in _TYPE_KEYWORDS and i + 1 < len(toks):
             nxt_tok = toks[i + 1][0]
-            if nxt_tok not in JAVA_KEYWORDS and re.match(r"[A-Za-z_$]", nxt_tok):
+            if nxt_tok not in JAVA_KEYWORDS and _is_ident(nxt_tok):
                 pending_class = True
                 declared.add(nxt_tok)
 
@@ -245,7 +247,7 @@ def _parse(code: str) -> _ParseResult:
             and pending_unit is None
             and not pending_class
             and i > 0
-            and re.match(r"[A-Za-z_$]", toks[i - 1][0])
+            and _is_ident(toks[i - 1][0])
             and toks[i - 1][0] not in JAVA_KEYWORDS
         ):
             # candidate unit declaration: name ( params ) [throws ...] {
@@ -278,7 +280,7 @@ def _parse(code: str) -> _ParseResult:
                 mods = frozenset(t for t in stmt_buf if t in _ACCESS or t == "static")
                 pending_unit = Unit(
                     name=name,
-                    start_line=line_of(toks[i - 1][1]),
+                    start_line=toks[i - 1][1],
                     body_depth=depth + 1,
                     param_count=_count_params(ptoks),
                     modifiers=mods,
@@ -314,7 +316,7 @@ def _parse(code: str) -> _ParseResult:
                     idents = [
                         t
                         for t in stmt_buf
-                        if re.match(r"[A-Za-z_$]", t) and t not in JAVA_KEYWORDS
+                        if _is_ident(t) and t not in JAVA_KEYWORDS
                     ]
                     if len(idents) >= 2 or ("=" in stmt_buf and idents):
                         if "static" in stmt_buf:
@@ -327,7 +329,7 @@ def _parse(code: str) -> _ParseResult:
         else:
             stmt_buf.append(tok)
             if (
-                re.match(r"[A-Z]", tok)
+                _is_type_name(tok)
                 and tok not in JAVA_KEYWORDS
                 and not (i + 1 < len(toks) and pending_class)
             ):
@@ -440,27 +442,54 @@ def analyze_file(
         CountDeclMethodPublic=sum(1 for u in units if "public" in u.modifiers),
     )
 
+    if index is None:
+        return metrics, SourceEntity(path)
+    return metrics, _entity(code, path, index, parsed.declared_types, parsed.called_types)
+
+
+def scan_entity(source: str, path: str, index: FileIndex) -> SourceEntity:
+    """The dependency targets :func:`analyze_file` finds for one file, from
+    its tokens alone: no line kinds and no unit parse."""
+    code = _code_text(source)
+    declared: set[str] = set()
+    called: set[str] = set()
+    toks = _TOKEN_RE.findall(code)
+    last = len(toks) - 1
+    pending_class = False  # a type name is declared and its body not yet open
+    for i, tok in enumerate(toks):
+        # a token is ASCII, so this is _is_type_name; no keyword is
+        # capitalized, and the last token counts even after a type keyword
+        if "A" <= tok < "[":
+            if not pending_class or i == last:
+                called.add(tok)
+        elif tok == "{":
+            pending_class = False
+        elif tok in _TYPE_KEYWORDS:
+            if i < last and toks[i + 1] not in JAVA_KEYWORDS and _is_ident(toks[i + 1]):
+                pending_class = True
+                declared.add(toks[i + 1])
+    return _entity(code, path, index, declared, called)
+
+
+def _entity(
+    code: str, path: str, index: FileIndex, declared: set[str], called: set[str]
+) -> SourceEntity:
+    """The resolved import and call targets of a file's code text, given
+    the type names it declares and the ones it names."""
     imports: set[str] = set()
     calls: set[str] = set()
-    if index is not None:
-        for m in _IMPORT_RE.finditer(code):
-            if m.group(2):  # wildcard imports produce no edges
-                continue
-            target = index.resolve_import(m.group(1))
-            if target is not None and target != path:
-                imports.add(target)
-        own = parsed.declared_types | {path.replace("\\", "/").split("/")[-1].rsplit(".", 1)[0]}
-        for name in parsed.called_types - own:
-            target = index.resolve_type(name)
-            if target is not None and target != path:
-                calls.add(target)
-
-    entity = SourceEntity(
-        path=path,
-        import_targets=frozenset(imports),
-        call_targets=frozenset(calls),
-    )
-    return metrics, entity
+    for m in _IMPORT_RE.finditer(code):
+        if m.group(2):  # wildcard imports produce no edges
+            continue
+        target = index.resolve_import(m.group(1))
+        if target is not None and target != path:
+            imports.add(target)
+    own = declared | {path.replace("\\", "/").split("/")[-1].rsplit(".", 1)[0]}
+    for name in called - own:
+        target = index.resolve_type(name)
+        if target is not None and target != path:
+            calls.add(target)
+    return SourceEntity(path, frozenset(imports), frozenset(calls))
 
 
 # --- DMM risk assessment ------------------------------------------------

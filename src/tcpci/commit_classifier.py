@@ -166,7 +166,7 @@ class CommitClassifier:
             forest = Forest(columns, [base], shrinkage, *read_nodes(d["trees"]))
             vectorizer = TfidfVectorizer(vocabulary, np.array(idf, dtype=np.float64))
             return cls(vectorizer, forest, threshold)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise SchemaError(f"malformed classifier file: {exc!r}") from exc
 
 

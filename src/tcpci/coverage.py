@@ -17,7 +17,7 @@ import bisect
 
 from .errors import UnknownTestError
 from .model import AssociationScores, Commit, ZERO_SCORES
-from .code_analysis import FileIndex, analyze_file, is_test_file
+from .code_analysis import FileIndex, is_test_file, scan_entity
 
 
 class DependencyGraph:
@@ -67,7 +67,7 @@ def build_dependency_graph_from_sources(sources: dict[str, str]) -> DependencyGr
     index = FileIndex(set(sources))
     deps: dict[str, frozenset[str]] = {}
     for path, text in sources.items():
-        _, entity = analyze_file(text, path, index)
+        entity = scan_entity(text, path, index)
         deps[path] = entity.import_targets | entity.call_targets
     return DependencyGraph(deps)
 

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import InsufficientHistoryError, InvalidConfigError, NoFailuresError
 from .features import FeatureExtractor, Snapshot
 from .matrix import FeatureMatrix, stack_matrices
-from .model import Build, BuildHistory, is_failed
+from .model import Build, BuildHistory, Verdict
 from .ranker import Hyperparams, RankModel, heuristic_key, heuristic_rank, rank_tests, train_ranker
 
 log = logging.getLogger(__name__)
@@ -37,13 +37,8 @@ RANDOM_SAMPLES = 20
 
 def optimal_ordering(build: Build) -> list[str]:
     """Failed tests first by duration ascending, then passed likewise."""
-    return [
-        r.test
-        for r in sorted(
-            build.records,
-            key=lambda r: (0 if is_failed(r.verdict) else 1, r.duration_ms, r.test),
-        )
-    ]
+    passed = (build.verdicts == Verdict.PASSED).tolist()
+    return [t for _, _, t in sorted(zip(passed, build.durations.tolist(), build.tests))]
 
 
 def apfdc(ordering: list[str], verdicts: dict[str, bool], durations: dict[str, float]) -> float:
@@ -63,8 +58,8 @@ def apfdc(ordering: list[str], verdicts: dict[str, bool], durations: dict[str, f
 
 
 def apfdc_of_build(build: Build, ordering: list[str]) -> float:
-    verdicts = {r.test: is_failed(r.verdict) for r in build.records}
-    durations = {r.test: r.duration_ms for r in build.records}
+    verdicts = dict(zip(build.tests, (build.verdicts != Verdict.PASSED).tolist()))
+    durations = dict(zip(build.tests, build.durations.tolist()))
     return apfdc(ordering, verdicts, durations)
 
 
@@ -89,10 +84,8 @@ def remove_frequent_failers(history: BuildHistory) -> tuple[BuildHistory, list[s
     """
     counts: dict[str, int] = {}
     for b in history.builds:
-        for r in b.records:
-            counts.setdefault(r.test, 0)
-            if is_failed(r.verdict):
-                counts[r.test] += 1
+        for test, failed in zip(b.tests, (b.verdicts != Verdict.PASSED).tolist()):
+            counts[test] = counts.get(test, 0) + failed
     if len(counts) < 2:
         return history, []
     values = list(counts.values())
@@ -103,15 +96,15 @@ def remove_frequent_failers(history: BuildHistory) -> tuple[BuildHistory, list[s
     if not removed:
         return history, []
     removed_set = set(removed)
-    builds = [
-        Build(
-            id=b.id,
-            change_set=b.change_set,
-            records=tuple(r for r in b.records if r.test not in removed_set),
-            wall_clock=b.wall_clock,
+    builds = []
+    for b in history.builds:
+        keep = np.array([t not in removed_set for t in b.tests], dtype=bool)
+        tests = tuple(t for t, k in zip(b.tests, keep.tolist()) if k)
+        builds.append(
+            Build.from_columns(
+                b.id, b.change_set, tests, b.verdicts[keep], b.durations[keep], b.wall_clock
+            )
         )
-        for b in history.builds
-    ]
     return BuildHistory(builds, history.commits), removed
 
 

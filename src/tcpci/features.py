@@ -30,7 +30,10 @@ dense matmul would reorder them).
 Timing: preprocessing (index construction) and measurement (per-build
 feature computation) wall-clock are accumulated per group; shared
 preprocessing steps attribute their full cost to every group using them.
-TES_CHN needs no preprocessing, so its P is 0 by construction.
+TES_CHN needs no preprocessing, so its P is 0 by construction.  A file's
+unit analysis (its complexity row) runs the first time a matrix reads it,
+so it counts as measurement of TES_COM or COD_COV_COM, whichever asks
+first; their P is the import/call scan the dependency graph needs.
 """
 
 from __future__ import annotations
@@ -51,11 +54,11 @@ from .catalog import (
     FeatureGroup,
 )
 from .code_analysis import (
-    ComplexityMetrics,
     FileIndex,
     ProcessHistory,
     analyze_file,
     compute_change_metrics,
+    scan_entity,
 )
 from .coverage import AssociationMiner, DependencyGraph, PdfIndex
 from .errors import InvalidConfigError
@@ -164,14 +167,12 @@ class FeatureExtractor:
         sources = sources or {}
 
         with self.timings.preprocessing(FeatureGroup.TES_COM, FeatureGroup.COD_COV_COM):
+            # only the import/call scan: a file's units are parsed the first
+            # time a matrix reads its complexity (see _com_vec)
             index = FileIndex(set(sources))
-            self._complexity: dict[str, ComplexityMetrics] = {}
-            entities = {}
-            for path in sorted(sources):
-                self._complexity[path], entities[path] = analyze_file(sources[path], path, index)
-            self._com_arrays = {
-                p: np.array(m, dtype=np.float64) for p, m in self._complexity.items()
-            }
+            entities = {p: scan_entity(sources[p], p, index) for p in sorted(sources)}
+            self._sources = dict(sources)
+            self._com_arrays: dict[str, np.ndarray] = {}
 
         with self.timings.preprocessing(*_COV_GROUPS):
             self._graph = DependencyGraph(
@@ -197,19 +198,19 @@ class FeatureExtractor:
             # the execution table: one row per record, stably sorted by
             # (test, build), so each test's executions are contiguous rows
             builds = history.builds
-            records = [r for b in builds for r in b.records]
-            code = {t: i for i, t in enumerate(sorted({r.test for r in records}))}
-            tcode = np.fromiter((code[r.test] for r in records), np.intp)
+            tests = [t for b in builds for t in b.tests]
+            code = {t: i for i, t in enumerate(sorted(set(tests)))}
+            tcode = np.fromiter(map(code.__getitem__, tests), np.intp, len(tests))
             order = np.argsort(tcode, kind="stable")
             counts = np.bincount(tcode, minlength=len(code))
             starts = np.cumsum(counts) - counts  # each test's first row
             self._head = np.repeat(starts, counts)
             self._build_ids = np.array([b.id for b in builds])
-            sizes = [len(b.records) for b in builds]
+            sizes = [len(b.tests) for b in builds]
             # the build as its position in history.builds
             self._build = np.repeat(np.arange(len(builds)), sizes)[order]
-            verdict = np.fromiter((r.verdict for r in records), np.int8)[order]
-            self._dur = np.fromiter((r.duration_ms for r in records), np.float64)[order]
+            verdict = np.concatenate([np.empty(0, np.int8), *(b.verdicts for b in builds)])[order]
+            self._dur = np.concatenate([np.empty(0), *(b.durations for b in builds)])[order]
             self._failed = verdict != Verdict.PASSED
             flip = np.diff(self._failed, prepend=False)
             flip[starts] = False  # a test's first execution is no transition
@@ -294,12 +295,17 @@ class FeatureExtractor:
     # -- per-file metric vectors ----------------------------------------
 
     def _com_vec(self, path: str) -> np.ndarray:
+        """The complexity row of a file, analysed on first use."""
         vec = self._com_arrays.get(path)
         if vec is None:
-            if path not in self._warned_missing:
-                log.warning("no source analysis for %s; metrics default to 0", path)
-                self._warned_missing.add(path)
-            return np.zeros(len(COMPLEXITY_METRICS))
+            source = self._sources.get(path)
+            if source is None:
+                if path not in self._warned_missing:
+                    log.warning("no source analysis for %s; metrics default to 0", path)
+                    self._warned_missing.add(path)
+                return np.zeros(len(COMPLEXITY_METRICS))
+            metrics, _ = analyze_file(source, path)
+            vec = self._com_arrays[path] = np.array(metrics, dtype=np.float64)
         return vec
 
     def _pro_vec(self, path: str, n_commits: int) -> np.ndarray:
@@ -376,7 +382,7 @@ class FeatureExtractor:
         if snapshot is not None:
             self._impute_unknown(X, tests)
 
-        labels = self._failed[rows].astype(np.float64) if build.records else None
+        labels = self._failed[rows].astype(np.float64) if build.tests else None
         return FeatureMatrix(build=build_id, tests=tuple(tests), values=X, labels=labels)
 
     def _pairs(

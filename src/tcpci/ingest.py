@@ -32,11 +32,14 @@ import logging
 import math
 import re
 import subprocess
+from collections import Counter
 from contextlib import closing
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import get_type_hints
+from typing import NoReturn, get_type_hints
+
+import numpy as np
 
 from .code_analysis import assess_chunk_risks
 from .errors import (
@@ -51,7 +54,6 @@ from .model import (
     BuildHistory,
     ChangeSet,
     Commit,
-    ExecutionRecord,
     FileChange,
     UnitRisk,
     Verdict,
@@ -97,11 +99,14 @@ class DatasetLayout:
         return None
 
 
-def select_primary_job(jobs: dict[str, list[ExecutionRecord]]) -> str:
-    """Pick the job with the most distinct tests; ties go to the smallest id."""
+def select_primary_job(jobs: dict[str, int]) -> str:
+    """Pick the job with the most distinct tests; ties go to the smallest id.
+
+    ``jobs`` maps each job id of a build to its number of distinct tests.
+    """
     if not jobs:
         raise EmptyBuildError("build has no jobs")
-    return min(jobs, key=lambda j: (-len({r.test for r in jobs[j]}), j))
+    return min(jobs, key=lambda j: (-jobs[j], j))
 
 
 def _parse_timestamp(value: str, where: str) -> datetime:
@@ -133,7 +138,8 @@ def _lines(path: Path, newline: str | None):
 
 
 def _csv_rows(path: Path, required: set[str]):
-    """(line, row) for each record of a dataset CSV.
+    """(line, row) for each record of a dataset CSV, where ``line`` is the
+    physical line the record ends on.
 
     Raises SchemaError when the header lacks a ``required`` field or a
     record has fewer or more fields than the header.
@@ -143,13 +149,13 @@ def _csv_rows(path: Path, required: set[str]):
         try:
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):
                 raise SchemaError(f"{path}: header must contain {sorted(required)}")
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if None in row or None in row.values():
                     raise SchemaError(
-                        f"{path}:{lineno}: a record must have the header's "
+                        f"{path}:{reader.line_num}: a record must have the header's "
                         f"{len(reader.fieldnames)} fields"
                     )
-                yield lineno, row
+                yield reader.line_num, row
         except csv.Error as exc:
             raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
 
@@ -174,15 +180,94 @@ def _read_builds_csv(path: Path) -> list[tuple[int, datetime, tuple[str, ...]]]:
     return rows
 
 
-def _read_exec_records_csv(path: Path) -> dict[int, dict[str, list[ExecutionRecord]]]:
-    """Returns {build_id: {job_id: [records]}} without deduplication."""
-    per_build: dict[int, dict[str, list[ExecutionRecord]]] = {}
+_EXEC_FIELDS = ("build_id", "job_id", "test_path", "verdict", "duration_ms")
+_VERDICT_CODES = frozenset(v.value for v in Verdict)
+
+#: One build's executions: test paths in order, verdict codes, durations.
+ExecColumns = tuple[tuple[str, ...], np.ndarray, np.ndarray]
+_NO_EXECUTIONS: ExecColumns = ((), np.empty(0, np.int8), np.empty(0, np.float64))
+
+
+def _read_exec_records_csv(path: Path) -> dict[int, ExecColumns]:
+    """{build_id: columns} of each build's primary job (see
+    :func:`select_primary_job`), in test order.
+
+    The rules are checked over whole columns; when one fails, the file is
+    read again row by row to raise the error of the first bad record.
+    """
+    columns = _exec_columns(path)
+    if columns is None:
+        _raise_first_bad_record(path)
+    build, job, test, verdict, duration = columns
+    # the primary job of each build that ran more than one
+    if len(set(job)) > 1:
+        per_build: dict[int, dict[str, int]] = {}
+        for (b, j), count in Counter(zip(build, job)).items():
+            per_build.setdefault(b, {})[j] = count  # keys are unique, so tests are distinct
+        primary = {b: select_primary_job(jobs) for b, jobs in per_build.items()}
+        kept = [i for i, (b, j) in enumerate(zip(build, job)) if primary[b] == j]
+    else:
+        kept = range(len(build))
+    # rows by build id, then test path
+    by_test = sorted(kept, key=test.__getitem__)
+    build_ids = np.array(build, dtype=np.int64)
+    order = np.array(by_test, dtype=np.intp)
+    order = order[np.argsort(build_ids[order], kind="stable")]
+    build_ids = build_ids[order]
+    verdict, duration = np.array(verdict, dtype=np.int8)[order], duration[order]
+    tests = tuple(test[i] for i in order.tolist())
+    bounds = [0, *(np.flatnonzero(np.diff(build_ids)) + 1).tolist(), len(order)]
+    return {
+        int(build_ids[lo]): (tests[lo:hi], verdict[lo:hi], duration[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])
+        if hi > lo
+    }
+
+
+def _exec_columns(path: Path):
+    """(build ids, job ids, test paths, verdict codes, durations) of
+    ``path`` in file order, or None when any rule of the file fails."""
+    try:
+        with closing(_lines(path, newline="")) as lines:
+            reader = csv.reader(lines)
+            header = next(reader, [])
+            at = {name: i for i, name in enumerate(header)}  # the last of a repeated name
+            if not at.keys() >= set(_EXEC_FIELDS):
+                return None
+            fields = [[] for _ in header]
+            for row in reader:
+                if len(row) != len(header):
+                    if row:
+                        return None
+                    continue  # a blank line
+                for values, value in zip(fields, row):
+                    values.append(value)
+    except (SchemaError, csv.Error):
+        return None
+    build, job, test, verdict, duration = (fields[at[name]] for name in _EXEC_FIELDS)
+    try:
+        build = list(map(int, build))
+        verdict = list(map(int, verdict))
+        duration = np.fromiter(map(float, duration), np.float64, len(duration))
+    except ValueError:
+        return None
+    if (
+        not _VERDICT_CODES.issuperset(verdict)
+        or "" in test
+        or len(set(zip(build, job, test))) != len(test)
+        or not ((duration >= 0) & (duration < math.inf)).all()
+    ):
+        return None
+    return build, job, test, verdict, duration
+
+
+def _raise_first_bad_record(path: Path) -> NoReturn:
+    """Read ``path`` row by row and raise the error of its first bad record."""
     seen: set[tuple[int, str, str]] = set()
-    required = {"build_id", "job_id", "test_path", "verdict", "duration_ms"}
-    for lineno, row in _csv_rows(path, required):
+    for lineno, row in _csv_rows(path, set(_EXEC_FIELDS)):
         try:
             build_id = int(row["build_id"])
-            verdict = Verdict(int(row["verdict"]))
+            Verdict(int(row["verdict"]))
             duration = float(row["duration_ms"])
         except ValueError as exc:
             raise SchemaError(f"{path}:{lineno}: {exc}") from exc
@@ -198,9 +283,7 @@ def _read_exec_records_csv(path: Path) -> dict[int, dict[str, list[ExecutionReco
                 f"{path}:{lineno}: duration_ms must be finite and >= 0, "
                 f"got {row['duration_ms']!r}"
             )
-        rec = ExecutionRecord(build_id, test, verdict, duration)
-        per_build.setdefault(build_id, {}).setdefault(row["job_id"], []).append(rec)
-    return per_build
+    raise AssertionError(f"{path}: a rule failed, but no record breaks it")
 
 
 def _typed(obj: dict, types: dict[str, type]) -> dict:
@@ -239,6 +322,8 @@ def read_commits_jsonl(path: Path) -> list[Commit]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"{path}:{lineno}: invalid JSON") from exc
+            except RecursionError as exc:
+                raise SchemaError(f"{path}:{lineno}: JSON nested too deeply") from exc
             try:
                 _typed(obj, _COMMIT_TYPES)
                 changes = []
@@ -311,19 +396,9 @@ def ingest_exec_records(layout: DatasetLayout) -> BuildHistory:
         changed = frozenset(
             p for cid in commit_ids for p in commit_store[cid].changed_files
         )
-        jobs = per_build.get(build_id, {})
-        if jobs:
-            primary = select_primary_job(jobs)
-            records = tuple(sorted(jobs[primary], key=lambda r: r.test))
-        else:
-            records = ()
+        executions = per_build.get(build_id, _NO_EXECUTIONS)
         builds.append(
-            Build(
-                id=build_id,
-                change_set=ChangeSet(build_id, commit_ids, changed),
-                records=records,
-                wall_clock=ts,
-            )
+            Build.from_columns(build_id, ChangeSet(build_id, commit_ids, changed), *executions, ts)
         )
     return BuildHistory(builds, commit_store)
 
@@ -341,8 +416,8 @@ def write_dataset(history: BuildHistory, root: Path) -> DatasetLayout:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["build_id", "job_id", "test_path", "verdict", "duration_ms"])
         for b in history.builds:
-            for r in b.records:
-                w.writerow([b.id, "j0", r.test, int(r.verdict), r.duration_ms])
+            for row in zip(b.tests, b.verdicts.tolist(), b.durations.tolist()):
+                w.writerow([b.id, "j0", *row])
     with open(root / "commits.jsonl", "w", encoding="utf-8") as f:
         for c in history.commit_sequence:
             obj = {

@@ -8,8 +8,11 @@ algorithms beyond invariant checks.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from datetime import datetime
+
+import numpy as np
 
 # A build id is a positive ordinal; ordering equals chronological ordering.
 BuildId = int
@@ -32,6 +35,9 @@ class Verdict(enum.IntEnum):
     ASSERTION_FAILURE = 1
     EXCEPTION_FAILURE = 2
     UNKNOWN_FAILURE = 3
+
+
+_VERDICTS = tuple(Verdict)  # indexed by code
 
 
 def is_failed(verdict: Verdict) -> bool:
@@ -112,30 +118,98 @@ class ChangeSet:
     changed_files: frozenset[str]
 
 
-@dataclass(frozen=True)
 class Build:
-    id: BuildId
-    change_set: ChangeSet
-    records: tuple[ExecutionRecord, ...]
-    wall_clock: datetime | None = None
+    """One build: its change set and its executions after job deduplication.
 
-    def __post_init__(self):
-        if self.id < 1:
+    The executions are stored once, as columns in test order: ``tests``,
+    ``verdicts`` (the :class:`Verdict` codes, int8) and ``durations``
+    (milliseconds, float64).  ``records`` given to the constructor go into
+    the same columns; :attr:`records` builds the :class:`ExecutionRecord`
+    values from them on each read.
+    """
+
+    __slots__ = ("id", "change_set", "tests", "verdicts", "durations", "wall_clock")
+
+    def __init__(
+        self,
+        id: BuildId,
+        change_set: ChangeSet,
+        records: tuple[ExecutionRecord, ...],
+        wall_clock: datetime | None = None,
+    ):
+        records = sorted(records, key=lambda r: r.test)
+        self._set(
+            id,
+            change_set,
+            tuple(r.test for r in records),
+            np.array([r.verdict for r in records], dtype=np.int8),
+            np.array([r.duration_ms for r in records], dtype=np.float64),
+            wall_clock,
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        id: BuildId,
+        change_set: ChangeSet,
+        tests: tuple[TestId, ...],
+        verdicts: np.ndarray,
+        durations: np.ndarray,
+        wall_clock: datetime | None = None,
+    ) -> Build:
+        """A build from columns already in test order, whose verdict codes
+        and durations the caller has checked."""
+        build = cls.__new__(cls)
+        build._set(id, change_set, tests, verdicts, durations, wall_clock)
+        return build
+
+    def _set(self, id, change_set, tests, verdicts, durations, wall_clock) -> None:
+        if id < 1:
             raise ValueError("build ordinal must be positive")
-        seen = set()
-        for r in self.records:
-            if r.test in seen:
-                raise ValueError(f"duplicate record for test {r.test} in build {self.id}")
-            seen.add(r.test)
+        for a, b in zip(tests, tests[1:]):
+            if a >= b:  # sorted, so an equal neighbour
+                raise ValueError(f"duplicate record for test {a} in build {id}")
+        verdicts.flags.writeable = durations.flags.writeable = False
+        values = (id, change_set, tests, verdicts, durations, wall_clock)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a Build")
+
+    @property
+    def records(self) -> tuple[ExecutionRecord, ...]:
+        """One record per execution, in test order."""
+        return tuple(
+            map(
+                ExecutionRecord,
+                itertools.repeat(self.id),
+                self.tests,
+                map(_VERDICTS.__getitem__, self.verdicts.tolist()),
+                self.durations.tolist(),
+            )
+        )
 
     @property
     def failed(self) -> bool:
         """A build is failed iff at least one record has a failing verdict."""
-        return any(is_failed(r.verdict) for r in self.records)
+        return bool(self.verdicts.any())
 
-    @property
-    def tests(self) -> tuple[TestId, ...]:
-        return tuple(r.test for r in self.records)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Build):
+            return NotImplemented
+        return (
+            (self.id, self.change_set, self.wall_clock, self.tests)
+            == (other.id, other.change_set, other.wall_clock, other.tests)
+            and np.array_equal(self.verdicts, other.verdicts)
+            and np.array_equal(self.durations, other.durations)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.id, self.change_set, self.tests))
+
+    def __repr__(self) -> str:
+        return f"Build(id={self.id}, {len(self.tests)} executions)"
 
 
 @dataclass(frozen=True)

@@ -145,7 +145,7 @@ class RankModel:
             nodes = read_nodes(trees)
             del d, bags, trees  # the table reuses the parsed file's memory
             return cls(hp, seed, fingerprint, Forest(columns, base, hp.shrinkage, *nodes))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise SchemaError(f"malformed model file: {exc!r}") from exc
 
 

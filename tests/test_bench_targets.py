@@ -12,7 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
+from tcpci.evaluation import apfdc_of_build
+from tcpci.ingest import ingest_exec_records
 from tcpci.ranker import Hyperparams, train_ranker
+from tcpci.synth import SynthConfig, write_synthetic_dataset
 from tcpci.trees import Grower, RegressionTree
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -37,7 +40,7 @@ def test_every_traced_target_resolves():
             assert name in vars(owner) and callable(getattr(owner, name)), f"tcpci.{layer}.{attr}"
 
 
-def test_traced_results_expose_what_the_observers_read():
+def test_traced_results_expose_what_the_observers_read(tmp_path):
     rng = np.random.default_rng(0)
     X = rng.random((30, 150))
     y = (X[:, 0] > 0.5).astype(float)
@@ -50,3 +53,18 @@ def test_traced_results_expose_what_the_observers_read():
     assert tree.n_leaves == 4
     fit = inspect.signature(vars(RegressionTree)["fit"].__func__)
     assert list(fit.parameters)[3] == "max_leaves"
+
+    # layers.py counts ``ingest.records`` over an ingested history's builds,
+    # and workloads.py reads its failed builds, their tests and APFD_C
+    config = SynthConfig(n_files=40, n_tests=20, n_builds=16, files_per_build=5)
+    layout, _ = write_synthetic_dataset(tmp_path / "ds", config, seed=3)
+    history = ingest_exec_records(layout)
+    with open(layout.exec_records_csv, encoding="utf-8") as f:
+        n_rows = sum(1 for _ in f) - 1
+    assert sum(len(b.records) for b in history.builds) == n_rows
+    failed = history.failed_builds
+    assert failed and all(b.failed for b in failed)
+    assert not any(b.failed for b in history.builds if b not in failed)
+    build = failed[-1]
+    assert sorted(build.tests) == sorted(r.test for r in build.records)
+    assert 0.0 <= apfdc_of_build(build, sorted(build.tests)) <= 1.0

@@ -1,5 +1,9 @@
 import json
+import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -7,8 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcpci.catalog import CATALOG
+import tcpci
+from tcpci import ingest
 from tcpci.cli import main
+from tcpci.errors import DuplicateRecordError, SchemaError
 from tcpci.ingest import DatasetLayout, ingest_exec_records
+from tcpci.model import ExecutionRecord, Verdict
 
 SYNTH_CFG = {
     "n_files": 30,
@@ -208,6 +216,7 @@ RISK = {"lines_added": 1, "lines_deleted": 0, "low_size": True, "low_complexity"
         {"builds.csv": b"0,2024-01-01T00:00:00+00:00,\n"},
         {"builds.csv": b"99,2024-01-01T00:00:00\xff,\n"},
         {"commits.jsonl": b'{"hash": "\xff"}\n'},
+        {"commits.jsonl": b"[" * 100_000 + b"\n"},
     ],
     ids=[
         "duration-nan", "duration-inf", "message-int", "author-null", "path-int",
@@ -215,6 +224,7 @@ RISK = {"lines_added": 1, "lines_deleted": 0, "low_size": True, "low_complexity"
         "unit-risk-lines-string", "unit-risk-flag-int", "commit-repeated",
         "record-short", "record-long", "record-not-utf8", "build-no-commits",
         "build-no-timestamp", "build-id-0", "build-not-utf8", "commit-not-utf8",
+        "commit-nested-deep",
     ],
 )
 def test_malformed_dataset_value_exits_2(dataset, tmp_path, capsys, edit):
@@ -299,6 +309,76 @@ def test_corrupt_dataset_rows_never_crash(dataset, corruptions):
             path = broken / name
             path.write_bytes(_corrupt(path.read_bytes(), row, how))
         assert main(["extract", str(broken), "--build", str(build.id)]) in (0, 2, 3, 4)
+
+
+def rows_reference(path: Path) -> dict:
+    """The row-at-a-time ``exec_records.csv`` reader the columnar one
+    replaced: {build: [(test, verdict, duration)]} of each build's primary
+    job in test order, or the exception of the first bad record."""
+    per_build: dict[int, dict[str, list[ExecutionRecord]]] = {}
+    seen: set[tuple[int, str, str]] = set()
+    required = {"build_id", "job_id", "test_path", "verdict", "duration_ms"}
+    for lineno, row in ingest._csv_rows(path, required):
+        try:
+            build_id = int(row["build_id"])
+            verdict = Verdict(int(row["verdict"]))
+            duration = float(row["duration_ms"])
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+        test = row["test_path"]
+        if not test:
+            raise SchemaError(f"{path}:{lineno}: empty test_path")
+        key = (build_id, row["job_id"], test)
+        if key in seen:
+            raise DuplicateRecordError(f"{path}:{lineno}: duplicate record {key}")
+        seen.add(key)
+        if not 0 <= duration < math.inf:
+            raise SchemaError(
+                f"{path}:{lineno}: duration_ms must be finite and >= 0, "
+                f"got {row['duration_ms']!r}"
+            )
+        rec = ExecutionRecord(build_id, test, verdict, duration)
+        per_build.setdefault(build_id, {}).setdefault(row["job_id"], []).append(rec)
+    out = {}
+    for build_id, jobs in per_build.items():
+        primary = min(jobs, key=lambda j: (-len({r.test for r in jobs[j]}), j))
+        records = sorted(jobs[primary], key=lambda r: r.test)
+        out[build_id] = [(r.test, int(r.verdict), r.duration_ms.hex()) for r in records]
+    return out
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    corruptions=_CORRUPTIONS,
+    copies=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(["j0", "j1"])), max_size=3),
+)
+def test_exec_reader_matches_row_reference(dataset, corruptions, copies):
+    # the columnar reader gives the reference's records or raises its
+    # error; copied rows, under their own job or another, add duplicate
+    # records and second jobs
+    def columnar(path):
+        return {
+            build_id: [(t, v, d.hex()) for t, v, d in zip(tests, verdicts.tolist(), durations.tolist())]
+            for build_id, (tests, verdicts, durations) in ingest._read_exec_records_csv(path).items()
+        }
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exec_records.csv"
+        lines = (dataset / "exec_records.csv").read_bytes().splitlines(keepends=True)
+        for row, job in copies:
+            fields = lines[1 + row % (len(lines) - 1)].split(b",")
+            lines.append(b",".join([fields[0], job.encode(), *fields[2:]]))
+        path.write_bytes(b"".join(lines))
+        for _, row, how in corruptions:
+            path.write_bytes(_corrupt(path.read_bytes(), row, how))
+        assert _outcome(columnar, path) == _outcome(rows_reference, path)
 
 
 def test_invalid_config_exits_2(dataset, tmp_path, capsys):
@@ -392,6 +472,8 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
         ["synth", "--config", '@{"n_builds": true}'],
         ["synth", "--config", '@{"n_builds": -1}'],
         ["synth", "--config", '@{"flaky_prob": 1.5}'],
+        ["evaluate", "--config", "@" + "[" * 100_000],
+        ["prioritize", "--build", "1", "--model", "@" + "[" * 100_000],
     ],
     ids=[
         "max-builds-0", "max-builds-negative", "max-rw-negative", "bags-0",
@@ -412,7 +494,7 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
         "config-keys-of-other-flags", "config-seed-on-prioritize", "max-builds-bool",
         "max-rw-bool", "synth-n-tests-string", "synth-base-failure-string",
         "synth-files-per-build-above-n-files", "synth-n-builds-bool", "synth-n-builds-negative",
-        "synth-probability-above-1",
+        "synth-probability-above-1", "config-nested-deep", "model-nested-deep",
     ],
 )
 def test_invalid_option_or_file_exits_2(dataset, tmp_path, capsys, monkeypatch, argv):
@@ -443,6 +525,21 @@ def test_hand_built_model_prioritizes(dataset, tmp_path, capsys):
     build = history_of(dataset).builds[0]
     assert main(["prioritize", str(dataset), "--build", str(build.id), "--model", str(path)]) == 0
     assert sorted(capsys.readouterr().out.splitlines()) == sorted(build.tests)
+
+
+def test_cold_prioritize_does_not_import_numpy_ma(dataset, tmp_path):
+    # np.unique imports numpy.ma, which takes about 25 ms; a cold call in a
+    # fresh process must not pay for it
+    model = tmp_path / "model.json"
+    model.write_text(model_arg()[1:])
+    argv = ["prioritize", str(dataset), "--build", str(history_of(dataset).builds[-1].id),
+            "--model", str(model)]
+    code = (f"import sys; from tcpci.cli import main; assert main({argv!r}) == 0; "
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'")
+    src = str(Path(tcpci.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from dataclasses import astuple
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tcpci.catalog import CHANGE_METRICS, COMPLEXITY_METRICS, PROCESS_METRICS
 from tcpci.code_analysis import (
@@ -17,6 +17,7 @@ from tcpci.code_analysis import (
     change_scattering,
     compute_change_metrics,
     is_test_file,
+    scan_entity,
     unit_spans,
 )
 from tcpci.model import Commit, FileChange, UnitRisk
@@ -98,6 +99,40 @@ def test_strip_comments_keeps_layout(text):
         assert kind in ("blank", "code", "comment")
         if kind == "code":
             assert line.strip()
+
+
+# type names of the index below, and the headers and imports that name them
+_TYPE_NAMES = ["A", "Bee", "C1", "Main"]
+_INDEX_FILES = {"p/A.java", "p/Bee.java", "q/C1.java", "r/Main.java", "Main.java"}
+_HEADERS = st.builds(
+    lambda kw, name, rel, other: f"{kw} {name}{rel}{other} ",
+    st.sampled_from(["class", "interface", "enum", "record", "public class"]),
+    st.sampled_from(_TYPE_NAMES + ["int", "<T>", ""]),
+    st.sampled_from(["", " extends ", " implements ", " extends Bee implements "]),
+    st.sampled_from(_TYPE_NAMES + ["C1, A", ""]),
+)
+_ENTITY_PIECES = st.one_of(
+    st.sampled_from(_JAVA_PIECES + _TYPE_NAMES + ["(", ")", "<", ">", ",", "=", "new", "x"]),
+    st.sampled_from(["import p.A;", "import q.C1;", "import static p.Bee;", "import q.*;",
+                     "import r.Main;\n"]),
+    _HEADERS,
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.tuples(st.sampled_from(["", " "]), st.lists(_ENTITY_PIECES, max_size=30)).map(
+        lambda t: t[0].join(t[1])
+    ),
+    st.sampled_from(_TYPE_NAMES + [""]),
+    st.sampled_from(sorted(_INDEX_FILES) + ["s/Other.java"]),
+)
+def test_scan_entity_equals_analyze_file(body, last, path):
+    # the import/call scan must find what the full analysis finds, also when
+    # the text ends inside a type header with a capitalized token
+    text = body + last
+    index = FileIndex(_INDEX_FILES | {path})
+    assert scan_entity(text, path, index) == analyze_file(text, path, index)[1]
 
 
 def test_only_newline_ends_a_line():

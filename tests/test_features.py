@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcpci.catalog import CATALOG, REC_FEATURES, FeatureGroup
+from tcpci.code_analysis import analyze_file
 from tcpci.features import SNAPSHOT_GROUPS, FeatureExtractor
 from tcpci.matrix import FeatureMatrix
 from tcpci.model import (
@@ -311,7 +312,7 @@ def test_weighted_metric_sum_example():
     ex = FeatureExtractor(history, sources)
     m = ex.matrix(11)
     count_line = {
-        p: ex._complexity[p].CountLine for p in (F1, F2)
+        p: analyze_file(sources[p], p)[0].CountLine for p in (F1, F2)
     }
     assert count_line == {F1: 100, F2: 50}
     assert rec(m, T, "SumCovCScore") == pytest.approx(1.0)

@@ -23,15 +23,10 @@ from tcpci.synth import SynthConfig, generate_synthetic_history
 
 
 def test_select_primary_job_most_tests_then_smallest_id():
-    jobs = {
-        "j2": [ExecutionRecord(1, "a", Verdict.PASSED, 1.0)],
-        "j1": [
-            ExecutionRecord(1, "a", Verdict.PASSED, 1.0),
-            ExecutionRecord(1, "b", Verdict.PASSED, 1.0),
-        ],
-    }
+    # each job's number of distinct tests
+    jobs = {"j2": 1, "j1": 2}
     assert select_primary_job(jobs) == "j1"
-    jobs["j0"] = list(jobs["j1"])
+    jobs["j0"] = jobs["j1"]
     assert select_primary_job(jobs) == "j0"
 
 
@@ -96,6 +91,42 @@ def test_unknown_build_id_in_exec_records(tmp_path):
     _write_min_dataset(tmp_path / "ds", exec_rows=["7,j0,t.java,0,10.0"])
     with pytest.raises(SchemaError, match="not in builds.csv"):
         ingest_exec_records(DatasetLayout(tmp_path / "ds"))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [["1,j0,t.java,0,10.0", "", "1,j0,u.java,9,10.0"], ['1,j0,"t\nx.java",0,10.0', "1,j0,u.java,9,10.0"]],
+    ids=["blank-line", "quoted-newline"],
+)
+def test_exec_records_error_names_the_physical_line(tmp_path, rows):
+    # the bad verdict is on line 4, after a line that starts no record
+    _write_min_dataset(tmp_path / "ds", exec_rows=rows)
+    with pytest.raises(SchemaError, match=r"exec_records\.csv:4: 9 is not a valid Verdict"):
+        ingest_exec_records(DatasetLayout(tmp_path / "ds"))
+
+
+def test_builds_error_names_the_physical_line(tmp_path):
+    root = tmp_path / "ds"
+    _write_min_dataset(root)
+    (root / "builds.csv").write_text(
+        "build_id,timestamp_iso8601,commits\n1,2024-01-01T00:00:00+00:00,\n\nx,2024-01-01,\n"
+    )
+    with pytest.raises(SchemaError, match=r"builds\.csv:4: bad build_id 'x'"):
+        ingest_exec_records(DatasetLayout(root))
+
+
+def test_primary_job_records_only(tmp_path):
+    # j1 ran two tests, j0 and j2 one each; a tie would go to the smaller id
+    rows = ["1,j2,c.java,1,5.0", "1,j1,b.java,0,2.0", "1,j0,a.java,2,1.0", "1,j1,a.java,3,-0.0"]
+    _write_min_dataset(tmp_path / "ds", exec_rows=rows)
+    (build,) = ingest_exec_records(DatasetLayout(tmp_path / "ds")).builds
+    assert build.records == (
+        ExecutionRecord(1, "a.java", Verdict.UNKNOWN_FAILURE, -0.0),
+        ExecutionRecord(1, "b.java", Verdict.PASSED, 2.0),
+    )
+    _write_min_dataset(tmp_path / "ds2", exec_rows=rows[:1] + rows[2:3])
+    (build,) = ingest_exec_records(DatasetLayout(tmp_path / "ds2")).builds
+    assert build.tests == ("a.java",)
 
 
 # --- git mining ---------------------------------------------------------
