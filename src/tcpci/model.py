@@ -40,10 +40,6 @@ class Verdict(enum.IntEnum):
 _VERDICTS = tuple(Verdict)  # indexed by code
 
 
-def is_failed(verdict: Verdict) -> bool:
-    return verdict is not Verdict.PASSED
-
-
 @dataclass(frozen=True)
 class ExecutionRecord:
     """One (build, test) execution after job deduplication."""
@@ -176,6 +172,9 @@ class Build:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a Build")
+
+    def __reduce__(self):  # copy and pickle rebuild through from_columns
+        return Build.from_columns, tuple(getattr(self, name) for name in self.__slots__)
 
     @property
     def records(self) -> tuple[ExecutionRecord, ...]:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from datetime import datetime, timezone
 
 import pytest
@@ -11,7 +13,6 @@ from tcpci.model import (
     ExecutionRecord,
     FileChange,
     Verdict,
-    is_failed,
 )
 
 TS = datetime(2024, 1, 1, tzinfo=timezone.utc)
@@ -36,12 +37,6 @@ def make_build(bid, commits=(), records=()):
     )
 
 
-def test_verdict_failed_flags():
-    assert not is_failed(Verdict.PASSED)
-    for v in (Verdict.ASSERTION_FAILURE, Verdict.EXCEPTION_FAILURE, Verdict.UNKNOWN_FAILURE):
-        assert is_failed(v)
-
-
 def test_negative_duration_rejected():
     with pytest.raises(ValueError):
         ExecutionRecord(1, "t", Verdict.PASSED, -1.0)
@@ -58,6 +53,31 @@ def test_build_failed_flag():
     bad = make_build(2, records=(ExecutionRecord(2, "t", Verdict.EXCEPTION_FAILURE, 1.0),))
     assert not ok.failed
     assert bad.failed
+    # each failure kind counts as failed
+    for v in (Verdict.ASSERTION_FAILURE, Verdict.EXCEPTION_FAILURE, Verdict.UNKNOWN_FAILURE):
+        recs = (ExecutionRecord(3, "s", Verdict.PASSED, 1.0), ExecutionRecord(3, "t", v, 1.0))
+        assert make_build(3, records=recs).failed
+
+
+def test_build_stores_records_as_columns():
+    recs = (
+        ExecutionRecord(1, "b", Verdict.PASSED, 2.5),
+        ExecutionRecord(1, "a", Verdict.UNKNOWN_FAILURE, -0.0),
+    )
+    b = make_build(1, records=recs)
+    # test order, Verdict members, and the same values back
+    assert b.tests == ("a", "b")
+    assert b.records == recs[::-1]
+    assert [type(r.verdict) for r in b.records] == [Verdict, Verdict]
+    assert b.records[0].duration_ms == 0.0 and str(b.records[0].duration_ms) == "-0.0"
+    assert b == Build.from_columns(1, b.change_set, b.tests, b.verdicts.copy(), b.durations.copy())
+    assert b != make_build(1, records=(recs[0],))
+    for other in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
+        assert other == b and hash(other) == hash(b)
+    with pytest.raises(AttributeError):
+        b.id = 2
+    with pytest.raises(ValueError):
+        b.durations[0] = 1.0
 
 
 def test_history_commit_prefix_ordering():
