@@ -14,8 +14,9 @@ from tcpci.commit_classifier import (
     train_classifier,
 )
 from tcpci.errors import DegenerateCorpusError, SchemaError
+from tcpci.ranker import RankModel
 from tcpci.stemming import stem
-from test_ranker import _stack_walk
+from test_ranker import _stack_walk, golden_models  # noqa: F401 (a fixture)
 
 
 def separable_corpus(n=500, seed=42):
@@ -164,12 +165,39 @@ def test_probabilities_match_the_stack_walk(n_trees):
     assert clf.predict_proba(msgs).tobytes() == expected.tobytes()
 
 
-def test_classifier_json_golden():
-    # Pins the boosted trees; a change to tree growth must keep them.
+def golden_classifier():
+    """The classifier of the golden digests: noisy labels, so trees grow deep."""
     msgs, labels = separable_corpus(n=120, seed=9)
     msgs[:10] = [m + " see https://ci.example/x" for m in msgs[:10]]
-    labels[::7] = [not v for v in labels[::7]]  # noise, so trees grow deep
-    clf = train_classifier(msgs, labels, n_trees=12, max_leaves=6)
-    assert hashlib.sha256(clf.to_json().encode()).hexdigest() == (
+    labels[::7] = [not v for v in labels[::7]]
+    return train_classifier(msgs, labels, n_trees=12, max_leaves=6)
+
+
+def test_classifier_json_golden():
+    # Pins the boosted trees; a change to tree growth must keep them.
+    assert hashlib.sha256(golden_classifier().to_json().encode()).hexdigest() == (
         "fb39fc91b2398a1f26ec0eb1f88011cf350985c3316eb2a9f415fe116cf06492"
+    )
+
+
+def forest_digest(forests) -> str:
+    """One sha256 over the node tables of ``forests``."""
+    h = hashlib.sha256()
+    for f in forests:
+        arrays = (f.roots, f.feature, f.threshold, f.left, f.right, f.value, f.base,
+                  np.concatenate(f.columns))
+        for a in arrays:
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def test_forest_arrays_golden(golden_models):
+    # The node tables of the golden models, as trained and as read back from
+    # their files: a new file format must keep them bit for bit.
+    clf = golden_classifier()
+    trained = [m.forest for _, m in golden_models] + [clf.forest]
+    read = [RankModel.from_json(m.to_json()).forest for _, m in golden_models]
+    read.append(CommitClassifier.from_json(clf.to_json()).forest)
+    assert forest_digest(trained) == forest_digest(read) == (
+        "a2ce6498e2da98f38838ac442e28d5b081377b7710c0eee84434cd21af29dd39"
     )
