@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import hashlib
 from dataclasses import dataclass
 from importlib import resources
 
@@ -125,6 +126,8 @@ class FeatureCatalog:
             raise ValueError("duplicate feature names in catalog")
         self.entries: tuple[CatalogEntry, ...] = tuple(entries)
         self._index = {e.name: i for i, e in enumerate(self.entries)}
+        blob = ";".join(f"{e.group.value}:{e.name}" for e in self.entries)
+        self._fingerprint = hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -149,11 +152,9 @@ class FeatureCatalog:
         return slice(idx[0], idx[-1] + 1)
 
     def fingerprint(self) -> str:
-        """Stable identifier of the catalog layout, stored in model files."""
-        import hashlib
-
-        blob = ";".join(f"{e.group.value}:{e.name}" for e in self.entries)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        """Stable identifier of the catalog layout, stored in model files;
+        computed once, as ``entries`` is a tuple."""
+        return self._fingerprint
 
     def resolve(self, name: str) -> str:
         """Resolve a feature name, accepting F_-prefixed spellings.

@@ -120,14 +120,25 @@ _NO_KEY = frozenset(
 )
 
 
+def _read_text(path: Path, what: str) -> str:
+    """The UTF-8 text of the file at ``path``; a ``what`` that cannot be
+    read is an input error."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise InputError(f"{what} not found: {path}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{what} {path} is not UTF-8: {exc.reason} at byte {exc.start}") from exc
+
+
 def _load_config(path: Path | None) -> dict:
     if path is None:
         return {}
+    text = _read_text(path, "config file")
     try:
-        with open(path, encoding="utf-8") as f:
-            cfg = json.load(f)
-    except FileNotFoundError as exc:
-        raise InvalidConfigError(f"config file not found: {path}") from exc
+        cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidConfigError(f"{path}: invalid JSON ({exc})") from exc
     except RecursionError as exc:
@@ -244,10 +255,7 @@ def _cmd_prioritize(args, cfg: dict) -> int:
     layout, history = _load(args.dataset)
     if args.build not in history:
         raise InputError(f"build {args.build} not in dataset")
-    try:
-        model = RankModel.from_json(args.model.read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise InputError(f"model file not found: {args.model}") from exc
+    model = RankModel.from_json(_read_text(args.model, "model file"))
     extractor = FeatureExtractor(history, load_sources(layout), **_extractor_kwargs(args, cfg))
     for test in rank_tests(model, extractor.matrix(args.build)):
         print(test)

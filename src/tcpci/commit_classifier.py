@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateCorpusError, SchemaError
 from .stemming import stem
-from .trees import Forest, Grower, boost, node_arrays, read_nodes
+from .trees import Forest, Grower, boost, node_arrays, pack_nodes, unpack_nodes
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _URL_SENTINEL = "zqurlplaceholderqz"
@@ -135,13 +135,12 @@ class CommitClassifier:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "version": 1,
                 "vocabulary": self.vectorizer.vocabulary,
                 "idf": self.vectorizer.idf.tolist(),
                 "base_score": float(self.forest.base[0]),
                 "shrinkage": self.forest.shrinkage,
                 "threshold": self.threshold,
-                "trees": [t.to_dict() for t in self.forest.trees],
+                **pack_nodes(*self.forest.nodes),
             }
         )
 
@@ -150,8 +149,7 @@ class CommitClassifier:
         """Parse :meth:`to_json` output; anything else raises SchemaError."""
         try:
             d = json.loads(text)
-            if not isinstance(d, dict) or type(d.get("version")) is not int or d["version"] != 1:
-                raise SchemaError("not a version-1 classifier file")
+            nodes = unpack_nodes(d)
             vocabulary, idf = d["vocabulary"], d["idf"]
             numbers = (d["base_score"], d["shrinkage"], d["threshold"])
             if type(vocabulary) is not list or not all(type(w) is str for w in vocabulary):
@@ -163,7 +161,7 @@ class CommitClassifier:
                                   "must be numbers")
             base, shrinkage, threshold = numbers
             columns = [np.arange(len(vocabulary))]
-            forest = Forest(columns, [base], shrinkage, *read_nodes(d["trees"]))
+            forest = Forest(columns, [base], shrinkage, *nodes)
             vectorizer = TfidfVectorizer(vocabulary, np.array(idf, dtype=np.float64))
             return cls(vectorizer, forest, threshold)
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:

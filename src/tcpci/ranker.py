@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -27,7 +28,9 @@ from .errors import (
     UnknownFeatureError,
 )
 from .matrix import FeatureMatrix
-from .trees import Forest, Grower, RegressionTree, boost, index_array, node_arrays, read_nodes
+from .trees import (
+    Forest, Grower, RegressionTree, boost, index_array, node_arrays, pack_nodes, unpack_nodes,
+)
 
 log = logging.getLogger(__name__)
 
@@ -48,8 +51,10 @@ class Hyperparams:
         if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in sizes):
             raise ValueError(f"ensemble sizes must be integers >= 1, got {sizes}")
         s = self.shrinkage
-        if isinstance(s, bool) or not isinstance(s, (int, float)) or not 0 < s < math.inf:
-            raise ValueError(f"shrinkage must be a real number > 0, got {s!r}")
+        # an integer above the largest double would overflow once multiplied
+        real = isinstance(s, (int, float)) and not isinstance(s, bool)
+        if not real or not 0 < s <= sys.float_info.max:
+            raise ValueError(f"shrinkage must be a finite real number > 0, got {s!r}")
         for r in (self.sample_rate, self.feature_rate):
             if isinstance(r, bool) or not isinstance(r, (int, float)) or not 0 < r <= 1:
                 raise ValueError(f"sampling rates must be real numbers in (0, 1], got {r!r}")
@@ -93,20 +98,17 @@ class RankModel:
         return np.bincount(feature[feature >= 0], minlength=len(CATALOG))
 
     def to_json(self) -> str:
+        """The model file: its own fields, then its trees (:func:`trees.pack_nodes`)."""
         return json.dumps(
             {
-                "version": 1,
                 "catalog_fingerprint": self.catalog_fingerprint,
                 "seed": self.seed,
                 "hyperparams": asdict(self.hyperparams),
                 "bags": [
-                    {
-                        "feature_idx": bag.feature_idx.tolist(),
-                        "base": bag.base,
-                        "trees": [t.to_dict() for t in bag.trees],
-                    }
-                    for bag in self.bags
+                    {"feature_idx": c.tolist(), "base": float(v)}
+                    for c, v in zip(self.forest.columns, self.forest.base)
                 ],
+                **pack_nodes(*self.forest.nodes),
             }
         )
 
@@ -116,8 +118,7 @@ class RankModel:
         catalog; anything else raises SchemaError."""
         try:
             d = json.loads(text)
-            if not isinstance(d, dict) or type(d.get("version")) is not int or d["version"] != 1:
-                raise SchemaError("not a version-1 model file")
+            nodes = unpack_nodes(d)
             hp = Hyperparams(**d["hyperparams"])
             missing = [f.name for f in fields(Hyperparams) if f.name not in d["hyperparams"]]
             if missing:
@@ -128,22 +129,22 @@ class RankModel:
             if len(bags) != hp.n_bags:
                 raise SchemaError(f"model has {len(bags)} bags, its hyperparams say {hp.n_bags}")
             columns = [index_array(b["feature_idx"], "feature_idx") for b in bags]
-            if any(((c < 0) | (c >= len(CATALOG))).any() for c in columns):
+            flat = np.concatenate(columns)
+            if ((flat < 0) | (flat >= len(CATALOG))).any():
                 raise SchemaError(f"feature_idx must list catalog columns below {len(CATALOG)}")
             base = [b["base"] for b in bags]
             if not all(type(v) in (int, float) for v in base):
                 raise SchemaError("bag base must be a number")
             k = hp.trees_per_bag
-            if any(len(b["trees"]) != k for b in bags):
-                raise SchemaError(f"every bag must hold {k} trees, as its hyperparams say")
+            if len(nodes[0]) != hp.n_bags * k:
+                raise SchemaError(
+                    f"model has {len(nodes[0])} trees, its hyperparams say {hp.n_bags} bags of {k}"
+                )
             if fingerprint != CATALOG.fingerprint():
                 raise SchemaError(
                     f"model was trained against catalog {fingerprint!r}, "
                     f"this one is {CATALOG.fingerprint()}"
                 )
-            trees = [t for b in bags for t in b["trees"]]
-            nodes = read_nodes(trees)
-            del d, bags, trees  # the table reuses the parsed file's memory
             return cls(hp, seed, fingerprint, Forest(columns, base, hp.shrinkage, *nodes))
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise SchemaError(f"malformed model file: {exc!r}") from exc

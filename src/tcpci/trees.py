@@ -33,20 +33,24 @@ and walks all (tree, row) pairs together, one numpy step per depth level
 (:func:`walk`), as QuickScorer lays an ensemble out (Lucchese et al., SIGIR
 2015).  :meth:`RegressionTree.predict` is the same walk over one tree.
 
-This module alone knows the per-tree node lists of a model file
-(:meth:`RegressionTree.to_dict`).  :func:`read_nodes` converts them, and
-:class:`Forest` checks the node arrays, whether they were read or trained,
-and hands its trees out as views into them.  The ranker and the commit
-classifier check only their own fields.
+This module alone knows how a model file holds its trees
+(:func:`pack_nodes`, :func:`unpack_nodes`): each node array, every tree's
+concatenated, as one base64 string of packed little-endian numbers, the
+way glTF 2.0 carries binary buffers inside JSON.  :class:`Forest` checks the
+node arrays, whether they were read or trained, and hands its trees out as
+views into them.  The ranker and the commit classifier check only their
+own fields.
 """
 
 from __future__ import annotations
 
+import base64
+import functools
 import heapq
 import math
 import operator
 from collections.abc import Callable
-from itertools import chain, count
+from itertools import count
 
 import numpy as np
 
@@ -54,6 +58,15 @@ from .errors import SchemaError
 
 #: The node arrays of a tree, in the order :class:`RegressionTree` takes them.
 NODE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+#: The model-file format :func:`pack_nodes` writes, the only one
+#: :func:`unpack_nodes` reads.
+FORMAT_VERSION = 2
+
+#: How a model file packs each node array: little-endian int32 split
+#: columns and children, float64 thresholds and values.
+PACKED_DTYPES = {"feature": "<i4", "threshold": "<f8", "left": "<i4", "right": "<i4",
+                 "value": "<f8"}
 
 #: The most (tree, row) pairs one walk holds: :meth:`Forest.predict` walks
 #: the rows in chunks of this many pairs, which bounds its temporaries to
@@ -70,17 +83,6 @@ def index_array(values, what: str) -> np.ndarray:
     if not isinstance(values, list) or operator.countOf(map(type, values), int) != len(values):
         raise SchemaError(f"{what} must be a list of integers")
     return np.array(values, dtype=np.int64)
-
-
-def number_array(values: list, what: str) -> np.ndarray:
-    """``values`` as a float64 array.
-
-    Raises SchemaError unless every value is a JSON number: a float64 cast
-    would take a numeric string and a bool.
-    """
-    if not {int, float}.issuperset(map(type, values)):
-        raise SchemaError(f"{what} must be a list of numbers")
-    return np.array(values, dtype=np.float64)
 
 
 #: A split must reduce the SSE by more than this.
@@ -289,15 +291,6 @@ class RegressionTree:
     def n_leaves(self) -> int:
         return int((self.feature < 0).sum())
 
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
-
 
 def node_arrays(trees: list[RegressionTree]) -> tuple:
     """The node counts of ``trees``, then their node arrays, each concatenated:
@@ -307,31 +300,64 @@ def node_arrays(trees: list[RegressionTree]) -> tuple:
     return [len(t.feature) for t in trees], *arrays
 
 
-def read_nodes(tree_dicts) -> tuple:
-    """:func:`node_arrays` of trees in :meth:`RegressionTree.to_dict` form.
+def pack_nodes(sizes, feature, threshold, left, right, value) -> dict:
+    """The fields of a model file that hold trees of ``sizes`` nodes with
+    these node arrays, every tree's concatenated (:func:`node_arrays`).
 
-    Raises SchemaError unless ``tree_dicts`` is a list of trees whose node
-    arrays are equally long lists, with JSON integers for the split features
-    and children and JSON numbers for the thresholds and values;
-    :class:`Forest` checks the rest.  Each array is converted
-    once, from the concatenation of every tree's list.
+    They are the format version and ``trees``: ``sizes`` as a list, and each
+    node array packed as :data:`PACKED_DTYPES` says, base64-encoded.
     """
-    if type(tree_dicts) is not list:
-        raise SchemaError("trees must be a list")
-    lengths = np.array(
-        [[len(t[a]) if type(t[a]) is list else -1 for a in NODE_ARRAYS] for t in tree_dicts],
-        dtype=np.int64,
-    ).reshape(-1, len(NODE_ARRAYS))
-    if (lengths != lengths[:, :1]).any():
-        raise SchemaError("tree node arrays must be equally long lists")
-    arrays = []
-    for a in NODE_ARRAYS:
-        values = list(chain.from_iterable(t[a] for t in tree_dicts))
-        arrays.append(
-            number_array(values, f"tree {a}") if a in ("threshold", "value")
-            else index_array(values, f"tree {a}")
+    packed = {
+        name: base64.b64encode(np.asarray(a, dtype=PACKED_DTYPES[name]).tobytes()).decode()
+        for name, a in zip(NODE_ARRAYS, (feature, threshold, left, right, value))
+    }
+    return {"version": FORMAT_VERSION, "trees": {"sizes": [int(n) for n in sizes], **packed}}
+
+
+def unpack_nodes(d) -> tuple:
+    """The node counts and node arrays of a model file's :func:`pack_nodes`
+    fields: the last arguments of :class:`Forest`.
+
+    Raises SchemaError unless ``d`` is a JSON object of format
+    :data:`FORMAT_VERSION` whose ``trees`` object has a list of integers as
+    ``sizes`` and base64 strings of ``sum(sizes)`` packed numbers as node
+    arrays; :class:`Forest` checks the rest.
+    """
+    if not isinstance(d, dict):
+        raise SchemaError("a model file must be a JSON object")
+    version = d.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise SchemaError(
+            f"model file version {version!r} cannot be read; this release reads only "
+            f"version {FORMAT_VERSION}: retrain the model"
         )
-    return lengths[:, 0].tolist(), *arrays
+    trees = d["trees"]
+    if not isinstance(trees, dict):
+        raise SchemaError("model trees must be a JSON object")
+    sizes = index_array(trees["sizes"], "tree sizes")
+    # summed as Python integers: an int64 sum could wrap round to the arrays' length
+    n, arrays = sum(trees["sizes"]), []
+    for name in NODE_ARRAYS:
+        text, dtype = trees[name], np.dtype(PACKED_DTYPES[name])
+        if type(text) is not str:
+            raise SchemaError(f"node array {name} must be a base64 string")
+        try:
+            raw = base64.b64decode(text, validate=True)
+        except ValueError as exc:
+            raise SchemaError(f"node array {name} is not valid base64: {exc}") from exc
+        if len(raw) % dtype.itemsize:
+            raise SchemaError(
+                f"node array {name} holds {len(raw)} bytes, not a whole number of "
+                f"{dtype.itemsize}-byte items"
+            )
+        if len(raw) // dtype.itemsize != n:
+            raise SchemaError(
+                f"node array {name} holds {len(raw) // dtype.itemsize} nodes, "
+                f"sizes add up to {n}"
+            )
+        native = np.int64 if dtype.kind == "i" else np.float64
+        arrays.append(np.frombuffer(raw, dtype).astype(native))
+    return sizes, *arrays
 
 
 def split_matrix(X, width: int) -> np.ndarray:
@@ -393,7 +419,8 @@ class Forest:
 
         ``columns[b]`` maps bag ``b``'s column numbers to matrix columns.
         The node arrays are the trees' own (:data:`NODE_ARRAYS`),
-        concatenated, as :func:`node_arrays` and :func:`read_nodes` give them.
+        concatenated, as :func:`node_arrays` and :func:`unpack_nodes` give
+        them; ``nodes`` keeps these arguments for :func:`pack_nodes`.
         Raises SchemaError unless every bag holds as many trees, the arrays
         are equally long, every tree is nonempty, and every inner node splits
         on one of its bag's columns into two later nodes of the same tree,
@@ -405,6 +432,7 @@ class Forest:
         if self.trees_per_bag * len(self.base) != len(sizes):
             raise SchemaError("every bag must hold the same number of trees")
         arrays = (feature, threshold, left, right, value)
+        self.nodes = (sizes, *arrays)
         n = int(sizes.sum())
         if (sizes < 1).any() or any(a.shape != (n,) for a in arrays):
             raise SchemaError("tree node arrays must be nonempty and equally long")
@@ -434,8 +462,13 @@ class Forest:
         self.threshold, self.value, self.shrinkage = threshold, value, shrinkage
         self.width = int(self.feature.max(initial=-1)) + 1
         self.columns = columns
-        # each tree is a view into the node arrays
-        self.trees = [
+
+    @functools.cached_property
+    def trees(self) -> list[RegressionTree]:
+        """Each tree, as views into the node arrays; made on first use, as
+        scoring reads only the table."""
+        sizes, *arrays = self.nodes
+        return [
             RegressionTree(*(a[i:j] for a in arrays))
             for i, j in zip(self.roots.tolist(), (self.roots + sizes).tolist())
         ]

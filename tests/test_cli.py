@@ -1,3 +1,6 @@
+import base64
+import contextlib
+import io
 import json
 import math
 import os
@@ -14,9 +17,11 @@ from tcpci.catalog import CATALOG
 import tcpci
 from tcpci import ingest
 from tcpci.cli import main
+from tcpci.commit_classifier import CommitClassifier, train_classifier
 from tcpci.errors import DuplicateRecordError, SchemaError
 from tcpci.ingest import DatasetLayout, ingest_exec_records
 from tcpci.model import ExecutionRecord, Verdict
+from tcpci.trees import NODE_ARRAYS, pack_nodes
 
 SYNTH_CFG = {
     "n_files": 30,
@@ -31,17 +36,23 @@ HYPERPARAMS = {"n_bags": 1, "trees_per_bag": 1, "max_leaves": 2, "shrinkage": 0.
                "sample_rate": 0.5, "feature_rate": 0.3}
 
 
-def model_arg(feature_idx=(0,), bag=None, model=None, **tree):
-    """An "@" model-file argument: one bag of one stump, with ``tree`` arrays,
-    ``bag`` keys and top-level ``model`` keys replaced."""
+def model_arg(feature_idx=(0,), bag=None, model=None, trees=None, **arrays):
+    """An "@" model-file argument: one bag of one stump, packed as a trained
+    model is, with node ``arrays`` replaced before packing, and packed
+    ``trees`` keys, ``bag`` keys and top-level ``model`` keys after it."""
     stump = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
-             "right": [2, -1, -1], "value": [0.0, 0.0, 1.0]}
-    bag = {"feature_idx": list(feature_idx), "base": 0.0, "trees": [{**stump, **tree}],
-           **(bag or {})}
+             "right": [2, -1, -1], "value": [0.0, 0.0, 1.0], **arrays}
+    nodes = pack_nodes([3], *(stump[a] for a in NODE_ARRAYS))
+    nodes["trees"].update(trees or {})
+    bag = {"feature_idx": list(feature_idx), "base": 0.0, **(bag or {})}
     return "@" + json.dumps({
-        "version": 1, "catalog_fingerprint": CATALOG.fingerprint(), "seed": 0,
-        "hyperparams": HYPERPARAMS, "bags": [bag], **(model or {}),
+        "catalog_fingerprint": CATALOG.fingerprint(), "seed": 0,
+        "hyperparams": HYPERPARAMS, "bags": [bag], **nodes, **(model or {}),
     })
+
+
+#: An argument that names a directory where a file is expected.
+DIRECTORY = object()
 
 
 @pytest.fixture(scope="module")
@@ -405,10 +416,13 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
         ["evaluate", "--bags", "0"],
         ["evaluate", "--recent-window", "0"],
         ["evaluate", "--config", '@{"bags": "many"}'],
-        ["prioritize", "--build", "1", "--model", '@{"version": 1}'],
+        ["prioritize", "--build", "1", "--model", "@" + json.dumps(pack_nodes([], *[[]] * 5))],
         ["prioritize", "--build", "1", "--model", "@{not json"],
         ["prioritize", "--build", "1", "--model", '@{"version": 2}'],
-        ["prioritize", "--build", "1", "--model", '@{"version": 1, "hyperparams": {"n_bags": "x"}}'],
+        [
+            "prioritize", "--build", "1", "--model",
+            model_arg(model={"hyperparams": {**HYPERPARAMS, "n_bags": "x"}}),
+        ],
         ["prioritize", "--build", "1", "--model", model_arg(model={"bags": []})],
         ["evaluate", "--impact-depth", "-1"],
         ["evaluate", "--config", '@{"impact_depth": "x"}'],
@@ -437,9 +451,9 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
         ["prioritize", "--build", "1", "--model", model_arg(left=[0, -1, -1])],
         ["prioritize", "--build", "1", "--model", model_arg(value=[0.0, 1.0])],
         ["prioritize", "--build", "1", "--model", model_arg(feature=[1, -1, -1])],
-        ["prioritize", "--build", "1", "--model", model_arg(feature=[0.5, -1, -1])],
-        ["prioritize", "--build", "1", "--model", model_arg(left=[True, -1, -1])],
-        ["prioritize", "--build", "1", "--model", model_arg(right=[2.0, -1, -1])],
+        ["prioritize", "--build", "1", "--model", model_arg(trees={"feature": 0.5})],
+        ["prioritize", "--build", "1", "--model", model_arg(trees={"left": True})],
+        ["prioritize", "--build", "1", "--model", model_arg(trees={"right": 2.0})],
         ["prioritize", "--build", "1", "--model", model_arg(feature_idx=[0, 1.7])],
         ["prioritize", "--build", "1", "--model", model_arg(model={"version": True})],
         ["prioritize", "--build", "1", "--model", model_arg(model={"seed": True})],
@@ -453,8 +467,8 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
             model_arg(model={"catalog_fingerprint": "deadbeef"}),
         ],
         ["prioritize", "--build", "1", "--model", model_arg(model={"catalog_fingerprint": ["x"]})],
-        ["prioritize", "--build", "1", "--model", model_arg(threshold=["0.5", 0.0, 0.0])],
-        ["prioritize", "--build", "1", "--model", model_arg(value=[0.0, True, 1.0])],
+        ["prioritize", "--build", "1", "--model", model_arg(trees={"threshold": "0.5"})],
+        ["prioritize", "--build", "1", "--model", model_arg(trees={"value": True})],
         [
             "prioritize", "--build", "1", "--model",
             model_arg(model={
@@ -474,6 +488,25 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
         ["synth", "--config", '@{"flaky_prob": 1.5}'],
         ["evaluate", "--config", "@" + "[" * 100_000],
         ["prioritize", "--build", "1", "--model", "@" + "[" * 100_000],
+        ["prioritize", "--build", "1", "--model", model_arg(trees={"left": "AAAA*AAAAAAAAAAA"})],
+        [
+            "prioritize", "--build", "1", "--model",
+            model_arg(trees={"right": base64.b64encode(bytes(10)).decode()}),
+        ],
+        ["prioritize", "--build", "1", "--model", model_arg(trees={"sizes": [4]})],
+        ["prioritize", "--build", "1", "--model", model_arg(trees={"sizes": [True]})],
+        ["prioritize", "--build", "1", "--model", model_arg(trees={"sizes": [3.0]})],
+        ["prioritize", "--build", "1", "--model", model_arg(model={"version": 1})],
+        ["prioritize", "--build", "1", "--model", model_arg(model={"version": 3})],
+        ["prioritize", "--build", "1", "--model", b"\xff\xfe{}"],
+        ["prioritize", "--build", "1", "--model", DIRECTORY],
+        ["evaluate", "--config", b'{"seed": "\xff"}'],
+        ["extract", "--build", "1", "--config", DIRECTORY],
+        ["evaluate", "--config", f'@{{"shrinkage": {10**400}}}'],
+        [
+            "prioritize", "--build", "1", "--model",
+            model_arg(model={"hyperparams": {**HYPERPARAMS, "shrinkage": 10**400}}),
+        ],
     ],
     ids=[
         "max-builds-0", "max-builds-negative", "max-rw-negative", "bags-0",
@@ -495,6 +528,10 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
         "max-rw-bool", "synth-n-tests-string", "synth-base-failure-string",
         "synth-files-per-build-above-n-files", "synth-n-builds-bool", "synth-n-builds-negative",
         "synth-probability-above-1", "config-nested-deep", "model-nested-deep",
+        "model-left-not-base64", "model-right-partial-item", "model-nodes-not-sizes",
+        "model-sizes-bool", "model-sizes-float", "model-version-1", "model-version-3",
+        "model-not-utf8", "model-directory", "config-not-utf8", "config-directory",
+        "shrinkage-above-largest-double", "model-shrinkage-above-largest-double",
     ],
 )
 def test_invalid_option_or_file_exits_2(dataset, tmp_path, capsys, monkeypatch, argv):
@@ -503,19 +540,117 @@ def test_invalid_option_or_file_exits_2(dataset, tmp_path, capsys, monkeypatch, 
         raise AssertionError("a model was trained on invalid input")
 
     monkeypatch.setattr("tcpci.evaluation.train_ranker", no_training)
-    # an "@text" argument is written to a file and replaced by its path
+    # an "@text" argument or a bytes one is written to a file and replaced
+    # by its path
     if argv[0] == "synth":
         args = [argv[0], "--out", str(tmp_path / "d")]
     else:
         args = [argv[0], str(dataset)]
     for i, arg in enumerate(argv[1:]):
-        if arg.startswith("@"):
+        if arg is DIRECTORY:
+            arg = str(tmp_path)
+        elif isinstance(arg, bytes) or arg.startswith("@"):
             path = tmp_path / f"arg{i}.json"
-            path.write_text(arg[1:])
+            path.write_bytes(arg if isinstance(arg, bytes) else arg[1:].encode())
             arg = str(path)
         args.append(arg)
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+B64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/="
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10**20), st.floats(allow_nan=False),
+    st.text(max_size=4), st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+#: Edits of a model file: a character of a node array's base64 text
+#: replaced, or the text cut; an entry of ``sizes`` set, dropped, added or
+#: moved to the next tree; a top-level field replaced by a value of any JSON type.
+MODEL_CORRUPTIONS = st.lists(
+    st.one_of(
+        st.tuples(st.just("flip"), st.sampled_from(NODE_ARRAYS), st.integers(0, 10**6),
+                  st.one_of(st.sampled_from(B64), st.characters())),
+        st.tuples(st.just("cut"), st.sampled_from(NODE_ARRAYS), st.integers(0, 10**6)),
+        st.tuples(st.just("size"), st.integers(0, 10**6),
+                  st.one_of(st.integers(-1, 40), st.booleans(), st.floats(0, 40), JSON_VALUES)),
+        st.tuples(st.just("drop-size"), st.integers(0, 10**6)),
+        st.tuples(st.just("add-size"), st.integers(-1, 40)),
+        st.tuples(st.just("move-size"), st.integers(0, 10**6)),
+        st.tuples(st.just("field"), st.integers(0, 10**6), JSON_VALUES),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def corrupt_model(text: str, corruptions: list, cut: int | None) -> str:
+    """A model file with ``corruptions`` applied, then cut after ``cut``
+    characters if ``cut`` is given."""
+    d = json.loads(text)
+    trees, keys = d["trees"], sorted(d)
+    for kind, *how in corruptions:
+        sizes = trees["sizes"] if isinstance(trees, dict) else None
+        if kind in ("flip", "cut") and isinstance(trees, dict):
+            name, at = how[0], how[1] % (len(trees[how[0]]) + 1)
+            tail = trees[name][at + 1:] if kind == "flip" else ""
+            trees[name] = trees[name][:at] + (how[2] if kind == "flip" else "") + tail
+        elif kind == "field":
+            d[keys[how[0] % len(keys)]] = how[1]
+        elif isinstance(sizes, list) and sizes and kind in ("size", "drop-size", "move-size"):
+            i = how[0] % len(sizes)
+            if kind == "size":
+                sizes[i] = how[1]
+            elif kind == "drop-size":
+                del sizes[i]
+            elif i + 1 < len(sizes) and all(type(n) is int for n in sizes[i:i + 2]):
+                sizes[i], sizes[i + 1] = sizes[i] + 1, sizes[i + 1] - 1
+        elif kind == "add-size" and isinstance(sizes, list):
+            sizes.append(how[0])
+    text = json.dumps(d)
+    return text if cut is None else text[:cut % (len(text) + 1)]
+
+
+@pytest.fixture(scope="module")
+def model_files(dataset, tmp_path_factory):
+    """The text of a ranker file trained on the dataset, the build it ranks,
+    and the text of a small classifier file."""
+    target = history_of(dataset).failed_builds[-1]
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    argv = ["train", str(dataset), "--until", str(target.id), "--out", str(path), *HP_FLAGS]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    messages = ["fix crash in parser", "add docs", "bug in cache", "update readme",
+                "fix the build", "refactor cli"]
+    classifier = train_classifier(messages, [True, False, True, False, True, False],
+                                  n_trees=3, max_leaves=3)
+    return path.read_text(), target, classifier.to_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(corruptions=MODEL_CORRUPTIONS, cut=st.one_of(st.none(), st.integers(0, 10**7)))
+def test_corrupt_model_file_never_crashes(dataset, model_files, corruptions, cut):
+    # prioritize on a corrupted model file exits 0 with a permutation of the
+    # build's tests or 2 with an error line, never with a traceback; the
+    # classifier reader raises SchemaError and nothing else
+    text, build, classifier = model_files
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(corrupt_model(text, corruptions, cut))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["prioritize", str(dataset), "--build", str(build.id), "--model", str(path)])
+    assert code in (0, 2)
+    if code == 0:
+        assert sorted(out.getvalue().splitlines()) == sorted(build.tests)
+    else:
+        assert err.getvalue().startswith("error:")
+    try:
+        CommitClassifier.from_json(corrupt_model(classifier, corruptions, cut))
+    except SchemaError:
+        pass
 
 
 def test_hand_built_model_prioritizes(dataset, tmp_path, capsys):

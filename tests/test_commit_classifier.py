@@ -16,6 +16,7 @@ from tcpci.commit_classifier import (
 from tcpci.errors import DegenerateCorpusError, SchemaError
 from tcpci.ranker import RankModel
 from tcpci.stemming import stem
+from tcpci.trees import pack_nodes
 from test_ranker import _stack_walk, golden_models  # noqa: F401 (a fixture)
 
 
@@ -114,10 +115,10 @@ def test_model_json_round_trip():
 
 def _classifier_file(**keys):
     """A one-word classifier file with one stump, with ``keys`` replaced."""
-    stump = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
-             "right": [2, -1, -1], "value": [0.0, -1.0, 1.0]}
-    return json.dumps({"version": 1, "vocabulary": ["fix"], "idf": [1.0], "base_score": 0.0,
-                       "shrinkage": 0.2, "threshold": 0.5, "trees": [stump], **keys})
+    stump = pack_nodes([3], [0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
+                       [0.0, -1.0, 1.0])
+    return json.dumps({"vocabulary": ["fix"], "idf": [1.0], "base_score": 0.0,
+                       "shrinkage": 0.2, "threshold": 0.5, **stump, **keys})
 
 
 def test_hand_built_classifier_loads():
@@ -131,7 +132,7 @@ def test_hand_built_classifier_loads():
     [
         "{not json",
         "[]",
-        _classifier_file(version=2),
+        _classifier_file(version=1),
         _classifier_file(version=True),
         "{}",
         _classifier_file(base_score="0.5"),
@@ -141,7 +142,7 @@ def test_hand_built_classifier_loads():
         _classifier_file(trees="abc"),
     ],
     ids=[
-        "bad-json", "not-an-object", "version-2", "version-bool", "missing-keys",
+        "bad-json", "not-an-object", "version-1", "version-bool", "missing-keys",
         "base-score-string", "idf-too-long", "idf-too-short", "idf-string", "trees-string",
     ],
 )
@@ -176,7 +177,7 @@ def golden_classifier():
 def test_classifier_json_golden():
     # Pins the boosted trees; a change to tree growth must keep them.
     assert hashlib.sha256(golden_classifier().to_json().encode()).hexdigest() == (
-        "fb39fc91b2398a1f26ec0eb1f88011cf350985c3316eb2a9f415fe116cf06492"
+        "269f9bbb6c28768f4531fb4bc241e0549ace576eb8033a1c8bdadc2039a2bb5b"
     )
 
 

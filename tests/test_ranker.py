@@ -20,7 +20,7 @@ from tcpci.ranker import (
     train_ranker,
 )
 from tcpci.synth import SynthConfig, generate_synthetic_history
-from tcpci.trees import Grower, RegressionTree, boost, gain_bound
+from tcpci.trees import NODE_ARRAYS, Grower, RegressionTree, boost, gain_bound
 from test_acceptance import DRIFT_CFG, DRIFT_HP
 
 HP = Hyperparams(n_bags=10, trees_per_bag=3, max_leaves=16)
@@ -39,6 +39,11 @@ def matrix_of(values, tests=None, build=1):
     X = np.zeros((n, 150))
     X[:, : np.shape(values)[1] if np.ndim(values) > 1 else 1] = np.reshape(values, (n, -1))
     return FeatureMatrix(build=build, tests=tuple(sorted(tests)), values=X)
+
+
+def nodes_of(tree):
+    """A tree's node arrays as lists."""
+    return [getattr(tree, a).tolist() for a in NODE_ARRAYS]
 
 
 def test_tree_fits_simple_threshold():
@@ -79,7 +84,7 @@ def test_grower_fitted_values_are_predictions(n, kinds, max_leaves, seed):
         assert fitted.tobytes() == tree.predict(X).tobytes()
         # a grower reused across targets grows what a fresh one grows
         fresh = RegressionTree.fit(Grower(X), y, max_leaves, np.empty(n))
-        assert tree.to_dict() == fresh.to_dict()
+        assert nodes_of(tree) == nodes_of(fresh)
         assert tree.n_leaves <= max_leaves
 
 
@@ -182,7 +187,7 @@ def test_lazy_growth_grows_the_eager_trees(n, kinds, max_leaves, offset, spread,
     z = np.full(n, base)
     for tree in lazy:
         eager = eager_tree(X, y - link(z), max_leaves)
-        assert tree.to_dict() == eager.to_dict()
+        assert nodes_of(tree) == nodes_of(eager)
         z += 0.5 * eager.predict(X)
 
 
@@ -327,9 +332,9 @@ def test_model_json_golden(golden_models):
     # trainer must keep them; a deliberate change to training updates them.
     digests = [hashlib.sha256(model.to_json().encode()).hexdigest() for _, model in golden_models]
     assert digests == [
-        "c30db53764bf836567cca39dd93c8cc244af8096b74b38e26bfc9633d4a47e4c",
-        "1259991699aaaeb0ba2fb0c898d833ae1a2de64d2af095c743d67a6beba0c51d",
-        "a54b4673b2d54678066f1e73c3de3ffcd045f31e339a43185d809998e87c03e9",
+        "49fc1194ec4ce3af1152d0dae764d440a0ad31355ee62eba85b50ea0cd467807",
+        "f80f36654c6a644420e109a717bbbcfb6785071fd443d51697ed68a521a3af7f",
+        "4f27a5ccce452c34abe0d7c8dd01c90f2ffb1e17bf8ab5dab083dde769d83a43",
     ]
 
 
