@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from datetime import datetime, timezone
 
@@ -26,7 +27,9 @@ from tcpci.model import (
     Verdict,
 )
 from tcpci.ranker import Hyperparams
-from tcpci.synth import SynthConfig, generate_synthetic_history
+from tcpci.synth import SynthConfig, generate_synthetic_history, write_synthetic_dataset
+
+from test_acceptance import DRIFT_CFG
 
 TS = datetime(2024, 1, 1, tzinfo=timezone.utc)
 SMALL_HP = Hyperparams(n_bags=8, trees_per_bag=3, max_leaves=16)
@@ -230,3 +233,44 @@ def test_decay_curve_slope_and_write(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "rw,mean_apfdc,n_pairs"
     assert len(lines) == 4
+
+
+# --- byte goldens ------------------------------------------------------
+
+
+def _tree_digest(root) -> str:
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(str(path.relative_to(root)).encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def test_dataset_and_evaluation_bytes_golden(synth_small, tmp_path):
+    # Pins the synthetic datasets and the evaluation outputs byte for byte:
+    # a refactor of the build model, the generator or the evaluation loop
+    # must keep these digests; a deliberate change of either updates them.
+    cold = SynthConfig(n_files=600, n_tests=300, n_builds=80, files_per_build=12)
+    digests = {}
+    for name, cfg, seed in (("default", SynthConfig(), 7), ("cold", cold, 7), ("drift", DRIFT_CFG, 1)):
+        write_synthetic_dataset(tmp_path / name, cfg, seed)
+        digests[name] = _tree_digest(tmp_path / name)
+
+    history, sources, _ = synth_small
+    report = run_pipeline_eval(history, sources, hyperparams=SMALL_HP, seed=2, max_builds=4)
+    report.write(tmp_path / "eval")
+    for name in ("apfdc.csv", "report.json"):
+        digests[name] = hashlib.sha256((tmp_path / "eval" / name).read_bytes()).hexdigest()
+    curve = decay_experiment(history, sources, hyperparams=SMALL_HP, seed=2, max_builds=4, max_rw=3)
+    curve.write(tmp_path / "decay.csv")
+    digests["decay.csv"] = hashlib.sha256((tmp_path / "decay.csv").read_bytes()).hexdigest()
+    digests["pairs"] = hashlib.sha256(repr(curve.pairs).encode()).hexdigest()
+
+    assert digests == {
+        "default": "b893dc4be9d554017280409e61d5cf979f3314d7e015e388e3f264f20c57d29f",
+        "cold": "822d68a7a3e8db1189d27f6127420a73278da350e688326d35595da3bab096b1",
+        "drift": "1938bf2451069d1edb8d014a1628b584dc95552ee9456837a52f52093044a8f6",
+        "apfdc.csv": "90050f7fe97ace1f6291eee7d8349b2b1420dca272cda9d84807a2eb00e2c3ea",
+        "report.json": "daff5fc9c2710f783e1709b7cd24f7d7fbb860dc294ae3677a96d94f56a48559",
+        "decay.csv": "9411d4c533828b35fc357dbac4032b201648a1664ab2ac48f0facc638bce27de",
+        "pairs": "32c4b0f557b5eb72fe1ead9a388b1a608ee287059a34aa57237eeedb5cf901de",
+    }
