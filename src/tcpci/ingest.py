@@ -398,7 +398,7 @@ def ingest_exec_records(layout: DatasetLayout) -> BuildHistory:
         )
         executions = per_build.get(build_id, _NO_EXECUTIONS)
         builds.append(
-            Build.from_columns(build_id, ChangeSet(build_id, commit_ids, changed), *executions, ts)
+            Build(build_id, ChangeSet(build_id, commit_ids, changed), *executions, ts)
         )
     return BuildHistory(builds, commit_store)
 

@@ -114,67 +114,49 @@ class ChangeSet:
     changed_files: frozenset[str]
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Build:
     """One build: its change set and its executions after job deduplication.
 
-    The executions are stored once, as columns in test order: ``tests``,
-    ``verdicts`` (the :class:`Verdict` codes, int8) and ``durations``
-    (milliseconds, float64).  ``records`` given to the constructor go into
-    the same columns; :attr:`records` builds the :class:`ExecutionRecord`
-    values from them on each read.
+    The executions are stored once, as columns in test order: ``tests``
+    (strictly ascending), ``verdicts`` (the :class:`Verdict` codes, int8)
+    and ``durations`` (milliseconds, float64); the constructor makes both
+    arrays read-only.  :meth:`from_records` builds the columns from
+    :class:`ExecutionRecord` values, and :attr:`records` makes them back.
     """
 
-    __slots__ = ("id", "change_set", "tests", "verdicts", "durations", "wall_clock")
+    id: BuildId
+    change_set: ChangeSet
+    tests: tuple[TestId, ...]
+    verdicts: np.ndarray
+    durations: np.ndarray
+    wall_clock: datetime | None = None
 
-    def __init__(
-        self,
+    def __post_init__(self):
+        if self.id < 1:
+            raise ValueError("build ordinal must be positive")
+        for a, b in zip(self.tests, self.tests[1:]):
+            if a >= b:
+                raise ValueError(f"build {self.id}: test {b} is a duplicate or out of order")
+        self.verdicts.flags.writeable = self.durations.flags.writeable = False
+
+    @classmethod
+    def from_records(
+        cls,
         id: BuildId,
         change_set: ChangeSet,
         records: tuple[ExecutionRecord, ...],
         wall_clock: datetime | None = None,
-    ):
-        records = sorted(records, key=lambda r: r.test)
-        self._set(
-            id,
-            change_set,
-            tuple(r.test for r in records),
-            np.array([r.verdict for r in records], dtype=np.int8),
-            np.array([r.duration_ms for r in records], dtype=np.float64),
-            wall_clock,
-        )
-
-    @classmethod
-    def from_columns(
-        cls,
-        id: BuildId,
-        change_set: ChangeSet,
-        tests: tuple[TestId, ...],
-        verdicts: np.ndarray,
-        durations: np.ndarray,
-        wall_clock: datetime | None = None,
     ) -> Build:
-        """A build from columns already in test order, whose verdict codes
-        and durations the caller has checked."""
-        build = cls.__new__(cls)
-        build._set(id, change_set, tests, verdicts, durations, wall_clock)
-        return build
+        """A build whose columns are ``records`` in test order."""
+        records = sorted(records, key=lambda r: r.test)
+        tests = tuple(r.test for r in records)
+        verdicts = np.array([r.verdict for r in records], dtype=np.int8)
+        durations = np.array([r.duration_ms for r in records], dtype=np.float64)
+        return cls(id, change_set, tests, verdicts, durations, wall_clock)
 
-    def _set(self, id, change_set, tests, verdicts, durations, wall_clock) -> None:
-        if id < 1:
-            raise ValueError("build ordinal must be positive")
-        for a, b in zip(tests, tests[1:]):
-            if a >= b:  # sorted, so an equal neighbour
-                raise ValueError(f"duplicate record for test {a} in build {id}")
-        verdicts.flags.writeable = durations.flags.writeable = False
-        values = (id, change_set, tests, verdicts, durations, wall_clock)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a Build")
-
-    def __reduce__(self):  # copy and pickle rebuild through from_columns
-        return Build.from_columns, tuple(getattr(self, name) for name in self.__slots__)
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return Build, tuple(getattr(self, name) for name in self.__slots__)
 
     @property
     def records(self) -> tuple[ExecutionRecord, ...]:

@@ -31,15 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .ingest import DatasetLayout, write_dataset
-from .model import (
-    Build,
-    BuildHistory,
-    ChangeSet,
-    Commit,
-    ExecutionRecord,
-    FileChange,
-    Verdict,
-)
+from .model import Build, BuildHistory, ChangeSet, Commit, FileChange
 
 
 @dataclass(frozen=True)
@@ -184,6 +176,11 @@ def generate_synthetic_history(
         t: float(np.exp(rng.normal(cfg.duration_mu, cfg.duration_sigma)))
         for t in tests
     }
+    # every build runs every test: one test column, one duration column,
+    # and each test's slot in them
+    test_column = tuple(sorted(tests))
+    durations = np.array([base_duration[t] for t in test_column], dtype=np.float64)
+    slot = {t: j for j, t in enumerate(test_column)}
 
     def coverage_at(test: str, build_id: int) -> frozenset[str]:
         pool = pools[test]
@@ -259,7 +256,7 @@ def generate_synthetic_history(
             p for cid in commit_ids for p in commit_store[cid].changed_files
         )
         caused = set()
-        records = []
+        verdicts = np.zeros(len(test_column), dtype=np.int8)
         for t in tests:
             cov = cov_now[t]
             dangerous = changed_all if risky is None else (changed_all & risky)
@@ -270,23 +267,16 @@ def generate_synthetic_history(
                 caused.add(t)
             if not fails and t in flaky and rng.random() < cfg.flaky_prob:
                 fails = True
-            verdict = (
-                Verdict(int(rng.choice([1, 2]))) if fails else Verdict.PASSED
-            )
-            records.append(
-                ExecutionRecord(
-                    build=k,
-                    test=t,
-                    verdict=verdict,
-                    duration_ms=base_duration[t],
-                )
-            )
+            if fails:  # an assertion (1) or an exception (2) failure
+                verdicts[slot[t]] = rng.choice([1, 2])
         truth.caused_failures[k] = frozenset(caused)
         builds.append(
             Build(
                 id=k,
                 change_set=ChangeSet(k, tuple(commit_ids), changed_all),
-                records=tuple(sorted(records, key=lambda r: r.test)),
+                tests=test_column,
+                verdicts=verdicts,
+                durations=durations,
                 wall_clock=t0 + timedelta(hours=k),
             )
         )

@@ -60,7 +60,7 @@ def random_build(rng: np.random.Generator, build_id: int) -> Build:
         for i in range(n)
     )
     cid = f"{build_id:040x}"
-    return Build(
+    return Build.from_records(
         id=build_id,
         change_set=ChangeSet(build_id, (cid,), frozenset({"f.java"})),
         records=records,
@@ -165,8 +165,8 @@ def test_3_catalog_and_anti_leakage():
                     )
                     for r in b.records
                 )
-                b = Build(id=b.id, change_set=b.change_set, records=flipped,
-                          wall_clock=b.wall_clock)
+                b = Build.from_records(id=b.id, change_set=b.change_set, records=flipped,
+                                       wall_clock=b.wall_clock)
             mutated_builds.append(b)
         other = FeatureExtractor(
             BuildHistory(mutated_builds, history.commits), sources
@@ -218,8 +218,8 @@ def _history_with_fail_counts(fail_counts):
             )
             for t in sorted(fail_counts)
         )
-        out.append(Build(id=k, change_set=ChangeSet(k, (cid,), frozenset({"src/app/F.java"})),
-                         records=records))
+        change_set = ChangeSet(k, (cid,), frozenset({"src/app/F.java"}))
+        out.append(Build.from_records(k, change_set, records))
     return BuildHistory(out, commits)
 
 

@@ -38,7 +38,7 @@ SMALL_HP = Hyperparams(n_bags=8, trees_per_bag=3, max_leaves=16)
 def build_of(records, build_id=1):
     cid = f"{build_id:040x}"
     return (
-        Build(
+        Build.from_records(
             id=build_id,
             change_set=ChangeSet(build_id, (cid,), frozenset({"src/app/F.java"})),
             records=tuple(

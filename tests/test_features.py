@@ -46,7 +46,7 @@ def make_history(build_specs):
             file_changes=tuple(FileChange(p, 1, 0) for p in sorted(changed)),
         )
         builds.append(
-            Build(
+            Build.from_records(
                 id=k,
                 change_set=ChangeSet(k, (cid,), frozenset(changed)),
                 records=tuple(
@@ -168,8 +168,8 @@ def _scrambled(build: Build) -> Build:
         )
         for r in build.records
     )
-    return Build(id=build.id, change_set=build.change_set, records=records,
-                 wall_clock=build.wall_clock)
+    return Build.from_records(id=build.id, change_set=build.change_set, records=records,
+                              wall_clock=build.wall_clock)
 
 
 def test_anti_leakage_mutating_current_verdicts():

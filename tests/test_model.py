@@ -2,6 +2,7 @@ import copy
 import pickle
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 
 from tcpci.model import (
@@ -14,6 +15,7 @@ from tcpci.model import (
     FileChange,
     Verdict,
 )
+from tcpci.synth import SynthConfig, generate_synthetic_history
 
 TS = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
@@ -30,7 +32,7 @@ def make_commit(i, files=("a.java",), author="dev", message="msg"):
 
 def make_build(bid, commits=(), records=()):
     changed = frozenset(p for c in commits for p in c.changed_files)
-    return Build(
+    return Build.from_records(
         id=bid,
         change_set=ChangeSet(bid, tuple(c.id for c in commits), changed),
         records=tuple(records),
@@ -70,14 +72,36 @@ def test_build_stores_records_as_columns():
     assert b.records == recs[::-1]
     assert [type(r.verdict) for r in b.records] == [Verdict, Verdict]
     assert b.records[0].duration_ms == 0.0 and str(b.records[0].duration_ms) == "-0.0"
-    assert b == Build.from_columns(1, b.change_set, b.tests, b.verdicts.copy(), b.durations.copy())
+    assert b == Build(1, b.change_set, b.tests, b.verdicts.copy(), b.durations.copy())
     assert b != make_build(1, records=(recs[0],))
     for other in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
         assert other == b and hash(other) == hash(b)
+        assert not (other.verdicts.flags.writeable or other.durations.flags.writeable)
     with pytest.raises(AttributeError):
         b.id = 2
     with pytest.raises(ValueError):
         b.durations[0] = 1.0
+
+
+def test_build_constructor_checks_its_columns():
+    cs = ChangeSet(1, (), frozenset())
+    verdicts, durations = np.zeros(2, np.int8), np.ones(2)
+    with pytest.raises(ValueError):
+        Build(0, cs, ("a", "b"), verdicts, durations)
+    for tests in (("b", "a"), ("a", "a")):
+        with pytest.raises(ValueError):
+            Build(1, cs, tests, verdicts, durations)
+    assert Build(1, cs, ("a", "b"), verdicts, durations).failed is False
+    assert not (verdicts.flags.writeable or durations.flags.writeable)
+
+
+def test_synthetic_history_constructs_no_execution_record(monkeypatch):
+    # the generator fills the columns; records are made only when read
+    made = []
+    monkeypatch.setattr(ExecutionRecord, "__post_init__", lambda self: made.append(self))
+    history, _, _ = generate_synthetic_history(SynthConfig(n_builds=3), seed=1)
+    assert made == []
+    assert len(history.builds[0].records) == len(made) == 100
 
 
 def test_history_commit_prefix_ordering():
