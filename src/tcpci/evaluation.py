@@ -17,13 +17,14 @@ import dataclasses
 import json
 import logging
 import statistics
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InsufficientHistoryError, InvalidConfigError, NoFailuresError
-from .features import FeatureExtractor, Snapshot
+from .features import FeatureExtractor
 from .matrix import FeatureMatrix, stack_matrices
 from .model import Build, BuildHistory, Verdict
 from .ranker import Hyperparams, RankModel, heuristic_key, heuristic_rank, rank_tests, train_ranker
@@ -145,13 +146,18 @@ class EvaluationReport:
             json.dump(payload, f, indent=2)
 
 
-def _evaluable_failed_builds(history: BuildHistory, cap: int) -> list[Build]:
-    """Latest (up to cap) failed builds that have >= 1 prior failed build."""
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise InvalidConfigError(f"max_builds must be an integer >= 1, got {cap!r}")
-    failed = list(history.failed_builds)
-    candidates = failed[1:]  # the first failed build has no training data
-    return candidates[-cap:]
+def _anchors(history: BuildHistory, max_builds: int, max_rw: int) -> tuple[Build, ...]:
+    """The latest (up to ``max_builds``) failed builds with a prior failed
+    build to train on; those with ``max_rw`` later failed builds if any."""
+    for name, value, low in (("max_builds", max_builds, 1), ("max_rw", max_rw, 0)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise InvalidConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    failed = history.failed_builds
+    if len(failed) < 2:
+        raise InsufficientHistoryError("need at least 2 failed builds to evaluate")
+    first = max(1, len(failed) - max_builds)  # the first failed build has no training data
+    end = len(failed) - max_rw  # anchors before it have the full window
+    return failed[first:end] if end > first else failed[first:]
 
 
 class PipelineEvaluator:
@@ -172,9 +178,8 @@ class PipelineEvaluator:
         self.extractor = FeatureExtractor(history, sources, **extractor_kwargs)
         self._matrix_cache: dict[int, FeatureMatrix] = {}
 
-    def matrix(self, build_id: int, snapshot: Snapshot | None = None) -> FeatureMatrix:
-        if snapshot is not None:
-            return self.extractor.matrix(build_id, snapshot)
+    def matrix(self, build_id: int) -> FeatureMatrix:
+        """The live matrix of a build, computed once."""
         m = self._matrix_cache.get(build_id)
         if m is None:
             m = self.extractor.matrix(build_id)
@@ -188,6 +193,26 @@ class PipelineEvaluator:
             raise InsufficientHistoryError(f"no failed builds before {build_id}")
         X, y = stack_matrices([self.matrix(b.id) for b in train])
         return train_ranker(X, y, self.hyperparams, seed=self.seed)
+
+    def replay(
+        self, anchors: tuple[Build, ...], max_rw: int
+    ) -> Iterator[tuple[Build, Build, int, RankModel, FeatureMatrix]]:
+        """``(anchor, target, rw, model, matrix)`` for each anchor's model
+        and each failed build ``rw`` <= ``max_rw`` positions later in the
+        failed-build sequence; at RW > 0 the mining-backed features are
+        computed against the anchor's snapshot."""
+        failed = self.history.failed_builds
+        position = {b.id: i for i, b in enumerate(failed)}
+        for anchor in anchors:
+            model = self.model_for(anchor.id)
+            snapshot = self.extractor.snapshot(anchor.id)
+            i = position[anchor.id]
+            for rw, target in enumerate(failed[i : i + max_rw + 1]):
+                if rw == 0:
+                    matrix = self.matrix(target.id)
+                else:
+                    matrix = self.extractor.matrix(target.id, snapshot)
+                yield anchor, target, rw, model, matrix
 
 
 def run_pipeline_eval(
@@ -206,9 +231,7 @@ def run_pipeline_eval(
     get one APFD_C row.
     """
     heuristic_key(heuristic)  # a bad heuristic fails before any feature work
-    if len(history.failed_builds) < 2:
-        raise InsufficientHistoryError("need at least 2 failed builds to evaluate")
-    evaluable = _evaluable_failed_builds(history, max_builds)
+    anchors = _anchors(history, max_builds, 0)
     ev = PipelineEvaluator(history, sources, hyperparams, seed, **extractor_kwargs)
     report = EvaluationReport(
         config={
@@ -219,21 +242,13 @@ def run_pipeline_eval(
             "hyperparams": dataclasses.asdict(hyperparams),
         }
     )
-    for build in evaluable:
-        model = ev.model_for(build.id)
-        matrix = ev.matrix(build.id)
-        report.apfdc_rows.append(
-            (build.id, "full", apfdc_of_build(build, rank_tests(model, matrix)))
-        )
-        report.apfdc_rows.append(
-            (build.id, "heuristic", apfdc_of_build(build, heuristic_rank(matrix, heuristic)))
-        )
-        report.apfdc_rows.append(
-            (build.id, "random", random_baseline_apfdc(build, seed))
-        )
-        report.apfdc_rows.append(
-            (build.id, "optimal", apfdc_of_build(build, optimal_ordering(build)))
-        )
+    for build, _, _, model, matrix in ev.replay(anchors, 0):
+        report.apfdc_rows += [
+            (build.id, "full", apfdc_of_build(build, rank_tests(model, matrix))),
+            (build.id, "heuristic", apfdc_of_build(build, heuristic_rank(matrix, heuristic))),
+            (build.id, "random", random_baseline_apfdc(build, seed)),
+            (build.id, "optimal", apfdc_of_build(build, optimal_ordering(build))),
+        ]
     report.timing_rows = ev.extractor.timings.rows()
     return report
 
@@ -283,28 +298,13 @@ def decay_experiment(
     same anchor set and the slope is not confounded by which anchors can
     reach which windows.
     """
-    if len(history.failed_builds) < 2:
-        raise InsufficientHistoryError("need at least 2 failed builds to evaluate")
-    if isinstance(max_rw, bool) or not isinstance(max_rw, int) or max_rw < 0:
-        raise InvalidConfigError(f"max_rw must be an integer >= 0, got {max_rw!r}")
-    evaluable = _evaluable_failed_builds(history, max_builds)
+    anchors = _anchors(history, max_builds, max_rw)
     ev = PipelineEvaluator(history, sources, hyperparams, seed, **extractor_kwargs)
-    positions = {b.id: i for i, b in enumerate(history.failed_builds)}
-    last_position = len(history.failed_builds) - 1
-    full_window = [a for a in evaluable if positions[a.id] + max_rw <= last_position]
-    anchors = full_window or evaluable
     by_rw: dict[int, list[float]] = {}
     pairs: list[tuple[int, int, int, float]] = []
-    for anchor in anchors:
-        model = ev.model_for(anchor.id)
-        snapshot = ev.extractor.snapshot(anchor.id)
-        for target in history.failed_builds:
-            rw = positions[target.id] - positions[anchor.id]
-            if rw < 0 or rw > max_rw:
-                continue
-            matrix = ev.matrix(target.id, snapshot if rw > 0 else None)
-            value = apfdc_of_build(target, rank_tests(model, matrix))
-            by_rw.setdefault(rw, []).append(value)
-            pairs.append((anchor.id, target.id, rw, value))
+    for anchor, target, rw, model, matrix in ev.replay(anchors, max_rw):
+        value = apfdc_of_build(target, rank_tests(model, matrix))
+        by_rw.setdefault(rw, []).append(value)
+        pairs.append((anchor.id, target.id, rw, value))
     rows = [(rw, float(np.mean(vals)), len(vals)) for rw, vals in sorted(by_rw.items())]
     return DecayCurve(rows, pairs)

@@ -411,6 +411,33 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
     "argv",
     [
         ["evaluate", "--max-builds", "0"],
+        ["decay", "--max-builds", "-1"],
+        ["decay", "--config", '{"max_builds": true}'],
+        ["decay", "--max-rw", "-1"],
+        ["decay", "--config", '{"max_rw": 1.5}'],
+        ["evaluate", "--heuristic", "NoSuchFeature:desc"],
+        ["evaluate", "--heuristic", "F_FailRate_Total:sideways"],
+    ],
+)
+def test_invalid_evaluation_option_exits_2_before_feature_work(
+    dataset, tmp_path, capsys, monkeypatch, argv
+):
+    def no_features(*args, **kwargs):
+        raise AssertionError("features were computed for invalid options")
+
+    monkeypatch.setattr("tcpci.evaluation.FeatureExtractor", no_features)
+    if argv[1] == "--config":
+        path = tmp_path / "config.json"
+        path.write_text(argv[2])
+        argv = [argv[0], "--config", str(path)]
+    assert main([argv[0], str(dataset), *argv[1:]]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--max-builds", "0"],
         ["evaluate", "--max-builds", "-1"],
         ["decay", "--max-rw", "-1"],
         ["evaluate", "--bags", "0"],
