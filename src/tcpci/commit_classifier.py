@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateCorpusError, SchemaError
 from .stemming import stem
-from .trees import Forest, Grower, boost, node_arrays, pack_nodes, unpack_nodes
+from .trees import Forest, Grower, boost, node_arrays, pack_nodes, unpack_nodes, valid_shrinkage
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _URL_SENTINEL = "zqurlplaceholderqz"
@@ -160,6 +160,9 @@ class CommitClassifier:
                 raise SchemaError("classifier idf, base_score, shrinkage and threshold "
                                   "must be numbers")
             base, shrinkage, threshold = numbers
+            if not valid_shrinkage(shrinkage):
+                raise SchemaError(f"classifier shrinkage must be a finite real number > 0, "
+                                  f"got {shrinkage!r}")
             columns = [np.arange(len(vocabulary))]
             forest = Forest(columns, [base], shrinkage, *nodes)
             vectorizer = TfidfVectorizer(vocabulary, np.array(idf, dtype=np.float64))

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -30,6 +29,7 @@ from .errors import (
 from .matrix import FeatureMatrix
 from .trees import (
     Forest, Grower, RegressionTree, boost, index_array, node_arrays, pack_nodes, unpack_nodes,
+    valid_shrinkage,
 )
 
 log = logging.getLogger(__name__)
@@ -50,11 +50,8 @@ class Hyperparams:
         sizes = (self.n_bags, self.trees_per_bag, self.max_leaves)
         if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in sizes):
             raise ValueError(f"ensemble sizes must be integers >= 1, got {sizes}")
-        s = self.shrinkage
-        # an integer above the largest double would overflow once multiplied
-        real = isinstance(s, (int, float)) and not isinstance(s, bool)
-        if not real or not 0 < s <= sys.float_info.max:
-            raise ValueError(f"shrinkage must be a finite real number > 0, got {s!r}")
+        if not valid_shrinkage(self.shrinkage):
+            raise ValueError(f"shrinkage must be a finite real number > 0, got {self.shrinkage!r}")
         for r in (self.sample_rate, self.feature_rate):
             if isinstance(r, bool) or not isinstance(r, (int, float)) or not 0 < r <= 1:
                 raise ValueError(f"sampling rates must be real numbers in (0, 1], got {r!r}")

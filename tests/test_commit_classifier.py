@@ -140,10 +140,15 @@ def test_hand_built_classifier_loads():
         _classifier_file(idf=[]),
         _classifier_file(idf=["1.0"]),
         _classifier_file(trees="abc"),
+        _classifier_file(shrinkage=-5.0),
+        _classifier_file(shrinkage=0),
+        _classifier_file(shrinkage=True),
+        _classifier_file(shrinkage=10**400),
     ],
     ids=[
         "bad-json", "not-an-object", "version-1", "version-bool", "missing-keys",
         "base-score-string", "idf-too-long", "idf-too-short", "idf-string", "trees-string",
+        "shrinkage-negative", "shrinkage-zero", "shrinkage-bool", "shrinkage-above-largest-double",
     ],
 )
 def test_malformed_classifier_file_raises_schema_error(text):

@@ -251,7 +251,8 @@ def test_dataset_and_evaluation_bytes_golden(synth_small, tmp_path):
     # must keep these digests; a deliberate change of either updates them.
     cold = SynthConfig(n_files=600, n_tests=300, n_builds=80, files_per_build=12)
     digests = {}
-    for name, cfg, seed in (("default", SynthConfig(), 7), ("cold", cold, 7), ("drift", DRIFT_CFG, 1)):
+    configs = (("default", SynthConfig(), 7), ("cold", cold, 7), ("drift", DRIFT_CFG, 1))
+    for name, cfg, seed in configs:
         write_synthetic_dataset(tmp_path / name, cfg, seed)
         digests[name] = _tree_digest(tmp_path / name)
 
