@@ -1,9 +1,10 @@
 """The canonical 150-feature catalog.
 
 The catalog fixes the order, group membership, and names of every feature
-the pipeline produces.  A copy is committed as ``data/feature_catalog.csv``
-and is the single source of truth; :func:`load_committed_catalog` reads it
-and the test suite asserts it matches what :func:`build_catalog` generates.
+the pipeline produces.  The code generates it: :data:`CATALOG` is what
+:func:`build_catalog` returns.  ``data/feature_catalog.csv`` is a committed
+copy for readers and other tools; :func:`load_committed_catalog` reads it,
+and the test suite asserts that it matches the generated catalog.
 """
 
 from __future__ import annotations
