@@ -148,7 +148,8 @@ class EvaluationReport:
 
 def _anchors(history: BuildHistory, max_builds: int, max_rw: int) -> tuple[Build, ...]:
     """The latest (up to ``max_builds``) failed builds with a prior failed
-    build to train on; those with ``max_rw`` later failed builds if any."""
+    build to train on, keeping only those followed by ``max_rw`` failed
+    builds when any is."""
     for name, value, low in (("max_builds", max_builds, 1), ("max_rw", max_rw, 0)):
         if isinstance(value, bool) or not isinstance(value, int) or value < low:
             raise InvalidConfigError(f"{name} must be an integer >= {low}, got {value!r}")
@@ -228,7 +229,9 @@ def run_pipeline_eval(
 
     For each evaluated build: the full learned model, the single-feature
     heuristic, a sampled random baseline, and the optimal ordering each
-    get one APFD_C row.
+    get one APFD_C row.  The builds and models are the RW 0 cells of
+    :meth:`PipelineEvaluator.replay`, so the full rows equal
+    :func:`decay_experiment`'s RW 0 pairs.
     """
     heuristic_key(heuristic)  # a bad heuristic fails before any feature work
     anchors = _anchors(history, max_builds, 0)
