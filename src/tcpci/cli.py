@@ -28,6 +28,7 @@ from .errors import (
     InvalidConfigError,
     NoFailedBuildsError,
     TcpciError,
+    check_option,
 )
 from .evaluation import (
     PipelineEvaluator,
@@ -125,8 +126,6 @@ def _read_text(path: Path, what: str) -> str:
     read is an input error."""
     try:
         return path.read_text(encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise InputError(f"{what} not found: {path}") from exc
     except OSError as exc:
         raise InputError(f"cannot read {what} {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -175,28 +174,18 @@ def _given(args, cfg: dict, *names: str, **renamed: str) -> dict:
     return out
 
 
-def _check_seed(args, cfg: dict) -> None:
-    seed = _given(args, cfg, "seed").get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise InvalidConfigError(f"seed must be an integer >= 0, got {seed!r}")
-
-
-def _construct(cls, kwargs: dict):
-    """``cls(**kwargs)``, with rejected values reported as bad configuration."""
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfigError(f"{cls.__name__}: {exc}") from exc
+def _check_out(args) -> None:
+    """Reject an ``--out`` that exists as the wrong kind of entry: a file
+    where ``evaluate`` and ``synth`` write a directory, or a directory."""
+    out = getattr(args, "out", None)
+    wants_dir = args.command in ("evaluate", "synth")
+    if out is not None and out.exists() and out.is_dir() != wants_dir:
+        raise InputError(f"--out {out} is {'not ' if wants_dir else ''}a directory")
 
 
 def _hyperparams(args, cfg: dict) -> Hyperparams:
-    return _construct(
-        Hyperparams,
-        _given(
-            args, cfg, "trees_per_bag", "max_leaves", "shrinkage", "sample_rate",
-            "feature_rate", bags="n_bags",
-        ),
-    )
+    names = "trees_per_bag", "max_leaves", "shrinkage", "sample_rate", "feature_rate"
+    return Hyperparams(**_given(args, cfg, *names, bags="n_bags"))
 
 
 def _load(dataset: Path, filter_outliers: bool = False):
@@ -296,7 +285,7 @@ def _cmd_decay(args, cfg: dict) -> int:
 def _cmd_synth(args, cfg: dict) -> int:
     generator = {k: v for k, v in cfg.items() if k != "seed"}
     layout, _ = write_synthetic_dataset(
-        args.out, _construct(SynthConfig, generator), **_given(args, cfg, "seed")
+        args.out, SynthConfig(**generator), **_given(args, cfg, "seed")
     )
     print(layout.root)
     return EXIT_OK
@@ -318,9 +307,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_config(getattr(args, "config", None))
         _check_keys(args, cfg)
-        _check_seed(args, cfg)
+        check_option("seed", _given(args, cfg, "seed").get("seed", 0), int, 0)
+        _check_out(args)
         return _COMMANDS[args.command](args, cfg)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (InsufficientHistoryError, NoFailedBuildsError) as exc:

@@ -22,9 +22,9 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import DegenerateCorpusError, SchemaError
+from .errors import DegenerateCorpusError, SchemaError, check_option
 from .stemming import stem
-from .trees import Forest, Grower, boost, node_arrays, pack_nodes, unpack_nodes, valid_shrinkage
+from .trees import Forest, Grower, boost, node_arrays, pack_nodes, unpack_nodes
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _URL_SENTINEL = "zqurlplaceholderqz"
@@ -160,9 +160,7 @@ class CommitClassifier:
                 raise SchemaError("classifier idf, base_score, shrinkage and threshold "
                                   "must be numbers")
             base, shrinkage, threshold = numbers
-            if not valid_shrinkage(shrinkage):
-                raise SchemaError(f"classifier shrinkage must be a finite real number > 0, "
-                                  f"got {shrinkage!r}")
+            check_option("shrinkage", shrinkage, float, 0, math.inf, low_open=True)
             columns = [np.arange(len(vocabulary))]
             forest = Forest(columns, [base], shrinkage, *nodes)
             vectorizer = TfidfVectorizer(vocabulary, np.array(idf, dtype=np.float64))

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InsufficientHistoryError, InvalidConfigError, NoFailuresError
+from .errors import InsufficientHistoryError, NoFailuresError, check_option
 from .features import FeatureExtractor
 from .matrix import FeatureMatrix, stack_matrices
 from .model import Build, BuildHistory, Verdict
@@ -150,9 +150,7 @@ def _anchors(history: BuildHistory, max_builds: int, max_rw: int) -> tuple[Build
     """The latest (up to ``max_builds``) failed builds with a prior failed
     build to train on, keeping only those followed by ``max_rw`` failed
     builds when any is."""
-    for name, value, low in (("max_builds", max_builds, 1), ("max_rw", max_rw, 0)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            raise InvalidConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+    check_option("max_builds", max_builds, int, 1)
     failed = history.failed_builds
     if len(failed) < 2:
         raise InsufficientHistoryError("need at least 2 failed builds to evaluate")
@@ -299,9 +297,12 @@ def decay_experiment(
     Anchors without the full window (fewer than ``max_rw`` later failed
     builds) are dropped when possible, so every RW cell averages over the
     same anchor set and the slope is not confounded by which anchors can
-    reach which windows.
+    reach which windows.  A slope needs a cell past RW 0 (``max_rw`` >= 1).
     """
+    check_option("max_rw", max_rw, int, 1)
     anchors = _anchors(history, max_builds, max_rw)
+    if anchors[0] is history.failed_builds[-1]:
+        raise InsufficientHistoryError("no failed build follows the evaluated ones: RW 0 only")
     ev = PipelineEvaluator(history, sources, hyperparams, seed, **extractor_kwargs)
     by_rw: dict[int, list[float]] = {}
     pairs: list[tuple[int, int, int, float]] = []

@@ -61,7 +61,7 @@ from .code_analysis import (
     scan_entity,
 )
 from .coverage import AssociationMiner, DependencyGraph, PdfIndex
-from .errors import InvalidConfigError
+from .errors import check_option
 from .matrix import FeatureMatrix
 from .model import BuildHistory, Verdict
 
@@ -156,10 +156,8 @@ class FeatureExtractor:
         recent_window: int = 6,
         impact_depth: int = 1,
     ):
-        checks = (("recent_window", recent_window, 1), ("impact_depth", impact_depth, 0))
-        for name, value, least in checks:
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise InvalidConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        check_option("recent_window", recent_window, int, 1)
+        check_option("impact_depth", impact_depth, int, 0)
         self.history = history
         self.recent_window = recent_window
         self.impact_depth = impact_depth
@@ -260,8 +258,9 @@ class FeatureExtractor:
 
         cols = [age(s), since(fails), since(flips), self._failed[p - 1], self._dur[p - 1]]
         # Recent* over the latest recent_window executions, then Total*; a
-        # window's transitions are the flips after its first row
-        for lo in (np.maximum(s, p - self.recent_window), s):
+        # window's transitions are the flips after its first row (a window
+        # longer than the table reads the rows one of its length reads)
+        for lo in (np.maximum(s, p - min(self.recent_window, len(self._dur))), s):
             n = p - lo
             cols += self._durations(lo, n)
             cols += [count(e, lo) / n for e in (fails, asserts, excs)]

@@ -148,7 +148,9 @@ class Build:
         records: tuple[ExecutionRecord, ...],
         wall_clock: datetime | None = None,
     ) -> Build:
-        """A build whose columns are ``records`` in test order."""
+        """A build whose columns are ``records``, all of build ``id``, in test order."""
+        if any(r.build != id for r in records):
+            raise ValueError(f"build {id} given a record of another build")
         records = sorted(records, key=lambda r: r.test)
         tests = tuple(r.test for r in records)
         verdicts = np.array([r.verdict for r in records], dtype=np.int8)

@@ -25,11 +25,11 @@ from .errors import (
     NoFailedBuildsError,
     SchemaError,
     UnknownFeatureError,
+    check_fields,
 )
 from .matrix import FeatureMatrix
 from .trees import (
     Forest, Grower, RegressionTree, boost, index_array, node_arrays, pack_nodes, unpack_nodes,
-    valid_shrinkage,
 )
 
 log = logging.getLogger(__name__)
@@ -47,14 +47,16 @@ class Hyperparams:
     feature_rate: float = 0.3
 
     def __post_init__(self):
-        sizes = (self.n_bags, self.trees_per_bag, self.max_leaves)
-        if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in sizes):
-            raise ValueError(f"ensemble sizes must be integers >= 1, got {sizes}")
-        if not valid_shrinkage(self.shrinkage):
-            raise ValueError(f"shrinkage must be a finite real number > 0, got {self.shrinkage!r}")
-        for r in (self.sample_rate, self.feature_rate):
-            if isinstance(r, bool) or not isinstance(r, (int, float)) or not 0 < r <= 1:
-                raise ValueError(f"sampling rates must be real numbers in (0, 1], got {r!r}")
+        check_fields(self, _RANGES)
+
+
+#: Range of each :class:`Hyperparams` field (``check_option``'s ``low``,
+#: ``high`` and ``low_open``).
+_RANGES = {
+    **dict.fromkeys(("n_bags", "trees_per_bag", "max_leaves"), (1,)),
+    "shrinkage": (0, math.inf, True),
+    **dict.fromkeys(("sample_rate", "feature_rate"), (0, 1, True)),
+}
 
 
 @dataclass

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 
+from .errors import check_fields
 from .ingest import DatasetLayout, write_dataset
 from .model import Build, BuildHistory, ChangeSet, Commit, FileChange
 
@@ -56,32 +56,16 @@ class SynthConfig:
     risky_fix_prob: float = 0.9  # commit touching a risky file gets a fix message
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            lo, hi = _RANGES.get(f.name, (0, math.inf))
-            if f.type == "int":
-                kind, ok = "an integer", isinstance(value, int)
-            else:
-                kind = "a finite real number"
-                ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-            if isinstance(value, bool) or not ok or not lo <= value <= hi:
-                span = f"{'(' if lo < 0 else '['}{lo}, {hi}{')' if hi == math.inf else ']'}"
-                raise ValueError(f"{f.name} must be {kind} in {span}, got {value!r}")
-        if self.pool_size < self.coverage_size:
-            raise ValueError("pool_size must be >= coverage_size")
-        if self.pool_size > self.n_files:
-            raise ValueError("pool_size cannot exceed n_files")
-        if self.files_per_build > self.n_files:
-            raise ValueError("files_per_build cannot exceed n_files")
+        sizes = {"pool_size": (self.coverage_size, self.n_files),
+                 "files_per_build": (0, self.n_files)}
+        check_fields(self, {**_RANGES, **sizes})
 
 
-#: Range of each :class:`SynthConfig` field whose range is not [0, inf).
+#: Range of each :class:`SynthConfig` field whose range is not [0, inf) or
+#: set by other fields (``check_option``'s ``low`` and ``high``).
 _RANGES = {
-    "n_files": (1, math.inf),
-    "n_tests": (1, math.inf),
-    "n_builds": (1, math.inf),
-    "commits_per_build": (1, math.inf),
-    "duration_mu": (-math.inf, math.inf),
+    **dict.fromkeys(("n_files", "n_tests", "n_builds", "commits_per_build"), (1,)),
+    "duration_mu": (-math.inf,),
     **dict.fromkeys(
         ("base_failure", "co_change_prob", "flaky_prob", "fix_message_prob", "risky_fix_prob"),
         (0, 1),
@@ -305,4 +289,5 @@ def load_sources(layout: DatasetLayout) -> dict[str, str]:
     return {
         str(p.relative_to(src.parent)): p.read_text(encoding="utf-8", errors="replace")
         for p in src.rglob("*.java")
+        if p.is_file()
     }

@@ -49,7 +49,6 @@ import functools
 import heapq
 import math
 import operator
-import sys
 from collections.abc import Callable
 from itertools import count
 
@@ -87,12 +86,6 @@ def index_array(values, what: str) -> np.ndarray:
 
 
 #: A split must reduce the SSE by more than this.
-def valid_shrinkage(s) -> bool:
-    """Whether ``s`` is a real number, not a bool, in (0, largest double]:
-    an integer above the largest double would overflow once multiplied."""
-    return isinstance(s, (int, float)) and not isinstance(s, bool) and 0 < s <= sys.float_info.max
-
-
 MIN_GAIN = 1e-12
 
 

@@ -1,24 +1,29 @@
-"""The names the traced benchmark mode wraps and reads must exist.
+"""The names the benchmark wraps and reads must exist and be called.
 
 ``perfbench/spans.py`` rebinds the callables its ``TARGETS`` name, and the
 observers in ``perfbench/layers.py`` read attributes of what they return.
-A rename in ``src/tcpci`` would break only the traced benchmark, which the
-suite under ``tests/`` does not run; these checks catch it here.
+``perfbench/workloads.py:probes`` rebinds names of ``tcpci.evaluation`` to
+time training and scoring.  A rename in ``src/tcpci`` would break only the
+benchmark, which the suite under ``tests/`` does not run; these checks
+catch it here.
 """
 
+import ast
 import importlib.util
 import inspect
 from pathlib import Path
 
 import numpy as np
 
-from tcpci.evaluation import apfdc_of_build
+from tcpci import evaluation
+from tcpci.evaluation import apfdc_of_build, decay_experiment, run_pipeline_eval
 from tcpci.ingest import ingest_exec_records
 from tcpci.ranker import Hyperparams, train_ranker
-from tcpci.synth import SynthConfig, write_synthetic_dataset
+from tcpci.synth import SynthConfig, generate_synthetic_history, write_synthetic_dataset
 from tcpci.trees import Grower, RegressionTree
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def load_spans():
@@ -68,3 +73,38 @@ def test_traced_results_expose_what_the_observers_read(tmp_path):
     build = failed[-1]
     assert sorted(build.tests) == sorted(r.test for r in build.records)
     assert 0.0 <= apfdc_of_build(build, sorted(build.tests)) <= 1.0
+
+
+def probed_names() -> set[str]:
+    """The keys of the ``wrappers`` dict in ``workloads.py:probes``."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    probes = next(
+        n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "probes"
+    )
+    wrappers = next(
+        n.value for n in ast.walk(probes)
+        if isinstance(n, ast.Assign) and [getattr(t, "id", None) for t in n.targets] == ["wrappers"]
+    )
+    return {key.value for key in wrappers.keys}
+
+
+def test_evaluation_calls_the_names_the_probes_rebind(monkeypatch):
+    # a probe on a name that evaluation no longer calls would measure nothing
+    names = probed_names()
+    assert names == {"train_ranker", "rank_tests", "heuristic_rank", "apfdc_of_build"}
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _call=getattr(evaluation, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, name, counted)
+    config = SynthConfig(n_files=30, n_tests=15, n_builds=20, files_per_build=4)
+    history, sources, _ = generate_synthetic_history(config, seed=11)
+    hp = Hyperparams(n_bags=2, trees_per_bag=1, max_leaves=4)
+    run_pipeline_eval(history, sources, hp, max_builds=2)
+    assert all(calls.values()), calls
+    calls = dict.fromkeys(names, 0)
+    decay_experiment(history, sources, hp, max_builds=2, max_rw=1)
+    # the decay run ranks only by the learned model
+    assert [n for n, c in calls.items() if not c] == ["heuristic_rank"], calls

@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -21,6 +22,7 @@ from tcpci.commit_classifier import CommitClassifier, train_classifier
 from tcpci.errors import DuplicateRecordError, SchemaError
 from tcpci.ingest import DatasetLayout, ingest_exec_records
 from tcpci.model import ExecutionRecord, Verdict
+from tcpci.synth import SynthConfig
 from tcpci.trees import NODE_ARRAYS, pack_nodes
 
 SYNTH_CFG = {
@@ -417,6 +419,7 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
         ["decay", "--config", '{"max_rw": 1.5}'],
         ["evaluate", "--heuristic", "NoSuchFeature:desc"],
         ["evaluate", "--heuristic", "F_FailRate_Total:sideways"],
+        ["decay", "--max-rw", "0"],
     ],
 )
 def test_invalid_evaluation_option_exits_2_before_feature_work(
@@ -432,6 +435,46 @@ def test_invalid_evaluation_option_exits_2_before_feature_work(
         argv = [argv[0], "--config", str(path)]
     assert main([argv[0], str(dataset), *argv[1:]]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_decay_with_a_single_rw_cell_exits_3_before_feature_work(dataset, capsys, monkeypatch):
+    # one evaluated build, the last failed one, leaves only the RW 0 cell,
+    # and a curve of one cell has no slope
+    def no_features(*args, **kwargs):
+        raise AssertionError("features were computed for a curve of one cell")
+
+    monkeypatch.setattr("tcpci.evaluation.FeatureExtractor", no_features)
+    assert main(["decay", str(dataset), "--max-builds", "1"]) == 3
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_recent_window_longer_than_the_table_reads_the_whole_table(dataset, tmp_path, capsys):
+    history = history_of(dataset)
+    rows = sum(len(b.tests) for b in history.builds)
+    outs = []
+    for window in (10**20, rows):
+        cfg, out = tmp_path / f"{window}.json", tmp_path / f"{window}.csv"
+        cfg.write_text(json.dumps({"recent_window": window}))
+        argv = ["extract", str(dataset), "--build", str(history.builds[-1].id),
+                "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    capsys.readouterr()
+
+
+def test_directory_named_like_a_java_file_is_not_a_source(dataset, tmp_path, capsys):
+    copy = tmp_path / "data"
+    shutil.copytree(dataset, copy)
+    (copy / "src" / "app" / "Dir.java").mkdir()
+    build = str(history_of(dataset).builds[-1].id)
+    outs = []
+    for root in (dataset, copy):
+        out = tmp_path / f"{root.name}-{len(outs)}.csv"
+        assert main(["extract", str(root), "--build", build, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
@@ -534,6 +577,10 @@ def test_invalid_evaluation_option_exits_2_before_feature_work(
             "prioritize", "--build", "1", "--model",
             model_arg(model={"hyperparams": {**HYPERPARAMS, "shrinkage": 10**400}}),
         ],
+        ["train", "--until", "15", "--out", DIRECTORY],
+        ["extract", "--build", "1", "--out", DIRECTORY],
+        ["decay", "--out", DIRECTORY],
+        ["evaluate", "--out", "@"],
     ],
     ids=[
         "max-builds-0", "max-builds-negative", "max-rw-negative", "bags-0",
@@ -559,6 +606,8 @@ def test_invalid_evaluation_option_exits_2_before_feature_work(
         "model-sizes-bool", "model-sizes-float", "model-version-1", "model-version-3",
         "model-not-utf8", "model-directory", "config-not-utf8", "config-directory",
         "shrinkage-above-largest-double", "model-shrinkage-above-largest-double",
+        "train-out-directory", "extract-out-directory", "decay-out-directory",
+        "evaluate-out-file",
     ],
 )
 def test_invalid_option_or_file_exits_2(dataset, tmp_path, capsys, monkeypatch, argv):
@@ -734,3 +783,78 @@ def test_unread_option_is_rejected(dataset, tmp_path, capsys, argv):
         main(args + argv[1:])
     assert exc.value.code == 2
     assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
+#: The config keys of each command.  ``synth``'s are the generator settings
+#: and ``seed``; the others' are their value flags.
+TRAINING_KEYS = ["seed", "bags", "trees_per_bag", "max_leaves", "shrinkage", "sample_rate",
+                 "feature_rate", "impact_depth", "recent_window"]
+CONFIG_KEYS = {
+    "extract": ["impact_depth", "recent_window"],
+    "prioritize": ["impact_depth", "recent_window"],
+    "train": TRAINING_KEYS,
+    "evaluate": [*TRAINING_KEYS, "max_builds", "heuristic"],
+    "decay": [*TRAINING_KEYS, "max_builds", "max_rw"],
+    "synth": [*(f.name for f in dataclasses.fields(SynthConfig)), "seed"],
+}
+#: Keys whose large valid values only make a long job; they get only
+#: invalid or small values.
+SIZE_KEYS = {"bags", "trees_per_bag", "max_leaves"} | {
+    f.name for f in dataclasses.fields(SynthConfig) if f.type == "int" and f.name != "drift_period"
+}
+#: The flags that keep a run small, each left out when its key is under test.
+SMALL_FLAGS = {"bags": "1", "trees_per_bag": "1", "max_leaves": "4", "max_builds": "2",
+               "max_rw": "1"}
+SMALL_SYNTH = {"n_files": 6, "n_tests": 4, "n_builds": 4, "coverage_size": 2, "pool_size": 2,
+               "files_per_build": 2}
+SMALL_VALUES = ["x", [1], {"a": 1}, None, True, False, -1, 0, 1, 1e-300, 1e308]
+VALUES = [*SMALL_VALUES, 2**63, 10**20, 10**400]
+#: Which ``--out`` each command writes, "file" or "dir".
+OUT_KIND = {"extract": "file", "train": "file", "decay": "file", "evaluate": "dir",
+            "synth": "dir"}
+
+CONFIG_CASES = st.sampled_from(
+    [(command, key) for command, keys in CONFIG_KEYS.items() for key in keys]
+).flatmap(lambda case: st.tuples(
+    st.just(case),
+    st.sampled_from(SMALL_VALUES if case[1] in SIZE_KEYS else VALUES),
+    st.sampled_from(["new", "file", "dir"]),
+))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=CONFIG_CASES)
+def test_any_config_value_and_output_path_exits_0_2_3_or_4(dataset, model_files, case):
+    # every config key of every command, given a value of any JSON type or
+    # size, and an --out that is new, a file or a directory: the command
+    # runs or exits with an error line, never with a traceback
+    (command, key), value, out_kind = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = {**SMALL_SYNTH, key: value} if command == "synth" else {key: value}
+        (tmp / "cfg.json").write_text(json.dumps(cfg))
+        (tmp / "file").write_text("")
+        (tmp / "dir").mkdir()
+        model = tmp / "model.json"
+        model.write_text(model_files[0])
+        build = str(model_files[1].id)
+        argv = {
+            "synth": ["synth"],
+            "extract": ["extract", str(dataset), "--build", build],
+            "train": ["train", str(dataset), "--until", build],
+            "prioritize": ["prioritize", str(dataset), "--build", build, "--model", str(model)],
+        }.get(command, [command, str(dataset)])
+        for name, flag in SMALL_FLAGS.items():
+            if name != key and name in CONFIG_KEYS[command]:
+                argv += ["--" + name.replace("_", "-"), flag]
+        if command in OUT_KIND:
+            argv += ["--out", str(tmp / "new" / "out" if out_kind == "new" else tmp / out_kind)]
+        argv += ["--config", str(tmp / "cfg.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, cfg)
+    if code:
+        assert any(line.startswith("error:") for line in err.getvalue().splitlines())
+    if out_kind != "new" and OUT_KIND.get(command, out_kind) != out_kind:
+        assert code == 2  # an --out of the wrong kind

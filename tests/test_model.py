@@ -95,6 +95,15 @@ def test_build_constructor_checks_its_columns():
     assert not (verdicts.flags.writeable or durations.flags.writeable)
 
 
+def test_build_from_records_rejects_a_record_of_another_build():
+    cs = ChangeSet(1, (), frozenset())
+    own = ExecutionRecord(1, "a", Verdict.PASSED, 1.0)
+    other = ExecutionRecord(2, "b", Verdict.PASSED, 1.0)
+    assert Build.from_records(1, cs, (own,)).records == (own,)
+    with pytest.raises(ValueError):
+        Build.from_records(1, cs, (own, other))
+
+
 def test_synthetic_history_constructs_no_execution_record(monkeypatch):
     # the generator fills the columns; records are made only when read
     made = []
