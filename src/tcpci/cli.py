@@ -5,11 +5,14 @@ Exit codes: 0 success, 2 input/schema error, 3 insufficient history,
 4 internal invariant violation.  stdout carries primary payloads only;
 diagnostics go to stderr as ``error: ...`` lines.
 
-Each command takes only the options it reads.  ``--config`` names a
-JSON object whose keys set value options: the flag without its dashes,
-with ``_`` for ``-`` (``max_builds`` for ``--max-builds``).  Each key
-must name a value option of the command, or it exits 2; the command
-reads them through :func:`_given`, and an explicit flag wins.
+Each command takes only the options it reads.  A value option is
+declared once, by its key in the tables of :data:`_OPTIONS`: its flag is
+``--`` plus the key with ``-`` for ``_`` (``--max-builds`` for
+``max_builds``), and ``--config`` names a JSON object whose keys set the
+same options.  Each key must name a value option of the command, or it
+exits 2.  :func:`main` resolves flags and keys into one ``opts`` dict,
+where an explicit flag wins, and each handler passes it on as keyword
+arguments.
 ``--build``, ``--until``, ``--model``, ``--out`` and ``--keep-outliers``
 have no key; ``synth``'s keys are the generator settings and ``seed``.
 """
@@ -46,21 +49,22 @@ EXIT_INPUT = 2
 EXIT_HISTORY = 3
 EXIT_INTERNAL = 4
 
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", type=Path, default=None, help="JSON config file")
-    p.add_argument("--impact-depth", type=int, default=None)
-    p.add_argument("--recent-window", type=int, default=None)
-
-
-def _add_training(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--bags", type=int, default=None)
-    p.add_argument("--trees-per-bag", type=int, default=None)
-    p.add_argument("--max-leaves", type=int, default=None)
-    p.add_argument("--shrinkage", type=float, default=None)
-    p.add_argument("--sample-rate", type=float, default=None)
-    p.add_argument("--feature-rate", type=float, default=None)
+#: Value options by group, each key to its type.
+_EXTRACTOR = {"impact_depth": int, "recent_window": int}
+_SEED = {"seed": int}
+_HYPERPARAMS = {"bags": int, "trees_per_bag": int, "max_leaves": int, "shrinkage": float,
+                "sample_rate": float, "feature_rate": float}
+_TRAINING = {**_EXTRACTOR, **_SEED, **_HYPERPARAMS}
+_REPLAY = {**_TRAINING, "max_builds": int}
+#: The value options of each command that takes any.
+_OPTIONS = {
+    "extract": _EXTRACTOR,
+    "train": _TRAINING,
+    "prioritize": _EXTRACTOR,
+    "evaluate": {**_REPLAY, "heuristic": str},
+    "decay": {**_REPLAY, "max_rw": int},
+    "synth": _SEED,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,50 +79,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset", type=Path)
     p.add_argument("--build", type=int, required=True)
     p.add_argument("--out", type=Path, default=None)
-    _add_common(p)
 
     p = sub.add_parser("train", help="train on failed builds before --until")
     p.add_argument("dataset", type=Path)
     p.add_argument("--until", type=int, required=True)
     p.add_argument("--out", type=Path, required=True)
-    _add_common(p)
-    _add_training(p)
 
     p = sub.add_parser("prioritize", help="print ranked test paths for a build")
     p.add_argument("dataset", type=Path)
     p.add_argument("--build", type=int, required=True)
     p.add_argument("--model", type=Path, required=True)
-    _add_common(p)
 
-    p = sub.add_parser("evaluate", help="train-on-prior evaluation; emits apfdc.csv/timing.csv")
-    p.add_argument("dataset", type=Path)
-    p.add_argument("--heuristic", type=str, default=None)
-    p.add_argument("--max-builds", type=int, default=None)
-    p.add_argument("--out", type=Path, default=None)
-    p.add_argument("--keep-outliers", action="store_true")
-    _add_common(p)
-    _add_training(p)
-
-    p = sub.add_parser("decay", help="retraining-window decay experiment; emits decay.csv")
-    p.add_argument("dataset", type=Path)
-    p.add_argument("--max-rw", type=int, default=None)
-    p.add_argument("--max-builds", type=int, default=None)
-    p.add_argument("--out", type=Path, default=None)
-    p.add_argument("--keep-outliers", action="store_true")
-    _add_common(p)
-    _add_training(p)
+    for name, what in (
+        ("evaluate", "train-on-prior evaluation; emits apfdc.csv/timing.csv"),
+        ("decay", "retraining-window decay experiment; emits decay.csv"),
+    ):
+        p = sub.add_parser(name, help=what)
+        p.add_argument("dataset", type=Path)
+        p.add_argument("--out", type=Path, default=None)
+        p.add_argument("--keep-outliers", action="store_true")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--config", type=Path, default=None, help="JSON generator config")
-    p.add_argument("--seed", type=int, default=None)
+
+    for command, options in _OPTIONS.items():
+        p = sub.choices[command]
+        what = "JSON generator config" if command == "synth" else "JSON config file"
+        p.add_argument("--config", type=Path, default=None, help=what)
+        for key, kind in options.items():
+            p.add_argument("--" + key.replace("_", "-"), type=kind, default=None)
     return parser
-
-
-#: Options a config file cannot set.
-_NO_KEY = frozenset(
-    {"command", "config", "dataset", "build", "until", "model", "out", "keep_outliers"}
-)
 
 
 def _read_text(path: Path, what: str) -> str:
@@ -147,33 +137,6 @@ def _load_config(path: Path | None) -> dict:
     return cfg
 
 
-def _check_keys(args, cfg: dict) -> None:
-    """Reject config keys that name no value option of the command."""
-    keys = set(vars(args)) - _NO_KEY
-    if args.command == "synth":
-        keys |= set(SynthConfig.__dataclass_fields__)
-    unknown = sorted(set(cfg) - keys)
-    if unknown:
-        raise InvalidConfigError(f"config keys {unknown} set no option of {args.command}")
-
-
-def _given(args, cfg: dict, *names: str, **renamed: str) -> dict:
-    """Keyword arguments for the options a flag or the config sets.
-
-    A flag wins over the config value; an option set by neither is left
-    out, so the library's own default applies.  ``renamed`` maps an
-    option to the parameter it fills.
-    """
-    out = {}
-    for name, param in {**{n: n for n in names}, **renamed}.items():
-        value = getattr(args, name, None)
-        if value is None:
-            value = cfg.get(name)
-        if value is not None:
-            out[param] = value
-    return out
-
-
 def _check_out(args) -> None:
     """Reject an ``--out`` that exists as the wrong kind of entry: a file
     where ``evaluate`` and ``synth`` write a directory, or a directory."""
@@ -183,9 +146,15 @@ def _check_out(args) -> None:
         raise InputError(f"--out {out} is {'not ' if wants_dir else ''}a directory")
 
 
-def _hyperparams(args, cfg: dict) -> Hyperparams:
-    names = "trees_per_bag", "max_leaves", "shrinkage", "sample_rate", "feature_rate"
-    return Hyperparams(**_given(args, cfg, *names, bags="n_bags"))
+def _take(opts: dict, keys) -> dict:
+    """Remove ``keys`` from ``opts``; those it held, with their values."""
+    return {k: opts.pop(k) for k in keys if k in opts}
+
+
+def _take_hyperparams(opts: dict) -> Hyperparams:
+    """Take the training keys out of ``opts`` (``bags`` fills ``n_bags``)."""
+    given = _take(opts, _HYPERPARAMS)
+    return Hyperparams(**{("n_bags" if k == "bags" else k): v for k, v in given.items()})
 
 
 def _load(dataset: Path, filter_outliers: bool = False):
@@ -198,11 +167,7 @@ def _load(dataset: Path, filter_outliers: bool = False):
     return layout, history
 
 
-def _extractor_kwargs(args, cfg: dict) -> dict:
-    return _given(args, cfg, "impact_depth", "recent_window")
-
-
-def _cmd_ingest(args, cfg: dict) -> int:
+def _cmd_ingest(args, opts: dict) -> int:
     layout = DatasetLayout(args.source, repo=args.source)
     history = ingest_exec_records(layout)
     write_dataset(history, args.dest)
@@ -213,53 +178,43 @@ def _cmd_ingest(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_extract(args, cfg: dict) -> int:
+def _cmd_extract(args, opts: dict) -> int:
     layout, history = _load(args.dataset)
     if args.build not in history:
         raise InputError(f"build {args.build} not in dataset")
-    extractor = FeatureExtractor(history, load_sources(layout), **_extractor_kwargs(args, cfg))
-    matrix = extractor.matrix(args.build)
+    matrix = FeatureExtractor(history, load_sources(layout), **opts).matrix(args.build)
     out = args.out or args.dataset / "features" / f"build_{args.build}.csv"
     matrix.write_csv(out)
     print(out)
     return EXIT_OK
 
 
-def _cmd_train(args, cfg: dict) -> int:
+def _cmd_train(args, opts: dict) -> int:
     layout, history = _load(args.dataset)
-    model = PipelineEvaluator(
-        history,
-        load_sources(layout),
-        _hyperparams(args, cfg),
-        **_given(args, cfg, "seed"),
-        **_extractor_kwargs(args, cfg),
-    ).model_for(args.until)
+    hyperparams = _take_hyperparams(opts)
+    evaluator = PipelineEvaluator(history, load_sources(layout), hyperparams, **opts)
+    model = evaluator.model_for(args.until)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     args.out.write_text(model.to_json(), encoding="utf-8")
     print(args.out)
     return EXIT_OK
 
 
-def _cmd_prioritize(args, cfg: dict) -> int:
+def _cmd_prioritize(args, opts: dict) -> int:
     layout, history = _load(args.dataset)
     if args.build not in history:
         raise InputError(f"build {args.build} not in dataset")
     model = RankModel.from_json(_read_text(args.model, "model file"))
-    extractor = FeatureExtractor(history, load_sources(layout), **_extractor_kwargs(args, cfg))
+    extractor = FeatureExtractor(history, load_sources(layout), **opts)
     for test in rank_tests(model, extractor.matrix(args.build)):
         print(test)
     return EXIT_OK
 
 
-def _cmd_evaluate(args, cfg: dict) -> int:
+def _cmd_evaluate(args, opts: dict) -> int:
     layout, history = _load(args.dataset, filter_outliers=not args.keep_outliers)
-    report = run_pipeline_eval(
-        history,
-        load_sources(layout),
-        _hyperparams(args, cfg),
-        **_given(args, cfg, "seed", "max_builds", "heuristic"),
-        **_extractor_kwargs(args, cfg),
-    )
+    hyperparams = _take_hyperparams(opts)
+    report = run_pipeline_eval(history, load_sources(layout), hyperparams, **opts)
     out = args.out or args.dataset / "reports"
     report.write(out)
     for strategy, (mean, sd) in report.summary().items():
@@ -267,26 +222,19 @@ def _cmd_evaluate(args, cfg: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_decay(args, cfg: dict) -> int:
+def _cmd_decay(args, opts: dict) -> int:
     layout, history = _load(args.dataset, filter_outliers=not args.keep_outliers)
-    curve = decay_experiment(
-        history,
-        load_sources(layout),
-        _hyperparams(args, cfg),
-        **_given(args, cfg, "seed", "max_builds", "max_rw"),
-        **_extractor_kwargs(args, cfg),
-    )
+    hyperparams = _take_hyperparams(opts)
+    curve = decay_experiment(history, load_sources(layout), hyperparams, **opts)
     out = args.out or args.dataset / "reports" / "decay.csv"
     curve.write(out)
     print(f"slope over RW: {curve.slope():+.6f}")
     return EXIT_OK
 
 
-def _cmd_synth(args, cfg: dict) -> int:
-    generator = {k: v for k, v in cfg.items() if k != "seed"}
-    layout, _ = write_synthetic_dataset(
-        args.out, SynthConfig(**generator), **_given(args, cfg, "seed")
-    )
+def _cmd_synth(args, opts: dict) -> int:
+    config = SynthConfig(**_take(opts, SynthConfig.__dataclass_fields__))
+    layout, _ = write_synthetic_dataset(args.out, config, **opts)
     print(layout.root)
     return EXIT_OK
 
@@ -306,10 +254,21 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(getattr(args, "config", None))
-        _check_keys(args, cfg)
-        check_option("seed", _given(args, cfg, "seed").get("seed", 0), int, 0)
+        flags = _OPTIONS.get(args.command, {})
+        generator = SynthConfig.__dataclass_fields__ if args.command == "synth" else {}
+        unknown = sorted(cfg.keys() - flags.keys() - generator.keys())
+        if unknown:
+            raise InvalidConfigError(f"config keys {unknown} set no option of {args.command}")
+        # a flag wins over its key, and an option set by neither (or by a
+        # null key) is left out, so the library's default applies
+        opts = {k: v for k, v in cfg.items() if k in generator}
+        for key in flags:
+            value = cfg.get(key) if getattr(args, key) is None else getattr(args, key)
+            if value is not None:
+                opts[key] = value
+        check_option("seed", opts.get("seed", 0), int, 0)
         _check_out(args)
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command](args, opts)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

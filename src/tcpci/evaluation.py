@@ -9,6 +9,10 @@ failing tests at positions TF_1..TF_m:
 
 Each failing test counts as a distinct fault.  The optimal ordering runs
 failing tests first, each tier sorted by duration ascending.
+
+Zero is a valid duration.  A build whose durations are all 0 has no cost
+to weigh, so it is scored with unit costs: APFD_C's limit as all costs
+become equal, which is APFD.
 """
 
 from __future__ import annotations
@@ -52,6 +56,9 @@ def apfdc(ordering: list[str], verdicts: dict[str, bool], durations: dict[str, f
     if m == 0:
         raise NoFailuresError("APFD_C is undefined for a build with no failures")
     total = float(t.sum())
+    if total == 0.0:  # no cost to weigh: unit costs, i.e. APFD
+        t = np.ones_like(t)
+        total = float(len(t))
     # suffix[j] = sum of t_j..t_n (1-based position j -> index j-1)
     suffix = np.cumsum(t[::-1])[::-1]
     numerator = float((suffix[failed] - t[failed] / 2.0).sum())

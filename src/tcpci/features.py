@@ -30,10 +30,11 @@ dense matmul would reorder them).
 Timing: preprocessing (index construction) and measurement (per-build
 feature computation) wall-clock are accumulated per group; shared
 preprocessing steps attribute their full cost to every group using them.
-TES_CHN needs no preprocessing, so its P is 0 by construction.  A file's
-unit analysis (its complexity row) runs the first time a matrix reads it,
-so it counts as measurement of TES_COM or COD_COV_COM, whichever asks
-first; their P is the import/call scan the dependency graph needs.
+The import/call scan that builds the dependency graph is preprocessing of
+the five coverage groups.  TES_COM and TES_CHN need no preprocessing, so
+their P is 0 by construction: a file's unit analysis (its complexity row)
+runs the first time a matrix reads it, so it counts as measurement of
+TES_COM or COD_COV_COM, whichever asks first.
 """
 
 from __future__ import annotations
@@ -53,14 +54,8 @@ from .catalog import (
     REC_FEATURES,
     FeatureGroup,
 )
-from .code_analysis import (
-    FileIndex,
-    ProcessHistory,
-    analyze_file,
-    compute_change_metrics,
-    scan_entity,
-)
-from .coverage import AssociationMiner, DependencyGraph, PdfIndex
+from .code_analysis import ProcessHistory, analyze_file, compute_change_metrics
+from .coverage import AssociationMiner, PdfIndex, build_dependency_graph_from_sources
 from .errors import check_option
 from .matrix import FeatureMatrix
 from .model import BuildHistory, Verdict
@@ -162,20 +157,13 @@ class FeatureExtractor:
         self.recent_window = recent_window
         self.impact_depth = impact_depth
         self.timings = Timings()
-        sources = sources or {}
-
-        with self.timings.preprocessing(FeatureGroup.TES_COM, FeatureGroup.COD_COV_COM):
-            # only the import/call scan: a file's units are parsed the first
-            # time a matrix reads its complexity (see _com_vec)
-            index = FileIndex(set(sources))
-            entities = {p: scan_entity(sources[p], p, index) for p in sorted(sources)}
-            self._sources = dict(sources)
-            self._com_arrays: dict[str, np.ndarray] = {}
+        # a file's units are parsed the first time a matrix reads its
+        # complexity (see _com_vec)
+        self._sources = dict(sources or {})
+        self._com_arrays: dict[str, np.ndarray] = {}
 
         with self.timings.preprocessing(*_COV_GROUPS):
-            self._graph = DependencyGraph(
-                {p: e.import_targets | e.call_targets for p, e in entities.items()}
-            )
+            self._graph = build_dependency_graph_from_sources(self._sources)
             self._miner = AssociationMiner(history.commit_sequence)
             # coverage as a table: graph node x SUT file (in path order), plus
             # an all-False last row for tests outside the graph

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 
-from .errors import check_fields
+from .errors import InvalidConfigError, check_fields
 from .ingest import DatasetLayout, write_dataset
 from .model import Build, BuildHistory, ChangeSet, Commit, FileChange
 
@@ -75,12 +75,9 @@ _RANGES = {
 
 @dataclass
 class GroundTruth:
-    """What the generator actually did, for assertions in tests."""
+    """The candidate files the generator drew for each test."""
 
     pools: dict[str, tuple[str, ...]]  # test -> imported candidate files
-    coverage_by_build: dict[int, dict[str, frozenset[str]]] = field(default_factory=dict)
-    caused_failures: dict[int, frozenset[str]] = field(default_factory=dict)
-    flaky_tests: frozenset[str] = frozenset()
 
 
 def _file_path(i: int) -> str:
@@ -150,16 +147,21 @@ def generate_synthetic_history(
         tests[i]
         for i in rng.choice(cfg.n_tests, size=min(cfg.flaky_count, cfg.n_tests), replace=False)
     )
-    truth = GroundTruth(pools=pools, flaky_tests=flaky)
 
     sources = {p: _sut_source(i) for i, p in enumerate(files)}
     for i, t in enumerate(tests):
         sources[t] = _test_source(i, pools[t])
 
-    base_duration = {
-        t: float(np.exp(rng.normal(cfg.duration_mu, cfg.duration_sigma)))
-        for t in tests
-    }
+    with np.errstate(over="ignore"):
+        base_duration = {
+            t: float(np.exp(rng.normal(cfg.duration_mu, cfg.duration_sigma)))
+            for t in tests
+        }
+    if not all(map(math.isfinite, base_duration.values())):
+        raise InvalidConfigError(
+            f"duration_mu {cfg.duration_mu} and duration_sigma {cfg.duration_sigma} "
+            "draw a duration too large for a float"
+        )
     # every build runs every test: one test column, one duration column,
     # and each test's slot in them
     test_column = tuple(sorted(tests))
@@ -191,7 +193,6 @@ def generate_synthetic_history(
     for k in range(1, cfg.n_builds + 1):
         risky = risky_at(k)
         cov_now = {t: coverage_at(t, k) for t in tests}
-        truth.coverage_by_build[k] = cov_now
         changed_sut = [
             files[j]
             for j in sorted(rng.choice(cfg.n_files, size=cfg.files_per_build, replace=False))
@@ -239,7 +240,6 @@ def generate_synthetic_history(
         changed_all = frozenset(
             p for cid in commit_ids for p in commit_store[cid].changed_files
         )
-        caused = set()
         verdicts = np.zeros(len(test_column), dtype=np.int8)
         for t in tests:
             cov = cov_now[t]
@@ -247,13 +247,10 @@ def generate_synthetic_history(
             overlap = len(cov & dangerous) / max(len(cov), 1)
             p_fail = min(cfg.base_failure + cfg.failure_weight * overlap, 0.95)
             fails = rng.random() < p_fail
-            if fails and overlap > 0:
-                caused.add(t)
             if not fails and t in flaky and rng.random() < cfg.flaky_prob:
                 fails = True
             if fails:  # an assertion (1) or an exception (2) failure
                 verdicts[slot[t]] = rng.choice([1, 2])
-        truth.caused_failures[k] = frozenset(caused)
         builds.append(
             Build(
                 id=k,
@@ -265,7 +262,7 @@ def generate_synthetic_history(
             )
         )
 
-    return BuildHistory(builds, commit_store), sources, truth
+    return BuildHistory(builds, commit_store), sources, GroundTruth(pools)
 
 
 def write_synthetic_dataset(

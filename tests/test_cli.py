@@ -1,14 +1,17 @@
 import base64
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -16,12 +19,13 @@ from hypothesis import given, settings, strategies as st
 
 from tcpci.catalog import CATALOG
 import tcpci
-from tcpci import ingest
+from tcpci import cli, ingest
 from tcpci.cli import main
 from tcpci.commit_classifier import CommitClassifier, train_classifier
 from tcpci.errors import DuplicateRecordError, SchemaError
 from tcpci.ingest import DatasetLayout, ingest_exec_records
 from tcpci.model import ExecutionRecord, Verdict
+from tcpci.ranker import Hyperparams
 from tcpci.synth import SynthConfig
 from tcpci.trees import NODE_ARRAYS, pack_nodes
 
@@ -858,3 +862,121 @@ def test_any_config_value_and_output_path_exits_0_2_3_or_4(dataset, model_files,
         assert any(line.startswith("error:") for line in err.getvalue().splitlines())
     if out_kind != "new" and OUT_KIND.get(command, out_kind) != out_kind:
         assert code == 2  # an --out of the wrong kind
+
+
+def test_zero_durations_evaluate_and_decay(dataset, tmp_path, capsys):
+    # zero is a valid duration: builds whose tests all take 0 ms are scored
+    # with unit costs rather than divided by their total duration
+    copy = tmp_path / "data"
+    shutil.copytree(dataset, copy)
+    path = copy / "exec_records.csv"
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, *(r.rsplit(",", 1)[0] + ",0" for r in rows)]) + "\n")
+    assert main(["evaluate", str(copy), "--max-builds", "2", *HP_FLAGS]) == 0
+    assert main(["decay", str(copy), "--max-builds", "2", "--max-rw", "1", *HP_FLAGS]) == 0
+    capsys.readouterr()
+
+
+def test_synth_duration_too_large_for_a_float_exits_2_before_writing(tmp_path, capsys):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({**SYNTH_CFG, "duration_mu": 800}))
+    out = tmp_path / "d"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["synth", "--out", str(out), "--config", str(cfg)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "duration_mu" in err
+
+
+#: A valid value of each key of the commands but ``synth``, none a default.
+VALID = {"seed": 5, "impact_depth": 2, "recent_window": 3, "max_builds": 4, "max_rw": 2,
+         "heuristic": "F_FailRate_Total:asc", "bags": 3, "trees_per_bag": 2, "max_leaves": 5,
+         "shrinkage": 0.25, "sample_rate": 0.75, "feature_rate": 0.5}
+#: The library call each command hands its options to.
+CALLEE = {"extract": "FeatureExtractor", "prioritize": "FeatureExtractor",
+          "train": "PipelineEvaluator", "evaluate": "run_pipeline_eval",
+          "decay": "decay_experiment", "synth": "write_synthetic_dataset"}
+
+
+def valid_value(key):
+    """``VALID[key]``, or a valid generator setting other than its default."""
+    if key in VALID:
+        return VALID[key]
+    default = getattr(SynthConfig(), key)
+    for value in (default + 1, default - 1, default / 2):
+        try:
+            SynthConfig(**{key: value})
+        except ValueError:
+            continue
+        return value
+
+
+def reached(callee, arguments, key):
+    """The value a call hands on as option ``key``: a field of the
+    ``Hyperparams`` (``bags`` is ``n_bags``) or ``SynthConfig`` argument,
+    a parameter of its own name, or an entry of ``**extractor_kwargs``."""
+    field = "n_bags" if key == "bags" else key
+    if field in Hyperparams.__dataclass_fields__:
+        return getattr(arguments["hyperparams"], field)
+    if key in SynthConfig.__dataclass_fields__:
+        return getattr(arguments["config"], key)
+    if key in inspect.signature(callee).parameters:
+        return arguments[key]
+    return arguments["extractor_kwargs"][key]
+
+
+class Reached(Exception):
+    """Raised by a spy in place of the call it records."""
+
+
+@pytest.mark.parametrize(
+    "command,key,source",
+    [(command, key, source) for command, keys in CONFIG_KEYS.items() for key in keys
+     for source in (("config",) if command == "synth" and key != "seed" else ("flag", "config"))],
+)
+def test_every_value_option_reaches_its_parameter(
+    dataset, model_files, tmp_path, monkeypatch, command, key, source
+):
+    # a value given as a flag or as a config key arrives unchanged at the
+    # library parameter it sets
+    value = valid_value(key)
+    callee = getattr(cli, CALLEE[command])
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(inspect.signature(callee).bind(*args, **kwargs))
+        raise Reached
+
+    monkeypatch.setattr(cli, CALLEE[command], spy)
+    model = tmp_path / "model.json"
+    model.write_text(model_files[0])
+    build = str(model_files[1].id)
+    argv = {
+        "synth": ["synth", "--out", str(tmp_path / "d")],
+        "extract": ["extract", str(dataset), "--build", build],
+        "train": ["train", str(dataset), "--until", build, "--out", str(tmp_path / "m.json")],
+        "prioritize": ["prioritize", str(dataset), "--build", build, "--model", str(model)],
+    }.get(command, [command, str(dataset)])
+    if source == "flag":
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    with pytest.raises(Reached):
+        main(argv)
+    [bound] = calls
+    bound.apply_defaults()
+    got = reached(callee, bound.arguments, key)
+    assert (got, type(got)) == (value, type(value))
+
+
+def test_readme_option_table_names_every_value_key():
+    # a value option of extract, train, prioritize, evaluate or decay
+    # cannot land without its row in the README's option table
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | kind | range |\n", 1)[1].split("\n\n", 1)[0]
+    named = {name for row in table.splitlines()[1:]
+             for name in re.findall(r"`(\w+)`", row.split("|")[1])}
+    assert named == {key for command, keys in CONFIG_KEYS.items() if command != "synth"
+                     for key in keys}

@@ -94,6 +94,19 @@ def test_duration_scaling_invariance(rows, scale):
     )
 
 
+@given(st.lists(st.booleans(), min_size=1, max_size=8).filter(any))
+def test_zero_durations_score_as_apfd(failed):
+    # a build with no cost to weigh gets APFD_C's limit as all costs become
+    # equal: APFD = 1 - sum(TF_i) / (n m) + 1 / (2 n)
+    names = [f"t{i}" for i in range(len(failed))]
+    verdicts = dict(zip(names, failed))
+    n, m = len(failed), sum(failed)
+    apfd = 1 - sum(i + 1 for i, f in enumerate(failed) if f) / (n * m) + 1 / (2 * n)
+    zero = apfdc(names, verdicts, dict.fromkeys(names, 0.0))
+    assert zero == pytest.approx(apfd, rel=1e-12)
+    assert zero == pytest.approx(apfdc(names, verdicts, dict.fromkeys(names, 3.0)), rel=1e-12)
+
+
 @given(st.lists(st.tuples(st.booleans(), st.floats(0.1, 50.0)), min_size=1, max_size=5))
 def test_optimal_is_maximal_over_all_permutations(rows):
     if not any(f for f, _ in rows):

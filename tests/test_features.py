@@ -367,6 +367,9 @@ def test_timing_tes_chn_preprocessing_zero():
     ex.matrix(1)
     rows = {g: (p, m, t) for g, p, m, t in ex.timings.rows()}
     assert rows["TES_CHN"][0] == 0.0
+    # the import/call scan is the coverage groups' P; TES_COM's unit
+    # analysis is measured lazily in M
+    assert rows["TES_COM"][0] == 0.0
     for g, (p, m, t) in rows.items():
         assert t == p + m
 
