@@ -171,12 +171,31 @@ def test_probabilities_match_the_stack_walk(n_trees):
     assert clf.predict_proba(msgs).tobytes() == expected.tobytes()
 
 
-def golden_classifier():
-    """The classifier of the golden digests: noisy labels, so trees grow deep."""
+def golden_corpus():
+    """Noisy labels, so the golden classifier's trees grow deep."""
     msgs, labels = separable_corpus(n=120, seed=9)
     msgs[:10] = [m + " see https://ci.example/x" for m in msgs[:10]]
     labels[::7] = [not v for v in labels[::7]]
-    return train_classifier(msgs, labels, n_trees=12, max_leaves=6)
+    return msgs, labels
+
+
+def golden_classifier():
+    """The classifier of the golden digests, trained on :func:`golden_corpus`."""
+    return train_classifier(*golden_corpus(), n_trees=12, max_leaves=6)
+
+
+def test_classifier_behaviour_golden():
+    # Pins what the trained classifier computes: its vocabulary, its idf and
+    # its probabilities over its own corpus.
+    msgs, _ = golden_corpus()
+    clf = golden_classifier()
+    h = hashlib.sha256()
+    h.update("\n".join(clf.vectorizer.vocabulary).encode())
+    h.update(clf.vectorizer.idf.tobytes())
+    h.update(clf.predict_proba(msgs).tobytes())
+    assert h.hexdigest() == (
+        "50058a24fe37c53b893b19f723143fd5e62b2bd4ca2a6b2d9bea6b3d0385a76a"
+    )
 
 
 def test_classifier_json_golden():
