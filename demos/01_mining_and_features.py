@@ -14,24 +14,23 @@ from tcpci.features import FeatureExtractor
 from tcpci.synth import SynthConfig, generate_synthetic_history
 
 cfg = SynthConfig(n_files=30, n_tests=12, n_builds=25, files_per_build=5)
-history, sources, truth = generate_synthetic_history(cfg, seed=4)
+history, sources = generate_synthetic_history(cfg, seed=4)
 print(f"synthetic history: {len(history.builds)} builds, "
       f"{len(history.commits)} commits, {len(sources)} source files")
+graph = build_dependency_graph_from_sources(sources)
+some_test = sorted(graph.tests)[0]
+covered = sorted(graph.covered_files(some_test))
 
 # --- association mining -------------------------------------------------
 miner = AssociationMiner(history.commit_sequence)
-some_test = sorted(truth.pools)[0]
-pool = truth.pools[some_test]
 print(f"\nco-change confidence of {some_test} with its imported files:")
 n = len(history.commit_sequence)
-for f in pool:
+for f in covered:
     s = miner.scores(f, some_test, n)
     print(f"  {f:24s} support {s.support:.3f}  confidence {s.confidence:.3f}  "
           f"lift {s.lift:.3f}")
 
 # --- dependency graph ---------------------------------------------------
-graph = build_dependency_graph_from_sources(sources)
-covered = sorted(graph.covered_files(some_test))
 print(f"\n{some_test} statically covers {len(covered)} files:")
 for f in covered:
     print(f"  {f}")

@@ -11,7 +11,7 @@ from tcpci.ranker import Hyperparams
 from tcpci.synth import SynthConfig, generate_synthetic_history
 
 cfg = SynthConfig(n_files=80, n_tests=40, n_builds=40)
-history, sources, _ = generate_synthetic_history(cfg, seed=9)
+history, sources = generate_synthetic_history(cfg, seed=9)
 
 history, removed = remove_frequent_failers(history)
 print(f"{len(history.builds)} builds, {len(history.failed_builds)} failed; "

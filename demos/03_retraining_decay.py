@@ -23,7 +23,7 @@ cfg = SynthConfig(
     flaky_count=0,
     fix_message_prob=0.02,
 )
-history, sources, _ = generate_synthetic_history(cfg, seed=1)
+history, sources = generate_synthetic_history(cfg, seed=1)
 print(f"{len(history.failed_builds)} failed builds; defect-prone files rotate "
       f"every {cfg.drift_period} builds")
 

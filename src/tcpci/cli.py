@@ -11,8 +11,8 @@ declared once, by its key in the tables of :data:`_OPTIONS`: its flag is
 ``max_builds``), and ``--config`` names a JSON object whose keys set the
 same options.  Each key must name a value option of the command, or it
 exits 2.  :func:`main` resolves flags and keys into one ``opts`` dict,
-where an explicit flag wins, and each handler passes it on as keyword
-arguments.
+where an explicit flag wins and a null key sets nothing, and each handler
+passes it on as keyword arguments.
 ``--build``, ``--until``, ``--model``, ``--out`` and ``--keep-outliers``
 have no key; ``synth``'s keys are the generator settings and ``seed``.
 """
@@ -234,8 +234,7 @@ def _cmd_decay(args, opts: dict) -> int:
 
 def _cmd_synth(args, opts: dict) -> int:
     config = SynthConfig(**_take(opts, SynthConfig.__dataclass_fields__))
-    layout, _ = write_synthetic_dataset(args.out, config, **opts)
-    print(layout.root)
+    print(write_synthetic_dataset(args.out, config, **opts).root)
     return EXIT_OK
 
 
@@ -261,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
             raise InvalidConfigError(f"config keys {unknown} set no option of {args.command}")
         # a flag wins over its key, and an option set by neither (or by a
         # null key) is left out, so the library's default applies
-        opts = {k: v for k, v in cfg.items() if k in generator}
+        opts = {k: v for k, v in cfg.items() if k in generator and v is not None}
         for key in flags:
             value = cfg.get(key) if getattr(args, key) is None else getattr(args, key)
             if value is not None:

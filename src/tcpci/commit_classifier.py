@@ -2,11 +2,11 @@
 
 Two classifiers with a common preprocessing pipeline:
 
-* a learned one — TF-IDF bag of words fed into gradient-boosted regression
-  trees with logistic loss (:func:`trees.boost` with the sigmoid link),
-  scored as a one-bag :class:`trees.Forest`;
-* a keyword fallback matching stemmed defect vocabulary
-  (fix, bug, defect, patch, fault, repair).
+* a learned one, trained in memory — TF-IDF bag of words fed into
+  gradient-boosted regression trees with logistic loss (:func:`trees.boost`
+  with the sigmoid link), scored as a one-bag :class:`trees.Forest`;
+* the keyword rule that DET_COV counts by: some token contains a defect
+  keyword (fix, bug, defect, patch, fault, repair).
 
 Preprocessing: lowercase, URLs collapsed to a ``<url>`` token, punctuation
 stripped, stop words removed, remaining tokens Porter-stemmed.
@@ -14,7 +14,6 @@ stripped, stop words removed, remaining tokens Porter-stemmed.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -22,16 +21,15 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import DegenerateCorpusError, SchemaError, check_option
+from .errors import DegenerateCorpusError
 from .stemming import stem
-from .trees import Forest, Grower, boost, node_arrays, pack_nodes, unpack_nodes
+from .trees import Forest, Grower, boost, node_arrays
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _URL_SENTINEL = "zqurlplaceholderqz"
 URL_TOKEN = "<url>"
 
 DEFECT_KEYWORDS = frozenset({"fix", "bug", "defect", "patch", "fault", "repair"})
-_STEMMED_KEYWORDS = frozenset(stem(k) for k in DEFECT_KEYWORDS)
 
 
 def _load_stopwords() -> frozenset[str]:
@@ -61,17 +59,13 @@ def preprocess_message(message: str) -> list[str]:
 
 
 def is_defect_fix_keyword(message: str) -> bool:
-    """Keyword fallback: any token matching the defect vocabulary.
+    """Keyword rule: some token contains a defect keyword.
 
-    A stemmed token equal to a keyword matches, and so do compounds that
-    embed one ("bugfix", "hotfix"), at the cost of rare false positives.
+    Each keyword is its own Porter stem, so stemmed forms match ("fixed"
+    is "fix"), and so do compounds ("bugfix", "prefix").  A URL is one
+    ``<url>`` token, which contains none.
     """
-    for token in preprocess_message(message):
-        if token in _STEMMED_KEYWORDS:
-            return True
-        if token != URL_TOKEN and any(k in token for k in DEFECT_KEYWORDS):
-            return True
-    return False
+    return any(k in token for token in preprocess_message(message) for k in DEFECT_KEYWORDS)
 
 
 class TfidfVectorizer:
@@ -131,42 +125,6 @@ class CommitClassifier:
 
     def classify(self, message: str) -> bool:
         return bool(self.predict_proba([message])[0] >= self.threshold)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "vocabulary": self.vectorizer.vocabulary,
-                "idf": self.vectorizer.idf.tolist(),
-                "base_score": float(self.forest.base[0]),
-                "shrinkage": self.forest.shrinkage,
-                "threshold": self.threshold,
-                **pack_nodes(*self.forest.nodes),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CommitClassifier":
-        """Parse :meth:`to_json` output; anything else raises SchemaError."""
-        try:
-            d = json.loads(text)
-            nodes = unpack_nodes(d)
-            vocabulary, idf = d["vocabulary"], d["idf"]
-            numbers = (d["base_score"], d["shrinkage"], d["threshold"])
-            if type(vocabulary) is not list or not all(type(w) is str for w in vocabulary):
-                raise SchemaError("classifier vocabulary must be a list of words")
-            if type(idf) is not list or len(idf) != len(vocabulary):
-                raise SchemaError("classifier idf must hold one number per vocabulary word")
-            if not all(type(v) in (int, float) for v in (*idf, *numbers)):
-                raise SchemaError("classifier idf, base_score, shrinkage and threshold "
-                                  "must be numbers")
-            base, shrinkage, threshold = numbers
-            check_option("shrinkage", shrinkage, float, 0, math.inf, low_open=True)
-            columns = [np.arange(len(vocabulary))]
-            forest = Forest(columns, [base], shrinkage, *nodes)
-            vectorizer = TfidfVectorizer(vocabulary, np.array(idf, dtype=np.float64))
-            return cls(vectorizer, forest, threshold)
-        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-            raise SchemaError(f"malformed classifier file: {exc!r}") from exc
 
 
 def train_classifier(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 
+from .commit_classifier import is_defect_fix_keyword
 from .errors import UnknownTestError
 from .model import AssociationScores, Commit, ZERO_SCORES
 from .code_analysis import FileIndex, is_test_file, scan_entity
@@ -137,17 +138,15 @@ class AssociationMiner:
 class PdfIndex:
     """Per-file defect-fix commit counts (PDF), prefix-queryable.
 
-    ``classify`` maps a commit message to True when the commit fixes a
-    defect; the default is the keyword rule applied to stemmed tokens.
+    A commit fixes a defect when its message passes
+    :func:`commit_classifier.is_defect_fix_keyword`.
     """
 
-    def __init__(self, commits: tuple[Commit, ...] | list[Commit], classify=None):
-        if classify is None:
-            from .commit_classifier import is_defect_fix_keyword as classify
+    def __init__(self, commits: tuple[Commit, ...] | list[Commit]):
         self._fix_commits: dict[str, list[int]] = {}
         self.commits = tuple(commits)
         for i, c in enumerate(self.commits):
-            if classify(c.message):
+            if is_defect_fix_keyword(c.message):
                 for p in c.changed_files:
                     self._fix_commits.setdefault(p, []).append(i)
 

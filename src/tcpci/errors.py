@@ -33,10 +33,6 @@ class InvalidConfigError(InputError, ValueError):
     """A bad option; a ValueError too, so file readers report it as SchemaError."""
 
 
-class EmptyBuildError(TcpciError):
-    """A build has no jobs to select from."""
-
-
 class DegenerateCorpusError(InputError):
     """A training corpus contains a single class."""
 

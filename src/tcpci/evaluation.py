@@ -36,6 +36,8 @@ from .ranker import Hyperparams, RankModel, heuristic_key, heuristic_rank, rank_
 log = logging.getLogger(__name__)
 
 DEFAULT_HEURISTIC = "F_FailRate_Total:desc"
+#: How many of the latest failed builds evaluation and the decay run replay.
+DEFAULT_MAX_BUILDS = 50
 #: Random orderings sampled per build for the random baseline.
 RANDOM_SAMPLES = 20
 
@@ -226,7 +228,7 @@ def run_pipeline_eval(
     sources: dict[str, str] | None = None,
     hyperparams: Hyperparams = Hyperparams(),
     seed: int = 0,
-    max_builds: int = 50,
+    max_builds: int = DEFAULT_MAX_BUILDS,
     heuristic: str = DEFAULT_HEURISTIC,
     **extractor_kwargs,
 ) -> EvaluationReport:
@@ -288,7 +290,7 @@ def decay_experiment(
     sources: dict[str, str] | None = None,
     hyperparams: Hyperparams = Hyperparams(),
     seed: int = 0,
-    max_builds: int = 50,
+    max_builds: int = DEFAULT_MAX_BUILDS,
     max_rw: int = 11,
     **extractor_kwargs,
 ) -> DecayCurve:

@@ -50,7 +50,6 @@ import numpy as np
 from .catalog import (
     CATALOG,
     COMPLEXITY_METRICS,
-    PROCESS_METRICS,
     REC_FEATURES,
     FeatureGroup,
 )
@@ -147,7 +146,6 @@ class FeatureExtractor:
         self,
         history: BuildHistory,
         sources: dict[str, str] | None = None,
-        classify=None,
         recent_window: int = 6,
         impact_depth: int = 1,
     ):
@@ -178,7 +176,7 @@ class FeatureExtractor:
             self._process = ProcessHistory(history.commit_sequence)
 
         with self.timings.preprocessing(FeatureGroup.DET_COV):
-            self._pdf = PdfIndex(history.commit_sequence, classify=classify)
+            self._pdf = PdfIndex(history.commit_sequence)
 
         with self.timings.preprocessing(FeatureGroup.REC):
             # the execution table: one row per record, stably sorted by
@@ -299,11 +297,7 @@ class FeatureExtractor:
         key = (path, n_commits)
         vec = self._pro_cache.get(key)
         if vec is None:
-            pm = self._process.metrics(path, n_commits - 1) if n_commits else None
-            if pm is None:
-                vec = np.zeros(len(PROCESS_METRICS))
-            else:
-                vec = np.array(pm, dtype=np.float64)
+            vec = np.array(self._process.metrics(path, n_commits - 1), dtype=np.float64)
             self._pro_cache[key] = vec
         return vec
 

@@ -44,7 +44,6 @@ import numpy as np
 from .code_analysis import assess_chunk_risks
 from .errors import (
     DuplicateRecordError,
-    EmptyBuildError,
     RepoNotFoundError,
     SchemaError,
     UnresolvableRefError,
@@ -104,8 +103,6 @@ def select_primary_job(jobs: dict[str, int]) -> str:
 
     ``jobs`` maps each job id of a build to its number of distinct tests.
     """
-    if not jobs:
-        raise EmptyBuildError("build has no jobs")
     return min(jobs, key=lambda j: (-jobs[j], j))
 
 

@@ -73,13 +73,6 @@ _RANGES = {
 }
 
 
-@dataclass
-class GroundTruth:
-    """The candidate files the generator drew for each test."""
-
-    pools: dict[str, tuple[str, ...]]  # test -> imported candidate files
-
-
 def _file_path(i: int) -> str:
     return f"src/app/F{i}.java"
 
@@ -129,8 +122,8 @@ def _commit_hash(seed: int, build: int, j: int) -> str:
 
 def generate_synthetic_history(
     config: SynthConfig = SynthConfig(), seed: int = 0
-) -> tuple[BuildHistory, dict[str, str], GroundTruth]:
-    """Returns (history, sources, ground truth); deterministic per seed."""
+) -> tuple[BuildHistory, dict[str, str]]:
+    """Returns (history, sources); deterministic per seed."""
     rng = np.random.default_rng(seed)
     cfg = config
     files = [_file_path(i) for i in range(cfg.n_files)]
@@ -262,20 +255,20 @@ def generate_synthetic_history(
             )
         )
 
-    return BuildHistory(builds, commit_store), sources, GroundTruth(pools)
+    return BuildHistory(builds, commit_store), sources
 
 
 def write_synthetic_dataset(
     root: Path, config: SynthConfig = SynthConfig(), seed: int = 0
-) -> tuple[DatasetLayout, GroundTruth]:
+) -> DatasetLayout:
     """Generate and persist a dataset (CSVs, commits.jsonl, src tree)."""
-    history, sources, truth = generate_synthetic_history(config, seed)
+    history, sources = generate_synthetic_history(config, seed)
     layout = write_dataset(history, root)
     for path, text in sources.items():
         full = root / path
         full.parent.mkdir(parents=True, exist_ok=True)
         full.write_text(text, encoding="utf-8")
-    return layout, truth
+    return layout
 
 
 def load_sources(layout: DatasetLayout) -> dict[str, str]:

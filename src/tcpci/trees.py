@@ -33,13 +33,12 @@ and walks all (tree, row) pairs together, one numpy step per depth level
 (:func:`walk`), as QuickScorer lays an ensemble out (Lucchese et al., SIGIR
 2015).  :meth:`RegressionTree.predict` is the same walk over one tree.
 
-This module alone knows how a model file holds its trees
+This module alone knows how the ranker's model file holds its trees
 (:func:`pack_nodes`, :func:`unpack_nodes`): each node array, every tree's
 concatenated, as one base64 string of packed little-endian numbers, the
 way glTF 2.0 carries binary buffers inside JSON.  :class:`Forest` checks the
 node arrays, whether they were read or trained, and hands its trees out as
-views into them.  The ranker and the commit classifier check only their
-own fields.
+views into them.  The ranker checks only its own fields.
 """
 
 from __future__ import annotations

@@ -144,7 +144,7 @@ def test_2_association_oracle():
 
 def test_3_catalog_and_anti_leakage():
     cfg = SynthConfig(n_files=40, n_tests=20, n_builds=52, files_per_build=5)
-    history, sources, _ = generate_synthetic_history(cfg, seed=31)
+    history, sources = generate_synthetic_history(cfg, seed=31)
     base = FeatureExtractor(history, sources)
     build_ids = [b.id for b in history.builds[1:51]]
     ok = True
@@ -181,7 +181,7 @@ def test_3_catalog_and_anti_leakage():
 
 def test_4_end_to_end_learning_signal():
     t0 = time.time()
-    history, sources, _ = generate_synthetic_history(SynthConfig(), seed=2024)
+    history, sources = generate_synthetic_history(SynthConfig(), seed=2024)
     history, _ = remove_frequent_failers(history)
     report = run_pipeline_eval(
         history,
@@ -256,7 +256,7 @@ DRIFT_HP = Hyperparams(n_bags=60, trees_per_bag=3, max_leaves=4, feature_rate=0.
 
 
 def test_6_decay_slope_and_rw0_match():
-    history, sources, _ = generate_synthetic_history(DRIFT_CFG, seed=1)
+    history, sources = generate_synthetic_history(DRIFT_CFG, seed=1)
     curve = decay_experiment(
         history, sources, hyperparams=DRIFT_HP, seed=0, max_builds=23, max_rw=11
     )
@@ -316,7 +316,7 @@ def test_8_classifier_accuracy():
 
 def test_9_timing_structure():
     cfg = SynthConfig(n_files=20, n_tests=10, n_builds=6, files_per_build=4)
-    history, sources, _ = generate_synthetic_history(cfg, seed=3)
+    history, sources = generate_synthetic_history(cfg, seed=3)
     extractor = FeatureExtractor(history, sources)
     for b in history.builds:
         extractor.matrix(b.id)

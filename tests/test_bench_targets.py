@@ -62,7 +62,7 @@ def test_traced_results_expose_what_the_observers_read(tmp_path):
     # layers.py counts ``ingest.records`` over an ingested history's builds,
     # and workloads.py reads its failed builds, their tests and APFD_C
     config = SynthConfig(n_files=40, n_tests=20, n_builds=16, files_per_build=5)
-    layout, _ = write_synthetic_dataset(tmp_path / "ds", config, seed=3)
+    layout = write_synthetic_dataset(tmp_path / "ds", config, seed=3)
     history = ingest_exec_records(layout)
     with open(layout.exec_records_csv, encoding="utf-8") as f:
         n_rows = sum(1 for _ in f) - 1
@@ -100,7 +100,7 @@ def test_evaluation_calls_the_names_the_probes_rebind(monkeypatch):
 
         monkeypatch.setattr(evaluation, name, counted)
     config = SynthConfig(n_files=30, n_tests=15, n_builds=20, files_per_build=4)
-    history, sources, _ = generate_synthetic_history(config, seed=11)
+    history, sources = generate_synthetic_history(config, seed=11)
     hp = Hyperparams(n_bags=2, trees_per_bag=1, max_leaves=4)
     run_pipeline_eval(history, sources, hp, max_builds=2)
     assert all(calls.values()), calls

@@ -21,7 +21,6 @@ from tcpci.catalog import CATALOG
 import tcpci
 from tcpci import cli, ingest
 from tcpci.cli import main
-from tcpci.commit_classifier import CommitClassifier, train_classifier
 from tcpci.errors import DuplicateRecordError, SchemaError
 from tcpci.ingest import DatasetLayout, ingest_exec_records
 from tcpci.model import ExecutionRecord, Verdict
@@ -412,6 +411,19 @@ def test_unknown_synth_config_key_exits_2(tmp_path, capsys):
     assert "bogus_knob" in capsys.readouterr().err
 
 
+def test_null_synth_config_key_sets_nothing(tmp_path):
+    # a null generator key is left out, as a null key of a flag is
+    cfg = {"n_tests": 5, "n_builds": 4}
+    written = []
+    for name, keys in (("absent", cfg), ("null", {**cfg, "n_files": None, "seed": None})):
+        path, out = tmp_path / f"{name}.json", tmp_path / name
+        path.write_text(json.dumps(keys))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["synth", "--out", str(out), "--config", str(path)]) == 0
+        written.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert written[0] == written[1]
+
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -695,27 +707,21 @@ def corrupt_model(text: str, corruptions: list, cut: int | None) -> str:
 
 @pytest.fixture(scope="module")
 def model_files(dataset, tmp_path_factory):
-    """The text of a ranker file trained on the dataset, the build it ranks,
-    and the text of a small classifier file."""
+    """The text of a ranker file trained on the dataset, and the build it ranks."""
     target = history_of(dataset).failed_builds[-1]
     path = tmp_path_factory.mktemp("model") / "model.json"
     argv = ["train", str(dataset), "--until", str(target.id), "--out", str(path), *HP_FLAGS]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-    messages = ["fix crash in parser", "add docs", "bug in cache", "update readme",
-                "fix the build", "refactor cli"]
-    classifier = train_classifier(messages, [True, False, True, False, True, False],
-                                  n_trees=3, max_leaves=3)
-    return path.read_text(), target, classifier.to_json()
+    return path.read_text(), target
 
 
 @settings(max_examples=200, deadline=None)
 @given(corruptions=MODEL_CORRUPTIONS, cut=st.one_of(st.none(), st.integers(0, 10**7)))
 def test_corrupt_model_file_never_crashes(dataset, model_files, corruptions, cut):
     # prioritize on a corrupted model file exits 0 with a permutation of the
-    # build's tests or 2 with an error line, never with a traceback; the
-    # classifier reader raises SchemaError and nothing else
-    text, build, classifier = model_files
+    # build's tests or 2 with an error line, never with a traceback
+    text, build = model_files
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
         path.write_text(corrupt_model(text, corruptions, cut))
@@ -727,10 +733,6 @@ def test_corrupt_model_file_never_crashes(dataset, model_files, corruptions, cut
         assert sorted(out.getvalue().splitlines()) == sorted(build.tests)
     else:
         assert err.getvalue().startswith("error:")
-    try:
-        CommitClassifier.from_json(corrupt_model(classifier, corruptions, cut))
-    except SchemaError:
-        pass
 
 
 def test_hand_built_model_prioritizes(dataset, tmp_path, capsys):

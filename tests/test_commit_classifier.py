@@ -1,11 +1,10 @@
 import hashlib
-import json
 
 import numpy as np
 import pytest
 
 from tcpci.commit_classifier import (
-    CommitClassifier,
+    DEFECT_KEYWORDS,
     TfidfVectorizer,
     _sigmoid,
     cross_validate,
@@ -13,10 +12,9 @@ from tcpci.commit_classifier import (
     preprocess_message,
     train_classifier,
 )
-from tcpci.errors import DegenerateCorpusError, SchemaError
+from tcpci.errors import DegenerateCorpusError
 from tcpci.ranker import RankModel
 from tcpci.stemming import stem
-from tcpci.trees import pack_nodes
 from test_ranker import _stack_walk, golden_models  # noqa: F401 (a fixture)
 
 
@@ -67,6 +65,11 @@ def test_keyword_fallback():
     assert is_defect_fix_keyword("Patched the flaky timeout")
     assert not is_defect_fix_keyword("Add feature flags")
     assert not is_defect_fix_keyword("refactor tests")
+    # a stemmed token that equals a keyword also contains it
+    assert {stem(k) for k in DEFECT_KEYWORDS} == DEFECT_KEYWORDS
+    assert is_defect_fix_keyword("debugging the cache")
+    # the URL collapses to one <url> token, which contains no keyword
+    assert not is_defect_fix_keyword("see https://fix.example.org/bug")
 
 
 def test_tfidf_duplicate_documents_identical():
@@ -102,58 +105,6 @@ def test_single_class_corpus_rejected():
         train_classifier(["fix a", "fix b"], [True, True])
     with pytest.raises(DegenerateCorpusError):
         cross_validate(["fix a", "fix b"], [True, True])
-
-
-def test_model_json_round_trip():
-    msgs, labels = separable_corpus(n=80, seed=3)
-    clf = train_classifier(msgs, labels)
-    again = CommitClassifier.from_json(clf.to_json())
-    p1 = clf.predict_proba(msgs[:10])
-    p2 = again.predict_proba(msgs[:10])
-    assert np.array_equal(p1, p2)
-
-
-def _classifier_file(**keys):
-    """A one-word classifier file with one stump, with ``keys`` replaced."""
-    stump = pack_nodes([3], [0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1],
-                       [0.0, -1.0, 1.0])
-    return json.dumps({"vocabulary": ["fix"], "idf": [1.0], "base_score": 0.0,
-                       "shrinkage": 0.2, "threshold": 0.5, **stump, **keys})
-
-
-def test_hand_built_classifier_loads():
-    # the malformed files below each change one thing of this one
-    clf = CommitClassifier.from_json(_classifier_file())
-    assert clf.classify("fix it") and not clf.classify("add docs")
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "{not json",
-        "[]",
-        _classifier_file(version=1),
-        _classifier_file(version=True),
-        "{}",
-        _classifier_file(base_score="0.5"),
-        _classifier_file(idf=[1.0, 2.0]),
-        _classifier_file(idf=[]),
-        _classifier_file(idf=["1.0"]),
-        _classifier_file(trees="abc"),
-        _classifier_file(shrinkage=-5.0),
-        _classifier_file(shrinkage=0),
-        _classifier_file(shrinkage=True),
-        _classifier_file(shrinkage=10**400),
-    ],
-    ids=[
-        "bad-json", "not-an-object", "version-1", "version-bool", "missing-keys",
-        "base-score-string", "idf-too-long", "idf-too-short", "idf-string", "trees-string",
-        "shrinkage-negative", "shrinkage-zero", "shrinkage-bool", "shrinkage-above-largest-double",
-    ],
-)
-def test_malformed_classifier_file_raises_schema_error(text):
-    with pytest.raises(SchemaError):
-        CommitClassifier.from_json(text)
 
 
 @pytest.mark.parametrize("n_trees", [0, 12])
@@ -198,13 +149,6 @@ def test_classifier_behaviour_golden():
     )
 
 
-def test_classifier_json_golden():
-    # Pins the boosted trees; a change to tree growth must keep them.
-    assert hashlib.sha256(golden_classifier().to_json().encode()).hexdigest() == (
-        "269f9bbb6c28768f4531fb4bc241e0549ace576eb8033a1c8bdadc2039a2bb5b"
-    )
-
-
 def forest_digest(forests) -> str:
     """One sha256 over the node tables of ``forests``."""
     h = hashlib.sha256()
@@ -217,12 +161,12 @@ def forest_digest(forests) -> str:
 
 
 def test_forest_arrays_golden(golden_models):
-    # The node tables of the golden models, as trained and as read back from
-    # their files: a new file format must keep them bit for bit.
+    # The node tables of the golden models and the golden classifier; the
+    # rankers also as read back from their files, which a new file format
+    # must keep bit for bit.
     clf = golden_classifier()
     trained = [m.forest for _, m in golden_models] + [clf.forest]
-    read = [RankModel.from_json(m.to_json()).forest for _, m in golden_models]
-    read.append(CommitClassifier.from_json(clf.to_json()).forest)
+    read = [RankModel.from_json(m.to_json()).forest for _, m in golden_models] + [clf.forest]
     assert forest_digest(trained) == forest_digest(read) == (
         "a2ce6498e2da98f38838ac442e28d5b081377b7710c0eee84434cd21af29dd39"
     )

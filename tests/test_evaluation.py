@@ -181,7 +181,7 @@ def synth_small():
 
 
 def test_run_pipeline_row_accounting(synth_small):
-    history, sources, _ = synth_small
+    history, sources = synth_small
     report = run_pipeline_eval(
         history, sources, hyperparams=SMALL_HP, seed=0, max_builds=5
     )
@@ -200,7 +200,7 @@ def test_run_pipeline_row_accounting(synth_small):
 
 
 def test_report_write_and_determinism(synth_small, tmp_path):
-    history, sources, _ = synth_small
+    history, sources = synth_small
     kwargs = dict(hyperparams=SMALL_HP, seed=4, max_builds=3)
     r1 = run_pipeline_eval(history, sources, **kwargs)
     r2 = run_pipeline_eval(history, sources, **kwargs)
@@ -223,7 +223,7 @@ def test_insufficient_history_raises():
 
 
 def test_decay_rw_zero_matches_standard_eval(synth_small):
-    history, sources, _ = synth_small
+    history, sources = synth_small
     report = run_pipeline_eval(
         history, sources, hyperparams=SMALL_HP, seed=2, max_builds=4
     )
@@ -269,7 +269,7 @@ def test_dataset_and_evaluation_bytes_golden(synth_small, tmp_path):
         write_synthetic_dataset(tmp_path / name, cfg, seed)
         digests[name] = _tree_digest(tmp_path / name)
 
-    history, sources, _ = synth_small
+    history, sources = synth_small
     report = run_pipeline_eval(history, sources, hyperparams=SMALL_HP, seed=2, max_builds=4)
     report.write(tmp_path / "eval")
     for name in ("apfdc.csv", "report.json"):

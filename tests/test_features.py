@@ -174,7 +174,7 @@ def _scrambled(build: Build) -> Build:
 
 def test_anti_leakage_mutating_current_verdicts():
     cfg = SynthConfig(n_files=20, n_tests=10, n_builds=8, files_per_build=4)
-    history, sources, _ = generate_synthetic_history(cfg, seed=5)
+    history, sources = generate_synthetic_history(cfg, seed=5)
     k = history.builds[len(history.builds) // 2].id
     base = FeatureExtractor(history, sources).matrix(k)
 
@@ -386,12 +386,12 @@ def _csv_digest(matrices, tmp_path) -> str:
 def test_feature_bytes_golden(tmp_path):
     # Any change to these digests changes the feature CSVs: a refactor of
     # the extractor must keep them; a deliberate feature change updates them.
-    history, sources, _ = generate_synthetic_history(SynthConfig(), seed=7)
+    history, sources = generate_synthetic_history(SynthConfig(), seed=7)
     ex = FeatureExtractor(history, sources)
     live = _csv_digest((ex.matrix(b.id) for b in history.builds), tmp_path)
     assert live == "02462f3cd143f570c907e42ea0fb75a0769cc686655991712a02968e95848d75"
 
-    history, sources, _ = generate_synthetic_history(DRIFT_CFG, seed=1)
+    history, sources = generate_synthetic_history(DRIFT_CFG, seed=1)
     ex = FeatureExtractor(history, sources)
     anchor = history.failed_builds[0].id
     snap = ex.snapshot(anchor)

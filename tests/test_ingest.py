@@ -31,7 +31,7 @@ def test_select_primary_job_most_tests_then_smallest_id():
 
 
 def test_round_trip_is_lossless(tmp_path):
-    history, _, _ = generate_synthetic_history(
+    history, _ = generate_synthetic_history(
         SynthConfig(n_files=10, n_tests=5, n_builds=6, files_per_build=3), seed=7
     )
     layout = write_dataset(history, tmp_path / "ds")

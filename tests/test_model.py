@@ -108,7 +108,7 @@ def test_synthetic_history_constructs_no_execution_record(monkeypatch):
     # the generator fills the columns; records are made only when read
     made = []
     monkeypatch.setattr(ExecutionRecord, "__post_init__", lambda self: made.append(self))
-    history, _, _ = generate_synthetic_history(SynthConfig(n_builds=3), seed=1)
+    history, _ = generate_synthetic_history(SynthConfig(n_builds=3), seed=1)
     assert made == []
     assert len(history.builds[0].records) == len(made) == 100
 

@@ -316,11 +316,11 @@ def toy_mixed(n=240, seed=5):
 @pytest.fixture(scope="module")
 def golden_models():
     """The three training sets of the model golden, with the models trained on them."""
-    history, sources, _ = generate_synthetic_history(SynthConfig(), seed=7)
+    history, sources = generate_synthetic_history(SynthConfig(), seed=7)
     history, _ = remove_frequent_failers(history)
     hp = Hyperparams(n_bags=30, trees_per_bag=5, max_leaves=64)
     sets = [(*_last_training_set(history, sources), hp, 0)]
-    history, sources, _ = generate_synthetic_history(DRIFT_CFG, seed=1)
+    history, sources = generate_synthetic_history(DRIFT_CFG, seed=1)
     sets.append((*_last_training_set(history, sources), DRIFT_HP, 0))
     hp = Hyperparams(n_bags=8, trees_per_bag=4, max_leaves=12, feature_rate=0.7)
     sets.append((*toy_mixed(), hp, 3))
