@@ -7,6 +7,7 @@ A dataset lives in one directory::
       exec_records.csv  build_id,job_id,test_path,verdict,duration_ms
       commits.jsonl     one commit object per line (alternative to a live repo)
       src/              optional source snapshot used for static analysis
+      derived/          tables :func:`write_dataset` derives from the files above
 
 Verdict codes: 0=pass, 1=assertion failure, 2=exception failure, 3=unknown
 failure.  All files UTF-8 with LF line endings.
@@ -16,6 +17,12 @@ where each file entry has ``path, added, deleted, added_chunks,
 deleted_chunks`` and optionally ``unit_risks`` (written by
 :func:`write_dataset` when risk data is available, so that a round trip is
 lossless).
+
+``derived/exec_records.bin`` holds the columns :func:`ingest_exec_records`
+reads from ``exec_records.csv``, with the size and sha256 of the CSV it
+was written with.  It is read only when those and its own digest match,
+so a missing, stale or damaged table costs the CSV parse and nothing
+else; the CSV stays the only source of truth.
 
 :func:`ingest_git_history` mines the same records from a live repository
 with one ``git diff-tree`` process for all commits.  A merge is diffed
@@ -27,17 +34,21 @@ headers of its ``-U0`` diff, never from the content lines.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
 import logging
 import math
 import re
+import struct
 import subprocess
 from collections import Counter
 from contextlib import closing
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from itertools import chain, repeat
 from pathlib import Path
-from typing import NoReturn, get_type_hints
+from typing import Callable, Iterable, NoReturn, get_type_hints
 
 import numpy as np
 
@@ -89,13 +100,14 @@ class DatasetLayout:
         return self.root / "commits.jsonl"
 
     @property
+    def exec_table(self) -> Path:
+        return self.root / "derived" / "exec_records.bin"
+
+    @property
     def src_dir(self) -> Path | None:
-        """Source snapshot for static analysis: ``root/src`` or the repo tree."""
-        if (self.root / "src").is_dir():
-            return self.root / "src"
-        if self.repo is not None and self.repo.is_dir():
-            return self.repo
-        return None
+        """Source snapshot for static analysis: ``root/src``, if it is a directory."""
+        src = self.root / "src"
+        return src if src.is_dir() else None
 
 
 def select_primary_job(jobs: dict[str, int]) -> str:
@@ -185,13 +197,20 @@ ExecColumns = tuple[tuple[str, ...], np.ndarray, np.ndarray]
 _NO_EXECUTIONS: ExecColumns = ((), np.empty(0, np.int8), np.empty(0, np.float64))
 
 
-def _read_exec_records_csv(path: Path) -> dict[int, ExecColumns]:
+def _read_exec_records_csv(path: Path, table: Path | None = None) -> dict[int, ExecColumns]:
     """{build_id: columns} of each build's primary job (see
     :func:`select_primary_job`), in test order.
 
-    The rules are checked over whole columns; when one fails, the file is
-    read again row by row to raise the error of the first bad record.
+    The columns come from ``table`` when it was written with the bytes of
+    ``path`` and is intact (see :func:`_read_exec_table`).  Otherwise the
+    rules are checked over whole columns of the CSV; when one fails, the
+    file is read again row by row to raise the error of the first bad
+    record.
     """
+    if table is not None:
+        from_table = _read_exec_table(table, path)
+        if from_table is not None:
+            return from_table
     columns = _exec_columns(path)
     if columns is None:
         _raise_first_bad_record(path)
@@ -283,6 +302,103 @@ def _raise_first_bad_record(path: Path) -> NoReturn:
     raise AssertionError(f"{path}: a rule failed, but no record breaks it")
 
 
+# --- the execution table -------------------------------------------------
+#
+# derived/exec_records.bin, all numbers little-endian:
+#   magic, CSV size (u64), CSV sha256, payload sha256, then the payload:
+#   builds, rows, names (u64 each); per build its id and row count (i64);
+#   per row its duration (f64), name index (u32) and verdict (i8); per
+#   name the code point where it ends (i64); the names, ascending, as one
+#   UTF-8 string.
+# The payload is a function of the CSV's bytes, so a table is never wrong
+# for a CSV whose digest it holds.
+
+_TABLE_MAGIC = b"tcpci exec table 1\n"
+_TABLE_HEAD = struct.Struct("<Q32s32s")
+_PAYLOAD_HEAD = struct.Struct("<3Q")
+
+
+def _exec_table(history: BuildHistory, csv_data: bytes) -> bytes | None:
+    """The table of ``history``'s executions, as ``csv_data`` holds them;
+    None when a verdict column is not int8, since the table could not
+    hold its values."""
+    builds = [b for b in history.builds if b.tests]
+    verdicts = np.concatenate([np.empty(0, np.int8), *(b.verdicts for b in builds)])
+    if verdicts.dtype != np.int8:
+        return None
+    names = sorted({t for b in builds for t in b.tests})
+    slot = {t: i for i, t in enumerate(names)}
+    columns = (
+        np.array([b.id for b in builds], "<i8"),
+        np.array([len(b.tests) for b in builds], "<i8"),
+        np.concatenate([np.empty(0), *(b.durations for b in builds)]).astype("<f8"),
+        np.array([slot[t] for b in builds for t in b.tests], "<u4"),
+        verdicts,
+        np.cumsum([len(t) for t in names], dtype="<i8"),
+    )
+    payload = b"".join(
+        [_PAYLOAD_HEAD.pack(len(builds), len(verdicts), len(names)),
+         *(c.tobytes() for c in columns), "".join(names).encode()]
+    )
+    digests = (hashlib.sha256(csv_data).digest(), hashlib.sha256(payload).digest())
+    return _TABLE_MAGIC + _TABLE_HEAD.pack(len(csv_data), *digests) + payload
+
+
+def _read_exec_table(table: Path, csv_path: Path) -> dict[int, ExecColumns] | None:
+    """What :func:`_read_exec_records_csv` returns for ``csv_path``, read from
+    ``table``; None when the table is missing, unreadable, written with
+    other CSV bytes, damaged, or breaks a rule the CSV reader checks."""
+    try:
+        data = table.read_bytes()
+        if not data.startswith(_TABLE_MAGIC):
+            return None
+        csv_size, csv_digest, digest = _TABLE_HEAD.unpack_from(data, len(_TABLE_MAGIC))
+        payload = memoryview(data)[len(_TABLE_MAGIC) + _TABLE_HEAD.size:]
+        if csv_path.stat().st_size != csv_size or hashlib.sha256(payload).digest() != digest:
+            return None
+        with open(csv_path, "rb") as f:
+            if hashlib.file_digest(f, "sha256").digest() != csv_digest:
+                return None
+        n_builds, n_rows, n_names = _PAYLOAD_HEAD.unpack_from(payload)
+        at = _PAYLOAD_HEAD.size
+
+        def take(dtype: str, count: int) -> np.ndarray:
+            nonlocal at
+            column = np.frombuffer(payload, dtype, count, at)
+            at += column.nbytes
+            return column
+
+        ids, counts = take("<i8", n_builds), take("<i8", n_builds)
+        durations, index = take("<f8", n_rows).astype(np.float64), take("<u4", n_rows)
+        verdicts, ends = take("<i1", n_rows).astype(np.int8), take("<i8", n_names)
+        text = str(payload[at:], "utf-8")
+    except (OSError, ValueError, OverflowError, struct.error):
+        return None
+    if not (((counts > 0) & (counts <= n_rows)).all() and counts.sum() == n_rows):
+        return None
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    first = np.zeros(n_rows, bool)  # a build's first row
+    first[bounds[:-1]] = True
+    names = [text[lo:hi] for lo, hi in zip([0, *ends.tolist()], ends.tolist())]
+    # the rules of _exec_columns: the table of a history that breaks one
+    # must leave the CSV's error to stand
+    if not (
+        (np.diff(ends, prepend=0) > 0).all()
+        and (ends[-1:] == len(text)).all()
+        and all(a < b for a, b in zip(names, names[1:]))
+        and (index < n_names).all()
+        and (first[1:] | (np.diff(index.astype(np.int64)) > 0)).all()
+        and (verdicts.astype(np.uint8) < len(Verdict)).all()  # the codes are 0, 1, ...
+        and ((durations >= 0) & (durations < math.inf)).all()
+    ):
+        return None
+    tests = list(map(names.__getitem__, index.tolist()))
+    return {
+        build_id: (tuple(tests[lo:hi]), verdicts[lo:hi], durations[lo:hi])
+        for build_id, lo, hi in zip(ids.tolist(), bounds.tolist(), bounds[1:].tolist())
+    }
+
+
 def _typed(obj: dict, types: dict[str, type]) -> dict:
     """``obj``, after checking that each key of ``types`` holds a value of
     exactly that type: neither a bool nor a float passes for an int."""
@@ -369,7 +485,7 @@ def ingest_exec_records(layout: DatasetLayout) -> BuildHistory:
     if not layout.exec_records_csv.is_file():
         raise SchemaError(f"missing {layout.exec_records_csv}")
     build_rows = _read_builds_csv(layout.builds_csv)
-    per_build = _read_exec_records_csv(layout.exec_records_csv)
+    per_build = _read_exec_records_csv(layout.exec_records_csv, layout.exec_table)
     known_ids = {r[0] for r in build_rows}
     unknown = set(per_build) - known_ids
     if unknown:
@@ -400,21 +516,53 @@ def ingest_exec_records(layout: DatasetLayout) -> BuildHistory:
     return BuildHistory(builds, commit_store)
 
 
+def _csv_bytes(header: tuple[str, ...], rows: Callable[[], Iterable[tuple]]) -> bytes:
+    """UTF-8 CSV of ``header`` and the records ``rows()`` yields, each ended
+    by LF.
+
+    A record with a field that holds a CR has every field quoted: with an
+    LF terminator, ``csv.writer`` quotes a field only for an LF, and a bare
+    CR would end the record when it is read back.  Only then is ``rows()``
+    called a second time.
+    """
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows())
+    if "\r" in out.getvalue():
+        out = io.StringIO(newline="")
+        plain = csv.writer(out, lineterminator="\n")
+        quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in (header, *rows()):
+            (quoted if any("\r" in str(v) for v in row) else plain).writerow(row)
+    return out.getvalue().encode("utf-8")
+
+
 def write_dataset(history: BuildHistory, root: Path) -> DatasetLayout:
-    """Write a history back to the on-disk layout, every record in job ``j0``."""
+    """Write a history back to the on-disk layout, every record in job ``j0``,
+    with the execution table of ``derived/``."""
+    layout = DatasetLayout(root)
     root.mkdir(parents=True, exist_ok=True)
-    with open(root / "builds.csv", "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["build_id", "timestamp_iso8601", "commits"])
+    epoch = datetime.fromtimestamp(0, tz=timezone.utc)
+
+    def builds():
         for b in history.builds:
-            ts = b.wall_clock or datetime.fromtimestamp(0, tz=timezone.utc)
-            w.writerow([b.id, ts.isoformat(), ";".join(b.change_set.commits)])
-    with open(root / "exec_records.csv", "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["build_id", "job_id", "test_path", "verdict", "duration_ms"])
-        for b in history.builds:
-            for row in zip(b.tests, b.verdicts.tolist(), b.durations.tolist()):
-                w.writerow([b.id, "j0", *row])
+            yield b.id, (b.wall_clock or epoch).isoformat(), ";".join(b.change_set.commits)
+
+    def executions():
+        return chain.from_iterable(
+            zip(repeat(b.id), repeat("j0"), b.tests, b.verdicts.tolist(), b.durations.tolist())
+            for b in history.builds
+        )
+
+    header = ("build_id", "timestamp_iso8601", "commits")
+    layout.builds_csv.write_bytes(_csv_bytes(header, builds))
+    exec_csv = _csv_bytes(_EXEC_FIELDS, executions)
+    layout.exec_records_csv.write_bytes(exec_csv)
+    table = _exec_table(history, exec_csv)
+    if table is not None:
+        layout.exec_table.parent.mkdir(exist_ok=True)
+        layout.exec_table.write_bytes(table)
     with open(root / "commits.jsonl", "w", encoding="utf-8") as f:
         for c in history.commit_sequence:
             obj = {
@@ -439,7 +587,7 @@ def write_dataset(history: BuildHistory, root: Path) -> DatasetLayout:
                 ],
             }
             f.write(json.dumps(obj) + "\n")
-    return DatasetLayout(root)
+    return layout
 
 
 # --- git mining ---------------------------------------------------------

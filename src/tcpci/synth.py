@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -264,20 +265,31 @@ def write_synthetic_dataset(
     """Generate and persist a dataset (CSVs, commits.jsonl, src tree)."""
     history, sources = generate_synthetic_history(config, seed)
     layout = write_dataset(history, root)
+    for folder in {os.path.dirname(path) for path in sources}:
+        (root / folder).mkdir(parents=True, exist_ok=True)
     for path, text in sources.items():
-        full = root / path
-        full.parent.mkdir(parents=True, exist_ok=True)
-        full.write_text(text, encoding="utf-8")
+        (root / path).write_text(text, encoding="utf-8")
     return layout
 
 
 def load_sources(layout: DatasetLayout) -> dict[str, str]:
-    """Read the dataset's source snapshot into a {path: text} mapping."""
+    """Read the dataset's source snapshot into a {path: text} mapping.
+
+    Each ``.java`` file under ``src/`` (or a symlink to one) is keyed by its
+    path from the dataset root, in the order of a pre-order walk.  A
+    symlinked directory inside the snapshot is not entered, and a broken
+    symlink is skipped.
+    """
     src = layout.src_dir
     if src is None:
         return {}
-    return {
-        str(p.relative_to(src.parent)): p.read_text(encoding="utf-8", errors="replace")
-        for p in src.rglob("*.java")
-        if p.is_file()
-    }
+    top = str(src)
+    sources = {}
+    for dirpath, _, names in os.walk(top):
+        prefix = src.name + dirpath[len(top):]
+        for name in names:
+            path = os.path.join(dirpath, name)
+            if name.endswith(".java") and os.path.isfile(path):
+                with open(path, encoding="utf-8", errors="replace") as f:
+                    sources[os.path.join(prefix, name)] = f.read()
+    return sources

@@ -735,6 +735,59 @@ def test_corrupt_model_file_never_crashes(dataset, model_files, corruptions, cut
         assert err.getvalue().startswith("error:")
 
 
+def _outputs(root, build, model):
+    """(exit code, stdout) of prioritize and of extract, with the matrix CSV
+    extract writes next to ``root``."""
+    out = root.parent / "out.csv"
+    results = []
+    for argv in (["prioritize", str(root), "--build", str(build), "--model", str(model)],
+                 ["extract", str(root), "--build", str(build), "--out", str(out)]):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            results.append((main(argv), stdout.getvalue()))
+    return results, out.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def table_copy(dataset, model_files, tmp_path_factory):
+    """A copy of the dataset, its intact table, and the outputs of a build,
+    which are the same without the table."""
+    text, build = model_files
+    work = tmp_path_factory.mktemp("table")
+    model = work / "model.json"
+    model.write_text(text)
+    copy = work / "data"
+    shutil.copytree(dataset, copy)
+    table = DatasetLayout(copy).exec_table
+    intact = table.read_bytes()
+    expected = _outputs(copy, build.id, model)
+    table.unlink()
+    assert _outputs(copy, build.id, model) == expected
+    return copy, intact, build.id, model, expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(corruptions=st.lists(
+    st.tuples(st.sampled_from(["flip", "cut", "extend"]), st.integers(0, 10**6),
+              st.integers(1, 255)),
+    min_size=1, max_size=3,
+))
+def test_corrupt_exec_table_changes_no_output(table_copy, corruptions):
+    # a table with flipped, cut or extended bytes is ignored: prioritize and
+    # extract exit 0 with the outputs of the intact table
+    copy, data, build, model, expected = table_copy
+    for kind, at, value in corruptions:
+        if kind == "flip" and data:
+            at %= len(data)
+            data = data[:at] + bytes([data[at] ^ value]) + data[at + 1:]
+        elif kind == "cut":
+            data = data[:at % (len(data) + 1)]
+        elif kind == "extend":
+            data += bytes([value]) * (at % 16 + 1)
+    DatasetLayout(copy).exec_table.write_bytes(data)
+    assert _outputs(copy, build, model) == expected
+
+
 def test_hand_built_model_prioritizes(dataset, tmp_path, capsys):
     # the model-file cases above each change one thing of a valid model
     path = tmp_path / "model.json"

@@ -251,10 +251,14 @@ def test_decay_curve_slope_and_write(tmp_path):
 # --- byte goldens ------------------------------------------------------
 
 
-def _tree_digest(root) -> str:
+def _tree_digest(root, derived=False) -> str:
+    """sha256 of the files under ``root`` outside every ``derived/``
+    directory, or with ``derived`` of only the files inside one."""
     h = hashlib.sha256()
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        h.update(str(path.relative_to(root)).encode() + b"\0" + path.read_bytes())
+        rel = path.relative_to(root)
+        if ("derived" in rel.parts[:-1]) == derived:
+            h.update(str(rel).encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
 
 
@@ -268,6 +272,9 @@ def test_dataset_and_evaluation_bytes_golden(synth_small, tmp_path):
     for name, cfg, seed in configs:
         write_synthetic_dataset(tmp_path / name, cfg, seed)
         digests[name] = _tree_digest(tmp_path / name)
+    # the execution tables apart, so that the digests above pin the
+    # dataset files alone
+    digests["derived"] = _tree_digest(tmp_path, derived=True)
 
     history, sources = synth_small
     report = run_pipeline_eval(history, sources, hyperparams=SMALL_HP, seed=2, max_builds=4)
@@ -283,6 +290,7 @@ def test_dataset_and_evaluation_bytes_golden(synth_small, tmp_path):
         "default": "b893dc4be9d554017280409e61d5cf979f3314d7e015e388e3f264f20c57d29f",
         "cold": "822d68a7a3e8db1189d27f6127420a73278da350e688326d35595da3bab096b1",
         "drift": "1938bf2451069d1edb8d014a1628b584dc95552ee9456837a52f52093044a8f6",
+        "derived": "a67a715e6c85b7c544656d33fcd5cdea738e58b608fd10d6c7490456f279f2fe",
         "apfdc.csv": "90050f7fe97ace1f6291eee7d8349b2b1420dca272cda9d84807a2eb00e2c3ea",
         "report.json": "daff5fc9c2710f783e1709b7cd24f7d7fbb860dc294ae3677a96d94f56a48559",
         "decay.csv": "9411d4c533828b35fc357dbac4032b201648a1664ab2ac48f0facc638bce27de",

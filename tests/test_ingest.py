@@ -1,10 +1,18 @@
+import contextlib
+import hashlib
+import io
 import os
 import subprocess
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tcpci import ingest
+from tcpci.cli import main
 from tcpci.errors import (
     DuplicateRecordError,
     RepoNotFoundError,
@@ -18,8 +26,10 @@ from tcpci.ingest import (
     select_primary_job,
     write_dataset,
 )
-from tcpci.model import ExecutionRecord, Verdict
-from tcpci.synth import SynthConfig, generate_synthetic_history
+from tcpci.model import Build, BuildHistory, ChangeSet, ExecutionRecord, Verdict
+from tcpci.synth import SynthConfig, generate_synthetic_history, load_sources
+
+SMALL_CFG = SynthConfig(n_files=10, n_tests=5, n_builds=6, files_per_build=3)
 
 
 def test_select_primary_job_most_tests_then_smallest_id():
@@ -31,9 +41,7 @@ def test_select_primary_job_most_tests_then_smallest_id():
 
 
 def test_round_trip_is_lossless(tmp_path):
-    history, _ = generate_synthetic_history(
-        SynthConfig(n_files=10, n_tests=5, n_builds=6, files_per_build=3), seed=7
-    )
+    history, _ = generate_synthetic_history(SMALL_CFG, seed=7)
     layout = write_dataset(history, tmp_path / "ds")
     again = ingest_exec_records(layout)
     assert again == history
@@ -127,6 +135,191 @@ def test_primary_job_records_only(tmp_path):
     _write_min_dataset(tmp_path / "ds2", exec_rows=rows[:1] + rows[2:3])
     (build,) = ingest_exec_records(DatasetLayout(tmp_path / "ds2")).builds
     assert build.tests == ("a.java",)
+
+
+def test_test_path_with_a_bare_cr_reads_back(tmp_path):
+    # csv.writer with an LF terminator leaves a lone CR unquoted, and the
+    # reader would end the record there; the row is written quoted
+    rows = ['1,j0,"t\rx.java",0,10.0', '1,j0,"u\r\ny.java",1,2.0']
+    _write_min_dataset(tmp_path / "ds", exec_rows=rows)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["ingest", str(tmp_path / "ds"), str(tmp_path / "copy")]) == 0
+    (build,) = ingest_exec_records(DatasetLayout(tmp_path / "copy")).builds
+    assert build.tests == ("t\rx.java", "u\r\ny.java")
+    assert (tmp_path / "copy" / "exec_records.csv").read_bytes().endswith(
+        b'\n"1","j0","t\rx.java","0","10.0"\n"1","j0","u\r\ny.java","1","2.0"\n'
+    )
+
+
+# --- the execution table -------------------------------------------------
+
+
+def _bits(columns):
+    """Each build's columns, with the dtype and bytes of each array."""
+    return [
+        (build_id, tests, verdicts.dtype.str, verdicts.tobytes(), durations.dtype.str,
+         durations.tobytes())
+        for build_id, (tests, verdicts, durations) in columns.items()
+    ]
+
+
+_TEST_PATHS = st.text(
+    st.one_of(st.sampled_from([",", '"', "\r", "\n", "é", "日"]),
+              st.characters(blacklist_categories=("Cs",))),
+    min_size=1, max_size=6,
+)
+_DURATIONS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310]),
+    st.floats(0, 1e300, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _histories(draw):
+    ids = draw(st.lists(st.integers(1, 40), unique=True, max_size=5))
+    builds = []
+    for build_id in ids:
+        runs = draw(st.dictionaries(_TEST_PATHS, st.tuples(st.integers(0, 3), _DURATIONS),
+                                    max_size=5))
+        tests = tuple(sorted(runs))
+        builds.append(Build(
+            build_id, ChangeSet(build_id, (), frozenset()), tests,
+            np.array([runs[t][0] for t in tests], np.int8),
+            np.array([runs[t][1] for t in tests], np.float64),
+        ))
+    return BuildHistory(builds, {})
+
+
+@settings(max_examples=150, deadline=None)
+@given(history=_histories())
+def test_exec_table_equals_the_csv_parse(history):
+    # test paths with CSV metacharacters, line breaks and non-ASCII, builds
+    # without executions, zero and subnormal durations
+    with tempfile.TemporaryDirectory() as tmp:
+        layout = write_dataset(history, Path(tmp))
+        table = ingest._read_exec_table(layout.exec_table, layout.exec_records_csv)
+        parsed = ingest._read_exec_records_csv(layout.exec_records_csv)
+    assert table is not None
+    assert _bits(table) == _bits(parsed)
+
+
+@pytest.mark.parametrize(
+    "test, verdict, duration, error",
+    [("", 0, 1.0, "empty test_path"), ("t.java", 7, 1.0, "7 is not a valid Verdict"),
+     ("t.java", 0, float("nan"), "must be finite"), ("t.java", 0, -1.0, "must be finite"),
+     ("t.java", 0, float("inf"), "must be finite")],
+    ids=["empty-test", "verdict", "nan", "negative", "inf"],
+)
+def test_exec_table_of_a_bad_history_is_not_read(tmp_path, test, verdict, duration, error):
+    # a history whose CSV breaks a rule writes a table the reader ignores, so
+    # the CSV's error stands
+    build = Build(1, ChangeSet(1, (), frozenset()), (test,), np.array([verdict], np.int8),
+                  np.array([duration]))
+    layout = write_dataset(BuildHistory([build], {}), tmp_path / "ds")
+    assert ingest._read_exec_table(layout.exec_table, layout.exec_records_csv) is None
+    with pytest.raises(SchemaError, match=error):
+        ingest_exec_records(layout)
+
+
+@pytest.fixture(scope="module")
+def small_layout(tmp_path_factory):
+    history, _ = generate_synthetic_history(SMALL_CFG, seed=7)
+    return write_dataset(history, tmp_path_factory.mktemp("table") / "ds")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(["set", "cut", "extend"]), st.integers(0, 10**6),
+                                st.one_of(st.integers(0, 6), st.integers(0, 255))),
+                      min_size=1, max_size=4))
+def test_redigested_exec_table_never_raises(small_layout, edits):
+    # a table edited with its payload digest made to match is ignored, or
+    # read as columns that keep every rule of the CSV reader
+    data = small_layout.exec_table.read_bytes()
+    start = len(ingest._TABLE_MAGIC) + ingest._TABLE_HEAD.size
+    payload = data[start:]
+    for kind, at, value in edits:
+        if kind == "set" and payload:
+            at %= len(payload)
+            payload = payload[:at] + bytes([value]) + payload[at + 1:]
+        elif kind == "cut":
+            payload = payload[:at % (len(payload) + 1)]
+        elif kind == "extend":
+            payload += bytes([value]) * (at % 16 + 1)
+    csv_size, csv_digest, _ = ingest._TABLE_HEAD.unpack_from(data, len(ingest._TABLE_MAGIC))
+    head = ingest._TABLE_HEAD.pack(csv_size, csv_digest, hashlib.sha256(payload).digest())
+    with tempfile.TemporaryDirectory() as tmp:
+        table = Path(tmp) / "exec_records.bin"
+        table.write_bytes(ingest._TABLE_MAGIC + head + payload)
+        columns = ingest._read_exec_table(table, small_layout.exec_records_csv)
+    for tests, verdicts, durations in (columns or {}).values():
+        assert tests and "" not in tests and list(tests) == sorted(set(tests))
+        assert verdicts.dtype == np.int8 and set(verdicts.tolist()) <= {0, 1, 2, 3}
+        assert durations.dtype == np.float64 and ((durations >= 0) & (durations < np.inf)).all()
+
+
+def test_exec_table_bytes_repeat(tmp_path):
+    # one history gives one table, and so does the history read back
+    history, _ = generate_synthetic_history(SMALL_CFG, seed=7)
+    layouts = [write_dataset(history, tmp_path / name) for name in ("a", "b")]
+    layouts.append(write_dataset(ingest_exec_records(layouts[0]), tmp_path / "c"))
+    tables = [layout.exec_table.read_bytes() for layout in layouts]
+    assert tables[0] == tables[1] == tables[2]
+
+
+def test_stale_exec_table_is_ignored(tmp_path, monkeypatch):
+    history, _ = generate_synthetic_history(SMALL_CFG, seed=7)
+    layout = write_dataset(history, tmp_path / "ds")
+    with monkeypatch.context() as m:  # an intact table stands in for the parse
+        m.setattr(ingest, "_exec_columns", None)
+        assert ingest_exec_records(layout) == history
+    table = layout.exec_table.read_bytes()
+    # one verdict edited in place keeps the CSV's size, not its digest
+    text = layout.exec_records_csv.read_text()
+    head, first, rest = text.split("\n", 2)
+    fields = first.split(",")
+    fields[3] = str(1 - int(fields[3]))
+    layout.exec_records_csv.write_text("\n".join([head, ",".join(fields), rest]))
+    edited = ingest_exec_records(layout)
+    assert edited != history
+    layout.exec_table.unlink()
+    assert edited == ingest_exec_records(layout)
+    # a bad record exits 2 with the message it gives without a table
+    layout.exec_records_csv.write_text("\n".join([head, "1,j0,t.java,9,1.0", rest]))
+    outcomes = []
+    for stale in (table, None):
+        if stale is not None:
+            layout.exec_table.write_bytes(stale)
+        else:
+            layout.exec_table.unlink()
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["extract", str(layout.root), "--build", "1",
+                         "--out", str(tmp_path / "f.csv")])
+        outcomes.append((code, err.getvalue()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == (2, f"error: {layout.exec_records_csv}:2: 9 is not a valid Verdict\n")
+
+
+# --- source snapshots ----------------------------------------------------
+
+
+def test_load_sources_follows_file_links_only(tmp_path):
+    # the snapshot is read through a symlinked src/; inside it a symlink to
+    # a file counts, a broken one is skipped and a symlinked directory is
+    # not entered
+    real = tmp_path / "real"
+    (real / "sub").mkdir(parents=True)
+    (real / "A.java").write_text("class A {}\n")
+    (real / "sub" / "B.java").write_text("class B {}\n")
+    (real / "Link.java").symlink_to("A.java")
+    (real / "Broken.java").symlink_to("Missing.java")
+    (real / "linked").symlink_to("sub", target_is_directory=True)
+    (tmp_path / "ds").mkdir()
+    (tmp_path / "ds" / "src").symlink_to(real, target_is_directory=True)
+    sources = load_sources(DatasetLayout(tmp_path / "ds"))
+    assert sources == {"src/A.java": "class A {}\n", "src/Link.java": "class A {}\n",
+                       "src/sub/B.java": "class B {}\n"}
 
 
 # --- git mining ---------------------------------------------------------
@@ -280,3 +473,30 @@ def test_unresolvable_ref(repo):
     _git(repo, "commit", "-q", "-m", "add A")
     with pytest.raises(UnresolvableRefError):
         ingest_git_history(repo, "no-such-branch")
+
+
+def test_ingest_of_a_repository_copies_only_its_src_snapshot(repo, tmp_path):
+    # the repository's tree is no source snapshot: only a top-level src/ is
+    (repo / "app").mkdir()
+    (repo / "app" / "A.java").write_text("class A {}\n")
+    (repo / "app" / "ATest.java").write_text("class ATest { A a; }\n")
+    _git(repo, "add", "app")
+    _git(repo, "commit", "-q", "-m", "add A")
+    sha = subprocess.run(["git", "-C", str(repo), "rev-parse", "HEAD"], check=True,
+                         capture_output=True, text=True).stdout.strip()
+    (repo / "builds.csv").write_text(
+        f"build_id,timestamp_iso8601,commits\n1,2024-01-01T00:00:00+00:00,{sha}\n"
+    )
+    (repo / "exec_records.csv").write_text(
+        "build_id,job_id,test_path,verdict,duration_ms\n1,j0,app/ATest.java,0,1.0\n"
+    )
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["ingest", str(repo), str(tmp_path / "dest")]) == 0
+    assert sorted(p.name for p in (tmp_path / "dest").iterdir()) == [
+        "builds.csv", "commits.jsonl", "derived", "exec_records.csv"]
+    # with a src/ snapshot, that is copied as before
+    (repo / "src").mkdir()
+    (repo / "src" / "B.java").write_text("class B {}\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["ingest", str(repo), str(tmp_path / "dest2")]) == 0
+    assert load_sources(DatasetLayout(tmp_path / "dest2")) == {"src/B.java": "class B {}\n"}
