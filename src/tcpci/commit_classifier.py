@@ -5,11 +5,13 @@ Two classifiers with a common preprocessing pipeline:
 * a learned one, trained in memory — TF-IDF bag of words fed into
   gradient-boosted regression trees with logistic loss (:func:`trees.boost`
   with the sigmoid link), scored as a one-bag :class:`trees.Forest`;
-* the keyword rule that DET_COV counts by: some token contains a defect
-  keyword (fix, bug, defect, patch, fault, repair).
+* the keyword rule that DET_COV counts by: the lowercased message, with
+  its URLs taken out, contains a defect keyword (fix, bug, defect, patch,
+  fault, repair).
 
-Preprocessing: lowercase, URLs collapsed to a ``<url>`` token, punctuation
-stripped, stop words removed, remaining tokens Porter-stemmed.
+Preprocessing for the learned one: lowercase, URLs collapsed to a ``<url>``
+token, punctuation stripped, stop words removed, remaining tokens
+Porter-stemmed.
 """
 
 from __future__ import annotations
@@ -59,13 +61,17 @@ def preprocess_message(message: str) -> list[str]:
 
 
 def is_defect_fix_keyword(message: str) -> bool:
-    """Keyword rule: some token contains a defect keyword.
+    """Keyword rule: the lowercased message, with each URL replaced by a
+    space, contains a defect keyword, so "Fixed", "bugfix" and "prefix"
+    match.
 
-    Each keyword is its own Porter stem, so stemmed forms match ("fixed"
-    is "fix"), and so do compounds ("bugfix", "prefix").  A URL is one
-    ``<url>`` token, which contains none.
+    This is the rule "some token of :func:`preprocess_message` contains a
+    keyword": each keyword is made of letters, so it lies inside one
+    token; Porter stemming rewrites only endings that neither hold nor
+    complete the last letters of a keyword; and no stop word contains one.
     """
-    return any(k in token for token in preprocess_message(message) for k in DEFECT_KEYWORDS)
+    text = _URL_RE.sub(" ", message).lower()
+    return any(k in text for k in DEFECT_KEYWORDS)
 
 
 class TfidfVectorizer:

@@ -76,7 +76,7 @@ def apfdc_of_build(build: Build, ordering: list[str]) -> float:
 def random_baseline_apfdc(build: Build, seed: int) -> float:
     """Expected APFD_C of a uniformly random ordering, by seeded sampling."""
     rng = np.random.default_rng([seed, build.id])
-    tests = sorted(build.tests)
+    tests = build.tests
     values = []
     for _ in range(RANDOM_SAMPLES):
         perm = [tests[i] for i in rng.permutation(len(tests))]

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import logging
 import time
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -129,7 +130,7 @@ class _Pairs(NamedTuple):
     by path within a row."""
 
     rows: np.ndarray
-    files: list[str]
+    files: Sequence[str]
     w: np.ndarray
 
 
@@ -313,7 +314,7 @@ class FeatureExtractor:
         """
         build = self.history.build(build_id)
         n_commits = (snapshot if snapshot is not None else self.snapshot(build_id)).n_commits
-        tests = sorted(build.tests)
+        tests = build.tests
         X = np.zeros((len(tests), len(CATALOG)))
         chn = build.change_set.changed_files
         commits = [self.history.commits[c] for c in build.change_set.commits]
@@ -364,10 +365,10 @@ class FeatureExtractor:
             self._impute_unknown(X, tests)
 
         labels = self._failed[rows].astype(np.float64) if build.tests else None
-        return FeatureMatrix(build=build_id, tests=tuple(tests), values=X, labels=labels)
+        return FeatureMatrix(build=build_id, tests=tests, values=X, labels=labels)
 
     def _pairs(
-        self, tests: list[str], nodes: np.ndarray, files: frozenset[str], n_commits: int
+        self, tests: tuple[str, ...], nodes: np.ndarray, files: frozenset[str], n_commits: int
     ) -> _Pairs:
         """Each test's covered files within ``files``, with normalized
         association weights.
@@ -404,7 +405,7 @@ class FeatureExtractor:
             table = np.array([vecs[f] for f in p.files]).reshape(len(p.files), width)
             np.add.at(block[:, h * width : (h + 1) * width], p.rows, p.w[:, None] * table)
 
-    def _impute_unknown(self, X: np.ndarray, tests: list[str]) -> None:
+    def _impute_unknown(self, X: np.ndarray, tests: tuple[str, ...]) -> None:
         """Mean-substitute, in place, snapshot-derived columns of tests
         outside the dependency graph."""
         known = np.array([t in self._graph.files for t in tests])

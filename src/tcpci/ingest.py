@@ -9,8 +9,11 @@ A dataset lives in one directory::
       src/              optional source snapshot used for static analysis
       derived/          tables :func:`write_dataset` derives from the files above
 
+Build ids lie in [1, 2**63 - 1] (:data:`~tcpci.model.MAX_BUILD_ID`).
 Verdict codes: 0=pass, 1=assertion failure, 2=exception failure, 3=unknown
-failure.  All files UTF-8 with LF line endings.
+failure.  All files UTF-8 with LF line endings.  Each CSV is read in one
+pass over :func:`_csv_rows`, and each record's rules are checked as it is
+read, so an error names the path and line of the first bad record.
 
 ``commits.jsonl`` objects carry ``hash, timestamp, author, message, files``
 where each file entry has ``path, added, deleted, added_chunks,
@@ -39,6 +42,7 @@ import io
 import json
 import logging
 import math
+import operator
 import re
 import struct
 import subprocess
@@ -48,7 +52,7 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Iterable, NoReturn, get_type_hints
+from typing import Callable, Iterable, get_type_hints
 
 import numpy as np
 
@@ -60,6 +64,7 @@ from .errors import (
     UnresolvableRefError,
 )
 from .model import (
+    MAX_BUILD_ID,
     Build,
     BuildHistory,
     ChangeSet,
@@ -146,40 +151,52 @@ def _lines(path: Path, newline: str | None):
             raise
 
 
-def _csv_rows(path: Path, required: set[str]):
-    """(line, row) for each record of a dataset CSV, where ``line`` is the
-    physical line the record ends on.
+def _csv_rows(path: Path, fields: tuple[str, ...]):
+    """(line, values) for each record of a dataset CSV: the physical line
+    the record ends on, and the record's ``fields`` in order.  Blank lines
+    hold no record, and of a name the header repeats the last column counts.
 
-    Raises SchemaError when the header lacks a ``required`` field or a
-    record has fewer or more fields than the header.
+    Raises SchemaError when the header lacks one of ``fields``, when a
+    record has fewer or more fields than the header, or on a ``csv.Error``.
     """
     with closing(_lines(path, newline="")) as lines:
-        reader = csv.DictReader(lines)
+        reader = csv.reader(lines)
         try:
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise SchemaError(f"{path}: header must contain {sorted(required)}")
+            header = next(reader, [])
+            at = {name: i for i, name in enumerate(header)}
+            if not at.keys() >= set(fields):
+                raise SchemaError(f"{path}: header must contain {sorted(fields)}")
+            take = operator.itemgetter(*(at[name] for name in fields))
+            width = len(header)
             for row in reader:
-                if None in row or None in row.values():
+                if len(row) != width:
+                    if not row:
+                        continue
                     raise SchemaError(
                         f"{path}:{reader.line_num}: a record must have the header's "
-                        f"{len(reader.fieldnames)} fields"
+                        f"{width} fields"
                     )
-                yield reader.line_num, row
+                yield reader.line_num, take(row)
         except csv.Error as exc:
             raise SchemaError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
+_BUILD_ID_RANGE = f"build_id must be in [1, {MAX_BUILD_ID}]"
+
+
 def _read_builds_csv(path: Path) -> list[tuple[int, datetime, tuple[str, ...]]]:
     rows = []
-    for lineno, row in _csv_rows(path, {"build_id", "timestamp_iso8601", "commits"}):
+    for lineno, (raw_id, ts, commits) in _csv_rows(
+        path, ("build_id", "timestamp_iso8601", "commits")
+    ):
         try:
-            build_id = int(row["build_id"])
+            build_id = int(raw_id)
         except ValueError as exc:
-            raise SchemaError(f"{path}:{lineno}: bad build_id {row['build_id']!r}") from exc
-        if build_id < 1:
-            raise SchemaError(f"{path}:{lineno}: build_id must be >= 1, got {build_id}")
-        ts = _parse_timestamp(row["timestamp_iso8601"], f"{path}:{lineno}")
-        commits = tuple(c for c in row["commits"].split(";") if c)
+            raise SchemaError(f"{path}:{lineno}: bad build_id {raw_id!r}") from exc
+        if not 1 <= build_id <= MAX_BUILD_ID:
+            raise SchemaError(f"{path}:{lineno}: {_BUILD_ID_RANGE}, got {build_id}")
+        ts = _parse_timestamp(ts, f"{path}:{lineno}")
+        commits = tuple(c for c in commits.split(";") if c)
         for c in commits:
             if not _HASH_RE.match(c):
                 raise SchemaError(f"{path}:{lineno}: {c!r} is not a 40-hex commit hash")
@@ -202,19 +219,14 @@ def _read_exec_records_csv(path: Path, table: Path | None = None) -> dict[int, E
     :func:`select_primary_job`), in test order.
 
     The columns come from ``table`` when it was written with the bytes of
-    ``path`` and is intact (see :func:`_read_exec_table`).  Otherwise the
-    rules are checked over whole columns of the CSV; when one fails, the
-    file is read again row by row to raise the error of the first bad
-    record.
+    ``path`` and is intact (see :func:`_read_exec_table`); otherwise from
+    one pass over the CSV, which raises the error of its first bad record.
     """
     if table is not None:
         from_table = _read_exec_table(table, path)
         if from_table is not None:
             return from_table
-    columns = _exec_columns(path)
-    if columns is None:
-        _raise_first_bad_record(path)
-    build, job, test, verdict, duration = columns
+    build, job, test, verdict, duration = _exec_rows(path)
     # the primary job of each build that ran more than one
     if len(set(job)) > 1:
         per_build: dict[int, dict[str, int]] = {}
@@ -230,7 +242,8 @@ def _read_exec_records_csv(path: Path, table: Path | None = None) -> dict[int, E
     order = np.array(by_test, dtype=np.intp)
     order = order[np.argsort(build_ids[order], kind="stable")]
     build_ids = build_ids[order]
-    verdict, duration = np.array(verdict, dtype=np.int8)[order], duration[order]
+    verdict = np.array(verdict, dtype=np.int8)[order]
+    duration = np.array(duration, dtype=np.float64)[order]
     tests = tuple(test[i] for i in order.tolist())
     bounds = [0, *(np.flatnonzero(np.diff(build_ids)) + 1).tolist(), len(order)]
     return {
@@ -240,66 +253,37 @@ def _read_exec_records_csv(path: Path, table: Path | None = None) -> dict[int, E
     }
 
 
-def _exec_columns(path: Path):
-    """(build ids, job ids, test paths, verdict codes, durations) of
-    ``path`` in file order, or None when any rule of the file fails."""
-    try:
-        with closing(_lines(path, newline="")) as lines:
-            reader = csv.reader(lines)
-            header = next(reader, [])
-            at = {name: i for i, name in enumerate(header)}  # the last of a repeated name
-            if not at.keys() >= set(_EXEC_FIELDS):
-                return None
-            fields = [[] for _ in header]
-            for row in reader:
-                if len(row) != len(header):
-                    if row:
-                        return None
-                    continue  # a blank line
-                for values, value in zip(fields, row):
-                    values.append(value)
-    except (SchemaError, csv.Error):
-        return None
-    build, job, test, verdict, duration = (fields[at[name]] for name in _EXEC_FIELDS)
-    try:
-        build = list(map(int, build))
-        verdict = list(map(int, verdict))
-        duration = np.fromiter(map(float, duration), np.float64, len(duration))
-    except ValueError:
-        return None
-    if (
-        not _VERDICT_CODES.issuperset(verdict)
-        or "" in test
-        or len(set(zip(build, job, test))) != len(test)
-        or not ((duration >= 0) & (duration < math.inf)).all()
-    ):
-        return None
-    return build, job, test, verdict, duration
-
-
-def _raise_first_bad_record(path: Path) -> NoReturn:
-    """Read ``path`` row by row and raise the error of its first bad record."""
+def _exec_rows(path: Path):
+    """(build ids, job ids, test paths, verdict codes, durations) of the
+    records of ``path``, in file order.  Each record's rules are checked as
+    it is read, so the error raised is that of the first bad record."""
+    build, job, test, verdict, duration = [], [], [], [], []
     seen: set[tuple[int, str, str]] = set()
-    for lineno, row in _csv_rows(path, set(_EXEC_FIELDS)):
+    for lineno, (b, j, t, v, d) in _csv_rows(path, _EXEC_FIELDS):
         try:
-            build_id = int(row["build_id"])
-            Verdict(int(row["verdict"]))
-            duration = float(row["duration_ms"])
+            build_id = int(b)
+            if not 1 <= build_id <= MAX_BUILD_ID:
+                raise ValueError(f"{_BUILD_ID_RANGE}, got {build_id}")
+            code = int(v)
+            if code not in _VERDICT_CODES:
+                Verdict(code)  # raises its ValueError
+            ms = float(d)
         except ValueError as exc:
             raise SchemaError(f"{path}:{lineno}: {exc}") from exc
-        test = row["test_path"]
-        if not test:
+        if not t:
             raise SchemaError(f"{path}:{lineno}: empty test_path")
-        key = (build_id, row["job_id"], test)
+        key = (build_id, j, t)
         if key in seen:
             raise DuplicateRecordError(f"{path}:{lineno}: duplicate record {key}")
         seen.add(key)
-        if not 0 <= duration < math.inf:
-            raise SchemaError(
-                f"{path}:{lineno}: duration_ms must be finite and >= 0, "
-                f"got {row['duration_ms']!r}"
-            )
-    raise AssertionError(f"{path}: a rule failed, but no record breaks it")
+        if not 0 <= ms < math.inf:
+            raise SchemaError(f"{path}:{lineno}: duration_ms must be finite and >= 0, got {d!r}")
+        build.append(build_id)
+        job.append(j)
+        test.append(t)
+        verdict.append(code)
+        duration.append(ms)
+    return build, job, test, verdict, duration
 
 
 # --- the execution table -------------------------------------------------
@@ -380,10 +364,12 @@ def _read_exec_table(table: Path, csv_path: Path) -> dict[int, ExecColumns] | No
     first = np.zeros(n_rows, bool)  # a build's first row
     first[bounds[:-1]] = True
     names = [text[lo:hi] for lo, hi in zip([0, *ends.tolist()], ends.tolist())]
-    # the rules of _exec_columns: the table of a history that breaks one
+    # the rules of _exec_rows: the table of a history that breaks one
     # must leave the CSV's error to stand
     if not (
-        (np.diff(ends, prepend=0) > 0).all()
+        (ids[:1] >= 1).all()
+        and (np.diff(ids) > 0).all()  # int64, so at most MAX_BUILD_ID
+        and (np.diff(ends, prepend=0) > 0).all()
         and (ends[-1:] == len(text)).all()
         and all(a < b for a, b in zip(names, names[1:]))
         and (index < n_names).all()

@@ -16,6 +16,8 @@ import numpy as np
 
 # A build id is a positive ordinal; ordering equals chronological ordering.
 BuildId = int
+#: The largest build id: ids lie in [1, MAX_BUILD_ID], so an int64 holds each.
+MAX_BUILD_ID = 2**63 - 1
 # A test case is identified by the repository-relative path of its source
 # file.  Renames break identity (the age of the test resets).
 TestId = str
@@ -68,6 +70,10 @@ class UnitRisk:
     low_size: bool
     low_complexity: bool
     low_interfacing: bool
+
+    def __post_init__(self):
+        if self.lines_added < 0 or self.lines_deleted < 0:
+            raise ValueError("negative line count in unit risk")
 
 
 @dataclass(frozen=True)
@@ -133,8 +139,8 @@ class Build:
     wall_clock: datetime | None = None
 
     def __post_init__(self):
-        if self.id < 1:
-            raise ValueError("build ordinal must be positive")
+        if not 1 <= self.id <= MAX_BUILD_ID:
+            raise ValueError(f"build ordinal must be in [1, {MAX_BUILD_ID}], got {self.id}")
         for a, b in zip(self.tests, self.tests[1:]):
             if a >= b:
                 raise ValueError(f"build {self.id}: test {b} is a duplicate or out of order")

@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import csv
 import dataclasses
 import inspect
 import io
@@ -23,7 +24,7 @@ from tcpci import cli, ingest
 from tcpci.cli import main
 from tcpci.errors import DuplicateRecordError, SchemaError
 from tcpci.ingest import DatasetLayout, ingest_exec_records
-from tcpci.model import ExecutionRecord, Verdict
+from tcpci.model import MAX_BUILD_ID, ExecutionRecord, Verdict
 from tcpci.ranker import Hyperparams
 from tcpci.synth import SynthConfig
 from tcpci.trees import NODE_ARRAYS, pack_nodes
@@ -223,6 +224,7 @@ RISK = {"lines_added": 1, "lines_deleted": 0, "low_size": True, "low_complexity"
         {"added_chunks": [2.5]},
         {"unit_risks": [{**RISK, "lines_added": "x"}]},
         {"unit_risks": [{**RISK, "low_size": 1}]},
+        {"unit_risks": [{**RISK, "lines_deleted": -1}]},
         {"commit": "repeated"},
         {"exec_records.csv": b"2,j9\n"},
         {"exec_records.csv": b"1,j9,src/test/XTest.java,0,1.0,extra\n"},
@@ -237,7 +239,8 @@ RISK = {"lines_added": 1, "lines_deleted": 0, "low_size": True, "low_complexity"
     ids=[
         "duration-nan", "duration-inf", "message-int", "author-null", "path-int",
         "added-fraction", "added-bool", "deleted-string", "chunk-start-fraction",
-        "unit-risk-lines-string", "unit-risk-flag-int", "commit-repeated",
+        "unit-risk-lines-string", "unit-risk-flag-int", "unit-risk-lines-negative",
+        "commit-repeated",
         "record-short", "record-long", "record-not-utf8", "build-no-commits",
         "build-no-timestamp", "build-id-0", "build-not-utf8", "commit-not-utf8",
         "commit-nested-deep",
@@ -327,16 +330,43 @@ def test_corrupt_dataset_rows_never_crash(dataset, corruptions):
         assert main(["extract", str(broken), "--build", str(build.id)]) in (0, 2, 3, 4)
 
 
+def _dict_rows(path: Path, required: set[str]):
+    """(line, row) for each record of a dataset CSV, read with
+    ``csv.DictReader``: a second CSV record reader, for the references.  A
+    ``csv.Error`` names the physical line it is raised on, which is that of
+    the underlying reader: the DictReader's is that of the last record."""
+    with contextlib.closing(ingest._lines(path, newline="")) as lines:
+        reader = csv.DictReader(lines)
+        try:
+            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+                raise SchemaError(f"{path}: header must contain {sorted(required)}")
+            for row in reader:
+                if None in row or None in row.values():
+                    raise SchemaError(
+                        f"{path}:{reader.line_num}: a record must have the header's "
+                        f"{len(reader.fieldnames)} fields"
+                    )
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise SchemaError(f"{path}:{reader.reader.line_num}: {exc}") from exc
+
+
+def _id_in_range(build_id: int, where: str) -> int:
+    if not 1 <= build_id <= MAX_BUILD_ID:
+        raise SchemaError(f"{where}: build_id must be in [1, {MAX_BUILD_ID}], got {build_id}")
+    return build_id
+
+
 def rows_reference(path: Path) -> dict:
-    """The row-at-a-time ``exec_records.csv`` reader the columnar one
-    replaced: {build: [(test, verdict, duration)]} of each build's primary
-    job in test order, or the exception of the first bad record."""
+    """A row-at-a-time ``exec_records.csv`` reader:
+    {build: [(test, verdict, duration)]} of each build's primary job in
+    test order, or the exception of the first bad record."""
     per_build: dict[int, dict[str, list[ExecutionRecord]]] = {}
     seen: set[tuple[int, str, str]] = set()
     required = {"build_id", "job_id", "test_path", "verdict", "duration_ms"}
-    for lineno, row in ingest._csv_rows(path, required):
+    for lineno, row in _dict_rows(path, required):
         try:
-            build_id = int(row["build_id"])
+            build_id = _id_in_range(int(row["build_id"]), f"{path}:{lineno}")
             verdict = Verdict(int(row["verdict"]))
             duration = float(row["duration_ms"])
         except ValueError as exc:
@@ -363,6 +393,27 @@ def rows_reference(path: Path) -> dict:
     return out
 
 
+def builds_reference(path: Path) -> list:
+    """A row-at-a-time ``builds.csv`` reader: (id, timestamp, commits) of
+    each record, or the exception of the first bad record."""
+    rows = []
+    for lineno, row in _dict_rows(path, {"build_id", "timestamp_iso8601", "commits"}):
+        try:
+            build_id = int(row["build_id"])
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{lineno}: bad build_id {row['build_id']!r}") from exc
+        _id_in_range(build_id, f"{path}:{lineno}")
+        ts = ingest._parse_timestamp(row["timestamp_iso8601"], f"{path}:{lineno}")
+        commits = tuple(c for c in row["commits"].split(";") if c)
+        for c in commits:
+            if not ingest._HASH_RE.match(c):
+                raise SchemaError(f"{path}:{lineno}: {c!r} is not a 40-hex commit hash")
+        rows.append((build_id, ts, commits))
+    if len({r[0] for r in rows}) != len(rows):
+        raise SchemaError(f"{path}: duplicate build ids")
+    return rows
+
+
 def _outcome(read, path):
     try:
         return read(path)
@@ -376,10 +427,10 @@ def _outcome(read, path):
     copies=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(["j0", "j1"])), max_size=3),
 )
 def test_exec_reader_matches_row_reference(dataset, corruptions, copies):
-    # the columnar reader gives the reference's records or raises its
-    # error; copied rows, under their own job or another, add duplicate
-    # records and second jobs
-    def columnar(path):
+    # the reader gives the reference's records or raises its error; copied
+    # rows, under their own job or another, add duplicate records and
+    # second jobs
+    def columns(path):
         return {
             build_id: [(t, v, d.hex()) for t, v, d in zip(tests, verdicts.tolist(), durations.tolist())]
             for build_id, (tests, verdicts, durations) in ingest._read_exec_records_csv(path).items()
@@ -394,7 +445,83 @@ def test_exec_reader_matches_row_reference(dataset, corruptions, copies):
         path.write_bytes(b"".join(lines))
         for _, row, how in corruptions:
             path.write_bytes(_corrupt(path.read_bytes(), row, how))
-        assert _outcome(columnar, path) == _outcome(rows_reference, path)
+        assert _outcome(columns, path) == _outcome(rows_reference, path)
+
+
+# per header name, (good values, bad values)
+_BUILDS_VALUES = {
+    "build_id": (["1", "2", "3", "9223372036854775807", " 2"],
+                 ["0", "9223372036854775808", "-9223372036854775809", "x", ""]),
+    "timestamp_iso8601": (["2024-01-01T00:00:00+00:00", "2024-01-01"], ["2024-13-01", ""]),
+    "commits": (["", "a" * 40, "a" * 40 + ";" + "b" * 40, ";"], ["A" * 40]),
+    "other": (["", "o"], []),
+}
+_SPECIAL_VALUES = ['"q,\r\n"', '"\r"', "\r", '"a""b"', '"open', "x" * 131073]
+
+
+@st.composite
+def _builds_csvs(draw):
+    """Text of a ``builds.csv``: repeated, extra and missing header names,
+    short and long records, blank lines, quoted CR/LF and a field longer
+    than the csv module's limit."""
+
+    def one_in(n: int) -> bool:
+        return draw(st.sampled_from(range(n))) == n - 1
+
+    header = list(draw(st.permutations(["build_id", "timestamp_iso8601", "commits"])))
+    for name in draw(st.lists(st.sampled_from(["build_id", "commits", "other"]), max_size=2)):
+        header.insert(draw(st.integers(0, len(header))), name)
+    if one_in(10):
+        del header[draw(st.integers(0, len(header) - 1))]
+    lines = []
+    for _ in range(draw(st.sampled_from(range(6)))):
+        if one_in(6):
+            lines.append("")
+            continue
+        fields = [draw(st.sampled_from(_BUILDS_VALUES[name][one_in(10) and name != "other"]))
+                  for name in header]
+        if one_in(6):
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_SPECIAL_VALUES))
+        if one_in(8):
+            fields.pop()
+        elif one_in(8):
+            fields.append("extra")
+        lines.append(",".join(fields))
+    end = draw(st.sampled_from(["", "\n", "\r\n"]))
+    return "\n".join([",".join(header), *lines]) + end
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_builds_csvs())
+def test_builds_reader_matches_row_reference(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "builds.csv"
+        path.write_text(text, newline="")
+        assert _outcome(ingest._read_builds_csv, path) == _outcome(builds_reference, path)
+
+
+@pytest.mark.parametrize(
+    "builds_id, exec_id, error",
+    [(2**63, 2**63, "builds.csv:2: build_id must be in"),
+     (1, -2**63 - 1, "exec_records.csv:2: build_id must be in"),
+     (1, 0, "exec_records.csv:2: build_id must be in")],
+    ids=["both-2**63", "exec-below-int64", "exec-0"],
+)
+def test_build_id_out_of_range_exits_2(tmp_path, capsys, builds_id, exec_id, error):
+    # an id an int64 cannot hold once made a traceback of numpy's
+    sha = "a" * 40
+    root = tmp_path / "ds"
+    root.mkdir()
+    (root / "builds.csv").write_text(
+        f"build_id,timestamp_iso8601,commits\n{builds_id},2024-01-01T00:00:00+00:00,{sha}\n")
+    (root / "exec_records.csv").write_text(
+        f"build_id,job_id,test_path,verdict,duration_ms\n{exec_id},j0,t.java,0,1.0\n")
+    (root / "commits.jsonl").write_text(json.dumps(
+        {"hash": sha, "timestamp": "2024-01-01T00:00:00+00:00", "author": "dev",
+         "message": "m", "files": [{"path": "t.java", "added": 1, "deleted": 0}]}) + "\n")
+    assert main(["extract", str(root), "--build", str(builds_id)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and error in err and "Traceback" not in err
 
 
 def test_invalid_config_exits_2(dataset, tmp_path, capsys):

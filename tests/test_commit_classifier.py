@@ -2,9 +2,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tcpci.commit_classifier import (
     DEFECT_KEYWORDS,
+    STOP_WORDS,
     TfidfVectorizer,
     _sigmoid,
     cross_validate,
@@ -65,11 +67,51 @@ def test_keyword_fallback():
     assert is_defect_fix_keyword("Patched the flaky timeout")
     assert not is_defect_fix_keyword("Add feature flags")
     assert not is_defect_fix_keyword("refactor tests")
-    # a stemmed token that equals a keyword also contains it
+    # each keyword is its own stem
     assert {stem(k) for k in DEFECT_KEYWORDS} == DEFECT_KEYWORDS
     assert is_defect_fix_keyword("debugging the cache")
-    # the URL collapses to one <url> token, which contains no keyword
+    # a URL is taken out of the message
     assert not is_defect_fix_keyword("see https://fix.example.org/bug")
+
+
+def keyword_reference(message: str) -> bool:
+    """The DET_COV rule on tokens: some token of :func:`preprocess_message`
+    (lowercased, stop words dropped, Porter-stemmed) contains a keyword."""
+    return any(k in token for token in preprocess_message(message) for k in DEFECT_KEYWORDS)
+
+
+# Porter's removed and added endings, keyword fragments, stop words, case,
+# separators, digits, non-ASCII letters and URLs
+_MESSAGE_PARTS = st.one_of(
+    st.sampled_from(sorted(DEFECT_KEYWORDS)),
+    st.sampled_from(["FIX", "Bug", "DeFect", "fi", "x", "bu", "g", "defe", "ct", "pat", "ch",
+                     "fau", "lt", "rep", "air", "ix", "ug", "atch", "ault", "epair"]),
+    st.sampled_from(["s", "es", "ies", "sses", "ed", "ing", "eed", "y", "at", "bl", "iz",
+                     "ational", "tional", "enci", "anci", "izer", "bli", "alli", "entli", "eli",
+                     "ousli", "ization", "ation", "ator", "alism", "iveness", "fulness",
+                     "ousness", "aliti", "iviti", "biliti", "logi", "icate", "ative", "alize",
+                     "iciti", "ical", "ful", "ness", "al", "ance", "ence", "er", "ic", "able",
+                     "ible", "ant", "ement", "ment", "ent", "ion", "ou", "ism", "ate", "iti",
+                     "ous", "ive", "ize", "e", "l", "ll", "t", "h", "r"]),
+    st.sampled_from(["the", "a", "i", "off", "out", "over", "under", "about", "after"]),
+    st.sampled_from([" ", "-", "_", ".", ",", "\n", "/", "2", "é", "İ", "\u212a"]),
+    st.sampled_from(["https://fix.example.org/bug", "http://a.b/c", "www.patch.io", "www."]),
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=3000, deadline=None)
+@given(parts=st.lists(_MESSAGE_PARTS, max_size=8))
+def test_keyword_rule_matches_the_token_rule(parts):
+    # the substring rule on the lowercased message gives the token rule's
+    # answer: Porter stemming neither makes nor breaks a keyword, and no
+    # stop word holds one
+    message = "".join(parts)
+    assert is_defect_fix_keyword(message) == keyword_reference(message)
+
+
+def test_no_stop_word_holds_a_keyword():
+    assert not [w for w in STOP_WORDS for k in DEFECT_KEYWORDS if k in w]
 
 
 def test_tfidf_duplicate_documents_identical():

@@ -228,6 +228,14 @@ def small_layout(tmp_path_factory):
     return write_dataset(history, tmp_path_factory.mktemp("table") / "ds")
 
 
+def _redigested(layout: DatasetLayout, payload: bytes) -> bytes:
+    """``layout``'s table with ``payload`` and that payload's digest."""
+    data = layout.exec_table.read_bytes()
+    csv_size, csv_digest, _ = ingest._TABLE_HEAD.unpack_from(data, len(ingest._TABLE_MAGIC))
+    head = ingest._TABLE_HEAD.pack(csv_size, csv_digest, hashlib.sha256(payload).digest())
+    return ingest._TABLE_MAGIC + head + payload
+
+
 @settings(max_examples=1000, deadline=None)
 @given(edits=st.lists(st.tuples(st.sampled_from(["set", "cut", "extend"]), st.integers(0, 10**6),
                                 st.one_of(st.integers(0, 6), st.integers(0, 255))),
@@ -246,16 +254,64 @@ def test_redigested_exec_table_never_raises(small_layout, edits):
             payload = payload[:at % (len(payload) + 1)]
         elif kind == "extend":
             payload += bytes([value]) * (at % 16 + 1)
-    csv_size, csv_digest, _ = ingest._TABLE_HEAD.unpack_from(data, len(ingest._TABLE_MAGIC))
-    head = ingest._TABLE_HEAD.pack(csv_size, csv_digest, hashlib.sha256(payload).digest())
     with tempfile.TemporaryDirectory() as tmp:
         table = Path(tmp) / "exec_records.bin"
-        table.write_bytes(ingest._TABLE_MAGIC + head + payload)
+        table.write_bytes(_redigested(small_layout, payload))
         columns = ingest._read_exec_table(table, small_layout.exec_records_csv)
+    ids = list(columns or {})
+    assert ids == sorted(set(ids)) and all(i >= 1 for i in ids)
     for tests, verdicts, durations in (columns or {}).values():
         assert tests and "" not in tests and list(tests) == sorted(set(tests))
         assert verdicts.dtype == np.int8 and set(verdicts.tolist()) <= {0, 1, 2, 3}
         assert durations.dtype == np.float64 and ((durations >= 0) & (durations < np.inf)).all()
+
+
+@pytest.mark.parametrize("ids", [(1, 3, 3), (0, 2, 3), (1, 3, 2)],
+                         ids=["repeated", "zero", "descending"])
+def test_exec_table_with_bad_build_ids_is_not_read(small_layout, tmp_path, ids):
+    # a table whose ids are not strictly ascending and >= 1 once read build
+    # 2's executions as build 3's, and build 2 as a build without any
+    data = small_layout.exec_table.read_bytes()
+    payload = bytearray(data[len(ingest._TABLE_MAGIC) + ingest._TABLE_HEAD.size:])
+    at = ingest._PAYLOAD_HEAD.size
+    assert np.frombuffer(payload, "<i8", 3, at).tolist() == [1, 2, 3]
+    payload[at:at + 24] = np.array(ids, "<i8").tobytes()
+    table = tmp_path / "exec_records.bin"
+    table.write_bytes(_redigested(small_layout, bytes(payload)))
+    assert ingest._read_exec_table(table, small_layout.exec_records_csv) is None
+
+
+def test_exec_records_csv_is_read_once_when_its_last_record_is_bad(tmp_path, monkeypatch):
+    history, _ = generate_synthetic_history(SMALL_CFG, seed=7)
+    layout = write_dataset(history, tmp_path / "ds")
+    layout.exec_table.unlink()
+    with open(layout.exec_records_csv, "a") as f:
+        f.write("1,j0,t.java,9,1.0\n")
+    last = len(layout.exec_records_csv.read_text().splitlines())
+    opened = []
+    lines = ingest._lines
+
+    def counted(path, newline):
+        opened.append(path)
+        return lines(path, newline)
+
+    monkeypatch.setattr(ingest, "_lines", counted)
+    with pytest.raises(SchemaError, match=rf"exec_records\.csv:{last}: 9 is not a valid Verdict"):
+        ingest_exec_records(layout)
+    assert opened.count(layout.exec_records_csv) == 1
+
+
+def test_csv_error_names_its_physical_line(tmp_path):
+    # csv.Error (here a field longer than the csv module's limit) names the
+    # line it is raised on, not the last record's
+    root = tmp_path / "ds"
+    _write_min_dataset(root)
+    (root / "builds.csv").write_text(
+        "build_id,timestamp_iso8601,commits\n1,2024-01-01T00:00:00+00:00,\n\n2," + "x" * 131073
+        + ",\n"
+    )
+    with pytest.raises(SchemaError, match=r"builds\.csv:4: field larger than field limit"):
+        ingest_exec_records(DatasetLayout(root))
 
 
 def test_exec_table_bytes_repeat(tmp_path):
@@ -271,7 +327,7 @@ def test_stale_exec_table_is_ignored(tmp_path, monkeypatch):
     history, _ = generate_synthetic_history(SMALL_CFG, seed=7)
     layout = write_dataset(history, tmp_path / "ds")
     with monkeypatch.context() as m:  # an intact table stands in for the parse
-        m.setattr(ingest, "_exec_columns", None)
+        m.setattr(ingest, "_exec_rows", None)
         assert ingest_exec_records(layout) == history
     table = layout.exec_table.read_bytes()
     # one verdict edited in place keeps the CSV's size, not its digest
