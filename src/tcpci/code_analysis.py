@@ -1,9 +1,12 @@
 """Token-level static analysis of Java-family source files.
 
-This is deliberately a heuristic tokenizer, not a parser: comments and
-string literals are stripped first, then declarations and control-flow
-constructs are recognized from token patterns.  The rules are fixed and
-documented here so every metric is reproducible:
+This is deliberately a heuristic tokenizer, not a parser.  A file is lexed
+in one pass, one ``findall`` of ``_LEX_RE``, which yields its tokens, its
+comments and string literals, and each line's start: from these come each
+token's 1-based line, each line's kind and the file's import statements,
+with comments and literal contents skipped.  Declarations and control-flow
+constructs are then recognized from token patterns.  The rules are fixed
+and documented here so every metric is reproducible:
 
 * a "unit" (function/method) is an identifier followed by a parenthesized
   parameter list and then ``{`` at class-body depth;
@@ -30,7 +33,7 @@ from __future__ import annotations
 import bisect
 import math
 import re
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .catalog import CHANGE_METRICS, COMPLEXITY_METRICS, PROCESS_METRICS
@@ -48,6 +51,8 @@ JAVA_KEYWORDS = frozenset(
 _CONTROL = ("if", "for", "while", "case", "catch")
 _CONTROL_MODIFIED = ("if", "for", "while", "switch", "catch")  # switch once, not per case
 _LOGICAL = ("&&", "||", "?")
+# the tokens a unit's metrics count
+_COUNTED = frozenset((*_CONTROL_MODIFIED, "case", *_LOGICAL, "return", "break", "continue", ";"))
 _TYPE_KEYWORDS = frozenset({"class", "interface", "enum", "record"})
 _ACCESS = frozenset({"public", "private", "protected"})
 
@@ -56,11 +61,11 @@ DMM_SIZE_THRESHOLD = 15
 DMM_COMPLEXITY_THRESHOLD = 5
 DMM_INTERFACING_THRESHOLD = 2
 
-_TOKEN_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*|&&|\|\||[{}();?,=:<>\[\]]")
-# whether a token is an identifier, and one that names a type by convention
+# whether a token is an identifier
 _is_ident = re.compile(r"[A-Za-z_$]").match
-_is_type_name = re.compile(r"[A-Z]").match
-_IMPORT_RE = re.compile(r"\bimport\s+(?:static\s+)?([\w.]+?)(\.\*)?\s*;")
+# an import statement; "import" must not follow a word character (as with
+# a leading \b), and as the pattern's first text it is found by a fast scan
+_IMPORT_RE = re.compile(r"import(?<!\wimport)\s+(?:static\s+)?([\w.]+?)(\.\*)?\s*;")
 
 
 # One row of each metric family, with fields named by the catalog.
@@ -87,48 +92,79 @@ def is_test_file(path: str) -> bool:
     return bool(re.match(r"^Test\w*\.java$", name) or re.search(r"\w*Test\.java$", name))
 
 
-# --- comment/string stripping -------------------------------------------
+# --- lexing -------------------------------------------------------------
 
-# One lexeme is a comment (group 1), or a string/char literal or text
-# block: its quotes (2), interior (3) and closing quotes (4); both may run
-# unclosed to the end.
-_LEXEME_RE = re.compile(
-    r"(//[^\n]*|/\*[\s\S]*?(?:\*/|\Z))"
-    r"""|("{3}|["'])((?:\\[^\n]|\\|(?!\2)[^\\])*)(\2?)"""
+# One element of a file's text, which is lexed with a "\n" put in front: a
+# token; a line break with the next line's indent and, when that line
+# starts with a character that begins no other element, that character; a
+# comment; or a string/char literal or text block (both may run unclosed
+# to the end).  Only a line break starts with "\n" and only a comment or a
+# literal with "/", '"' or "'", so the first character tells them apart.
+_LEX_RE = re.compile(
+    r"[A-Za-z_$][A-Za-z0-9_$]*|[{}();?,=:<>\[\]]|&&|\|\|"
+    r"|\n[^\S\n]*(?:[^\s/\"'A-Za-z_$&|{}();?,=:<>\[\]]|/(?![/*])|&(?!&)|\|(?!\|))?"
+    r"|//[^\n]*|/\*[\s\S]*?(?:\*/|\Z)"
+    r'''|"""(?:\\[^\n]|\\|(?!""")[^\\])*(?:""")?'''
+    r'''|"(?:\\[^\n]|\\|[^\\"])*"?|'(?:\\[^\n]|\\|[^\\'])*'?'''
 )
-_NOT_NEWLINE_RE = re.compile(r"[^\n]")
+_LEXEMES = "/\"'"  # the first characters of comments and literals
+_NOT_TOKEN = "\n" + _LEXEMES
 
 
-def _blank(text: str) -> str:
-    return _NOT_NEWLINE_RE.sub(" ", text)
+def _lex(text: str) -> list[str]:
+    """The elements of ``text`` in order (see ``_LEX_RE``); the first one
+    is the line break put in front."""
+    return _LEX_RE.findall("\n" + text)
 
 
-def _code_text(text: str) -> str:
-    """``text`` with comments and string contents blanked out, at the
-    same length and offsets."""
-    return _LEXEME_RE.sub(lambda m: _blank(m[1]) if m[1] else m[2] + _blank(m[3]) + m[4], text)
-
-
-def _strip_comments(text: str) -> tuple[str, list[str]]:
-    """Blank out comments and string contents.
-
-    Returns the code-only text (same length/offsets as the input) and a
-    per-line classification: "blank", "code", or "comment".
-    """
-    code = _code_text(text)
-    # a line's kind is whichever comes first on it: text outside comments
-    # (code or a literal's text) or a comment
-    bare = _LEXEME_RE.sub(lambda m: _blank(m[1]) if m[1] else m[0], text)
-    kinds = []
-    for bare_line, line in zip(bare.split("\n"), text.split("\n")):
-        rest = line.lstrip()
-        if not rest:
-            kinds.append("blank")
-        else:
-            kinds.append("comment" if bare_line[len(line) - len(rest)].isspace() else "code")
+def _tokens(text: str, elements: list[str]) -> tuple[list[str], list[int], list[str]]:
+    """The tokens of a lexed file with their 1-based lines, and each line's
+    kind: "blank", "code", or "comment"."""
+    toks: list[str] = []
+    lines: list[int] = []
+    kinds: list[str] = []
+    line = 0
+    last = len(elements) - 1
+    for i, e in enumerate(elements):
+        first = e[0]
+        if first not in _NOT_TOKEN:
+            toks.append(e)
+            lines.append(line)
+        elif first == "\n":
+            line += 1
+            if not e[-1].isspace():  # a character that begins no element
+                kinds.append("code")
+            elif i == last or elements[i + 1][0] == "\n":
+                kinds.append("blank")
+            else:
+                kinds.append("comment" if elements[i + 1][0] == "/" else "code")
+        elif "\n" in e:  # a line that starts inside a comment or literal
+            kind = "comment" if first == "/" else "code"
+            for rest in e.split("\n")[1:]:
+                line += 1
+                kinds.append(kind if rest.strip() else "blank")
     if not text or text.endswith("\n"):
         kinds.pop()  # nothing follows the last newline, so it starts no line
-    return code, kinds
+    return toks, lines, kinds
+
+
+def _imports(text: str, elements: list[str]) -> list[tuple[str, str]]:
+    """The dotted name and wildcard suffix of each import statement of a
+    lexed file.  The statements are matched with each comment read as a
+    space and each literal as a quote, which keeps every match of the code
+    text (no match can hold a quote)."""
+    if "import" not in text:
+        return []
+    if any(c in text for c in _LEXEMES):
+        pieces, pos = [], 0
+        for e in elements:
+            if e[0] in _LEXEMES:
+                # no comment or literal opener lies between pos and e
+                start = text.index(e, pos)
+                pieces += text[pos:start], " " if e[0] == "/" else '"'
+                pos = start + len(e)
+        text = "".join(pieces) + text[pos:]
+    return _IMPORT_RE.findall(text)
 
 
 # --- unit detection -----------------------------------------------------
@@ -143,20 +179,21 @@ class Unit:
     modifiers: frozenset[str]
     end_line: int = 0
     max_depth: int = 0
-    tokens: Counter[str] = field(default_factory=Counter)  # body tokens
+    # how often each token of _COUNTED is in the body
+    tokens: dict[str, int] = field(default_factory=dict.fromkeys(_COUNTED, 0).copy)
     ends_with_return: bool = False  # the last statement so far is a return
 
     @property
     def cyclomatic(self) -> int:
-        return 1 + sum(self.tokens[t] for t in _CONTROL)
+        return 1 + sum(map(self.tokens.__getitem__, _CONTROL))
 
     @property
     def cyclomatic_modified(self) -> int:
-        return 1 + sum(self.tokens[t] for t in _CONTROL_MODIFIED)
+        return 1 + sum(map(self.tokens.__getitem__, _CONTROL_MODIFIED))
 
     @property
     def cyclomatic_strict(self) -> int:
-        return self.cyclomatic + sum(self.tokens[t] for t in _LOGICAL)
+        return self.cyclomatic + sum(map(self.tokens.__getitem__, _LOGICAL))
 
     @property
     def essential(self) -> int:
@@ -187,165 +224,114 @@ def _count_params(tokens: list[str]) -> int:
     return count
 
 
-@dataclass
-class _ParseResult:
-    units: list[Unit]
-    n_classes: int
-    n_class_vars: int
-    n_instance_vars: int
-    decl_semis: int
-    exe_line_set: set[int]  # 1-based lines inside unit bodies
-    called_types: set[str]
-    declared_types: set[str]
+# the tokens the parse acts on; every other token only joins a statement
+_BOUNDARIES = frozenset("{};")
+_EVENTS = _BOUNDARIES | _TYPE_KEYWORDS | _COUNTED | {"("}
+# the tokens that end a unit header: "{" confirms it, the others do not
+_HEADER_END = frozenset({"{", ";", "=", ")", "(", "}"})
 
 
-def _parse(code: str) -> _ParseResult:
-    """Single-pass token scan recognizing classes, units, and fields."""
-    # (token, 1-based line); no token spans a newline
-    toks: list[tuple[str, int]] = [
-        (tok, ln)
-        for ln, line in enumerate(code.split("\n"), start=1)
-        for tok in _TOKEN_RE.findall(line)
-    ]
+def _parse(toks: list[str], lines: list[int]) -> tuple:
+    """Single-pass token scan recognizing classes, units, and fields: the
+    units, the counts of classes, class and instance variables and
+    declaration semicolons, and the lines of unit bodies that hold a token.
+
+    A statement is the tokens since the last ``;``, ``{`` or ``}``.  A
+    unit's body is the tokens after its ``{`` up to its ``}``; those of a
+    unit declared inside it count for the inner unit only.
+    """
     units: list[Unit] = []
     unit_stack: list[Unit] = []
+    opens: list[int] = []  # index of each open unit's "{"
     frame_stack: list[str] = []  # 'class' | 'unit' | 'other'
-    n_classes = 0
-    n_class_vars = 0
-    n_instance_vars = 0
-    decl_semis = 0
+    n_classes = n_class_vars = n_instance_vars = decl_semis = 0
     exe_lines: set[int] = set()
-    called: set[str] = set()
-    declared: set[str] = set()
 
-    stmt_buf: list[str] = []  # tokens since last ; { }
+    stmt = 0  # index of the current statement's first token
     pending_class = False
     pending_unit: Unit | None = None
-    i = 0
     depth = 0
-    while i < len(toks):
-        tok, ln = toks[i]
-        if unit_stack:
-            exe_lines.add(ln)
-            u = unit_stack[-1]
-            u.tokens[tok] += 1
-            if tok == "return":
-                u.ends_with_return = True
-            elif not stmt_buf and tok not in (";", "}"):
-                u.ends_with_return = False  # another statement follows the return
-
-        if tok in _TYPE_KEYWORDS and i + 1 < len(toks):
-            nxt_tok = toks[i + 1][0]
-            if nxt_tok not in JAVA_KEYWORDS and _is_ident(nxt_tok):
+    n = len(toks)
+    for i, tok in enumerate(toks):
+        if tok not in _EVENTS:
+            continue
+        if tok == "(":
+            name = toks[i - 1] if i else ""
+            at_class_body = frame_stack and frame_stack[-1] == "class"
+            if at_class_body and pending_unit is None and not pending_class and (
+                _is_ident(name) and name not in JAVA_KEYWORDS
+            ):
+                # candidate unit declaration: name ( params ) [throws ...] {
+                j = i + 1
+                pdepth = 1
+                while j < n and pdepth > 0:
+                    t = toks[j]
+                    if t == "(":
+                        pdepth += 1
+                    elif t == ")":
+                        pdepth -= 1
+                    j += 1
+                ptoks = toks[i + 1 : j - 1 if pdepth == 0 else j]
+                while j < n and toks[j] not in _HEADER_END and (
+                    toks[j] not in JAVA_KEYWORDS or toks[j] == "throws"
+                ):
+                    j += 1
+                if j < n and toks[j] == "{":
+                    modifiers = frozenset(t for t in toks[stmt:i] if t in _ACCESS or t == "static")
+                    pending_unit = Unit(name, lines[i - 1], depth + 1, _count_params(ptoks), modifiers)
+        elif tok in _TYPE_KEYWORDS:
+            if i + 1 < n and toks[i + 1] not in JAVA_KEYWORDS and _is_ident(toks[i + 1]):
                 pending_class = True
-                declared.add(nxt_tok)
-
-        at_class_body = bool(frame_stack) and frame_stack[-1] == "class"
-        if (
-            tok == "("
-            and at_class_body
-            and pending_unit is None
-            and not pending_class
-            and i > 0
-            and _is_ident(toks[i - 1][0])
-            and toks[i - 1][0] not in JAVA_KEYWORDS
-        ):
-            # candidate unit declaration: name ( params ) [throws ...] {
-            name = toks[i - 1][0]
-            j = i + 1
-            pdepth = 1
-            ptoks = []
-            while j < len(toks) and pdepth > 0:
-                t = toks[j][0]
-                if t == "(":
-                    pdepth += 1
-                elif t == ")":
-                    pdepth -= 1
-                if pdepth > 0:
-                    ptoks.append(t)
-                j += 1
-            k = j
-            confirmed = False
-            while k < len(toks):
-                t = toks[k][0]
-                if t == "{":
-                    confirmed = True
-                    break
-                if t in (";", "=", ")", "(", "}"):
-                    break
-                if t not in ("throws", ",") and t in JAVA_KEYWORDS and t != "throws":
-                    break
-                k += 1
-            if confirmed:
-                mods = frozenset(t for t in stmt_buf if t in _ACCESS or t == "static")
-                pending_unit = Unit(
-                    name=name,
-                    start_line=toks[i - 1][1],
-                    body_depth=depth + 1,
-                    param_count=_count_params(ptoks),
-                    modifiers=mods,
-                )
-
-        if tok == "{":
-            depth += 1
-            if pending_class:
-                frame_stack.append("class")
-                n_classes += 1
-                pending_class = False
-            elif pending_unit is not None:
-                pending_unit.body_depth = depth
-                frame_stack.append("unit")
-                unit_stack.append(pending_unit)
-                pending_unit = None
-            else:
-                frame_stack.append("other")
+        elif tok not in _BOUNDARIES:  # a counted token
             if unit_stack:
-                unit_stack[-1].max_depth = max(unit_stack[-1].max_depth, depth)
-            stmt_buf = []
-        elif tok == "}":
-            depth -= 1
-            frame = frame_stack.pop() if frame_stack else "other"
-            if frame == "unit" and unit_stack:
-                u = unit_stack.pop()
-                u.end_line = ln
-                units.append(u)
-            stmt_buf = []
-        elif tok == ";":
-            if frame_stack and frame_stack[-1] == "class" and not unit_stack:
-                if "(" not in stmt_buf:
-                    idents = [
-                        t
-                        for t in stmt_buf
-                        if _is_ident(t) and t not in JAVA_KEYWORDS
-                    ]
+                unit_stack[-1].tokens[tok] += 1
+                if tok == "return":
+                    unit_stack[-1].ends_with_return = True
+        else:  # a boundary ends the statement
+            if tok == "{":
+                depth += 1
+                if pending_class:
+                    frame_stack.append("class")
+                    n_classes += 1
+                    pending_class = False
+                elif pending_unit is not None:
+                    pending_unit.body_depth = depth
+                    frame_stack.append("unit")
+                    unit_stack.append(pending_unit)
+                    opens.append(i)
+                    pending_unit = None
+                else:
+                    frame_stack.append("other")
+                if unit_stack:
+                    unit_stack[-1].max_depth = max(unit_stack[-1].max_depth, depth)
+            elif tok == "}":
+                depth -= 1
+                frame = frame_stack.pop() if frame_stack else "other"
+                if frame == "unit" and unit_stack:
+                    u = unit_stack.pop()
+                    u.end_line = lines[i]
+                    exe_lines.update(lines[opens.pop() + 1 : i + 1])
+                    units.append(u)
+            elif unit_stack:
+                unit_stack[-1].tokens[";"] += 1
+            else:
+                decl_semis += 1
+                stmt_buf = toks[stmt:i]
+                if frame_stack and frame_stack[-1] == "class" and "(" not in stmt_buf:
+                    idents = [t for t in stmt_buf if _is_ident(t) and t not in JAVA_KEYWORDS]
                     if len(idents) >= 2 or ("=" in stmt_buf and idents):
                         if "static" in stmt_buf:
                             n_class_vars += 1
                         else:
                             n_instance_vars += 1
-            if not unit_stack:
-                decl_semis += 1
-            stmt_buf = []
-        else:
-            stmt_buf.append(tok)
-            if (
-                _is_type_name(tok)
-                and tok not in JAVA_KEYWORDS
-                and not (i + 1 < len(toks) and pending_class)
-            ):
-                called.add(tok)
-        i += 1
+            stmt = i + 1
+            # a statement that follows a return is the unit's last one now
+            if unit_stack and stmt < n and toks[stmt] not in (";", "}", "return"):
+                unit_stack[-1].ends_with_return = False
 
-    return _ParseResult(
-        units=units,
-        n_classes=n_classes,
-        n_class_vars=n_class_vars,
-        n_instance_vars=n_instance_vars,
-        decl_semis=decl_semis,
-        exe_line_set=exe_lines,
-        called_types=called,
-        declared_types=declared,
-    )
+    if opens:  # a unit left open runs to the end of the file
+        exe_lines.update(lines[opens[0] + 1 :])
+    return units, n_classes, n_class_vars, n_instance_vars, decl_semis, exe_lines
 
 
 # --- file index for import/call resolution ------------------------------
@@ -358,6 +344,7 @@ class FileIndex:
         self.paths = set(paths)
         self._by_stem: dict[str, list[str]] = {}
         self._components: dict[str, tuple[str, ...]] = {}
+        self._imports: dict[str, str | None] = {}  # each dotted name resolved so far
         for p in sorted(self.paths):
             comps = tuple(p.replace("\\", "/").split("/"))
             self._components[p] = comps
@@ -366,14 +353,16 @@ class FileIndex:
 
     def resolve_import(self, dotted: str) -> str | None:
         """Resolve ``a.b.C`` to a unique file ending in ``a/b/C.java``."""
-        parts = dotted.split(".")
-        want = tuple(parts[:-1] + [parts[-1] + ".java"])
-        hits = [
-            p
-            for p in self._by_stem.get(parts[-1], [])
-            if self._components[p][-len(want):] == want
-        ]
-        return hits[0] if len(hits) == 1 else None
+        if dotted not in self._imports:
+            parts = dotted.split(".")
+            want = tuple(parts[:-1] + [parts[-1] + ".java"])
+            hits = [
+                p
+                for p in self._by_stem.get(parts[-1], [])
+                if self._components[p][-len(want):] == want
+            ]
+            self._imports[dotted] = hits[0] if len(hits) == 1 else None
+        return self._imports[dotted]
 
     def resolve_type(self, name: str) -> str | None:
         """Resolve a capitalized identifier to its unique declaring file."""
@@ -389,24 +378,23 @@ def analyze_file(
     Pure function of the file text (plus the repository file set used for
     import/call resolution); unparseable regions contribute line counts only.
     """
-    code, line_kinds = _strip_comments(source)
-    n_lines = len(line_kinds)
-    n_blank = sum(1 for k in line_kinds if k == "blank")
-    n_comment = sum(1 for k in line_kinds if k == "comment")
+    elements = _lex(source)
+    toks, lines, kinds = _tokens(source, elements)
+    n_lines = len(kinds)
+    n_blank = kinds.count("blank")
+    n_comment = kinds.count("comment")
     n_code = n_lines - n_blank - n_comment
 
-    parsed = _parse(code)
-    units = parsed.units
-    code_lines = {i + 1 for i, k in enumerate(line_kinds) if k == "code"}
-    exe_code_lines = code_lines & parsed.exe_line_set
-    n_code_exe = len(exe_code_lines)
+    units, n_classes, n_class_vars, n_instance_vars, decl_semis, exe_lines = _parse(toks, lines)
+    n_code_exe = sum(1 for line in exe_lines if kinds[line - 1] == "code")
     n_code_decl = n_code - n_code_exe
 
-    exe_semis = sum(u.tokens[";"] for u in units)
-    exe_ctrl = sum(u.tokens[t] for u in units for t in (*_CONTROL, "switch"))
-    n_stmt_exe = exe_semis + exe_ctrl
-    n_stmt_decl = parsed.decl_semis + len(units)
-    n_static = sum(1 for u in units if "static" in u.modifiers)
+    n_stmt_exe = sum(u.tokens[t] for u in units for t in (";", *_CONTROL, "switch"))
+    n_stmt_decl = decl_semis + len(units)
+    rows = [(u.cyclomatic, u.cyclomatic_modified, u.cyclomatic_strict, u.essential) for u in units]
+    cyclomatic, modified, strict, essential = zip(*rows) if rows else ((),) * 4
+    modifiers = [u.modifiers for u in units]
+    n_static = sum("static" in m for m in modifiers)
 
     metrics = ComplexityMetrics(
         CountDeclFunction=len(units),
@@ -420,76 +408,87 @@ def analyze_file(
         CountStmtDecl=n_stmt_decl,
         CountStmtExe=n_stmt_exe,
         RatioCommentToCode=(n_comment / n_code) if n_code else 0.0,
-        MaxCyclomatic=max((u.cyclomatic for u in units), default=0),
-        MaxCyclomaticModified=max((u.cyclomatic_modified for u in units), default=0),
-        MaxCyclomaticStrict=max((u.cyclomatic_strict for u in units), default=0),
-        MaxEssential=max((u.essential for u in units), default=0),
+        MaxCyclomatic=max(cyclomatic, default=0),
+        MaxCyclomaticModified=max(modified, default=0),
+        MaxCyclomaticStrict=max(strict, default=0),
+        MaxEssential=max(essential, default=0),
         MaxNesting=max((u.nesting for u in units), default=0),
-        SumCyclomatic=sum(u.cyclomatic for u in units),
-        SumCyclomaticModified=sum(u.cyclomatic_modified for u in units),
-        SumCyclomaticStrict=sum(u.cyclomatic_strict for u in units),
-        SumEssential=sum(u.essential for u in units),
-        CountDeclClass=parsed.n_classes,
+        SumCyclomatic=sum(cyclomatic),
+        SumCyclomaticModified=sum(modified),
+        SumCyclomaticStrict=sum(strict),
+        SumEssential=sum(essential),
+        CountDeclClass=n_classes,
         CountDeclClassMethod=n_static,
-        CountDeclClassVariable=parsed.n_class_vars,
+        CountDeclClassVariable=n_class_vars,
         CountDeclExecutableUnit=sum(1 for u in units if u.tokens[";"]),
         CountDeclInstanceMethod=len(units) - n_static,
-        CountDeclInstanceVariable=parsed.n_instance_vars,
+        CountDeclInstanceVariable=n_instance_vars,
         CountDeclMethod=len(units),
-        CountDeclMethodDefault=sum(1 for u in units if not (u.modifiers & _ACCESS)),
-        CountDeclMethodPrivate=sum(1 for u in units if "private" in u.modifiers),
-        CountDeclMethodProtected=sum(1 for u in units if "protected" in u.modifiers),
-        CountDeclMethodPublic=sum(1 for u in units if "public" in u.modifiers),
+        CountDeclMethodDefault=sum(not (m & _ACCESS) for m in modifiers),
+        CountDeclMethodPrivate=sum("private" in m for m in modifiers),
+        CountDeclMethodProtected=sum("protected" in m for m in modifiers),
+        CountDeclMethodPublic=sum("public" in m for m in modifiers),
     )
 
     if index is None:
         return metrics, SourceEntity(path)
-    return metrics, _entity(code, path, index, parsed.declared_types, parsed.called_types)
+    return metrics, _entity(source, elements, path, index)
 
 
 def scan_entity(source: str, path: str, index: FileIndex) -> SourceEntity:
     """The dependency targets :func:`analyze_file` finds for one file, from
-    its tokens alone: no line kinds and no unit parse."""
-    code = _code_text(source)
-    declared: set[str] = set()
-    called: set[str] = set()
-    toks = _TOKEN_RE.findall(code)
-    last = len(toks) - 1
-    pending_class = False  # a type name is declared and its body not yet open
-    for i, tok in enumerate(toks):
-        # a token is ASCII, so this is _is_type_name; no keyword is
-        # capitalized, and the last token counts even after a type keyword
-        if "A" <= tok < "[":
-            if not pending_class or i == last:
-                called.add(tok)
-        elif tok == "{":
-            pending_class = False
-        elif tok in _TYPE_KEYWORDS:
-            if i < last and toks[i + 1] not in JAVA_KEYWORDS and _is_ident(toks[i + 1]):
-                pending_class = True
-                declared.add(toks[i + 1])
-    return _entity(code, path, index, declared, called)
+    its elements alone: no line kinds and no unit parse."""
+    return _entity(source, _lex(source), path, index)
 
 
-def _entity(
-    code: str, path: str, index: FileIndex, declared: set[str], called: set[str]
-) -> SourceEntity:
-    """The resolved import and call targets of a file's code text, given
-    the type names it declares and the ones it names."""
+def _entity(source: str, elements: list[str], path: str, index: FileIndex) -> SourceEntity:
+    """The resolved import and call targets of a lexed file: its imports,
+    and the type names it names less the ones it declares."""
     imports: set[str] = set()
     calls: set[str] = set()
-    for m in _IMPORT_RE.finditer(code):
-        if m.group(2):  # wildcard imports produce no edges
+    for name, wildcard in _imports(source, elements):
+        if wildcard:  # wildcard imports produce no edges
             continue
-        target = index.resolve_import(m.group(1))
+        target = index.resolve_import(name)
         if target is not None and target != path:
             imports.add(target)
-    own = declared | {path.replace("\\", "/").split("/")[-1].rsplit(".", 1)[0]}
-    for name in called - own:
-        target = index.resolve_type(name)
-        if target is not None and target != path:
-            calls.add(target)
+    stem = path.replace("\\", "/").split("/")[-1].rsplit(".", 1)[0]
+    # only a token that is the stem of another file can resolve to a call
+    if (index._by_stem.keys() & elements) - {stem}:
+        declared, called = _type_names(elements)
+        for name in called - declared - {stem}:
+            target = index.resolve_type(name)
+            if target is not None and target != path:
+                calls.add(target)
     return SourceEntity(path, frozenset(imports), frozenset(calls))
+
+
+def _type_names(elements: list[str]) -> tuple[set[str], set[str]]:
+    """The type names a lexed file declares, and the ones it names outside
+    the headers of its type declarations."""
+    declared: set[str] = set()
+    called: set[str] = set()
+    last = len(elements) - 1  # the last token
+    while last and elements[last][0] in _NOT_TOKEN:
+        last -= 1
+    pending_class = False  # a type name is declared and its body not yet open
+    for i, e in enumerate(elements):
+        # a token that names a type by convention starts with [A-Z]; no
+        # other element and no keyword is capitalized, and the last token
+        # counts even after a type keyword
+        if "A" <= e < "[":
+            if not pending_class or i == last:
+                called.add(e)
+        elif e == "{":
+            pending_class = False
+        elif e in _TYPE_KEYWORDS:
+            j = i + 1
+            while j < last and elements[j][0] in _NOT_TOKEN:
+                j += 1
+            if i < last and elements[j] not in JAVA_KEYWORDS and _is_ident(elements[j]):
+                pending_class = True
+                declared.add(elements[j])
+    return declared, called
 
 
 # --- DMM risk assessment ------------------------------------------------
@@ -497,8 +496,8 @@ def _entity(
 
 def unit_spans(source: str) -> list[Unit]:
     """Detected units with their line spans, for chunk-to-unit mapping."""
-    code, _ = _strip_comments(source)
-    return _parse(code).units
+    toks, lines, _ = _tokens(source, _lex(source))
+    return _parse(toks, lines)[0]
 
 
 def _risk_for_chunk(units: list[Unit], start: int) -> Unit | None:

@@ -76,7 +76,7 @@ from .model import (
 
 log = logging.getLogger(__name__)
 
-_HASH_RE = re.compile(r"^[0-9a-f]{40}$")
+_HASH_RE = re.compile(r"[0-9a-f]{40}")  # used with fullmatch: "$" would pass a final LF
 _HUNK_RE = re.compile(r"^@@ -(\d+)(?:,(\d+))? \+(\d+)(?:,(\d+))? @@", re.M)
 # The line that starts a file's diff, and the id line diff-tree prints
 # before a commit's diff.  A content line starts with "+", "-", " " or a
@@ -198,7 +198,7 @@ def _read_builds_csv(path: Path) -> list[tuple[int, datetime, tuple[str, ...]]]:
         ts = _parse_timestamp(ts, f"{path}:{lineno}")
         commits = tuple(c for c in commits.split(";") if c)
         for c in commits:
-            if not _HASH_RE.match(c):
+            if not _HASH_RE.fullmatch(c):
                 raise SchemaError(f"{path}:{lineno}: {c!r} is not a 40-hex commit hash")
         rows.append((build_id, ts, commits))
     if len({r[0] for r in rows}) != len(rows):

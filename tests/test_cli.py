@@ -233,6 +233,7 @@ RISK = {"lines_added": 1, "lines_deleted": 0, "low_size": True, "low_complexity"
         {"builds.csv": b"99\n"},
         {"builds.csv": b"0,2024-01-01T00:00:00+00:00,\n"},
         {"builds.csv": b"99,2024-01-01T00:00:00\xff,\n"},
+        {"builds.csv": b'99,2024-01-01T00:00:00+00:00,"' + b"a" * 40 + b'\n"\n'},
         {"commits.jsonl": b'{"hash": "\xff"}\n'},
         {"commits.jsonl": b"[" * 100_000 + b"\n"},
     ],
@@ -242,7 +243,7 @@ RISK = {"lines_added": 1, "lines_deleted": 0, "low_size": True, "low_complexity"
         "unit-risk-lines-string", "unit-risk-flag-int", "unit-risk-lines-negative",
         "commit-repeated",
         "record-short", "record-long", "record-not-utf8", "build-no-commits",
-        "build-no-timestamp", "build-id-0", "build-not-utf8", "commit-not-utf8",
+        "build-no-timestamp", "build-id-0", "build-not-utf8", "build-hash-final-lf", "commit-not-utf8",
         "commit-nested-deep",
     ],
 )
@@ -273,7 +274,11 @@ def test_malformed_dataset_value_exits_2(dataset, tmp_path, capsys, edit):
         path.write_text("\n".join(lines) + "\n")
     build = history_of(dataset).builds[-1]
     assert main(["extract", str(broken), "--build", str(build.id)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if key in ("exec_records.csv", "builds.csv", "commits.jsonl"):
+        # an appended line is reported at its own file and line
+        assert re.search(rf"{re.escape(key)}:\d+: ", err), err
 
 
 def _corrupt(data: bytes, row: int, how: tuple) -> bytes:
@@ -406,7 +411,7 @@ def builds_reference(path: Path) -> list:
         ts = ingest._parse_timestamp(row["timestamp_iso8601"], f"{path}:{lineno}")
         commits = tuple(c for c in row["commits"].split(";") if c)
         for c in commits:
-            if not ingest._HASH_RE.match(c):
+            if not re.fullmatch("[0-9a-f]{40}", c):
                 raise SchemaError(f"{path}:{lineno}: {c!r} is not a 40-hex commit hash")
         rows.append((build_id, ts, commits))
     if len({r[0] for r in rows}) != len(rows):
@@ -453,7 +458,7 @@ _BUILDS_VALUES = {
     "build_id": (["1", "2", "3", "9223372036854775807", " 2"],
                  ["0", "9223372036854775808", "-9223372036854775809", "x", ""]),
     "timestamp_iso8601": (["2024-01-01T00:00:00+00:00", "2024-01-01"], ["2024-13-01", ""]),
-    "commits": (["", "a" * 40, "a" * 40 + ";" + "b" * 40, ";"], ["A" * 40]),
+    "commits": (["", "a" * 40, "a" * 40 + ";" + "b" * 40, ";"], ["A" * 40, '"' + "a" * 40 + '\n"']),
     "other": (["", "o"], []),
 }
 _SPECIAL_VALUES = ['"q,\r\n"', '"\r"', "\r", '"a""b"', '"open', "x" * 131073]

@@ -1,18 +1,24 @@
 import hashlib
 import re
-from dataclasses import astuple
+from collections import Counter
+from dataclasses import astuple, dataclass, field
 from datetime import datetime, timezone
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcpci.catalog import CHANGE_METRICS, COMPLEXITY_METRICS, PROCESS_METRICS
+from tcpci import code_analysis
 from tcpci.code_analysis import (
+    JAVA_KEYWORDS,
+    ComplexityMetrics,
     FileIndex,
     ProcessHistory,
+    SourceEntity,
     analyze_file,
-    _LEXEME_RE,
-    _strip_comments,
+    _lex,
+    _tokens,
     assess_chunk_risks,
     change_scattering,
     compute_change_metrics,
@@ -21,6 +27,7 @@ from tcpci.code_analysis import (
     unit_spans,
 )
 from tcpci.model import Commit, FileChange, UnitRisk
+from tcpci.synth import generate_synthetic_history
 
 TS = datetime(2024, 1, 1, tzinfo=timezone.utc)
 
@@ -88,13 +95,15 @@ _JAVA_PIECES = [
 
 @given(st.lists(st.sampled_from(_JAVA_PIECES), max_size=40).map("".join))
 def test_strip_comments_keeps_layout(text):
-    code, kinds = _strip_comments(text)
+    code, kinds = lexed_code_and_kinds(text)
     assert len(code) == len(text)
     assert [i for i, c in enumerate(code) if c == "\n"] == [i for i, c in enumerate(text) if c == "\n"]
     # one kind per line, where only "\n" ends a line
     assert len(kinds) == (len(text.removesuffix("\n").split("\n")) if text else 0)
     # every code line has non-space text outside comments
-    bare = _LEXEME_RE.sub(lambda m: re.sub(r"[^\n]", " ", m[1]) if m[1] else m[0], text)
+    bare = analysis_reference.lexeme_re.sub(
+        lambda m: re.sub(r"[^\n]", " ", m[1]) if m[1] else m[0], text
+    )
     for line, kind in zip(bare.split("\n"), kinds):
         assert kind in ("blank", "code", "comment")
         if kind == "code":
@@ -143,7 +152,7 @@ def test_only_newline_ends_a_line():
 
 
 def test_text_block_is_one_literal():
-    code, kinds = _strip_comments('String s = """\n  say "hi" // x\n  """;\n')
+    code, kinds = lexed_code_and_kinds('String s = """\n  say "hi" // x\n  """;\n')
     assert "hi" not in code and "//" not in code
     assert kinds == ["code", "code", "code"]  # the literal's text is code
 
@@ -507,3 +516,423 @@ def test_analysis_golden():
     assert digest.hexdigest() == (
         "3dbdd8c5560abb91d75aa073d953506c90b2c6338fc17246189988e310dd75e3"
     )
+
+
+# --- the three-pass analysis the one-pass lexer replaced -----------------
+#
+# A copy of the comment stripping, per-line token parse and entity scan
+# that code_analysis used before each file was lexed once: the lexer and
+# everything read from it must give the same results on any text.
+
+_REF_TOKEN_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*|&&|\|\||[{}();?,=:<>\[\]]")
+_REF_IMPORT_RE = re.compile(r"\bimport\s+(?:static\s+)?([\w.]+?)(\.\*)?\s*;")
+_REF_LEXEME_RE = re.compile(
+    r"(//[^\n]*|/\*[\s\S]*?(?:\*/|\Z))"
+    r"""|("{3}|["'])((?:\\[^\n]|\\|(?!\2)[^\\])*)(\2?)"""
+)
+_is_ident = re.compile(r"[A-Za-z_$]").match
+_is_type_name = re.compile(r"[A-Z]").match
+
+
+@dataclass
+class _RefUnit:
+    name: str
+    start_line: int
+    body_depth: int
+    param_count: int
+    modifiers: frozenset
+    end_line: int = 0
+    max_depth: int = 0
+    tokens: Counter = field(default_factory=Counter)
+    ends_with_return: bool = False
+
+    @property
+    def cyclomatic(self):
+        return 1 + sum(self.tokens[t] for t in code_analysis._CONTROL)
+
+    @property
+    def cyclomatic_modified(self):
+        return 1 + sum(self.tokens[t] for t in code_analysis._CONTROL_MODIFIED)
+
+    @property
+    def cyclomatic_strict(self):
+        return self.cyclomatic + sum(self.tokens[t] for t in code_analysis._LOGICAL)
+
+    @property
+    def essential(self):
+        returns = self.tokens["return"] - self.ends_with_return
+        return 1 + self.tokens["break"] + self.tokens["continue"] + returns
+
+    @property
+    def nesting(self):
+        return self.max_depth - self.body_depth
+
+    @property
+    def size_lines(self):
+        return self.end_line - self.start_line + 1
+
+
+def _ref_blank(text):
+    return re.sub(r"[^\n]", " ", text)
+
+
+def _ref_code_text(text):
+    return _REF_LEXEME_RE.sub(
+        lambda m: _ref_blank(m[1]) if m[1] else m[2] + _ref_blank(m[3]) + m[4], text
+    )
+
+
+def _ref_strip_comments(text):
+    code = _ref_code_text(text)
+    bare = _REF_LEXEME_RE.sub(lambda m: _ref_blank(m[1]) if m[1] else m[0], text)
+    kinds = []
+    for bare_line, line in zip(bare.split("\n"), text.split("\n")):
+        rest = line.lstrip()
+        if not rest:
+            kinds.append("blank")
+        else:
+            kinds.append("comment" if bare_line[len(line) - len(rest)].isspace() else "code")
+    if not text or text.endswith("\n"):
+        kinds.pop()
+    return code, kinds
+
+
+def _ref_parse(code):
+    toks = [
+        (tok, ln)
+        for ln, line in enumerate(code.split("\n"), start=1)
+        for tok in _REF_TOKEN_RE.findall(line)
+    ]
+    units, unit_stack, frame_stack = [], [], []
+    n_classes = n_class_vars = n_instance_vars = decl_semis = 0
+    exe_lines, called, declared = set(), set(), set()
+    stmt_buf = []
+    pending_class = False
+    pending_unit = None
+    i = 0
+    depth = 0
+    while i < len(toks):
+        tok, ln = toks[i]
+        if unit_stack:
+            exe_lines.add(ln)
+            u = unit_stack[-1]
+            u.tokens[tok] += 1
+            if tok == "return":
+                u.ends_with_return = True
+            elif not stmt_buf and tok not in (";", "}"):
+                u.ends_with_return = False
+        if tok in code_analysis._TYPE_KEYWORDS and i + 1 < len(toks):
+            nxt_tok = toks[i + 1][0]
+            if nxt_tok not in JAVA_KEYWORDS and _is_ident(nxt_tok):
+                pending_class = True
+                declared.add(nxt_tok)
+        at_class_body = bool(frame_stack) and frame_stack[-1] == "class"
+        if (
+            tok == "("
+            and at_class_body
+            and pending_unit is None
+            and not pending_class
+            and i > 0
+            and _is_ident(toks[i - 1][0])
+            and toks[i - 1][0] not in JAVA_KEYWORDS
+        ):
+            name = toks[i - 1][0]
+            j = i + 1
+            pdepth = 1
+            ptoks = []
+            while j < len(toks) and pdepth > 0:
+                t = toks[j][0]
+                if t == "(":
+                    pdepth += 1
+                elif t == ")":
+                    pdepth -= 1
+                if pdepth > 0:
+                    ptoks.append(t)
+                j += 1
+            k = j
+            confirmed = False
+            while k < len(toks):
+                t = toks[k][0]
+                if t == "{":
+                    confirmed = True
+                    break
+                if t in (";", "=", ")", "(", "}"):
+                    break
+                if t not in ("throws", ",") and t in JAVA_KEYWORDS and t != "throws":
+                    break
+                k += 1
+            if confirmed:
+                mods = frozenset(t for t in stmt_buf if t in code_analysis._ACCESS or t == "static")
+                pending_unit = _RefUnit(
+                    name=name,
+                    start_line=toks[i - 1][1],
+                    body_depth=depth + 1,
+                    param_count=code_analysis._count_params(ptoks),
+                    modifiers=mods,
+                )
+        if tok == "{":
+            depth += 1
+            if pending_class:
+                frame_stack.append("class")
+                n_classes += 1
+                pending_class = False
+            elif pending_unit is not None:
+                pending_unit.body_depth = depth
+                frame_stack.append("unit")
+                unit_stack.append(pending_unit)
+                pending_unit = None
+            else:
+                frame_stack.append("other")
+            if unit_stack:
+                unit_stack[-1].max_depth = max(unit_stack[-1].max_depth, depth)
+            stmt_buf = []
+        elif tok == "}":
+            depth -= 1
+            frame = frame_stack.pop() if frame_stack else "other"
+            if frame == "unit" and unit_stack:
+                u = unit_stack.pop()
+                u.end_line = ln
+                units.append(u)
+            stmt_buf = []
+        elif tok == ";":
+            if frame_stack and frame_stack[-1] == "class" and not unit_stack:
+                if "(" not in stmt_buf:
+                    idents = [t for t in stmt_buf if _is_ident(t) and t not in JAVA_KEYWORDS]
+                    if len(idents) >= 2 or ("=" in stmt_buf and idents):
+                        if "static" in stmt_buf:
+                            n_class_vars += 1
+                        else:
+                            n_instance_vars += 1
+            if not unit_stack:
+                decl_semis += 1
+            stmt_buf = []
+        else:
+            stmt_buf.append(tok)
+            if (
+                _is_type_name(tok)
+                and tok not in JAVA_KEYWORDS
+                and not (i + 1 < len(toks) and pending_class)
+            ):
+                called.add(tok)
+        i += 1
+    return SimpleNamespace(
+        units=units, n_classes=n_classes, n_class_vars=n_class_vars,
+        n_instance_vars=n_instance_vars, decl_semis=decl_semis,
+        exe_line_set=exe_lines, called_types=called, declared_types=declared,
+    )
+
+
+def _ref_entity(code, path, index, declared, called):
+    imports, calls = set(), set()
+    for m in _REF_IMPORT_RE.finditer(code):
+        if m.group(2):
+            continue
+        target = index.resolve_import(m.group(1))
+        if target is not None and target != path:
+            imports.add(target)
+    own = declared | {path.replace("\\", "/").split("/")[-1].rsplit(".", 1)[0]}
+    for name in called - own:
+        target = index.resolve_type(name)
+        if target is not None and target != path:
+            calls.add(target)
+    return SourceEntity(path, frozenset(imports), frozenset(calls))
+
+
+def _ref_analyze_file(source, path, index=None):
+    code, line_kinds = _ref_strip_comments(source)
+    n_lines = len(line_kinds)
+    n_blank = sum(1 for k in line_kinds if k == "blank")
+    n_comment = sum(1 for k in line_kinds if k == "comment")
+    n_code = n_lines - n_blank - n_comment
+    parsed = _ref_parse(code)
+    units = parsed.units
+    code_lines = {i + 1 for i, k in enumerate(line_kinds) if k == "code"}
+    n_code_exe = len(code_lines & parsed.exe_line_set)
+    control = (*code_analysis._CONTROL, "switch")
+    n_stmt_exe = sum(u.tokens[";"] for u in units) + sum(u.tokens[t] for u in units for t in control)
+    n_stmt_decl = parsed.decl_semis + len(units)
+    n_static = sum(1 for u in units if "static" in u.modifiers)
+    access = code_analysis._ACCESS
+    metrics = ComplexityMetrics(
+        CountDeclFunction=len(units),
+        CountLine=n_lines,
+        CountLineBlank=n_blank,
+        CountLineCode=n_code,
+        CountLineCodeDecl=n_code - n_code_exe,
+        CountLineCodeExe=n_code_exe,
+        CountLineComment=n_comment,
+        CountStmt=n_stmt_decl + n_stmt_exe,
+        CountStmtDecl=n_stmt_decl,
+        CountStmtExe=n_stmt_exe,
+        RatioCommentToCode=(n_comment / n_code) if n_code else 0.0,
+        MaxCyclomatic=max((u.cyclomatic for u in units), default=0),
+        MaxCyclomaticModified=max((u.cyclomatic_modified for u in units), default=0),
+        MaxCyclomaticStrict=max((u.cyclomatic_strict for u in units), default=0),
+        MaxEssential=max((u.essential for u in units), default=0),
+        MaxNesting=max((u.nesting for u in units), default=0),
+        SumCyclomatic=sum(u.cyclomatic for u in units),
+        SumCyclomaticModified=sum(u.cyclomatic_modified for u in units),
+        SumCyclomaticStrict=sum(u.cyclomatic_strict for u in units),
+        SumEssential=sum(u.essential for u in units),
+        CountDeclClass=parsed.n_classes,
+        CountDeclClassMethod=n_static,
+        CountDeclClassVariable=parsed.n_class_vars,
+        CountDeclExecutableUnit=sum(1 for u in units if u.tokens[";"]),
+        CountDeclInstanceMethod=len(units) - n_static,
+        CountDeclInstanceVariable=parsed.n_instance_vars,
+        CountDeclMethod=len(units),
+        CountDeclMethodDefault=sum(1 for u in units if not (u.modifiers & access)),
+        CountDeclMethodPrivate=sum(1 for u in units if "private" in u.modifiers),
+        CountDeclMethodProtected=sum(1 for u in units if "protected" in u.modifiers),
+        CountDeclMethodPublic=sum(1 for u in units if "public" in u.modifiers),
+    )
+    if index is None:
+        return metrics, SourceEntity(path)
+    return metrics, _ref_entity(code, path, index, parsed.declared_types, parsed.called_types)
+
+
+def _ref_scan_entity(source, path, index):
+    code = _ref_code_text(source)
+    declared, called = set(), set()
+    toks = _REF_TOKEN_RE.findall(code)
+    last = len(toks) - 1
+    pending_class = False
+    for i, tok in enumerate(toks):
+        if "A" <= tok < "[":
+            if not pending_class or i == last:
+                called.add(tok)
+        elif tok == "{":
+            pending_class = False
+        elif tok in code_analysis._TYPE_KEYWORDS:
+            if i < last and toks[i + 1] not in JAVA_KEYWORDS and _is_ident(toks[i + 1]):
+                pending_class = True
+                declared.add(toks[i + 1])
+    return _ref_entity(code, path, index, declared, called)
+
+
+def _ref_unit_spans(source):
+    code, _ = _ref_strip_comments(source)
+    return _ref_parse(code).units
+
+
+def _ref_assess_chunk_risks(pre_source, post_source, added_spans, deleted_spans):
+    risks = []
+    for source, spans, added in ((post_source, added_spans, True), (pre_source, deleted_spans, False)):
+        units = _ref_unit_spans(source) if spans else []
+        for start, length in spans:
+            u = next((u for u in units if u.start_line <= start <= u.end_line), None)
+            if u is None:
+                continue
+            risks.append(
+                UnitRisk(
+                    lines_added=length if added else 0,
+                    lines_deleted=0 if added else length,
+                    low_size=u.size_lines <= code_analysis.DMM_SIZE_THRESHOLD,
+                    low_complexity=u.cyclomatic <= code_analysis.DMM_COMPLEXITY_THRESHOLD,
+                    low_interfacing=u.param_count <= code_analysis.DMM_INTERFACING_THRESHOLD,
+                )
+            )
+    return risks
+
+
+analysis_reference = SimpleNamespace(
+    code_text=_ref_code_text,
+    strip_comments=_ref_strip_comments,
+    token_re=_REF_TOKEN_RE,
+    lexeme_re=_REF_LEXEME_RE,
+    analyze_file=_ref_analyze_file,
+    scan_entity=_ref_scan_entity,
+    unit_spans=_ref_unit_spans,
+    assess_chunk_risks=_ref_assess_chunk_risks,
+)
+
+
+# pieces that exercise what the lexer decides: comments and literals that
+# span lines or run unclosed, CR LF, comments inside import statements and
+# unit headers, an "import" that a word character or "$" runs into, and
+# the tokens of each rule
+_LEXEME_PIECES = st.sampled_from([
+    '"""', '"""\n  say "hi" // x\n  """', '"a\\"b', "'\\''", '"x\\', "'", '"', "\r\n",
+    "/* a\n   b */", "/**\n * doc\n */\n", "/*\n\n*/", "/**/", "// c\n", "/* open",
+])
+_STATEMENT_PIECES = st.sampled_from([
+    "import /* c */ p.A;", "import p./* c */A;", "import // c\nq.C1;",
+    "import static /* c */ p.Bee ;", 'import "q".C1;', "$import p.A;", "\xe9import p.A;",
+    "1import r.Main;", "void f(/* x */ int a) {", "int g() /* c */ {",
+    "public static void h(int a, int b) throws E {", "private A k(Map<K, V> m) {", "static {",
+    "if (", "for", "while", "case", "switch", "catch", "return", "return;", "break;",
+    "continue;", "&&", "||", "?", "&", "|", "@Override", ".", "*", "1", "x = 1;", "int x;",
+    "static int y = 2;", "class X {", "new A() {", "}", "}\n", "(", ")",
+])
+_LEXER_PIECES = st.one_of(_ENTITY_PIECES, _LEXEME_PIECES, _STATEMENT_PIECES)
+_LEXER_TEXTS = st.lists(_LEXER_PIECES, max_size=40).map(" ".join) | st.lists(
+    _LEXER_PIECES, max_size=40
+).map("".join)
+
+
+def lexed_code_and_kinds(text):
+    """The code text (comments and literal interiors blanked) and the line
+    kinds, both read from the lexer's elements."""
+    elements = _lex(text)
+    pieces, pos = [], 0
+    for e in elements:
+        if e[0] in "/\"'":
+            start = text.index(e, pos)
+            m = analysis_reference.lexeme_re.fullmatch(e)
+            pieces += text[pos:start], re.sub(r"[^\n]", " ", m[1]) if m[1] else m[2] + re.sub(
+                r"[^\n]", " ", m[3]
+            ) + m[4]
+            pos = start + len(e)
+    return "".join(pieces) + text[pos:], _tokens(text, elements)[2]
+
+
+def _unit_rows(units):
+    return [
+        (u.name, u.start_line, u.end_line, u.cyclomatic, u.cyclomatic_modified,
+         u.cyclomatic_strict, u.essential, u.nesting, u.param_count, u.modifiers)
+        for u in units
+    ]
+
+
+def assert_analysis_matches_reference(text, path, index):
+    ref_metrics, ref_entity = analysis_reference.analyze_file(text, path, index)
+    metrics, entity = analyze_file(text, path, index)
+    assert [repr(v) for v in metrics] == [repr(v) for v in ref_metrics]
+    assert entity == ref_entity
+    metrics, entity = analyze_file(text, path)
+    assert [repr(v) for v in metrics] == [repr(v) for v in ref_metrics]
+    assert entity == SourceEntity(path)
+    assert scan_entity(text, path, index) == analysis_reference.scan_entity(text, path, index)
+    assert _unit_rows(unit_spans(text)) == _unit_rows(analysis_reference.unit_spans(text))
+    n = text.count("\n") + 2
+    spans = [(line, 1 + line % 3) for line in range(n)]
+    post = "class Z {\n" + text
+    assert assess_chunk_risks(text, post, spans, spans[::-1]) == analysis_reference.assess_chunk_risks(
+        text, post, spans, spans[::-1]
+    )
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_LEXER_TEXTS, st.sampled_from(sorted(_INDEX_FILES) + ["s/Other.java"]))
+def test_analysis_matches_the_three_pass_reference(text, path):
+    assert_analysis_matches_reference(text, path, FileIndex(_INDEX_FILES | {path}))
+
+
+def test_analysis_of_synth_sources_matches_the_three_pass_reference():
+    _, sources = generate_synthetic_history(seed=7)
+    index = FileIndex(set(sources))
+    for path, text in sources.items():
+        assert_analysis_matches_reference(text, path, index)
+    for path, text in GOLDEN_SOURCES.items():
+        assert_analysis_matches_reference(text, path, FileIndex(set(GOLDEN_SOURCES)))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_LEXER_TEXTS)
+def test_lexer_tokens_lines_and_kinds_match_the_reference(text):
+    code, kinds = analysis_reference.strip_comments(text)
+    toks, lines, lexed_kinds = _tokens(text, _lex(text))
+    matches = list(analysis_reference.token_re.finditer(code))
+    assert toks == analysis_reference.token_re.findall(code)
+    assert lines == [1 + text.count("\n", 0, m.start()) for m in matches]
+    assert lexed_kinds == kinds
