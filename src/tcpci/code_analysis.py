@@ -185,15 +185,15 @@ class Unit:
 
     @property
     def cyclomatic(self) -> int:
-        return 1 + sum(map(self.tokens.__getitem__, _CONTROL))
+        return 1 + sum(self.tokens[t] for t in _CONTROL)
 
     @property
     def cyclomatic_modified(self) -> int:
-        return 1 + sum(map(self.tokens.__getitem__, _CONTROL_MODIFIED))
+        return 1 + sum(self.tokens[t] for t in _CONTROL_MODIFIED)
 
     @property
     def cyclomatic_strict(self) -> int:
-        return self.cyclomatic + sum(map(self.tokens.__getitem__, _LOGICAL))
+        return self.cyclomatic + sum(self.tokens[t] for t in _LOGICAL)
 
     @property
     def essential(self) -> int:
@@ -344,7 +344,6 @@ class FileIndex:
         self.paths = set(paths)
         self._by_stem: dict[str, list[str]] = {}
         self._components: dict[str, tuple[str, ...]] = {}
-        self._imports: dict[str, str | None] = {}  # each dotted name resolved so far
         for p in sorted(self.paths):
             comps = tuple(p.replace("\\", "/").split("/"))
             self._components[p] = comps
@@ -353,16 +352,14 @@ class FileIndex:
 
     def resolve_import(self, dotted: str) -> str | None:
         """Resolve ``a.b.C`` to a unique file ending in ``a/b/C.java``."""
-        if dotted not in self._imports:
-            parts = dotted.split(".")
-            want = tuple(parts[:-1] + [parts[-1] + ".java"])
-            hits = [
-                p
-                for p in self._by_stem.get(parts[-1], [])
-                if self._components[p][-len(want):] == want
-            ]
-            self._imports[dotted] = hits[0] if len(hits) == 1 else None
-        return self._imports[dotted]
+        parts = dotted.split(".")
+        want = tuple(parts[:-1] + [parts[-1] + ".java"])
+        hits = [
+            p
+            for p in self._by_stem.get(parts[-1], [])
+            if self._components[p][-len(want):] == want
+        ]
+        return hits[0] if len(hits) == 1 else None
 
     def resolve_type(self, name: str) -> str | None:
         """Resolve a capitalized identifier to its unique declaring file."""

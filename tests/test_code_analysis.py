@@ -879,9 +879,7 @@ def lexed_code_and_kinds(text):
         if e[0] in "/\"'":
             start = text.index(e, pos)
             m = analysis_reference.lexeme_re.fullmatch(e)
-            pieces += text[pos:start], re.sub(r"[^\n]", " ", m[1]) if m[1] else m[2] + re.sub(
-                r"[^\n]", " ", m[3]
-            ) + m[4]
+            pieces += text[pos:start], _ref_blank(m[1]) if m[1] else m[2] + _ref_blank(m[3]) + m[4]
             pos = start + len(e)
     return "".join(pieces) + text[pos:], _tokens(text, elements)[2]
 
