@@ -120,9 +120,7 @@ def _lex(text: str) -> list[str]:
 def _tokens(text: str, elements: list[str]) -> tuple[list[str], list[int], list[str]]:
     """The tokens of a lexed file with their 1-based lines, and each line's
     kind: "blank", "code", or "comment"."""
-    toks: list[str] = []
-    lines: list[int] = []
-    kinds: list[str] = []
+    toks, lines, kinds = [], [], []
     line = 0
     last = len(elements) - 1
     for i, e in enumerate(elements):
@@ -185,15 +183,15 @@ class Unit:
 
     @property
     def cyclomatic(self) -> int:
-        return 1 + sum(self.tokens[t] for t in _CONTROL)
+        return 1 + sum(map(self.tokens.__getitem__, _CONTROL))
 
     @property
     def cyclomatic_modified(self) -> int:
-        return 1 + sum(self.tokens[t] for t in _CONTROL_MODIFIED)
+        return 1 + sum(map(self.tokens.__getitem__, _CONTROL_MODIFIED))
 
     @property
     def cyclomatic_strict(self) -> int:
-        return self.cyclomatic + sum(self.tokens[t] for t in _LOGICAL)
+        return self.cyclomatic + sum(map(self.tokens.__getitem__, _LOGICAL))
 
     @property
     def essential(self) -> int:
@@ -262,8 +260,7 @@ def _parse(toks: list[str], lines: list[int]) -> tuple:
                 _is_ident(name) and name not in JAVA_KEYWORDS
             ):
                 # candidate unit declaration: name ( params ) [throws ...] {
-                j = i + 1
-                pdepth = 1
+                j, pdepth = i + 1, 1
                 while j < n and pdepth > 0:
                     t = toks[j]
                     if t == "(":
@@ -344,6 +341,7 @@ class FileIndex:
         self.paths = set(paths)
         self._by_stem: dict[str, list[str]] = {}
         self._components: dict[str, tuple[str, ...]] = {}
+        self._imports: dict[str, str | None] = {}  # each dotted name resolved so far
         for p in sorted(self.paths):
             comps = tuple(p.replace("\\", "/").split("/"))
             self._components[p] = comps
@@ -352,14 +350,16 @@ class FileIndex:
 
     def resolve_import(self, dotted: str) -> str | None:
         """Resolve ``a.b.C`` to a unique file ending in ``a/b/C.java``."""
-        parts = dotted.split(".")
-        want = tuple(parts[:-1] + [parts[-1] + ".java"])
-        hits = [
-            p
-            for p in self._by_stem.get(parts[-1], [])
-            if self._components[p][-len(want):] == want
-        ]
-        return hits[0] if len(hits) == 1 else None
+        if dotted not in self._imports:
+            parts = dotted.split(".")
+            want = tuple(parts[:-1] + [parts[-1] + ".java"])
+            hits = [
+                p
+                for p in self._by_stem.get(parts[-1], [])
+                if self._components[p][-len(want):] == want
+            ]
+            self._imports[dotted] = hits[0] if len(hits) == 1 else None
+        return self._imports[dotted]
 
     def resolve_type(self, name: str) -> str | None:
         """Resolve a capitalized identifier to its unique declaring file."""
@@ -386,12 +386,18 @@ def analyze_file(
     n_code_exe = sum(1 for line in exe_lines if kinds[line - 1] == "code")
     n_code_decl = n_code - n_code_exe
 
-    n_stmt_exe = sum(u.tokens[t] for u in units for t in (";", *_CONTROL, "switch"))
+    # one column per unit value
+    (cyclomatic, modified, strict, essential, nesting, statements, executable,
+     static, default, private, protected, public) = list(zip(*(
+        (u.cyclomatic, u.cyclomatic_modified, u.cyclomatic_strict, u.essential, u.nesting,
+         sum(u.tokens[t] for t in (";", *_CONTROL, "switch")), u.tokens[";"] > 0,
+         "static" in u.modifiers, not u.modifiers & _ACCESS, "private" in u.modifiers,
+         "protected" in u.modifiers, "public" in u.modifiers)
+        for u in units
+    ))) or [()] * 12
+    n_stmt_exe = sum(statements)
     n_stmt_decl = decl_semis + len(units)
-    rows = [(u.cyclomatic, u.cyclomatic_modified, u.cyclomatic_strict, u.essential) for u in units]
-    cyclomatic, modified, strict, essential = zip(*rows) if rows else ((),) * 4
-    modifiers = [u.modifiers for u in units]
-    n_static = sum("static" in m for m in modifiers)
+    n_static = sum(static)
 
     metrics = ComplexityMetrics(
         CountDeclFunction=len(units),
@@ -409,7 +415,7 @@ def analyze_file(
         MaxCyclomaticModified=max(modified, default=0),
         MaxCyclomaticStrict=max(strict, default=0),
         MaxEssential=max(essential, default=0),
-        MaxNesting=max((u.nesting for u in units), default=0),
+        MaxNesting=max(nesting, default=0),
         SumCyclomatic=sum(cyclomatic),
         SumCyclomaticModified=sum(modified),
         SumCyclomaticStrict=sum(strict),
@@ -417,14 +423,14 @@ def analyze_file(
         CountDeclClass=n_classes,
         CountDeclClassMethod=n_static,
         CountDeclClassVariable=n_class_vars,
-        CountDeclExecutableUnit=sum(1 for u in units if u.tokens[";"]),
+        CountDeclExecutableUnit=sum(executable),
         CountDeclInstanceMethod=len(units) - n_static,
         CountDeclInstanceVariable=n_instance_vars,
         CountDeclMethod=len(units),
-        CountDeclMethodDefault=sum(not (m & _ACCESS) for m in modifiers),
-        CountDeclMethodPrivate=sum("private" in m for m in modifiers),
-        CountDeclMethodProtected=sum("protected" in m for m in modifiers),
-        CountDeclMethodPublic=sum("public" in m for m in modifiers),
+        CountDeclMethodDefault=sum(default),
+        CountDeclMethodPrivate=sum(private),
+        CountDeclMethodProtected=sum(protected),
+        CountDeclMethodPublic=sum(public),
     )
 
     if index is None:
@@ -453,10 +459,7 @@ def _entity(source: str, elements: list[str], path: str, index: FileIndex) -> So
     # only a token that is the stem of another file can resolve to a call
     if (index._by_stem.keys() & elements) - {stem}:
         declared, called = _type_names(elements)
-        for name in called - declared - {stem}:
-            target = index.resolve_type(name)
-            if target is not None and target != path:
-                calls.add(target)
+        calls = {index.resolve_type(name) for name in called - declared - {stem}} - {None, path}
     return SourceEntity(path, frozenset(imports), frozenset(calls))
 
 
