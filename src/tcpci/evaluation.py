@@ -13,6 +13,13 @@ failing tests first, each tier sorted by duration ascending.
 Zero is a valid duration.  A build whose durations are all 0 has no cost
 to weigh, so it is scored with unit costs: APFD_C's limit as all costs
 become equal, which is APFD.
+
+The random baseline is exact, not sampled.  With T the total cost, every
+other test runs after a failing test f with probability 1/2 under a
+uniformly random ordering, so f's expected suffix cost is
+t_f + (T - t_f)/2, and less t_f/2 that is T/2.  The expected APFD_C of a
+random ordering is therefore 1/2 for any costs and any failures, and the
+unit-cost rule gives 1/2 as well.
 """
 
 from __future__ import annotations
@@ -38,8 +45,6 @@ log = logging.getLogger(__name__)
 DEFAULT_HEURISTIC = "F_FailRate_Total:desc"
 #: How many of the latest failed builds evaluation and the decay run replay.
 DEFAULT_MAX_BUILDS = 50
-#: Random orderings sampled per build for the random baseline.
-RANDOM_SAMPLES = 20
 
 
 def optimal_ordering(build: Build) -> list[str]:
@@ -73,15 +78,11 @@ def apfdc_of_build(build: Build, ordering: list[str]) -> float:
     return apfdc(ordering, verdicts, durations)
 
 
-def random_baseline_apfdc(build: Build, seed: int) -> float:
-    """Expected APFD_C of a uniformly random ordering, by seeded sampling."""
-    rng = np.random.default_rng([seed, build.id])
-    tests = build.tests
-    values = []
-    for _ in range(RANDOM_SAMPLES):
-        perm = [tests[i] for i in rng.permutation(len(tests))]
-        values.append(apfdc_of_build(build, perm))
-    return float(np.mean(values))
+def random_baseline_apfdc(build: Build) -> float:
+    """Expected APFD_C of a uniformly random ordering: exactly 1/2."""
+    if not build.failed:
+        raise NoFailuresError("APFD_C is undefined for a build with no failures")
+    return 0.5
 
 
 def remove_frequent_failers(history: BuildHistory) -> tuple[BuildHistory, list[str]]:
@@ -235,10 +236,10 @@ def run_pipeline_eval(
     """Train-on-prior evaluation over the latest failed builds.
 
     For each evaluated build: the full learned model, the single-feature
-    heuristic, a sampled random baseline, and the optimal ordering each
-    get one APFD_C row.  The builds and models are the RW 0 cells of
-    :meth:`PipelineEvaluator.replay`, so the full rows equal
-    :func:`decay_experiment`'s RW 0 pairs.
+    heuristic, the random baseline (exactly 1/2, see the module docstring)
+    and the optimal ordering each get one APFD_C row.  The builds and
+    models are the RW 0 cells of :meth:`PipelineEvaluator.replay`, so the
+    full rows equal :func:`decay_experiment`'s RW 0 pairs.
     """
     heuristic_key(heuristic)  # a bad heuristic fails before any feature work
     anchors = _anchors(history, max_builds, 0)
@@ -248,7 +249,6 @@ def run_pipeline_eval(
             "seed": seed,
             "max_builds": max_builds,
             "heuristic": heuristic,
-            "random_samples": RANDOM_SAMPLES,
             "hyperparams": dataclasses.asdict(hyperparams),
         }
     )
@@ -256,7 +256,7 @@ def run_pipeline_eval(
         report.apfdc_rows += [
             (build.id, "full", apfdc_of_build(build, rank_tests(model, matrix))),
             (build.id, "heuristic", apfdc_of_build(build, heuristic_rank(matrix, heuristic))),
-            (build.id, "random", random_baseline_apfdc(build, seed)),
+            (build.id, "random", random_baseline_apfdc(build)),
             (build.id, "optimal", apfdc_of_build(build, optimal_ordering(build))),
         ]
     report.timing_rows = ev.extractor.timings.rows()

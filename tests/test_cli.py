@@ -151,6 +151,7 @@ def test_evaluate_deterministic(dataset, tmp_path, capsys):
     assert (out1 / "apfdc.csv").read_text() == (out2 / "apfdc.csv").read_text()
     out = capsys.readouterr().out
     assert "full: mean APFD_C" in out
+    assert "random: mean APFD_C 0.5000 (sd 0.0000)" in out
 
 
 def test_decay_writes_curve(dataset, tmp_path, capsys):

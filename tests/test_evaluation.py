@@ -4,7 +4,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tcpci.errors import InsufficientHistoryError, NoFailuresError
 from tcpci.evaluation import (
@@ -119,13 +119,26 @@ def test_optimal_is_maximal_over_all_permutations(rows):
         assert apfdc_of_build(b, list(perm)) <= best + 1e-12
 
 
-def test_random_baseline_deterministic_and_bounded():
-    records = [(f"t{i}", F if i < 2 else P, float(i + 1)) for i in range(6)]
-    b, _ = build_of(records, build_id=9)
-    a = random_baseline_apfdc(b, seed=3)
-    assert a == random_baseline_apfdc(b, seed=3)
-    assert 0.0 < a < 1.0
-    assert a <= apfdc_of_build(b, optimal_ordering(b))
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.booleans(), st.just(0.0) | st.floats(0.1, 50.0)), min_size=1, max_size=6
+    ).filter(lambda rows: any(f for f, _ in rows))
+)
+@example([(True, 0.0)])
+@example([(True, 0.0), (False, 0.0), (True, 0.0), (False, 0.0)])
+def test_random_baseline_is_the_mean_over_all_orderings(rows):
+    records = [(f"t{i}", F if f else P, d) for i, (f, d) in enumerate(rows)]
+    b, _ = build_of(records)
+    values = [apfdc_of_build(b, list(perm)) for perm in itertools.permutations(b.tests)]
+    assert abs(float(np.mean(values)) - 0.5) <= 1e-12
+    assert random_baseline_apfdc(b) == 0.5
+
+
+def test_random_baseline_needs_a_failure():
+    b, _ = build_of([("a", P, 1.0), ("b", P, 0.0)])
+    with pytest.raises(NoFailuresError):
+        random_baseline_apfdc(b)
 
 
 # --- frequent-failer removal -------------------------------------------
@@ -196,6 +209,7 @@ def test_run_pipeline_row_accounting(synth_small):
     for build_id in builds:
         per = {s: v for b, s, v in report.apfdc_rows if b == build_id}
         assert per["optimal"] >= per["full"] - 1e-12
+        assert per["random"] == 0.5
     assert set(summary) == strategies
 
 
@@ -291,8 +305,8 @@ def test_dataset_and_evaluation_bytes_golden(synth_small, tmp_path):
         "cold": "822d68a7a3e8db1189d27f6127420a73278da350e688326d35595da3bab096b1",
         "drift": "1938bf2451069d1edb8d014a1628b584dc95552ee9456837a52f52093044a8f6",
         "derived": "a67a715e6c85b7c544656d33fcd5cdea738e58b608fd10d6c7490456f279f2fe",
-        "apfdc.csv": "90050f7fe97ace1f6291eee7d8349b2b1420dca272cda9d84807a2eb00e2c3ea",
-        "report.json": "daff5fc9c2710f783e1709b7cd24f7d7fbb860dc294ae3677a96d94f56a48559",
+        "apfdc.csv": "03c1bbec0396b0e025100f6b32fbbf9357ea6fb7033290054db5e55984645692",
+        "report.json": "c9e3c599c92e2ead2f649b992af71827fe8905b76eb5f0201dca8a920ea14c2a",
         "decay.csv": "9411d4c533828b35fc357dbac4032b201648a1664ab2ac48f0facc638bce27de",
         "pairs": "32c4b0f557b5eb72fe1ead9a388b1a608ee287059a34aa57237eeedb5cf901de",
     }
