@@ -79,8 +79,8 @@ ChangeMetrics = namedtuple("ChangeMetrics", CHANGE_METRICS)
 @dataclass(frozen=True)
 class SourceEntity:
     path: str
-    import_targets: frozenset[str] = frozenset()
-    call_targets: frozenset[str] = frozenset()
+    import_targets: frozenset[str]
+    call_targets: frozenset[str]
 
 
 def is_test_file(path: str) -> bool:
@@ -367,16 +367,13 @@ class FileIndex:
         return hits[0] if len(hits) == 1 else None
 
 
-def analyze_file(
-    source: str, path: str, index: FileIndex | None = None
-) -> tuple[ComplexityMetrics, SourceEntity]:
-    """Compute complexity metrics and dependency targets for one file.
+def analyze_file(source: str) -> ComplexityMetrics:
+    """Compute the complexity metrics of one file.
 
-    Pure function of the file text (plus the repository file set used for
-    import/call resolution); unparseable regions contribute line counts only.
+    Pure function of the file text; unparseable regions contribute line
+    counts only.
     """
-    elements = _lex(source)
-    toks, lines, kinds = _tokens(source, elements)
+    toks, lines, kinds = _tokens(source, _lex(source))
     n_lines = len(kinds)
     n_blank = kinds.count("blank")
     n_comment = kinds.count("comment")
@@ -399,7 +396,7 @@ def analyze_file(
     n_stmt_decl = decl_semis + len(units)
     n_static = sum(static)
 
-    metrics = ComplexityMetrics(
+    return ComplexityMetrics(
         CountDeclFunction=len(units),
         CountLine=n_lines,
         CountLineBlank=n_blank,
@@ -433,20 +430,11 @@ def analyze_file(
         CountDeclMethodPublic=sum(public),
     )
 
-    if index is None:
-        return metrics, SourceEntity(path)
-    return metrics, _entity(source, elements, path, index)
-
 
 def scan_entity(source: str, path: str, index: FileIndex) -> SourceEntity:
-    """The dependency targets :func:`analyze_file` finds for one file, from
-    its elements alone: no line kinds and no unit parse."""
-    return _entity(source, _lex(source), path, index)
-
-
-def _entity(source: str, elements: list[str], path: str, index: FileIndex) -> SourceEntity:
-    """The resolved import and call targets of a lexed file: its imports,
-    and the type names it names less the ones it declares."""
+    """The resolved import and call targets of one file: its imports, and
+    the type names it names less the ones it declares."""
+    elements = _lex(source)
     imports: set[str] = set()
     calls: set[str] = set()
     for name, wildcard in _imports(source, elements):

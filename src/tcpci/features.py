@@ -290,8 +290,7 @@ class FeatureExtractor:
                     log.warning("no source analysis for %s; metrics default to 0", path)
                     self._warned_missing.add(path)
                 return np.zeros(len(COMPLEXITY_METRICS))
-            metrics, _ = analyze_file(source, path)
-            vec = self._com_arrays[path] = np.array(metrics, dtype=np.float64)
+            vec = self._com_arrays[path] = np.array(analyze_file(source), dtype=np.float64)
         return vec
 
     def _pro_vec(self, path: str, n_commits: int) -> np.ndarray:

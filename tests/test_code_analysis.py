@@ -62,14 +62,14 @@ public class Widget {
 
 
 def test_empty_file_all_zero():
-    m, _ = analyze_file("", "A.java")
+    m = analyze_file("")
     assert m.CountLine == 0
     assert m.SumCyclomatic == 0
     assert m.RatioCommentToCode == 0.0
 
 
 def test_one_if_one_for_cyclomatic_three():
-    m, _ = analyze_file(SIMPLE, "Widget.java")
+    m = analyze_file(SIMPLE)
     assert m.CountDeclFunction == 1
     assert m.SumCyclomatic == 3
     assert m.MaxCyclomatic == 3
@@ -77,12 +77,12 @@ def test_one_if_one_for_cyclomatic_three():
 
 def test_line_partition_invariant():
     text = "// header\n\npublic class A {\n    int x; // trailing\n    /* block */\n}\n"
-    m, _ = analyze_file(text, "A.java")
+    m = analyze_file(text)
     assert m.CountLine == m.CountLineBlank + m.CountLineCode + m.CountLineComment
     assert m.CountLineComment == 2  # header + block line
     assert m.CountLineBlank == 1
     # a line holding only the closer of a multi-line block is comment
-    m, _ = analyze_file("class A {\n  /* a\n   * b\n   */\n}\n", "A.java")
+    m = analyze_file("class A {\n  /* a\n   * b\n   */\n}\n")
     assert (m.CountLineCode, m.CountLineComment, m.CountLineBlank) == (2, 3, 0)
 
 
@@ -126,28 +126,19 @@ _ENTITY_PIECES = st.one_of(
                      "import r.Main;\n"]),
     _HEADERS,
 )
-
-
-@settings(max_examples=300)
-@given(
-    st.tuples(st.sampled_from(["", " "]), st.lists(_ENTITY_PIECES, max_size=30)).map(
-        lambda t: t[0].join(t[1])
-    ),
+# entity texts, also ending inside a type header with a capitalized token
+_ENTITY_TEXTS = st.builds(
+    lambda sep, pieces, last: sep.join(pieces) + last,
+    st.sampled_from(["", " "]),
+    st.lists(_ENTITY_PIECES, max_size=30),
     st.sampled_from(_TYPE_NAMES + [""]),
-    st.sampled_from(sorted(_INDEX_FILES) + ["s/Other.java"]),
 )
-def test_scan_entity_equals_analyze_file(body, last, path):
-    # the import/call scan must find what the full analysis finds, also when
-    # the text ends inside a type header with a capitalized token
-    text = body + last
-    index = FileIndex(_INDEX_FILES | {path})
-    assert scan_entity(text, path, index) == analyze_file(text, path, index)[1]
 
 
 def test_only_newline_ends_a_line():
-    m, _ = analyze_file("int a;\x0cint b;\n", "A.java")
+    m = analyze_file("int a;\x0cint b;\n")
     assert (m.CountLine, m.CountLineCode, m.CountLineBlank) == (1, 1, 0)
-    m, _ = analyze_file("int a;\rint b;\r", "A.java")
+    m = analyze_file("int a;\rint b;\r")
     assert m.CountLine == 1
 
 
@@ -158,20 +149,18 @@ def test_text_block_is_one_literal():
 
 
 def test_mixed_comment_code_line_counts_as_code():
-    m, _ = analyze_file("int x; // note\n", "A.java")
+    m = analyze_file("int x; // note\n")
     assert m.CountLineCode == 1
     assert m.CountLineComment == 0
 
 
 def test_analyze_is_pure():
-    a = analyze_file(SIMPLE, "Widget.java")
-    b = analyze_file(SIMPLE, "Widget.java")
-    assert a == b
+    assert analyze_file(SIMPLE) == analyze_file(SIMPLE)
 
 
 def test_sum_cyclomatic_at_least_function_count():
     text = "class A { void f() { } void g() { if (true) { } } }"
-    m, _ = analyze_file(text, "A.java")
+    m = analyze_file(text)
     assert m.CountDeclFunction == 2
     assert m.SumCyclomatic >= m.CountDeclFunction
 
@@ -186,7 +175,7 @@ def test_method_visibility_counts():
         "    static void e() { }\n"
         "}\n"
     )
-    m, _ = analyze_file(text, "A.java")
+    m = analyze_file(text)
     assert m.CountDeclMethod == 5
     assert m.CountDeclMethodPublic == 1
     assert m.CountDeclMethodPrivate == 1
@@ -198,20 +187,20 @@ def test_method_visibility_counts():
 
 def test_strict_cyclomatic_counts_logical_operators():
     text = "class A { int f(int x) { if (x > 0 && x < 9) { return x > 4 ? 1 : 0; } return 0; } }"
-    m, _ = analyze_file(text, "A.java")
+    m = analyze_file(text)
     assert m.MaxCyclomatic == 2  # 1 + if
     assert m.MaxCyclomaticStrict == 4  # + && and ?
 
 
 def test_import_resolution():
     idx = FileIndex({"p/B.java", "A.java"})
-    _, e = analyze_file("import p.B;\nclass A { }\n", "A.java", idx)
+    e = scan_entity("import p.B;\nclass A { }\n", "A.java", idx)
     assert e.import_targets == {"p/B.java"}
 
 
 def test_ambiguous_call_target_produces_no_edge():
     idx = FileIndex({"p/B.java", "q/B.java", "A.java"})
-    _, e = analyze_file("class A { B b; }", "A.java", idx)
+    e = scan_entity("class A { B b; }", "A.java", idx)
     assert e.call_targets == set()
 
 
@@ -481,7 +470,8 @@ def test_analysis_golden():
     index = FileIndex(set(GOLDEN_SOURCES))
     for path in sorted(GOLDEN_SOURCES):
         source = GOLDEN_SOURCES[path]
-        m, e = analyze_file(source, path, index)
+        m = analyze_file(source)
+        e = scan_entity(source, path, index)
         put(path, [repr(float(getattr(m, n))) for n in COMPLEXITY_METRICS])
         put(sorted(e.import_targets), sorted(e.call_targets))
         put([(u.name, u.start_line, u.end_line) for u in unit_spans(source)])
@@ -531,7 +521,6 @@ _REF_LEXEME_RE = re.compile(
     r"""|("{3}|["'])((?:\\[^\n]|\\|(?!\2)[^\\])*)(\2?)"""
 )
 _is_ident = re.compile(r"[A-Za-z_$]").match
-_is_type_name = re.compile(r"[A-Z]").match
 
 
 @dataclass
@@ -605,7 +594,7 @@ def _ref_parse(code):
     ]
     units, unit_stack, frame_stack = [], [], []
     n_classes = n_class_vars = n_instance_vars = decl_semis = 0
-    exe_lines, called, declared = set(), set(), set()
+    exe_lines = set()
     stmt_buf = []
     pending_class = False
     pending_unit = None
@@ -625,7 +614,6 @@ def _ref_parse(code):
             nxt_tok = toks[i + 1][0]
             if nxt_tok not in JAVA_KEYWORDS and _is_ident(nxt_tok):
                 pending_class = True
-                declared.add(nxt_tok)
         at_class_body = bool(frame_stack) and frame_stack[-1] == "class"
         if (
             tok == "("
@@ -708,37 +696,15 @@ def _ref_parse(code):
             stmt_buf = []
         else:
             stmt_buf.append(tok)
-            if (
-                _is_type_name(tok)
-                and tok not in JAVA_KEYWORDS
-                and not (i + 1 < len(toks) and pending_class)
-            ):
-                called.add(tok)
         i += 1
     return SimpleNamespace(
         units=units, n_classes=n_classes, n_class_vars=n_class_vars,
         n_instance_vars=n_instance_vars, decl_semis=decl_semis,
-        exe_line_set=exe_lines, called_types=called, declared_types=declared,
+        exe_line_set=exe_lines,
     )
 
 
-def _ref_entity(code, path, index, declared, called):
-    imports, calls = set(), set()
-    for m in _REF_IMPORT_RE.finditer(code):
-        if m.group(2):
-            continue
-        target = index.resolve_import(m.group(1))
-        if target is not None and target != path:
-            imports.add(target)
-    own = declared | {path.replace("\\", "/").split("/")[-1].rsplit(".", 1)[0]}
-    for name in called - own:
-        target = index.resolve_type(name)
-        if target is not None and target != path:
-            calls.add(target)
-    return SourceEntity(path, frozenset(imports), frozenset(calls))
-
-
-def _ref_analyze_file(source, path, index=None):
+def _ref_analyze_file(source):
     code, line_kinds = _ref_strip_comments(source)
     n_lines = len(line_kinds)
     n_blank = sum(1 for k in line_kinds if k == "blank")
@@ -753,7 +719,7 @@ def _ref_analyze_file(source, path, index=None):
     n_stmt_decl = parsed.decl_semis + len(units)
     n_static = sum(1 for u in units if "static" in u.modifiers)
     access = code_analysis._ACCESS
-    metrics = ComplexityMetrics(
+    return ComplexityMetrics(
         CountDeclFunction=len(units),
         CountLine=n_lines,
         CountLineBlank=n_blank,
@@ -786,9 +752,6 @@ def _ref_analyze_file(source, path, index=None):
         CountDeclMethodProtected=sum(1 for u in units if "protected" in u.modifiers),
         CountDeclMethodPublic=sum(1 for u in units if "public" in u.modifiers),
     )
-    if index is None:
-        return metrics, SourceEntity(path)
-    return metrics, _ref_entity(code, path, index, parsed.declared_types, parsed.called_types)
 
 
 def _ref_scan_entity(source, path, index):
@@ -807,7 +770,19 @@ def _ref_scan_entity(source, path, index):
             if i < last and toks[i + 1] not in JAVA_KEYWORDS and _is_ident(toks[i + 1]):
                 pending_class = True
                 declared.add(toks[i + 1])
-    return _ref_entity(code, path, index, declared, called)
+    imports, calls = set(), set()
+    for m in _REF_IMPORT_RE.finditer(code):
+        if m.group(2):
+            continue
+        target = index.resolve_import(m.group(1))
+        if target is not None and target != path:
+            imports.add(target)
+    own = declared | {path.replace("\\", "/").split("/")[-1].rsplit(".", 1)[0]}
+    for name in called - own:
+        target = index.resolve_type(name)
+        if target is not None and target != path:
+            calls.add(target)
+    return SourceEntity(path, frozenset(imports), frozenset(calls))
 
 
 def _ref_unit_spans(source):
@@ -893,13 +868,8 @@ def _unit_rows(units):
 
 
 def assert_analysis_matches_reference(text, path, index):
-    ref_metrics, ref_entity = analysis_reference.analyze_file(text, path, index)
-    metrics, entity = analyze_file(text, path, index)
-    assert [repr(v) for v in metrics] == [repr(v) for v in ref_metrics]
-    assert entity == ref_entity
-    metrics, entity = analyze_file(text, path)
-    assert [repr(v) for v in metrics] == [repr(v) for v in ref_metrics]
-    assert entity == SourceEntity(path)
+    metrics = analyze_file(text)
+    assert [repr(v) for v in metrics] == [repr(v) for v in analysis_reference.analyze_file(text)]
     assert scan_entity(text, path, index) == analysis_reference.scan_entity(text, path, index)
     assert _unit_rows(unit_spans(text)) == _unit_rows(analysis_reference.unit_spans(text))
     n = text.count("\n") + 2
@@ -911,7 +881,7 @@ def assert_analysis_matches_reference(text, path, index):
 
 
 @settings(max_examples=1000, deadline=None)
-@given(_LEXER_TEXTS, st.sampled_from(sorted(_INDEX_FILES) + ["s/Other.java"]))
+@given(_LEXER_TEXTS | _ENTITY_TEXTS, st.sampled_from(sorted(_INDEX_FILES) + ["s/Other.java"]))
 def test_analysis_matches_the_three_pass_reference(text, path):
     assert_analysis_matches_reference(text, path, FileIndex(_INDEX_FILES | {path}))
 

@@ -312,7 +312,7 @@ def test_weighted_metric_sum_example():
     ex = FeatureExtractor(history, sources)
     m = ex.matrix(11)
     count_line = {
-        p: analyze_file(sources[p], p)[0].CountLine for p in (F1, F2)
+        p: analyze_file(sources[p]).CountLine for p in (F1, F2)
     }
     assert count_line == {F1: 100, F2: 50}
     assert rec(m, T, "SumCovCScore") == pytest.approx(1.0)
