@@ -136,9 +136,6 @@ class FeatureCatalog:
     def index(self, name: str) -> int:
         return self._index[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(e.name for e in self.entries)

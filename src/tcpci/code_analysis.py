@@ -536,14 +536,13 @@ class ProcessHistory:
     """
 
     def __init__(self, commits: list[Commit] | tuple[Commit, ...]):
-        self.commits = tuple(commits)
         # per file: ordered (commit_idx, author, lines)
         self.file_touches: dict[str, list[tuple[int, str, int]]] = {}
         # per author: ordered (commit_idx, cumulative project lines)
         self.author_lines: dict[str, list[tuple[int, int]]] = {}
         self.total_lines: list[tuple[int, int]] = []
         total = 0
-        for idx, c in enumerate(self.commits):
+        for idx, c in enumerate(commits):
             commit_lines = 0
             for fc in c.file_changes:
                 lines = fc.lines_added + fc.lines_deleted

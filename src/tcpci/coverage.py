@@ -144,8 +144,7 @@ class PdfIndex:
 
     def __init__(self, commits: tuple[Commit, ...] | list[Commit]):
         self._fix_commits: dict[str, list[int]] = {}
-        self.commits = tuple(commits)
-        for i, c in enumerate(self.commits):
+        for i, c in enumerate(commits):
             if is_defect_fix_keyword(c.message):
                 for p in c.changed_files:
                     self._fix_commits.setdefault(p, []).append(i)
