@@ -12,7 +12,6 @@ from .model import (
     AssociationScores,
     Build,
     BuildHistory,
-    ChangeSet,
     Commit,
     ExecutionRecord,
     FileChange,
@@ -26,7 +25,6 @@ __all__ = [
     "AssociationScores",
     "Build",
     "BuildHistory",
-    "ChangeSet",
     "Commit",
     "ExecutionRecord",
     "FileChange",

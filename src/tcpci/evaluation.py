@@ -112,7 +112,7 @@ def remove_frequent_failers(history: BuildHistory) -> tuple[BuildHistory, list[s
         keep = np.array([t not in removed_set for t in b.tests], dtype=bool)
         tests = tuple(t for t, k in zip(b.tests, keep.tolist()) if k)
         builds.append(
-            Build(b.id, b.change_set, tests, b.verdicts[keep], b.durations[keep], b.wall_clock)
+            Build(b.id, b.commits, tests, b.verdicts[keep], b.durations[keep], b.wall_clock)
         )
     return BuildHistory(builds, history.commits), removed
 

@@ -209,7 +209,7 @@ class FeatureExtractor:
             self._rows = dict(zip([b.id for b in builds], at_build))
             self._file_builds: dict[str, list[int]] = {}  # positions of its builds
             for i, b in enumerate(builds):
-                for p in b.change_set.changed_files:
+                for p in history.changed_files(b.id):
                     self._file_builds.setdefault(p, []).append(i)
 
         self._pro_cache: dict[tuple[str, int], np.ndarray] = {}
@@ -315,8 +315,8 @@ class FeatureExtractor:
         n_commits = (snapshot if snapshot is not None else self.snapshot(build_id)).n_commits
         tests = build.tests
         X = np.zeros((len(tests), len(CATALOG)))
-        chn = build.change_set.changed_files
-        commits = [self.history.commits[c] for c in build.change_set.commits]
+        chn = self.history.changed_files(build_id)
+        commits = [self.history.commits[c] for c in build.commits]
         changes = [fc for c in commits for fc in c.file_changes]
         tim = self.timings
 

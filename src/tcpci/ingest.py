@@ -67,7 +67,6 @@ from .model import (
     MAX_BUILD_ID,
     Build,
     BuildHistory,
-    ChangeSet,
     Commit,
     FileChange,
     UnitRisk,
@@ -492,13 +491,8 @@ def ingest_exec_records(layout: DatasetLayout) -> BuildHistory:
         missing = [c for c in commit_ids if c not in commit_store]
         if missing:
             raise SchemaError(f"build {build_id} references unknown commits {missing[:3]}")
-        changed = frozenset(
-            p for cid in commit_ids for p in commit_store[cid].changed_files
-        )
         executions = per_build.get(build_id, _NO_EXECUTIONS)
-        builds.append(
-            Build(build_id, ChangeSet(build_id, commit_ids, changed), *executions, ts)
-        )
+        builds.append(Build(build_id, commit_ids, *executions, ts))
     return BuildHistory(builds, commit_store)
 
 
@@ -533,7 +527,7 @@ def write_dataset(history: BuildHistory, root: Path) -> DatasetLayout:
 
     def builds():
         for b in history.builds:
-            yield b.id, (b.wall_clock or epoch).isoformat(), ";".join(b.change_set.commits)
+            yield b.id, (b.wall_clock or epoch).isoformat(), ";".join(b.commits)
 
     def executions():
         return chain.from_iterable(

@@ -2,7 +2,9 @@
 
 Everything here is an immutable value object: builds, commits, execution
 records, and the association scores mined from co-changes.  No I/O and no
-algorithms beyond invariant checks.
+algorithms beyond invariant checks.  A build names its commits; its changed
+files (chn) follow from them, so :class:`BuildHistory` derives them and no
+build stores a copy.
 """
 
 from __future__ import annotations
@@ -107,22 +109,9 @@ class Commit:
         return frozenset(fc.path for fc in self.file_changes)
 
 
-@dataclass(frozen=True)
-class ChangeSet:
-    """Commits and changed files (chn) of one build.
-
-    The impacted set (imp) is not stored: it is derived from the
-    dependency graph when features are computed.
-    """
-
-    build: BuildId
-    commits: tuple[CommitId, ...]
-    changed_files: frozenset[str]
-
-
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Build:
-    """One build: its change set and its executions after job deduplication.
+    """One build: its commits and its executions after job deduplication.
 
     The executions are stored once, as columns in test order: ``tests``
     (strictly ascending), ``verdicts`` (the :class:`Verdict` codes, int8)
@@ -132,7 +121,7 @@ class Build:
     """
 
     id: BuildId
-    change_set: ChangeSet
+    commits: tuple[CommitId, ...]
     tests: tuple[TestId, ...]
     verdicts: np.ndarray
     durations: np.ndarray
@@ -150,7 +139,7 @@ class Build:
     def from_records(
         cls,
         id: BuildId,
-        change_set: ChangeSet,
+        commits: tuple[CommitId, ...],
         records: tuple[ExecutionRecord, ...],
         wall_clock: datetime | None = None,
     ) -> Build:
@@ -161,7 +150,7 @@ class Build:
         tests = tuple(r.test for r in records)
         verdicts = np.array([r.verdict for r in records], dtype=np.int8)
         durations = np.array([r.duration_ms for r in records], dtype=np.float64)
-        return cls(id, change_set, tests, verdicts, durations, wall_clock)
+        return cls(id, commits, tests, verdicts, durations, wall_clock)
 
     def __reduce__(self):  # copy and pickle rebuild through the constructor
         return Build, tuple(getattr(self, name) for name in self.__slots__)
@@ -188,14 +177,14 @@ class Build:
         if not isinstance(other, Build):
             return NotImplemented
         return (
-            (self.id, self.change_set, self.wall_clock, self.tests)
-            == (other.id, other.change_set, other.wall_clock, other.tests)
+            (self.id, self.commits, self.wall_clock, self.tests)
+            == (other.id, other.commits, other.wall_clock, other.tests)
             and np.array_equal(self.verdicts, other.verdicts)
             and np.array_equal(self.durations, other.durations)
         )
 
     def __hash__(self) -> int:
-        return hash((self.id, self.change_set, self.tests))
+        return hash((self.id, self.commits, self.tests))
 
     def __repr__(self) -> str:
         return f"Build(id={self.id}, {len(self.tests)} executions)"
@@ -224,6 +213,9 @@ class BuildHistory:
 
     Immutable after construction; commits are kept in global build order so
     "all commits up to build k" is a prefix of :attr:`commit_sequence`.
+    Each build's changed files (chn), the union of its commits' files, are
+    derived once here; the impacted set (imp) is derived from the
+    dependency graph when features are computed.
     """
 
     def __init__(self, builds: list[Build], commits: dict[CommitId, Commit]):
@@ -237,13 +229,17 @@ class BuildHistory:
         # any build (e.g. pre-history) come first in their original order.
         referenced = []
         seen = set()
+        self._changed: dict[BuildId, frozenset[str]] = {}
         for b in self.builds:
-            for cid in b.change_set.commits:
+            for cid in b.commits:
                 if cid not in self.commits:
                     raise ValueError(f"build {b.id} references unknown commit {cid}")
                 if cid not in seen:
                     referenced.append(cid)
                     seen.add(cid)
+            self._changed[b.id] = frozenset(
+                p for cid in b.commits for p in self.commits[cid].changed_files
+            )
         unreferenced = [cid for cid in self.commits if cid not in seen]
         self.commit_sequence: tuple[Commit, ...] = tuple(
             self.commits[cid] for cid in unreferenced + referenced
@@ -252,7 +248,7 @@ class BuildHistory:
         pos = {c.id: i for i, c in enumerate(self.commit_sequence)}
         cutoff = len(unreferenced)
         for b in self.builds:
-            for cid in b.change_set.commits:
+            for cid in b.commits:
                 cutoff = max(cutoff, pos[cid] + 1)
             self._commit_cutoff[b.id] = cutoff
 
@@ -261,6 +257,10 @@ class BuildHistory:
 
     def __contains__(self, build_id: BuildId) -> bool:
         return build_id in self._by_id
+
+    def changed_files(self, build_id: BuildId) -> frozenset[str]:
+        """The changed files (chn) of a build: every file its commits touch."""
+        return self._changed[build_id]
 
     def commits_up_to(self, build_id: BuildId) -> tuple[Commit, ...]:
         """All commits of builds with ordinal <= build_id, in build order."""

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import InvalidConfigError, check_fields
 from .ingest import DatasetLayout, write_dataset
-from .model import Build, BuildHistory, ChangeSet, Commit, FileChange
+from .model import Build, BuildHistory, Commit, FileChange
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,7 @@ def generate_synthetic_history(
         builds.append(
             Build(
                 id=k,
-                change_set=ChangeSet(k, tuple(commit_ids), changed_all),
+                commits=tuple(commit_ids),
                 tests=test_column,
                 verdicts=verdicts,
                 durations=durations,

@@ -26,7 +26,6 @@ from tcpci.features import FeatureExtractor
 from tcpci.model import (
     Build,
     BuildHistory,
-    ChangeSet,
     Commit,
     ExecutionRecord,
     FileChange,
@@ -62,7 +61,7 @@ def random_build(rng: np.random.Generator, build_id: int) -> Build:
     cid = f"{build_id:040x}"
     return Build.from_records(
         id=build_id,
-        change_set=ChangeSet(build_id, (cid,), frozenset({"f.java"})),
+        commits=(cid,),
         records=records,
     )
 
@@ -165,7 +164,7 @@ def test_3_catalog_and_anti_leakage():
                     )
                     for r in b.records
                 )
-                b = Build.from_records(id=b.id, change_set=b.change_set, records=flipped,
+                b = Build.from_records(id=b.id, commits=b.commits, records=flipped,
                                        wall_clock=b.wall_clock)
             mutated_builds.append(b)
         other = FeatureExtractor(
@@ -218,8 +217,7 @@ def _history_with_fail_counts(fail_counts):
             )
             for t in sorted(fail_counts)
         )
-        change_set = ChangeSet(k, (cid,), frozenset({"src/app/F.java"}))
-        out.append(Build.from_records(k, change_set, records))
+        out.append(Build.from_records(k, (cid,), records))
     return BuildHistory(out, commits)
 
 

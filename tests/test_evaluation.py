@@ -20,7 +20,6 @@ from tcpci.evaluation import (
 from tcpci.model import (
     Build,
     BuildHistory,
-    ChangeSet,
     Commit,
     ExecutionRecord,
     FileChange,
@@ -40,7 +39,7 @@ def build_of(records, build_id=1):
     return (
         Build.from_records(
             id=build_id,
-            change_set=ChangeSet(build_id, (cid,), frozenset({"src/app/F.java"})),
+            commits=(cid,),
             records=tuple(
                 ExecutionRecord(build_id, t, v, d) for t, v, d in sorted(records)
             ),

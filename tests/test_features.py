@@ -12,7 +12,6 @@ from tcpci.matrix import FeatureMatrix
 from tcpci.model import (
     Build,
     BuildHistory,
-    ChangeSet,
     Commit,
     ExecutionRecord,
     FileChange,
@@ -48,7 +47,7 @@ def make_history(build_specs):
         builds.append(
             Build.from_records(
                 id=k,
-                change_set=ChangeSet(k, (cid,), frozenset(changed)),
+                commits=(cid,),
                 records=tuple(
                     ExecutionRecord(k, t, v, d) for t, v, d in sorted(records)
                 ),
@@ -168,7 +167,7 @@ def _scrambled(build: Build) -> Build:
         )
         for r in build.records
     )
-    return Build.from_records(id=build.id, change_set=build.change_set, records=records,
+    return Build.from_records(id=build.id, commits=build.commits, records=records,
                               wall_clock=build.wall_clock)
 
 
@@ -188,8 +187,8 @@ def test_anti_leakage_mutating_current_verdicts():
 
     # and every later build gone, with the commits only those builds reference
     kept = [_scrambled(b) if b.id == k else b for b in history.builds if b.id <= k]
-    later = {c for b in history.builds if b.id > k for c in b.change_set.commits}
-    later -= {c for b in kept for c in b.change_set.commits}
+    later = {c for b in history.builds if b.id > k for c in b.commits}
+    later -= {c for b in kept for c in b.commits}
     assert later  # the cut drops commits
     cut = BuildHistory(kept, {c: v for c, v in history.commits.items() if c not in later})
     other = FeatureExtractor(cut, sources).matrix(k)
@@ -233,10 +232,10 @@ def rec_reference(history: BuildHistory, test: str, k: int, window: int) -> np.n
             v.count(E) / n,
             n_flips / (n - 1) if n > 1 else 0.0,
         )
-    changed = history.build(k).change_set.changed_files
+    changed = history.changed_files(k)
     for col, events in ((17, fails), (18, flips)):
         rates = (
-            sum(f in history.build(b).change_set.changed_files for b in events) / len(events)
+            sum(f in history.changed_files(b) for b in events) / len(events)
             for f in changed
         )
         row[col] = max(rates, default=0.0) if events else -1.0

@@ -26,7 +26,7 @@ from tcpci.ingest import (
     select_primary_job,
     write_dataset,
 )
-from tcpci.model import Build, BuildHistory, ChangeSet, ExecutionRecord, Verdict
+from tcpci.model import Build, BuildHistory, ExecutionRecord, Verdict
 from tcpci.synth import SynthConfig, generate_synthetic_history, load_sources
 
 SMALL_CFG = SynthConfig(n_files=10, n_tests=5, n_builds=6, files_per_build=3)
@@ -184,7 +184,7 @@ def _histories(draw):
                                     max_size=5))
         tests = tuple(sorted(runs))
         builds.append(Build(
-            build_id, ChangeSet(build_id, (), frozenset()), tests,
+            build_id, (), tests,
             np.array([runs[t][0] for t in tests], np.int8),
             np.array([runs[t][1] for t in tests], np.float64),
         ))
@@ -214,7 +214,7 @@ def test_exec_table_equals_the_csv_parse(history):
 def test_exec_table_of_a_bad_history_is_not_read(tmp_path, test, verdict, duration, error):
     # a history whose CSV breaks a rule writes a table the reader ignores, so
     # the CSV's error stands
-    build = Build(1, ChangeSet(1, (), frozenset()), (test,), np.array([verdict], np.int8),
+    build = Build(1, (), (test,), np.array([verdict], np.int8),
                   np.array([duration]))
     layout = write_dataset(BuildHistory([build], {}), tmp_path / "ds")
     assert ingest._read_exec_table(layout.exec_table, layout.exec_records_csv) is None

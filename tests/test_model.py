@@ -9,7 +9,6 @@ from tcpci.model import (
     AssociationScores,
     Build,
     BuildHistory,
-    ChangeSet,
     Commit,
     ExecutionRecord,
     FileChange,
@@ -31,10 +30,9 @@ def make_commit(i, files=("a.java",), author="dev", message="msg"):
 
 
 def make_build(bid, commits=(), records=()):
-    changed = frozenset(p for c in commits for p in c.changed_files)
     return Build.from_records(
         id=bid,
-        change_set=ChangeSet(bid, tuple(c.id for c in commits), changed),
+        commits=tuple(c.id for c in commits),
         records=tuple(records),
     )
 
@@ -72,7 +70,7 @@ def test_build_stores_records_as_columns():
     assert b.records == recs[::-1]
     assert [type(r.verdict) for r in b.records] == [Verdict, Verdict]
     assert b.records[0].duration_ms == 0.0 and str(b.records[0].duration_ms) == "-0.0"
-    assert b == Build(1, b.change_set, b.tests, b.verdicts.copy(), b.durations.copy())
+    assert b == Build(1, b.commits, b.tests, b.verdicts.copy(), b.durations.copy())
     assert b != make_build(1, records=(recs[0],))
     for other in (copy.copy(b), copy.deepcopy(b), pickle.loads(pickle.dumps(b))):
         assert other == b and hash(other) == hash(b)
@@ -84,24 +82,22 @@ def test_build_stores_records_as_columns():
 
 
 def test_build_constructor_checks_its_columns():
-    cs = ChangeSet(1, (), frozenset())
     verdicts, durations = np.zeros(2, np.int8), np.ones(2)
     with pytest.raises(ValueError):
-        Build(0, cs, ("a", "b"), verdicts, durations)
+        Build(0, (), ("a", "b"), verdicts, durations)
     for tests in (("b", "a"), ("a", "a")):
         with pytest.raises(ValueError):
-            Build(1, cs, tests, verdicts, durations)
-    assert Build(1, cs, ("a", "b"), verdicts, durations).failed is False
+            Build(1, (), tests, verdicts, durations)
+    assert Build(1, (), ("a", "b"), verdicts, durations).failed is False
     assert not (verdicts.flags.writeable or durations.flags.writeable)
 
 
 def test_build_from_records_rejects_a_record_of_another_build():
-    cs = ChangeSet(1, (), frozenset())
     own = ExecutionRecord(1, "a", Verdict.PASSED, 1.0)
     other = ExecutionRecord(2, "b", Verdict.PASSED, 1.0)
-    assert Build.from_records(1, cs, (own,)).records == (own,)
+    assert Build.from_records(1, (), (own,)).records == (own,)
     with pytest.raises(ValueError):
-        Build.from_records(1, cs, (own, other))
+        Build.from_records(1, (), (own, other))
 
 
 def test_synthetic_history_constructs_no_execution_record(monkeypatch):
@@ -121,6 +117,22 @@ def test_history_commit_prefix_ordering():
     assert [b.id for b in history.builds] == [1, 2]
     assert [c.id for c in history.commits_up_to(1)] == [c1.id]
     assert [c.id for c in history.commits_up_to(2)] == [c1.id, c2.id, c3.id]
+
+
+def test_history_changed_files_are_the_union_of_each_builds_commits():
+    c1 = make_commit(1, files=("a.java", "b.java"))
+    c2 = make_commit(2, files=("b.java", "c.java"))
+    c3 = make_commit(3, files=("d.java",))
+    # c2 is shared by builds 1 and 2; build 3 has no commits
+    b1, b2, b3 = make_build(1, (c1, c2)), make_build(2, (c2, c3)), make_build(3)
+    history = BuildHistory([b3, b1, b2], {c.id: c for c in (c1, c2, c3)})
+    assert history.changed_files(1) == {"a.java", "b.java", "c.java"}
+    assert history.changed_files(2) == {"b.java", "c.java", "d.java"}
+    assert history.changed_files(3) == frozenset()
+    for b in history.builds:
+        assert history.changed_files(b.id) == frozenset().union(
+            *(history.commits[c].changed_files for c in b.commits)
+        )
 
 
 def test_history_unknown_commit_rejected():
