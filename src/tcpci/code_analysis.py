@@ -94,6 +94,9 @@ def is_test_file(path: str) -> bool:
 
 # --- lexing -------------------------------------------------------------
 
+# The ".class" of a class literal (``A.class``), one token so that its
+# "class" declares no type; only spaces or tabs may lie inside it.
+_CLASS_LITERAL = r"\.[ \t]*class(?![\w$])"
 # One element of a file's text, which is lexed with a "\n" put in front: a
 # token; a line break with the next line's indent and, when that line
 # starts with a character that begins no other element, that character; a
@@ -101,8 +104,9 @@ def is_test_file(path: str) -> bool:
 # to the end).  Only a line break starts with "\n" and only a comment or a
 # literal with "/", '"' or "'", so the first character tells them apart.
 _LEX_RE = re.compile(
-    r"[A-Za-z_$][A-Za-z0-9_$]*|[{}();?,=:<>\[\]]|&&|\|\|"
-    r"|\n[^\S\n]*(?:[^\s/\"'A-Za-z_$&|{}();?,=:<>\[\]]|/(?![/*])|&(?!&)|\|(?!\|))?"
+    r"[A-Za-z_$][A-Za-z0-9_$]*|[{}();?,=:<>\[\]]|&&|\|\||" + _CLASS_LITERAL
+    + r"|\n[^\S\n]*(?:(?!" + _CLASS_LITERAL + r")[^\s/\"'A-Za-z_$&|{}();?,=:<>\[\]]"
+    r"|/(?![/*])|&(?!&)|\|(?!\|))?"
     r"|//[^\n]*|/\*[\s\S]*?(?:\*/|\Z)"
     r'''|"""(?:\\[^\n]|\\|(?!""")[^\\])*(?:""")?'''
     r'''|"(?:\\[^\n]|\\|[^\\"])*"?|'(?:\\[^\n]|\\|[^\\'])*'?'''

@@ -198,6 +198,26 @@ def test_import_resolution():
     assert e.import_targets == {"p/B.java"}
 
 
+def test_class_literal_declares_no_type():
+    text = (
+        "class A {\n"
+        "    void f() {\n"
+        "        String n = A.class.getName();\n"
+        "        if (n != null) {\n"
+        "            n = n.trim();\n"
+        "        }\n"
+        "    }\n"
+        "}\n"
+    )
+    for literal in ("A.class.getName()", "A.class", "A . class", "A\n        .class"):
+        m = analyze_file(text.replace("A.class.getName()", literal))
+        assert (m.CountDeclClass, m.CountDeclFunction, m.MaxNesting) == (1, 1, 1)
+    # the type named after a class literal is a call target
+    idx = FileIndex({"p/B.java", "A.java"})
+    e = scan_entity("class A { Object o = A.class.cast(B.X); }", "A.java", idx)
+    assert e.call_targets == {"p/B.java"}
+
+
 def test_ambiguous_call_target_produces_no_edge():
     idx = FileIndex({"p/B.java", "q/B.java", "A.java"})
     e = scan_entity("class A { B b; }", "A.java", idx)
@@ -514,7 +534,9 @@ def test_analysis_golden():
 # that code_analysis used before each file was lexed once: the lexer and
 # everything read from it must give the same results on any text.
 
-_REF_TOKEN_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*|&&|\|\||[{}();?,=:<>\[\]]")
+_REF_TOKEN_RE = re.compile(
+    r"[A-Za-z_$][A-Za-z0-9_$]*|&&|\|\||[{}();?,=:<>\[\]]|\.[ \t]*class(?![\w$])"
+)
 _REF_IMPORT_RE = re.compile(r"\bimport\s+(?:static\s+)?([\w.]+?)(\.\*)?\s*;")
 _REF_LEXEME_RE = re.compile(
     r"(//[^\n]*|/\*[\s\S]*?(?:\*/|\Z))"
@@ -566,8 +588,11 @@ def _ref_blank(text):
 
 
 def _ref_code_text(text):
+    # a comment becomes "\v", whitespace that is neither a space nor a tab, so
+    # that it splits a class literal's ".class" as in the lexer
     return _REF_LEXEME_RE.sub(
-        lambda m: _ref_blank(m[1]) if m[1] else m[2] + _ref_blank(m[3]) + m[4], text
+        lambda m: re.sub(r"[^\n]", "\v", m[1]) if m[1] else m[2] + _ref_blank(m[3]) + m[4],
+        text,
     )
 
 
@@ -838,6 +863,7 @@ _STATEMENT_PIECES = st.sampled_from([
     "if (", "for", "while", "case", "switch", "catch", "return", "return;", "break;",
     "continue;", "&&", "||", "?", "&", "|", "@Override", ".", "*", "1", "x = 1;", "int x;",
     "static int y = 2;", "class X {", "new A() {", "}", "}\n", "(", ")",
+    "A.class", "x . class Bee", ".\tclass$", ".classy",
 ])
 _LEXER_PIECES = st.one_of(_ENTITY_PIECES, _LEXEME_PIECES, _STATEMENT_PIECES)
 _LEXER_TEXTS = st.lists(_LEXER_PIECES, max_size=40).map(" ".join) | st.lists(
