@@ -308,8 +308,8 @@ class FeatureExtractor:
 
         With an old ``snapshot``, mining-backed features reflect that
         snapshot's commit cutoff (the decay experiment); tests unknown to
-        the dependency graph get snapshot-derived columns imputed with the
-        column mean over known rows.
+        it, first run after its build, get snapshot-derived columns imputed
+        with the column mean over known rows.
         """
         build = self.history.build(build_id)
         n_commits = (snapshot if snapshot is not None else self.snapshot(build_id)).n_commits
@@ -361,7 +361,7 @@ class FeatureExtractor:
                 self._spread(block(group), pairs, vec)
 
         if snapshot is not None:
-            self._impute_unknown(X, tests)
+            self._impute_unknown(X, rows, snapshot)
 
         labels = self._failed[rows].astype(np.float64) if build.tests else None
         return FeatureMatrix(build=build_id, tests=tests, values=X, labels=labels)
@@ -404,10 +404,11 @@ class FeatureExtractor:
             table = np.array([vecs[f] for f in p.files]).reshape(len(p.files), width)
             np.add.at(block[:, h * width : (h + 1) * width], p.rows, p.w[:, None] * table)
 
-    def _impute_unknown(self, X: np.ndarray, tests: tuple[str, ...]) -> None:
-        """Mean-substitute, in place, snapshot-derived columns of tests
-        outside the dependency graph."""
-        known = np.array([t in self._graph.files for t in tests])
+    def _impute_unknown(self, X: np.ndarray, rows: np.ndarray, snapshot: Snapshot) -> None:
+        """Mean-substitute, in place, snapshot-derived columns of the tests
+        whose first execution (their first table row; ``rows`` holds each
+        test's row at the build) is after the snapshot's build."""
+        known = self._build_ids[self._build[self._head[rows]]] <= snapshot.build
         if known.all() or not known.any():
             return
         cols = [i for g in SNAPSHOT_GROUPS for i in CATALOG.group_indices(g)]

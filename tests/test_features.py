@@ -340,24 +340,39 @@ def test_feature_matrix_shape_and_nan():
         FeatureMatrix(1, ("t",), bad)
 
 
-def test_stale_snapshot_imputes_tests_without_source():
-    v, u = "src/test/VTest.java", "src/test/UTest.java"  # u has no source file
-    sources = default_sources()
-    sources[v] = "import app.F1;\npublic class VTest { }\n"
-    specs = [({F1, F2}, [(T, P, 1.0), (v, A, 2.0), (u, P, 3.0)]) for _ in range(3)]
-    ex = FeatureExtractor(make_history(specs), sources)
+def test_stale_snapshot_keeps_a_sourceless_test_that_ran_before_it():
+    u = "src/test/UTest.java"  # no source file, run since build 1
+    specs = [({F1, F2}, [(T, P, 1.0), (u, P, 3.0)]) for _ in range(3)]
+    ex = FeatureExtractor(make_history(specs), default_sources())
     stale = ex.matrix(3, ex.snapshot(1))
-    known = [stale.tests.index(T), stale.tests.index(v)]
-    cols = [i for g in SNAPSHOT_GROUPS for i in CATALOG.group_indices(g)]
-    row = stale.values[stale.tests.index(u)]
-    assert np.array_equal(row[cols], stale.values[known][:, cols].mean(axis=0))
-    assert rec(stale, u, "CovCCount") == 1.5  # T covers 2 changed files, v covers 1
-    assert rec(stale, u, "CountLine") == 2.5  # T has 3 lines, v has 2
-    assert rec(stale, u, "Age") == 2.0  # execution-record columns stay the test's own
+    assert rec(stale, u, "CovCCount") == 0.0  # known to the snapshot: not imputed
+    assert rec(stale, u, "CountLine") == 0.0
 
     live = ex.matrix(3)  # the live path imputes nothing
     assert rec(live, u, "CovCCount") == 0.0
     assert rec(live, u, "CountLine") == 0.0
+
+
+def test_stale_snapshot_imputes_tests_first_run_after_it():
+    v, w = "src/test/VTest.java", "src/test/WTest.java"  # w first runs in build 2
+    sources = default_sources()
+    sources[v] = "import app.F1;\npublic class VTest { }\n"
+    sources[w] = "import app.F2;\n\npublic class WTest {\n}\n"
+    runs = [(T, P, 1.0), (v, A, 2.0)]
+    specs = [({F1, F2}, runs)] + [({F1, F2}, runs + [(w, P, 3.0)]) for _ in range(2)]
+    ex = FeatureExtractor(make_history(specs), sources)
+    stale = ex.matrix(3, ex.snapshot(1))
+    known = [stale.tests.index(T), stale.tests.index(v)]
+    cols = [i for g in SNAPSHOT_GROUPS for i in CATALOG.group_indices(g)]
+    row = stale.values[stale.tests.index(w)]
+    assert np.array_equal(row[cols], stale.values[known][:, cols].mean(axis=0))
+    assert rec(stale, w, "CovCCount") == 1.5  # T covers 2 changed files, v covers 1
+    assert rec(stale, w, "CountLine") == 2.5  # T has 3 lines, v has 2
+    assert rec(stale, w, "Age") == 1.0  # execution-record columns stay the test's own
+
+    live = ex.matrix(3)  # the live path imputes nothing
+    assert rec(live, w, "CovCCount") == 1.0
+    assert rec(live, w, "CountLine") == 4.0
 
 
 def test_timing_tes_chn_preprocessing_zero():
