@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import InsufficientHistoryError, NoFailuresError, check_option
 from .features import FeatureExtractor
+from .ingest import csv_bytes
 from .matrix import FeatureMatrix, stack_matrices
 from .model import Build, BuildHistory, Verdict
 from .ranker import Hyperparams, RankModel, heuristic_key, heuristic_rank, rank_tests, train_ranker
@@ -137,14 +138,12 @@ class EvaluationReport:
 
     def write(self, out_dir: Path) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "apfdc.csv", "w", encoding="utf-8") as f:
-            f.write("build_id,strategy,apfdc\n")
-            for build_id, strategy, value in self.apfdc_rows:
-                f.write(f"{build_id},{strategy},{value!r}\n")
-        with open(out_dir / "timing.csv", "w", encoding="utf-8") as f:
-            f.write("group,P,M,T\n")
-            for group, p, m, t in self.timing_rows:
-                f.write(f"{group},{p!r},{m!r},{t!r}\n")
+        (out_dir / "apfdc.csv").write_bytes(
+            csv_bytes(("build_id", "strategy", "apfdc"), lambda: self.apfdc_rows)
+        )
+        (out_dir / "timing.csv").write_bytes(
+            csv_bytes(("group", "P", "M", "T"), lambda: self.timing_rows)
+        )
         payload = {
             "config": self.config,
             "summary": {
@@ -279,10 +278,7 @@ class DecayCurve:
 
     def write(self, path: Path) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("rw,mean_apfdc,n_pairs\n")
-            for rw, mean, n in self.rows:
-                f.write(f"{rw},{mean!r},{n}\n")
+        path.write_bytes(csv_bytes(("rw", "mean_apfdc", "n_pairs"), lambda: self.rows))
 
 
 def decay_experiment(

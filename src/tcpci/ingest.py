@@ -496,7 +496,7 @@ def ingest_exec_records(layout: DatasetLayout) -> BuildHistory:
     return BuildHistory(builds, commit_store)
 
 
-def _csv_bytes(header: tuple[str, ...], rows: Callable[[], Iterable[tuple]]) -> bytes:
+def csv_bytes(header: tuple[str, ...], rows: Callable[[], Iterable[tuple]]) -> bytes:
     """UTF-8 CSV of ``header`` and the records ``rows()`` yields, each ended
     by LF.
 
@@ -536,8 +536,8 @@ def write_dataset(history: BuildHistory, root: Path) -> DatasetLayout:
         )
 
     header = ("build_id", "timestamp_iso8601", "commits")
-    layout.builds_csv.write_bytes(_csv_bytes(header, builds))
-    exec_csv = _csv_bytes(_EXEC_FIELDS, executions)
+    layout.builds_csv.write_bytes(csv_bytes(header, builds))
+    exec_csv = csv_bytes(_EXEC_FIELDS, executions)
     layout.exec_records_csv.write_bytes(exec_csv)
     table = _exec_table(history, exec_csv)
     if table is not None:

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .catalog import CATALOG
+from .ingest import csv_bytes
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,11 @@ class FeatureMatrix:
 
     def write_csv(self, path: Path) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["build_id", "test_path", *CATALOG.names])
-            for i, test in enumerate(self.tests):
-                w.writerow([self.build, test, *(repr(v) for v in self.values[i].tolist())])
+        header = ("build_id", "test_path", *CATALOG.names)
+        rows = self.values.tolist()
+        path.write_bytes(
+            csv_bytes(header, lambda: ((self.build, t, *r) for t, r in zip(self.tests, rows)))
+        )
 
 
 def stack_matrices(matrices: list[FeatureMatrix]) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 from datetime import datetime, timezone
 
@@ -386,6 +387,15 @@ def test_timing_tes_chn_preprocessing_zero():
     assert rows["TES_COM"][0] == 0.0
     for g, (p, m, t) in rows.items():
         assert t == p + m
+
+
+def test_write_csv_reads_back_a_test_path_with_a_carriage_return(tmp_path):
+    tests = ("a\rb.java", "c.java")
+    FeatureMatrix(1, tests, np.zeros((2, len(CATALOG)))).write_csv(tmp_path / "m.csv")
+    with open(tmp_path / "m.csv", newline="", encoding="utf-8") as f:
+        records = list(csv.reader(f))
+    assert [r[:2] for r in records[1:]] == [["1", t] for t in tests]
+    assert records[2] == ["1", "c.java", *["0.0"] * len(CATALOG)]
 
 
 def _csv_digest(matrices, tmp_path) -> str:
