@@ -129,10 +129,6 @@ def test_history_changed_files_are_the_union_of_each_builds_commits():
     assert history.changed_files(1) == {"a.java", "b.java", "c.java"}
     assert history.changed_files(2) == {"b.java", "c.java", "d.java"}
     assert history.changed_files(3) == frozenset()
-    for b in history.builds:
-        assert history.changed_files(b.id) == frozenset().union(
-            *(history.commits[c].changed_files for c in b.commits)
-        )
 
 
 def test_history_unknown_commit_rejected():
