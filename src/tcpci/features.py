@@ -405,9 +405,9 @@ class FeatureExtractor:
             np.add.at(block[:, h * width : (h + 1) * width], p.rows, p.w[:, None] * table)
 
     def _impute_unknown(self, X: np.ndarray, rows: np.ndarray, snapshot: Snapshot) -> None:
-        """Mean-substitute, in place, snapshot-derived columns of the tests
-        whose first execution (their first table row; ``rows`` holds each
-        test's row at the build) is after the snapshot's build."""
+        """Mean-substitute, in place, the snapshot-derived columns of the
+        tests first run after the snapshot's build.  ``rows`` holds each
+        test's table row at the build, so ``_head[rows]`` is its first."""
         known = self._build_ids[self._build[self._head[rows]]] <= snapshot.build
         if known.all() or not known.any():
             return
