@@ -3,11 +3,18 @@
 This is deliberately a heuristic tokenizer, not a parser.  A file is lexed
 in one pass, one ``findall`` of ``_LEX_RE``, which yields its tokens, its
 comments and string literals, and each line's start: from these come each
-token's 1-based line, each line's kind and the file's import statements,
-with comments and literal contents skipped.  Declarations and control-flow
-constructs are then recognized from token patterns.  The rules are fixed
-and documented here so every metric is reproducible:
+token's 1-based line and each line's kind.  Import statements are matched
+in the text with the lexer's comment and literal pattern blanked out, as
+their word-character boundary cannot be read from tokens.  Declarations and
+control-flow constructs are then recognized from token patterns.  The
+rules are fixed and documented here so every metric is reproducible:
 
+* a token is an identifier or keyword, one of ``{ } ( ) ; ? , = : < > [ ]
+  .``, ``&&`` or ``||``; any other character outside comments and
+  literals (digits, operators, ``@``) only marks its line as code;
+* a type keyword (class, interface, enum, record) declares the identifier
+  that directly follows it, and nothing when any other token follows, so
+  the ``class`` of a class literal (``A.class``) declares nothing;
 * a "unit" (function/method) is an identifier followed by a parenthesized
   parameter list and then ``{`` at class-body depth;
 * cyclomatic = 1 + count of {if, for, while, case, catch} in the unit body;
@@ -94,25 +101,25 @@ def is_test_file(path: str) -> bool:
 
 # --- lexing -------------------------------------------------------------
 
-# The ".class" of a class literal (``A.class``), one token so that its
-# "class" declares no type; only spaces or tabs may lie inside it.
-_CLASS_LITERAL = r"\.[ \t]*class(?![\w$])"
-# One element of a file's text, which is lexed with a "\n" put in front: a
-# token; a line break with the next line's indent and, when that line
-# starts with a character that begins no other element, that character; a
-# comment; or a string/char literal or text block (both may run unclosed
-# to the end).  Only a line break starts with "\n" and only a comment or a
-# literal with "/", '"' or "'", so the first character tells them apart.
-_LEX_RE = re.compile(
-    r"[A-Za-z_$][A-Za-z0-9_$]*|[{}();?,=:<>\[\]]|&&|\|\||" + _CLASS_LITERAL
-    + r"|\n[^\S\n]*(?:(?!" + _CLASS_LITERAL + r")[^\s/\"'A-Za-z_$&|{}();?,=:<>\[\]]"
-    r"|/(?![/*])|&(?!&)|\|(?!\|))?"
-    r"|//[^\n]*|/\*[\s\S]*?(?:\*/|\Z)"
+# A comment or a string/char literal or text block (each but a line comment
+# may run unclosed to the end); its first character is "/", '"' or "'".
+_COMMENT_OR_LITERAL = (
+    r"//[^\n]*|/\*[\s\S]*?(?:\*/|\Z)"
     r'''|"""(?:\\[^\n]|\\|(?!""")[^\\])*(?:""")?'''
     r'''|"(?:\\[^\n]|\\|[^\\"])*"?|'(?:\\[^\n]|\\|[^\\'])*'?'''
 )
-_LEXEMES = "/\"'"  # the first characters of comments and literals
-_NOT_TOKEN = "\n" + _LEXEMES
+# One element of a file's text, which is lexed with a "\n" put in front: a
+# token; a line break with the next line's indent and, when that line
+# starts with a character that begins no other element, that character; or
+# a comment or literal.  Only a line break starts with "\n", so the first
+# character tells the three apart.
+_LEX_RE = re.compile(
+    r"[A-Za-z_$][A-Za-z0-9_$]*|[{}();?,=:<>\[\].]|&&|\|\|"
+    r"|\n[^\S\n]*(?:[^\s/\"'A-Za-z_$&|{}();?,=:<>\[\].]|/(?![/*])|&(?!&)|\|(?!\|))?|"
+    + _COMMENT_OR_LITERAL
+)
+_COMMENT_OR_LITERAL_RE = re.compile(_COMMENT_OR_LITERAL)
+_NOT_TOKEN = "\n/\"'"  # the first characters of line breaks, comments and literals
 
 
 def _lex(text: str) -> list[str]:
@@ -150,23 +157,25 @@ def _tokens(text: str, elements: list[str]) -> tuple[list[str], list[int], list[
     return toks, lines, kinds
 
 
-def _imports(text: str, elements: list[str]) -> list[tuple[str, str]]:
-    """The dotted name and wildcard suffix of each import statement of a
-    lexed file.  The statements are matched with each comment read as a
-    space and each literal as a quote, which keeps every match of the code
-    text (no match can hold a quote)."""
+def _imports(text: str) -> list[tuple[str, str]]:
+    """The dotted name and wildcard suffix of each import statement.  The
+    statements are matched with each comment read as a space and each
+    literal as a quote, which keeps every match of the code text (no match
+    can hold a quote)."""
     if "import" not in text:
         return []
-    if any(c in text for c in _LEXEMES):
-        pieces, pos = [], 0
-        for e in elements:
-            if e[0] in _LEXEMES:
-                # no comment or literal opener lies between pos and e
-                start = text.index(e, pos)
-                pieces += text[pos:start], " " if e[0] == "/" else '"'
-                pos = start + len(e)
-        text = "".join(pieces) + text[pos:]
+    text = _COMMENT_OR_LITERAL_RE.sub(lambda m: " " if m[0][0] == "/" else '"', text)
     return _IMPORT_RE.findall(text)
+
+
+def _declares(toks: list[str], i: int) -> bool:
+    """Whether the type keyword ``toks[i]`` declares the token after it."""
+    return i + 1 < len(toks) and toks[i + 1] not in JAVA_KEYWORDS and _is_ident(toks[i + 1])
+
+
+def _stem(path: str) -> str:
+    """A file's name without its directory and its last suffix."""
+    return path.replace("\\", "/").split("/")[-1].rsplit(".", 1)[0]
 
 
 # --- unit detection -----------------------------------------------------
@@ -281,7 +290,7 @@ def _parse(toks: list[str], lines: list[int]) -> tuple:
                     modifiers = frozenset(t for t in toks[stmt:i] if t in _ACCESS or t == "static")
                     pending_unit = Unit(name, lines[i - 1], depth + 1, _count_params(ptoks), modifiers)
         elif tok in _TYPE_KEYWORDS:
-            if i + 1 < n and toks[i + 1] not in JAVA_KEYWORDS and _is_ident(toks[i + 1]):
+            if _declares(toks, i):
                 pending_class = True
         elif tok not in _BOUNDARIES:  # a counted token
             if unit_stack:
@@ -347,10 +356,8 @@ class FileIndex:
         self._components: dict[str, tuple[str, ...]] = {}
         self._imports: dict[str, str | None] = {}  # each dotted name resolved so far
         for p in sorted(self.paths):
-            comps = tuple(p.replace("\\", "/").split("/"))
-            self._components[p] = comps
-            stem = comps[-1].rsplit(".", 1)[0]
-            self._by_stem.setdefault(stem, []).append(p)
+            self._components[p] = tuple(p.replace("\\", "/").split("/"))
+            self._by_stem.setdefault(_stem(p), []).append(p)
 
     def resolve_import(self, dotted: str) -> str | None:
         """Resolve ``a.b.C`` to a unique file ending in ``a/b/C.java``."""
@@ -438,48 +445,37 @@ def analyze_file(source: str) -> ComplexityMetrics:
 def scan_entity(source: str, path: str, index: FileIndex) -> SourceEntity:
     """The resolved import and call targets of one file: its imports, and
     the type names it names less the ones it declares."""
-    elements = _lex(source)
-    imports: set[str] = set()
+    # a wildcard import produces no edge
+    imports = {index.resolve_import(n) for n, star in _imports(source) if not star} - {None, path}
     calls: set[str] = set()
-    for name, wildcard in _imports(source, elements):
-        if wildcard:  # wildcard imports produce no edges
-            continue
-        target = index.resolve_import(name)
-        if target is not None and target != path:
-            imports.add(target)
-    stem = path.replace("\\", "/").split("/")[-1].rsplit(".", 1)[0]
+    stem = _stem(path)
+    elements = _lex(source)
     # only a token that is the stem of another file can resolve to a call
     if (index._by_stem.keys() & elements) - {stem}:
-        declared, called = _type_names(elements)
+        declared, called = _type_names([e for e in elements if e[0] not in _NOT_TOKEN])
         calls = {index.resolve_type(name) for name in called - declared - {stem}} - {None, path}
     return SourceEntity(path, frozenset(imports), frozenset(calls))
 
 
-def _type_names(elements: list[str]) -> tuple[set[str], set[str]]:
-    """The type names a lexed file declares, and the ones it names outside
-    the headers of its type declarations."""
+def _type_names(toks: list[str]) -> tuple[set[str], set[str]]:
+    """The type names a file's tokens declare, and the ones they name
+    outside the headers of its type declarations."""
     declared: set[str] = set()
     called: set[str] = set()
-    last = len(elements) - 1  # the last token
-    while last and elements[last][0] in _NOT_TOKEN:
-        last -= 1
+    last = len(toks) - 1
     pending_class = False  # a type name is declared and its body not yet open
-    for i, e in enumerate(elements):
+    for i, t in enumerate(toks):
         # a token that names a type by convention starts with [A-Z]; no
-        # other element and no keyword is capitalized, and the last token
+        # other token and no keyword is capitalized, and the last token
         # counts even after a type keyword
-        if "A" <= e < "[":
+        if "A" <= t < "[":
             if not pending_class or i == last:
-                called.add(e)
-        elif e == "{":
+                called.add(t)
+        elif t == "{":
             pending_class = False
-        elif e in _TYPE_KEYWORDS:
-            j = i + 1
-            while j < last and elements[j][0] in _NOT_TOKEN:
-                j += 1
-            if i < last and elements[j] not in JAVA_KEYWORDS and _is_ident(elements[j]):
-                pending_class = True
-                declared.add(elements[j])
+        elif t in _TYPE_KEYWORDS and _declares(toks, i):
+            pending_class = True
+            declared.add(toks[i + 1])
     return declared, called
 
 
@@ -533,7 +529,8 @@ def assess_chunk_risks(
 
 
 class ProcessHistory:
-    """Commit-history index answering process-metric queries by prefix.
+    """Commit-history index answering process-metric queries by prefix:
+    each query counts the first ``n_commits`` commits.
 
     Authored lines = added + deleted lines, following the convention that
     both count as authored.
@@ -559,19 +556,19 @@ class ProcessHistory:
                 total += commit_lines
                 self.total_lines.append((idx, total))
 
-    def _prefix(self, series: list[tuple[int, int]], as_of_idx: int) -> int:
-        pos = bisect.bisect_right(series, (as_of_idx, float("inf")))
+    def _prefix(self, series: list[tuple[int, int]], n_commits: int) -> int:
+        pos = bisect.bisect_left(series, (n_commits,))
         return series[pos - 1][1] if pos else 0
 
-    def experience(self, author: str, as_of_idx: int) -> float:
+    def experience(self, author: str, n_commits: int) -> float:
         """Percent of all project authored lines contributed by the author."""
-        total = self._prefix(self.total_lines, as_of_idx)
+        total = self._prefix(self.total_lines, n_commits)
         if total == 0:
             return 0.0
-        return 100.0 * self._prefix(self.author_lines.get(author, []), as_of_idx) / total
+        return 100.0 * self._prefix(self.author_lines.get(author, []), n_commits) / total
 
-    def metrics(self, path: str, as_of_idx: int) -> ProcessMetrics:
-        touches = [t for t in self.file_touches.get(path, []) if t[0] <= as_of_idx]
+    def metrics(self, path: str, n_commits: int) -> ProcessMetrics:
+        touches = [t for t in self.file_touches.get(path, []) if t[0] < n_commits]
         if not touches:
             return ProcessMetrics()
         per_author: dict[str, int] = {}
@@ -587,7 +584,7 @@ class ProcessHistory:
             )
         owner = min(per_author, key=lambda a: (-per_author[a], a))
         shares = {a: 100.0 * n / file_total for a, n in per_author.items()}
-        experiences = [self.experience(a, as_of_idx) for a in sorted(per_author)]
+        experiences = [self.experience(a, n_commits) for a in sorted(per_author)]
         if all(e > 0 for e in experiences):
             gm = math.exp(sum(math.log(e) for e in experiences) / len(experiences))
         else:
@@ -597,7 +594,7 @@ class ProcessHistory:
             DistinctDevCount=len(per_author),
             OwnersContribution=shares[owner],
             MinorContributorCount=sum(1 for s in shares.values() if s < 5.0),
-            OwnersExperience=self.experience(owner, as_of_idx),
+            OwnersExperience=self.experience(owner, n_commits),
             AllCommitersExperience=gm,
         )
 

@@ -44,7 +44,7 @@ class DependencyGraph:
             raise UnknownTestError(f"{test} is not a node of the dependency graph")
         return self.deps[test] & self.sut_files
 
-    def impacted_files(self, changed: frozenset[str], depth: int = 1) -> frozenset[str]:
+    def impacted_files(self, changed: frozenset[str], depth: int) -> frozenset[str]:
         """SUT files reachable by reverse edges from the changed set.
 
         Breadth-first up to ``depth`` hops; the changed

@@ -219,7 +219,7 @@ class FeatureExtractor:
 
     def snapshot(self, build_id: int) -> Snapshot:
         """Commit cutoff as of a build (commits up to and including it)."""
-        return Snapshot(build=build_id, n_commits=len(self.history.commits_up_to(build_id)))
+        return Snapshot(build=build_id, n_commits=self.history.n_commits(build_id))
 
     # -- REC -------------------------------------------------------------
 
@@ -297,7 +297,7 @@ class FeatureExtractor:
         key = (path, n_commits)
         vec = self._pro_cache.get(key)
         if vec is None:
-            vec = np.array(self._process.metrics(path, n_commits - 1), dtype=np.float64)
+            vec = np.array(self._process.metrics(path, n_commits), dtype=np.float64)
             self._pro_cache[key] = vec
         return vec
 

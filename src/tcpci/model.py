@@ -262,9 +262,9 @@ class BuildHistory:
         """The changed files (chn) of a build: every file its commits touch."""
         return self._changed[build_id]
 
-    def commits_up_to(self, build_id: BuildId) -> tuple[Commit, ...]:
-        """All commits of builds with ordinal <= build_id, in build order."""
-        return self.commit_sequence[: self._commit_cutoff[build_id]]
+    def n_commits(self, build_id: BuildId) -> int:
+        """The length of the prefix of :attr:`commit_sequence` visible at a build."""
+        return self._commit_cutoff[build_id]
 
     @property
     def failed_builds(self) -> tuple[Build, ...]:

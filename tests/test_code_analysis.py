@@ -209,13 +209,19 @@ def test_class_literal_declares_no_type():
         "    }\n"
         "}\n"
     )
-    for literal in ("A.class.getName()", "A.class", "A . class", "A\n        .class"):
+    # a comment or a line break may lie between the "." and "class"
+    for literal in (
+        "A.class.getName()", "A.class", "A . class", "A\n        .class",
+        "A./* why */class.getName()", "A.\n            class.getName()",
+    ):
         m = analyze_file(text.replace("A.class.getName()", literal))
         assert (m.CountDeclClass, m.CountDeclFunction, m.MaxNesting) == (1, 1, 1)
     # the type named after a class literal is a call target
-    idx = FileIndex({"p/B.java", "A.java"})
+    idx = FileIndex({"p/B.java", "A.java", "Z.java"})
     e = scan_entity("class A { Object o = A.class.cast(B.X); }", "A.java", idx)
     assert e.call_targets == {"p/B.java"}
+    e = scan_entity("class Z { Object o = A./* c */class.cast(B.X); }", "Z.java", idx)
+    assert e.call_targets == {"A.java", "p/B.java"}
 
 
 def test_ambiguous_call_target_produces_no_edge():
@@ -237,7 +243,7 @@ def test_test_file_detection():
 
 def test_single_author_process_metrics():
     hist = [commit(i, "alice", [("f.java", 2, 1)]) for i in range(3)]
-    pm = ProcessHistory(hist).metrics("f.java", len(hist) - 1)
+    pm = ProcessHistory(hist).metrics("f.java", len(hist))
     assert pm.CommitCount == 3
     assert pm.DistinctDevCount == 1
     assert pm.OwnersContribution == 100.0
@@ -248,7 +254,7 @@ def test_minor_contributor_below_five_percent():
         commit(1, "alice", [("f.java", 96, 0)]),
         commit(2, "bob", [("f.java", 4, 0)]),
     ]
-    pm = ProcessHistory(hist).metrics("f.java", len(hist) - 1)
+    pm = ProcessHistory(hist).metrics("f.java", len(hist))
     assert pm.MinorContributorCount == 1
     assert pm.OwnersContribution == 96.0
 
@@ -259,13 +265,13 @@ def test_geometric_mean_experience():
         commit(2, "bob", [("f.java", 5, 0), ("h.java", 35, 0)]),
         commit(3, "carol", [("z.java", 50, 0)]),
     ]
-    pm = ProcessHistory(hist).metrics("f.java", len(hist) - 1)
+    pm = ProcessHistory(hist).metrics("f.java", len(hist))
     assert pm.AllCommitersExperience == pytest.approx(20.0)
 
 
 def test_file_never_touched_all_zero():
     hist = [commit(1, "alice", [("f.java", 1, 0)])]
-    pm = ProcessHistory(hist).metrics("other.java", 0)
+    pm = ProcessHistory(hist).metrics("other.java", 1)
     assert pm.CommitCount == 0
     assert pm.OwnersContribution == 0.0
 
@@ -275,7 +281,7 @@ def test_process_metrics_respect_as_of():
         commit(1, "alice", [("f.java", 10, 0)]),
         commit(2, "bob", [("f.java", 10, 0)]),
     ]
-    pm = ProcessHistory(hist).metrics("f.java", 0)
+    pm = ProcessHistory(hist).metrics("f.java", 1)
     assert pm.DistinctDevCount == 1
 
 
@@ -510,7 +516,7 @@ def test_analysis_golden():
     ph = ProcessHistory(hist)
     for path in ("a.java", "b.java", "c.java", "d.java"):
         for idx in range(len(hist)):
-            pm = ph.metrics(path, idx)
+            pm = ph.metrics(path, idx + 1)
             put(path, idx, [repr(float(getattr(pm, n))) for n in PROCESS_METRICS])
 
     risk = UnitRisk(lines_added=3, lines_deleted=1, low_size=True, low_complexity=False, low_interfacing=True)
@@ -534,9 +540,7 @@ def test_analysis_golden():
 # that code_analysis used before each file was lexed once: the lexer and
 # everything read from it must give the same results on any text.
 
-_REF_TOKEN_RE = re.compile(
-    r"[A-Za-z_$][A-Za-z0-9_$]*|&&|\|\||[{}();?,=:<>\[\]]|\.[ \t]*class(?![\w$])"
-)
+_REF_TOKEN_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*|&&|\|\||[{}();?,=:<>\[\].]")
 _REF_IMPORT_RE = re.compile(r"\bimport\s+(?:static\s+)?([\w.]+?)(\.\*)?\s*;")
 _REF_LEXEME_RE = re.compile(
     r"(//[^\n]*|/\*[\s\S]*?(?:\*/|\Z))"
@@ -588,11 +592,8 @@ def _ref_blank(text):
 
 
 def _ref_code_text(text):
-    # a comment becomes "\v", whitespace that is neither a space nor a tab, so
-    # that it splits a class literal's ".class" as in the lexer
     return _REF_LEXEME_RE.sub(
-        lambda m: re.sub(r"[^\n]", "\v", m[1]) if m[1] else m[2] + _ref_blank(m[3]) + m[4],
-        text,
+        lambda m: _ref_blank(m[1]) if m[1] else m[2] + _ref_blank(m[3]) + m[4], text
     )
 
 
@@ -863,7 +864,8 @@ _STATEMENT_PIECES = st.sampled_from([
     "if (", "for", "while", "case", "switch", "catch", "return", "return;", "break;",
     "continue;", "&&", "||", "?", "&", "|", "@Override", ".", "*", "1", "x = 1;", "int x;",
     "static int y = 2;", "class X {", "new A() {", "}", "}\n", "(", ")",
-    "A.class", "x . class Bee", ".\tclass$", ".classy",
+    "A.class", "x . class Bee", ".\tclass$", ".classy", "A./* c */class", "x.\n  class.y",
+    "B.// c\nclass Bee", "...", ".5",
 ])
 _LEXER_PIECES = st.one_of(_ENTITY_PIECES, _LEXEME_PIECES, _STATEMENT_PIECES)
 _LEXER_TEXTS = st.lists(_LEXER_PIECES, max_size=40).map(" ".join) | st.lists(

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from tcpci.catalog import CATALOG, REC_FEATURES, FeatureGroup
 from tcpci.code_analysis import analyze_file
+from tcpci.commit_classifier import is_defect_fix_keyword
+from tcpci.coverage import build_dependency_graph_from_sources
 from tcpci.features import SNAPSHOT_GROUPS, FeatureExtractor
 from tcpci.matrix import FeatureMatrix
 from tcpci.model import (
@@ -279,6 +281,102 @@ def test_rec_matches_per_test_reference(specs, window):
         for i, t in enumerate(m.tests):
             want[i] += rec_reference(history, t, b.id, window)
         assert m.values[:, CATALOG.group_slice(FeatureGroup.REC)].tobytes() == want.tobytes()
+
+
+def cov_reference(history: BuildHistory, graph, test: str, k: int, cut: int, depth: int):
+    """The F_COV and DET_COV cells of ``test`` at build ``k``, mined from the
+    commits visible at build ``cut``, one test and one file at a time:
+    (CovCCount, CovICount, SumCovCScore, SumCovIScore, WSumCovCFaults,
+    WSumCovIFaults)."""
+    referenced = {c for b in history.builds for c in b.commits}
+    seen = {c for b in history.builds if b.id <= cut for c in b.commits}
+    visible = [c for c in history.commit_sequence if c.id in seen or c.id not in referenced]
+    chn = history.changed_files(k)
+    covered = graph.covered_files(test) if test in graph.deps else frozenset()
+    row = np.zeros(6)
+    for h, half in enumerate((covered & chn, covered & graph.impacted_files(chn, depth))):
+        files = sorted(half)
+        confidence = []  # of f -> test: the share of the commits changing f that change test
+        for f in files:
+            with_f = [c for c in visible if f in c.changed_files]
+            hits = sum(test in c.changed_files for c in with_f)
+            confidence.append(hits / len(with_f) if with_f else 0.0)
+        total = 0.0
+        for x in confidence:
+            total += x
+        row[h] = len(files)
+        for f, x in zip(files, confidence):
+            w = x / total if total else 1.0 / len(files)
+            fixes = sum(f in c.changed_files and is_defect_fix_keyword(c.message) for c in visible)
+            row[2 + h] += w
+            row[4 + h] += w * fixes
+    return row
+
+
+_SUT = ("src/app/F1.java", "src/app/F2.java", "src/app/F3.java", "src/app/F4.java")
+_COV_TESTS = (T, "src/test/UTest.java", "src/test/VTest.java")  # VTest has no source
+_COMMITS = st.lists(
+    st.tuples(st.frozensets(st.sampled_from(_SUT + _COV_TESTS), min_size=1), st.booleans()),
+    max_size=2,
+)
+_COV_SPECS = st.tuples(
+    # the SUT files each source imports
+    st.tuples(*(st.frozensets(st.sampled_from(_SUT)) for _ in _SUT + _COV_TESTS[:2])),
+    _COMMITS,  # commits before the first build
+    st.lists(st.tuples(_COMMITS, st.frozensets(st.sampled_from(_COV_TESTS))), min_size=1, max_size=6),
+)
+
+
+def _cov_history(specs) -> tuple[BuildHistory, dict[str, str]]:
+    imports, before, builds = specs
+    def name(path: str) -> str:
+        return path.rsplit("/", 1)[1].removesuffix(".java")
+
+    sources = {
+        p: "".join(f"import app.{name(f)};\n" for f in sorted(fs)) + f"public class {name(p)} {{ }}\n"
+        for p, fs in zip(_SUT + _COV_TESTS, imports)
+    }
+    commits: dict[str, Commit] = {}
+
+    def add(files, fix) -> str:
+        cid = f"{len(commits):040x}"
+        changes = tuple(FileChange(p, 1, 0) for p in sorted(files))
+        commits[cid] = Commit(cid, TS, "dev", "fix a bug" if fix else "update", changes)
+        return cid
+
+    for files, fix in before:
+        add(files, fix)
+    history = [
+        Build.from_records(
+            id=k,
+            commits=tuple(add(files, fix) for files, fix in build_commits),
+            records=tuple(ExecutionRecord(k, t, P, 1.0) for t in sorted(tests)),
+        )
+        for k, (build_commits, tests) in enumerate(builds, start=1)
+    ]
+    return BuildHistory(history, commits), sources
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs=_COV_SPECS)
+def test_cov_and_det_match_per_test_reference(specs):
+    # live matrices and stale snapshots at impact depths 0-2, on the rows of
+    # the tests each snapshot knows (the others are imputed)
+    history, sources = _cov_history(specs)
+    graph = build_dependency_graph_from_sources(sources)
+    first = {}
+    for b in history.builds:
+        for t in b.tests:
+            first.setdefault(t, b.id)
+    cols = [*CATALOG.group_indices(FeatureGroup.F_COV), *CATALOG.group_indices(FeatureGroup.DET_COV)]
+    for depth in range(3):
+        ex = FeatureExtractor(history, sources, impact_depth=depth)
+        for b in history.builds:
+            for cut in range(1, b.id + 1):
+                m = ex.matrix(b.id) if cut == b.id else ex.matrix(b.id, ex.snapshot(cut))
+                known = [i for i, t in enumerate(m.tests) if first[t] <= cut]
+                want = np.array([cov_reference(history, graph, m.tests[i], b.id, cut, depth) for i in known])
+                assert m.values[np.ix_(known, cols)].tobytes() == want.reshape(len(known), 6).tobytes()
 
 
 def test_sum_cov_score_is_one_iff_covered_changed():

@@ -115,8 +115,8 @@ def test_history_commit_prefix_ordering():
     b2 = make_build(2, commits=(c2, c3))
     history = BuildHistory([b2, b1], {c.id: c for c in (c1, c2, c3)})
     assert [b.id for b in history.builds] == [1, 2]
-    assert [c.id for c in history.commits_up_to(1)] == [c1.id]
-    assert [c.id for c in history.commits_up_to(2)] == [c1.id, c2.id, c3.id]
+    assert [c.id for c in history.commit_sequence[: history.n_commits(1)]] == [c1.id]
+    assert [c.id for c in history.commit_sequence[: history.n_commits(2)]] == [c1.id, c2.id, c3.id]
 
 
 def test_history_changed_files_are_the_union_of_each_builds_commits():
