@@ -283,7 +283,9 @@ def test_rec_matches_per_test_reference(specs, window):
         assert m.values[:, CATALOG.group_slice(FeatureGroup.REC)].tobytes() == want.tobytes()
 
 
-def cov_reference(history: BuildHistory, graph, test: str, k: int, cut: int, depth: int):
+def cov_reference(
+    history: BuildHistory, graph, test: str, k: int, cut: int, depth: int
+) -> np.ndarray:
     """The F_COV and DET_COV cells of ``test`` at build ``k``, mined from the
     commits visible at build ``cut``, one test and one file at a time:
     (CovCCount, CovICount, SumCovCScore, SumCovIScore, WSumCovCFaults,
@@ -329,6 +331,7 @@ _COV_SPECS = st.tuples(
 
 def _cov_history(specs) -> tuple[BuildHistory, dict[str, str]]:
     imports, before, builds = specs
+
     def name(path: str) -> str:
         return path.rsplit("/", 1)[1].removesuffix(".java")
 
