@@ -54,13 +54,13 @@ _EXTRACTOR = {"impact_depth": int, "recent_window": int}
 _SEED = {"seed": int}
 _HYPERPARAMS = {"bags": int, "trees_per_bag": int, "max_leaves": int, "shrinkage": float,
                 "sample_rate": float, "feature_rate": float}
-_TRAINING = {**_EXTRACTOR, **_SEED, **_HYPERPARAMS}
-_REPLAY = {**_TRAINING, "max_builds": int}
-#: The value options of each command that takes any.
+_TRAINING = {**_SEED, **_HYPERPARAMS}
+_REPLAY = {**_EXTRACTOR, **_TRAINING, "max_builds": int}
+#: The value options of each command that takes any.  A model file records
+#: no extractor option, so ``train`` and ``prioritize`` take none.
 _OPTIONS = {
     "extract": _EXTRACTOR,
     "train": _TRAINING,
-    "prioritize": _EXTRACTOR,
     "evaluate": {**_REPLAY, "heuristic": str},
     "decay": {**_REPLAY, "max_rw": int},
     "synth": _SEED,
@@ -205,7 +205,7 @@ def _cmd_prioritize(args, opts: dict) -> int:
     if args.build not in history:
         raise InputError(f"build {args.build} not in dataset")
     model = RankModel.from_json(_read_text(args.model, "model file"))
-    extractor = FeatureExtractor(history, load_sources(layout), **opts)
+    extractor = FeatureExtractor(history, load_sources(layout))
     for test in rank_tests(model, extractor.matrix(args.build)):
         print(test)
     return EXIT_OK

@@ -23,10 +23,11 @@ import tcpci
 from tcpci import cli, ingest
 from tcpci.cli import main
 from tcpci.errors import DuplicateRecordError, SchemaError
+from tcpci.evaluation import PipelineEvaluator
 from tcpci.ingest import DatasetLayout, ingest_exec_records
 from tcpci.model import MAX_BUILD_ID, ExecutionRecord, Verdict
-from tcpci.ranker import Hyperparams
-from tcpci.synth import SynthConfig
+from tcpci.ranker import Hyperparams, rank_tests
+from tcpci.synth import SynthConfig, load_sources
 from tcpci.trees import NODE_ARRAYS, pack_nodes
 
 SYNTH_CFG = {
@@ -115,6 +116,10 @@ def test_train_then_prioritize(dataset, tmp_path, capsys):
     assert rc == 0
     ranked = capsys.readouterr().out.splitlines()
     assert sorted(ranked) == sorted(target.tests)
+    # the written model ranks the build on the features it was trained on
+    ev = PipelineEvaluator(history, load_sources(DatasetLayout(dataset)),
+                           Hyperparams(n_bags=6, trees_per_bag=2, max_leaves=16))
+    assert ranked == rank_tests(ev.model_for(target.id), ev.matrix(target.id))
 
 
 def test_train_without_prior_failures_exits_3(dataset, capsys):
@@ -696,7 +701,7 @@ def test_directory_named_like_a_java_file_is_not_a_source(dataset, tmp_path, cap
         ],
         ["evaluate", "--config", '@{"max_bulds": 3}'],
         ["extract", "--build", "1", "--config", '@{"impact_dept": -5, "max_rw": -3}'],
-        ["prioritize", "--build", "1", "--model", model_arg(), "--config", '@{"seed": 3}'],
+        ["extract", "--build", "1", "--config", '@{"seed": 3}'],
         ["evaluate", "--config", '@{"max_builds": true}'],
         ["decay", "--config", '@{"max_rw": true}'],
         ["synth", "--config", '@{"n_tests": "x"}'],
@@ -747,7 +752,7 @@ def test_directory_named_like_a_java_file_is_not_a_source(dataset, tmp_path, cap
         "model-seed-bool", "model-base-bool", "model-tree-count", "model-fingerprint-other",
         "model-fingerprint-list", "model-threshold-string", "model-value-bool",
         "model-hyperparams-missing", "config-misspelt-key",
-        "config-keys-of-other-flags", "config-seed-on-prioritize", "max-builds-bool",
+        "config-keys-of-other-flags", "config-seed-on-extract", "max-builds-bool",
         "max-rw-bool", "synth-n-tests-string", "synth-base-failure-string",
         "synth-files-per-build-above-n-files", "synth-n-builds-bool", "synth-n-builds-negative",
         "synth-probability-above-1", "config-nested-deep", "model-nested-deep",
@@ -956,10 +961,17 @@ def test_cold_prioritize_does_not_import_numpy_ma(dataset, tmp_path):
         ["ingest", "--recent-window", "2"],
         ["extract", "--build", "1", "--seed", "99"],
         ["prioritize", "--build", "1", "--model", "model.json", "--seed", "99"],
+        # a model file does not record the extractor's settings, so train
+        # and prioritize always use its defaults
+        ["train", "--until", "1", "--out", "model.json", "--recent-window", "2"],
+        ["train", "--until", "1", "--out", "model.json", "--impact-depth", "0"],
+        ["prioritize", "--build", "1", "--model", "model.json", "--impact-depth", "2"],
+        ["prioritize", "--build", "1", "--model", "model.json", "--config", "f.json"],
     ],
     ids=[
         "evaluate-jobs", "synth-jobs", "ingest-seed", "ingest-config", "ingest-impact-depth",
-        "ingest-recent-window", "extract-seed", "prioritize-seed",
+        "ingest-recent-window", "extract-seed", "prioritize-seed", "train-recent-window",
+        "train-impact-depth", "prioritize-impact-depth", "prioritize-config",
     ],
 )
 def test_unread_option_is_rejected(dataset, tmp_path, capsys, argv):
@@ -978,15 +990,15 @@ def test_unread_option_is_rejected(dataset, tmp_path, capsys, argv):
 
 
 #: The config keys of each command.  ``synth``'s are the generator settings
-#: and ``seed``; the others' are their value flags.
+#: and ``seed``; the others' are their value flags.  ``prioritize`` has none.
+EXTRACTOR_KEYS = ["impact_depth", "recent_window"]
 TRAINING_KEYS = ["seed", "bags", "trees_per_bag", "max_leaves", "shrinkage", "sample_rate",
-                 "feature_rate", "impact_depth", "recent_window"]
+                 "feature_rate"]
 CONFIG_KEYS = {
-    "extract": ["impact_depth", "recent_window"],
-    "prioritize": ["impact_depth", "recent_window"],
+    "extract": EXTRACTOR_KEYS,
     "train": TRAINING_KEYS,
-    "evaluate": [*TRAINING_KEYS, "max_builds", "heuristic"],
-    "decay": [*TRAINING_KEYS, "max_builds", "max_rw"],
+    "evaluate": [*TRAINING_KEYS, *EXTRACTOR_KEYS, "max_builds", "heuristic"],
+    "decay": [*TRAINING_KEYS, *EXTRACTOR_KEYS, "max_builds", "max_rw"],
     "synth": [*(f.name for f in dataclasses.fields(SynthConfig)), "seed"],
 }
 #: Keys whose large valid values only make a long job; they get only
@@ -1027,14 +1039,11 @@ def test_any_config_value_and_output_path_exits_0_2_3_or_4(dataset, model_files,
         (tmp / "cfg.json").write_text(json.dumps(cfg))
         (tmp / "file").write_text("")
         (tmp / "dir").mkdir()
-        model = tmp / "model.json"
-        model.write_text(model_files[0])
         build = str(model_files[1].id)
         argv = {
             "synth": ["synth"],
             "extract": ["extract", str(dataset), "--build", build],
             "train": ["train", str(dataset), "--until", build],
-            "prioritize": ["prioritize", str(dataset), "--build", build, "--model", str(model)],
         }.get(command, [command, str(dataset)])
         for name, flag in SMALL_FLAGS.items():
             if name != key and name in CONFIG_KEYS[command]:
@@ -1082,8 +1091,7 @@ VALID = {"seed": 5, "impact_depth": 2, "recent_window": 3, "max_builds": 4, "max
          "heuristic": "F_FailRate_Total:asc", "bags": 3, "trees_per_bag": 2, "max_leaves": 5,
          "shrinkage": 0.25, "sample_rate": 0.75, "feature_rate": 0.5}
 #: The library call each command hands its options to.
-CALLEE = {"extract": "FeatureExtractor", "prioritize": "FeatureExtractor",
-          "train": "PipelineEvaluator", "evaluate": "run_pipeline_eval",
+CALLEE = {"extract": "FeatureExtractor", "train": "PipelineEvaluator", "evaluate": "run_pipeline_eval",
           "decay": "decay_experiment", "synth": "write_synthetic_dataset"}
 
 
@@ -1137,14 +1145,11 @@ def test_every_value_option_reaches_its_parameter(
         raise Reached
 
     monkeypatch.setattr(cli, CALLEE[command], spy)
-    model = tmp_path / "model.json"
-    model.write_text(model_files[0])
     build = str(model_files[1].id)
     argv = {
         "synth": ["synth", "--out", str(tmp_path / "d")],
         "extract": ["extract", str(dataset), "--build", build],
         "train": ["train", str(dataset), "--until", build, "--out", str(tmp_path / "m.json")],
-        "prioritize": ["prioritize", str(dataset), "--build", build, "--model", str(model)],
     }.get(command, [command, str(dataset)])
     if source == "flag":
         argv += ["--" + key.replace("_", "-"), str(value)]
@@ -1160,7 +1165,7 @@ def test_every_value_option_reaches_its_parameter(
 
 
 def test_readme_option_table_names_every_value_key():
-    # a value option of extract, train, prioritize, evaluate or decay
+    # a value option of extract, train, evaluate or decay
     # cannot land without its row in the README's option table
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("| key | kind | range |\n", 1)[1].split("\n\n", 1)[0]
