@@ -12,6 +12,9 @@ rules are fixed and documented here so every metric is reproducible:
 * a token is an identifier or keyword, one of ``{ } ( ) ; ? , = : < > [ ]
   .``, ``&&`` or ``||``; any other character outside comments and
   literals (digits, operators, ``@``) only marks its line as code;
+* an import gives an edge to the one file whose path ends in its name
+  (``a.b.C`` in ``a/b/C.java``), a static import to that of the longest
+  prefix of its name that has one, and a non-static wildcard to none;
 * a type keyword (class, interface, enum, record) declares the identifier
   that directly follows it, and nothing when any other token follows, so
   the ``class`` of a class literal (``A.class``) declares nothing;
@@ -72,7 +75,7 @@ DMM_INTERFACING_THRESHOLD = 2
 _is_ident = re.compile(r"[A-Za-z_$]").match
 # an import statement; "import" must not follow a word character (as with
 # a leading \b), and as the pattern's first text it is found by a fast scan
-_IMPORT_RE = re.compile(r"import(?<!\wimport)\s+(?:static\s+)?([\w.]+?)(\.\*)?\s*;")
+_IMPORT_RE = re.compile(r"import(?<!\wimport)\s+(static\s+)?([\w.]+?)(\.\*)?\s*;")
 
 
 # One row of each metric family, with fields named by the catalog.
@@ -157,11 +160,11 @@ def _tokens(text: str, elements: list[str]) -> tuple[list[str], list[int], list[
     return toks, lines, kinds
 
 
-def _imports(text: str) -> list[tuple[str, str]]:
-    """The dotted name and wildcard suffix of each import statement.  The
-    statements are matched with each comment read as a space and each
-    literal as a quote, which keeps every match of the code text (no match
-    can hold a quote)."""
+def _imports(text: str) -> list[tuple[str, str, str]]:
+    """The static keyword, dotted name and wildcard suffix of each import
+    statement.  The statements are matched with each comment read as a space
+    and each literal as a quote, which keeps every match of the code text
+    (no match can hold a quote)."""
     if "import" not in text:
         return []
     text = _COMMENT_OR_LITERAL_RE.sub(lambda m: " " if m[0][0] == "/" else '"', text)
@@ -359,8 +362,11 @@ class FileIndex:
             self._components[p] = tuple(p.replace("\\", "/").split("/"))
             self._by_stem.setdefault(_stem(p), []).append(p)
 
-    def resolve_import(self, dotted: str) -> str | None:
-        """Resolve ``a.b.C`` to a unique file ending in ``a/b/C.java``."""
+    def resolve_import(self, dotted: str, static: bool = False) -> str | None:
+        """Resolve ``a.b.C`` to a unique file ending in ``a/b/C.java``; for a
+        ``static`` import, the longest prefix of ``a.b.C.m`` that resolves."""
+        if static and "." in dotted and self.resolve_import(dotted) is None:
+            return self.resolve_import(dotted.rsplit(".", 1)[0], static)
         if dotted not in self._imports:
             parts = dotted.split(".")
             want = tuple(parts[:-1] + [parts[-1] + ".java"])
@@ -445,8 +451,9 @@ def analyze_file(source: str) -> ComplexityMetrics:
 def scan_entity(source: str, path: str, index: FileIndex) -> SourceEntity:
     """The resolved import and call targets of one file: its imports, and
     the type names it names less the ones it declares."""
-    # a wildcard import produces no edge
-    imports = {index.resolve_import(n) for n, star in _imports(source) if not star} - {None, path}
+    # a non-static wildcard import names a package and produces no edge
+    imports = {index.resolve_import(n, bool(static))
+               for static, n, star in _imports(source) if static or not star} - {None, path}
     calls: set[str] = set()
     stem = _stem(path)
     elements = _lex(source)

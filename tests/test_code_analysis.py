@@ -123,7 +123,9 @@ _HEADERS = st.builds(
 _ENTITY_PIECES = st.one_of(
     st.sampled_from(_JAVA_PIECES + _TYPE_NAMES + ["(", ")", "<", ">", ",", "=", "new", "x"]),
     st.sampled_from(["import p.A;", "import q.C1;", "import static p.Bee;", "import q.*;",
-                     "import r.Main;\n"]),
+                     "import r.Main;\n", "import static p.A.m;", "import static p.Bee.*;",
+                     "import static q.C1.In.x;", "import static r.*;", "import static Main.run;",
+                     "import static p.A.Sub.*;"]),
     _HEADERS,
 )
 # entity texts, also ending inside a type header with a capitalized token
@@ -196,6 +198,17 @@ def test_import_resolution():
     idx = FileIndex({"p/B.java", "A.java"})
     e = scan_entity("import p.B;\nclass A { }\n", "A.java", idx)
     assert e.import_targets == {"p/B.java"}
+
+
+def test_static_import_resolves_to_its_class_file():
+    # the stem A is not unique, so only the import can link T to p/A.java
+    idx = FileIndex({"p/A.java", "q/A.java", "T.java"})
+    for imp in ("import p.A;", "import static p.A.m;", "import static p.A.*;",
+                "import static p.A.In.m;"):
+        e = scan_entity(f"{imp}\nclass T {{ }}", "T.java", idx)
+        assert (e.import_targets, e.call_targets) == ({"p/A.java"}, set()), imp
+    for imp in ("import p.*;", "import static p.*;", "import static z.B.m;"):
+        assert not scan_entity(f"{imp}\nclass T {{ }}", "T.java", idx).import_targets, imp
 
 
 def test_class_literal_declares_no_type():
@@ -541,7 +554,7 @@ def test_analysis_golden():
 # everything read from it must give the same results on any text.
 
 _REF_TOKEN_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*|&&|\|\||[{}();?,=:<>\[\].]")
-_REF_IMPORT_RE = re.compile(r"\bimport\s+(?:static\s+)?([\w.]+?)(\.\*)?\s*;")
+_REF_IMPORT_RE = re.compile(r"\bimport\s+(static\s+)?([\w.]+?)(\.\*)?\s*;")
 _REF_LEXEME_RE = re.compile(
     r"(//[^\n]*|/\*[\s\S]*?(?:\*/|\Z))"
     r"""|("{3}|["'])((?:\\[^\n]|\\|(?!\2)[^\\])*)(\2?)"""
@@ -798,9 +811,15 @@ def _ref_scan_entity(source, path, index):
                 declared.add(toks[i + 1])
     imports, calls = set(), set()
     for m in _REF_IMPORT_RE.finditer(code):
-        if m.group(2):
+        static, name, star = m.groups()
+        if star and not static:
             continue
-        target = index.resolve_import(m.group(1))
+        # a static import: the longest prefix of the name that resolves
+        parts = name.split(".")
+        for n in range(len(parts), 0 if static else len(parts) - 1, -1):
+            target = index.resolve_import(".".join(parts[:n]))
+            if target is not None:
+                break
         if target is not None and target != path:
             imports.add(target)
     own = declared | {path.replace("\\", "/").split("/")[-1].rsplit(".", 1)[0]}
