@@ -18,7 +18,7 @@ class SchemaError(InputError):
 
 
 class DuplicateRecordError(SchemaError):
-    """The same (build, job, test) execution, or the same commit hash, appears twice."""
+    """The same (build, job, test) execution, commit hash or file of a commit appears twice."""
 
 
 class RepoNotFoundError(InputError):

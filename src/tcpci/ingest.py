@@ -408,7 +408,7 @@ def read_commits_jsonl(path: Path) -> list[Commit]:
     """The commits of a ``commits.jsonl`` file, one per nonblank line.
 
     Raises SchemaError naming the path and line of a malformed commit, and
-    DuplicateRecordError on a hash an earlier line holds.
+    DuplicateRecordError on a hash an earlier line holds or a file listed twice.
     """
     commits = []
     seen: set[str] = set()
@@ -456,6 +456,10 @@ def read_commits_jsonl(path: Path) -> list[Commit]:
             if commits[-1].id in seen:
                 raise DuplicateRecordError(f"{path}:{lineno}: duplicate commit {commits[-1].id!r}")
             seen.add(commits[-1].id)
+            listed = [change.path for change in commits[-1].file_changes]
+            if len(set(listed)) < len(listed):
+                twice = next(p for i, p in enumerate(listed) if p in listed[:i])
+                raise DuplicateRecordError(f"{path}:{lineno}: commit lists {twice!r} twice")
     return commits
 
 

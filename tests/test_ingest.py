@@ -85,6 +85,24 @@ def test_duplicate_record_rejected(tmp_path):
         ingest_exec_records(DatasetLayout(tmp_path / "ds"))
 
 
+@pytest.mark.parametrize("files", [
+    # one commit that lists a file twice would count as two touches
+    '[{"path": "a.java", "added": 1, "deleted": 0}, {"path": "a.java", "added": 2, "deleted": 1}]',
+    None,  # the commit's line repeated
+], ids=["file-twice", "commit-twice"])
+def test_repeated_commit_or_file_rejected_with_its_line(tmp_path, files):
+    root = tmp_path / "ds"
+    _write_min_dataset(root)
+    path = root / "commits.jsonl"
+    line = path.read_text()
+    if files is None:
+        path.write_text(line + line)
+    else:
+        path.write_text(line[:line.index("[")] + files + "}\n")
+    with pytest.raises(DuplicateRecordError, match=f"commits.jsonl:{1 if files else 2}: "):
+        ingest_exec_records(DatasetLayout(root))
+
+
 def test_bad_commit_hash_rejected(tmp_path):
     root = tmp_path / "ds"
     _write_min_dataset(root)
