@@ -121,6 +121,11 @@ def _commit_hash(seed: int, build: int, j: int) -> str:
     return hashlib.sha1(f"{seed}/{build}/{j}".encode()).hexdigest()
 
 
+def _rotation(items: tuple[str, ...] | list[str], epoch: int, size: int) -> frozenset[str]:
+    """The ``size`` items from ``epoch * size`` on, wrapping round."""
+    return frozenset(items[(epoch * size + j) % len(items)] for j in range(size))
+
+
 def generate_synthetic_history(
     config: SynthConfig = SynthConfig(), seed: int = 0
 ) -> tuple[BuildHistory, dict[str, str]]:
@@ -162,31 +167,20 @@ def generate_synthetic_history(
     durations = np.array([base_duration[t] for t in test_column], dtype=np.float64)
     slot = {t: j for j, t in enumerate(test_column)}
 
-    def coverage_at(test: str, build_id: int) -> frozenset[str]:
-        pool = pools[test]
-        if cfg.drift_period <= 0 or cfg.pool_size == cfg.coverage_size:
-            return frozenset(pool[: cfg.coverage_size])
-        epoch = (build_id - 1) // cfg.drift_period
-        start = (epoch * cfg.coverage_size) % cfg.pool_size
-        picked = [pool[(start + j) % cfg.pool_size] for j in range(cfg.coverage_size)]
-        return frozenset(picked)
-
-    def risky_at(build_id: int) -> frozenset[str] | None:
-        if cfg.risky_count <= 0:
-            return None
-        epoch = 0 if cfg.drift_period <= 0 else (build_id - 1) // cfg.drift_period
-        start = (epoch * cfg.risky_count) % cfg.n_files
-        return frozenset(files[(start + j) % cfg.n_files] for j in range(cfg.risky_count))
-
     t0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
     builds = []
     commit_store: dict[str, Commit] = {}
     fix_words = ["fix", "bug", "patch", "repair"]
     other_words = ["add", "refactor", "update", "cleanup"]
 
+    epoch = None
     for k in range(1, cfg.n_builds + 1):
-        risky = risky_at(k)
-        cov_now = {t: coverage_at(t, k) for t in tests}
+        # true coverage and the risky files rotate once per drift epoch
+        new_epoch = (k - 1) // cfg.drift_period if cfg.drift_period > 0 else 0
+        if new_epoch != epoch:
+            epoch = new_epoch
+            cov_now = {t: _rotation(pools[t], epoch, cfg.coverage_size) for t in tests}
+            risky = _rotation(files, epoch, cfg.risky_count) if cfg.risky_count > 0 else None
         changed_sut = [
             files[j]
             for j in sorted(rng.choice(cfg.n_files, size=cfg.files_per_build, replace=False))
@@ -199,11 +193,8 @@ def generate_synthetic_history(
             commit_files = [f for f, a in zip(changed_sut, assignment) if a == j]
             if not commit_files:
                 continue
-            co_changed: set[str] = set()
-            for f in commit_files:
-                for t in tests:
-                    if f in cov_now[t] and rng.random() < cfg.co_change_prob:
-                        co_changed.add(t)
+            co_changed = {t for f in commit_files for t in tests
+                          if f in cov_now[t] and rng.random() < cfg.co_change_prob}
             all_paths = commit_files + sorted(co_changed)
             changes = tuple(
                 FileChange(
@@ -214,12 +205,8 @@ def generate_synthetic_history(
                 )
                 for p in all_paths
             )
-            if risky is None:
-                is_fix = rng.random() < cfg.fix_message_prob
-            else:
-                touches_risky = any(f in risky for f in commit_files)
-                p_fix = cfg.risky_fix_prob if touches_risky else cfg.fix_message_prob
-                is_fix = rng.random() < p_fix
+            touches_risky = risky is not None and not risky.isdisjoint(commit_files)
+            is_fix = rng.random() < (cfg.risky_fix_prob if touches_risky else cfg.fix_message_prob)
             word = fix_words[k % 4] if is_fix else other_words[k % 4]
             cid = _commit_hash(seed, k, j)
             commit_store[cid] = Commit(
@@ -231,19 +218,15 @@ def generate_synthetic_history(
             )
             commit_ids.append(cid)
 
-        changed_all = frozenset(
-            p for cid in commit_ids for p in commit_store[cid].changed_files
-        )
+        changed_all = frozenset(p for cid in commit_ids for p in commit_store[cid].changed_files)
+        dangerous = changed_all if risky is None else changed_all & risky
         verdicts = np.zeros(len(test_column), dtype=np.int8)
         for t in tests:
             cov = cov_now[t]
-            dangerous = changed_all if risky is None else (changed_all & risky)
             overlap = len(cov & dangerous) / max(len(cov), 1)
             p_fail = min(cfg.base_failure + cfg.failure_weight * overlap, 0.95)
-            fails = rng.random() < p_fail
-            if not fails and t in flaky and rng.random() < cfg.flaky_prob:
-                fails = True
-            if fails:  # an assertion (1) or an exception (2) failure
+            # a failure, or a flaky test's chance one, is an assertion (1) or an exception (2)
+            if rng.random() < p_fail or (t in flaky and rng.random() < cfg.flaky_prob):
                 verdicts[slot[t]] = rng.choice([1, 2])
         builds.append(
             Build(
