@@ -3,11 +3,13 @@
 ``perfbench/spans.py`` rebinds the callables its ``TARGETS`` name, and the
 observers in ``perfbench/layers.py`` read attributes of what they return.
 ``perfbench/workloads.py:probes`` rebinds names of ``tcpci.evaluation`` to
-time training and scoring.  A rename in ``src/tcpci`` would break only the
-benchmark, which the suite under ``tests/`` does not run; these checks
-catch it here.
+time training and scoring, and its workloads run ``tcpci.cli.main`` with
+fixed flags.  A rename or a removed option in ``src/tcpci`` would break
+only the benchmark, which the suite under ``tests/`` does not run; these
+checks catch it here.
 """
 
+import argparse
 import ast
 import importlib.util
 import inspect
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tcpci import evaluation
+from tcpci import cli, evaluation
 from tcpci.evaluation import apfdc_of_build, decay_experiment, run_pipeline_eval
 from tcpci.ingest import ingest_exec_records
 from tcpci.ranker import Hyperparams, train_ranker
@@ -108,3 +110,38 @@ def test_evaluation_calls_the_names_the_probes_rebind(monkeypatch):
     decay_experiment(history, sources, hp, max_builds=2, max_rw=1)
     # the decay run ranks only by the learned model
     assert [n for n, c in calls.items() if not c] == ["heuristic_rank"], calls
+
+
+def workload_flags() -> dict[str, set[str]]:
+    """The ``--`` flags of each ``argv`` list in ``workloads.py``, by its
+    subcommand; a ``*_hp_flags(...)`` item adds the flags ``_hp_flags`` returns."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+
+    def flags(node):
+        return {n.value for n in ast.walk(node)
+                if isinstance(n, ast.Constant) and str(n.value).startswith("--")}
+
+    hp_flags = flags(next(
+        n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_hp_flags"
+    ))
+    found: dict[str, set[str]] = {}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Assign) and [getattr(t, "id", None) for t in n.targets] == ["argv"]:
+            items = n.value.elts
+            calls = {getattr(i.value.func, "id", None) for i in items if isinstance(i, ast.Starred)}
+            used = flags(n.value) | (hp_flags if "_hp_flags" in calls else set())
+            found.setdefault(items[0].value, set()).update(used)
+    return found
+
+
+def test_workloads_pass_only_flags_of_their_subcommands():
+    # an option removed from a command would fail only the benchmark run
+    found = workload_flags()
+    assert set(found) == {"evaluate", "prioritize", "decay"}
+    assert {"--bags", "--max-rw"} <= found["decay"] and "--model" in found["prioritize"]
+    commands = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    for command, flags in found.items():
+        known = commands[command]._option_string_actions
+        assert flags <= known.keys(), (command, sorted(flags - known.keys()))
