@@ -456,8 +456,8 @@ def read_commits_jsonl(path: Path) -> list[Commit]:
             if commits[-1].id in seen:
                 raise DuplicateRecordError(f"{path}:{lineno}: duplicate commit {commits[-1].id!r}")
             seen.add(commits[-1].id)
-            listed = [change.path for change in commits[-1].file_changes]
-            if len(set(listed)) < len(listed):
+            if len(commits[-1].changed_files) < len(commits[-1].file_changes):
+                listed = [change.path for change in commits[-1].file_changes]
                 twice = next(p for i, p in enumerate(listed) if p in listed[:i])
                 raise DuplicateRecordError(f"{path}:{lineno}: commit lists {twice!r} twice")
     return commits

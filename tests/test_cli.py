@@ -1091,8 +1091,9 @@ VALID = {"seed": 5, "impact_depth": 2, "recent_window": 3, "max_builds": 4, "max
          "heuristic": "F_FailRate_Total:asc", "bags": 3, "trees_per_bag": 2, "max_leaves": 5,
          "shrinkage": 0.25, "sample_rate": 0.75, "feature_rate": 0.5}
 #: The library call each command hands its options to.
-CALLEE = {"extract": "FeatureExtractor", "train": "PipelineEvaluator", "evaluate": "run_pipeline_eval",
-          "decay": "decay_experiment", "synth": "write_synthetic_dataset"}
+CALLEE = {"extract": "FeatureExtractor", "train": "PipelineEvaluator",
+          "evaluate": "run_pipeline_eval", "decay": "decay_experiment",
+          "synth": "write_synthetic_dataset"}
 
 
 def valid_value(key):
