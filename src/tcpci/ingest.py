@@ -620,11 +620,14 @@ def _parse_diff(repo: Path, sha: str, parent: str | None, diff: str) -> list[Fil
     line.  Added chunk starts use new-file line numbers, deleted chunk
     starts old-file line numbers.  A file without ``---``/``+++`` lines
     (binary, mode-only or empty) is not recorded, and one with an
-    unparseable hunk header is skipped with a warning.  Java files carry
-    the unit risks of their chunks, read from the blobs of the sides that
-    have chunks.
+    unparseable hunk header is skipped with a warning.  Git splits a change
+    of file type (a file made a symlink, or back) into a deletion and a
+    creation of one path; their spans make one change, so each file is
+    listed once.  Java files carry the unit risks of their chunks, read from
+    the blobs of the sides that have chunks.
     """
-    changes = []
+    file_spans: dict[str, list[tuple[int, int, int, int]]] = {}
+    skipped = set()
     for section in _FILE_RE.split(diff)[1:]:
         header, _, body = section.partition("\n@@")
         paths = dict(
@@ -640,8 +643,14 @@ def _parse_diff(repo: Path, sha: str, parent: str | None, diff: str) -> list[Fil
         hunks = _HUNK_RE.findall("@@" + body)
         if len(hunks) != body.count("\n@@") + 1:
             log.warning("commit %s: unparseable hunk header in %s; file skipped", sha, path)
+            skipped.add(path)
+        file_spans.setdefault(path, []).extend(
+            (int(a), int(b or 1), int(c), int(d or 1)) for a, b, c, d in hunks
+        )
+    changes = []
+    for path, spans in file_spans.items():
+        if path in skipped:
             continue
-        spans = [(int(a), int(b or 1), int(c), int(d or 1)) for a, b, c, d in hunks]
         added = [(max(c, 1), d) for _, _, c, d in spans if d]
         deleted = [(max(a, 1), b) for a, b, _, _ in spans if b]
         risks = None

@@ -532,6 +532,46 @@ def test_mine_counts_match_numstat(repo):
         assert [(fc.path, fc.lines_added, fc.lines_deleted) for fc in c.file_changes] == expected
 
 
+def test_file_made_a_symlink_and_back_is_listed_once(repo, tmp_path):
+    # git diffs a change of file type as a deletion and a creation of one
+    # path; the mined commit lists the path once, and the dataset reads back
+    src = repo / "src"
+    src.mkdir()
+    (src / "A.java").write_text("class A {\n  int x;\n}\n")
+    (src / "ATest.java").write_text("class ATest { A a; }\n")
+    _git(repo, "add", "src")
+    _git(repo, "commit", "-q", "-m", "add A")
+    (src / "A.java").unlink()
+    (src / "A.java").symlink_to("ATest.java")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "link A")
+    (src / "A.java").unlink()
+    (src / "A.java").write_text("class A {}\n")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "unlink A")
+    commits = ingest_git_history(repo)
+    assert [[(fc.path, fc.lines_added, fc.lines_deleted, fc.added_chunks, fc.deleted_chunks)
+             for fc in c.file_changes] for c in commits] == [
+        [("src/A.java", 3, 0, (1,), ()), ("src/ATest.java", 1, 0, (1,), ())],
+        [("src/A.java", 1, 3, (1,), (1,))],
+        [("src/A.java", 1, 1, (1,), (1,))],
+    ]
+    (repo / "builds.csv").write_text(
+        "build_id,timestamp_iso8601,commits\n"
+        + "".join(f"{i},2024-01-0{i}T00:00:00+00:00,{c.id}\n" for i, c in enumerate(commits, 1))
+    )
+    (repo / "exec_records.csv").write_text(
+        "build_id,job_id,test_path,verdict,duration_ms\n"
+        + "".join(f"{i},j0,src/ATest.java,{i % 2},1.0\n" for i in (1, 2, 3))
+    )
+    dest = tmp_path / "dest"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["ingest", str(repo), str(dest)]) == 0
+        assert main(["extract", str(dest), "--build", "3"]) == 0
+    assert [c.file_changes for c in ingest.read_commits_jsonl(dest / "commits.jsonl")] == [
+        c.file_changes for c in commits]
+
+
 def test_empty_repo_yields_no_commits(repo):
     assert ingest_git_history(repo) == []
 
