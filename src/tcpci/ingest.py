@@ -451,15 +451,13 @@ def read_commits_jsonl(path: Path) -> list[Commit]:
                         file_changes=tuple(changes),
                     )
                 )
+            except DuplicateRecordError as exc:
+                raise DuplicateRecordError(f"{path}:{lineno}: {exc}") from exc
             except (KeyError, TypeError, ValueError) as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from exc
             if commits[-1].id in seen:
                 raise DuplicateRecordError(f"{path}:{lineno}: duplicate commit {commits[-1].id!r}")
             seen.add(commits[-1].id)
-            if len(commits[-1].changed_files) < len(commits[-1].file_changes):
-                listed = [change.path for change in commits[-1].file_changes]
-                twice = next(p for i, p in enumerate(listed) if p in listed[:i])
-                raise DuplicateRecordError(f"{path}:{lineno}: commit lists {twice!r} twice")
     return commits
 
 

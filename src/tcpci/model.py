@@ -16,6 +16,8 @@ from datetime import datetime
 
 import numpy as np
 
+from .errors import DuplicateRecordError
+
 # A build id is a positive ordinal; ordering equals chronological ordering.
 BuildId = int
 #: The largest build id: ids lie in [1, MAX_BUILD_ID], so an int64 holds each.
@@ -103,6 +105,14 @@ class Commit:
     author: str
     message: str
     file_changes: tuple[FileChange, ...]
+
+    def __post_init__(self):
+        # a file listed twice would count as two touches of it
+        seen = set()
+        for fc in self.file_changes:
+            if fc.path in seen:
+                raise DuplicateRecordError(f"commit {self.id!r} lists {fc.path!r} twice")
+            seen.add(fc.path)
 
     @property
     def changed_files(self) -> frozenset[str]:

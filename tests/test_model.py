@@ -5,6 +5,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
+from tcpci.errors import DuplicateRecordError
 from tcpci.model import (
     AssociationScores,
     Build,
@@ -46,6 +47,12 @@ def test_duplicate_test_in_build_rejected():
     rec = ExecutionRecord(1, "t", Verdict.PASSED, 1.0)
     with pytest.raises(ValueError):
         make_build(1, records=(rec, rec))
+
+
+def test_commit_listing_a_file_twice_rejected():
+    # ProcessHistory would count two touches of the file, AssociationMiner one
+    with pytest.raises(DuplicateRecordError, match="lists 'a.java' twice"):
+        make_commit(1, files=("a.java", "b.java", "a.java"))
 
 
 def test_build_failed_flag():
