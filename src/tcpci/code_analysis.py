@@ -362,11 +362,8 @@ class FileIndex:
             self._components[p] = tuple(p.replace("\\", "/").split("/"))
             self._by_stem.setdefault(_stem(p), []).append(p)
 
-    def resolve_import(self, dotted: str, static: bool = False) -> str | None:
-        """Resolve ``a.b.C`` to a unique file ending in ``a/b/C.java``; for a
-        ``static`` import, the longest prefix of ``a.b.C.m`` that resolves."""
-        if static and "." in dotted and self.resolve_import(dotted) is None:
-            return self.resolve_import(dotted.rsplit(".", 1)[0], static)
+    def resolve_import(self, dotted: str) -> str | None:
+        """Resolve ``a.b.C`` to a unique file ending in ``a/b/C.java``."""
         if dotted not in self._imports:
             parts = dotted.split(".")
             want = tuple(parts[:-1] + [parts[-1] + ".java"])
@@ -451,9 +448,17 @@ def analyze_file(source: str) -> ComplexityMetrics:
 def scan_entity(source: str, path: str, index: FileIndex) -> SourceEntity:
     """The resolved import and call targets of one file: its imports, and
     the type names it names less the ones it declares."""
-    # a non-static wildcard import names a package and produces no edge
-    imports = {index.resolve_import(n, bool(static))
-               for static, n, star in _imports(source) if static or not star} - {None, path}
+    imports = set()
+    for static, name, star in _imports(source):
+        if static:
+            # a static import names a member; its class is the longest
+            # prefix of the name that resolves
+            parts = name.split(".")
+            prefixes = (".".join(parts[:n]) for n in range(len(parts), 0, -1))
+            imports.add(next(filter(None, map(index.resolve_import, prefixes)), None))
+        elif not star:  # a non-static wildcard names a package: no edge
+            imports.add(index.resolve_import(name))
+    imports -= {None, path}
     calls: set[str] = set()
     stem = _stem(path)
     elements = _lex(source)
