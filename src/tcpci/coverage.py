@@ -122,13 +122,9 @@ class AssociationMiner:
         p = self.pair_count(f, g, n)
         if p == 0:
             return ZERO_SCORES
-        cf = self.count(f, n)
-        cg = self.count(g, n)
-        return AssociationScores(
-            support=p / n,
-            confidence=p / cf if cf else 0.0,
-            lift=p / (cf * cg) if cf and cg else 0.0,
-        )
+        # p commits change both files, so neither count is 0
+        cf, cg = self.count(f, n), self.count(g, n)
+        return AssociationScores(support=p / n, confidence=p / cf, lift=p / (cf * cg))
 
     def cov_score(self, file: str, test: str, n_commits: int | None = None) -> float:
         """Weight of a covered file for a test: confidence(file -> test)."""

@@ -107,12 +107,10 @@ class Commit:
     file_changes: tuple[FileChange, ...]
 
     def __post_init__(self):
-        # a file listed twice would count as two touches of it
-        seen = set()
-        for fc in self.file_changes:
-            if fc.path in seen:
-                raise DuplicateRecordError(f"commit {self.id!r} lists {fc.path!r} twice")
-            seen.add(fc.path)
+        paths = [fc.path for fc in self.file_changes]
+        if len(set(paths)) < len(paths):  # a repeat would count as two touches
+            twice = max(paths, key=paths.count)
+            raise DuplicateRecordError(f"commit {self.id!r} lists {twice!r} twice")
 
     @property
     def changed_files(self) -> frozenset[str]:
@@ -237,30 +235,24 @@ class BuildHistory:
         self._by_id = {b.id: b for b in self.builds}
         # Global commit sequence in build order; commits not referenced by
         # any build (e.g. pre-history) come first in their original order.
-        referenced = []
-        seen = set()
-        self._changed: dict[BuildId, frozenset[str]] = {}
+        referenced: dict[CommitId, None] = {}  # in order of first reference
+        n_referenced: dict[BuildId, int] = {}
         for b in self.builds:
             for cid in b.commits:
                 if cid not in self.commits:
                     raise ValueError(f"build {b.id} references unknown commit {cid}")
-                if cid not in seen:
-                    referenced.append(cid)
-                    seen.add(cid)
-            self._changed[b.id] = frozenset(
-                p for cid in b.commits for p in self.commits[cid].changed_files
-            )
-        unreferenced = [cid for cid in self.commits if cid not in seen]
+                referenced[cid] = None
+            n_referenced[b.id] = len(referenced)
+        unreferenced = [cid for cid in self.commits if cid not in referenced]
         self.commit_sequence: tuple[Commit, ...] = tuple(
-            self.commits[cid] for cid in unreferenced + referenced
+            self.commits[cid] for cid in [*unreferenced, *referenced]
         )
-        self._commit_cutoff: dict[BuildId, int] = {}
-        pos = {c.id: i for i, c in enumerate(self.commit_sequence)}
-        cutoff = len(unreferenced)
-        for b in self.builds:
-            for cid in b.commits:
-                cutoff = max(cutoff, pos[cid] + 1)
-            self._commit_cutoff[b.id] = cutoff
+        # a build sees the commits up to the last one it or an earlier build names
+        self._commit_cutoff = {bid: len(unreferenced) + n for bid, n in n_referenced.items()}
+        self._changed: dict[BuildId, frozenset[str]] = {
+            b.id: frozenset(p for cid in b.commits for p in self.commits[cid].changed_files)
+            for b in self.builds
+        }
 
     def build(self, build_id: BuildId) -> Build:
         return self._by_id[build_id]
