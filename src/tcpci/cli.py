@@ -90,14 +90,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--build", type=int, required=True)
     p.add_argument("--model", type=Path, required=True)
 
-    for name, what in (
-        ("evaluate", "train-on-prior evaluation; emits apfdc.csv/timing.csv"),
-        ("decay", "retraining-window decay experiment; emits decay.csv"),
+    for name, what, out in (
+        ("evaluate", "train-on-prior evaluation; emits apfdc.csv, timing.csv and report.json",
+         "output directory (default: DATASET/reports)"),
+        ("decay", "retraining-window decay experiment; emits decay.csv",
+         "output CSV file (default: DATASET/reports/decay.csv)"),
     ):
         p = sub.add_parser(name, help=what)
         p.add_argument("dataset", type=Path)
-        p.add_argument("--out", type=Path, default=None)
-        p.add_argument("--keep-outliers", action="store_true")
+        p.add_argument("--out", type=Path, default=None, help=out)
+        p.add_argument("--keep-outliers", action="store_true",
+                       help="keep the tests whose count of failed builds exceeds the "
+                            "mean count plus 3 standard deviations (dropped by default)")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", type=Path, required=True)

@@ -6,8 +6,11 @@ comments and string literals, and each line's start: from these come each
 token's 1-based line and each line's kind.  Import statements are matched
 in the text with the lexer's comment and literal pattern blanked out, as
 their word-character boundary cannot be read from tokens.  Declarations and
-control-flow constructs are then recognized from token patterns.  The
-rules are fixed and documented here so every metric is reproducible:
+control-flow constructs are then recognized from token patterns.  One
+pass gives a file's :class:`SourceRow`: its imports, the type names it
+uses and its complexity metrics, before any resolution against the other
+files.  The rules are fixed and documented here so every metric is
+reproducible:
 
 * a token is an identifier or keyword, one of ``{ } ( ) ; ? , = : < > [ ]
   .``, ``&&`` or ``||``; any other character outside comments and
@@ -45,6 +48,9 @@ import math
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from .catalog import CHANGE_METRICS, COMPLEXITY_METRICS, PROCESS_METRICS
 from .model import Commit, FileChange, UnitRisk
@@ -387,7 +393,12 @@ def analyze_file(source: str) -> ComplexityMetrics:
     Pure function of the file text; unparseable regions contribute line
     counts only.
     """
-    toks, lines, kinds = _tokens(source, _lex(source))
+    return _complexity(*_tokens(source, _lex(source)))
+
+
+def _complexity(toks: list[str], lines: list[int], kinds: list[str]) -> ComplexityMetrics:
+    """The complexity metrics of a file from its tokens, their lines and
+    its line kinds (see :func:`_tokens`)."""
     n_lines = len(kinds)
     n_blank = kinds.count("blank")
     n_comment = kinds.count("comment")
@@ -445,11 +456,47 @@ def analyze_file(source: str) -> ComplexityMetrics:
     )
 
 
-def scan_entity(source: str, path: str, index: FileIndex) -> SourceEntity:
-    """The resolved import and call targets of one file: its imports, and
-    the type names it names less the ones it declares."""
+class SourceRow(NamedTuple):
+    """What one file's text gives before it is resolved against a file
+    set: its import statements as (static, dotted name, wildcard) triples,
+    the type names it uses but does not declare, in order, and its
+    ``COMPLEXITY_METRICS`` as float64."""
+
+    imports: tuple[tuple[bool, str, bool], ...]
+    types: tuple[str, ...]
+    metrics: np.ndarray
+
+
+def source_row(source: str) -> SourceRow:
+    """The row of one file's text, from one lexing pass."""
+    toks, lines, kinds = _tokens(source, _lex(source))
+    declared, called = _type_names(toks)
+    imports = tuple((bool(static), name, bool(star)) for static, name, star in _imports(source))
+    metrics = np.array(_complexity(toks, lines, kinds), dtype=np.float64)
+    return SourceRow(imports, tuple(sorted(called - declared)), metrics)
+
+
+class Sources(dict):
+    """A {path: text} source snapshot that also holds each path's
+    :class:`SourceRow` in ``rows``.  It compares equal to the plain
+    mapping; treat it as read-only, as ``rows`` follows no edit."""
+
+    def __init__(self, texts: dict[str, str], rows: dict[str, SourceRow] | None = None):
+        super().__init__(texts)
+        self.rows = {p: source_row(t) for p, t in texts.items()} if rows is None else rows
+
+
+def with_rows(sources: dict[str, str]) -> Sources:
+    """``sources`` with its rows: itself when it holds them already."""
+    return sources if isinstance(sources, Sources) else Sources(sources)
+
+
+def scan_entity(row: SourceRow, path: str, index: FileIndex) -> SourceEntity:
+    """The resolved import and call targets of the file at ``path`` with
+    ``row``: its imports, and the type names it uses other than its own
+    file's name."""
     imports = set()
-    for static, name, star in _imports(source):
+    for static, name, star in row.imports:
         if static:
             # a static import names a member; its class is the longest
             # prefix of the name that resolves
@@ -458,15 +505,9 @@ def scan_entity(source: str, path: str, index: FileIndex) -> SourceEntity:
             imports.add(next(filter(None, map(index.resolve_import, prefixes)), None))
         elif not star:  # a non-static wildcard names a package: no edge
             imports.add(index.resolve_import(name))
-    imports -= {None, path}
-    calls: set[str] = set()
     stem = _stem(path)
-    elements = _lex(source)
-    # only a token that is the stem of another file can resolve to a call
-    if (index._by_stem.keys() & elements) - {stem}:
-        declared, called = _type_names([e for e in elements if e[0] not in _NOT_TOKEN])
-        calls = {index.resolve_type(name) for name in called - declared - {stem}} - {None, path}
-    return SourceEntity(path, frozenset(imports), frozenset(calls))
+    calls = {index.resolve_type(name) for name in row.types if name != stem}
+    return SourceEntity(path, frozenset(imports - {None, path}), frozenset(calls - {None, path}))
 
 
 def _type_names(toks: list[str]) -> tuple[set[str], set[str]]:

@@ -18,7 +18,7 @@ import bisect
 from .commit_classifier import is_defect_fix_keyword
 from .errors import UnknownTestError
 from .model import AssociationScores, Commit, ZERO_SCORES
-from .code_analysis import FileIndex, is_test_file, scan_entity
+from .code_analysis import FileIndex, is_test_file, scan_entity, with_rows
 
 
 class DependencyGraph:
@@ -64,11 +64,13 @@ class DependencyGraph:
 
 
 def build_dependency_graph_from_sources(sources: dict[str, str]) -> DependencyGraph:
-    """Build the graph from an in-memory {path: source-text} mapping."""
-    index = FileIndex(set(sources))
+    """Build the graph from an in-memory {path: source-text} mapping, by
+    resolving each file's row (see :func:`~tcpci.code_analysis.with_rows`)."""
+    rows = with_rows(sources).rows
+    index = FileIndex(set(rows))
     deps: dict[str, frozenset[str]] = {}
-    for path, text in sources.items():
-        entity = scan_entity(text, path, index)
+    for path, row in rows.items():
+        entity = scan_entity(row, path, index)
         deps[path] = entity.import_targets | entity.call_targets
     return DependencyGraph(deps)
 

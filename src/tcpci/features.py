@@ -30,11 +30,12 @@ dense matmul would reorder them).
 Timing: preprocessing (index construction) and measurement (per-build
 feature computation) wall-clock are accumulated per group; shared
 preprocessing steps attribute their full cost to every group using them.
-The import/call scan that builds the dependency graph is preprocessing of
-the five coverage groups.  TES_COM and TES_CHN need no preprocessing, so
-their P is 0 by construction: a file's unit analysis (its complexity row)
-runs the first time a matrix reads it, so it counts as measurement of
-TES_COM or COD_COV_COM, whichever asks first.
+Every source file's row (its imports, type names and complexity metrics,
+see :func:`~tcpci.code_analysis.source_row`) is computed, unless the
+sources hold it already, and resolved into the dependency graph as
+preprocessing of the five coverage groups.  TES_COM and TES_CHN need no
+preprocessing, so their P is 0 by construction: TES_COM and COD_COV_COM
+only look a file's metrics up in its row.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .catalog import (
     REC_FEATURES,
     FeatureGroup,
 )
-from .code_analysis import ProcessHistory, analyze_file, compute_change_metrics
+from .code_analysis import ProcessHistory, compute_change_metrics, with_rows
 from .coverage import AssociationMiner, PdfIndex, build_dependency_graph_from_sources
 from .errors import check_option
 from .matrix import FeatureMatrix
@@ -137,10 +138,11 @@ class _Pairs(NamedTuple):
 class FeatureExtractor:
     """Computes feature matrices for builds of one history.
 
-    ``sources`` maps repository-relative paths to file text; when omitted,
-    files referenced by tests/commits have no static metrics and those
-    features default to zero.  The REC ``Recent*`` features read a test's
-    latest ``recent_window`` executions.
+    ``sources`` maps repository-relative paths to file text, with each
+    file's row when it is a :class:`~tcpci.code_analysis.Sources`; when
+    omitted, files referenced by tests/commits have no static metrics and
+    those features default to zero.  The REC ``Recent*`` features read a
+    test's latest ``recent_window`` executions.
     """
 
     def __init__(
@@ -156,13 +158,11 @@ class FeatureExtractor:
         self.recent_window = recent_window
         self.impact_depth = impact_depth
         self.timings = Timings()
-        # a file's units are parsed the first time a matrix reads its
-        # complexity (see _com_vec)
-        self._sources = dict(sources or {})
-        self._com_arrays: dict[str, np.ndarray] = {}
 
         with self.timings.preprocessing(*_COV_GROUPS):
-            self._graph = build_dependency_graph_from_sources(self._sources)
+            sources = with_rows(sources or {})
+            self._source_rows = sources.rows
+            self._graph = build_dependency_graph_from_sources(sources)
             self._miner = AssociationMiner(history.commit_sequence)
             # coverage as a table: graph node x SUT file (in path order), plus
             # an all-False last row for tests outside the graph
@@ -281,17 +281,14 @@ class FeatureExtractor:
     # -- per-file metric vectors ----------------------------------------
 
     def _com_vec(self, path: str) -> np.ndarray:
-        """The complexity row of a file, analysed on first use."""
-        vec = self._com_arrays.get(path)
-        if vec is None:
-            source = self._sources.get(path)
-            if source is None:
-                if path not in self._warned_missing:
-                    log.warning("no source analysis for %s; metrics default to 0", path)
-                    self._warned_missing.add(path)
-                return np.zeros(len(COMPLEXITY_METRICS))
-            vec = self._com_arrays[path] = np.array(analyze_file(source), dtype=np.float64)
-        return vec
+        """The complexity metrics of a file, from its row."""
+        row = self._source_rows.get(path)
+        if row is None:
+            if path not in self._warned_missing:
+                log.warning("no source analysis for %s; metrics default to 0", path)
+                self._warned_missing.add(path)
+            return np.zeros(len(COMPLEXITY_METRICS))
+        return row.metrics
 
     def _pro_vec(self, path: str, n_commits: int) -> np.ndarray:
         key = (path, n_commits)

@@ -7,7 +7,7 @@ A dataset lives in one directory::
       exec_records.csv  build_id,job_id,test_path,verdict,duration_ms
       commits.jsonl     one commit object per line (alternative to a live repo)
       src/              optional source snapshot used for static analysis
-      derived/          tables :func:`write_dataset` derives from the files above
+      derived/          tables derived from the files above (see below)
 
 Build ids lie in [1, 2**63 - 1] (:data:`~tcpci.model.MAX_BUILD_ID`).
 Verdict codes: 0=pass, 1=assertion failure, 2=exception failure, 3=unknown
@@ -21,11 +21,21 @@ deleted_chunks`` and optionally ``unit_risks`` (written by
 :func:`write_dataset` when risk data is available, so that a round trip is
 lossless).
 
-``derived/exec_records.bin`` holds the columns :func:`ingest_exec_records`
-reads from ``exec_records.csv``, with the size and sha256 of the CSV it
-was written with.  It is read only when those and its own digest match,
-so a missing, stale or damaged table costs the CSV parse and nothing
-else; the CSV stays the only source of truth.
+``derived/`` holds two tables, each safe to delete.  A missing, stale or
+damaged table, or an odd ``derived/`` (a regular file, or a table that is
+a directory), never makes a reader fail or change its result:
+
+* ``exec_records.bin``, written by :func:`write_dataset`, holds the columns
+  :func:`ingest_exec_records` reads from ``exec_records.csv``, with the
+  size and sha256 of the CSV it was written with.  It is read only when
+  those and its own digest match, so a bad table costs the CSV parse and
+  nothing else; the CSV stays the only source of truth.
+* ``sources.bin``, written by :func:`tcpci.synth.load_sources` (never by
+  :func:`write_dataset`), holds one row per distinct text of ``src/``,
+  keyed by the sha256 of the file's bytes: its imports, type names and
+  complexity metrics (:func:`tcpci.code_analysis.source_row`).  It is
+  read whole only when its digest of the analysis rules and its own
+  digest match; a text it lacks costs that text's analysis.
 
 :func:`ingest_git_history` mines the same records from a live repository
 with one ``git diff-tree`` process for all commits.  A merge is diffed
@@ -106,6 +116,10 @@ class DatasetLayout:
     @property
     def exec_table(self) -> Path:
         return self.root / "derived" / "exec_records.bin"
+
+    @property
+    def source_table(self) -> Path:
+        return self.root / "derived" / "sources.bin"
 
     @property
     def src_dir(self) -> Path | None:

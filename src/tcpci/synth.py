@@ -17,22 +17,33 @@ With ``risky_count`` set, only a rotating subset of files is dangerous:
 a test fails when a changed *risky* file is covered, and commits touching
 risky files carry defect-fix messages.  Fault-history features then track
 which files matter right now — and mislead once their snapshot is stale.
+
+:func:`load_sources` reads the source snapshot of any dataset, synthetic
+or not, with each file's row from the source table ``derived/sources.bin``
+that it keeps (see :mod:`tcpci.ingest`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
 import os
+import struct
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 
+from . import code_analysis
+from .catalog import COMPLEXITY_METRICS
+from .code_analysis import SourceRow, Sources, source_row
 from .errors import InvalidConfigError, check_fields
 from .ingest import DatasetLayout, write_dataset
 from .model import Build, BuildHistory, Commit, FileChange
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -255,24 +266,150 @@ def write_synthetic_dataset(
     return layout
 
 
-def load_sources(layout: DatasetLayout) -> dict[str, str]:
-    """Read the dataset's source snapshot into a {path: text} mapping.
+def load_sources(layout: DatasetLayout) -> Sources:
+    """Read the dataset's source snapshot into a {path: text} mapping that
+    holds each text's row.
 
     Each ``.java`` file under ``src/`` (or a symlink to one) is keyed by its
-    path from the dataset root, in the order of a pre-order walk.  A
+    path from the dataset root, in the order of a pre-order walk, and read
+    as UTF-8 with undecodable bytes replaced and universal newlines.  A
     symlinked directory inside the snapshot is not entered, and a broken
     symlink is skipped.
+
+    A row comes from the source table when it holds one for the sha256 of
+    the file's bytes.  The row of each other distinct content is computed
+    once, and then the table is written anew with the rows of the
+    snapshot's contents only.
+    A table that cannot be read or written is left aside: it never changes
+    the result.
     """
     src = layout.src_dir
     if src is None:
-        return {}
+        return Sources({})
     top = str(src)
-    sources = {}
+    data = {}
     for dirpath, _, names in os.walk(top):
         prefix = src.name + dirpath[len(top):]
         for name in names:
             path = os.path.join(dirpath, name)
             if name.endswith(".java") and os.path.isfile(path):
-                with open(path, encoding="utf-8", errors="replace") as f:
-                    sources[os.path.join(prefix, name)] = f.read()
-    return sources
+                with open(path, "rb") as f:
+                    data[os.path.join(prefix, name)] = f.read()
+    texts = {path: _decode(raw) for path, raw in data.items()}
+    keys = {path: hashlib.sha256(raw).digest() for path, raw in data.items()}
+    rules = _rules_digest()
+    table = _read_source_table(layout.source_table, rules) if rules else {}
+    missing = {key: path for path, key in keys.items() if key not in table}
+    for key, path in missing.items():
+        table[key] = source_row(texts[path])
+    if missing and rules:
+        kept = {key: table[key] for key in keys.values()}
+        _write_source_table(layout.source_table, _source_table(kept, rules))
+    return Sources(texts, {path: table[key] for path, key in keys.items()})
+
+
+def _decode(raw: bytes) -> str:
+    """The text ``open`` reads from ``raw`` with UTF-8, ``errors="replace"``
+    and universal newlines."""
+    return raw.decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")
+
+
+# --- the source table -----------------------------------------------------
+#
+# derived/sources.bin, all numbers little-endian:
+#   magic, rules digest, payload sha256, then the payload: the row count
+#   (u64); per row the sha256 of a source file's bytes, ascending; per row
+#   its COMPLEXITY_METRICS (f64); and one UTF-8 line per row that holds its
+#   imports, a tab, and its type names.  Items are parted by a space, and
+#   an import is written as two flags, "s" or "-" for static and "*" or "-"
+#   for a wildcard, before its dotted name.
+# The rules digest is the sha256 of code_analysis.py and the metric names,
+# so a table is only read under the rules that wrote it.  A change to
+# _decode changes the text of a file's bytes, so it must change the magic.
+
+_SOURCE_MAGIC = b"tcpci source table 1\n"
+_DIGEST = hashlib.sha256().digest_size
+_ROW_COUNT = struct.Struct("<Q")
+#: No complexity metric reaches this; a table value that does is damage.
+_METRIC_LIMIT = 2.0**53
+
+
+def _rules_digest() -> bytes | None:
+    """The sha256 of the rules a row follows; None when
+    ``code_analysis.py`` cannot be read."""
+    try:
+        code = Path(code_analysis.__file__).read_bytes()
+    except (OSError, TypeError):
+        return None
+    return hashlib.sha256(code + "\n".join(COMPLEXITY_METRICS).encode()).digest()
+
+
+def _source_table(rows: dict[bytes, SourceRow], rules: bytes) -> bytes:
+    """The table of ``rows``, each keyed by the sha256 of its file's bytes."""
+    keys = sorted(rows)
+    metrics = np.array([rows[k].metrics for k in keys], "<f8")
+    lines = (
+        " ".join(("s" if static else "-") + ("*" if star else "-") + name
+                 for static, name, star in rows[k].imports)
+        + "\t" + " ".join(rows[k].types) + "\n"
+        for k in keys
+    )
+    payload = b"".join(
+        [_ROW_COUNT.pack(len(keys)), *keys, metrics.tobytes(), "".join(lines).encode()]
+    )
+    return _SOURCE_MAGIC + rules + hashlib.sha256(payload).digest() + payload
+
+
+def _read_source_table(path: Path, rules: bytes) -> dict[bytes, SourceRow]:
+    """The rows of the table at ``path`` by key; none when the table is
+    missing, unreadable, written under other rules, or damaged."""
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return {}
+    head = len(_SOURCE_MAGIC) + 2 * _DIGEST
+    payload = memoryview(data)[head:]
+    if (
+        data[: len(_SOURCE_MAGIC)] != _SOURCE_MAGIC
+        or data[len(_SOURCE_MAGIC) : len(_SOURCE_MAGIC) + _DIGEST] != rules
+        or data[head - _DIGEST : head] != hashlib.sha256(payload).digest()
+    ):
+        return {}
+    width = len(COMPLEXITY_METRICS)
+    try:
+        (n,) = _ROW_COUNT.unpack_from(payload)
+        at = _ROW_COUNT.size + n * _DIGEST
+        keys = bytes(payload[_ROW_COUNT.size : at])
+        metrics = np.frombuffer(payload, "<f8", n * width, at).reshape(n, width)
+        lines = str(payload[at + metrics.nbytes :], "utf-8").split("\n")
+    except (ValueError, OverflowError, struct.error):
+        return {}
+    if lines.pop() or len(lines) != n or not ((metrics >= 0) & (metrics < _METRIC_LIMIT)).all():
+        return {}
+    metrics = metrics.astype(np.float64)
+    rows = {}
+    for i, line in enumerate(lines):
+        imports, _, types = line.partition("\t")
+        items = filter(None, imports.split(" "))
+        rows[keys[i * _DIGEST : (i + 1) * _DIGEST]] = SourceRow(
+            tuple((item[:1] == "s", item[2:], item[1:2] == "*") for item in items),
+            tuple(filter(None, types.split(" "))),
+            metrics[i],
+        )
+    return rows
+
+
+def _write_source_table(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file beside it; a
+    failure only logs a line."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(exist_ok=True)
+        try:
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
+        except OSError:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        log.info("source table %s not written: %s", path, exc)

@@ -2,6 +2,7 @@ import base64
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
@@ -20,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from tcpci.catalog import CATALOG
 import tcpci
-from tcpci import cli, ingest
+from tcpci import cli, code_analysis, ingest, synth
+from tcpci.code_analysis import source_row
 from tcpci.cli import main
 from tcpci.errors import DuplicateRecordError, SchemaError
 from tcpci.evaluation import PipelineEvaluator
@@ -154,6 +156,7 @@ def test_evaluate_deterministic(dataset, tmp_path, capsys):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert (out1 / "apfdc.csv").read_text() == (out2 / "apfdc.csv").read_text()
+    assert sorted(p.name for p in out1.iterdir()) == ["apfdc.csv", "report.json", "timing.csv"]
     out = capsys.readouterr().out
     assert "full: mean APFD_C" in out
     assert "random: mean APFD_C 0.5000 (sd 0.0000)" in out
@@ -924,6 +927,172 @@ def test_corrupt_exec_table_changes_no_output(table_copy, corruptions):
             data += bytes([value]) * (at % 16 + 1)
     DatasetLayout(copy).exec_table.write_bytes(data)
     assert _outputs(copy, build, model) == expected
+
+
+def _portable(outputs):
+    """``_outputs`` less the path that extract prints, which names the copy."""
+    (prioritized, (code, _)), matrix = outputs
+    return prioritized, code, matrix
+
+
+@pytest.fixture(scope="module")
+def source_table_copy(dataset, model_files, tmp_path_factory):
+    """A copy of the dataset, its intact source table, and the outputs of a
+    build, which are the same without the table and with it."""
+    text, build = model_files
+    work = tmp_path_factory.mktemp("sources")
+    model = work / "model.json"
+    model.write_text(text)
+    copy = work / "data"
+    shutil.copytree(dataset, copy)
+    table = DatasetLayout(copy).source_table
+    table.unlink(missing_ok=True)
+    expected = _outputs(copy, build.id, model)  # computes every row, writes the table
+    intact = table.read_bytes()
+    assert _outputs(copy, build.id, model) == expected
+    assert table.read_bytes() == intact  # a table that served every row is not rewritten
+    return copy, intact, build.id, model, expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(corruptions=st.lists(
+    st.tuples(st.sampled_from(["flip", "cut", "extend"]), st.integers(0, 10**6),
+              st.integers(1, 255)),
+    min_size=1, max_size=3,
+))
+def test_corrupt_source_table_changes_no_output(source_table_copy, corruptions):
+    # a source table with flipped, cut or extended bytes is ignored:
+    # prioritize and extract exit 0 with the outputs of the intact table
+    copy, data, build, model, expected = source_table_copy
+    for kind, at, value in corruptions:
+        if kind == "flip" and data:
+            at %= len(data)
+            data = data[:at] + bytes([data[at] ^ value]) + data[at + 1:]
+        elif kind == "cut":
+            data = data[:at % (len(data) + 1)]
+        elif kind == "extend":
+            data += bytes([value]) * (at % 16 + 1)
+    DatasetLayout(copy).source_table.write_bytes(data)
+    assert _outputs(copy, build, model) == expected
+
+
+def _resealed(data: bytes, edits) -> bytes:
+    """``data``, a source table, with payload bytes overwritten by ``edits``
+    and the payload digest recomputed, so that only the rows can tell."""
+    head = len(synth._SOURCE_MAGIC) + 2 * synth._DIGEST
+    payload = bytearray(data[head:])
+    for at, value in edits:
+        if payload:
+            payload[at % len(payload)] = value
+    digest = hashlib.sha256(payload).digest()
+    return data[:head - synth._DIGEST] + digest + bytes(payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(
+    [*range(256)] + [ord(c) for c in " \t\n-s*.AZaz"])), min_size=1, max_size=4))
+def test_resealed_source_table_never_crashes(source_table_copy, edits):
+    # a table whose payload was edited and its digest recomputed is taken
+    # as written or left aside, but never raises
+    copy, data, build, model, expected = source_table_copy
+    DatasetLayout(copy).source_table.write_bytes(_resealed(data, edits))
+    results, _ = _outputs(copy, build, model)
+    assert [code for code, _ in results] == [0, 0]
+    assert sorted(results[0][1].splitlines()) == sorted(expected[0][0][1].splitlines())
+
+
+@pytest.mark.parametrize("odd", ["derived-is-a-file", "table-is-a-directory"])
+def test_odd_derived_directory_changes_no_output(source_table_copy, tmp_path, odd):
+    # the table can be neither read nor written: every row is computed and
+    # the outputs are those of the intact table
+    _, _, build, model, expected = source_table_copy
+    copy = tmp_path / "data"
+    shutil.copytree(source_table_copy[0], copy)
+    table = DatasetLayout(copy).source_table
+    if odd == "derived-is-a-file":
+        shutil.rmtree(table.parent)
+        table.parent.write_text("not a directory\n")
+    else:
+        table.unlink(missing_ok=True)
+        table.mkdir()
+    for _ in range(2):
+        assert _portable(_outputs(copy, build, model)) == _portable(expected)
+    if odd == "derived-is-a-file":
+        assert table.parent.read_text() == "not a directory\n"
+    else:  # and no temporary file is left behind
+        assert sorted(p.name for p in table.parent.iterdir()) == ["exec_records.bin", "sources.bin"]
+        assert table.is_dir()
+
+
+def _counting_rows(monkeypatch) -> list[str]:
+    """The texts whose rows ``load_sources`` computes from now on."""
+    computed = []
+
+    def counted(text):
+        computed.append(text)
+        return source_row(text)
+
+    monkeypatch.setattr(synth, "source_row", counted)
+    return computed
+
+
+def test_edited_source_recomputes_only_its_own_row(source_table_copy, tmp_path, monkeypatch):
+    # after one file is edited, its new text is the only row computed, and
+    # the outputs are those of a fresh dataset with the edited file
+    _, intact, build, model, _ = source_table_copy
+    copy = tmp_path / "data"
+    shutil.copytree(source_table_copy[0], copy)
+    layout = DatasetLayout(copy)
+    layout.source_table.write_bytes(intact)
+    edited = copy / "src" / "test" / "T3Test.java"
+    text = edited.read_text() + "// edited\nclass Extra { void f() { if (true) { } } }\n"
+    edited.write_text(text)
+    computed = _counting_rows(monkeypatch)
+    with_table = _outputs(copy, build, model)
+    assert computed == [text]
+    assert load_sources(layout)["src/test/T3Test.java"] == text
+    assert computed == [text]  # the rewritten table serves the edited file too
+    fresh = tmp_path / "fresh"
+    shutil.copytree(copy, fresh)
+    shutil.rmtree(fresh / "derived")
+    assert _portable(_outputs(fresh, build, model)) == _portable(with_table)
+
+
+def test_changed_analysis_rules_ignore_the_whole_table(source_table_copy, tmp_path, monkeypatch):
+    # a table written under other rules (code_analysis.py changed) serves
+    # no row: every distinct text is computed again and the table rewritten
+    _, intact, build, model, expected = source_table_copy
+    copy = tmp_path / "data"
+    shutil.copytree(source_table_copy[0], copy)
+    layout = DatasetLayout(copy)
+    layout.source_table.write_bytes(intact)
+    texts = set(load_sources(layout).values())
+    changed = tmp_path / "code_analysis.py"
+    changed.write_bytes(Path(code_analysis.__file__).read_bytes() + b"# another rule\n")
+    monkeypatch.setattr(code_analysis, "__file__", str(changed))
+    computed = _counting_rows(monkeypatch)
+    assert _portable(_outputs(copy, build, model)) == _portable(expected)
+    assert sorted(computed) == sorted(texts)
+    rewritten = layout.source_table.read_bytes()
+    assert rewritten != intact and rewritten[len(synth._SOURCE_MAGIC) + synth._DIGEST:] == (
+        intact[len(synth._SOURCE_MAGIC) + synth._DIGEST:])
+
+
+def test_help_names_every_output_and_option(capsys):
+    # evaluate writes report.json beside its two CSVs, and both replay
+    # commands say what --out defaults to and what --keep-outliers keeps
+    helps = {}
+    for argv in (["-h"], ["evaluate", "-h"], ["decay", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        helps[argv[0]] = " ".join(capsys.readouterr().out.split())
+    assert "emits apfdc.csv, timing.csv and report.json" in helps["-h"]
+    assert "--out OUT output directory (default: DATASET/reports)" in helps["evaluate"]
+    assert "--out OUT output CSV file (default: DATASET/reports/decay.csv)" in helps["decay"]
+    for command in ("evaluate", "decay"):
+        assert ("--keep-outliers keep the tests whose count of failed builds exceeds the mean "
+                "count plus 3 standard deviations (dropped by default)") in helps[command]
 
 
 def test_hand_built_model_prioritizes(dataset, tmp_path, capsys):

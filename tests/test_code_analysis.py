@@ -24,6 +24,7 @@ from tcpci.code_analysis import (
     compute_change_metrics,
     is_test_file,
     scan_entity,
+    source_row,
     unit_spans,
 )
 from tcpci.model import Commit, FileChange, UnitRisk
@@ -196,7 +197,7 @@ def test_strict_cyclomatic_counts_logical_operators():
 
 def test_import_resolution():
     idx = FileIndex({"p/B.java", "A.java"})
-    e = scan_entity("import p.B;\nclass A { }\n", "A.java", idx)
+    e = scan_entity(source_row("import p.B;\nclass A { }\n"), "A.java", idx)
     assert e.import_targets == {"p/B.java"}
 
 
@@ -205,10 +206,11 @@ def test_static_import_resolves_to_its_class_file():
     idx = FileIndex({"p/A.java", "q/A.java", "T.java"})
     for imp in ("import p.A;", "import static p.A.m;", "import static p.A.*;",
                 "import static p.A.In.m;"):
-        e = scan_entity(f"{imp}\nclass T {{ }}", "T.java", idx)
+        e = scan_entity(source_row(f"{imp}\nclass T {{ }}"), "T.java", idx)
         assert (e.import_targets, e.call_targets) == ({"p/A.java"}, set()), imp
     for imp in ("import p.*;", "import static p.*;", "import static z.B.m;"):
-        assert not scan_entity(f"{imp}\nclass T {{ }}", "T.java", idx).import_targets, imp
+        e = scan_entity(source_row(f"{imp}\nclass T {{ }}"), "T.java", idx)
+        assert not e.import_targets, imp
 
 
 def test_class_literal_declares_no_type():
@@ -231,15 +233,15 @@ def test_class_literal_declares_no_type():
         assert (m.CountDeclClass, m.CountDeclFunction, m.MaxNesting) == (1, 1, 1)
     # the type named after a class literal is a call target
     idx = FileIndex({"p/B.java", "A.java", "Z.java"})
-    e = scan_entity("class A { Object o = A.class.cast(B.X); }", "A.java", idx)
+    e = scan_entity(source_row("class A { Object o = A.class.cast(B.X); }"), "A.java", idx)
     assert e.call_targets == {"p/B.java"}
-    e = scan_entity("class Z { Object o = A./* c */class.cast(B.X); }", "Z.java", idx)
+    e = scan_entity(source_row("class Z { Object o = A./* c */class.cast(B.X); }"), "Z.java", idx)
     assert e.call_targets == {"A.java", "p/B.java"}
 
 
 def test_ambiguous_call_target_produces_no_edge():
     idx = FileIndex({"p/B.java", "q/B.java", "A.java"})
-    e = scan_entity("class A { B b; }", "A.java", idx)
+    e = scan_entity(source_row("class A { B b; }"), "A.java", idx)
     assert e.call_targets == set()
 
 
@@ -510,7 +512,7 @@ def test_analysis_golden():
     for path in sorted(GOLDEN_SOURCES):
         source = GOLDEN_SOURCES[path]
         m = analyze_file(source)
-        e = scan_entity(source, path, index)
+        e = scan_entity(source_row(source), path, index)
         put(path, [repr(float(getattr(m, n))) for n in COMPLEXITY_METRICS])
         put(sorted(e.import_targets), sorted(e.call_targets))
         put([(u.name, u.start_line, u.end_line) for u in unit_spans(source)])
@@ -917,7 +919,9 @@ def _unit_rows(units):
 def assert_analysis_matches_reference(text, path, index):
     metrics = analyze_file(text)
     assert [repr(v) for v in metrics] == [repr(v) for v in analysis_reference.analyze_file(text)]
-    assert scan_entity(text, path, index) == analysis_reference.scan_entity(text, path, index)
+    row = source_row(text)
+    assert row.metrics.tolist() == [float(v) for v in metrics]
+    assert scan_entity(row, path, index) == analysis_reference.scan_entity(text, path, index)
     assert _unit_rows(unit_spans(text)) == _unit_rows(analysis_reference.unit_spans(text))
     n = text.count("\n") + 2
     spans = [(line, 1 + line % 3) for line in range(n)]

@@ -1,16 +1,19 @@
 import csv
 import hashlib
+import tempfile
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcpci.catalog import CATALOG, REC_FEATURES, FeatureGroup
+from tcpci.catalog import CATALOG, COMPLEXITY_METRICS, REC_FEATURES, FeatureGroup
 from tcpci.code_analysis import analyze_file
 from tcpci.commit_classifier import is_defect_fix_keyword
 from tcpci.coverage import build_dependency_graph_from_sources
 from tcpci.features import SNAPSHOT_GROUPS, FeatureExtractor
+from tcpci.ingest import write_dataset
 from tcpci.matrix import FeatureMatrix
 from tcpci.model import (
     Build,
@@ -20,7 +23,7 @@ from tcpci.model import (
     FileChange,
     Verdict,
 )
-from tcpci.synth import SynthConfig, generate_synthetic_history
+from tcpci.synth import SynthConfig, generate_synthetic_history, load_sources
 from test_acceptance import DRIFT_CFG
 
 TS = datetime(2024, 1, 1, tzinfo=timezone.utc)
@@ -283,20 +286,25 @@ def test_rec_matches_per_test_reference(specs, window):
         assert m.values[:, CATALOG.group_slice(FeatureGroup.REC)].tobytes() == want.tobytes()
 
 
-def cov_reference(
-    history: BuildHistory, graph, test: str, k: int, cut: int, depth: int
-) -> np.ndarray:
-    """The F_COV and DET_COV cells of ``test`` at build ``k``, mined from the
-    commits visible at build ``cut``, one test and one file at a time:
-    (CovCCount, CovICount, SumCovCScore, SumCovIScore, WSumCovCFaults,
-    WSumCovIFaults)."""
+def _visible_commits(history: BuildHistory, cut: int) -> list[Commit]:
+    """The commits that the snapshot of build ``cut`` sees, in order."""
     referenced = {c for b in history.builds for c in b.commits}
     seen = {c for b in history.builds if b.id <= cut for c in b.commits}
-    visible = [c for c in history.commit_sequence if c.id in seen or c.id not in referenced]
+    return [c for c in history.commit_sequence if c.id in seen or c.id not in referenced]
+
+
+def covered_weights(
+    history: BuildHistory, graph, test: str, k: int, cut: int, depth: int
+) -> list[list[tuple[str, float]]]:
+    """The covered changed and the covered impacted files of ``test`` at
+    build ``k``, each half in path order with its weights:
+    confidence(f -> test) over the commits visible at build ``cut``,
+    normalised over the half, and uniform when all are 0."""
+    visible = _visible_commits(history, cut)
     chn = history.changed_files(k)
     covered = graph.covered_files(test) if test in graph.deps else frozenset()
-    row = np.zeros(6)
-    for h, half in enumerate((covered & chn, covered & graph.impacted_files(chn, depth))):
+    halves = []
+    for half in (covered & chn, covered & graph.impacted_files(chn, depth)):
         files = sorted(half)
         confidence = []  # of f -> test: the share of the commits changing f that change test
         for f in files:
@@ -306,12 +314,50 @@ def cov_reference(
         total = 0.0
         for x in confidence:
             total += x
-        row[h] = len(files)
-        for f, x in zip(files, confidence):
-            w = x / total if total else 1.0 / len(files)
+        weights = [x / total if total else 1.0 / len(files) for x in confidence]
+        halves.append(list(zip(files, weights)))
+    return halves
+
+
+def cov_reference(
+    history: BuildHistory, graph, test: str, k: int, cut: int, depth: int
+) -> np.ndarray:
+    """The F_COV and DET_COV cells of ``test`` at build ``k``, mined from the
+    commits visible at build ``cut``, one test and one file at a time:
+    (CovCCount, CovICount, SumCovCScore, SumCovIScore, WSumCovCFaults,
+    WSumCovIFaults)."""
+    visible = _visible_commits(history, cut)
+    row = np.zeros(6)
+    for h, pairs in enumerate(covered_weights(history, graph, test, k, cut, depth)):
+        row[h] = len(pairs)
+        for f, w in pairs:
             fixes = sum(f in c.changed_files and is_defect_fix_keyword(c.message) for c in visible)
             row[2 + h] += w
             row[4 + h] += w * fixes
+    return row
+
+
+def com_reference(
+    history: BuildHistory, graph, sources: dict[str, str], test: str, k: int, cut: int,
+    depth: int,
+) -> np.ndarray:
+    """The TES_COM and COD_COV_COM cells of ``test`` at build ``k``, one
+    file at a time: the ``analyze_file`` metrics of the test's own file,
+    then the weighted sums of those of its covered changed files and of its
+    covered impacted files (weights as of build ``cut``).  A file without
+    source has all-zero metrics."""
+    width = len(COMPLEXITY_METRICS)
+
+    def metrics(path: str) -> np.ndarray:
+        if path not in sources:
+            return np.zeros(width)
+        return np.array(analyze_file(sources[path]), dtype=np.float64)
+
+    row = np.zeros(3 * width)
+    row[:width] += metrics(test)
+    for h, pairs in enumerate(covered_weights(history, graph, test, k, cut, depth), start=1):
+        for f, w in pairs:
+            row[h * width : (h + 1) * width] += w * metrics(f)
     return row
 
 
@@ -380,6 +426,66 @@ def test_cov_and_det_match_per_test_reference(specs):
                 known = [i for i, t in enumerate(m.tests) if first[t] <= cut]
                 want = np.array([cov_reference(history, graph, m.tests[i], b.id, cut, depth) for i in known])
                 assert m.values[np.ix_(known, cols)].tobytes() == want.reshape(len(known), 6).tobytes()
+
+
+# class bodies whose methods, branches, loops, fields, inner classes and
+# comments move every complexity metric
+_BODY_PIECES = st.sampled_from([
+    "    int f(int x) {\n        if (x > 0) { return 1; }\n        return 0;\n    }\n",
+    "    protected static int k() { return 0; }\n",
+    "    class In { private int z; }\n",
+    "    // a note\n",
+    "    /* a block\n       comment */\n",
+    "    private static int n = 1;\n",
+    "    private int count = 2;\n",
+    "    private void reset() { count = 0; }\n",
+    "\n",
+    "    void g(int a, int b, int c) {\n        for (int i = 0; i < a; i++) {\n"
+    "            while (i > b && i < c || a == 0) { if (i == 2) { break; } continue; }\n"
+    "        }\n    }\n",
+    "    public int h(int a) {\n        switch (a) {\n            case 1: return a > 2 ? 1 : 0;\n"
+    "            case 2: return 2;\n        }\n        try { a++; } catch (E e) { a--; }\n"
+    "        return a;\n    }\n",
+])
+_JAVA_BODIES = st.lists(_BODY_PIECES, max_size=5).map("".join)
+
+
+@settings(max_examples=40, deadline=None)
+@given(specs=_COV_SPECS, bodies=st.lists(_JAVA_BODIES, min_size=12, max_size=12))
+def test_com_matches_per_test_reference_on_loaded_sources(specs, bodies):
+    # TES_COM and COD_COV_COM of live matrices and stale snapshots at impact
+    # depths 0-2, on sources that load_sources computes (a table miss),
+    # then reads from the table (a hit), then after every file was edited:
+    # a row keyed by path, or one served stale, would not follow the edit
+    history, plain = _cov_history(specs)
+    first = {}
+    for b in history.builds:
+        for t in b.tests:
+            first.setdefault(t, b.id)
+    cols = [*CATALOG.group_indices(FeatureGroup.TES_COM),
+            *CATALOG.group_indices(FeatureGroup.COD_COV_COM)]
+    rounds = (bodies[:6], bodies[:6], [body + "    // edited\n" for body in bodies[6:]])
+    with tempfile.TemporaryDirectory() as tmp:
+        layout = write_dataset(history, Path(tmp) / "ds")
+        for half in rounds:
+            sources = {p: text.replace(" { }\n", " {\n" + body + "}\n")
+                       for (p, text), body in zip(plain.items(), half)}
+            for path, text in sources.items():
+                (layout.root / path).parent.mkdir(parents=True, exist_ok=True)
+                (layout.root / path).write_text(text, encoding="utf-8")
+            loaded = load_sources(layout)
+            assert loaded == sources and layout.source_table.is_file()
+            graph = build_dependency_graph_from_sources(sources)
+            for depth in range(3):
+                ex = FeatureExtractor(history, loaded, impact_depth=depth)
+                for b in history.builds:
+                    for cut in range(1, b.id + 1):
+                        m = ex.matrix(b.id) if cut == b.id else ex.matrix(b.id, ex.snapshot(cut))
+                        known = [i for i, t in enumerate(m.tests) if first[t] <= cut]
+                        want = [com_reference(history, graph, sources, m.tests[i], b.id, cut, depth)
+                                for i in known]
+                        got = m.values[np.ix_(known, cols)]
+                        assert got.tobytes() == np.reshape(want, got.shape).tobytes()
 
 
 def test_sum_cov_score_is_one_iff_covered_changed():
@@ -483,8 +589,8 @@ def test_timing_tes_chn_preprocessing_zero():
     ex.matrix(1)
     rows = {g: (p, m, t) for g, p, m, t in ex.timings.rows()}
     assert rows["TES_CHN"][0] == 0.0
-    # the import/call scan is the coverage groups' P; TES_COM's unit
-    # analysis is measured lazily in M
+    # the source rows and the graph are the coverage groups' P; TES_COM
+    # only looks a file's metrics up in its row
     assert rows["TES_COM"][0] == 0.0
     for g, (p, m, t) in rows.items():
         assert t == p + m
