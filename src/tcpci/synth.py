@@ -286,15 +286,8 @@ def load_sources(layout: DatasetLayout) -> Sources:
     src = layout.src_dir
     if src is None:
         return Sources({})
-    top = str(src)
-    data = {}
-    for dirpath, _, names in os.walk(top):
-        prefix = src.name + dirpath[len(top):]
-        for name in names:
-            path = os.path.join(dirpath, name)
-            if name.endswith(".java") and os.path.isfile(path):
-                with open(path, "rb") as f:
-                    data[os.path.join(prefix, name)] = f.read()
+    data: dict[str, bytes] = {}
+    _read_java_files(str(src), src.name, data)
     texts = {path: _decode(raw) for path, raw in data.items()}
     keys = {path: hashlib.sha256(raw).digest() for path, raw in data.items()}
     rules = _rules_digest()
@@ -306,6 +299,37 @@ def load_sources(layout: DatasetLayout) -> Sources:
         kept = {key: table[key] for key in keys.values()}
         _write_source_table(layout.source_table, _source_table(kept, rules))
     return Sources(texts, {path: table[key] for path, key in keys.items()})
+
+
+def _read_java_files(top: str, prefix: str, data: dict[str, bytes]) -> None:
+    """Add the bytes of each ``.java`` file (or symlink to one) under the
+    directory ``top`` to ``data``, keyed by its path below ``prefix``.
+
+    The order is that of ``os.walk``: a directory's files, then each of its
+    subdirectories in turn, both as the directory lists them.  A symlinked
+    directory is not entered, a directory that cannot be listed is skipped,
+    and an entry whose type cannot be read (a symlink loop) is no file.
+    The listing gives each entry's type, so only a symlink costs a ``stat``.
+    """
+    try:
+        with os.scandir(top) as listing:
+            entries = list(listing)
+    except OSError:
+        return
+    subdirs = []
+    for entry in entries:
+        try:
+            java = entry.name.endswith(".java") and entry.is_file()
+            subdir = not java and entry.is_dir(follow_symlinks=False)
+        except OSError:
+            continue
+        if java:
+            with open(entry.path, "rb") as f:
+                data[os.path.join(prefix, entry.name)] = f.read()
+        elif subdir:
+            subdirs.append(entry)
+    for entry in subdirs:
+        _read_java_files(entry.path, os.path.join(prefix, entry.name), data)
 
 
 def _decode(raw: bytes) -> str:

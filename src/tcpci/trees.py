@@ -28,10 +28,16 @@ for its subtree.  The split score is computed only at the sorted positions
 where adjacent values differ.  Everything is deterministic for a fixed
 input.
 
-Scoring stores every tree of an ensemble in one :class:`Forest` node table
-and walks all (tree, row) pairs together, one numpy step per depth level
-(:func:`walk`), as QuickScorer lays an ensemble out (Lucchese et al., SIGIR
-2015).  :meth:`RegressionTree.predict` is the same walk over one tree.
+Scoring stores every tree of an ensemble in one :class:`Forest` node table,
+as QuickScorer lays an ensemble out (Lucchese et al., SIGIR 2015), and
+walks all (tree, row) pairs together, one step of numpy gathers per depth
+level (:func:`walk`).  The table holds each node's two children side by
+side, and a leaf names itself as both, as in Hummingbird's tree traversal
+(Nakandala et al., OSDI 2020): a pair that has reached its leaf stays
+there, so a step needs no mask of the pairs still moving.  The finished
+pairs are recorded and dropped only once they are half of the pairs
+still walked.  :meth:`RegressionTree.predict` is the same walk over one
+tree.
 
 This module alone knows how the ranker's model file holds its trees
 (:func:`pack_nodes`, :func:`unpack_nodes`): each node array, every tree's
@@ -69,7 +75,10 @@ PACKED_DTYPES = {"feature": "<i4", "threshold": "<f8", "left": "<i4", "right": "
 
 #: The most (tree, row) pairs one walk holds: :meth:`Forest.predict` walks
 #: the rows in chunks of this many pairs, which bounds its temporaries to
-#: about 1 MB.  Larger chunks were no faster on a 750-tree model.
+#: about 1.3 MB.  On a 750-tree model and 300 rows (2 cores, numpy 2.4),
+#: half this chunk scored about 20% slower; twice and four times it scored
+#: 5-15% faster but held 2.6 and 5.2 MB of temporaries, which shows in a
+#: short command's peak memory.
 CHUNK_PAIRS = 1 << 14
 
 
@@ -283,8 +292,11 @@ class RegressionTree:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """The value of the leaf each row of ``X`` reaches."""
         X = split_matrix(X, int(self.feature.max(initial=-1)) + 1)
+        inner = self.feature >= 0
+        # each node's children side by side, a leaf naming itself twice
+        child = np.where(inner, [self.left, self.right], np.arange(len(inner))).T.ravel()
         roots = np.zeros(1, dtype=np.int64)
-        return self.value[walk(X, self.feature, self.threshold, self.left, self.right, roots)[0]]
+        return self.value[walk(X, self.feature, self.threshold, child, roots)[0]]
 
     @property
     def n_leaves(self) -> int:
@@ -371,15 +383,19 @@ def split_matrix(X, width: int) -> np.ndarray:
     return X
 
 
-def walk(X, feature, threshold, left, right, roots) -> np.ndarray:
+def walk(X, feature, threshold, child, roots) -> np.ndarray:
     """The node where each tree's walk ends for each row of ``X``, shape
     ``(len(roots), len(X))``.
 
-    The trees are node arrays as :class:`RegressionTree` holds them, with
-    the roots at ``roots``; ``X`` comes from :func:`split_matrix`.  All
-    (tree, row) pairs move one level per step, a row going left where its
-    value is ``<= threshold`` (so NaN goes right), and a pair leaves the
-    walk at the first leaf (``feature < 0``) it reaches.
+    The trees are one node table with the roots at ``roots``: a node's
+    split column (``-1`` at a leaf) and threshold, and ``child``, which
+    holds its left child at ``2*i`` and its right child at ``2*i + 1``.
+    A leaf names itself on both sides, so a (tree, row) pair that has
+    reached its leaf stays there at every later step.  ``X`` comes from
+    :func:`split_matrix`.  All pairs move one level per step, a row going
+    left where its value is ``<= threshold`` (so NaN goes right).  The
+    finished pairs are recorded and dropped only once they are at least
+    half of the live ones; until then they step in place.
     """
     n, d = X.shape
     flat = X.ravel()
@@ -388,13 +404,14 @@ def walk(X, feature, threshold, left, right, roots) -> np.ndarray:
     node = np.repeat(roots, n)
     at = np.tile(np.arange(n) * d, len(roots))  # where each pair's row starts in ``flat``
     while len(node):
-        col = feature[node]
-        inner = col >= 0
-        if not inner.all():
-            leaf = ~inner
-            end[pair[leaf]] = node[leaf]
-            pair, node, at, col = pair[inner], node[inner], at[inner], col[inner]
-        node = np.where(flat[at + col] <= threshold[node], left[node], right[node])
+        col = feature.take(node)
+        leaf = col < 0
+        if 2 * np.count_nonzero(leaf) >= len(node):
+            end[pair.compress(leaf)] = node.compress(leaf)
+            inner = ~leaf
+            pair, node, at, col = (a.compress(inner) for a in (pair, node, at, col))
+        # a leaf's column -1 reads some value of ``flat``; both its sides are itself
+        node = child.take(2 * node + 1 - (flat.take(at + col) <= threshold.take(node)))
     return end.reshape(len(roots), n)
 
 
@@ -403,9 +420,13 @@ class Forest:
 
     Tree ``k`` is tree ``k % trees_per_bag`` of bag ``k // trees_per_bag``,
     and its root is row ``roots[k]`` of the table.  A node holds the matrix
-    column it splits on (its bag's column map applied), its threshold, its
-    children as table rows (a leaf names itself) and its value; ``base``
-    holds each bag's starting score and ``columns`` each bag's column map.
+    column it splits on (its bag's column map applied, ``-1`` at a leaf),
+    its threshold, its children as table rows and its value; ``base`` holds
+    each bag's starting score and ``columns`` each bag's column map.  The
+    children are one table, ``child``, that holds node ``i``'s left child
+    at ``2*i`` and its right child at ``2*i + 1``; a leaf names itself on
+    both sides, so a walk that reaches it stays there (:func:`walk`).
+    ``left`` and ``right`` are strided views of ``child``, not copies.
     The values are kept as the trees hold them and multiplied by
     ``shrinkage`` once looked up, the product the trees' own loop forms, so
     the table shares them with ``trees``.
@@ -455,7 +476,9 @@ class Forest:
         # int32 halves the array at no cost to the walk
         self.feature = np.full(n, -1, dtype=np.int32)
         self.feature[inner] = np.concatenate(columns)[first + feature[inner]]
-        self.left, self.right = np.arange(n), np.arange(n)
+        # each node's children side by side, a leaf naming itself twice
+        self.child = np.repeat(np.arange(n), 2)
+        self.left, self.right = self.child[0::2], self.child[1::2]
         self.left[inner] = left[inner] + offset
         self.right[inner] = right[inner] + offset
         self.threshold, self.value, self.shrinkage = threshold, value, shrinkage
@@ -486,7 +509,7 @@ class Forest:
         step = max(1, CHUNK_PAIRS // max(1, len(self.roots)))
         for start in range(0, len(X), step):
             rows = X[start : start + step]
-            end = walk(rows, self.feature, self.threshold, self.left, self.right, self.roots)
+            end = walk(rows, self.feature, self.threshold, self.child, self.roots)
             value = self.shrinkage * self.value[end]
             value = value.reshape(n_bags, self.trees_per_bag, len(rows))
             acc = np.zeros((n_bags + 1, len(rows)))

@@ -1119,6 +1119,25 @@ def test_cold_prioritize_does_not_import_numpy_ma(dataset, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_python_m_tcpci_runs_the_cli(dataset, tmp_path, capsys):
+    # ``python -m tcpci`` prints what ``cli.main`` prints, and its exit code
+    model = tmp_path / "model.json"
+    model.write_text(model_arg()[1:])
+    argv = ["prioritize", str(dataset), "--build", str(history_of(dataset).builds[-1].id),
+            "--model", str(model)]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(tcpci.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "tcpci", *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected != ""
+    proc = subprocess.run([sys.executable, "-m", "tcpci", *argv[:2], "--build", "9999",
+                           *argv[4:]], env=env, capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stderr.startswith("error:")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -396,6 +396,49 @@ def test_load_sources_follows_file_links_only(tmp_path):
                        "src/sub/B.java": "class B {}\n"}
 
 
+def walk_reference(src: Path) -> list[str]:
+    """The keys ``load_sources`` gives, by ``os.walk`` and ``os.path.isfile``."""
+    top, keys = str(src), []
+    for dirpath, _, names in os.walk(top):
+        prefix = src.name + dirpath[len(top):]
+        for name in names:
+            if name.endswith(".java") and os.path.isfile(os.path.join(dirpath, name)):
+                keys.append(os.path.join(prefix, name))
+    return keys
+
+
+def test_load_sources_lists_files_as_os_walk(tmp_path, monkeypatch):
+    # the same keys in the same order as os.walk over a tree with every kind
+    # of entry: links to a file, to nothing, to itself and to directories, a
+    # directory named like a source, a FIFO, and a directory it cannot list
+    src = tmp_path / "ds" / "src"
+    for d in ("a/b/c", "D.java/e", "zz/y", "locked"):
+        (src / d).mkdir(parents=True)
+    for i, d in enumerate(["", "a", "a/b", "a/b/c", "D.java", "D.java/e", "zz", "zz/y",
+                           "locked"] * 3):
+        (src / d / f"F{i * 7 % 11}x{i}.java").write_text(f"class F{i} {{}}\n")
+        (src / d / f"n{i}.txt").write_text("not a source\n")
+    (src / "Link.java").symlink_to("a/F7x1.java")
+    (src / "a" / "b" / "Up.java").symlink_to("../../F0x0.java")
+    (src / "Broken.java").symlink_to("Missing.java")
+    (src / "Loop.java").symlink_to("Loop.java")
+    (src / "linked").symlink_to("a", target_is_directory=True)
+    (src / "a" / "Linked.java").symlink_to("b", target_is_directory=True)
+    os.mkfifo(src / "zz" / "Pipe.java")
+    scandir = os.scandir
+
+    def unlistable(path):  # as for a directory without read permission
+        if os.path.basename(path) == "locked":
+            raise PermissionError(13, "Permission denied", path)
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", unlistable)
+    expected = walk_reference(src)
+    assert len(expected) == 26 and "src/D.java/e/F2x5.java" in expected
+    assert not any("locked" in k or "Linked" in k or "linked" in k for k in expected)
+    assert list(load_sources(DatasetLayout(tmp_path / "ds"))) == expected
+
+
 # --- git mining ---------------------------------------------------------
 
 GIT_ENV = {

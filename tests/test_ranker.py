@@ -20,7 +20,8 @@ from tcpci.ranker import (
     train_ranker,
 )
 from tcpci.synth import SynthConfig, generate_synthetic_history
-from tcpci.trees import NODE_ARRAYS, Grower, RegressionTree, boost, gain_bound
+from tcpci import trees
+from tcpci.trees import NODE_ARRAYS, Forest, Grower, RegressionTree, boost, gain_bound, node_arrays
 from test_acceptance import DRIFT_CFG, DRIFT_HP
 
 HP = Hyperparams(n_bags=10, trees_per_bag=3, max_leaves=16)
@@ -429,6 +430,76 @@ def test_small_ensembles_score_as_the_stack_walk(n, kinds, n_bags, n_trees, max_
     hp = Hyperparams(n_bags=n_bags, trees_per_bag=n_trees, max_leaves=max_leaves,
                      shrinkage=float(rng.choice([0.1, 0.2, 0.7])), feature_rate=0.7)
     assert_scores_match_oracle(train_ranker(X, y, hp, seed=seed % 5), X, rng)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1000, 2**40])
+def test_scores_do_not_depend_on_the_chunk_size(golden_models, monkeypatch, chunk):
+    monkeypatch.setattr(trees, "CHUNK_PAIRS", chunk)
+    rng = np.random.default_rng(5)
+    for X, model in golden_models:
+        probe = probes(model, X, rng)
+        assert model.predict(probe).tobytes() == oracle_scores(model, probe).tobytes()
+
+
+def chain_tree(depth, feature, thresholds):
+    """A tree of ``depth`` splits on ``feature``, each with a leaf on its
+    left and the next split on its right, down to a last leaf."""
+    n = 2 * depth + 1
+    inner = np.arange(0, n - 1, 2)
+    arrays = {"feature": np.full(n, -1), "threshold": np.zeros(n),
+              "left": np.full(n, -1), "right": np.full(n, -1)}
+    arrays["feature"][inner] = feature
+    arrays["threshold"][inner] = thresholds
+    arrays["left"][inner] = inner + 1
+    arrays["right"][inner] = inner + 2
+    return RegressionTree(**arrays, value=np.arange(n) / 8 - 2.0)
+
+
+LEAF = RegressionTree([-1], [0.0], [-1], [-1], [0.75])
+STUMP = RegressionTree([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.0, -1.5, 2.25])
+
+
+def hand_built_model(columns, bags) -> RankModel:
+    """A model of the ``bags`` of trees on ``columns``, scored as one forest."""
+    hp = Hyperparams(n_bags=len(bags), trees_per_bag=len(bags[0]), shrinkage=0.5)
+    base = np.arange(len(bags)) * 0.25 + 0.125
+    forest = Forest(columns, base, hp.shrinkage, *node_arrays([t for b in bags for t in b]))
+    return RankModel(hp, 0, CATALOG.fingerprint(), forest)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1000, 2**40])
+def test_deep_chains_and_single_leaves_score_as_the_stack_walk(monkeypatch, chunk):
+    # most pairs end at once, at the single leaf or high in the chains, and
+    # a few walk 40 levels down: finished pairs must hold their leaf while
+    # the others still move, and the drop must keep each pair's end
+    monkeypatch.setattr(trees, "CHUNK_PAIRS", chunk)
+    depth = 40
+    bags = [[LEAF, chain_tree(depth, 0, np.arange(depth) * 1.0), LEAF],
+            [chain_tree(depth, 1, np.arange(depth) * 0.25 - 3), STUMP, LEAF]]
+    model = hand_built_model([np.array([0, 2]), np.array([2, 1])], bags)
+    rng = np.random.default_rng(3)
+    X = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], (60, 3))
+    deep = [[39.5, 7.0, 0.0], [np.inf, np.nan, 1.0], [np.nan, np.inf, np.nan], [40.0, 6.75, 0.5]]
+    X = np.vstack([X, deep])
+    probe = probes(model, X, rng)
+    assert model.predict(probe).tobytes() == oracle_scores(model, probe).tobytes()
+    for bag in model.bags:
+        for tree in bag.trees:
+            Xb = probe[:, bag.feature_idx]
+            assert tree.predict(Xb).tobytes() == _stack_walk(tree, Xb).tobytes()
+    # the deep rows reach the chains' last leaves
+    chain = model.bags[0].trees[1]
+    assert (chain.predict(np.array(deep)[:3, :1]) == chain.value[-1]).all()
+
+
+def test_one_column_matrix_scores_as_the_stack_walk():
+    # a leaf's column is -1: the walk reads the value before its row, which
+    # for the first row of a one-column matrix is the last of the matrix
+    model = hand_built_model([np.array([0])], [[LEAF, STUMP, LEAF, STUMP]])
+    X = np.array([[0.5], [np.nan], [-np.inf], [0.75], [np.nextafter(0.5, 1)], [0.0]])
+    assert model.predict(X).tobytes() == oracle_scores(model, X).tobytes()
+    assert STUMP.predict(X).tobytes() == _stack_walk(STUMP, X).tobytes()
+    assert LEAF.predict(X).tobytes() == np.full(len(X), 0.75).tobytes()
 
 
 def test_narrow_matrix_raises(golden_models):
