@@ -75,10 +75,10 @@ PACKED_DTYPES = {"feature": "<i4", "threshold": "<f8", "left": "<i4", "right": "
 
 #: The most (tree, row) pairs one walk holds: :meth:`Forest.predict` walks
 #: the rows in chunks of this many pairs, which bounds its temporaries to
-#: about 1.3 MB.  On a 750-tree model and 300 rows (2 cores, numpy 2.4),
-#: half this chunk scored about 20% slower; twice and four times it scored
-#: 5-15% faster but held 2.6 and 5.2 MB of temporaries, which shows in a
-#: short command's peak memory.
+#: about 1.3 MB.  Scoring 100 and 300 rows with 750-tree models (2 cores,
+#: numpy 2.4), half this chunk was 10-25% slower; twice and four times it
+#: were at most 10% faster but held 2.6 and 5.2 MB of temporaries, which a
+#: short command carries into its peak memory.
 CHUNK_PAIRS = 1 << 14
 
 
