@@ -8,11 +8,13 @@ diagnostics go to stderr as ``error: ...`` lines.
 Each command takes only the options it reads.  A value option is
 declared once, by its key in the tables of :data:`_OPTIONS`: its flag is
 ``--`` plus the key with ``-`` for ``_`` (``--max-builds`` for
-``max_builds``), and ``--config`` names a JSON object whose keys set the
-same options.  Each key must name a value option of the command, or it
-exits 2.  :func:`main` resolves flags and keys into one ``opts`` dict,
-where an explicit flag wins and a null key sets nothing, and each handler
-passes it on as keyword arguments.
+``max_builds``), its help line is its :data:`_HELP` text and the default
+of the library parameter it sets (:func:`_default`), and ``--config``
+names a JSON object whose keys set the same options.  Each key must name
+a value option of the command, or it exits 2.  :func:`main` resolves
+flags and keys into one ``opts`` dict, where an explicit flag wins and a
+null key sets nothing, and each handler passes it on as keyword
+arguments.
 ``--build``, ``--until``, ``--model``, ``--out`` and ``--keep-outliers``
 have no key; ``synth``'s keys are the generator settings and ``seed``.
 """
@@ -20,9 +22,11 @@ have no key; ``synth``'s keys are the generator settings and ``seed``.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import shutil
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import (
@@ -65,6 +69,39 @@ _OPTIONS = {
     "decay": {**_REPLAY, "max_rw": int},
     "synth": _SEED,
 }
+#: What each value option sets; its help line adds the default (:func:`_default`).
+_HELP = {
+    "seed": "random seed",
+    "impact_depth": "hops along reverse dependency edges from a changed file to the files "
+                    "it impacts",
+    "recent_window": "latest executions of a test that the Recent* features read",
+    "max_builds": "latest failed builds to evaluate",
+    "max_rw": "most failed builds after its own that a model is reused on",
+    "heuristic": "feature the heuristic ordering sorts by, with :desc or :asc",
+    "bags": "bags of the ensemble",
+    "trees_per_bag": "boosted trees of each bag",
+    "max_leaves": "most leaves of a tree",
+    "shrinkage": "factor on each tree's values",
+    "sample_rate": "share of the rows each bag draws, with replacement",
+    "feature_rate": "share of the columns each bag draws",
+}
+#: The library call each command passes its options to.
+_CALLEES = {
+    "extract": FeatureExtractor,
+    "train": PipelineEvaluator,
+    "evaluate": run_pipeline_eval,
+    "decay": decay_experiment,
+    "synth": write_synthetic_dataset,
+}
+
+
+def _default(command: str, key: str):
+    """The value a value option of ``command`` takes when it is not set:
+    the default of the library parameter it sets."""
+    if key in _HYPERPARAMS:
+        return getattr(Hyperparams(), _hyperparam(key))
+    callee = _CALLEES["extract" if key in _EXTRACTOR else command]
+    return inspect.signature(callee).parameters[key].default
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,12 +143,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", type=Path, required=True)
 
+    settings = ", ".join(f"{f.name}={f.default}" for f in fields(SynthConfig))
     for command, options in _OPTIONS.items():
         p = sub.choices[command]
-        what = "JSON generator config" if command == "synth" else "JSON config file"
+        what = (f"JSON generator config: seed and any of these settings, shown at their "
+                f"defaults: {settings}" if command == "synth" else "JSON config file")
         p.add_argument("--config", type=Path, default=None, help=what)
         for key, kind in options.items():
-            p.add_argument("--" + key.replace("_", "-"), type=kind, default=None)
+            text = f"{_HELP[key]} (default: {_default(command, key)})"
+            p.add_argument("--" + key.replace("_", "-"), type=kind, default=None,
+                           help=text.replace("%", "%%"))
     return parser
 
 
@@ -155,10 +196,15 @@ def _take(opts: dict, keys) -> dict:
     return {k: opts.pop(k) for k in keys if k in opts}
 
 
+def _hyperparam(key: str) -> str:
+    """The :class:`Hyperparams` field a training key sets (``bags`` sets ``n_bags``)."""
+    return "n_bags" if key == "bags" else key
+
+
 def _take_hyperparams(opts: dict) -> Hyperparams:
-    """Take the training keys out of ``opts`` (``bags`` fills ``n_bags``)."""
+    """Take the training keys out of ``opts``."""
     given = _take(opts, _HYPERPARAMS)
-    return Hyperparams(**{("n_bags" if k == "bags" else k): v for k, v in given.items()})
+    return Hyperparams(**{_hyperparam(k): v for k, v in given.items()})
 
 
 def _load(dataset: Path, filter_outliers: bool = False):

@@ -29,7 +29,8 @@ from .errors import (
 )
 from .matrix import FeatureMatrix
 from .trees import (
-    Forest, Grower, RegressionTree, boost, index_array, node_arrays, pack_nodes, unpack_nodes,
+    Forest, Grower, RegressionTree, boost, index_array, node_arrays, pack_nodes, rank_table,
+    unpack_nodes,
 )
 
 log = logging.getLogger(__name__)
@@ -167,22 +168,36 @@ def train_ranker(
     if len(np.unique(y)) < 2:
         log.warning("all %d training labels equal %.3g; model will be constant", len(y), y[0])
     hp = hyperparams
+    bags = grow_bags(X, rank_table(X), y, hp, seed, range(hp.n_bags))
+    columns, bases, trees = zip(*bags)
+    nodes = node_arrays([tree for bag in trees for tree in bag])
+    forest = Forest(list(columns), list(bases), hp.shrinkage, *nodes)
+    return RankModel(hp, seed, CATALOG.fingerprint(), forest)
+
+
+def grow_bags(
+    X: np.ndarray, table: tuple, y: np.ndarray, hp: Hyperparams, seed: int, bags: range
+) -> list[tuple[np.ndarray, float, list[RegressionTree]]]:
+    """Each bag of ``bags``: its columns, its base and its trees.
+
+    ``table`` is :func:`trees.rank_table` of ``X``.  Bag ``b`` draws its
+    rows and columns from ``default_rng([seed, b])`` alone, so a bag is the
+    same whichever range it is grown in.
+    """
     n, d = X.shape
     n_rows = max(1, math.ceil(hp.sample_rate * n))
     n_feats = max(1, math.ceil(hp.feature_rate * d))
-    columns, bases, trees = [], [], []
-    for b in range(hp.n_bags):
+    grown = []
+    for b in bags:
         rng = np.random.default_rng([seed, b])
         rows = rng.choice(n, size=n_rows, replace=True)
         feats = np.sort(rng.choice(d, size=n_feats, replace=False))
         yb = y[rows]
         base = float(yb.mean())
-        grower = Grower(X[np.ix_(rows, feats)])
-        trees += boost(grower, yb, base, hp.trees_per_bag, hp.shrinkage, hp.max_leaves, lambda z: z)
-        columns.append(feats)
-        bases.append(base)
-    forest = Forest(columns, bases, hp.shrinkage, *node_arrays(trees))
-    return RankModel(hp, seed, CATALOG.fingerprint(), forest)
+        grower = Grower(X, rows, feats, table)
+        trees = boost(grower, yb, base, hp.trees_per_bag, hp.shrinkage, hp.max_leaves, lambda z: z)
+        grown.append((feats, base, trees))
+    return grown
 
 
 def rank_tests(model: RankModel, matrix: FeatureMatrix) -> list[str]:

@@ -18,15 +18,25 @@ budget runs out never is either.  The trees are those an eager search of
 every leaf grows, bit for bit.
 
 Split finding is exact greedy over presorted columns, as in XGBoost's
-column blocks (Chen & Guestrin, KDD 2016).  A :class:`Grower` is built
-once per training matrix and serves every tree grown on it: it drops the
-columns that are constant in the matrix and stable-argsorts each other
-column once.  A split stable-partitions each sorted index array into the
+column blocks (Chen & Guestrin, KDD 2016), searched on integer codes, as
+LightGBM searches bin codes (Ke et al., NeurIPS 2017), but with one code
+per distinct value, so nothing is lost.  A training matrix is ranked once
+(:func:`rank_table`): each value of a non-constant column becomes its
+dense rank within the column, in the smallest unsigned dtype that holds
+it, with one code for ``-0.0`` and ``0.0`` and one last code for every
+NaN.  Codes taken from any rows keep the values' order and equality, so
+one table serves every bag of a model.  A :class:`Grower` is built once
+per bag and serves every tree grown on it: it gathers the codes of the
+bag's rows and columns, drops the columns whose codes are all equal, and
+stable-argsorts each other column once, which numpy does as a radix sort
+on 8- and 16-bit codes, in the order a stable argsort of the values
+gives.  A split stable-partitions each sorted index array into the
 children, so every node holds its rows in the order a stable argsort of
 the node alone would give, and a column constant within a node is dropped
-for its subtree.  The split score is computed only at the sorted positions
-where adjacent values differ.  Everything is deterministic for a fixed
-input.
+for its subtree.  A boundary lies wherever adjacent codes differ, so none
+lies between two NaNs, and the split score is computed only there; the
+threshold comes from the two values beside it.  Everything is
+deterministic for a fixed input.
 
 Scoring stores every tree of an ensemble in one :class:`Forest` node table,
 as QuickScorer lays an ensemble out (Lucchese et al., SIGIR 2015), and
@@ -129,26 +139,92 @@ def gain_bound(yn: np.ndarray, total: float) -> float:
     return (1 + 8 * g) * (math.sqrt(sse) + 5 * g * math.sqrt(n * q)) ** 2 + 8 * g * q
 
 
-class Grower:
-    """A training matrix sorted once, for growing any number of trees on it.
+#: The most values :func:`rank_codes` sorts at once.  It ranks a matrix a
+#: block of columns at a time, so its float64 and int64 temporaries stay
+#: within a few times 512 kB however large the matrix is.
+RANK_BLOCK = 1 << 16
 
-    ``values[k]`` is the live (non-constant) column ``features[k]`` of
-    ``X`` and ``order[k]`` its rows by ascending value, NaN last, ties by
-    row.  A node is ``(rows, order, slots)``: its rows ascending, and the
-    sorted rows of the live columns ``slots`` that can still split it.
+
+def rank_codes(X, columns=None) -> np.ndarray:
+    """Each value of the columns ``columns`` of ``X`` (all by default) as its
+    dense rank within its column, one row per column: ``codes[j, i]`` is the
+    number of distinct values of column ``columns[j]`` below ``X[i, columns[j]]``.
+
+    ``-0.0`` and ``0.0`` share a code, and NaN ranks last, every NaN of a
+    column with one code.  The codes of any subset of the rows keep the
+    values' order and equality, so one table serves every bag of a model.
+    They take the smallest unsigned dtype that holds ``len(X) - 1``.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n = len(X)
+    columns = np.arange(X.shape[1]) if columns is None else np.asarray(columns)
+    codes = np.empty((len(columns), n), dtype=np.min_scalar_type(max(n - 1, 0)))
+    step = max(1, RANK_BLOCK // max(n, 1))
+    for start in range(0, len(columns), step):
+        block = X[:, columns[start : start + step]].T
+        order = block.argsort(axis=1)
+        values = np.take_along_axis(block, order, axis=1)
+        # a new code wherever the sorted value changes, except after a NaN:
+        # NaN != NaN, and the NaNs sort last
+        new = values[:, 1:] != values[:, :-1]
+        new &= ~np.isnan(values[:, :-1])
+        rank = np.zeros(order.shape, dtype=codes.dtype)
+        np.cumsum(new, axis=1, dtype=codes.dtype, out=rank[:, 1:])
+        np.put_along_axis(codes[start : start + step], order, rank, axis=1)
+    return codes
+
+
+def rank_table(X) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of ``X`` whose values differ, and their :func:`rank_codes`:
+    what a :class:`Grower` of any rows and columns of ``X`` reads."""
+    X = np.asarray(X, dtype=np.float64)
+    # NaN != NaN, so a column holding one is ranked, and dropped if all NaN
+    columns = np.flatnonzero((X != X[:1]).any(axis=0))
+    codes = rank_codes(X, columns)
+    varies = codes.any(axis=1)
+    if not varies.all():
+        columns, codes = columns[varies], codes[varies]
+    return columns, codes
+
+
+class Grower:
+    """The rows ``rows`` and columns ``feats`` of a training matrix ``X`` (all
+    of them by default) ranked once, for growing any number of trees on them.
+
+    ``table`` is :func:`rank_table` of ``X``, computed here when not given:
+    a model ranks its matrix once and hands the table to every bag.  A column
+    is live when its codes differ within ``rows``.  ``features[k]`` is the
+    ``k``-th live column, numbered within ``feats``, ``codes[k]`` its codes
+    and ``values[k]`` its values, row by row of ``rows``, and ``order[k]``
+    those rows by ascending code, ties by row: the order of a stable argsort
+    of the values, NaN last.  On 8- and 16-bit codes, numpy's stable argsort
+    is a radix sort.  A node is ``(rows, order, slots)``: its rows
+    ascending, and the sorted rows of the live columns ``slots`` that can
+    still split it.
     """
 
-    def __init__(self, X: np.ndarray):
-        X = np.asarray(X, dtype=np.float64)
-        self.n_rows = len(X)
-        # NaN never equals itself, so a column holding one stays live
-        self.features = np.flatnonzero(~(X == X[:1]).all(axis=0))
-        self.values = np.ascontiguousarray(X[:, self.features].T)
-        self.order = np.argsort(self.values, axis=1, kind="stable")
-        self.has_nan = bool(np.isnan(self.values).any())
-        # ``values`` read flat, where each live column starts in it, and the
+    def __init__(self, X: np.ndarray, rows=None, feats=None, table=None):
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        n, d = X.shape
+        rows = np.arange(n) if rows is None else np.asarray(rows)
+        feats = np.arange(d) if feats is None else np.asarray(feats)
+        columns, codes = rank_table(X) if table is None else table
+        # each of ``feats`` that varies in ``X``: its row of the table
+        at = np.full(d, -1)
+        at[columns] = np.arange(len(columns))
+        at = at[feats]
+        ranked = np.flatnonzero(at >= 0)
+        # ``take`` gathers several times faster than ``codes[r[:, None], rows]``
+        codes = codes.take(at[ranked], axis=0).take(rows, axis=1)
+        live = (codes != codes[:, :1]).any(axis=1)
+        self.n_rows = len(rows)
+        self.features = ranked[live]
+        self.codes = codes[live]
+        self.order = np.argsort(self.codes, axis=1, kind="stable")
+        self.values = X.take(rows * d + feats[self.features][:, None])
+        # ``codes`` read flat, where each live column starts in it, and the
         # row counts left of each sorted boundary
-        self.flat = self.values.ravel()
+        self.flat = self.codes.ravel()
         self.offsets = np.arange(len(self.features))[:, None] * self.n_rows
         self.counts = np.arange(1.0, self.n_rows)
 
@@ -170,14 +246,13 @@ class Grower:
         n = len(rows)
         if n < 2 or not len(slots):
             return None
-        # the node's values, column by column in sorted order
+        # the node's codes, column by column in sorted order: a boundary
+        # lies wherever they change
         xs = self.flat[order + self.offsets[slots]]
         valid = xs[:, 1:] != xs[:, :-1]
-        if self.has_nan:  # NaN != NaN, but no boundary follows a NaN
-            valid &= ~np.isnan(xs[:, :-1])
         live = valid.any(axis=1)
         if not live.all():
-            order, slots, xs, valid = order[live], slots[live], xs[live], valid[live]
+            order, slots, valid = order[live], slots[live], valid[live]
             if not len(slots):
                 return None
         csum = y[order].cumsum(axis=1)
@@ -193,7 +268,7 @@ class Grower:
         gain = float(score[best]) - float(total[k]) ** 2 / n
         if gain <= MIN_GAIN:
             return None
-        a, b = float(xs[k, i]), float(xs[k, i + 1])
+        a, b = self.values[slots[k], order[k, i : i + 2]].tolist()
         threshold = (a + b) / 2.0
         if not a <= threshold < b:  # rounded onto b, overflowed, or b is NaN
             threshold = a

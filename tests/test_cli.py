@@ -25,7 +25,8 @@ from tcpci import cli, code_analysis, ingest, synth
 from tcpci.code_analysis import source_row
 from tcpci.cli import main
 from tcpci.errors import DuplicateRecordError, SchemaError
-from tcpci.evaluation import PipelineEvaluator
+from tcpci.evaluation import PipelineEvaluator, decay_experiment, run_pipeline_eval
+from tcpci.features import FeatureExtractor
 from tcpci.ingest import DatasetLayout, ingest_exec_records
 from tcpci.model import MAX_BUILD_ID, ExecutionRecord, Verdict
 from tcpci.ranker import Hyperparams, rank_tests
@@ -1093,6 +1094,39 @@ def test_help_names_every_output_and_option(capsys):
     for command in ("evaluate", "decay"):
         assert ("--keep-outliers keep the tests whose count of failed builds exceeds the mean "
                 "count plus 3 standard deviations (dropped by default)") in helps[command]
+
+
+def library_default(command, key):
+    """The default of the library parameter a value option sets, read from
+    the ``Hyperparams`` fields and the signatures of ``FeatureExtractor``,
+    ``run_pipeline_eval``, ``decay_experiment``, ``PipelineEvaluator``
+    (``train``) and ``write_synthetic_dataset`` (``synth``)."""
+    hyperparams = {f.name: f.default for f in dataclasses.fields(Hyperparams)}
+    if key in TRAINING_KEYS and key != "seed":
+        return hyperparams["n_bags" if key == "bags" else key]
+    callee = {"extract": FeatureExtractor, "train": PipelineEvaluator,
+              "evaluate": run_pipeline_eval, "decay": decay_experiment,
+              "synth": synth.write_synthetic_dataset}[command]
+    if key in EXTRACTOR_KEYS:
+        callee = FeatureExtractor
+    return inspect.signature(callee).parameters[key].default
+
+
+def test_help_states_every_value_option_default(capsys):
+    # each value option's help line ends with the library's default, and
+    # synth's --config help lists every generator setting at its default
+    for command, keys in CONFIG_KEYS.items():
+        with pytest.raises(SystemExit):
+            main([command, "-h"])
+        text = " ".join(capsys.readouterr().out.split())
+        for key in keys:
+            if command == "synth" and key != "seed":
+                stated = re.findall(rf" {key}=([^, ]+)", text)
+                assert stated == [str(getattr(SynthConfig(), key))], key
+                continue
+            flag = "--" + key.replace("_", "-")
+            stated = re.findall(rf"{flag} {key.upper()} [^()]+ \(default: ([^)]*)\)", text)
+            assert stated == [str(library_default(command, key))], (command, key)
 
 
 def test_hand_built_model_prioritizes(dataset, tmp_path, capsys):

@@ -15,6 +15,7 @@ from tcpci.matrix import FeatureMatrix, stack_matrices
 from tcpci.ranker import (
     Hyperparams,
     RankModel,
+    grow_bags,
     heuristic_rank,
     rank_tests,
     train_ranker,
@@ -195,6 +196,126 @@ def test_lazy_growth_grows_the_eager_trees(n, kinds, max_leaves, offset, spread,
 def test_grower_drops_constant_columns():
     X = np.array([[1.0, 0.0, np.nan, 4.0], [1.0, -0.0, np.nan, 4.0], [1.0, 0.0, 2.0, 4.0]])
     assert Grower(X).features.tolist() == [2]
+
+
+def unique_codes(X):
+    """Each column's dense ranks from ``np.unique``, one row per column."""
+    return np.array(
+        [np.unique(col, return_inverse=True, equal_nan=True)[1] for col in X.T], dtype=np.int64
+    ).reshape(X.shape[1], len(X))
+
+
+def signed_columns(rng, n, width):
+    """Columns drawn from both zeros, both infinities, NaN and two numbers."""
+    pool = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -2.5])
+    return rng.choice(pool, size=(n, width))
+
+
+@given(
+    st.integers(1, 60),
+    st.lists(st.integers(0, 5), max_size=6),
+    st.integers(0, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_rank_codes_match_np_unique(n, kinds, signed, seed):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([_mixed_columns(rng, n, kinds), signed_columns(rng, n, signed)])
+    codes = trees.rank_codes(X)
+    assert codes.dtype == np.uint8 and codes.shape == (X.shape[1], n)
+    want = unique_codes(X)
+    assert np.array_equal(codes, want)
+    # the table keeps the columns with two or more codes
+    columns, table = trees.rank_table(X)
+    varies = np.flatnonzero(want.max(axis=1, initial=0) > 0)
+    assert columns.tolist() == varies.tolist()
+    assert np.array_equal(table, want[varies])
+    # codes of a subset of the rows keep the values' order and equality
+    rows = rng.integers(0, n, size=n)
+    sub = unique_codes(X[rows])
+    assert all(np.array_equal(np.unique(c[rows], return_inverse=True)[1], s)
+               for c, s in zip(codes, sub))
+
+
+def test_rank_codes_of_one_row_and_constant_matrices():
+    one = np.array([[np.nan, -0.0, np.inf, 3.0]])
+    assert trees.rank_codes(one).tolist() == [[0], [0], [0], [0]]
+    assert trees.rank_table(one)[0].tolist() == []
+    flat = np.column_stack([np.full(9, v) for v in (np.nan, 0.0, -np.inf, 7.0)])
+    flat[::2, 1] = -0.0
+    assert not trees.rank_codes(flat).any()
+    columns, table = trees.rank_table(flat)
+    assert columns.tolist() == [] and table.shape == (0, 9)
+    assert Grower(flat).features.tolist() == []
+
+
+def float_presort(X, rows, feats):
+    """A bag's live columns, their values and their stable float argsort,
+    computed on a copy of the bag's matrix as the ranker once did."""
+    Xb = X[np.ix_(rows, feats)]
+    live = np.flatnonzero([len(np.unique(c, equal_nan=True)) > 1 for c in Xb.T])
+    values = np.ascontiguousarray(Xb[:, live].T)
+    return live, values, np.argsort(values, axis=1, kind="stable")
+
+
+def assert_presorted_as_floats(grower, X, rows, feats):
+    live, values, order = float_presort(X, rows, feats)
+    assert grower.features.tolist() == live.tolist()
+    assert grower.values.tobytes() == values.tobytes()
+    assert np.array_equal(grower.order, order)
+
+
+@given(
+    st.integers(1, 80),
+    st.lists(st.integers(0, 5), max_size=6),
+    st.integers(0, 3),
+    st.floats(0.1, 2.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_bag_grower_presorts_as_the_float_argsort(n, kinds, signed, rate, seed):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([_mixed_columns(rng, n, kinds), signed_columns(rng, n, signed)])
+    d = X.shape[1]
+    rows = rng.choice(n, size=max(1, int(rate * n)), replace=True)
+    feats = np.sort(rng.choice(d, size=rng.integers(0, d + 1), replace=False))
+    grower = Grower(X, rows, feats, trees.rank_table(X))
+    assert_presorted_as_floats(grower, X, rows, feats)
+    # a grower of the bag's own matrix sorts the same
+    own = Grower(X[np.ix_(rows, feats)])
+    assert own.features.tolist() == grower.features.tolist()
+    assert np.array_equal(own.order, grower.order)
+
+
+def test_codes_widen_past_65536_rows():
+    for n, dtype in ((256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, np.uint32)):
+        assert trees.rank_codes(np.zeros((n, 1))).dtype == dtype
+    rng = np.random.default_rng(11)
+    n = 70_000
+    X = np.column_stack([
+        np.where(rng.random(n) < 0.01, np.nan, rng.permutation(n) - 35_000.5),
+        rng.integers(-3, 4, n) * np.where(rng.random(n) < 0.5, 0.0, 1.0),
+    ])
+    X[rng.random(n) < 0.01, 1] = -0.0
+    codes = trees.rank_codes(X)
+    assert codes.dtype == np.uint32 and codes.max() > 2**16
+    assert np.array_equal(codes, unique_codes(X))
+    rows = rng.choice(n, size=n, replace=True)
+    feats = np.arange(2)
+    assert_presorted_as_floats(Grower(X, rows, feats, trees.rank_table(X)), X, rows, feats)
+
+
+def test_bags_grown_in_ranges_make_the_model():
+    # a bag is the same whichever range of bags it is grown in
+    X, y = toy_mixed(n=90)
+    X = np.column_stack([X, np.random.default_rng(2).random((90, 143))])
+    hp = Hyperparams(n_bags=7, trees_per_bag=2, max_leaves=6, feature_rate=0.5)
+    table = trees.rank_table(X)
+    bags = [bag for r in (range(0, 3), range(3, 4), range(4, 7))
+            for bag in grow_bags(X, table, y, hp, 4, r)]
+    columns, bases, grown = zip(*bags)
+    model = train_ranker(X, y, hp, seed=4)
+    assert [c.tolist() for c in columns] == [c.tolist() for c in model.forest.columns]
+    assert list(bases) == model.forest.base.tolist()
+    assert [nodes_of(t) for bag in grown for t in bag] == [nodes_of(t) for t in model.forest.trees]
 
 
 def test_train_is_deterministic():
