@@ -1,4 +1,4 @@
-"""Dependency graph, co-change association mining, and fault counts.
+"""Dependency graph, co-change association mining, and defect-fix counts.
 
 Coverage here is *static*: a test file covers the source files it reaches
 through import/call edges.  Edge weights come from association mining over
@@ -14,8 +14,8 @@ build k never see commits after k.
 from __future__ import annotations
 
 import bisect
+import re
 
-from .commit_classifier import is_defect_fix_keyword
 from .errors import UnknownTestError
 from .model import AssociationScores, Commit, ZERO_SCORES
 from .code_analysis import FileIndex, is_test_file, scan_entity, with_rows
@@ -133,11 +133,24 @@ class AssociationMiner:
         return self.scores(file, test, n_commits).confidence
 
 
+_URL_RE = re.compile(r"(?:https?://|www\.)\S+")
+
+DEFECT_KEYWORDS = frozenset({"fix", "bug", "defect", "patch", "fault", "repair"})
+
+
+def is_defect_fix_keyword(message: str) -> bool:
+    """Keyword rule: the lowercased message, with each URL replaced by a
+    space, contains a defect keyword, so "Fixed", "bugfix" and "prefix"
+    match."""
+    text = _URL_RE.sub(" ", message).lower()
+    return any(k in text for k in DEFECT_KEYWORDS)
+
+
 class PdfIndex:
     """Per-file defect-fix commit counts (PDF), prefix-queryable.
 
     A commit fixes a defect when its message passes
-    :func:`commit_classifier.is_defect_fix_keyword`.
+    :func:`is_defect_fix_keyword`.
     """
 
     def __init__(self, commits: tuple[Commit, ...] | list[Commit]):

@@ -33,10 +33,6 @@ class InvalidConfigError(InputError, ValueError):
     """A bad option; a ValueError too, so file readers report it as SchemaError."""
 
 
-class DegenerateCorpusError(InputError):
-    """A training corpus contains a single class."""
-
-
 class UnknownTestError(TcpciError):
     pass
 

@@ -2,9 +2,9 @@
 
 Each bag draws a bootstrap row sample and a feature subsample, then fits a
 short sequence of least-squares regression trees on residuals (MART-style
-boosting: :func:`trees.boost` with the identity link, squared loss).  The
-ensemble score of a test is the mean over bags of the bag's base plus its
-trees' shrunk predictions; the model scores all trees at once through one
+boosting with squared loss: :func:`trees.boost`).  The ensemble score of
+a test is the mean over bags of the bag's base plus its trees' shrunk
+predictions; the model scores all trees at once through one
 :class:`trees.Forest` node table, built when the model is.  Tests are
 executed in descending score order.  Labels are binary: 1 for a failing
 execution, 0 otherwise.
@@ -195,7 +195,7 @@ def grow_bags(
         yb = y[rows]
         base = float(yb.mean())
         grower = Grower(X, rows, feats, table)
-        trees = boost(grower, yb, base, hp.trees_per_bag, hp.shrinkage, hp.max_leaves, lambda z: z)
+        trees = boost(grower, yb, base, hp.trees_per_bag, hp.shrinkage, hp.max_leaves)
         grown.append((feats, base, trees))
     return grown
 

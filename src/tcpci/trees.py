@@ -1,9 +1,9 @@
 """Least-squares regression trees grown best-first, boosting over them, and
 a flat node table that scores a whole ensemble.
 
-The tree is the weak learner of both the ranking model and the commit
-classifier, and :func:`boost` is the fit loop of both: Friedman's gradient
-boosting (Annals of Statistics, 2001), whose loss a link function picks.
+The tree is the ranking model's weak learner, and :func:`boost` is its fit
+loop: Friedman's gradient boosting (Annals of Statistics, 2001) with
+squared loss.
 Growth is best-first: the open leaves sit in one priority queue keyed by
 sum-of-squared-error reduction, and the leaf with the largest reduction is
 split next until ``max_leaves`` is reached (Shi & Friedman's best-first
@@ -64,7 +64,6 @@ import functools
 import heapq
 import math
 import operator
-from collections.abc import Callable
 from itertools import count
 
 import numpy as np
@@ -194,17 +193,18 @@ class Grower:
     ``table`` is :func:`rank_table` of ``X``, computed here when not given:
     a model ranks its matrix once and hands the table to every bag.  A column
     is live when its codes differ within ``rows``.  ``features[k]`` is the
-    ``k``-th live column, numbered within ``feats``, ``codes[k]`` its codes
-    and ``values[k]`` its values, row by row of ``rows``, and ``order[k]``
-    those rows by ascending code, ties by row: the order of a stable argsort
-    of the values, NaN last.  On 8- and 16-bit codes, numpy's stable argsort
-    is a radix sort.  A node is ``(rows, order, slots)``: its rows
-    ascending, and the sorted rows of the live columns ``slots`` that can
-    still split it.
+    ``k``-th live column, numbered within ``feats``, ``columns[k]`` its
+    column of ``X``, ``codes[k]`` its codes row by row of ``rows``, and
+    ``order[k]`` those rows by ascending code, ties by row: the order of a
+    stable argsort of the values, NaN last.  On 8- and 16-bit codes, numpy's
+    stable argsort is a radix sort.  The values themselves are read from
+    ``X`` only for a split's threshold and partition.  A node is ``(rows,
+    order, slots)``: its rows ascending, as positions in ``rows``, and the
+    sorted rows of the live columns ``slots`` that can still split it.
     """
 
     def __init__(self, X: np.ndarray, rows=None, feats=None, table=None):
-        X = np.ascontiguousarray(X, dtype=np.float64)
+        X = np.asarray(X, dtype=np.float64)
         n, d = X.shape
         rows = np.arange(n) if rows is None else np.asarray(rows)
         feats = np.arange(d) if feats is None else np.asarray(feats)
@@ -217,11 +217,11 @@ class Grower:
         # ``take`` gathers several times faster than ``codes[r[:, None], rows]``
         codes = codes.take(at[ranked], axis=0).take(rows, axis=1)
         live = (codes != codes[:, :1]).any(axis=1)
-        self.n_rows = len(rows)
+        self.X, self.rows, self.n_rows = X, rows, len(rows)
         self.features = ranked[live]
+        self.columns = feats[self.features]
         self.codes = codes[live]
         self.order = np.argsort(self.codes, axis=1, kind="stable")
-        self.values = X.take(rows * d + feats[self.features][:, None])
         # ``codes`` read flat, where each live column starts in it, and the
         # row counts left of each sorted boundary
         self.flat = self.codes.ravel()
@@ -268,7 +268,8 @@ class Grower:
         gain = float(score[best]) - float(total[k]) ** 2 / n
         if gain <= MIN_GAIN:
             return None
-        a, b = self.values[slots[k], order[k, i : i + 2]].tolist()
+        # a column view, then a gather: cheaper than one two-axis index
+        a, b = self.X[:, self.columns[slots[k]]][self.rows[order[k, i : i + 2]]].tolist()
         threshold = (a + b) / 2.0
         if not a <= threshold < b:  # rounded onto b, overflowed, or b is NaN
             threshold = a
@@ -353,7 +354,7 @@ class RegressionTree:
                 continue
             slot, thr, node = entry
             rows = node[0]
-            mask = grower.values[slot][rows] <= thr
+            mask = grower.X[:, grower.columns[slot]][grower.rows[rows]] <= thr
             l_rows, r_rows = rows[mask], rows[~mask]
             feature[node_id] = int(grower.features[slot])
             threshold[node_id] = thr
@@ -596,19 +597,18 @@ class Forest:
 
 
 def boost(
-    grower: Grower, y: np.ndarray, base: float, n_trees: int, shrinkage: float,
-    max_leaves: int, link: Callable[[np.ndarray], np.ndarray],
+    grower: Grower, y: np.ndarray, base: float, n_trees: int, shrinkage: float, max_leaves: int
 ) -> list[RegressionTree]:
-    """Gradient boosting on the grower's matrix, starting every row at ``base``.
+    """Gradient boosting with squared loss on the grower's matrix, starting
+    every row at ``base``.
 
-    Each tree fits the residual ``y - link(z)`` and ``z`` then moves by
-    ``shrinkage`` times the tree's fitted values.  The identity link is
-    squared loss; the sigmoid link is logistic loss.
+    Each tree fits the residual ``y - z`` and ``z`` then moves by
+    ``shrinkage`` times the tree's fitted values.
     """
     z = np.full(len(y), base)
     step = np.empty(len(y))
     trees = []
     for _ in range(n_trees):
-        trees.append(RegressionTree.fit(grower, y - link(z), max_leaves, step))
+        trees.append(RegressionTree.fit(grower, y - z, max_leaves, step))
         z += shrinkage * step
     return trees

@@ -13,7 +13,6 @@ import pytest
 
 from tcpci.catalog import CATALOG
 from tcpci.coverage import AssociationMiner
-from tcpci.commit_classifier import cross_validate
 from tcpci.evaluation import (
     apfdc,
     apfdc_of_build,
@@ -293,23 +292,6 @@ def test_7_ranker_sanity():
     ok = deterministic and auc_one and wins >= 95
     verdict_line(7, "ranker determinism, separable AUC, feature usage", ok,
                  f"informative feature ranked first in {wins}/100 runs")
-
-
-def test_8_classifier_accuracy():
-    rng = np.random.default_rng(42)
-    fix_words = ["fix", "bug", "defect", "resolve", "crash", "npe"]
-    other_words = ["add", "feature", "refactor", "docs", "update", "cleanup"]
-    noise = ["module", "service", "api", "handler"]
-    msgs, labels = [], []
-    for i in range(500):
-        is_fix = i % 2 == 0
-        pool = fix_words if is_fix else other_words
-        words = rng.choice(pool, size=4).tolist() + rng.choice(noise, size=2).tolist()
-        msgs.append(" ".join(words))
-        labels.append(is_fix)
-    acc = cross_validate(msgs, labels, k=5, seed=0)
-    verdict_line(8, "commit classifier five-fold accuracy >= 0.95", acc >= 0.95,
-                 f"accuracy {acc:.3f}")
 
 
 def test_9_timing_structure():

@@ -1396,3 +1396,14 @@ def test_readme_option_table_names_every_value_key():
              for name in re.findall(r"`(\w+)`", row.split("|")[1])}
     assert named == {key for command, keys in CONFIG_KEYS.items() if command != "synth"
                      for key in keys}
+
+
+def test_readme_counts_the_acceptance_checks():
+    # the README's count of acceptance checks is the number of test_<n>_
+    # functions in test_acceptance.py, whose numbers may have gaps
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    said = re.findall(r"the (\w+) acceptance checks", readme)
+    checks = (Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8")
+    n = len(re.findall(r"^def test_\d+_", checks, re.MULTILINE))
+    words = "zero one two three four five six seven eight nine ten eleven twelve".split()
+    assert said == [words[n]]

@@ -7,6 +7,7 @@ from tcpci.coverage import (
     AssociationMiner,
     PdfIndex,
     build_dependency_graph_from_sources,
+    is_defect_fix_keyword,
 )
 from tcpci.errors import UnknownTestError
 from tcpci.model import Commit, FileChange
@@ -144,3 +145,14 @@ def test_pdf_counts_defect_fix_commits():
     # monotone in the prefix cutoff
     values = [pdf.pdf("f", n) for n in range(4)]
     assert values == sorted(values)
+
+
+def test_keyword_fallback():
+    assert is_defect_fix_keyword("Bugfix for issue 12")
+    assert is_defect_fix_keyword("fix crash in parser")
+    assert is_defect_fix_keyword("Patched the flaky timeout")
+    assert not is_defect_fix_keyword("Add feature flags")
+    assert not is_defect_fix_keyword("refactor tests")
+    assert is_defect_fix_keyword("debugging the cache")
+    # a URL is taken out of the message
+    assert not is_defect_fix_keyword("see https://fix.example.org/bug")

@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from tcpci.catalog import CATALOG, COMPLEXITY_METRICS, REC_FEATURES, FeatureGroup
 from tcpci.code_analysis import analyze_file
-from tcpci.commit_classifier import is_defect_fix_keyword
-from tcpci.coverage import build_dependency_graph_from_sources
+from tcpci.coverage import build_dependency_graph_from_sources, is_defect_fix_keyword
 from tcpci.features import SNAPSHOT_GROUPS, FeatureExtractor
 from tcpci.ingest import write_dataset
 from tcpci.matrix import FeatureMatrix
