@@ -22,6 +22,7 @@ have no key; ``synth``'s keys are the generator settings and ``seed``.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import shutil
@@ -105,6 +106,7 @@ def _default(command: str, key: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of every command; :func:`main` builds one per process."""
     parser = argparse.ArgumentParser(prog="tcpci")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -299,8 +301,11 @@ _COMMANDS = {
 }
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _load_config(getattr(args, "config", None))
         flags = _OPTIONS.get(args.command, {})

@@ -47,6 +47,7 @@ import bisect
 import math
 import re
 from collections import namedtuple
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -92,20 +93,23 @@ ProcessMetrics = namedtuple(
 ChangeMetrics = namedtuple("ChangeMetrics", CHANGE_METRICS)
 
 
-@dataclass(frozen=True)
-class SourceEntity:
+class SourceEntity(NamedTuple):
     path: str
     import_targets: frozenset[str]
     call_targets: frozenset[str]
 
 
+_TEST_PREFIX = re.compile(r"Test\w*\.java$").match
+_TEST_SUFFIX = re.compile(r"Test\.java$").search
+
+
 def is_test_file(path: str) -> bool:
     """Maven convention: a /test/ path segment or a *Test.java / Test*.java name."""
-    parts = path.replace("\\", "/").split("/")
-    if "test" in parts[:-1]:
+    path = "/" + path.replace("\\", "/")
+    if "/test/" in path:  # a directory named test
         return True
-    name = parts[-1]
-    return bool(re.match(r"^Test\w*\.java$", name) or re.search(r"\w*Test\.java$", name))
+    name = path[path.rfind("/") + 1 :]
+    return bool(_TEST_PREFIX(name) or _TEST_SUFFIX(name))
 
 
 # --- lexing -------------------------------------------------------------
@@ -359,32 +363,31 @@ def _parse(toks: list[str], lines: list[int]) -> tuple:
 class FileIndex:
     """Repository file set with class-name and package-path lookup."""
 
-    def __init__(self, paths: list[str] | set[str]):
+    def __init__(self, paths: Iterable[str]):
         self.paths = set(paths)
         self._by_stem: dict[str, list[str]] = {}
-        self._components: dict[str, tuple[str, ...]] = {}
         self._imports: dict[str, str | None] = {}  # each dotted name resolved so far
         for p in sorted(self.paths):
-            self._components[p] = tuple(p.replace("\\", "/").split("/"))
             self._by_stem.setdefault(_stem(p), []).append(p)
+        # each stem that names one file, to that file
+        self._types = {stem: ps[0] for stem, ps in self._by_stem.items() if len(ps) == 1}
 
     def resolve_import(self, dotted: str) -> str | None:
-        """Resolve ``a.b.C`` to a unique file ending in ``a/b/C.java``."""
+        """Resolve ``a.b.C`` to a unique file ending in ``a/b/C.java``, that
+        is one whose path is ``a/b/C.java`` or ends in ``/a/b/C.java``."""
         if dotted not in self._imports:
-            parts = dotted.split(".")
-            want = tuple(parts[:-1] + [parts[-1] + ".java"])
+            tail = "/" + dotted.replace(".", "/") + ".java"
             hits = [
                 p
-                for p in self._by_stem.get(parts[-1], [])
-                if self._components[p][-len(want):] == want
+                for p in self._by_stem.get(dotted.rpartition(".")[2], [])
+                if ("/" + p.replace("\\", "/")).endswith(tail)
             ]
             self._imports[dotted] = hits[0] if len(hits) == 1 else None
         return self._imports[dotted]
 
     def resolve_type(self, name: str) -> str | None:
         """Resolve a capitalized identifier to its unique declaring file."""
-        hits = self._by_stem.get(name, [])
-        return hits[0] if len(hits) == 1 else None
+        return self._types.get(name)
 
 
 def analyze_file(source: str) -> ComplexityMetrics:
@@ -495,7 +498,9 @@ def scan_entity(row: SourceRow, path: str, index: FileIndex) -> SourceEntity:
     """The resolved import and call targets of the file at ``path`` with
     ``row``: its imports, and the type names it uses other than its own
     file's name."""
-    imports = set()
+    if not (row.imports or row.types):
+        return SourceEntity(path, frozenset(), frozenset())
+    imports, calls = set(), set()
     for static, name, star in row.imports:
         if static:
             # a static import names a member; its class is the longest
@@ -505,9 +510,13 @@ def scan_entity(row: SourceRow, path: str, index: FileIndex) -> SourceEntity:
             imports.add(next(filter(None, map(index.resolve_import, prefixes)), None))
         elif not star:  # a non-static wildcard names a package: no edge
             imports.add(index.resolve_import(name))
-    stem = _stem(path)
-    calls = {index.resolve_type(name) for name in row.types if name != stem}
-    return SourceEntity(path, frozenset(imports - {None, path}), frozenset(calls - {None, path}))
+    if row.types:
+        stem = _stem(path)
+        calls.update(map(index.resolve_type, [name for name in row.types if name != stem]))
+    for targets in (imports, calls):
+        targets.discard(None)
+        targets.discard(path)
+    return SourceEntity(path, frozenset(imports), frozenset(calls))
 
 
 def _type_names(toks: list[str]) -> tuple[set[str], set[str]]:

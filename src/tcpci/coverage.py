@@ -31,9 +31,9 @@ class DependencyGraph:
     def __init__(self, deps: dict[str, frozenset[str]]):
         self.deps: dict[str, frozenset[str]] = {p: frozenset(t) for p, t in deps.items()}
         self.files: frozenset[str] = frozenset(self.deps)
-        self.tests: frozenset[str] = frozenset(p for p in self.files if is_test_file(p))
+        self.tests: frozenset[str] = frozenset(filter(is_test_file, self.deps))
         self.sut_files: frozenset[str] = self.files - self.tests
-        self._dependents: dict[str, set[str]] = {p: set() for p in self.files}
+        self._dependents: dict[str, set[str]] = {}  # only files with a dependent
         for p, targets in self.deps.items():
             for t in targets:
                 self._dependents.setdefault(t, set()).add(p)
@@ -67,7 +67,7 @@ def build_dependency_graph_from_sources(sources: dict[str, str]) -> DependencyGr
     """Build the graph from an in-memory {path: source-text} mapping, by
     resolving each file's row (see :func:`~tcpci.code_analysis.with_rows`)."""
     rows = with_rows(sources).rows
-    index = FileIndex(set(rows))
+    index = FileIndex(rows)
     deps: dict[str, frozenset[str]] = {}
     for path, row in rows.items():
         entity = scan_entity(row, path, index)

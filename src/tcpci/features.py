@@ -165,13 +165,17 @@ class FeatureExtractor:
             self._graph = build_dependency_graph_from_sources(sources)
             self._miner = AssociationMiner(history.commit_sequence)
             # coverage as a table: graph node x SUT file (in path order), plus
-            # an all-False last row for tests outside the graph
+            # an all-False last row for tests outside the graph, set from the
+            # (node, SUT column) list of every edge to a SUT file at once
             self._sut = sorted(self._graph.sut_files)
             self._sut_id = {f: j for j, f in enumerate(self._sut)}
             self._node = {p: i for i, p in enumerate(self._graph.deps)}
+            targets = self._graph.deps.values()
+            node = np.repeat(np.arange(len(targets)), np.fromiter(map(len, targets), np.intp))
+            col = np.array([self._sut_id.get(f, -1) for t in targets for f in t], dtype=np.intp)
+            to_sut = col >= 0
             self._covers = np.zeros((len(self._node) + 1, len(self._sut)), dtype=bool)
-            for p, i in self._node.items():
-                self._covers[i, [self._sut_id[f] for f in self._graph.covered_files(p)]] = True
+            self._covers[node[to_sut], col[to_sut]] = True
 
         with self.timings.preprocessing(FeatureGroup.TES_PRO, FeatureGroup.COD_COV_PRO):
             self._process = ProcessHistory(history.commit_sequence)

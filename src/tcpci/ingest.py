@@ -408,11 +408,12 @@ def _typed(obj: dict, types: dict[str, type]) -> dict:
 
 
 def _starts(values) -> tuple[int, ...]:
-    if type(values) is not list or any(type(v) is not int for v in values):
+    if type(values) is not list or not set(map(type, values)) <= _INT:
         raise TypeError(f"chunk starts must be a list of integers, got {values!r}")
     return tuple(values)
 
 
+_INT = {int}
 _COMMIT_TYPES = {"hash": str, "author": str, "message": str}
 _FILE_TYPES = {"path": str, "added": int, "deleted": int}
 _UNIT_RISK_TYPES = get_type_hints(UnitRisk)
@@ -437,23 +438,28 @@ def read_commits_jsonl(path: Path) -> list[Commit]:
             except RecursionError as exc:
                 raise SchemaError(f"{path}:{lineno}: JSON nested too deeply") from exc
             try:
-                _typed(obj, _COMMIT_TYPES)
+                # _typed's checks inline; on a failure _typed raises its error
+                if not (type(obj["hash"]) is str and type(obj["author"]) is str
+                        and type(obj["message"]) is str):
+                    _typed(obj, _COMMIT_TYPES)
                 changes = []
                 for fobj in obj["files"]:
-                    _typed(fobj, _FILE_TYPES)
+                    if not (type(fobj["path"]) is str and type(fobj["added"]) is int
+                            and type(fobj["deleted"]) is int):
+                        _typed(fobj, _FILE_TYPES)
                     risks = None
                     if fobj.get("unit_risks") is not None:
                         risks = tuple(
                             UnitRisk(**_typed(r, _UNIT_RISK_TYPES)) for r in fobj["unit_risks"]
                         )
                     changes.append(
-                        FileChange(
-                            path=fobj["path"],
-                            lines_added=fobj["added"],
-                            lines_deleted=fobj["deleted"],
-                            added_chunks=_starts(fobj.get("added_chunks", [])),
-                            deleted_chunks=_starts(fobj.get("deleted_chunks", [])),
-                            unit_risks=risks,
+                        FileChange(  # path, lines added and deleted, chunk starts, risks
+                            fobj["path"],
+                            fobj["added"],
+                            fobj["deleted"],
+                            _starts(fobj.get("added_chunks", [])),
+                            _starts(fobj.get("deleted_chunks", [])),
+                            risks,
                         )
                     )
                 commits.append(

@@ -271,10 +271,11 @@ def load_sources(layout: DatasetLayout) -> Sources:
     holds each text's row.
 
     Each ``.java`` file under ``src/`` (or a symlink to one) is keyed by its
-    path from the dataset root, in the order of a pre-order walk, and read
-    as UTF-8 with undecodable bytes replaced and universal newlines.  A
-    symlinked directory inside the snapshot is not entered, and a broken
-    symlink is skipped.
+    path from the dataset root, in the order of a pre-order walk.  Its bytes
+    are read with one ``os.open`` and an ``os.read`` loop, and decoded as
+    ``open`` reads text: UTF-8 with undecodable bytes replaced and universal
+    newlines.  A symlinked directory inside the snapshot is not entered, and
+    a broken symlink is skipped.
 
     A row comes from the source table when it holds one for the sha256 of
     the file's bytes.  The row of each other distinct content is computed
@@ -324,12 +325,33 @@ def _read_java_files(top: str, prefix: str, data: dict[str, bytes]) -> None:
         except OSError:
             continue
         if java:
-            with open(entry.path, "rb") as f:
-                data[os.path.join(prefix, entry.name)] = f.read()
+            data[os.path.join(prefix, entry.name)] = _read_bytes(entry.path)
         elif subdir:
             subdirs.append(entry)
     for entry in subdirs:
         _read_java_files(entry.path, os.path.join(prefix, entry.name), data)
+
+
+#: Bytes asked of each ``os.read``: more than most source files hold.
+_READ_SIZE = 1 << 16
+#: The flags ``open(path, "rb")`` opens with (O_BINARY: no newline
+#: translation on Windows); ``os.open`` adds close-on-exec itself.
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+
+
+def _read_bytes(path: str) -> bytes:
+    """The bytes of the file at ``path``, read with one ``os.open`` and a
+    loop of ``os.read`` that ends at the first empty read; no buffered file
+    object is made, so a file smaller than ``_READ_SIZE`` costs an open,
+    two reads and a close."""
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_SIZE):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
 
 
 def _decode(raw: bytes) -> str:

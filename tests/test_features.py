@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcpci.catalog import CATALOG, COMPLEXITY_METRICS, REC_FEATURES, FeatureGroup
-from tcpci.code_analysis import analyze_file
+from tcpci.code_analysis import analyze_file, is_test_file
 from tcpci.coverage import build_dependency_graph_from_sources, is_defect_fix_keyword
 from tcpci.features import SNAPSHOT_GROUPS, FeatureExtractor
 from tcpci.ingest import write_dataset
@@ -485,6 +485,43 @@ def test_com_matches_per_test_reference_on_loaded_sources(specs, bodies):
                                 for i in known]
                         got = m.values[np.ix_(known, cols)]
                         assert got.tobytes() == np.reshape(want, got.shape).tobytes()
+
+
+# two A.java in different packages (the stem A names no file), a file that
+# imports itself, tests by /test/ directory and by Test*.java or *Test.java
+# name, and a test with no source
+_GRAPH_FILES = (
+    "src/app/A.java", "src/lib/A.java", "src/app/B.java", "src/app/Self.java",
+    "src/test/ATest.java", "src/test/Helper.java", "src/it/TestB.java", "src/it/BTest.java",
+)
+_GRAPH_LINES = st.sampled_from([
+    "import app.A;", "import lib.A;", "import app.B;", "import app.Self;", "import app.*;",
+    "import static app.B.run;", "import static lib.A.*;", "import static app.*;",
+    "import test.Helper;", "import it.TestB;",
+    "A a;", "B b;", "Self s;", "ATest t;", "Helper h;", "TestB x;", "BTest y;",
+])
+
+
+@settings(max_examples=60, deadline=None)
+@given(lines=st.dictionaries(st.sampled_from(_GRAPH_FILES), st.lists(_GRAPH_LINES, max_size=6),
+                             min_size=1))
+def test_covers_table_matches_each_nodes_covered_files(lines):
+    # the bulk table against graph.covered_files node by node, in _node x
+    # _sut order, and an all-False last row for the test with no source
+    sources = {
+        p: "\n".join(ls) + f"\nclass {p.rsplit('/', 1)[1].removesuffix('.java')} {{ }}\n"
+        for p, ls in lines.items()
+    }
+    ran = sorted(p for p in sources if is_test_file(p)) + ["src/test/GoneTest.java"]
+    ex = FeatureExtractor(make_history([(set(), [(t, P, 1.0) for t in ran])]), sources)
+    graph = ex._graph
+    assert graph.tests == {p for p in sources if is_test_file(p)}
+    assert ex._sut == sorted(p for p in sources if not is_test_file(p))
+    assert list(ex._node) == list(sources)
+    want = [[f in graph.covered_files(p) for f in ex._sut] for p in ex._node]
+    want.append([False] * len(ex._sut))
+    assert ex._covers.tolist() == want
+    assert ex._node.get("src/test/GoneTest.java", -1) == -1
 
 
 def test_sum_cov_score_is_one_iff_covered_changed():

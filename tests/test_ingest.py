@@ -27,7 +27,13 @@ from tcpci.ingest import (
     write_dataset,
 )
 from tcpci.model import Build, BuildHistory, ExecutionRecord, Verdict
-from tcpci.synth import SynthConfig, generate_synthetic_history, load_sources
+from tcpci.synth import (
+    SynthConfig,
+    _decode,
+    generate_synthetic_history,
+    load_sources,
+    write_synthetic_dataset,
+)
 
 SMALL_CFG = SynthConfig(n_files=10, n_tests=5, n_builds=6, files_per_build=3)
 
@@ -437,6 +443,49 @@ def test_load_sources_lists_files_as_os_walk(tmp_path, monkeypatch):
     assert len(expected) == 26 and "src/D.java/e/F2x5.java" in expected
     assert not any("locked" in k or "Linked" in k or "linked" in k for k in expected)
     assert list(load_sources(DatasetLayout(tmp_path / "ds"))) == expected
+
+
+def test_load_sources_reads_the_bytes_open_reads(tmp_path):
+    # each text is what open gives: an empty file, one larger than any single
+    # read (a two-byte character straddles the first read's end), CR LF, CR,
+    # bytes that are not UTF-8, and a symlink to a file
+    src = tmp_path / "ds" / "src"
+    src.mkdir(parents=True)
+    files = {
+        "Empty.java": b"",
+        "Big.java": b"/*" + b"x" * 65533 + "\u00e9".encode() * (3 << 19) + b"*/\n",
+        "Crlf.java": b"class Crlf {\r\n  int x;\r\n}\r\n",
+        "Cr.java": b"class Cr {\r  int y;\r}\r",
+        "Bad.java": b"class Bad { String s = \"\xff\xfe\xc3\"; }\n\x80",
+    }
+    for name, data in files.items():
+        (src / name).write_bytes(data)
+    (src / "Link.java").symlink_to("Crlf.java")
+    assert len(files["Big.java"]) > 3 << 20
+    sources = load_sources(DatasetLayout(tmp_path / "ds"))
+    assert sorted(sources) == sorted(f"src/{name}" for name in [*files, "Link.java"])
+    for key, text in sources.items():
+        with open(tmp_path / "ds" / key, "rb") as f:
+            assert text == _decode(f.read()), key
+
+
+def test_unreadable_source_exits_2(tmp_path, capsys, monkeypatch):
+    # a source file that cannot be opened is an input error, with an
+    # error: line (os.open is patched, as the suite may run as root)
+    layout = write_synthetic_dataset(tmp_path / "ds", SMALL_CFG, seed=1)
+    real_open = os.open
+
+    def denied(path, *args, **kwargs):
+        if str(path).endswith(".java"):
+            raise PermissionError(13, "Permission denied", path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", denied)
+    code = main(["extract", str(layout.root), "--build", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: [Errno 13] Permission denied: ") and ".java" in err
+    assert "Traceback" not in err
 
 
 # --- git mining ---------------------------------------------------------
