@@ -31,7 +31,7 @@ Timing: preprocessing (index construction) and measurement (per-build
 feature computation) wall-clock are accumulated per group; shared
 preprocessing steps attribute their full cost to every group using them.
 Every source file's row (its imports, type names and complexity metrics,
-see :func:`~tcpci.code_analysis.source_row`) is computed, unless the
+see :func:`~tcpci.source_rows.source_row`) is computed, unless the
 sources hold it already, and resolved into the dependency graph as
 preprocessing of the five coverage groups.  TES_COM and TES_CHN need no
 preprocessing, so their P is 0 by construction: TES_COM and COD_COV_COM

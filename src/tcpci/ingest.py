@@ -21,9 +21,10 @@ deleted_chunks`` and optionally ``unit_risks`` (written by
 :func:`write_dataset` when risk data is available, so that a round trip is
 lossless).
 
-``derived/`` holds two tables, each safe to delete.  A missing, stale or
-damaged table, or an odd ``derived/`` (a regular file, or a table that is
-a directory), never makes a reader fail or change its result:
+``derived/`` holds two tables, each safe to delete, in the frame that
+:mod:`tcpci.derived` describes.  A missing, stale or damaged table, or an
+odd ``derived/`` (a regular file, or a table that is a directory), never
+makes a reader or a writer fail or change its result:
 
 * ``exec_records.bin``, written by :func:`write_dataset`, holds the columns
   :func:`ingest_exec_records` reads from ``exec_records.csv``, with the
@@ -33,9 +34,9 @@ a directory), never makes a reader fail or change its result:
 * ``sources.bin``, written by :func:`tcpci.synth.load_sources` (never by
   :func:`write_dataset`), holds one row per distinct text of ``src/``,
   keyed by the sha256 of the file's bytes: its imports, type names and
-  complexity metrics (:func:`tcpci.code_analysis.source_row`).  It is
-  read whole only when its digest of the analysis rules and its own
-  digest match; a text it lacks costs that text's analysis.
+  complexity metrics (:func:`tcpci.source_rows.source_row`).  It is
+  read whole only when its digest of the row rules and its own digest
+  match; a text it lacks costs that text's analysis.
 
 :func:`ingest_git_history` mines the same records from a live repository
 with one ``git diff-tree`` process for all commits.  A merge is diffed
@@ -53,6 +54,7 @@ import json
 import logging
 import math
 import operator
+import os
 import re
 import struct
 import subprocess
@@ -66,6 +68,7 @@ from typing import Callable, Iterable, get_type_hints
 
 import numpy as np
 
+from . import derived
 from .code_analysis import assess_chunk_risks
 from .errors import (
     DuplicateRecordError,
@@ -301,8 +304,8 @@ def _exec_rows(path: Path):
 
 # --- the execution table -------------------------------------------------
 #
-# derived/exec_records.bin, all numbers little-endian:
-#   magic, CSV size (u64), CSV sha256, payload sha256, then the payload:
+# derived/exec_records.bin, in the frame of tcpci.derived, is keyed by the
+# CSV's size (u64) and sha256.  Its payload, all numbers little-endian:
 #   builds, rows, names (u64 each); per build its id and row count (i64);
 #   per row its duration (f64), name index (u32) and verdict (i8); per
 #   name the code point where it ends (i64); the names, ascending, as one
@@ -311,14 +314,21 @@ def _exec_rows(path: Path):
 # for a CSV whose digest it holds.
 
 _TABLE_MAGIC = b"tcpci exec table 1\n"
-_TABLE_HEAD = struct.Struct("<Q32s32s")
+_TABLE_KEY = struct.Struct("<Q32s")
 _PAYLOAD_HEAD = struct.Struct("<3Q")
 
 
-def _exec_table(history: BuildHistory, csv_data: bytes) -> bytes | None:
-    """The table of ``history``'s executions, as ``csv_data`` holds them;
-    None when a verdict column is not int8, since the table could not
-    hold its values."""
+def _csv_key(csv_path: Path) -> bytes:
+    """The key of the execution table of ``csv_path``: the CSV's size and
+    sha256."""
+    with open(csv_path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        return _TABLE_KEY.pack(size, hashlib.file_digest(f, "sha256").digest())
+
+
+def _exec_payload(history: BuildHistory) -> bytes | None:
+    """The payload of the table of ``history``'s executions; None when a
+    verdict column is not int8, since the table could not hold its values."""
     builds = [b for b in history.builds if b.tests]
     verdicts = np.concatenate([np.empty(0, np.int8), *(b.verdicts for b in builds)])
     if verdicts.dtype != np.int8:
@@ -333,12 +343,10 @@ def _exec_table(history: BuildHistory, csv_data: bytes) -> bytes | None:
         verdicts,
         np.cumsum([len(t) for t in names], dtype="<i8"),
     )
-    payload = b"".join(
+    return b"".join(
         [_PAYLOAD_HEAD.pack(len(builds), len(verdicts), len(names)),
          *(c.tobytes() for c in columns), "".join(names).encode()]
     )
-    digests = (hashlib.sha256(csv_data).digest(), hashlib.sha256(payload).digest())
-    return _TABLE_MAGIC + _TABLE_HEAD.pack(len(csv_data), *digests) + payload
 
 
 def _read_exec_table(table: Path, csv_path: Path) -> dict[int, ExecColumns] | None:
@@ -346,16 +354,9 @@ def _read_exec_table(table: Path, csv_path: Path) -> dict[int, ExecColumns] | No
     ``table``; None when the table is missing, unreadable, written with
     other CSV bytes, damaged, or breaks a rule the CSV reader checks."""
     try:
-        data = table.read_bytes()
-        if not data.startswith(_TABLE_MAGIC):
+        payload = derived.read(table, _TABLE_MAGIC, _csv_key(csv_path))
+        if payload is None:
             return None
-        csv_size, csv_digest, digest = _TABLE_HEAD.unpack_from(data, len(_TABLE_MAGIC))
-        payload = memoryview(data)[len(_TABLE_MAGIC) + _TABLE_HEAD.size:]
-        if csv_path.stat().st_size != csv_size or hashlib.sha256(payload).digest() != digest:
-            return None
-        with open(csv_path, "rb") as f:
-            if hashlib.file_digest(f, "sha256").digest() != csv_digest:
-                return None
         n_builds, n_rows, n_names = _PAYLOAD_HEAD.unpack_from(payload)
         at = _PAYLOAD_HEAD.size
 
@@ -542,7 +543,8 @@ def csv_bytes(header: tuple[str, ...], rows: Callable[[], Iterable[tuple]]) -> b
 
 def write_dataset(history: BuildHistory, root: Path) -> DatasetLayout:
     """Write a history back to the on-disk layout, every record in job ``j0``,
-    with the execution table of ``derived/``."""
+    with the execution table of ``derived/`` unless it cannot be written
+    (see :func:`tcpci.derived.write`)."""
     layout = DatasetLayout(root)
     root.mkdir(parents=True, exist_ok=True)
     epoch = datetime.fromtimestamp(0, tz=timezone.utc)
@@ -561,10 +563,10 @@ def write_dataset(history: BuildHistory, root: Path) -> DatasetLayout:
     layout.builds_csv.write_bytes(csv_bytes(header, builds))
     exec_csv = csv_bytes(_EXEC_FIELDS, executions)
     layout.exec_records_csv.write_bytes(exec_csv)
-    table = _exec_table(history, exec_csv)
-    if table is not None:
-        layout.exec_table.parent.mkdir(exist_ok=True)
-        layout.exec_table.write_bytes(table)
+    payload = _exec_payload(history)
+    if payload is not None:
+        key = _csv_key(layout.exec_records_csv)
+        derived.write(layout.exec_table, derived.pack(_TABLE_MAGIC, key, payload))
     with open(root / "commits.jsonl", "w", encoding="utf-8") as f:
         for c in history.commit_sequence:
             obj = {

@@ -94,7 +94,7 @@ class FileChange:
     def __post_init__(self):
         if self.lines_added < 0 or self.lines_deleted < 0:
             raise ValueError(f"negative line count in change of {self.path}")
-        if any(c < 1 for c in self.added_chunks + self.deleted_chunks):
+        if min(self.added_chunks + self.deleted_chunks, default=1) < 1:
             raise ValueError(f"chunk start line < 1 in change of {self.path}")
 
 

@@ -26,7 +26,6 @@ that it keeps (see :mod:`tcpci.ingest`).
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 import os
 import struct
@@ -36,14 +35,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import code_analysis
+from . import derived, source_rows
 from .catalog import COMPLEXITY_METRICS
-from .code_analysis import SourceRow, Sources, source_row
+from .code_analysis import Sources
 from .errors import InvalidConfigError, check_fields
 from .ingest import DatasetLayout, write_dataset
 from .model import Build, BuildHistory, Commit, FileChange
-
-log = logging.getLogger(__name__)
+from .source_rows import SourceRow, source_row
 
 
 @dataclass(frozen=True)
@@ -297,8 +295,8 @@ def load_sources(layout: DatasetLayout) -> Sources:
     for key, path in missing.items():
         table[key] = source_row(texts[path])
     if missing and rules:
-        kept = {key: table[key] for key in keys.values()}
-        _write_source_table(layout.source_table, _source_table(kept, rules))
+        payload = _source_payload({key: table[key] for key in keys.values()})
+        derived.write(layout.source_table, derived.pack(_SOURCE_MAGIC, rules, payload))
     return Sources(texts, {path: table[key] for path, key in keys.items()})
 
 
@@ -362,16 +360,16 @@ def _decode(raw: bytes) -> str:
 
 # --- the source table -----------------------------------------------------
 #
-# derived/sources.bin, all numbers little-endian:
-#   magic, rules digest, payload sha256, then the payload: the row count
-#   (u64); per row the sha256 of a source file's bytes, ascending; per row
-#   its COMPLEXITY_METRICS (f64); and one UTF-8 line per row that holds its
-#   imports, a tab, and its type names.  Items are parted by a space, and
-#   an import is written as two flags, "s" or "-" for static and "*" or "-"
-#   for a wildcard, before its dotted name.
-# The rules digest is the sha256 of code_analysis.py and the metric names,
-# so a table is only read under the rules that wrote it.  A change to
-# _decode changes the text of a file's bytes, so it must change the magic.
+# derived/sources.bin, in the frame of tcpci.derived, is keyed by the rules
+# digest: the sha256 of source_rows.py, which holds every rule a row
+# follows, and the metric names, so a table is only read under the rules
+# that wrote it.  A change to _decode changes the text of a file's bytes,
+# so it must change the magic.  The payload, all numbers little-endian:
+#   the row count (u64); per row the sha256 of a source file's bytes,
+#   ascending; per row its COMPLEXITY_METRICS (f64); and one UTF-8 line per
+#   row that holds its imports, a tab, and its type names.  Items are
+#   parted by a space, and an import is written as two flags, "s" or "-"
+#   for static and "*" or "-" for a wildcard, before its dotted name.
 
 _SOURCE_MAGIC = b"tcpci source table 1\n"
 _DIGEST = hashlib.sha256().digest_size
@@ -382,16 +380,17 @@ _METRIC_LIMIT = 2.0**53
 
 def _rules_digest() -> bytes | None:
     """The sha256 of the rules a row follows; None when
-    ``code_analysis.py`` cannot be read."""
+    ``source_rows.py`` cannot be read."""
     try:
-        code = Path(code_analysis.__file__).read_bytes()
+        code = Path(source_rows.__file__).read_bytes()
     except (OSError, TypeError):
         return None
     return hashlib.sha256(code + "\n".join(COMPLEXITY_METRICS).encode()).digest()
 
 
-def _source_table(rows: dict[bytes, SourceRow], rules: bytes) -> bytes:
-    """The table of ``rows``, each keyed by the sha256 of its file's bytes."""
+def _source_payload(rows: dict[bytes, SourceRow]) -> bytes:
+    """The payload of the table of ``rows``, each keyed by the sha256 of its
+    file's bytes."""
     keys = sorted(rows)
     metrics = np.array([rows[k].metrics for k in keys], "<f8")
     lines = (
@@ -400,26 +399,16 @@ def _source_table(rows: dict[bytes, SourceRow], rules: bytes) -> bytes:
         + "\t" + " ".join(rows[k].types) + "\n"
         for k in keys
     )
-    payload = b"".join(
+    return b"".join(
         [_ROW_COUNT.pack(len(keys)), *keys, metrics.tobytes(), "".join(lines).encode()]
     )
-    return _SOURCE_MAGIC + rules + hashlib.sha256(payload).digest() + payload
 
 
 def _read_source_table(path: Path, rules: bytes) -> dict[bytes, SourceRow]:
     """The rows of the table at ``path`` by key; none when the table is
     missing, unreadable, written under other rules, or damaged."""
-    try:
-        data = path.read_bytes()
-    except OSError:
-        return {}
-    head = len(_SOURCE_MAGIC) + 2 * _DIGEST
-    payload = memoryview(data)[head:]
-    if (
-        data[: len(_SOURCE_MAGIC)] != _SOURCE_MAGIC
-        or data[len(_SOURCE_MAGIC) : len(_SOURCE_MAGIC) + _DIGEST] != rules
-        or data[head - _DIGEST : head] != hashlib.sha256(payload).digest()
-    ):
+    payload = derived.read(path, _SOURCE_MAGIC, rules)
+    if payload is None:
         return {}
     width = len(COMPLEXITY_METRICS)
     try:
@@ -443,19 +432,3 @@ def _read_source_table(path: Path, rules: bytes) -> dict[bytes, SourceRow]:
             metrics[i],
         )
     return rows
-
-
-def _write_source_table(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` through a temporary file beside it; a
-    failure only logs a line."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        path.parent.mkdir(exist_ok=True)
-        try:
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
-        except OSError:
-            tmp.unlink(missing_ok=True)
-            raise
-    except OSError as exc:
-        log.info("source table %s not written: %s", path, exc)

@@ -2,7 +2,6 @@ import base64
 import contextlib
 import csv
 import dataclasses
-import hashlib
 import inspect
 import io
 import json
@@ -21,8 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from tcpci.catalog import CATALOG
 import tcpci
-from tcpci import cli, code_analysis, ingest, synth
-from tcpci.code_analysis import source_row
+from tcpci import cli, code_analysis, derived, ingest, source_rows, synth
 from tcpci.cli import main
 from tcpci.errors import DuplicateRecordError, SchemaError
 from tcpci.evaluation import PipelineEvaluator, decay_experiment, run_pipeline_eval
@@ -30,6 +28,7 @@ from tcpci.features import FeatureExtractor
 from tcpci.ingest import DatasetLayout, ingest_exec_records
 from tcpci.model import MAX_BUILD_ID, ExecutionRecord, Verdict
 from tcpci.ranker import Hyperparams, rank_tests
+from tcpci.source_rows import source_row
 from tcpci.synth import SynthConfig, load_sources
 from tcpci.trees import NODE_ARRAYS, pack_nodes
 
@@ -232,6 +231,8 @@ RISK = {"lines_added": 1, "lines_deleted": 0, "low_size": True, "low_complexity"
         {"added": True},
         {"deleted": "2"},
         {"added_chunks": [2.5]},
+        {"added_chunks": [0]},
+        {"deleted_chunks": [-3]},
         {"unit_risks": [{**RISK, "lines_added": "x"}]},
         {"unit_risks": [{**RISK, "low_size": 1}]},
         {"unit_risks": [{**RISK, "lines_deleted": -1}]},
@@ -250,6 +251,7 @@ RISK = {"lines_added": 1, "lines_deleted": 0, "low_size": True, "low_complexity"
     ids=[
         "duration-nan", "duration-inf", "message-int", "author-null", "path-int",
         "added-fraction", "added-bool", "deleted-string", "chunk-start-fraction",
+        "chunk-start-0", "deleted-chunk-negative",
         "unit-risk-lines-string", "unit-risk-flag-int", "unit-risk-lines-negative",
         "commit-repeated",
         "record-short", "record-long", "record-not-utf8", "build-no-commits",
@@ -977,26 +979,34 @@ def test_corrupt_source_table_changes_no_output(source_table_copy, corruptions):
     assert _outputs(copy, build, model) == expected
 
 
-def _resealed(data: bytes, edits) -> bytes:
-    """``data``, a source table, with payload bytes overwritten by ``edits``
-    and the payload digest recomputed, so that only the rows can tell."""
-    head = len(synth._SOURCE_MAGIC) + 2 * synth._DIGEST
-    payload = bytearray(data[head:])
+@pytest.fixture(scope="module")
+def source_payload(source_table_copy, tmp_path_factory):
+    """The payload of the intact source table."""
+    table = tmp_path_factory.mktemp("payload") / "sources.bin"
+    table.write_bytes(source_table_copy[1])
+    payload = derived.read(table, synth._SOURCE_MAGIC, synth._rules_digest())
+    assert payload is not None
+    return bytes(payload)
+
+
+def _resealed(payload: bytes, edits) -> bytes:
+    """A source table of ``payload`` with bytes overwritten by ``edits``,
+    framed anew, so that only the rows can tell."""
+    payload = bytearray(payload)
     for at, value in edits:
         if payload:
             payload[at % len(payload)] = value
-    digest = hashlib.sha256(payload).digest()
-    return data[:head - synth._DIGEST] + digest + bytes(payload)
+    return derived.pack(synth._SOURCE_MAGIC, synth._rules_digest(), bytes(payload))
 
 
 @settings(max_examples=100, deadline=None)
 @given(edits=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(
     [*range(256)] + [ord(c) for c in " \t\n-s*.AZaz"])), min_size=1, max_size=4))
-def test_resealed_source_table_never_crashes(source_table_copy, edits):
+def test_resealed_source_table_never_crashes(source_table_copy, source_payload, edits):
     # a table whose payload was edited and its digest recomputed is taken
     # as written or left aside, but never raises
-    copy, data, build, model, expected = source_table_copy
-    DatasetLayout(copy).source_table.write_bytes(_resealed(data, edits))
+    copy, _, build, model, expected = source_table_copy
+    DatasetLayout(copy).source_table.write_bytes(_resealed(source_payload, edits))
     results, _ = _outputs(copy, build, model)
     assert [code for code, _ in results] == [0, 0]
     assert sorted(results[0][1].splitlines()) == sorted(expected[0][0][1].splitlines())
@@ -1022,6 +1032,29 @@ def test_odd_derived_directory_changes_no_output(source_table_copy, tmp_path, od
         assert table.parent.read_text() == "not a directory\n"
     else:  # and no temporary file is left behind
         assert sorted(p.name for p in table.parent.iterdir()) == ["exec_records.bin", "sources.bin"]
+        assert table.is_dir()
+
+
+@pytest.mark.parametrize("odd", ["derived-is-a-file", "table-is-a-directory"])
+def test_odd_derived_directory_finishes_ingest(dataset, tmp_path, odd):
+    # the execution table cannot be written: ingest logs it and exits 0
+    # with every dataset file a plain ingest writes
+    plain, dest = tmp_path / "plain", tmp_path / "dest"
+    table = DatasetLayout(dest).exec_table
+    if odd == "derived-is-a-file":
+        dest.mkdir()
+        table.parent.write_text("not a directory\n")
+    else:
+        table.mkdir(parents=True)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["ingest", str(dataset), str(plain)]) == 0
+        assert main(["ingest", str(dataset), str(dest)]) == 0
+    for name in ("builds.csv", "exec_records.csv", "commits.jsonl"):
+        assert (dest / name).read_bytes() == (plain / name).read_bytes()
+    if odd == "derived-is-a-file":
+        assert table.parent.read_text() == "not a directory\n"
+    else:  # and no temporary file is left behind
+        assert [p.name for p in table.parent.iterdir()] == ["exec_records.bin"]
         assert table.is_dir()
 
 
@@ -1059,24 +1092,45 @@ def test_edited_source_recomputes_only_its_own_row(source_table_copy, tmp_path, 
     assert _portable(_outputs(fresh, build, model)) == _portable(with_table)
 
 
-def test_changed_analysis_rules_ignore_the_whole_table(source_table_copy, tmp_path, monkeypatch):
-    # a table written under other rules (code_analysis.py changed) serves
+def test_changed_analysis_rules_ignore_the_whole_table(
+    source_table_copy, source_payload, tmp_path, monkeypatch
+):
+    # a table written under other rules (source_rows.py changed) serves
     # no row: every distinct text is computed again and the table rewritten
+    # with the same payload under the new rules
     _, intact, build, model, expected = source_table_copy
     copy = tmp_path / "data"
     shutil.copytree(source_table_copy[0], copy)
     layout = DatasetLayout(copy)
     layout.source_table.write_bytes(intact)
     texts = set(load_sources(layout).values())
-    changed = tmp_path / "code_analysis.py"
-    changed.write_bytes(Path(code_analysis.__file__).read_bytes() + b"# another rule\n")
-    monkeypatch.setattr(code_analysis, "__file__", str(changed))
+    changed = tmp_path / "source_rows.py"
+    changed.write_bytes(Path(source_rows.__file__).read_bytes() + b"# another rule\n")
+    monkeypatch.setattr(source_rows, "__file__", str(changed))
     computed = _counting_rows(monkeypatch)
     assert _portable(_outputs(copy, build, model)) == _portable(expected)
     assert sorted(computed) == sorted(texts)
-    rewritten = layout.source_table.read_bytes()
-    assert rewritten != intact and rewritten[len(synth._SOURCE_MAGIC) + synth._DIGEST:] == (
-        intact[len(synth._SOURCE_MAGIC) + synth._DIGEST:])
+    assert layout.source_table.read_bytes() != intact
+    rules = synth._rules_digest()
+    assert derived.read(layout.source_table, synth._SOURCE_MAGIC, rules) == source_payload
+
+
+def test_changed_resolution_code_keeps_every_row(source_table_copy, tmp_path, monkeypatch):
+    # code_analysis.py (resolution, unit risks, process and change metrics)
+    # holds no rule a row follows: after an edit to it the table serves
+    # every row and keeps its bytes
+    _, intact, build, model, expected = source_table_copy
+    copy = tmp_path / "data"
+    shutil.copytree(source_table_copy[0], copy)
+    layout = DatasetLayout(copy)
+    layout.source_table.write_bytes(intact)
+    changed = tmp_path / "code_analysis.py"
+    changed.write_bytes(Path(code_analysis.__file__).read_bytes() + b"# another resolution rule\n")
+    monkeypatch.setattr(code_analysis, "__file__", str(changed))
+    computed = _counting_rows(monkeypatch)
+    assert _portable(_outputs(copy, build, model)) == _portable(expected)
+    assert computed == []
+    assert layout.source_table.read_bytes() == intact
 
 
 def test_help_names_every_output_and_option(capsys):

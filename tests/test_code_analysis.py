@@ -1,29 +1,33 @@
+import ast
 import hashlib
 import re
 from collections import Counter
 from dataclasses import astuple, dataclass, field
 from datetime import datetime, timezone
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcpci.catalog import CHANGE_METRICS, COMPLEXITY_METRICS, PROCESS_METRICS
-from tcpci import code_analysis
+from tcpci import code_analysis, source_rows
 from tcpci.code_analysis import (
-    JAVA_KEYWORDS,
-    ComplexityMetrics,
     FileIndex,
     ProcessHistory,
     SourceEntity,
-    analyze_file,
-    _lex,
-    _tokens,
     assess_chunk_risks,
     change_scattering,
     compute_change_metrics,
     is_test_file,
     scan_entity,
+)
+from tcpci.source_rows import (
+    JAVA_KEYWORDS,
+    ComplexityMetrics,
+    analyze_file,
+    _lex,
+    _tokens,
     source_row,
     unit_spans,
 )
@@ -578,15 +582,15 @@ class _RefUnit:
 
     @property
     def cyclomatic(self):
-        return 1 + sum(self.tokens[t] for t in code_analysis._CONTROL)
+        return 1 + sum(self.tokens[t] for t in source_rows._CONTROL)
 
     @property
     def cyclomatic_modified(self):
-        return 1 + sum(self.tokens[t] for t in code_analysis._CONTROL_MODIFIED)
+        return 1 + sum(self.tokens[t] for t in source_rows._CONTROL_MODIFIED)
 
     @property
     def cyclomatic_strict(self):
-        return self.cyclomatic + sum(self.tokens[t] for t in code_analysis._LOGICAL)
+        return self.cyclomatic + sum(self.tokens[t] for t in source_rows._LOGICAL)
 
     @property
     def essential(self):
@@ -651,7 +655,7 @@ def _ref_parse(code):
                 u.ends_with_return = True
             elif not stmt_buf and tok not in (";", "}"):
                 u.ends_with_return = False
-        if tok in code_analysis._TYPE_KEYWORDS and i + 1 < len(toks):
+        if tok in source_rows._TYPE_KEYWORDS and i + 1 < len(toks):
             nxt_tok = toks[i + 1][0]
             if nxt_tok not in JAVA_KEYWORDS and _is_ident(nxt_tok):
                 pending_class = True
@@ -691,12 +695,12 @@ def _ref_parse(code):
                     break
                 k += 1
             if confirmed:
-                mods = frozenset(t for t in stmt_buf if t in code_analysis._ACCESS or t == "static")
+                mods = frozenset(t for t in stmt_buf if t in source_rows._ACCESS or t == "static")
                 pending_unit = _RefUnit(
                     name=name,
                     start_line=toks[i - 1][1],
                     body_depth=depth + 1,
-                    param_count=code_analysis._count_params(ptoks),
+                    param_count=source_rows._count_params(ptoks),
                     modifiers=mods,
                 )
         if tok == "{":
@@ -755,11 +759,11 @@ def _ref_analyze_file(source):
     units = parsed.units
     code_lines = {i + 1 for i, k in enumerate(line_kinds) if k == "code"}
     n_code_exe = len(code_lines & parsed.exe_line_set)
-    control = (*code_analysis._CONTROL, "switch")
+    control = (*source_rows._CONTROL, "switch")
     n_stmt_exe = sum(u.tokens[";"] for u in units) + sum(u.tokens[t] for u in units for t in control)
     n_stmt_decl = parsed.decl_semis + len(units)
     n_static = sum(1 for u in units if "static" in u.modifiers)
-    access = code_analysis._ACCESS
+    access = source_rows._ACCESS
     return ComplexityMetrics(
         CountDeclFunction=len(units),
         CountLine=n_lines,
@@ -807,7 +811,7 @@ def _ref_scan_entity(source, path, index):
                 called.add(tok)
         elif tok == "{":
             pending_class = False
-        elif tok in code_analysis._TYPE_KEYWORDS:
+        elif tok in source_rows._TYPE_KEYWORDS:
             if i < last and toks[i + 1] not in JAVA_KEYWORDS and _is_ident(toks[i + 1]):
                 pending_class = True
                 declared.add(toks[i + 1])
@@ -955,3 +959,18 @@ def test_lexer_tokens_lines_and_kinds_match_the_reference(text):
     assert toks == analysis_reference.token_re.findall(code)
     assert lines == [1 + text.count("\n", 0, m.start()) for m in matches]
     assert lexed_kinds == kinds
+
+
+def test_source_rows_imports_nothing_of_the_package_but_the_catalog():
+    # the source table is keyed by the bytes of source_rows.py and the
+    # metric names, which is sound only while every rule a row follows is
+    # inside that file
+    tree = ast.parse(Path(source_rows.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    package = {name for name in imported if name.startswith(".") or name.split(".")[0] == "tcpci"}
+    assert package == {".catalog"}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tcpci import derived, synth
 from tcpci.errors import InsufficientHistoryError, NoFailuresError
 from tcpci.evaluation import (
     DecayCurve,
@@ -17,6 +18,7 @@ from tcpci.evaluation import (
     remove_frequent_failers,
     run_pipeline_eval,
 )
+from tcpci.ingest import DatasetLayout
 from tcpci.model import (
     Build,
     BuildHistory,
@@ -26,7 +28,12 @@ from tcpci.model import (
     Verdict,
 )
 from tcpci.ranker import Hyperparams
-from tcpci.synth import SynthConfig, generate_synthetic_history, write_synthetic_dataset
+from tcpci.synth import (
+    SynthConfig,
+    generate_synthetic_history,
+    load_sources,
+    write_synthetic_dataset,
+)
 
 from test_acceptance import DRIFT_CFG
 
@@ -288,6 +295,12 @@ def test_dataset_and_evaluation_bytes_golden(synth_small, tmp_path):
     # the execution tables apart, so that the digests above pin the
     # dataset files alone
     digests["derived"] = _tree_digest(tmp_path, derived=True)
+    # the payload of the cold dataset's source table: its frame's rules key
+    # moves with every edit to source_rows.py, and the rows must not
+    layout = DatasetLayout(tmp_path / "cold")
+    load_sources(layout)
+    payload = derived.read(layout.source_table, synth._SOURCE_MAGIC, synth._rules_digest())
+    digests["sources.bin payload"] = hashlib.sha256(payload).hexdigest()
 
     history, sources = synth_small
     report = run_pipeline_eval(history, sources, hyperparams=SMALL_HP, seed=2, max_builds=4)
@@ -304,6 +317,7 @@ def test_dataset_and_evaluation_bytes_golden(synth_small, tmp_path):
         "cold": "822d68a7a3e8db1189d27f6127420a73278da350e688326d35595da3bab096b1",
         "drift": "1938bf2451069d1edb8d014a1628b584dc95552ee9456837a52f52093044a8f6",
         "derived": "a67a715e6c85b7c544656d33fcd5cdea738e58b608fd10d6c7490456f279f2fe",
+        "sources.bin payload": "62ec59118be5c8c58cded3948e3f23d5b1db2ccc4dbc72a8a29cba5f260681dd",
         "apfdc.csv": "03c1bbec0396b0e025100f6b32fbbf9357ea6fb7033290054db5e55984645692",
         "report.json": "c9e3c599c92e2ead2f649b992af71827fe8905b76eb5f0201dca8a920ea14c2a",
         "decay.csv": "9411d4c533828b35fc357dbac4032b201648a1664ab2ac48f0facc638bce27de",

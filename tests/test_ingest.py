@@ -1,5 +1,4 @@
 import contextlib
-import hashlib
 import io
 import os
 import subprocess
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tcpci import ingest
+from tcpci import derived, ingest
 from tcpci.cli import main
 from tcpci.errors import (
     DuplicateRecordError,
@@ -252,12 +251,18 @@ def small_layout(tmp_path_factory):
     return write_dataset(history, tmp_path_factory.mktemp("table") / "ds")
 
 
+def _payload(layout: DatasetLayout) -> bytes:
+    """The payload of ``layout``'s intact execution table."""
+    key = ingest._csv_key(layout.exec_records_csv)
+    payload = derived.read(layout.exec_table, ingest._TABLE_MAGIC, key)
+    assert payload is not None
+    return bytes(payload)
+
+
 def _redigested(layout: DatasetLayout, payload: bytes) -> bytes:
     """``layout``'s table with ``payload`` and that payload's digest."""
-    data = layout.exec_table.read_bytes()
-    csv_size, csv_digest, _ = ingest._TABLE_HEAD.unpack_from(data, len(ingest._TABLE_MAGIC))
-    head = ingest._TABLE_HEAD.pack(csv_size, csv_digest, hashlib.sha256(payload).digest())
-    return ingest._TABLE_MAGIC + head + payload
+    key = ingest._csv_key(layout.exec_records_csv)
+    return derived.pack(ingest._TABLE_MAGIC, key, payload)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -267,9 +272,7 @@ def _redigested(layout: DatasetLayout, payload: bytes) -> bytes:
 def test_redigested_exec_table_never_raises(small_layout, edits):
     # a table edited with its payload digest made to match is ignored, or
     # read as columns that keep every rule of the CSV reader
-    data = small_layout.exec_table.read_bytes()
-    start = len(ingest._TABLE_MAGIC) + ingest._TABLE_HEAD.size
-    payload = data[start:]
+    payload = _payload(small_layout)
     for kind, at, value in edits:
         if kind == "set" and payload:
             at %= len(payload)
@@ -295,8 +298,7 @@ def test_redigested_exec_table_never_raises(small_layout, edits):
 def test_exec_table_with_bad_build_ids_is_not_read(small_layout, tmp_path, ids):
     # a table whose ids are not strictly ascending and >= 1 once read build
     # 2's executions as build 3's, and build 2 as a build without any
-    data = small_layout.exec_table.read_bytes()
-    payload = bytearray(data[len(ingest._TABLE_MAGIC) + ingest._TABLE_HEAD.size:])
+    payload = bytearray(_payload(small_layout))
     at = ingest._PAYLOAD_HEAD.size
     assert np.frombuffer(payload, "<i8", 3, at).tolist() == [1, 2, 3]
     payload[at:at + 24] = np.array(ids, "<i8").tobytes()
