@@ -13,9 +13,11 @@ source of truth.  A table is one file, written whole by :func:`write`::
 A table's magic and key have fixed lengths, so its header is the bytes of
 both and the payload's sha256.  :func:`read` returns the payload only when
 all three match; a missing, unreadable, stale or damaged table gives None.
-The module that owns a table (:mod:`tcpci.ingest` for ``exec_records.bin``,
-:mod:`tcpci.synth` for ``sources.bin``) sets its magic and key, codes its
-payload, and checks the payload's own rules once :func:`read` returns it.
+The module that owns a table sets its magic and key, codes its payload,
+and checks the payload's own rules once :func:`read` returns it:
+
+* :mod:`tcpci.ingest` owns ``exec_records.bin`` and ``commits.bin``;
+* :mod:`tcpci.synth` owns ``sources.bin``.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ def write(path: Path, table: bytes) -> None:
     """Write ``table`` to ``path`` through a temporary file beside it, named
     by the process id, so that a reader finds the old table or the new one
     whole.  A table that cannot be written (``derived/`` a regular file,
-    the table a directory, a full disk) only logs a line."""
+    the table a directory, a full disk) only logs a warning that names it."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(exist_ok=True)
@@ -66,4 +68,4 @@ def write(path: Path, table: bytes) -> None:
             tmp.unlink(missing_ok=True)
             raise
     except OSError as exc:
-        log.info("table %s not written: %s", path, exc)
+        log.warning("table %s not written: %s", path, exc)

@@ -21,7 +21,7 @@ deleted_chunks`` and optionally ``unit_risks`` (written by
 :func:`write_dataset` when risk data is available, so that a round trip is
 lossless).
 
-``derived/`` holds two tables, each safe to delete, in the frame that
+``derived/`` holds three tables, each safe to delete, in the frame that
 :mod:`tcpci.derived` describes.  A missing, stale or damaged table, or an
 odd ``derived/`` (a regular file, or a table that is a directory), never
 makes a reader or a writer fail or change its result:
@@ -31,6 +31,12 @@ makes a reader or a writer fail or change its result:
   size and sha256 of the CSV it was written with.  It is read only when
   those and its own digest match, so a bad table costs the CSV parse and
   nothing else; the CSV stays the only source of truth.
+* ``commits.bin``, written by :func:`write_dataset` right after
+  ``commits.jsonl``, holds the commits :func:`read_commits_jsonl` reads
+  from it, as flat columns, with the size and sha256 of the JSONL.  It is
+  read on the same terms, and every commit it holds is made through the
+  constructors and checks the JSONL reader uses; the JSONL stays the only
+  source of truth, and its reader the only parser.
 * ``sources.bin``, written by :func:`tcpci.synth.load_sources` (never by
   :func:`write_dataset`), holds one row per distinct text of ``src/``,
   keyed by the sha256 of the file's bytes: its imports, type names and
@@ -119,6 +125,10 @@ class DatasetLayout:
     @property
     def exec_table(self) -> Path:
         return self.root / "derived" / "exec_records.bin"
+
+    @property
+    def commit_table(self) -> Path:
+        return self.root / "derived" / "commits.bin"
 
     @property
     def source_table(self) -> Path:
@@ -305,7 +315,8 @@ def _exec_rows(path: Path):
 # --- the execution table -------------------------------------------------
 #
 # derived/exec_records.bin, in the frame of tcpci.derived, is keyed by the
-# CSV's size (u64) and sha256.  Its payload, all numbers little-endian:
+# CSV's size (u64) and sha256 (_file_key).  Its payload, all numbers
+# little-endian:
 #   builds, rows, names (u64 each); per build its id and row count (i64);
 #   per row its duration (f64), name index (u32) and verdict (i8); per
 #   name the code point where it ends (i64); the names, ascending, as one
@@ -318,10 +329,10 @@ _TABLE_KEY = struct.Struct("<Q32s")
 _PAYLOAD_HEAD = struct.Struct("<3Q")
 
 
-def _csv_key(csv_path: Path) -> bytes:
-    """The key of the execution table of ``csv_path``: the CSV's size and
-    sha256."""
-    with open(csv_path, "rb") as f:
+def _file_key(path: Path) -> bytes:
+    """The key of the table derived from the file at ``path`` (the
+    execution or the commit table): the file's size and sha256."""
+    with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
         return _TABLE_KEY.pack(size, hashlib.file_digest(f, "sha256").digest())
 
@@ -354,7 +365,7 @@ def _read_exec_table(table: Path, csv_path: Path) -> dict[int, ExecColumns] | No
     ``table``; None when the table is missing, unreadable, written with
     other CSV bytes, damaged, or breaks a rule the CSV reader checks."""
     try:
-        payload = derived.read(table, _TABLE_MAGIC, _csv_key(csv_path))
+        payload = derived.read(table, _TABLE_MAGIC, _file_key(csv_path))
         if payload is None:
             return None
         n_builds, n_rows, n_names = _PAYLOAD_HEAD.unpack_from(payload)
@@ -482,6 +493,148 @@ def read_commits_jsonl(path: Path) -> list[Commit]:
     return commits
 
 
+# --- the commit table ----------------------------------------------------
+#
+# derived/commits.bin, in the frame of tcpci.derived, is keyed by the size
+# and sha256 of commits.jsonl (_file_key).  Its payload, all numbers
+# little-endian:
+#   commits, file changes, paths, chunk starts, unit risks (u64 each);
+#   per commit its file-change count (i64);
+#   six columns of one i64 per file change: its path's index, lines added,
+#   lines deleted, added and deleted chunk counts, and its unit-risk count
+#   (-1 for None);
+#   each change's added, then deleted chunk starts (i64);
+#   per unit risk its lines added and deleted (i64);
+#   per string the code point where it ends (i64): each commit's hash,
+#   author, message and timestamp as commits.jsonl holds them, then the
+#   paths, ascending;
+#   per unit risk its _RISK_FLAGS (u8 each); the strings as one UTF-8 string.
+# The payload is written from the objects commits.jsonl is written from,
+# and only when each value has the type read_commits_jsonl demands, so a
+# table is never wrong for a JSONL whose digest it holds.
+
+_COMMIT_MAGIC = b"tcpci commit table 1\n"
+_COMMIT_HEAD = struct.Struct("<5Q")
+_COMMIT_STRINGS = ("hash", "author", "message", "timestamp")
+_RISK_LINES = ("lines_added", "lines_deleted")
+_RISK_FLAGS = ("low_size", "low_complexity", "low_interfacing")
+
+
+def _commit_payload(objs: list[dict]) -> bytes | None:
+    """The payload of the commit table of ``objs``, the objects of the lines
+    of ``commits.jsonl``; None when a value has a type that
+    :func:`read_commits_jsonl` rejects, or one the table cannot hold (an int
+    outside int64, a string that UTF-8 cannot encode)."""
+    files = [f for obj in objs for f in obj["files"]]
+    risks = [r for f in files for r in f.get("unit_risks") or ()]
+    strings = [obj[k] for obj in objs for k in _COMMIT_STRINGS]
+    path_of = [f["path"] for f in files]
+    lines = [[f[k] for f in files] for k in ("added", "deleted")]
+    starts = [s for f in files for s in (*f["added_chunks"], *f["deleted_chunks"])]
+    risk_lines = [[r[k] for k in _RISK_LINES] for r in risks]
+    flags = [[r[k] for k in _RISK_FLAGS] for r in risks]
+    if not (
+        set(map(type, strings + path_of)) <= {str}
+        and set(map(type, chain(*lines, starts, *risk_lines))) <= _INT
+        and set(map(type, chain(*flags))) <= {bool}
+    ):
+        return None
+    paths = sorted(set(path_of))
+    slot = {p: i for i, p in enumerate(paths)}
+    counts = [
+        [len(f["added_chunks"]) for f in files],
+        [len(f["deleted_chunks"]) for f in files],
+        [-1 if f.get("unit_risks") is None else len(f["unit_risks"]) for f in files],
+    ]
+    try:
+        columns = (
+            np.array([len(obj["files"]) for obj in objs], "<i8"),
+            np.array([[slot[p] for p in path_of], *lines, *counts], "<i8"),
+            np.array(starts, "<i8"),
+            np.array(risk_lines, "<i8"),
+            np.cumsum([len(s) for s in strings + paths], dtype="<i8"),
+            np.array(flags, "u1"),
+        )
+        text = "".join(strings + paths).encode()
+    except (OverflowError, UnicodeEncodeError):
+        return None
+    head = _COMMIT_HEAD.pack(len(objs), len(files), len(paths), len(starts), len(risks))
+    return b"".join([head, *(c.tobytes() for c in columns), text])
+
+
+def _read_commit_table(table: Path, jsonl: Path) -> list[Commit] | None:
+    """What :func:`read_commits_jsonl` returns for ``jsonl``, read from
+    ``table``; None when the table is missing, unreadable, written with
+    other JSONL bytes, damaged, or breaks a rule the JSONL reader checks.
+    Each commit, file change and unit risk is made by its constructor, so
+    every check the JSONL reader makes runs here too."""
+    try:
+        payload = derived.read(table, _COMMIT_MAGIC, _file_key(jsonl))
+        if payload is None:
+            return None
+        n_commits, n_changes, n_paths, n_starts, n_risks = _COMMIT_HEAD.unpack_from(payload)
+        at = _COMMIT_HEAD.size
+
+        def take(dtype: str, count: int) -> np.ndarray:
+            nonlocal at
+            column = np.frombuffer(payload, dtype, count, at)
+            at += column.nbytes
+            return column
+
+        files = take("<i8", n_commits)
+        index, added, deleted, n_added, n_deleted, n_risk = take("<i8", 6 * n_changes).reshape(
+            6, n_changes
+        )
+        starts = tuple(take("<i8", n_starts).tolist())
+        risk_lines = take("<i8", 2 * n_risks).reshape(n_risks, 2)
+        ends = take("<i8", 4 * n_commits + n_paths)
+        flags = take("u1", 3 * n_risks).reshape(n_risks, 3)
+        text = str(payload[at:], "utf-8")
+    except (OSError, ValueError, OverflowError, struct.error):
+        return None
+    # counts that part the flat columns whole, and indices that stay in them
+    chunks = np.stack([n_added, n_deleted], axis=1).ravel()
+    if not (
+        ((files >= 0) & (files <= n_changes)).all()
+        and files.sum() == n_changes
+        and ((index >= 0) & (index < n_paths)).all()
+        and ((chunks >= 0) & (chunks <= n_starts)).all()
+        and chunks.sum() == n_starts
+        and ((n_risk >= -1) & (n_risk <= n_risks)).all()
+        and np.maximum(n_risk, 0).sum() == n_risks
+        and (np.diff(ends, prepend=0) >= 0).all()
+        and ends[-1:].sum() == len(text)
+    ):
+        return None
+    ends = ends.tolist()
+    strings = [text[lo:hi] for lo, hi in zip([0, *ends], ends)]
+    paths = strings[4 * n_commits :]
+    cuts = np.cumsum(chunks).tolist()
+    spans = [starts[lo:hi] for lo, hi in zip([0, *cuts], cuts)]
+    rows = list(map(UnitRisk, *risk_lines.T.tolist(), *flags.T.astype(bool).tolist()))
+    cuts = np.cumsum(np.maximum(n_risk, 0)).tolist()
+    unit_risks = [
+        None if n < 0 else tuple(rows[hi - n : hi]) for n, hi in zip(n_risk.tolist(), cuts)
+    ]
+    try:
+        changes = list(map(
+            FileChange, map(paths.__getitem__, index.tolist()), added.tolist(),
+            deleted.tolist(), spans[0::2], spans[1::2], unit_risks,
+        ))
+        meta, where = iter(strings[: 4 * n_commits]), str(table)
+        cuts = np.cumsum(files).tolist()
+        commits = [
+            Commit(sha, _parse_timestamp(ts, where), author, message, tuple(changes[lo:hi]))
+            for (sha, author, message, ts), lo, hi in zip(zip(meta, meta, meta, meta),
+                                                         [0, *cuts], cuts)
+        ]
+    except (ValueError, SchemaError):
+        return None
+    if len({c.id for c in commits}) < len(commits):  # a hash on two lines
+        return None
+    return commits
+
+
 def ingest_exec_records(layout: DatasetLayout) -> BuildHistory:
     """Load a dataset into an in-memory history.
 
@@ -502,7 +655,9 @@ def ingest_exec_records(layout: DatasetLayout) -> BuildHistory:
         )
 
     if layout.commits_jsonl.is_file():
-        commits = read_commits_jsonl(layout.commits_jsonl)
+        commits = _read_commit_table(layout.commit_table, layout.commits_jsonl)
+        if commits is None:
+            commits = read_commits_jsonl(layout.commits_jsonl)
     elif layout.repo is not None:
         commits = ingest_git_history(layout.repo, "HEAD")
     else:
@@ -541,10 +696,17 @@ def csv_bytes(header: tuple[str, ...], rows: Callable[[], Iterable[tuple]]) -> b
     return out.getvalue().encode("utf-8")
 
 
+def _write_table(table: Path, magic: bytes, source: Path, payload: bytes | None) -> None:
+    """Write the table of ``payload``, keyed by the bytes of ``source``,
+    unless the payload is None (see :func:`tcpci.derived.write`)."""
+    if payload is not None:
+        derived.write(table, derived.pack(magic, _file_key(source), payload))
+
+
 def write_dataset(history: BuildHistory, root: Path) -> DatasetLayout:
     """Write a history back to the on-disk layout, every record in job ``j0``,
-    with the execution table of ``derived/`` unless it cannot be written
-    (see :func:`tcpci.derived.write`)."""
+    with the execution and commit tables of ``derived/`` unless they cannot
+    be written (see :func:`tcpci.derived.write`)."""
     layout = DatasetLayout(root)
     root.mkdir(parents=True, exist_ok=True)
     epoch = datetime.fromtimestamp(0, tz=timezone.utc)
@@ -561,36 +723,36 @@ def write_dataset(history: BuildHistory, root: Path) -> DatasetLayout:
 
     header = ("build_id", "timestamp_iso8601", "commits")
     layout.builds_csv.write_bytes(csv_bytes(header, builds))
-    exec_csv = csv_bytes(_EXEC_FIELDS, executions)
-    layout.exec_records_csv.write_bytes(exec_csv)
-    payload = _exec_payload(history)
-    if payload is not None:
-        key = _csv_key(layout.exec_records_csv)
-        derived.write(layout.exec_table, derived.pack(_TABLE_MAGIC, key, payload))
-    with open(root / "commits.jsonl", "w", encoding="utf-8") as f:
-        for c in history.commit_sequence:
-            obj = {
-                "hash": c.id,
-                "timestamp": c.timestamp.isoformat(),
-                "author": c.author,
-                "message": c.message,
-                "files": [
-                    {
-                        "path": fc.path,
-                        "added": fc.lines_added,
-                        "deleted": fc.lines_deleted,
-                        "added_chunks": list(fc.added_chunks),
-                        "deleted_chunks": list(fc.deleted_chunks),
-                        **(
-                            {"unit_risks": [asdict(r) for r in fc.unit_risks]}
-                            if fc.unit_risks is not None
-                            else {}
-                        ),
-                    }
-                    for fc in c.file_changes
-                ],
-            }
-            f.write(json.dumps(obj) + "\n")
+    layout.exec_records_csv.write_bytes(csv_bytes(_EXEC_FIELDS, executions))
+    _write_table(layout.exec_table, _TABLE_MAGIC, layout.exec_records_csv,
+                 _exec_payload(history))
+    objs = [
+        {
+            "hash": c.id,
+            "timestamp": c.timestamp.isoformat(),
+            "author": c.author,
+            "message": c.message,
+            "files": [
+                {
+                    "path": fc.path,
+                    "added": fc.lines_added,
+                    "deleted": fc.lines_deleted,
+                    "added_chunks": list(fc.added_chunks),
+                    "deleted_chunks": list(fc.deleted_chunks),
+                    **(
+                        {"unit_risks": [asdict(r) for r in fc.unit_risks]}
+                        if fc.unit_risks is not None
+                        else {}
+                    ),
+                }
+                for fc in c.file_changes
+            ],
+        }
+        for c in history.commit_sequence
+    ]
+    with open(layout.commits_jsonl, "w", encoding="utf-8") as f:
+        f.writelines(json.dumps(obj) + "\n" for obj in objs)
+    _write_table(layout.commit_table, _COMMIT_MAGIC, layout.commits_jsonl, _commit_payload(objs))
     return layout
 
 

@@ -13,6 +13,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 from datetime import datetime
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,10 +81,7 @@ class UnitRisk:
             raise ValueError("negative line count in unit risk")
 
 
-@dataclass(frozen=True)
-class FileChange:
-    """Per-file diff of one commit, counted against the first parent."""
-
+class _FileChangeFields(NamedTuple):
     path: str
     lines_added: int
     lines_deleted: int
@@ -91,11 +89,33 @@ class FileChange:
     deleted_chunks: tuple[int, ...] = ()
     unit_risks: tuple[UnitRisk, ...] | None = None
 
-    def __post_init__(self):
-        if self.lines_added < 0 or self.lines_deleted < 0:
-            raise ValueError(f"negative line count in change of {self.path}")
-        if min(self.added_chunks + self.deleted_chunks, default=1) < 1:
-            raise ValueError(f"chunk start line < 1 in change of {self.path}")
+
+class FileChange(_FileChangeFields):
+    """Per-file diff of one commit, counted against the first parent.
+
+    A tuple, so that a dataset's thousands of changes cost one allocation
+    each.  Every way to make one (the constructor, ``_replace``, copy and
+    pickle) goes through :meth:`__new__` and its checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, path, lines_added, lines_deleted, added_chunks=(), deleted_chunks=(),
+                unit_risks=None):
+        if lines_added < 0 or lines_deleted < 0:
+            raise ValueError(f"negative line count in change of {path}")
+        if added_chunks and min(added_chunks) < 1 or deleted_chunks and min(deleted_chunks) < 1:
+            raise ValueError(f"chunk start line < 1 in change of {path}")
+        return tuple.__new__(
+            cls, (path, lines_added, lines_deleted, added_chunks, deleted_chunks, unit_risks)
+        )
+
+    @classmethod
+    def _make(cls, iterable) -> FileChange:
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return FileChange, tuple(self)
 
 
 @dataclass(frozen=True)

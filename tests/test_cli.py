@@ -1031,30 +1031,44 @@ def test_odd_derived_directory_changes_no_output(source_table_copy, tmp_path, od
     if odd == "derived-is-a-file":
         assert table.parent.read_text() == "not a directory\n"
     else:  # and no temporary file is left behind
-        assert sorted(p.name for p in table.parent.iterdir()) == ["exec_records.bin", "sources.bin"]
+        assert sorted(p.name for p in table.parent.iterdir()) == [
+            "commits.bin", "exec_records.bin", "sources.bin"]
         assert table.is_dir()
 
 
 @pytest.mark.parametrize("odd", ["derived-is-a-file", "table-is-a-directory"])
 def test_odd_derived_directory_finishes_ingest(dataset, tmp_path, odd):
-    # the execution table cannot be written: ingest logs it and exits 0
-    # with every dataset file a plain ingest writes
+    # a table that cannot be written is skipped with one warning line on
+    # stderr that names it, and ingest exits 0 with every dataset file a
+    # plain ingest writes; the command runs in a process of its own, with
+    # logging as a user has it
     plain, dest = tmp_path / "plain", tmp_path / "dest"
-    table = DatasetLayout(dest).exec_table
+    layout = DatasetLayout(dest)
+    table = layout.exec_table
     if odd == "derived-is-a-file":
         dest.mkdir()
         table.parent.write_text("not a directory\n")
+        skipped = [table, layout.commit_table]
     else:
         table.mkdir(parents=True)
+        skipped = [table]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["ingest", str(dataset), str(plain)]) == 0
-        assert main(["ingest", str(dataset), str(dest)]) == 0
+    src = str(Path(tcpci.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "tcpci", "ingest", str(dataset), str(dest)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == len(skipped)
+    for path in skipped:  # one line for each table, naming it
+        assert sum(line.startswith(f"table {path} not written: ") for line in lines) == 1
     for name in ("builds.csv", "exec_records.csv", "commits.jsonl"):
         assert (dest / name).read_bytes() == (plain / name).read_bytes()
     if odd == "derived-is-a-file":
         assert table.parent.read_text() == "not a directory\n"
     else:  # and no temporary file is left behind
-        assert [p.name for p in table.parent.iterdir()] == ["exec_records.bin"]
+        assert sorted(p.name for p in table.parent.iterdir()) == ["commits.bin", "exec_records.bin"]
         assert table.is_dir()
 
 
@@ -1461,3 +1475,20 @@ def test_readme_counts_the_acceptance_checks():
     n = len(re.findall(r"^def test_\d+_", checks, re.MULTILINE))
     words = "zero one two three four five six seven eight nine ten eleven twelve".split()
     assert said == [words[n]]
+
+
+def test_readme_derived_block_names_every_table(tmp_path):
+    # the README's dataset layout names exactly the tables that synth and
+    # one prioritize leave in derived/, so a new table cannot go undocumented
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n  derived/ ", 1)[1].split("```", 1)[0]
+    named = re.findall(r"^ +(\S+\.bin) ", block, re.MULTILINE)
+    root, cfg, model = tmp_path / "data", tmp_path / "synth.json", tmp_path / "model.json"
+    cfg.write_text(json.dumps(SYNTH_CFG))
+    model.write_text(model_arg()[1:])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--out", str(root), "--config", str(cfg), "--seed", "7"]) == 0
+        build = history_of(root).builds[-1].id
+        assert main(["prioritize", str(root), "--build", str(build), "--model", str(model)]) == 0
+    written = sorted(p.name for p in (root / "derived").iterdir())
+    assert sorted(named) == written != []

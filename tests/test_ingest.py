@@ -3,7 +3,7 @@ import io
 import os
 import subprocess
 import tempfile
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ from tcpci.ingest import (
     select_primary_job,
     write_dataset,
 )
-from tcpci.model import Build, BuildHistory, ExecutionRecord, Verdict
+from tcpci.model import Build, BuildHistory, Commit, ExecutionRecord, FileChange, UnitRisk, Verdict
 from tcpci.synth import (
     SynthConfig,
     _decode,
@@ -253,7 +253,7 @@ def small_layout(tmp_path_factory):
 
 def _payload(layout: DatasetLayout) -> bytes:
     """The payload of ``layout``'s intact execution table."""
-    key = ingest._csv_key(layout.exec_records_csv)
+    key = ingest._file_key(layout.exec_records_csv)
     payload = derived.read(layout.exec_table, ingest._TABLE_MAGIC, key)
     assert payload is not None
     return bytes(payload)
@@ -261,7 +261,7 @@ def _payload(layout: DatasetLayout) -> bytes:
 
 def _redigested(layout: DatasetLayout, payload: bytes) -> bytes:
     """``layout``'s table with ``payload`` and that payload's digest."""
-    key = ingest._csv_key(layout.exec_records_csv)
+    key = ingest._file_key(layout.exec_records_csv)
     return derived.pack(ingest._TABLE_MAGIC, key, payload)
 
 
@@ -381,6 +381,237 @@ def test_stale_exec_table_is_ignored(tmp_path, monkeypatch):
         outcomes.append((code, err.getvalue()))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0] == (2, f"error: {layout.exec_records_csv}:2: 9 is not a valid Verdict\n")
+
+
+# --- the commit table ----------------------------------------------------
+
+
+def _commits_bits(commits):
+    """Each commit as its repr, with the timestamp's offset spelled out, so
+    that an int read as a bool, or a naive time as another zone, differs."""
+    return [(repr(c), c.timestamp.isoformat()) for c in commits]
+
+
+def _read_both(layout: DatasetLayout):
+    """The commits of ``layout`` from its table, and from its JSONL."""
+    return (ingest._read_commit_table(layout.commit_table, layout.commits_jsonl),
+            ingest.read_commits_jsonl(layout.commits_jsonl))
+
+
+_TEXT = st.text(st.one_of(st.sampled_from(["\r", "\n", "\t", '"', "\\", "é", "日", "\x00"]),
+                          st.characters(blacklist_categories=("Cs",))), max_size=8)
+_ZONES = st.sampled_from([None, timezone.utc, timezone(timedelta(hours=5, minutes=30)),
+                          timezone(timedelta(hours=-8)), timezone(timedelta(seconds=-1))])
+_RISKS = st.one_of(st.none(), st.just(()), st.lists(st.builds(
+    UnitRisk, st.integers(0, 2**63 - 1), st.integers(0, 40), st.booleans(), st.booleans(),
+    st.booleans()), min_size=1, max_size=3).map(tuple))
+_STARTS = st.lists(st.integers(1, 2**63 - 1), max_size=3).map(tuple)
+
+
+@st.composite
+def _commit_histories(draw):
+    hashes = draw(st.lists(st.binary(min_size=20, max_size=20).map(bytes.hex), unique=True,
+                           max_size=5))
+    commits = {}
+    for sha in hashes:
+        paths = draw(st.lists(_TEXT, unique=True, max_size=3))
+        changes = tuple(
+            FileChange(p, draw(st.integers(0, 2**63 - 1)), draw(st.integers(0, 99)),
+                       draw(_STARTS), draw(_STARTS), draw(_RISKS))
+            for p in paths
+        )
+        stamp = draw(st.datetimes(datetime(1, 1, 2), datetime(9999, 12, 30), timezones=_ZONES))
+        commits[sha] = Commit(sha, stamp, draw(_TEXT), draw(_TEXT), changes)
+    # some commits no build names, and a build that names none
+    named = draw(st.lists(st.sampled_from(hashes), unique=True)) if hashes else []
+    builds = [Build(i + 1, (sha,), (), np.empty(0, np.int8), np.empty(0))
+              for i, sha in enumerate(named)]
+    builds.append(Build(len(builds) + 1, (), (), np.empty(0, np.int8), np.empty(0)))
+    return BuildHistory(builds, commits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(history=_commit_histories())
+def test_commit_table_equals_the_jsonl_parse(history):
+    # naive and non-UTC times, unit risks of None, () and rows, messages with
+    # line breaks, tabs and non-ASCII, empty file lists, unnamed commits
+    with tempfile.TemporaryDirectory() as tmp:
+        layout = write_dataset(history, Path(tmp))
+        table, parsed = _read_both(layout)
+        assert table is not None
+        assert _commits_bits(table) == _commits_bits(parsed)
+        assert _commits_bits(ingest_exec_records(layout).commit_sequence) == _commits_bits(parsed)
+
+
+def _one_commit_history(**change) -> BuildHistory:
+    sha = "b" * 40
+    fc = FileChange(**{"path": "a.java", "lines_added": 1, "lines_deleted": 0, **change})
+    commit = Commit(sha, datetime(2024, 1, 1, tzinfo=timezone.utc), "dev", "msg", (fc,))
+    return BuildHistory([Build(1, (sha,), (), np.empty(0, np.int8), np.empty(0))], {sha: commit})
+
+
+@pytest.mark.parametrize("change", [
+    {"lines_added": 2**63}, {"added_chunks": (2**64,)}, {"path": "a\ud800.java"},
+    {"unit_risks": (UnitRisk(2**70, 0, True, True, True),)},
+], ids=["int-over-int64", "start-over-int64", "lone-surrogate", "risk-over-int64"])
+def test_value_the_commit_table_cannot_hold_is_read_from_the_jsonl(tmp_path, change):
+    history = _one_commit_history(**change)
+    layout = write_dataset(history, tmp_path / "ds")
+    assert not layout.commit_table.exists() and layout.exec_table.exists()
+    assert _commits_bits(ingest_exec_records(layout).commit_sequence) == _commits_bits(
+        history.commit_sequence)
+
+
+@pytest.mark.parametrize("history, error", [
+    (_one_commit_history(lines_added=True), "added must be int"),
+    (_one_commit_history(added_chunks=(1.0,)), "chunk starts must be a list of integers"),
+    (_one_commit_history(unit_risks=(UnitRisk(1, 0, 1, True, True),)), "low_size must be bool"),
+    (BuildHistory([], {k: Commit("c" * 40, datetime(2024, 1, 1), "dev", "msg", ())
+                       for k in "xy"}), "duplicate commit"),
+], ids=["count-bool", "start-float", "flag-int", "hash-twice"])
+def test_commits_the_jsonl_rejects_keep_its_error(tmp_path, history, error):
+    # a value of a type the JSONL reader rejects writes no table, and a
+    # table of a history that breaks a rule (one hash on two lines) is not
+    # read, so the JSONL's error stands
+    layout = write_dataset(history, tmp_path / "ds")
+    assert ingest._read_commit_table(layout.commit_table, layout.commits_jsonl) is None
+    with pytest.raises(SchemaError, match=error):
+        ingest.read_commits_jsonl(layout.commits_jsonl)
+
+
+@pytest.fixture(scope="module")
+def commit_layout(tmp_path_factory):
+    history, _ = generate_synthetic_history(SMALL_CFG, seed=7)
+    commit = history.commit_sequence[-1]
+    fc = commit.file_changes[0]
+    # a file change with unit risks and deleted chunks, which synth makes none of
+    risky = fc._replace(deleted_chunks=(3, 8), unit_risks=(UnitRisk(2, 1, True, False, True),))
+    commits = {**history.commits, commit.id: Commit(
+        commit.id, commit.timestamp, commit.author, commit.message,
+        (risky, *commit.file_changes[1:]))}
+    history = BuildHistory(list(history.builds), commits)
+    return history, write_dataset(history, tmp_path_factory.mktemp("commits") / "ds")
+
+
+def _commit_payload(layout: DatasetLayout) -> bytes:
+    key = ingest._file_key(layout.commits_jsonl)
+    payload = derived.read(layout.commit_table, ingest._COMMIT_MAGIC, key)
+    assert payload is not None
+    return bytes(payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(corruptions=st.lists(
+    st.tuples(st.sampled_from(["flip", "cut", "extend"]), st.integers(0, 10**6),
+              st.integers(1, 255)),
+    min_size=1, max_size=3,
+))
+def test_corrupt_commit_table_changes_no_output(commit_layout, corruptions):
+    # a table with flipped, cut or extended bytes is ignored: ingest gives
+    # the history the JSONL holds
+    history, layout = commit_layout
+    data = layout.commit_table.read_bytes()
+    for kind, at, value in corruptions:
+        if kind == "flip" and data:
+            at %= len(data)
+            data = data[:at] + bytes([data[at] ^ value]) + data[at + 1:]
+        elif kind == "cut":
+            data = data[:at % (len(data) + 1)]
+        elif kind == "extend":
+            data += bytes([value]) * (at % 16 + 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "ds"
+        copy.mkdir()
+        for name in ("builds.csv", "exec_records.csv", "commits.jsonl"):
+            (copy / name).write_bytes((layout.root / name).read_bytes())
+        (copy / "derived").mkdir()
+        DatasetLayout(copy).commit_table.write_bytes(data)
+        again = ingest_exec_records(DatasetLayout(copy))
+    assert _commits_bits(again.commit_sequence) == _commits_bits(history.commit_sequence)
+    assert again == history
+
+
+@settings(max_examples=1000, deadline=None)
+@given(edits=st.lists(st.tuples(st.sampled_from(["set", "cut", "extend"]), st.integers(0, 10**6),
+                                st.one_of(st.integers(0, 6), st.integers(0, 255))),
+                      min_size=1, max_size=4))
+def test_resealed_commit_table_never_raises(commit_layout, edits):
+    # a table edited with its payload digest made to match is ignored, or
+    # read as commits made by their constructors that keep every rule of
+    # the JSONL reader
+    _, layout = commit_layout
+    payload = _commit_payload(layout)
+    for kind, at, value in edits:
+        if kind == "set" and payload:
+            at %= len(payload)
+            payload = payload[:at] + bytes([value]) + payload[at + 1:]
+        elif kind == "cut":
+            payload = payload[:at % (len(payload) + 1)]
+        elif kind == "extend":
+            payload += bytes([value]) * (at % 16 + 1)
+    key = ingest._file_key(layout.commits_jsonl)
+    with tempfile.TemporaryDirectory() as tmp:
+        table = Path(tmp) / "commits.bin"
+        table.write_bytes(derived.pack(ingest._COMMIT_MAGIC, key, payload))
+        commits = ingest._read_commit_table(table, layout.commits_jsonl)
+    ids = [c.id for c in commits or ()]
+    assert len(set(ids)) == len(ids)
+    for c in commits or ():
+        assert type(c) is Commit and c.timestamp.tzinfo is not None
+        paths = [fc.path for fc in c.file_changes]
+        assert len(set(paths)) == len(paths)
+        for fc in c.file_changes:
+            assert type(fc) is FileChange and min(fc.lines_added, fc.lines_deleted) >= 0
+            assert min(fc.added_chunks + fc.deleted_chunks, default=1) >= 1
+            assert fc.unit_risks is None or all(
+                type(r) is UnitRisk and type(r.low_size) is bool for r in fc.unit_risks)
+
+
+def test_commit_table_stands_in_for_the_parse(commit_layout, tmp_path, monkeypatch):
+    # an intact table is read without the JSONL parser, and one history
+    # gives one table, as does the history read back
+    history, layout = commit_layout
+    with monkeypatch.context() as m:
+        m.setattr(ingest, "read_commits_jsonl", None)
+        again = ingest_exec_records(layout)
+    assert _commits_bits(again.commit_sequence) == _commits_bits(history.commit_sequence)
+    copy = write_dataset(again, tmp_path / "copy")
+    assert copy.commit_table.read_bytes() == layout.commit_table.read_bytes()
+
+
+def test_stale_commit_table_is_ignored(commit_layout, tmp_path):
+    history, intact = commit_layout
+    layout = write_dataset(history, tmp_path / "ds")
+    table = layout.commit_table.read_bytes()
+    assert table == intact.commit_table.read_bytes()
+    # one author edited in place keeps the JSONL's size, not its digest
+    text = layout.commits_jsonl.read_text()
+    assert text.count('"author": "dev1"') > 0
+    layout.commits_jsonl.write_text(text.replace('"author": "dev1"', '"author": "dev9"', 1))
+    assert ingest._read_commit_table(layout.commit_table, layout.commits_jsonl) is None
+    edited = ingest_exec_records(layout)
+    assert [c.author for c in edited.commit_sequence].count("dev9") == 1
+    layout.commit_table.unlink()
+    assert _commits_bits(edited.commit_sequence) == _commits_bits(
+        ingest_exec_records(layout).commit_sequence)
+    # a malformed line exits 2 with the message it gives without a table
+    lines = text.splitlines(keepends=True)
+    lines[2] = lines[2].replace('"added": ', '"added": -', 1)
+    layout.commits_jsonl.write_text("".join(lines))
+    outcomes = []
+    for stale in (table, None):
+        if stale is not None:
+            layout.commit_table.write_bytes(stale)
+        else:
+            layout.commit_table.unlink()
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["extract", str(layout.root), "--build", "1",
+                         "--out", str(tmp_path / "f.csv")])
+        outcomes.append((code, err.getvalue()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 2
+    assert outcomes[0][1].startswith(f"error: {layout.commits_jsonl}:3: negative line count")
 
 
 # --- source snapshots ----------------------------------------------------

@@ -13,6 +13,7 @@ from tcpci.model import (
     Commit,
     ExecutionRecord,
     FileChange,
+    UnitRisk,
     Verdict,
 )
 from tcpci.synth import SynthConfig, generate_synthetic_history
@@ -86,6 +87,34 @@ def test_build_stores_records_as_columns():
         b.id = 2
     with pytest.raises(ValueError):
         b.durations[0] = 1.0
+
+
+def test_file_change_is_a_checked_tuple():
+    risk = UnitRisk(1, 0, True, False, True)
+    fc = FileChange("a.java", 3, 1, (2, 9), (4,), (risk,))
+    assert fc == ("a.java", 3, 1, (2, 9), (4,), (risk,)) and isinstance(fc, tuple)
+    plain = FileChange(path="a.java", lines_added=0, lines_deleted=0)
+    assert plain == ("a.java", 0, 0, (), (), None)
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    for other in (copy.copy(fc), copy.deepcopy(fc), fc._replace(),
+                  *(pickle.loads(pickle.dumps(fc, p)) for p in protocols)):
+        assert type(other) is FileChange and other == fc and hash(other) == hash(fc)
+    with pytest.raises(AttributeError):
+        fc.lines_added = 0
+    # each way to make one goes through the constructor's checks: a tuple
+    # made around them is rejected when copied, pickled or replaced
+    for values, error in [((-1, 0, (), ()), "negative line count in change of a.java"),
+                          ((0, -1, (), ()), "negative line count in change of a.java"),
+                          ((1, 0, (0,), ()), "chunk start line < 1 in change of a.java"),
+                          ((0, 1, (), (3, -3)), "chunk start line < 1 in change of a.java")]:
+        with pytest.raises(ValueError, match=error):
+            FileChange("a.java", *values)
+        bad = tuple.__new__(FileChange, ("a.java", *values, None))
+        makers = [copy.copy, copy.deepcopy, FileChange._replace,
+                  *(lambda x, p=p: pickle.loads(pickle.dumps(x, p)) for p in protocols)]
+        for make in makers:
+            with pytest.raises(ValueError, match=error):
+                make(bad)
 
 
 def test_build_constructor_checks_its_columns():
