@@ -21,10 +21,10 @@ deleted_chunks`` and optionally ``unit_risks`` (written by
 :func:`write_dataset` when risk data is available, so that a round trip is
 lossless).
 
-``derived/`` holds three tables, each safe to delete, in the frame that
-:mod:`tcpci.derived` describes.  A missing, stale or damaged table, or an
-odd ``derived/`` (a regular file, or a table that is a directory), never
-makes a reader or a writer fail or change its result:
+``derived/`` holds three tables, each safe to delete, in the frame and
+column layout that :mod:`tcpci.derived` describes.  A missing, stale or
+damaged table, or an odd ``derived/`` (a regular file, or a table that is
+a directory), never makes a reader or a writer fail or change its result:
 
 * ``exec_records.bin``, written by :func:`write_dataset`, holds the columns
   :func:`ingest_exec_records` reads from ``exec_records.csv``, with the
@@ -54,15 +54,12 @@ headers of its ``-U0`` diff, never from the content lines.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import logging
 import math
 import operator
-import os
 import re
-import struct
 import subprocess
 from collections import Counter
 from contextlib import closing
@@ -314,27 +311,13 @@ def _exec_rows(path: Path):
 
 # --- the execution table -------------------------------------------------
 #
-# derived/exec_records.bin, in the frame of tcpci.derived, is keyed by the
-# CSV's size (u64) and sha256 (_file_key).  Its payload, all numbers
-# little-endian:
-#   builds, rows, names (u64 each); per build its id and row count (i64);
-#   per row its duration (f64), name index (u32) and verdict (i8); per
-#   name the code point where it ends (i64); the names, ascending, as one
-#   UTF-8 string.
-# The payload is a function of the CSV's bytes, so a table is never wrong
-# for a CSV whose digest it holds.
+# derived/exec_records.bin is keyed by the CSV (derived.file_key).  Its
+# columns: per build its id and row count; per row its duration, name index
+# and verdict; the names, ascending.  The payload is a function of the
+# CSV's bytes, so a table is never wrong for a CSV whose digest it holds.
 
-_TABLE_MAGIC = b"tcpci exec table 1\n"
-_TABLE_KEY = struct.Struct("<Q32s")
-_PAYLOAD_HEAD = struct.Struct("<3Q")
-
-
-def _file_key(path: Path) -> bytes:
-    """The key of the table derived from the file at ``path`` (the
-    execution or the commit table): the file's size and sha256."""
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        return _TABLE_KEY.pack(size, hashlib.file_digest(f, "sha256").digest())
+_TABLE_MAGIC = b"tcpci exec table 2\n"
+_EXEC_COLUMNS = ("<i8", "<i8", "<f8", "<u4", "<i1", str)
 
 
 def _exec_payload(history: BuildHistory) -> bytes | None:
@@ -346,18 +329,14 @@ def _exec_payload(history: BuildHistory) -> bytes | None:
         return None
     names = sorted({t for b in builds for t in b.tests})
     slot = {t: i for i, t in enumerate(names)}
-    columns = (
+    return derived.encode([
         np.array([b.id for b in builds], "<i8"),
         np.array([len(b.tests) for b in builds], "<i8"),
         np.concatenate([np.empty(0), *(b.durations for b in builds)]).astype("<f8"),
         np.array([slot[t] for b in builds for t in b.tests], "<u4"),
         verdicts,
-        np.cumsum([len(t) for t in names], dtype="<i8"),
-    )
-    return b"".join(
-        [_PAYLOAD_HEAD.pack(len(builds), len(verdicts), len(names)),
-         *(c.tobytes() for c in columns), "".join(names).encode()]
-    )
+        names,
+    ])
 
 
 def _read_exec_table(table: Path, csv_path: Path) -> dict[int, ExecColumns] | None:
@@ -365,45 +344,35 @@ def _read_exec_table(table: Path, csv_path: Path) -> dict[int, ExecColumns] | No
     ``table``; None when the table is missing, unreadable, written with
     other CSV bytes, damaged, or breaks a rule the CSV reader checks."""
     try:
-        payload = derived.read(table, _TABLE_MAGIC, _file_key(csv_path))
-        if payload is None:
-            return None
-        n_builds, n_rows, n_names = _PAYLOAD_HEAD.unpack_from(payload)
-        at = _PAYLOAD_HEAD.size
-
-        def take(dtype: str, count: int) -> np.ndarray:
-            nonlocal at
-            column = np.frombuffer(payload, dtype, count, at)
-            at += column.nbytes
-            return column
-
-        ids, counts = take("<i8", n_builds), take("<i8", n_builds)
-        durations, index = take("<f8", n_rows).astype(np.float64), take("<u4", n_rows)
-        verdicts, ends = take("<i1", n_rows).astype(np.int8), take("<i8", n_names)
-        text = str(payload[at:], "utf-8")
-    except (OSError, ValueError, OverflowError, struct.error):
+        payload = derived.read(table, _TABLE_MAGIC, derived.file_key(csv_path))
+    except OSError:
         return None
-    if not (((counts > 0) & (counts <= n_rows)).all() and counts.sum() == n_rows):
+    if payload is None or (columns := derived.decode(payload, _EXEC_COLUMNS)) is None:
+        return None
+    ids, counts, durations, index, verdicts, names = columns
+    n_rows = len(index)
+    if not (
+        len(ids) == len(counts) and len(durations) == n_rows == len(verdicts)
+        and ((counts > 0) & (counts <= n_rows)).all() and counts.sum() == n_rows
+    ):
         return None
     bounds = np.concatenate([[0], np.cumsum(counts)])
     first = np.zeros(n_rows, bool)  # a build's first row
     first[bounds[:-1]] = True
-    names = [text[lo:hi] for lo, hi in zip([0, *ends.tolist()], ends.tolist())]
     # the rules of _exec_rows: the table of a history that breaks one
     # must leave the CSV's error to stand
     if not (
         (ids[:1] >= 1).all()
-        and (np.diff(ids) > 0).all()  # int64, so at most MAX_BUILD_ID
-        and (np.diff(ends, prepend=0) > 0).all()
-        and (ends[-1:] == len(text)).all()
-        and all(a < b for a, b in zip(names, names[1:]))
-        and (index < n_names).all()
-        and (first[1:] | (np.diff(index.astype(np.int64)) > 0)).all()
+        and (ids[:-1] < ids[1:]).all()  # int64, so at most MAX_BUILD_ID
+        and all(map(str.__lt__, ["", *names], names))  # not empty, ascending
+        and (index < len(names)).all()
+        and (first[1:] | (index[:-1] < index[1:])).all()
         and (verdicts.astype(np.uint8) < len(Verdict)).all()  # the codes are 0, 1, ...
         and ((durations >= 0) & (durations < math.inf)).all()
     ):
         return None
     tests = list(map(names.__getitem__, index.tolist()))
+    verdicts, durations = verdicts.astype(np.int8), durations.astype(np.float64)
     return {
         build_id: (tuple(tests[lo:hi]), verdicts[lo:hi], durations[lo:hi])
         for build_id, lo, hi in zip(ids.tolist(), bounds.tolist(), bounds[1:].tolist())
@@ -434,7 +403,8 @@ _UNIT_RISK_TYPES = get_type_hints(UnitRisk)
 def read_commits_jsonl(path: Path) -> list[Commit]:
     """The commits of a ``commits.jsonl`` file, one per nonblank line.
 
-    Raises SchemaError naming the path and line of a malformed commit, and
+    Raises SchemaError naming the path and line of a malformed commit (one
+    whose hash is not 40 lowercase hex digits among them), and
     DuplicateRecordError on a hash an earlier line holds or a file listed twice.
     """
     commits = []
@@ -454,6 +424,8 @@ def read_commits_jsonl(path: Path) -> list[Commit]:
                 if not (type(obj["hash"]) is str and type(obj["author"]) is str
                         and type(obj["message"]) is str):
                     _typed(obj, _COMMIT_TYPES)
+                if not _HASH_RE.fullmatch(obj["hash"]):
+                    raise ValueError(f"{obj['hash']!r} is not a 40-hex commit hash")
                 changes = []
                 for fobj in obj["files"]:
                     if not (type(fobj["path"]) is str and type(fobj["added"]) is int
@@ -495,71 +467,58 @@ def read_commits_jsonl(path: Path) -> list[Commit]:
 
 # --- the commit table ----------------------------------------------------
 #
-# derived/commits.bin, in the frame of tcpci.derived, is keyed by the size
-# and sha256 of commits.jsonl (_file_key).  Its payload, all numbers
-# little-endian:
-#   commits, file changes, paths, chunk starts, unit risks (u64 each);
-#   per commit its file-change count (i64);
-#   six columns of one i64 per file change: its path's index, lines added,
-#   lines deleted, added and deleted chunk counts, and its unit-risk count
-#   (-1 for None);
-#   each change's added, then deleted chunk starts (i64);
-#   per unit risk its lines added and deleted (i64);
-#   per string the code point where it ends (i64): each commit's hash,
-#   author, message and timestamp as commits.jsonl holds them, then the
-#   paths, ascending;
-#   per unit risk its _RISK_FLAGS (u8 each); the strings as one UTF-8 string.
-# The payload is written from the objects commits.jsonl is written from,
-# and only when each value has the type read_commits_jsonl demands, so a
-# table is never wrong for a JSONL whose digest it holds.
+# derived/commits.bin is keyed by commits.jsonl (derived.file_key).  Its
+# columns: the paths, ascending; per commit its _COMMIT_STRINGS as the JSONL
+# holds them, then its file-change count; per file change its path's index,
+# lines added and deleted, and unit-risk count (-1 for None); each change's
+# added and deleted chunk counts, then all chunk starts in that order; per
+# unit risk its _RISK_LINES, then its _RISK_FLAGS.  A payload is written only
+# when each value keeps the rules read_commits_jsonl checks, so a table is
+# never wrong for a JSONL whose digest it holds.
 
-_COMMIT_MAGIC = b"tcpci commit table 1\n"
-_COMMIT_HEAD = struct.Struct("<5Q")
+_COMMIT_MAGIC = b"tcpci commit table 2\n"
 _COMMIT_STRINGS = ("hash", "author", "message", "timestamp")
 _RISK_LINES = ("lines_added", "lines_deleted")
 _RISK_FLAGS = ("low_size", "low_complexity", "low_interfacing")
+_COMMIT_COLUMNS = (str, str, str, str, str, *["<i8"] * 9, "u1", "u1", "u1")
 
 
 def _commit_payload(objs: list[dict]) -> bytes | None:
     """The payload of the commit table of ``objs``, the objects of the lines
-    of ``commits.jsonl``; None when a value has a type that
-    :func:`read_commits_jsonl` rejects, or one the table cannot hold (an int
+    of ``commits.jsonl``; None when a value breaks a rule of
+    :func:`read_commits_jsonl`, or is one the table cannot hold (an int
     outside int64, a string that UTF-8 cannot encode)."""
     files = [f for obj in objs for f in obj["files"]]
     risks = [r for f in files for r in f.get("unit_risks") or ()]
-    strings = [obj[k] for obj in objs for k in _COMMIT_STRINGS]
+    strings = [[obj[k] for obj in objs] for k in _COMMIT_STRINGS]
     path_of = [f["path"] for f in files]
     lines = [[f[k] for f in files] for k in ("added", "deleted")]
     starts = [s for f in files for s in (*f["added_chunks"], *f["deleted_chunks"])]
-    risk_lines = [[r[k] for k in _RISK_LINES] for r in risks]
-    flags = [[r[k] for k in _RISK_FLAGS] for r in risks]
+    risk_lines = [[r[k] for r in risks] for k in _RISK_LINES]
+    flags = [[r[k] for r in risks] for k in _RISK_FLAGS]
     if not (
-        set(map(type, strings + path_of)) <= {str}
+        set(map(type, chain(*strings, path_of))) <= {str}
+        and all(map(_HASH_RE.fullmatch, strings[0]))
         and set(map(type, chain(*lines, starts, *risk_lines))) <= _INT
         and set(map(type, chain(*flags))) <= {bool}
     ):
         return None
     paths = sorted(set(path_of))
     slot = {p: i for i, p in enumerate(paths)}
-    counts = [
-        [len(f["added_chunks"]) for f in files],
-        [len(f["deleted_chunks"]) for f in files],
+    numbers = (
+        [len(obj["files"]) for obj in objs],
+        [slot[p] for p in path_of],
+        *lines,
         [-1 if f.get("unit_risks") is None else len(f["unit_risks"]) for f in files],
-    ]
+        [n for f in files for n in (len(f["added_chunks"]), len(f["deleted_chunks"]))],
+        starts,
+        *risk_lines,
+    )
     try:
-        columns = (
-            np.array([len(obj["files"]) for obj in objs], "<i8"),
-            np.array([[slot[p] for p in path_of], *lines, *counts], "<i8"),
-            np.array(starts, "<i8"),
-            np.array(risk_lines, "<i8"),
-            np.cumsum([len(s) for s in strings + paths], dtype="<i8"),
-            np.array(flags, "u1"),
-        )
-        text = "".join(strings + paths).encode()
+        return derived.encode([paths, *strings, *(np.array(c, "<i8") for c in numbers),
+                               *(np.array(c, "u1") for c in flags)])
     except (OverflowError, UnicodeEncodeError):
         return None
-    head = _COMMIT_HEAD.pack(len(objs), len(files), len(paths), len(starts), len(risks))
-    return b"".join([head, *(c.tobytes() for c in columns), text])
 
 
 def _read_commit_table(table: Path, jsonl: Path) -> list[Commit] | None:
@@ -569,49 +528,35 @@ def _read_commit_table(table: Path, jsonl: Path) -> list[Commit] | None:
     Each commit, file change and unit risk is made by its constructor, so
     every check the JSONL reader makes runs here too."""
     try:
-        payload = derived.read(table, _COMMIT_MAGIC, _file_key(jsonl))
-        if payload is None:
-            return None
-        n_commits, n_changes, n_paths, n_starts, n_risks = _COMMIT_HEAD.unpack_from(payload)
-        at = _COMMIT_HEAD.size
-
-        def take(dtype: str, count: int) -> np.ndarray:
-            nonlocal at
-            column = np.frombuffer(payload, dtype, count, at)
-            at += column.nbytes
-            return column
-
-        files = take("<i8", n_commits)
-        index, added, deleted, n_added, n_deleted, n_risk = take("<i8", 6 * n_changes).reshape(
-            6, n_changes
-        )
-        starts = tuple(take("<i8", n_starts).tolist())
-        risk_lines = take("<i8", 2 * n_risks).reshape(n_risks, 2)
-        ends = take("<i8", 4 * n_commits + n_paths)
-        flags = take("u1", 3 * n_risks).reshape(n_risks, 3)
-        text = str(payload[at:], "utf-8")
-    except (OSError, ValueError, OverflowError, struct.error):
+        payload = derived.read(table, _COMMIT_MAGIC, derived.file_key(jsonl))
+    except OSError:
         return None
-    # counts that part the flat columns whole, and indices that stay in them
-    chunks = np.stack([n_added, n_deleted], axis=1).ravel()
+    if payload is None or (columns := derived.decode(payload, _COMMIT_COLUMNS)) is None:
+        return None
+    paths, hashes, authors, messages, stamps, files, *per_change, chunks, starts = columns[:12]
+    index, added, deleted, n_risk = per_change
+    risks = columns[12:]  # the _RISK_LINES, then the _RISK_FLAGS
+    n_changes, n_starts, n_risks = len(index), len(starts), len(risks[0])
+    # columns of one length each, counts that part the flat columns whole,
+    # and indices that stay in them
     if not (
-        ((files >= 0) & (files <= n_changes)).all()
+        all(len({*map(len, group)}) == 1 for group in (columns[1:6], per_change, risks))
+        and ((files >= 0) & (files <= n_changes)).all()
         and files.sum() == n_changes
-        and ((index >= 0) & (index < n_paths)).all()
+        and ((index >= 0) & (index < len(paths))).all()
+        and len(chunks) == 2 * n_changes
         and ((chunks >= 0) & (chunks <= n_starts)).all()
         and chunks.sum() == n_starts
         and ((n_risk >= -1) & (n_risk <= n_risks)).all()
         and np.maximum(n_risk, 0).sum() == n_risks
-        and (np.diff(ends, prepend=0) >= 0).all()
-        and ends[-1:].sum() == len(text)
+        and all(map(_HASH_RE.fullmatch, hashes))
     ):
         return None
-    ends = ends.tolist()
-    strings = [text[lo:hi] for lo, hi in zip([0, *ends], ends)]
-    paths = strings[4 * n_commits :]
+    starts = tuple(starts.tolist())
     cuts = np.cumsum(chunks).tolist()
     spans = [starts[lo:hi] for lo, hi in zip([0, *cuts], cuts)]
-    rows = list(map(UnitRisk, *risk_lines.T.tolist(), *flags.T.astype(bool).tolist()))
+    rows = list(map(UnitRisk, *(c.tolist() for c in risks[:2]),
+                    *(c.astype(bool).tolist() for c in risks[2:])))
     cuts = np.cumsum(np.maximum(n_risk, 0)).tolist()
     unit_risks = [
         None if n < 0 else tuple(rows[hi - n : hi]) for n, hi in zip(n_risk.tolist(), cuts)
@@ -621,11 +566,10 @@ def _read_commit_table(table: Path, jsonl: Path) -> list[Commit] | None:
             FileChange, map(paths.__getitem__, index.tolist()), added.tolist(),
             deleted.tolist(), spans[0::2], spans[1::2], unit_risks,
         ))
-        meta, where = iter(strings[: 4 * n_commits]), str(table)
         cuts = np.cumsum(files).tolist()
         commits = [
-            Commit(sha, _parse_timestamp(ts, where), author, message, tuple(changes[lo:hi]))
-            for (sha, author, message, ts), lo, hi in zip(zip(meta, meta, meta, meta),
+            Commit(sha, _parse_timestamp(ts, str(table)), author, message, tuple(changes[lo:hi]))
+            for sha, author, message, ts, lo, hi in zip(hashes, authors, messages, stamps,
                                                          [0, *cuts], cuts)
         ]
     except (ValueError, SchemaError):
@@ -700,7 +644,7 @@ def _write_table(table: Path, magic: bytes, source: Path, payload: bytes | None)
     """Write the table of ``payload``, keyed by the bytes of ``source``,
     unless the payload is None (see :func:`tcpci.derived.write`)."""
     if payload is not None:
-        derived.write(table, derived.pack(magic, _file_key(source), payload))
+        derived.write(table, derived.pack(magic, derived.file_key(source), payload))
 
 
 def write_dataset(history: BuildHistory, root: Path) -> DatasetLayout:

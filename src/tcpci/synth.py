@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import struct
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -360,20 +359,18 @@ def _decode(raw: bytes) -> str:
 
 # --- the source table -----------------------------------------------------
 #
-# derived/sources.bin, in the frame of tcpci.derived, is keyed by the rules
-# digest: the sha256 of source_rows.py, which holds every rule a row
-# follows, and the metric names, so a table is only read under the rules
-# that wrote it.  A change to _decode changes the text of a file's bytes,
-# so it must change the magic.  The payload, all numbers little-endian:
-#   the row count (u64); per row the sha256 of a source file's bytes,
-#   ascending; per row its COMPLEXITY_METRICS (f64); and one UTF-8 line per
-#   row that holds its imports, a tab, and its type names.  Items are
-#   parted by a space, and an import is written as two flags, "s" or "-"
-#   for static and "*" or "-" for a wildcard, before its dotted name.
+# derived/sources.bin is keyed by the rules digest: the sha256 of
+# source_rows.py, which holds every rule a row follows, and the metric
+# names, so a table is only read under the rules that wrote it.  A change to
+# _decode changes the text of a file's bytes, so it must change the magic.
+# Its columns: the rows' keys, the sha256 of each source file's bytes,
+# ascending, as one byte column; their COMPLEXITY_METRICS, row by row; per
+# row its import count, then per import its dotted name and its static and
+# wildcard flags; per row its type-name count, then the type names.
 
-_SOURCE_MAGIC = b"tcpci source table 1\n"
+_SOURCE_MAGIC = b"tcpci source table 2\n"
+_SOURCE_COLUMNS = ("u1", "<f8", "<i8", str, "u1", "u1", "<i8", str)
 _DIGEST = hashlib.sha256().digest_size
-_ROW_COUNT = struct.Struct("<Q")
 #: No complexity metric reaches this; a table value that does is damage.
 _METRIC_LIMIT = 2.0**53
 
@@ -392,43 +389,42 @@ def _source_payload(rows: dict[bytes, SourceRow]) -> bytes:
     """The payload of the table of ``rows``, each keyed by the sha256 of its
     file's bytes."""
     keys = sorted(rows)
-    metrics = np.array([rows[k].metrics for k in keys], "<f8")
-    lines = (
-        " ".join(("s" if static else "-") + ("*" if star else "-") + name
-                 for static, name, star in rows[k].imports)
-        + "\t" + " ".join(rows[k].types) + "\n"
-        for k in keys
-    )
-    return b"".join(
-        [_ROW_COUNT.pack(len(keys)), *keys, metrics.tobytes(), "".join(lines).encode()]
-    )
+    imports = [item for k in keys for item in rows[k].imports]
+    return derived.encode([
+        np.frombuffer(b"".join(keys), "u1"),
+        np.array([rows[k].metrics for k in keys], "<f8").ravel(),
+        np.array([len(rows[k].imports) for k in keys], "<i8"),
+        [name for _, name, _ in imports],
+        np.array([static for static, _, _ in imports], "u1"),
+        np.array([star for _, _, star in imports], "u1"),
+        np.array([len(rows[k].types) for k in keys], "<i8"),
+        [name for k in keys for name in rows[k].types],
+    ])
 
 
 def _read_source_table(path: Path, rules: bytes) -> dict[bytes, SourceRow]:
     """The rows of the table at ``path`` by key; none when the table is
     missing, unreadable, written under other rules, or damaged."""
     payload = derived.read(path, _SOURCE_MAGIC, rules)
-    if payload is None:
+    if payload is None or (columns := derived.decode(payload, _SOURCE_COLUMNS)) is None:
         return {}
-    width = len(COMPLEXITY_METRICS)
-    try:
-        (n,) = _ROW_COUNT.unpack_from(payload)
-        at = _ROW_COUNT.size + n * _DIGEST
-        keys = bytes(payload[_ROW_COUNT.size : at])
-        metrics = np.frombuffer(payload, "<f8", n * width, at).reshape(n, width)
-        lines = str(payload[at + metrics.nbytes :], "utf-8").split("\n")
-    except (ValueError, OverflowError, struct.error):
+    keys, metrics, n_imports, names, static, star, n_types, types = columns
+    n, width = len(n_imports), len(COMPLEXITY_METRICS)
+    if not (
+        len(keys) == n * _DIGEST and len(metrics) == n * width and len(n_types) == n
+        and len(names) == len(static) == len(star)
+        and ((n_imports >= 0) & (n_imports <= len(names))).all() and n_imports.sum() == len(names)
+        and ((n_types >= 0) & (n_types <= len(types))).all() and n_types.sum() == len(types)
+        and ((metrics >= 0) & (metrics < _METRIC_LIMIT)).all()
+    ):
         return {}
-    if lines.pop() or len(lines) != n or not ((metrics >= 0) & (metrics < _METRIC_LIMIT)).all():
-        return {}
-    metrics = metrics.astype(np.float64)
-    rows = {}
-    for i, line in enumerate(lines):
-        imports, _, types = line.partition("\t")
-        items = filter(None, imports.split(" "))
-        rows[keys[i * _DIGEST : (i + 1) * _DIGEST]] = SourceRow(
-            tuple((item[:1] == "s", item[2:], item[1:2] == "*") for item in items),
-            tuple(filter(None, types.split(" "))),
-            metrics[i],
+    keys, metrics = keys.tobytes(), metrics.reshape(n, width).astype(np.float64)
+    imports = list(zip(static.astype(bool).tolist(), names, star.astype(bool).tolist()))
+    import_ends, type_ends = np.cumsum(n_imports).tolist(), np.cumsum(n_types).tolist()
+    bounds = zip([0, *import_ends], import_ends, [0, *type_ends], type_ends)
+    return {
+        keys[i * _DIGEST : (i + 1) * _DIGEST]: SourceRow(
+            tuple(imports[lo:hi]), tuple(types[start:end]), metrics[i]
         )
-    return rows
+        for i, (lo, hi, start, end) in enumerate(bounds)
+    }

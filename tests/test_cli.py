@@ -247,6 +247,8 @@ RISK = {"lines_added": 1, "lines_deleted": 0, "low_size": True, "low_complexity"
         {"builds.csv": b'99,2024-01-01T00:00:00+00:00,"' + b"a" * 40 + b'\n"\n'},
         {"commits.jsonl": b'{"hash": "\xff"}\n'},
         {"commits.jsonl": b"[" * 100_000 + b"\n"},
+        {"commits.jsonl": b'{"hash": "not-a-hash", "timestamp": "2024-01-01T00:00:00+00:00", '
+                          b'"author": "dev", "message": "m", "files": []}\n'},
     ],
     ids=[
         "duration-nan", "duration-inf", "message-int", "author-null", "path-int",
@@ -256,7 +258,7 @@ RISK = {"lines_added": 1, "lines_deleted": 0, "low_size": True, "low_complexity"
         "commit-repeated",
         "record-short", "record-long", "record-not-utf8", "build-no-commits",
         "build-no-timestamp", "build-id-0", "build-not-utf8", "build-hash-final-lf", "commit-not-utf8",
-        "commit-nested-deep",
+        "commit-nested-deep", "commit-hash-not-hex",
     ],
 )
 def test_malformed_dataset_value_exits_2(dataset, tmp_path, capsys, edit):
@@ -290,7 +292,8 @@ def test_malformed_dataset_value_exits_2(dataset, tmp_path, capsys, edit):
     assert err.startswith("error:")
     if key in ("exec_records.csv", "builds.csv", "commits.jsonl"):
         # an appended line is reported at its own file and line
-        assert re.search(rf"{re.escape(key)}:\d+: ", err), err
+        last = (broken / key).read_bytes().count(b"\n")
+        assert f"{key}:{last}: " in err, err
 
 
 def _corrupt(data: bytes, row: int, how: tuple) -> bytes:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcpci.catalog import CHANGE_METRICS, COMPLEXITY_METRICS, PROCESS_METRICS
-from tcpci import code_analysis, source_rows
+from tcpci import code_analysis, ingest, source_rows, synth
 from tcpci.code_analysis import (
     FileIndex,
     ProcessHistory,
@@ -974,3 +974,18 @@ def test_source_rows_imports_nothing_of_the_package_but_the_catalog():
             imported.update(alias.name for alias in node.names)
     package = {name for name in imported if name.startswith(".") or name.split(".")[0] == "tcpci"}
     assert package == {".catalog"}
+
+
+@pytest.mark.parametrize("module", [ingest, synth], ids=["ingest", "synth"])
+def test_table_owners_frame_no_payload_by_hand(module):
+    # the byte layout of every derived/ table is tcpci.derived's alone: an
+    # owner that packs a struct or reads an array at an offset lays out
+    # its payload itself
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert "struct" not in {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module != "struct"
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "frombuffer":
+            assert len(node.args) < 4 and "offset" not in {k.arg for k in node.keywords}

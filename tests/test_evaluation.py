@@ -302,7 +302,7 @@ def test_dataset_and_evaluation_bytes_golden(synth_small, tmp_path):
     payload = derived.read(layout.source_table, synth._SOURCE_MAGIC, synth._rules_digest())
     digests["sources.bin payload"] = hashlib.sha256(payload).hexdigest()
     # and of its commit table, which the "derived" digest holds as well
-    key = ingest._file_key(layout.commits_jsonl)
+    key = derived.file_key(layout.commits_jsonl)
     payload = derived.read(layout.commit_table, ingest._COMMIT_MAGIC, key)
     digests["commits.bin payload"] = hashlib.sha256(payload).hexdigest()
 
@@ -320,9 +320,9 @@ def test_dataset_and_evaluation_bytes_golden(synth_small, tmp_path):
         "default": "b893dc4be9d554017280409e61d5cf979f3314d7e015e388e3f264f20c57d29f",
         "cold": "822d68a7a3e8db1189d27f6127420a73278da350e688326d35595da3bab096b1",
         "drift": "1938bf2451069d1edb8d014a1628b584dc95552ee9456837a52f52093044a8f6",
-        "derived": "f76a3f45c92a0bf2c8febaf21b15fee55f1366b1fdb34ffbdc6ebc5255a6b2b7",
-        "sources.bin payload": "62ec59118be5c8c58cded3948e3f23d5b1db2ccc4dbc72a8a29cba5f260681dd",
-        "commits.bin payload": "acb941ba6ea31d1c9f40d09e17d9b45ad6ca288ffc362c9f36aa377d7c022f33",
+        "derived": "016860a724f433fc3c3a177e3a6a322b6358b452d519a9027cc7a5502623b5f9",
+        "sources.bin payload": "c501d9c8861ec46029aab9eb4af4251e5cc5825d26e84867c1b6f0bfcb102e3d",
+        "commits.bin payload": "1483ab2fcef11a458fdf19b9f8ede04968f977361ceb9f78e22a3358c38a4517",
         "apfdc.csv": "03c1bbec0396b0e025100f6b32fbbf9357ea6fb7033290054db5e55984645692",
         "report.json": "c9e3c599c92e2ead2f649b992af71827fe8905b76eb5f0201dca8a920ea14c2a",
         "decay.csv": "9411d4c533828b35fc357dbac4032b201648a1664ab2ac48f0facc638bce27de",

@@ -253,7 +253,7 @@ def small_layout(tmp_path_factory):
 
 def _payload(layout: DatasetLayout) -> bytes:
     """The payload of ``layout``'s intact execution table."""
-    key = ingest._file_key(layout.exec_records_csv)
+    key = derived.file_key(layout.exec_records_csv)
     payload = derived.read(layout.exec_table, ingest._TABLE_MAGIC, key)
     assert payload is not None
     return bytes(payload)
@@ -261,7 +261,7 @@ def _payload(layout: DatasetLayout) -> bytes:
 
 def _redigested(layout: DatasetLayout, payload: bytes) -> bytes:
     """``layout``'s table with ``payload`` and that payload's digest."""
-    key = ingest._file_key(layout.exec_records_csv)
+    key = derived.file_key(layout.exec_records_csv)
     return derived.pack(ingest._TABLE_MAGIC, key, payload)
 
 
@@ -298,12 +298,11 @@ def test_redigested_exec_table_never_raises(small_layout, edits):
 def test_exec_table_with_bad_build_ids_is_not_read(small_layout, tmp_path, ids):
     # a table whose ids are not strictly ascending and >= 1 once read build
     # 2's executions as build 3's, and build 2 as a build without any
-    payload = bytearray(_payload(small_layout))
-    at = ingest._PAYLOAD_HEAD.size
-    assert np.frombuffer(payload, "<i8", 3, at).tolist() == [1, 2, 3]
-    payload[at:at + 24] = np.array(ids, "<i8").tobytes()
+    columns = derived.decode(_payload(small_layout), ingest._EXEC_COLUMNS)
+    assert columns[0][:3].tolist() == [1, 2, 3]
+    columns[0] = np.concatenate([ids, columns[0][3:]]).astype("<i8")
     table = tmp_path / "exec_records.bin"
-    table.write_bytes(_redigested(small_layout, bytes(payload)))
+    table.write_bytes(_redigested(small_layout, derived.encode(columns)))
     assert ingest._read_exec_table(table, small_layout.exec_records_csv) is None
 
 
@@ -468,7 +467,9 @@ def test_value_the_commit_table_cannot_hold_is_read_from_the_jsonl(tmp_path, cha
     (_one_commit_history(unit_risks=(UnitRisk(1, 0, 1, True, True),)), "low_size must be bool"),
     (BuildHistory([], {k: Commit("c" * 40, datetime(2024, 1, 1), "dev", "msg", ())
                        for k in "xy"}), "duplicate commit"),
-], ids=["count-bool", "start-float", "flag-int", "hash-twice"])
+    (BuildHistory([], {"not-a-hash": Commit("not-a-hash", datetime(2024, 1, 1), "dev", "msg",
+                                            ())}), "'not-a-hash' is not a 40-hex commit hash"),
+], ids=["count-bool", "start-float", "flag-int", "hash-twice", "hash-not-hex"])
 def test_commits_the_jsonl_rejects_keep_its_error(tmp_path, history, error):
     # a value of a type the JSONL reader rejects writes no table, and a
     # table of a history that breaks a rule (one hash on two lines) is not
@@ -494,7 +495,7 @@ def commit_layout(tmp_path_factory):
 
 
 def _commit_payload(layout: DatasetLayout) -> bytes:
-    key = ingest._file_key(layout.commits_jsonl)
+    key = derived.file_key(layout.commits_jsonl)
     payload = derived.read(layout.commit_table, ingest._COMMIT_MAGIC, key)
     assert payload is not None
     return bytes(payload)
@@ -549,13 +550,13 @@ def test_resealed_commit_table_never_raises(commit_layout, edits):
             payload = payload[:at % (len(payload) + 1)]
         elif kind == "extend":
             payload += bytes([value]) * (at % 16 + 1)
-    key = ingest._file_key(layout.commits_jsonl)
+    key = derived.file_key(layout.commits_jsonl)
     with tempfile.TemporaryDirectory() as tmp:
         table = Path(tmp) / "commits.bin"
         table.write_bytes(derived.pack(ingest._COMMIT_MAGIC, key, payload))
         commits = ingest._read_commit_table(table, layout.commits_jsonl)
     ids = [c.id for c in commits or ()]
-    assert len(set(ids)) == len(ids)
+    assert len(set(ids)) == len(ids) and all(map(ingest._HASH_RE.fullmatch, ids))
     for c in commits or ():
         assert type(c) is Commit and c.timestamp.tzinfo is not None
         paths = [fc.path for fc in c.file_changes]
@@ -565,6 +566,20 @@ def test_resealed_commit_table_never_raises(commit_layout, edits):
             assert min(fc.added_chunks + fc.deleted_chunks, default=1) >= 1
             assert fc.unit_risks is None or all(
                 type(r) is UnitRisk and type(r.low_size) is bool for r in fc.unit_risks)
+
+
+def test_resealed_commit_table_with_a_bad_hash_is_not_read(commit_layout, tmp_path):
+    # a hash the JSONL reader rejects is no commit, from a table either
+    _, layout = commit_layout
+    columns = derived.decode(_commit_payload(layout), ingest._COMMIT_COLUMNS)
+    columns[1][0] = "not-a-hash"
+    table = tmp_path / "commits.bin"
+    key = derived.file_key(layout.commits_jsonl)
+    table.write_bytes(derived.pack(ingest._COMMIT_MAGIC, key, derived.encode(columns)))
+    assert ingest._read_commit_table(table, layout.commits_jsonl) is None
+    columns[1][0] = "f" * 40  # the check above fails for the hash alone
+    table.write_bytes(derived.pack(ingest._COMMIT_MAGIC, key, derived.encode(columns)))
+    assert ingest._read_commit_table(table, layout.commits_jsonl) is not None
 
 
 def test_commit_table_stands_in_for_the_parse(commit_layout, tmp_path, monkeypatch):
